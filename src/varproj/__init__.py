@@ -1,7 +1,9 @@
 """Metric projections onto balls and positive cones, with derivatives,
 coderivative descriptors, and a numerical membership check."""
 
-from . import ball, cli, descriptors, l2_cone, oracle, orthant, suites, vectors
+# cli and suites load on first use: importing cli here would make
+# `python -m varproj.cli` run a module that is already in sys.modules
+from . import ball, descriptors, l2_cone, oracle, orthant, vectors
 from .ball import BallProjection, BallRegion, DirectionClass
 from .descriptors import (
     CoordinateMaskMap,

@@ -3,7 +3,7 @@
 JSON in, JSON out.  Dense vectors are arrays of numbers; sparse vectors
 are arrays of ``[index, value]`` pairs with strictly increasing 1-based
 indices and nonzero values.  Exit codes: 0 on success, 1 when a verify
-suite reports failures, 2 on malformed input.
+suite reports failures or stdout is closed early, 2 on malformed input.
 """
 
 from __future__ import annotations
@@ -278,7 +278,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(json.dumps(out, sort_keys=True))
+    try:
+        print(json.dumps(out, sort_keys=True))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (as `| head` does); send the rest to
+        # devnull so the flush at interpreter exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return code
 
 

@@ -15,6 +15,19 @@ and moves along y and z themselves).  Scaled single-coordinate segments
 such as u_j = xbar_j + t * z_j trace the same rays as the coordinate
 probes, so normalising directions to unit length loses no coverage.
 
+Evaluation is batched.  f(xbar) is computed once per verdict.  At each
+radius the probe directions are stacked as rows and scored in blocks of
+about 32k floats: f is still called once per row, but the differences,
+norms, inner products and the argmax are array expressions over the
+block.  Sparse queries use the same dense path: they are embedded in R^m
+over the probed axes (all supports plus one fresh index), each row
+reaches f as a SparseVector, and the outputs of f are laid out over the
+union of their supports, wherever f maps.  The winning probe at the
+smallest radius is scored again through the scalar ``quotient``; that
+value is the last supremum and the witness quotient, so a witness
+re-evaluates exactly.  Witness directions of sparse queries are
+SparseVectors with 1-based indices.
+
 Verdict rule, with s_k the supremum of the quotient at the k-th radius
 (radii decrease) and tol the configured tolerance:
 
@@ -36,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -54,6 +67,8 @@ __all__ = [
 ]
 
 _DENOMINATORS = ("sum", "euclidean")
+# probe rows are generated and scored in blocks of about this many floats
+_BLOCK_FLOATS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -142,9 +157,10 @@ class OracleVerdict:
         }
 
 
-def _denominator(kind: str, d_in: float, d_out: float) -> float:
+def _denominator(kind: str, d_in, d_out):
+    """Quotient denominator; takes scalars or arrays of row norms alike."""
     if kind == "euclidean":
-        return float(np.hypot(d_in, d_out))
+        return np.hypot(d_in, d_out)
     return d_in + d_out
 
 
@@ -165,26 +181,16 @@ def quotient(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, z: Vector, 
         raise ValueError("u must differ from xbar")
     df = f(u) - f(xbar)
     num = inner(z, du) - inner(y, df)
-    return num / _denominator(denominator, d_in, norm(df))
+    return float(num / _denominator(denominator, d_in, norm(df)))
 
 
-def _unit(v: Vector) -> Vector:
-    length = norm(v)
-    if length == 0.0:
-        raise ValueError("cannot normalise the zero vector")
-    if isinstance(v, SparseVector):
-        return v * (1.0 / length)
-    return v / length
+def _structured_head(xbar: np.ndarray, y: np.ndarray, z: np.ndarray) -> list[np.ndarray]:
+    """Unit directions +-xbar, +-y, +-z and +- the parts of y and z orthogonal to xbar."""
+    dirs: list[np.ndarray] = []
 
-
-def _structured_directions(xbar: Vector, y: Vector, z: Vector) -> list[Vector]:
-    """Worst-case-family probe directions, unit length, deterministic order."""
-    dirs: list[Vector] = []
-
-    def both_ways(v: Vector):
-        u = _unit(v)
-        dirs.append(u)
-        dirs.append(-u)
+    def both_ways(v: np.ndarray):
+        u = v / norm(v)
+        dirs.extend((u, -u))
 
     if not is_zero(xbar):
         both_ways(xbar)
@@ -195,15 +201,6 @@ def _structured_directions(xbar: Vector, y: Vector, z: Vector) -> list[Vector]:
                 o = orth_decompose(xbar, v).o
                 if norm(o) > 1e-13 * norm(v):
                     both_ways(o)
-    if isinstance(xbar, SparseVector):
-        for i in _active_axes(xbar, y, z):
-            both_ways(SparseVector.basis(i))
-    else:
-        n = xbar.shape[0]
-        for j in range(n):
-            e = np.zeros(n)
-            e[j] = 1.0
-            both_ways(e)
     return dirs
 
 
@@ -214,26 +211,50 @@ def _active_axes(xbar: SparseVector, y: SparseVector, z: SparseVector) -> list[i
     return active + [fresh]
 
 
-def _random_directions(rng: np.random.Generator, xbar: Vector, y: Vector, z: Vector,
-                       count: int) -> list[Vector]:
-    dirs: list[Vector] = []
-    if isinstance(xbar, SparseVector):
-        axes = _active_axes(xbar, y, z)
-        for _ in range(count):
-            values = rng.standard_normal(len(axes))
-            length = float(np.linalg.norm(values))
-            if length < 1e-12:
-                continue
-            dirs.append(SparseVector({i: v / length for i, v in zip(axes, values)}))
-    else:
-        n = xbar.shape[0]
-        for _ in range(count):
-            values = rng.standard_normal(n)
-            length = float(np.linalg.norm(values))
-            if length < 1e-12:
-                continue
-            dirs.append(values / length)
-    return dirs
+def _dense_over(v: SparseVector, axes: list[int]) -> np.ndarray:
+    values = v.to_mapping()
+    return np.array([values.get(i, 0.0) for i in axes])
+
+
+def _probe_blocks(head: Optional[list[np.ndarray]], m: int, rng: np.random.Generator,
+                  count: int, rows: int) -> Iterator[np.ndarray]:
+    """Unit probe directions for one radius, in blocks of at most `rows` rows.
+
+    Order: the structured head, then +e_j and -e_j for every axis j (both
+    left out when head is None), then `count` seeded Gaussian draws scaled
+    to unit length; draws shorter than 1e-12 are skipped.  Drawing block by
+    block consumes the generator exactly like one draw of length m per row.
+    """
+    if head is not None:
+        if head:
+            yield np.array(head)
+        for start in range(0, 2 * m, rows):
+            k = np.arange(start, min(start + rows, 2 * m))
+            block = np.zeros((k.size, m))
+            block[np.arange(k.size), k // 2] = np.where(k % 2 == 0, 1.0, -1.0)
+            yield block
+    for start in range(0, count, rows):
+        draws = rng.standard_normal((min(rows, count - start), m))
+        length = np.linalg.norm(draws, axis=1)
+        keep = length >= 1e-12
+        yield draws[keep] / length[keep, None]
+
+
+def _output_rows(outs: list[Vector], fx: Vector, y: Vector) -> tuple[np.ndarray, np.ndarray]:
+    """Rows f(u) - f(xbar), and y, as dense arrays over one set of output coordinates.
+
+    Sparse outputs are laid out over the union of their supports and that
+    of f(xbar), so f may map anywhere in the sequence space.
+    """
+    if not isinstance(fx, SparseVector):
+        return np.array(outs) - fx, y
+    cols = sorted(fx.support.union(*(o.support for o in outs)))
+    index = {i: c for c, i in enumerate(cols)}
+    values = np.zeros((len(outs), len(cols)))
+    for r, o in enumerate(outs):
+        for i, v in o.pairs:
+            values[r, index[i]] = v
+    return values - _dense_over(fx, cols), _dense_over(y, cols)
 
 
 def membership(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, z: Vector,
@@ -241,29 +262,53 @@ def membership(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, z: Vector
     """Estimate whether z belongs to the coderivative of f at xbar for y."""
     if config is None:
         config = ProbeConfig()
-    if isinstance(xbar, np.ndarray):
-        xbar = as_vector(xbar)
-        y = as_vector(y)
-        z = as_vector(z)
+    if isinstance(xbar, SparseVector):
+        if not (isinstance(y, SparseVector) and isinstance(z, SparseVector)):
+            raise TypeError("dense and sparse vectors cannot be combined in one operation")
+        axes = _active_axes(xbar, y, z)
+        x0, y0, z0 = (_dense_over(v, axes) for v in (xbar, y, z))
+
+        def point(row: np.ndarray) -> Vector:
+            return SparseVector(zip(axes, row.tolist()))
+    else:
+        xbar, y, z = x0, y0, z0 = as_vector(xbar), as_vector(y), as_vector(z)
+        if not x0.shape == y0.shape == z0.shape:
+            raise ValueError(f"dimension mismatch: {x0.size}, {y0.size}, {z0.size}")
+
+        def point(row: np.ndarray) -> Vector:
+            return row
+    m = x0.size
+    rows = max(1, _BLOCK_FLOATS // m)
+    head = _structured_head(x0, y0, z0) if config.structured_probes else None
     rng = np.random.default_rng(config.seed)
-    structured = _structured_directions(xbar, y, z) if config.structured_probes else []
+    fx = f(xbar)
 
     estimates: list[tuple[float, float]] = []
-    best_dir_last: Optional[Vector] = None
     for t in config.radii:
-        dirs = structured + _random_directions(rng, xbar, y, z, config.random_directions)
-        if not dirs:
+        sup, best = -np.inf, None
+        for dirs in _probe_blocks(head, m, rng, config.random_directions, rows):
+            if not len(dirs):
+                continue
+            u = x0 + t * dirs
+            du = u - x0
+            d_in = np.linalg.norm(du, axis=1)
+            if not np.all(d_in > 0.0):
+                raise ValueError("u must differ from xbar")
+            df, y_out = _output_rows([f(point(row)) for row in u], fx, y)
+            q = (du @ z0 - df @ y_out) / _denominator(config.denominator, d_in,
+                                                       np.linalg.norm(df, axis=1))
+            i = int(np.argmax(q))
+            if best is None or q[i] > sup:
+                sup, best = float(q[i]), dirs[i].copy()
+        if best is None:
             raise ValueError("probe plan is empty; enable structured probes or random directions")
-        sup = -np.inf
-        best_dir = dirs[0]
-        for d in dirs:
-            q = quotient(f, xbar, y, z, xbar + t * d, denominator=config.denominator)
-            if q > sup:
-                sup = q
-                best_dir = d
-        estimates.append((t, float(sup)))
-        best_dir_last = best_dir
+        estimates.append((t, sup))
 
+    # the winner at the smallest radius is scored again through the scalar
+    # quotient, so the witness re-evaluates to exactly the stored value
+    direction = point(best)
+    t = config.radii[-1]
+    estimates[-1] = (t, quotient(f, xbar, y, z, xbar + t * direction, config.denominator))
     sups = [s for _, s in estimates]
     tol = config.tolerance
     witness = None
@@ -271,7 +316,7 @@ def membership(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, z: Vector
         # a persisting positive quotient at the smallest radius certifies
         # exclusion; keep the probe that achieved it
         verdict = Verdict.NON_MEMBER
-        witness = Witness(direction=best_dir_last, radius=config.radii[-1], quotient=sups[-1])
+        witness = Witness(direction=direction, radius=t, quotient=sups[-1])
     elif all(max(b, 0.0) <= max(a, 0.0) + tol for a, b in zip(sups, sups[1:])):
         verdict = Verdict.MEMBER
     else:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -193,3 +197,33 @@ class TestParser:
     def test_help_exits_zero(self, capsys):
         code, out, _ = run(capsys, "--help")
         assert code == 0 and "project" in out
+
+
+class TestProcess:
+    """``python -m varproj.cli`` in a fresh interpreter."""
+
+    SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+    def spawn(self, *argv, python_flags=(), **kwargs):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [self.SRC, env.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, *python_flags, "-m", "varproj.cli", *argv],
+                              env=env, stderr=subprocess.PIPE, text=True, timeout=120, **kwargs)
+
+    def test_runs_as_module_without_runtime_warning(self):
+        proc = self.spawn("project", "--set", "cone-rn", "--point", "[1,-1]",
+                          python_flags=("-W", "error::RuntimeWarning"), stdout=subprocess.PIPE)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["projection"] == [1.0, 0.0]
+
+    def test_closed_stdout_is_quiet(self):
+        # the read end is closed before the child starts, so its first
+        # write to stdout fails with EPIPE
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = self.spawn("verify", "--suite", "decomp", stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr, proc.stderr
+        assert proc.returncode == 1

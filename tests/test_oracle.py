@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from varproj import l2_cone, orthant
+from varproj import l2_cone, orthant, suites
 from varproj.ball import BallProjection
 from varproj.oracle import (
     ProbeConfig,
@@ -13,7 +13,75 @@ from varproj.oracle import (
     membership,
     quotient,
 )
-from varproj.vectors import SparseVector
+from varproj.vectors import SparseVector, as_vector, is_zero, norm, orth_decompose
+
+
+def _reference_membership(f, xbar, y, z, config):
+    """Per-probe scalar loop the batched oracle replaced; returns (verdict, sups).
+
+    Every probe goes through the public ``quotient``, in the order the
+    batched path scores them: structured directions, then seeded random
+    ones drawn one vector at a time.
+    """
+    if isinstance(xbar, np.ndarray):
+        xbar, y, z = as_vector(xbar), as_vector(y), as_vector(z)
+    sparse = isinstance(xbar, SparseVector)
+    if sparse:
+        active = sorted(xbar.support | y.support | z.support)
+        axes = active + [(active[-1] + 1) if active else 1]
+        basis = [SparseVector.basis(i) for i in axes]
+    else:
+        axes = range(xbar.shape[0])
+        basis = list(np.eye(xbar.shape[0]))
+
+    def unit(v):
+        length = norm(v)
+        return v * (1.0 / length) if sparse else v / length
+
+    structured = []
+    if config.structured_probes:
+        anchors = [xbar] if not is_zero(xbar) else []
+        for v in (y, z):
+            if not is_zero(v):
+                anchors.append(v)
+                if not is_zero(xbar):
+                    o = orth_decompose(xbar, v).o
+                    if norm(o) > 1e-13 * norm(v):
+                        anchors.append(o)
+        for v in anchors + basis:
+            structured += [unit(v), -unit(v)]
+    rng = np.random.default_rng(config.seed)
+    sups = []
+    for t in config.radii:
+        dirs = list(structured)
+        for _ in range(config.random_directions):
+            values = rng.standard_normal(len(axes))
+            length = float(np.linalg.norm(values))
+            if length < 1e-12:
+                continue
+            values = values / length
+            dirs.append(SparseVector(dict(zip(axes, values))) if sparse else values)
+        sups.append(max(quotient(f, xbar, y, z, xbar + t * d, config.denominator) for d in dirs))
+    tol = config.tolerance
+    if sups[-1] > tol:
+        verdict = Verdict.NON_MEMBER
+    elif all(max(b, 0.0) <= max(a, 0.0) + tol for a, b in zip(sups, sups[1:])):
+        verdict = Verdict.MEMBER
+    else:
+        verdict = Verdict.INCONCLUSIVE
+    return verdict, sups
+
+
+def _assert_matches_reference(f, xbar, y, z, config):
+    out = membership(f, xbar, y, z, config)
+    verdict, sups = _reference_membership(f, xbar, y, z, config)
+    assert out.verdict is verdict
+    for (_, got), want in zip(out.sup_estimates, sups):
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+    if out.verdict is Verdict.NON_MEMBER:
+        w = out.witness
+        again = quotient(f, xbar, y, z, xbar + w.radius * w.direction, config.denominator)
+        assert again == w.quotient == out.sup_estimates[-1][1]
 
 
 class TestProbeConfig:
@@ -143,6 +211,49 @@ class TestMembership:
                     op.project, xbar, np.zeros(2), z_probe, ProbeConfig(denominator=den)
                 )
                 assert out.verdict is want
+
+
+class TestBatchedAgainstReference:
+    @pytest.mark.parametrize("seed", [3, 4])
+    @pytest.mark.parametrize("denominator", ["sum", "euclidean"])
+    def test_membership_corpora(self, seed, denominator):
+        rng = np.random.default_rng(seed)
+        cases = (
+            suites.ball_membership_cases(rng, per_family=1)
+            + suites.orthant_membership_cases(rng, per_family=1)
+            + suites.l2_membership_cases(rng, per_family=1)
+        )
+        config = ProbeConfig(random_directions=64, seed=seed, denominator=denominator)
+        for case in cases:
+            _assert_matches_reference(case.project, case.xbar, case.y, case.z, config)
+
+    def test_order_interval_grids(self):
+        # the first two grids of acceptance criterion 7, one per template variant
+        rng = np.random.default_rng(707)
+        config = ProbeConfig(random_directions=32, seed=7)
+        for variant in (0, 1):
+            m_size, off_size = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            xbar, _, y, grid = suites.order_interval_grid(rng, m_size, off_size, variant=variant)
+            for z in grid:
+                _assert_matches_reference(l2_cone.project, xbar, y, z, config)
+
+    def test_sparse_image_off_probe_axes(self):
+        # f shifts every index up by one, so part of its output lies outside
+        # the axes the oracle probes
+        def shift(x):
+            return SparseVector({i + 1: v for i, v in x.positive_part().items()})
+
+        x1 = SparseVector({1: 1.0})
+        x13 = SparseVector({1: 1.0, 3: -0.5})
+        for xbar, y, z in (
+            (x13, SparseVector({2: 0.7, 4: -0.2}), SparseVector({1: 0.7})),
+            (x13, SparseVector({2: 0.7}), SparseVector({1: 0.9, 3: 0.3})),
+            # the probe +e_2 moves f(u) at index 3, which is no probe axis:
+            # the limsup is 1/2, not the 1 that ignoring index 3 would give
+            (x1, SparseVector({}), SparseVector({2: 1.0})),
+        ):
+            _assert_matches_reference(shift, xbar, y, z, ProbeConfig(random_directions=64))
+        assert membership(shift, x1, SparseVector({}), SparseVector({2: 1.0})).witness.quotient == 0.5
 
 
 class TestDirectionalQuotient:
