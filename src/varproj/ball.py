@@ -39,7 +39,7 @@ from .descriptors import (
     ScaledComplementMap,
     SingletonSet,
 )
-from .vectors import approx_equal, as_vector, inner, is_zero, norm, orth_decompose
+from .vectors import approx_equal, as_rows, as_vector, inner, is_zero, norm, orth_decompose, row_norms
 
 __all__ = ["BallRegion", "DirectionClass", "BallProjection", "SpherePartial"]
 
@@ -52,6 +52,9 @@ RADIAL_RTOL = 1e-10
 
 # Relative tolerance for the query y == x at a sphere point (empty set rule).
 SELF_QUERY_RTOL = 1e-10
+
+# smallest normal double: a projection scale below it has lost precision
+_TINY = np.finfo(float).tiny
 
 
 class BallRegion(Enum):
@@ -129,7 +132,29 @@ class BallProjection:
         length = norm(x)
         if length <= self.radius:
             return x.copy()
-        return (self.radius / length) * x
+        scale = self.radius / length
+        if not scale >= _TINY:
+            # ||x|| exceeds the largest double, or r / ||x|| underflows:
+            # project x / max|x|, which has the same direction
+            x = x / np.max(np.abs(x))
+            scale = self.radius / norm(x)
+        return scale * x
+
+    def project_rows(self, block) -> np.ndarray:
+        """Project each row of a k x m block of points; returns the k x m block of images.
+
+        Row i is scaled by r / max(||row||, r): a row inside the ball is
+        multiplied by exactly 1.0, and a zero row needs no division.  Row
+        norms use the same overflow and underflow rescue as ``norm``, and
+        rows whose scale would underflow go through ``project``, so row i
+        matches ``project(block[i])`` to within a few ulp.
+        """
+        block = as_rows(block)
+        scale = self.radius / np.maximum(row_norms(block), self.radius)
+        out = scale[:, None] * block
+        for i in np.flatnonzero(scale < _TINY):
+            out[i] = self.project(block[i])
+        return out
 
     def region(self, x) -> BallRegion:
         x = as_vector(x)

@@ -271,7 +271,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        out, code = _DISPATCH[args.command](args)
+        # the library rescues norms whose squares overflow; the plain
+        # attempt's overflow warning would only be noise on stderr
+        with np.errstate(over="ignore"):
+            out, code = _DISPATCH[args.command](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -4,7 +4,8 @@ The cone consists of sequences with every coordinate >= 0, and the
 projection takes the componentwise positive part.  All computations here
 use finite-support sparse vectors, which is lossless: the projection,
 the derivative maps, and every membership rule below preserve finite
-support.
+support.  The one exception is ``project_rows``, which projects many
+points at once, given as rows of their coordinates on fixed indices.
 
 The interesting base points are those with support exactly M and
 strictly positive values there ("strictly positive on M").  For such a
@@ -23,12 +24,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+import numpy as np
+
 from .descriptors import DerivativeSet, SingletonSet
-from .vectors import SparseVector
+from .vectors import SparseVector, as_rows
 
 __all__ = [
     "as_support",
     "project",
+    "project_rows",
     "positive_mask",
     "has_positive_support",
     "nonnegative_off",
@@ -60,6 +64,21 @@ def _require_sparse(v, name: str) -> SparseVector:
 def project(x: SparseVector) -> SparseVector:
     """Componentwise positive part."""
     return _require_sparse(x, "x").positive_part()
+
+
+def project_rows(block) -> np.ndarray:
+    """Project each row of a k x m block of points; returns the k x m block of images.
+
+    A row holds the coordinates of a sparse vector on m fixed indices,
+    zero elsewhere, and its image is laid out on the same indices.  This
+    is exact because the projection acts coordinate by coordinate and
+    maps 0 to 0: row i equals ``project`` of the sparse vector, read back
+    on those indices.
+    """
+    return np.maximum(as_rows(block), 0.0)
+
+
+project.rows = project_rows
 
 
 def positive_mask(x: SparseVector, w: SparseVector) -> SparseVector:

@@ -17,16 +17,21 @@ probes, so normalising directions to unit length loses no coverage.
 
 Evaluation is batched.  f(xbar) is computed once per verdict.  At each
 radius the probe directions are stacked as rows and scored in blocks of
-about 32k floats: f is still called once per row, but the differences,
-norms, inner products and the argmax are array expressions over the
-block.  Sparse queries use the same dense path: they are embedded in R^m
-over the probed axes (all supports plus one fresh index), each row
-reaches f as a SparseVector, and the outputs of f are laid out over the
-union of their supports, wherever f maps.  The winning probe at the
-smallest radius is scored again through the scalar ``quotient``; that
-value is the last supremum and the witness quotient, so a witness
-re-evaluates exactly.  Witness directions of sparse queries are
-SparseVectors with 1-based indices.
+about 32k floats; the differences, norms, inner products and the argmax
+are array expressions over the block.  Sparse queries use the same dense
+path: they are embedded in R^m over the probed axes (all supports plus
+one fresh index).
+
+When f has a row form (see ``_row_form``: the ``project`` of every set
+in this package has one), f is applied to a whole block in one call,
+and its images lie on the probed coordinates.  Any other f is called
+once per row: sparse rows reach it as SparseVectors, and its outputs are
+laid out over the union of their supports, wherever f maps.
+
+The winning probe at the smallest radius is scored again through the
+scalar ``quotient``; that value is the last supremum and the witness
+quotient, so a witness re-evaluates exactly.  Witness directions of
+sparse queries are SparseVectors with 1-based indices.
 
 Verdict rule, with s_k the supremum of the quotient at the k-th radius
 (radii decrease) and tol the configured tolerance:
@@ -240,6 +245,25 @@ def _probe_blocks(head: Optional[list[np.ndarray]], m: int, rng: np.random.Gener
         yield draws[keep] / length[keep, None]
 
 
+def _row_form(f: Callable[[Vector], Vector]) -> Optional[Callable[[np.ndarray], np.ndarray]]:
+    """The block form of f, or None when f has none.
+
+    A block form maps a k x m array of points (rows) to the k x m array of
+    their images on the same coordinates.  It is the ``project_rows`` of
+    the object when f is its bound ``project`` method, and otherwise the
+    ``rows`` attribute of f, as set on ``orthant.project`` and
+    ``l2_cone.project``.  For a sparse f the block holds coordinates on
+    the probed axes, which is valid only when f acts coordinate by
+    coordinate and maps 0 to 0.
+    """
+    owner = getattr(f, "__self__", None)
+    if owner is not None and getattr(f, "__name__", None) == "project":
+        rows = getattr(owner, "project_rows", None)
+        if rows is not None:
+            return rows
+    return getattr(f, "rows", None)
+
+
 def _output_rows(outs: list[Vector], fx: Vector, y: Vector) -> tuple[np.ndarray, np.ndarray]:
     """Rows f(u) - f(xbar), and y, as dense arrays over one set of output coordinates.
 
@@ -282,6 +306,9 @@ def membership(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, z: Vector
     head = _structured_head(x0, y0, z0) if config.structured_probes else None
     rng = np.random.default_rng(config.seed)
     fx = f(xbar)
+    f_rows = _row_form(f)
+    if f_rows is not None:
+        fx0 = _dense_over(fx, axes) if isinstance(fx, SparseVector) else fx
 
     estimates: list[tuple[float, float]] = []
     for t in config.radii:
@@ -294,7 +321,10 @@ def membership(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, z: Vector
             d_in = np.linalg.norm(du, axis=1)
             if not np.all(d_in > 0.0):
                 raise ValueError("u must differ from xbar")
-            df, y_out = _output_rows([f(point(row)) for row in u], fx, y)
+            if f_rows is not None:
+                df, y_out = f_rows(u) - fx0, y0
+            else:
+                df, y_out = _output_rows([f(point(row)) for row in u], fx, y)
             q = (du @ z0 - df @ y_out) / _denominator(config.denominator, d_in,
                                                        np.linalg.norm(df, axis=1))
             i = int(np.argmax(q))

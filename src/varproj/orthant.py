@@ -37,13 +37,14 @@ from .descriptors import (
     SingletonSet,
     ZeroMap,
 )
-from .vectors import as_vector, inner, is_zero, norm
+from .vectors import as_rows, as_vector, inner, is_zero, norm
 
 __all__ = [
     "OrthantRegion",
     "SignPartition",
     "CornerPartial",
     "project",
+    "project_rows",
     "sign_partition",
     "region",
     "positive_mask",
@@ -87,6 +88,17 @@ class SignPartition:
 def project(x) -> np.ndarray:
     """Componentwise positive part."""
     return np.maximum(as_vector(x), 0.0)
+
+
+def project_rows(block) -> np.ndarray:
+    """Project each row of a k x m block of points; returns the k x m block of images.
+
+    Row i equals ``project(block[i])`` exactly.
+    """
+    return np.maximum(as_rows(block), 0.0)
+
+
+project.rows = project_rows
 
 
 def sign_partition(x) -> SignPartition:

@@ -26,8 +26,10 @@ __all__ = [
     "SparseVector",
     "OrthDecomp",
     "as_vector",
+    "as_rows",
     "inner",
     "norm",
+    "row_norms",
     "is_zero",
     "approx_equal",
     "orth_decompose",
@@ -42,6 +44,16 @@ def as_vector(x) -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("expected a one-dimensional vector with at least one entry")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("vector entries must be finite")
+    return v
+
+
+def as_rows(x) -> np.ndarray:
+    """Coerce array-like input to a finite 2-D float block: one point per row, >= 1 column."""
+    v = np.asarray(x, dtype=float)
+    if v.ndim != 2 or v.shape[1] == 0:
+        raise ValueError("expected a two-dimensional block with at least one column")
     if not np.all(np.isfinite(v)):
         raise ValueError("vector entries must be finite")
     return v
@@ -175,11 +187,44 @@ def inner(u: Vector, v: Vector) -> float:
     return float(a @ b)
 
 
+# The squares behind a plain norm below this may have underflowed (the
+# root of the smallest normal double is 1.5e-154); an infinite plain norm
+# of finite entries has overflowed.
+_TINY_NORM = 1e-146
+
+
+def _rescaled_norm(x: np.ndarray) -> float:
+    """Norm of x computed on x / max|x|, so no square over- or underflows."""
+    s = float(np.max(np.abs(x), initial=0.0))
+    return s * float(np.linalg.norm(x / s)) if s > 0.0 else 0.0
+
+
 def norm(u: Vector) -> float:
-    """Euclidean / l2 norm."""
+    """Euclidean / l2 norm, safe from overflow and underflow.
+
+    The plain norm is kept whenever it lies in [_TINY_NORM, inf), so
+    ordinary inputs get the plain result bit for bit; outside that range
+    the norm is recomputed on u / max|u| (Blue's safe scaling, reduced to
+    one scale).
+    """
     if isinstance(u, SparseVector):
-        return float(np.sqrt(sum(v * v for _, v in u.pairs)))
-    return float(np.linalg.norm(as_vector(u)))
+        length = float(np.sqrt(sum(v * v for _, v in u.pairs)))
+        if _TINY_NORM <= length < np.inf or not u.pairs:
+            return length
+        return _rescaled_norm(np.array([v for _, v in u.pairs]))
+    x = as_vector(u)
+    length = float(np.linalg.norm(x))
+    if _TINY_NORM <= length < np.inf or not x.any():
+        return length
+    return _rescaled_norm(x)
+
+
+def row_norms(block: np.ndarray) -> np.ndarray:
+    """Norms of the rows of a 2-D array, with the same rescue as ``norm``."""
+    lengths = np.linalg.norm(block, axis=1)
+    for i in np.flatnonzero(~((lengths >= _TINY_NORM) & (lengths < np.inf))):
+        lengths[i] = _rescaled_norm(block[i])
+    return lengths
 
 
 def is_zero(u: Vector) -> bool:
@@ -218,14 +263,22 @@ def orth_decompose(anchor: Vector, x: Vector, *, orth_rtol: float = 1e-12) -> Or
 
     The residual check |<o, anchor>| <= orth_rtol * ||o|| * ||anchor|| guards
     against calling with a near-zero anchor where the split is meaningless.
+    When ||anchor||^2 under- or overflows, x is split against
+    anchor / max|anchor| instead and ``a`` is converted back to the anchor.
     """
     _check_same_kind(anchor, x)
-    anchor_sq = inner(anchor, anchor)
-    if anchor_sq == 0.0:
-        raise ValueError("anchor must be nonzero")
     if isinstance(x, np.ndarray):
         x = as_vector(x)
         anchor = as_vector(anchor)
+    anchor_sq = inner(anchor, anchor)
+    if not _TINY_NORM**2 <= anchor_sq < np.inf:
+        sparse = isinstance(anchor, SparseVector)
+        s = float(np.max(np.abs([v for _, v in anchor.pairs] if sparse else anchor), initial=0.0))
+        if s == 0.0:
+            raise ValueError("anchor must be nonzero")
+        unit = SparseVector({i: v / s for i, v in anchor.pairs}) if sparse else anchor / s
+        split = orth_decompose(unit, x, orth_rtol=orth_rtol)
+        return OrthDecomp(a=split.a / s, o=split.o, anchor=anchor)
     a = inner(x, anchor) / anchor_sq
     o = x - a * anchor
     residual = abs(inner(o, anchor))

@@ -44,6 +44,72 @@ class TestProjection:
         assert norm(op.project(p) - p) <= 1e-12
 
 
+class TestWideMagnitudes:
+    """Norms that over- or underflow when squared give right answers, not silent zeros."""
+
+    def test_overflowing_point(self):
+        with np.errstate(over="ignore"):
+            got = BallProjection(1.0).project(np.array([1e200, 1e200]))
+        np.testing.assert_allclose(got, [np.sqrt(0.5), np.sqrt(0.5)], rtol=1e-15)
+
+    def test_underflowing_radius(self):
+        got = BallProjection(1e-200).project(np.array([3e-200, 4e-200]))
+        np.testing.assert_allclose(got, [6e-201, 8e-201], rtol=1e-15)
+
+    def test_norm_beyond_the_largest_double(self):
+        with np.errstate(over="ignore"):
+            got = BallProjection(1.0).project(np.array([1.5e308, -1.5e308]))
+        np.testing.assert_allclose(got, [np.sqrt(0.5), -np.sqrt(0.5)], rtol=1e-15)
+
+    def test_scale_that_underflows(self):
+        with np.errstate(over="ignore"):
+            got = BallProjection(1e-200).project(np.array([3e200, 4e200]))
+        np.testing.assert_allclose(got, [6e-201, 8e-201], rtol=1e-15)
+
+    @pytest.mark.parametrize("r", [1.0, 1e100, 1e200])
+    def test_region_at_large_radii(self, r):
+        op = BallProjection(5.0 * r)
+        with np.errstate(over="ignore"):
+            assert op.region(np.array([3.0 * r, 4.0 * r])) is BallRegion.SPHERE
+            assert op.region(np.array([3.0 * r, 3.9 * r])) is BallRegion.INTERIOR
+            assert op.region(np.array([3.0 * r, 4.1 * r])) is BallRegion.EXTERIOR
+
+
+class TestProjectRows:
+    """project_rows(U)[i] agrees with project(U[i]) to within 4 ulp."""
+
+    @pytest.mark.parametrize("r", [1.0, 2.5, 1e-200, 1e200])
+    def test_matches_project(self, r):
+        rng = np.random.default_rng(29)
+        unit = rng.standard_normal((3, 4))
+        unit /= np.linalg.norm(unit, axis=1)[:, None]
+        block = np.vstack([
+            unit * (0.5 * r),                    # inside
+            unit * r,                            # on the sphere, to rounding
+            np.array([[r, 0.0, 0.0, 0.0]]),      # exactly on the sphere
+            unit * (3.0 * r),                    # outside
+            np.zeros((1, 4)),
+            unit * 1e200,
+            unit * 1e-200,
+            rng.standard_normal((8, 4)),
+        ])
+        op = BallProjection(r)
+        with np.errstate(over="ignore"):
+            got = op.project_rows(block)
+            want = np.array([op.project(row) for row in block])
+        np.testing.assert_array_max_ulp(got, want, maxulp=4)
+
+    def test_rows_inside_are_unchanged(self):
+        block = np.array([[0.3, -0.4], [1.0, 0.0], [0.0, 0.0]])
+        np.testing.assert_array_equal(BallProjection(1.0).project_rows(block), block)
+
+    def test_validates_like_as_vector(self):
+        op = BallProjection(1.0)
+        for bad in ([1.0, 2.0], [[1.0, np.inf]], np.zeros((2, 0))):
+            with pytest.raises(ValueError):
+                op.project_rows(bad)
+
+
 class TestRegion:
     def test_regions(self):
         op = BallProjection(1.0)

@@ -34,6 +34,18 @@ class TestProject:
         assert code == 0
         assert json.loads(out)["projection"] == [[1, 2.0]]
 
+    @pytest.mark.parametrize(
+        "radius, point, want",
+        [
+            ("1", "[1e200, 1e200]", [0.7071067811865476, 0.7071067811865476]),
+            ("1e-200", "[3e-200, 4e-200]", [6e-201, 8e-201]),
+        ],
+    )
+    def test_ball_wide_magnitudes(self, capsys, radius, point, want):
+        code, out, err = run(capsys, "project", "--set", "ball", "--radius", radius, "--point", point)
+        assert code == 0 and err == ""
+        assert json.loads(out)["projection"] == pytest.approx(want, rel=1e-15)
+
     def test_missing_radius(self, capsys):
         code, _, err = run(capsys, "project", "--set", "ball", "--point", "[1, 0]")
         assert code == 2 and "radius" in err

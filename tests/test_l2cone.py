@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -5,6 +6,7 @@ from hypothesis import strategies as st
 from varproj import l2_cone
 from varproj.descriptors import SingletonSet
 from varproj.l2_cone import OrderIntervalSet, SelfExclusionPartial
+from varproj.oracle import _dense_over
 from varproj.vectors import SparseVector
 
 nonzero = st.floats(min_value=0.1, max_value=3.0).flatmap(
@@ -17,6 +19,20 @@ class TestProjection:
     def test_frozen(self):
         assert l2_cone.project(SparseVector({1: 2.0, 3: -1.0})) == SparseVector({1: 2.0})
         assert l2_cone.project(SparseVector({2: -5.0})).is_zero()
+
+    def test_rows_match_project_exactly(self):
+        rng = np.random.default_rng(37)
+        axes = [1, 2, 5, 9]
+        block = rng.standard_normal((20, len(axes)))
+        block[2] = 0.0
+        block[5, 1:] = 0.0
+        got = l2_cone.project_rows(block)
+        for row, image in zip(block, got):
+            want = _dense_over(l2_cone.project(SparseVector(zip(axes, row.tolist()))), axes)
+            np.testing.assert_array_equal(image, want)
+        assert l2_cone.project.rows is l2_cone.project_rows
+        with pytest.raises(ValueError):
+            l2_cone.project_rows([[1.0, np.inf]])
 
     @given(sparse)
     def test_idempotent_feasible(self, x):

@@ -8,6 +8,7 @@ from varproj.ball import BallProjection
 from varproj.oracle import (
     ProbeConfig,
     Verdict,
+    _row_form,
     directional_quotient,
     jacobian_fd,
     membership,
@@ -254,6 +255,36 @@ class TestBatchedAgainstReference:
         ):
             _assert_matches_reference(shift, xbar, y, z, ProbeConfig(random_directions=64))
         assert membership(shift, x1, SparseVector({}), SparseVector({2: 1.0})).witness.quotient == 0.5
+
+
+class TestRowForm:
+    def test_found_on_every_set(self):
+        op = BallProjection(1.0)
+        assert _row_form(op.project) == op.project_rows
+        assert _row_form(orthant.project) is orthant.project_rows
+        assert _row_form(l2_cone.project) is l2_cone.project_rows
+        assert _row_form(lambda u: op.project(u)) is None
+        assert _row_form(op) is None
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    @pytest.mark.parametrize("denominator", ["sum", "euclidean"])
+    def test_row_path_matches_per_row_path(self, seed, denominator):
+        # the lambda hides the row form, so the oracle calls f once per row
+        rng = np.random.default_rng(seed)
+        cases = (
+            suites.ball_membership_cases(rng, per_family=1)
+            + suites.orthant_membership_cases(rng, per_family=1)
+            + suites.l2_membership_cases(rng, per_family=1)
+        )
+        config = ProbeConfig(seed=seed, denominator=denominator)
+        for case in cases:
+            f = case.project
+            rows = membership(f, case.xbar, case.y, case.z, config)
+            per_row = membership(lambda u: f(u), case.xbar, case.y, case.z, config)
+            assert rows.verdict is per_row.verdict, case.label
+            assert json.dumps(rows.to_json()["witness"]) == json.dumps(per_row.to_json()["witness"])
+            for (_, a), (_, b) in zip(rows.sup_estimates, per_row.sup_estimates):
+                assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), case.label
 
 
 class TestDirectionalQuotient:

@@ -21,6 +21,17 @@ class TestProjection:
             orthant.project(np.array([2.0, -1.0, 0.0])), [2.0, 0.0, 0.0]
         )
 
+    def test_rows_match_project_exactly(self):
+        rng = np.random.default_rng(31)
+        block = rng.standard_normal((20, 5)) * 10.0 ** rng.integers(-200, 200, (20, 1))
+        block[3] = 0.0
+        block[4, 1] = -0.0
+        got = orthant.project_rows(block)
+        np.testing.assert_array_equal(got, np.array([orthant.project(row) for row in block]))
+        assert orthant.project.rows is orthant.project_rows
+        with pytest.raises(ValueError):
+            orthant.project_rows([[1.0, np.nan]])
+
     @given(points())
     def test_feasible_idempotent(self, x):
         p = orthant.project(x)

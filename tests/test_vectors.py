@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from varproj.vectors import (
     SparseVector,
     approx_equal,
+    as_rows,
     as_vector,
     dense_from_wire,
     encode_vector,
@@ -13,6 +14,7 @@ from varproj.vectors import (
     is_zero,
     norm,
     orth_decompose,
+    row_norms,
     sparse_from_wire,
 )
 
@@ -118,6 +120,54 @@ class TestInnerNorm:
         assert not is_zero(np.array([0.0, 1e-12]))
 
 
+class TestWideMagnitudeNorms:
+    """Norms whose plain sum of squares over- or underflows are rescaled."""
+
+    @pytest.mark.parametrize(
+        "values, want",
+        [
+            ([1e200, 1e200], 1e200 * np.sqrt(2.0)),
+            ([3e200, -4e200], 5e200),
+            ([3e-200, 4e-200], 5e-200),
+            ([1e-170, 0.0], 1e-170),
+            ([1e-320, 0.0], 1e-320),
+            ([1.5e308, 1.5e308], np.inf),
+        ],
+    )
+    def test_dense_and_sparse(self, values, want):
+        with np.errstate(over="ignore"):
+            got_dense = norm(np.array(values))
+            got_sparse = norm(SparseVector({2 * i + 1: v for i, v in enumerate(values)}))
+        assert got_dense == pytest.approx(want, rel=1e-15)
+        assert got_sparse == pytest.approx(want, rel=1e-15)
+
+    def test_zero(self):
+        assert norm(np.zeros(3)) == 0.0
+        assert norm(SparseVector.zero()) == 0.0
+
+    def test_ordinary_inputs_keep_the_plain_norm(self):
+        rng = np.random.default_rng(11)
+        for exponent in range(-140, 141, 20):
+            x = rng.standard_normal(int(rng.integers(1, 9))) * 10.0**exponent
+            assert norm(x) == float(np.linalg.norm(x))
+            sx = SparseVector({i + 1: v for i, v in enumerate(x)})
+            assert norm(sx) == float(np.sqrt(sum(v * v for _, v in sx.pairs)))
+
+    def test_row_norms_match_norm(self):
+        block = np.array([[3.0, 4.0], [0.0, 0.0], [1e200, -1e200], [3e-200, 4e-200], [1e-170, 0.0]])
+        with np.errstate(over="ignore"):
+            got = row_norms(block)
+            want = np.array([norm(row) for row in block])
+        np.testing.assert_array_max_ulp(got, want, maxulp=4)
+
+    def test_as_rows(self):
+        assert as_rows([[1, 2], [3, 4]]).dtype == np.float64
+        assert as_rows(np.zeros((0, 3))).shape == (0, 3)
+        for bad in ([1.0, 2.0], np.zeros((2, 0)), [[1.0, np.inf]], [[np.nan, 0.0]]):
+            with pytest.raises(ValueError):
+                as_rows(bad)
+
+
 class TestOrthDecompose:
     def test_frozen_example(self):
         d = orth_decompose(np.array([1.0, 0.0]), np.array([3.0, 4.0]))
@@ -127,6 +177,47 @@ class TestOrthDecompose:
     def test_zero_anchor_rejected(self):
         with pytest.raises(ValueError):
             orth_decompose(np.zeros(2), np.array([1.0, 0.0]))
+        with pytest.raises(ValueError):
+            orth_decompose(SparseVector.zero(), SparseVector({1: 1.0}))
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e170, 1e-300, 1e300])
+    def test_anchor_whose_square_under_or_overflows(self, scale):
+        anchor = np.array([scale, 0.0])
+        with np.errstate(over="ignore"):
+            d = orth_decompose(anchor, np.array([2.0 * scale, scale]))
+            s = orth_decompose(SparseVector({1: scale}), SparseVector({1: 2.0 * scale, 4: scale}))
+        assert d.a == 2.0 and s.a == 2.0
+        np.testing.assert_array_equal(d.o, [0.0, scale])
+        assert s.o == SparseVector({4: scale})
+        assert d.anchor is anchor
+        np.testing.assert_array_equal(d.reconstruct(), [2.0 * scale, scale])
+
+    def test_wide_anchor_coefficient_is_relative_to_the_original(self):
+        rng = np.random.default_rng(5)
+        anchor, x = rng.standard_normal(4), rng.standard_normal(4)
+        ref = orth_decompose(anchor, x)
+        with np.errstate(over="ignore"):
+            for scale in (1e-170, 1e170):
+                d = orth_decompose(anchor * scale, x)
+                assert d.a == pytest.approx(ref.a / scale, rel=1e-14)
+                np.testing.assert_allclose(d.o, ref.o, rtol=1e-13, atol=1e-15)
+
+    def test_residual_check_kept_on_both_paths(self):
+        anchor = np.array([0.3, -1.7, 2.9])
+        x = np.array([1.1, 0.4, -0.6])
+        with np.errstate(over="ignore"):
+            for scale in (1.0, 1e-170, 1e170):
+                with pytest.raises(ArithmeticError):
+                    orth_decompose(anchor * scale, x * scale, orth_rtol=0.0)
+
+    def test_ordinary_anchor_keeps_the_plain_split(self):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            anchor, x = rng.standard_normal(5), rng.standard_normal(5)
+            d = orth_decompose(anchor, x)
+            a = float(x @ anchor) / float(anchor @ anchor)
+            assert d.a == a
+            np.testing.assert_array_equal(d.o, x - a * anchor)
 
     def test_reconstruct(self):
         anchor = np.array([2.0, -1.0, 0.5])
