@@ -43,7 +43,8 @@ from .vectors import approx_equal, as_rows, as_vector, inner, is_zero, norm, ort
 
 __all__ = ["BallRegion", "DirectionClass", "BallProjection", "SpherePartial"]
 
-# A point counts as lying on the sphere when | ||x|| - r | <= SPHERE_RTOL * max(1, r).
+# A point counts as lying on the sphere when | ||x|| - r | <= SPHERE_RTOL * r:
+# the band is relative, so it scales with the ball at every radius.
 SPHERE_RTOL = 1e-12
 
 # A direction counts as radial when its orthogonal part is below this
@@ -158,7 +159,7 @@ class BallProjection:
 
     def region(self, x) -> BallRegion:
         x = as_vector(x)
-        tol = SPHERE_RTOL * max(1.0, self.radius)
+        tol = SPHERE_RTOL * self.radius
         gap = norm(x) - self.radius
         if abs(gap) <= tol:
             return BallRegion.SPHERE

@@ -22,6 +22,14 @@ are array expressions over the block.  Sparse queries use the same dense
 path: they are embedded in R^m over the probed axes (all supports plus
 one fresh index).
 
+The random directions depend only on (seed, random_directions, m, number
+of radii), so for an integer seed they are drawn once per process and
+kept, read-only, in a cache of the 16 most recently used such plans.
+The axis probes xbar +- t*e_j are scored in closed form: u - xbar is one
+number per row, so its norm and its inner product with z cost no k x m
+work; only f(u) and its terms do.  Both give the same bits as drawing
+anew and scoring full direction rows, block for block.
+
 When f has a row form (see ``_row_form``: the ``project`` of every set
 in this package has one), f is applied to a whole block in one call,
 and its images lie on the probed coordinates.  Any other f is called
@@ -54,7 +62,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Optional
+from functools import lru_cache
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -183,7 +192,7 @@ def quotient(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, z: Vector, 
     du = u - xbar
     d_in = norm(du)
     if d_in == 0.0:
-        raise ValueError("u must differ from xbar")
+        raise ValueError(f"u must differ from xbar: ||u - xbar|| is 0 at ||xbar|| = {norm(xbar):.6g}")
     df = f(u) - f(xbar)
     num = inner(z, du) - inner(y, df)
     return float(num / _denominator(denominator, d_in, norm(df)))
@@ -221,28 +230,73 @@ def _dense_over(v: SparseVector, axes: list[int]) -> np.ndarray:
     return np.array([values.get(i, 0.0) for i in axes])
 
 
-def _probe_blocks(head: Optional[list[np.ndarray]], m: int, rng: np.random.Generator,
-                  count: int, rows: int) -> Iterator[np.ndarray]:
-    """Unit probe directions for one radius, in blocks of at most `rows` rows.
+def _block_rows(m: int) -> int:
+    return max(1, _BLOCK_FLOATS // m)
 
-    Order: the structured head, then +e_j and -e_j for every axis j (both
-    left out when head is None), then `count` seeded Gaussian draws scaled
-    to unit length; draws shorter than 1e-12 are skipped.  Drawing block by
-    block consumes the generator exactly like one draw of length m per row.
+
+# one plan per (seed, count, m, number of radii); 3 MB at m = 500, count = 256
+@lru_cache(maxsize=16)
+def _random_blocks(seed, count: int, m: int, n_radii: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Seeded random unit directions: per radius, a tuple of read-only row blocks.
+
+    For each radius in turn, `count` Gaussian draws of length m are taken
+    from default_rng(seed) and scaled to unit length in place; draws
+    shorter than 1e-12 are dropped.  Each block holds the kept draws of a
+    run of at most `_block_rows(m)` draws, the layout they are scored in.
     """
-    if head is not None:
-        if head:
-            yield np.array(head)
-        for start in range(0, 2 * m, rows):
-            k = np.arange(start, min(start + rows, 2 * m))
-            block = np.zeros((k.size, m))
-            block[np.arange(k.size), k // 2] = np.where(k % 2 == 0, 1.0, -1.0)
-            yield block
-    for start in range(0, count, rows):
-        draws = rng.standard_normal((min(rows, count - start), m))
+    rng = np.random.default_rng(seed)
+    rows = _block_rows(m)
+    plan = []
+    for _ in range(n_radii):
+        draws = rng.standard_normal((count, m))
         length = np.linalg.norm(draws, axis=1)
         keep = length >= 1e-12
-        yield draws[keep] / length[keep, None]
+        np.divide(draws, length[:, None], out=draws, where=keep[:, None])
+        draws.flags.writeable = False
+        blocks = []
+        for start in range(0, count, rows):
+            block, kept = draws[start:start + rows], keep[start:start + rows]
+            if not kept.all():
+                block = block[kept]
+                block.flags.writeable = False
+            blocks.append(block)
+        plan.append(tuple(blocks))
+    return tuple(plan)
+
+
+def _direction_probes(x0: np.ndarray, z0: np.ndarray, t: float, dirs: np.ndarray):
+    """Points u = x0 + t*d for the rows d of dirs, with ||u - x0|| and <z0, u - x0>."""
+    u = x0 + t * dirs
+    du = u - x0
+    return u, np.linalg.norm(du, axis=1), du @ z0
+
+
+def _axis_blocks(x0: np.ndarray, z0: np.ndarray, rows: int) -> list[tuple[np.ndarray, ...]]:
+    """The axis probes k = 0 .. 2m-1 in blocks of at most `rows` probes.
+
+    Probe k moves along axis j = k // 2 with sign s = +1 for even k and -1
+    for odd k.  A block is the tuple (j, s, x0[j], z0[j]) of its probes.
+    """
+    k = np.arange(2 * x0.size)
+    j, s = k // 2, np.where(k % 2 == 0, 1.0, -1.0)
+    return [(j[a:a + rows], s[a:a + rows], x0[j[a:a + rows]], z0[j[a:a + rows]])
+            for a in range(0, k.size, rows)]
+
+
+def _axis_probes(x0: np.ndarray, t: float, block: tuple[np.ndarray, ...]):
+    """Points u = x0 + s*t*e_j for the probes of an axis block, scored in closed form.
+
+    Each row differs from x0 + 0.0 only at j, so u - x0 is the single
+    number du = u[r, j] - x0[j]: the row norm is sqrt(du*du) and the inner
+    product du*z0[j] + 0.0, bit for bit what ``_direction_probes`` gets
+    from the full rows (a sum of zero products rounds to +0.0).
+    """
+    j, s, xj, zj = block
+    moved = xj + s * t
+    u = np.tile(x0 + 0.0, (j.size, 1))
+    u[np.arange(j.size), j] = moved
+    du = moved - xj
+    return u, np.sqrt(du * du), du * zj + 0.0
 
 
 def _row_form(f: Callable[[Vector], Vector]) -> Optional[Callable[[np.ndarray], np.ndarray]]:
@@ -302,34 +356,46 @@ def membership(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, z: Vector
         def point(row: np.ndarray) -> Vector:
             return row
     m = x0.size
-    rows = max(1, _BLOCK_FLOATS // m)
-    head = _structured_head(x0, y0, z0) if config.structured_probes else None
-    rng = np.random.default_rng(config.seed)
+    rows = _block_rows(m)
+    # probe order at every radius: the structured head, the axis blocks,
+    # then the radius's random blocks
+    fixed: list[np.ndarray | tuple] = []
+    if config.structured_probes:
+        head = _structured_head(x0, y0, z0)
+        fixed = ([np.array(head)] if head else []) + _axis_blocks(x0, z0, rows)
+    # a generator or an unhashable seed draws afresh, as default_rng would
+    draw = _random_blocks if isinstance(config.seed, (int, np.integer)) else _random_blocks.__wrapped__
+    randoms = draw(config.seed, config.random_directions, m, len(config.radii))
     fx = f(xbar)
     f_rows = _row_form(f)
     if f_rows is not None:
         fx0 = _dense_over(fx, axes) if isinstance(fx, SparseVector) else fx
 
     estimates: list[tuple[float, float]] = []
-    for t in config.radii:
+    for t, random_blocks in zip(config.radii, randoms):
         sup, best = -np.inf, None
-        for dirs in _probe_blocks(head, m, rng, config.random_directions, rows):
-            if not len(dirs):
+        for block in (*fixed, *random_blocks):
+            if not len(block):
                 continue
-            u = x0 + t * dirs
-            du = u - x0
-            d_in = np.linalg.norm(du, axis=1)
+            axis = isinstance(block, tuple)
+            u, d_in, dz = _axis_probes(x0, t, block) if axis else _direction_probes(x0, z0, t, block)
             if not np.all(d_in > 0.0):
-                raise ValueError("u must differ from xbar")
+                raise ValueError(
+                    f"u must differ from xbar: a probe at radius {t!r} rounds back to xbar at "
+                    f"||xbar|| = {norm(xbar):.6g}; probe radii are absolute")
             if f_rows is not None:
                 df, y_out = f_rows(u) - fx0, y0
             else:
                 df, y_out = _output_rows([f(point(row)) for row in u], fx, y)
-            q = (du @ z0 - df @ y_out) / _denominator(config.denominator, d_in,
-                                                       np.linalg.norm(df, axis=1))
+            q = (dz - df @ y_out) / _denominator(config.denominator, d_in, np.linalg.norm(df, axis=1))
             i = int(np.argmax(q))
             if best is None or q[i] > sup:
-                sup, best = float(q[i]), dirs[i].copy()
+                sup = float(q[i])
+                if axis:
+                    best = np.zeros(m)
+                    best[block[0][i]] = block[1][i]
+                else:
+                    best = block[i].copy()
         if best is None:
             raise ValueError("probe plan is empty; enable structured probes or random directions")
         estimates.append((t, sup))

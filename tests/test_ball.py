@@ -66,7 +66,7 @@ class TestWideMagnitudes:
             got = BallProjection(1e-200).project(np.array([3e200, 4e200]))
         np.testing.assert_allclose(got, [6e-201, 8e-201], rtol=1e-15)
 
-    @pytest.mark.parametrize("r", [1.0, 1e100, 1e200])
+    @pytest.mark.parametrize("r", [1.0, 1e100, 1e200, 1e-100, 1e-200])
     def test_region_at_large_radii(self, r):
         op = BallProjection(5.0 * r)
         with np.errstate(over="ignore"):

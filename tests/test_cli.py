@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -211,6 +212,19 @@ class TestParser:
         assert code == 0 and "project" in out
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_examples():
+    """Every ``$ varproj ...`` line of the README with the line printed under it."""
+    lines = README.read_text().splitlines()
+    return [
+        pytest.param(shlex.split(line[len("$ varproj "):]), lines[i + 1], id=f"{i}-{line.split()[2]}")
+        for i, line in enumerate(lines)
+        if line.startswith("$ varproj ")
+    ]
+
+
 class TestProcess:
     """``python -m varproj.cli`` in a fresh interpreter."""
 
@@ -227,6 +241,15 @@ class TestProcess:
                           python_flags=("-W", "error::RuntimeWarning"), stdout=subprocess.PIPE)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["projection"] == [1.0, 0.0]
+
+    def test_readme_has_examples(self):
+        assert len(_readme_examples()) >= 6
+
+    @pytest.mark.parametrize("argv, printed", _readme_examples())
+    def test_readme_example(self, argv, printed):
+        proc = self.spawn(*argv, stdout=subprocess.PIPE)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.rstrip("\n") == printed
 
     def test_closed_stdout_is_quiet(self):
         # the read end is closed before the child starts, so its first

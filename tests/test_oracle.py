@@ -1,9 +1,10 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from varproj import l2_cone, orthant, suites
+from varproj import l2_cone, oracle, orthant, suites
 from varproj.ball import BallProjection
 from varproj.oracle import (
     ProbeConfig,
@@ -131,6 +132,11 @@ class TestQuotient:
         with pytest.raises(ValueError):
             quotient(orthant.project, np.ones(2), np.ones(2), np.ones(2), np.ones(2))
 
+    def test_vanished_probe_names_the_base_norm(self):
+        xbar = np.array([1e13, 0.0])
+        with pytest.raises(ValueError, match=r"\|\|xbar\|\| = 1e\+13"):
+            quotient(orthant.project, xbar, np.zeros(2), np.zeros(2), xbar + np.array([1e-4, 0.0]))
+
     def test_denominator_relation(self):
         # the two denominators agree in sign and differ by at most sqrt(2)
         op = BallProjection(1.0)
@@ -188,6 +194,11 @@ class TestMembership:
         out = membership(l2_cone.project, xbar, y, y, ProbeConfig())
         assert out.verdict is Verdict.NON_MEMBER
         assert out.witness.quotient == pytest.approx(0.7, rel=1e-9)
+
+    def test_vanished_probe_names_radius_and_base_norm(self):
+        # the absolute radius 1e-4 is below the spacing of doubles near 1e13
+        with pytest.raises(ValueError, match=r"radius 0\.0001 .*\|\|xbar\|\| = 1e\+13"):
+            membership(BallProjection(1).project, [1e13, 0], [0, 0], [0, 0])
 
     def test_sup_estimates_track_radii(self):
         op = BallProjection(1.0)
@@ -255,6 +266,129 @@ class TestBatchedAgainstReference:
         ):
             _assert_matches_reference(shift, xbar, y, z, ProbeConfig(random_directions=64))
         assert membership(shift, x1, SparseVector({}), SparseVector({2: 1.0})).witness.quotient == 0.5
+
+
+def _golden_queries():
+    """Seeded ball and orthant queries at n 2, 6, 50 and 500, signed zeros at n 1, and a sparse l2-cone query."""
+    rng = np.random.default_rng(2024)
+    ball = BallProjection(1.0)
+    out = []
+    for n in (2, 6, 50, 500):
+        u = rng.standard_normal(n)
+        u /= np.linalg.norm(u)
+        y = rng.standard_normal(n)
+        v = rng.standard_normal(n)
+        x = 2.0 * u
+        ay = 0.5 * (y - (y @ u) * u)
+        out += [(f"ball/n{n}/exterior", ball.project, x, y, ay),
+                (f"ball/n{n}/exterior-off", ball.project, x, y, ay + 0.5 * v / np.linalg.norm(v))]
+        x = rng.uniform(0.1, 1.0, n) * rng.choice((-1.0, 1.0), n)
+        z = np.where(x > 0.0, y, 0.0)
+        out.append((f"orthant/n{n}/mixed", orthant.project, x, y, z + 0.3 * v / np.linalg.norm(v)))
+        x = np.where(rng.random(n) < 0.3, 0.0, x)
+        x[0] = 0.0
+        out.append((f"orthant/n{n}/corner", orthant.project, x, y, np.where(x > 0.0, y, 0.0) + np.eye(n)[0]))
+    # no structured probe, so an axis probe wins; its <z, u - xbar> sums zero products to +0.0
+    out.append(("ball/n1/signed-zeros", ball.project, np.array([-0.0]), np.array([-0.0]), np.array([-0.0])))
+    out.append(("l2_cone/sparse", l2_cone.project, SparseVector({1: 1.0, 3: -0.5}),
+                SparseVector({1: 0.4, 2: -0.7}), SparseVector({1: 0.4, 2: 0.3})))
+    return out
+
+
+def _golden_digest(f, xbar, y, z, denominator):
+    out = membership(f, xbar, y, z, ProbeConfig(seed=5, denominator=denominator))
+    return hashlib.sha256(json.dumps(out.to_json(), sort_keys=True).encode()).hexdigest()[:16]
+
+
+# First 16 hex digits of the sha256 of each verdict's sorted JSON, recorded
+# with the oracle that drew its random directions anew for every verdict and
+# scored every probe as a full direction row.  Equal digests mean equal bytes:
+# every sup, witness coordinate and signed zero.
+GOLDEN = {
+    "ball/n2/exterior/sum": "27a0572f1af2cfaf",
+    "ball/n2/exterior/euclidean": "f12e61cbebdb04f4",
+    "ball/n2/exterior-off/sum": "d87ecf8d89152d8c",
+    "ball/n2/exterior-off/euclidean": "9db0fef65ff0a24b",
+    "orthant/n2/mixed/sum": "53bec434dc2cf080",
+    "orthant/n2/mixed/euclidean": "077e8aea4248b47a",
+    "orthant/n2/corner/sum": "0cc55c50fce7f5b3",
+    "orthant/n2/corner/euclidean": "0cc55c50fce7f5b3",
+    "ball/n6/exterior/sum": "c352f464fa9a8856",
+    "ball/n6/exterior/euclidean": "5256d3d4b242c8e1",
+    "ball/n6/exterior-off/sum": "e0a34847b4f45a34",
+    "ball/n6/exterior-off/euclidean": "975a84df026526ae",
+    "orthant/n6/mixed/sum": "6dddc5040a4f3f53",
+    "orthant/n6/mixed/euclidean": "e7a424050162facb",
+    "orthant/n6/corner/sum": "4e2926b754c71445",
+    "orthant/n6/corner/euclidean": "0cadd765adb9afe1",
+    "ball/n50/exterior/sum": "ab207cb27904e99e",
+    "ball/n50/exterior/euclidean": "0827d5972019a108",
+    "ball/n50/exterior-off/sum": "290c6f8a912f6361",
+    "ball/n50/exterior-off/euclidean": "01897fefe355bc27",
+    "orthant/n50/mixed/sum": "dd188bfec23dd15d",
+    "orthant/n50/mixed/euclidean": "17709945d474f107",
+    "orthant/n50/corner/sum": "72392eb51f582a3b",
+    "orthant/n50/corner/euclidean": "61c87f40593f3d7e",
+    "ball/n500/exterior/sum": "b98c97f3c49fed42",
+    "ball/n500/exterior/euclidean": "8edc7a063cc3a63d",
+    "ball/n500/exterior-off/sum": "78cddf17b4e05ce4",
+    "ball/n500/exterior-off/euclidean": "111f68e76a15b774",
+    "orthant/n500/mixed/sum": "eab878c85415e708",
+    "orthant/n500/mixed/euclidean": "eab878c85415e708",
+    "orthant/n500/corner/sum": "4b428e0cf0e27caa",
+    "orthant/n500/corner/euclidean": "2e853f109ae6b344",
+    "ball/n1/signed-zeros/sum": "0cc55c50fce7f5b3",
+    "ball/n1/signed-zeros/euclidean": "0cc55c50fce7f5b3",
+    "l2_cone/sparse/sum": "073f99bb17b440b6",
+    "l2_cone/sparse/euclidean": "792e7e17a7b91752",
+}
+
+
+class TestGolden:
+    def test_verdicts_are_byte_identical(self):
+        got = {}
+        for label, f, xbar, y, z in _golden_queries():
+            for denominator in ("sum", "euclidean"):
+                got[f"{label}/{denominator}"] = _golden_digest(f, xbar, y, z, denominator)
+        assert got == GOLDEN
+
+    def test_cold_and_warm_cache_agree(self):
+        for label, f, xbar, y, z in _golden_queries()[::3]:
+            oracle._random_blocks.cache_clear()
+            cold = _golden_digest(f, xbar, y, z, "sum")
+            assert oracle._random_blocks.cache_info().misses == 1
+            assert _golden_digest(f, xbar, y, z, "sum") == cold, label
+            assert oracle._random_blocks.cache_info().hits == 1
+
+    def test_cached_directions_reject_writes(self):
+        plan = oracle._random_blocks(5, 256, 500, 3)
+        assert oracle._random_blocks(5, 256, 500, 3) is plan
+        for blocks in plan:
+            for block in blocks:
+                assert not block.flags.writeable
+                with pytest.raises(ValueError):
+                    block[0, 0] = 1.0
+
+    def test_blocks_follow_the_generator_stream(self):
+        # blocks of at most _BLOCK_FLOATS // m rows, in the order of one
+        # fresh generator drawing block by block
+        m, count = 500, 256
+        rows = oracle._BLOCK_FLOATS // m
+        rng = np.random.default_rng(9)
+        for blocks in oracle._random_blocks(9, count, m, 2):
+            assert [len(b) for b in blocks] == [min(rows, count - s) for s in range(0, count, rows)]
+            for block in blocks:
+                draws = rng.standard_normal((len(block), m))
+                np.testing.assert_array_equal(block, draws / np.linalg.norm(draws, axis=1)[:, None])
+
+    def test_unhashable_seed_draws_afresh(self):
+        before = oracle._random_blocks.cache_info()
+        op = BallProjection(1.0)
+        args = (op.project, np.array([1.0, 0.0]), np.zeros(2), np.array([1.3, 0.0]))
+        a = membership(*args, ProbeConfig(seed=[5, 1], random_directions=8))
+        b = membership(*args, ProbeConfig(seed=[5, 1], random_directions=8))
+        assert a.to_json() == b.to_json()
+        assert oracle._random_blocks.cache_info() == before
 
 
 class TestRowForm:
