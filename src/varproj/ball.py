@@ -39,7 +39,17 @@ from .descriptors import (
     ScaledComplementMap,
     SingletonSet,
 )
-from .vectors import approx_equal, as_rows, as_vector, inner, is_zero, norm, orth_decompose, row_norms
+from .vectors import (
+    approx_equal,
+    as_rows,
+    as_vector,
+    as_vector_of,
+    inner,
+    is_zero,
+    norm,
+    orth_decompose,
+    row_norms,
+)
 
 __all__ = ["BallRegion", "DirectionClass", "BallProjection", "SpherePartial"]
 
@@ -86,7 +96,8 @@ class SpherePartial(DerivativeSet):
         0 is a member  <=>  y = a x  with  <y, x> <= 0,
 
     i.e. y must be radial with a nonpositive coefficient.  Every other
-    query is undetermined by the closed form and answers None.
+    query is undetermined by the closed form and answers None.  A query
+    of another dimension, or a SparseVector, raises as for ``SingletonSet``.
     """
 
     anchor: tuple[float, ...]
@@ -103,7 +114,7 @@ class SpherePartial(DerivativeSet):
         return inner(y, x) <= 0.0
 
     def contains(self, z) -> Optional[bool]:
-        if is_zero(z):
+        if not as_vector_of(z, len(self.anchor)).any():
             return self._contains_zero()
         return None
 

@@ -105,14 +105,13 @@ def nonnegative_off(y: SparseVector, M: Iterable[int]) -> bool:
 
 def order_leq(z: SparseVector, y: SparseVector, M: Iterable[int]) -> bool:
     """Partial order: z_i = y_i for i in M and z_i <= y_i for i outside M."""
-    z = _require_sparse(z, "z")
-    y = _require_sparse(y, "y")
+    z = _require_sparse(z, "z").to_mapping()
+    y = _require_sparse(y, "y").to_mapping()
     M = as_support(M)
-    for i in sorted(z.support | y.support | M):
-        if i in M:
-            if z.get(i) != y.get(i):
-                return False
-        elif z.get(i) > y.get(i):
+    # an index of M outside both supports compares 0.0 with 0.0
+    for i in z.keys() | y.keys():
+        zi, yi = z.get(i, 0.0), y.get(i, 0.0)
+        if zi != yi if i in M else zi > yi:
             return False
     return True
 

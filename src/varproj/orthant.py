@@ -37,7 +37,7 @@ from .descriptors import (
     SingletonSet,
     ZeroMap,
 )
-from .vectors import as_rows, as_vector, inner, is_zero, norm
+from .vectors import as_rows, as_vector, as_vector_of, inner, is_zero, norm
 
 __all__ = [
     "OrthantRegion",
@@ -110,12 +110,13 @@ def sign_partition(x) -> SignPartition:
 
 
 def region(x) -> OrthantRegion:
-    parts = sign_partition(x)
-    if parts.zero:
+    """Region of x from exact coordinate signs, as ``sign_partition`` gives it (-0.0 is a zero)."""
+    x = as_vector(x)
+    if not x.all():
         return OrthantRegion.WITH_ZEROS
-    if not parts.minus:
+    if not (x < 0.0).any():
         return OrthantRegion.POSITIVE
-    if not parts.plus:
+    if not (x > 0.0).any():
         return OrthantRegion.NEGATIVE
     return OrthantRegion.MIXED
 
@@ -182,6 +183,8 @@ class CornerPartial(DerivativeSet):
     proven family of answers: if y has a negative entry on some zero
     coordinate of x, then no multiple lambda * y with lambda < 1 belongs
     to the set (in particular 0 does not).  Everything else answers None.
+    A query of another dimension, or a SparseVector, raises as for
+    ``SingletonSet``.
     """
 
     anchor: tuple[float, ...]
@@ -194,18 +197,16 @@ class CornerPartial(DerivativeSet):
         y = np.array(self.target)
         return bool(np.any((x == 0.0) & (y < 0.0)))
 
-    def _multiple_of_target(self, z) -> Optional[float]:
+    def _multiple_of_target(self, z: np.ndarray) -> Optional[float]:
         """Return lambda with z = lambda * y, or None if z is not a multiple."""
         y = np.array(self.target)
-        z = as_vector(z)
-        if z.shape != y.shape:
-            raise ValueError("dimension mismatch")
         scale = inner(z, y) / inner(y, y)
         if norm(z - scale * y) <= MULTIPLE_RTOL * max(1.0, norm(z), norm(y)):
             return float(scale)
         return None
 
     def contains(self, z) -> Optional[bool]:
+        z = as_vector_of(z, len(self.target))
         if not self._has_negative_on_zero():
             return None
         scale = self._multiple_of_target(z)

@@ -17,6 +17,8 @@ is equivalent to a -> 1 together with ||o|| -> 0.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -26,6 +28,7 @@ __all__ = [
     "SparseVector",
     "OrthDecomp",
     "as_vector",
+    "as_vector_of",
     "as_rows",
     "inner",
     "norm",
@@ -44,8 +47,21 @@ def as_vector(x) -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("expected a one-dimensional vector with at least one entry")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
+    return v
+
+
+def as_vector_of(x, dim: int) -> np.ndarray:
+    """``as_vector(x)`` with exactly ``dim`` entries.
+
+    A SparseVector raises TypeError and another length ValueError, as in ``inner``.
+    """
+    if isinstance(x, SparseVector):
+        raise TypeError("dense and sparse vectors cannot be combined in one operation")
+    v = as_vector(x)
+    if v.shape[0] != dim:
+        raise ValueError(f"dimension mismatch: {v.shape[0]} vs {dim}")
     return v
 
 
@@ -54,7 +70,7 @@ def as_rows(x) -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.ndim != 2 or v.shape[1] == 0:
         raise ValueError("expected a two-dimensional block with at least one column")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
     return v
 
@@ -83,7 +99,7 @@ class SparseVector:
             if index in seen:
                 raise ValueError(f"duplicate sparse index {index}")
             fval = float(value)
-            if not np.isfinite(fval):
+            if not math.isfinite(fval):
                 raise ValueError(f"sparse value at index {index} must be finite")
             if fval != 0.0:
                 seen[index] = fval
@@ -107,9 +123,10 @@ class SparseVector:
         return frozenset(i for i, _ in self._pairs)
 
     def get(self, index: int) -> float:
-        for i, v in self._pairs:
-            if i == index:
-                return v
+        """Value at ``index`` (0.0 off the support), by bisection on the sorted pairs."""
+        k = bisect_left(self._pairs, (index,))
+        if k < len(self._pairs) and self._pairs[k][0] == index:
+            return self._pairs[k][1]
         return 0.0
 
     def items(self) -> Iterator[tuple[int, float]]:
@@ -180,11 +197,8 @@ def inner(u: Vector, v: Vector) -> float:
         small, big = (u, v) if len(u.pairs) <= len(v.pairs) else (v, u)
         lookup = dict(big.pairs)
         return float(sum(val * lookup.get(i, 0.0) for i, val in small.pairs))
-    a = as_vector(u)
     b = as_vector(v)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return float(a @ b)
+    return float(as_vector_of(u, b.shape[0]) @ b)
 
 
 # The squares behind a plain norm below this may have underflowed (the
@@ -238,7 +252,8 @@ def approx_equal(u: Vector, v: Vector, rel: float = 1e-9) -> bool:
     if _check_same_kind(u, v):
         diff = norm(u - v)
     else:
-        diff = float(np.linalg.norm(as_vector(u) - as_vector(v)))
+        b = as_vector(v)
+        diff = float(np.linalg.norm(as_vector_of(u, b.shape[0]) - b))
     return diff <= rel * max(1.0, norm(u), norm(v))
 
 
@@ -327,7 +342,7 @@ def sparse_from_wire(obj) -> SparseVector:
             raise ValueError("sparse values must be numbers")
         if float(value) == 0.0:
             raise ValueError("sparse values must be nonzero")
-        if not np.isfinite(float(value)):
+        if not math.isfinite(float(value)):
             raise ValueError("sparse values must be finite")
         pairs.append((index, float(value)))
         last = index

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from varproj.ball import BallProjection, BallRegion, DirectionClass
+from varproj.ball import BallProjection, BallRegion, DirectionClass, SpherePartial
 from varproj.descriptors import EmptySet, IdentityMap, ScaledComplementMap, SingletonSet
 from varproj.oracle import directional_quotient, jacobian_fd
-from varproj.vectors import norm
+from varproj.vectors import SparseVector, norm
 
 finite = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False, allow_infinity=False)
 
@@ -263,6 +263,15 @@ class TestCoderivative:
         xbar = np.array([1.0, 0.0])
         d = self.op.coderivative(xbar, np.array([-2.0, 0.0]))
         assert d.contains(np.array([0.3, 0.0])) is None
+
+    def test_sphere_partial_rejects_other_dimensions_and_kinds(self):
+        d = self.op.coderivative(np.array([0.6, 0.8]), np.array([-0.6, -0.8]))
+        assert isinstance(d, SpherePartial)
+        for z in (np.zeros(3), np.zeros(1), np.array([0.3, 0.0, 0.0]), "abc"):
+            with pytest.raises(ValueError):
+                d.contains(z)
+        with pytest.raises(TypeError):
+            d.contains(SparseVector.zero())
 
     def test_json_variants(self):
         xbar = np.array([1.0, 0.0])

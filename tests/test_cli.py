@@ -132,6 +132,14 @@ class TestCoderiv:
         )
         assert code == 0 and json.loads(out)["contains"] == "unknown"
 
+    @pytest.mark.parametrize("z", ["[0, 0, 0]", "[0]"])
+    def test_partial_rejects_other_dimensions(self, capsys, z):
+        code, out, err = run(
+            capsys, "coderiv", "--set", "ball", "--radius", "1",
+            "--xbar", "[0.6,0.8]", "--y", "[-0.6,-0.8]", "--z", z,
+        )
+        assert code == 2 and out == "" and "dimension mismatch" in err
+
     def test_l2_needs_valid_base(self, capsys):
         code, _, err = run(
             capsys, "coderiv", "--set", "cone-l2", "--support", "[1]",

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from varproj.descriptors import (
     CoordinateMaskMap,
@@ -18,6 +19,14 @@ class TestSets:
         assert s.contains(np.array([1.0, 2.0])) is True
         assert s.contains(np.array([1.0, 2.0 + 1e-12])) is True
         assert s.contains(np.array([1.0, 2.1])) is False
+
+    def test_singleton_rejects_other_dimensions_and_kinds(self):
+        s = SingletonSet(np.zeros(2))
+        for z in (np.zeros(1), np.zeros(3)):
+            with pytest.raises(ValueError):
+                s.contains(z)
+        with pytest.raises(TypeError):
+            s.contains(SparseVector.zero())
 
     def test_singleton_sparse(self):
         s = SingletonSet(SparseVector({1: 1.0}))

@@ -13,6 +13,27 @@ nonzero = st.floats(min_value=0.1, max_value=3.0).flatmap(
     lambda v: st.sampled_from([v, -v])
 )
 sparse = st.dictionaries(st.integers(1, 8), nonzero, min_size=0, max_size=5).map(SparseVector)
+# few distinct values, so that coordinates of two vectors often tie
+coarse = st.dictionaries(
+    st.integers(1, 8), st.sampled_from([-2.0, -1.0, 0.5, 1.0, 2.0]), min_size=0, max_size=6
+).map(SparseVector)
+supports = st.frozensets(st.integers(1, 12), min_size=1, max_size=6)
+
+
+def _scan_get(v, index):
+    """SparseVector.get as a linear scan of the pairs."""
+    return next((val for i, val in v.pairs if i == index), 0.0)
+
+
+def _order_leq_scan(z, y, M):
+    """Reference order: every index of the sorted union of supports and M, one scan lookup each."""
+    for i in sorted(z.support | y.support | M):
+        if i in M:
+            if _scan_get(z, i) != _scan_get(y, i):
+                return False
+        elif _scan_get(z, i) > _scan_get(y, i):
+            return False
+    return True
 
 
 class TestProjection:
@@ -85,6 +106,34 @@ class TestOrder:
         # off-support coordinates may drop below zero without breaking
         # the componentwise comparison
         assert l2_cone.order_leq(SparseVector({1: 1.0, 2: -1.0}), y, M)
+
+    @given(st.one_of(sparse, coarse), st.one_of(sparse, coarse), supports)
+    def test_matches_the_sorted_union_scan(self, z, y, M):
+        # M may hold indices in neither support (up to 12, supports reach 8)
+        assert l2_cone.order_leq(z, y, M) == _order_leq_scan(z, y, M)
+
+    def test_interval_with_2000_nonzeros_matches_the_scan(self):
+        rng = np.random.default_rng(41)
+        idx = [int(i) for i in rng.choice(np.arange(1, 6001), size=2000, replace=False)]
+        M = frozenset(idx[:500]) | {6001, 6002}
+        y = SparseVector({i: float(rng.uniform(0.5, 2.0)) * (1.0 if i not in M else rng.choice([-1.0, 1.0]))
+                          for i in idx})
+        d = OrderIntervalSet(bound=y, support=M)
+        off = sorted(set(idx) - M)
+        shrink = y + SparseVector({i: -0.5 * y.get(i) for i in off[::3]})
+        queries = {
+            "bound": (y, True),
+            "shrunk off M": (shrink, True),
+            "above off M": (shrink + SparseVector({off[-1]: 1.0}), False),
+            "new index off M": (y + SparseVector({6003: 0.1}), False),
+            "moved on M": (y + SparseVector({idx[250]: 1e-9}), False),
+            "missing on M": (y - SparseVector({idx[499]: y.get(idx[499])}), False),
+            "negative off M": (y - SparseVector({off[100]: 2.0 * y.get(off[100])}), False),
+        }
+        for name, (z, want) in queries.items():
+            reference = l2_cone.nonnegative_off(z, M) and _order_leq_scan(z, y, M)
+            assert reference is want, name
+            assert d.contains(z) is want, name
 
     @given(sparse)
     def test_reflexive(self, z):

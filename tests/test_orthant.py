@@ -7,12 +7,30 @@ from varproj import orthant
 from varproj.descriptors import CoordinateMaskMap, EmptySet, IdentityMap, SingletonSet, ZeroMap
 from varproj.oracle import ProbeConfig, Verdict, jacobian_fd, membership
 from varproj.orthant import OrthantRegion
+from varproj.vectors import SparseVector
 
 finite = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False, allow_infinity=False)
 
 
 def points(n=4):
     return st.lists(finite, min_size=n, max_size=n).map(np.array)
+
+
+# sign patterns: exact zeros of both signs next to small and large magnitudes
+signed_entries = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300, -1e300]), finite)
+sign_patterns = st.lists(signed_entries, min_size=1, max_size=8).map(np.array)
+
+
+def _region_from_partition(x):
+    """Reference region: read off the three index sets of ``sign_partition``."""
+    parts = orthant.sign_partition(x)
+    if parts.zero:
+        return OrthantRegion.WITH_ZEROS
+    if not parts.minus:
+        return OrthantRegion.POSITIVE
+    if not parts.plus:
+        return OrthantRegion.NEGATIVE
+    return OrthantRegion.MIXED
 
 
 class TestProjection:
@@ -57,6 +75,21 @@ class TestSignPartition:
         assert orthant.region(np.array([1.0, -2.0])) is OrthantRegion.MIXED
         assert orthant.region(np.array([1.0, 0.0])) is OrthantRegion.WITH_ZEROS
         assert orthant.region(np.zeros(2)) is OrthantRegion.WITH_ZEROS
+
+    def test_negative_zero_is_a_zero(self):
+        assert orthant.region(np.array([1.0, -0.0])) is OrthantRegion.WITH_ZEROS
+        assert orthant.region(np.array([-0.0])) is OrthantRegion.WITH_ZEROS
+        assert orthant.sign_partition(np.array([1.0, -0.0])).zero == frozenset({1})
+
+    @given(sign_patterns)
+    def test_region_matches_sign_partition(self, x):
+        assert orthant.region(x) is _region_from_partition(x)
+
+    def test_region_validates_like_as_vector(self):
+        with pytest.raises(ValueError):
+            orthant.region([1.0, np.nan])
+        with pytest.raises(ValueError):
+            orthant.region([])
 
     def test_json(self):
         j = orthant.sign_partition(np.array([2.0, -1.0, 0.0])).to_json()
@@ -167,6 +200,16 @@ class TestCoderivative:
     def test_exclusion_needs_negative_on_zero(self):
         d = orthant.coderivative(np.array([0.0, -2.0]), np.array([1.0, 1.0]))
         assert d.contains(np.zeros(2)) is None
+
+    @pytest.mark.parametrize("y", [[1.0, 1.0], [-1.0, 1.0]], ids=["undecided", "excluding"])
+    def test_partial_rejects_other_dimensions_and_kinds(self, y):
+        d = orthant.coderivative(np.array([0.0, -2.0]), np.array(y))
+        assert isinstance(d, orthant.CornerPartial)
+        for z in (np.zeros(3), np.zeros(1), "abc", [0.0, np.inf]):
+            with pytest.raises(ValueError):
+                d.contains(z)
+        with pytest.raises(TypeError):
+            d.contains(SparseVector.zero())
 
     def test_json(self):
         xbar = np.zeros(2)

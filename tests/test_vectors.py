@@ -8,6 +8,7 @@ from varproj.vectors import (
     approx_equal,
     as_rows,
     as_vector,
+    as_vector_of,
     dense_from_wire,
     encode_vector,
     inner,
@@ -53,6 +54,19 @@ class TestAsVector:
             as_vector([1.0, float("nan")])
 
 
+class TestAsVectorOf:
+    def test_accepts_the_dimension(self):
+        np.testing.assert_array_equal(as_vector_of([1, 2], 2), [1.0, 2.0])
+
+    def test_rejects_other_dimensions_and_sparse(self):
+        with pytest.raises(ValueError, match="dimension mismatch: 3 vs 2"):
+            as_vector_of([0.0, 0.0, 0.0], 2)
+        with pytest.raises(ValueError):
+            as_vector_of("abc", 2)
+        with pytest.raises(TypeError):
+            as_vector_of(SparseVector.zero(), 2)
+
+
 class TestSparseVector:
     def test_drops_zeros(self):
         assert SparseVector({1: 0.0, 2: 3.0}).support == frozenset({2})
@@ -64,8 +78,21 @@ class TestSparseVector:
             SparseVector({1.5: 1.0})
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            SparseVector({1: float("inf")})
+        for bad in (float("inf"), float("-inf"), float("nan"), np.float64("inf")):
+            with pytest.raises(ValueError):
+                SparseVector({1: bad})
+
+    def test_get_below_between_and_above_the_support(self):
+        v = SparseVector({3: 1.5, 7: -2.0, 10: 0.25})
+        want = [0.0, 0.0, 1.5, 0.0, 0.0, 0.0, -2.0, 0.0, 0.0, 0.25, 0.0, 0.0]
+        assert [v.get(i) for i in range(1, 13)] == want
+        assert v.get(10**12) == 0.0
+        assert v.get(np.int64(7)) == -2.0
+        assert SparseVector.zero().get(1) == 0.0
+
+    @given(sparse, st.integers(1, 12))
+    def test_get_matches_a_scan_of_the_pairs(self, v, index):
+        assert v.get(index) == next((val for i, val in v.pairs if i == index), 0.0)
 
     def test_arithmetic(self):
         u = SparseVector({1: 2.0, 5: 3.0})
@@ -295,6 +322,13 @@ class TestApproxEqual:
 
     def test_sparse(self):
         assert approx_equal(SparseVector({1: 1.0}), SparseVector({1: 1.0 + 1e-12}))
+
+    def test_dimension_mismatch_is_not_broadcast(self):
+        # a length-1 vector would broadcast against any other length
+        with pytest.raises(ValueError):
+            approx_equal(np.zeros(1), np.zeros(2))
+        with pytest.raises(ValueError):
+            approx_equal(np.zeros(3), np.zeros(2))
 
 
 class TestWire:
