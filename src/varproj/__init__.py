@@ -13,7 +13,6 @@ from .descriptors import (
     LinearMap,
     ScaledComplementMap,
     SingletonSet,
-    UnknownSet,
     ZeroMap,
 )
 from .oracle import OracleVerdict, ProbeConfig, Verdict, Witness, membership, quotient
@@ -40,7 +39,6 @@ __all__ = [
     "LinearMap",
     "ScaledComplementMap",
     "SingletonSet",
-    "UnknownSet",
     "ZeroMap",
     "OracleVerdict",
     "ProbeConfig",

@@ -198,7 +198,7 @@ class BallProjection:
     def gateaux(self, xbar, w) -> np.ndarray:
         """One-sided directional derivative lim_{t->0+} (P(x+tw) - P(x))/t."""
         xbar = as_vector(xbar)
-        w = as_vector(w)
+        w = as_vector_of(w, xbar.shape[0])
         region = self.region(xbar)
         if region is BallRegion.INTERIOR:
             return w.copy()

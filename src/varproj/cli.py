@@ -4,6 +4,12 @@ JSON in, JSON out.  Dense vectors are arrays of numbers; sparse vectors
 are arrays of ``[index, value]`` pairs with strictly increasing 1-based
 indices and nonzero values.  Exit codes: 0 on success, 1 when a verify
 suite reports failures or stdout is closed early, 2 on malformed input.
+
+The three sets share their operation names: ``BallProjection(radius)``,
+the ``orthant`` module and the ``l2_cone`` module each give ``project``,
+and ``gateaux``, ``frechet`` and ``coderivative`` where the set has them.
+Every command calls the operation of its name on the set chosen by
+``--set``, and exits 2 when that set has none.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from . import l2_cone, orthant
 from .ball import BallProjection
 from .oracle import ProbeConfig, membership
 from .suites import SUITE_NAMES, run_suite
-from .vectors import SparseVector, dense_from_wire, encode_vector, sparse_from_wire
+from .vectors import dense_from_wire, encode_vector, sparse_from_wire
 
 SETS = ("ball", "cone-rn", "cone-l2")
 
@@ -34,23 +40,6 @@ def _parse_json(text: str, flag: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{flag}: invalid JSON ({exc.msg})") from exc
-
-
-def _dense(text: str, flag: str, dim: Optional[int]) -> np.ndarray:
-    try:
-        vec = dense_from_wire(_parse_json(text, flag))
-    except (ValueError, TypeError) as exc:
-        raise InputError(f"{flag}: {exc}") from exc
-    if dim is not None and vec.shape[0] != dim:
-        raise InputError(f"{flag}: expected dimension {dim}, got {vec.shape[0]}")
-    return vec
-
-
-def _sparse(text: str, flag: str) -> SparseVector:
-    try:
-        return sparse_from_wire(_parse_json(text, flag))
-    except (ValueError, TypeError) as exc:
-        raise InputError(f"{flag}: {exc}") from exc
 
 
 def _support(text: str) -> frozenset[int]:
@@ -69,12 +58,36 @@ def _require(args: argparse.Namespace, *names: str) -> None:
             raise InputError(f"{name} is required for --set {args.set}")
 
 
-def _ball(args: argparse.Namespace) -> BallProjection:
-    _require(args, "--radius")
+def _read(args: argparse.Namespace, flag: str, dim: Optional[int] = None):
+    """The vector of ``flag``: sparse for cone-l2, dense of dimension ``dim`` or --dim otherwise."""
+    raw = _parse_json(getattr(args, flag.strip("-")), flag)
     try:
-        return BallProjection(args.radius)
-    except ValueError as exc:
-        raise InputError(f"--radius: {exc}") from exc
+        if args.set == "cone-l2":
+            return sparse_from_wire(raw)
+        vec = dense_from_wire(raw)
+    except (ValueError, TypeError) as exc:
+        raise InputError(f"{flag}: {exc}") from exc
+    dim = args.dim if dim is None else dim
+    if dim is not None and vec.shape[0] != dim:
+        raise InputError(f"{flag}: expected dimension {dim}, got {vec.shape[0]}")
+    return vec
+
+
+def _operation(args: argparse.Namespace, name: str, *flags: str) -> tuple:
+    """The operation ``name`` of the set chosen by --set, then the vectors of ``flags``."""
+    _require(args, *flags)
+    if args.set == "ball":
+        _require(args, "--radius")
+        try:
+            ops = BallProjection(args.radius)
+        except ValueError as exc:
+            raise InputError(f"--radius: {exc}") from exc
+    else:
+        ops = orthant if args.set == "cone-rn" else l2_cone
+    op = getattr(ops, name, None)
+    if op is None:
+        raise InputError(f"{name} is not available for --set {args.set}")
+    return (op, *(_read(args, flag) for flag in flags))
 
 
 def _seed(args: argparse.Namespace) -> int:
@@ -88,113 +101,47 @@ def _seed(args: argparse.Namespace) -> int:
 
 
 def _cmd_project(args: argparse.Namespace) -> tuple[dict, int]:
-    _require(args, "--point")
-    if args.set == "ball":
-        op = _ball(args)
-        out = op.project(_dense(args.point, "--point", args.dim))
-    elif args.set == "cone-rn":
-        out = orthant.project(_dense(args.point, "--point", args.dim))
-    else:
-        out = l2_cone.project(_sparse(args.point, "--point"))
-    return {"set": args.set, "projection": encode_vector(out)}, 0
+    project, point = _operation(args, "project", "--point")
+    return {"set": args.set, "projection": encode_vector(project(point))}, 0
 
 
 def _cmd_gateaux(args: argparse.Namespace) -> tuple[dict, int]:
-    _require(args, "--xbar", "--w")
-    if args.set == "ball":
-        op = _ball(args)
-        xbar = _dense(args.xbar, "--xbar", args.dim)
-        w = _dense(args.w, "--w", args.dim)
-        try:
-            value = op.gateaux(xbar, w)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
-    elif args.set == "cone-rn":
-        xbar = _dense(args.xbar, "--xbar", args.dim)
-        w = _dense(args.w, "--w", args.dim)
-        value = orthant.gateaux(xbar, w)
-    else:
-        raise InputError("gateaux is not available for --set cone-l2")
-    return {"set": args.set, "derivative": encode_vector(value)}, 0
+    gateaux, xbar, w = _operation(args, "gateaux", "--xbar", "--w")
+    return {"set": args.set, "derivative": encode_vector(gateaux(xbar, w))}, 0
 
 
 def _cmd_frechet(args: argparse.Namespace) -> tuple[dict, int]:
-    _require(args, "--xbar")
-    xbar = _dense(args.xbar, "--xbar", args.dim)
-    if args.set == "ball":
-        mapping = _ball(args).frechet(xbar)
-    elif args.set == "cone-rn":
-        mapping = orthant.frechet(xbar)
-    else:
-        raise InputError("frechet is not available for --set cone-l2")
+    frechet, xbar = _operation(args, "frechet", "--xbar")
+    mapping = frechet(xbar)
     out: dict = {"set": args.set, "differentiable": mapping is not None}
     if mapping is None:
         out["map"] = None
     else:
         out["map"] = mapping.to_json()
         if args.w is not None:
-            out["applied"] = encode_vector(mapping(_dense(args.w, "--w", args.dim)))
+            out["applied"] = encode_vector(mapping(_read(args, "--w", xbar.shape[0])))
     return out, 0
 
 
 def _cmd_coderiv(args: argparse.Namespace) -> tuple[dict, int]:
-    _require(args, "--xbar", "--y")
-    z = None
-    if args.set == "ball":
-        op = _ball(args)
-        xbar = _dense(args.xbar, "--xbar", args.dim)
-        y = _dense(args.y, "--y", args.dim)
-        desc = op.coderivative(xbar, y)
-        if args.z is not None:
-            z = _dense(args.z, "--z", args.dim)
-    elif args.set == "cone-rn":
-        xbar = _dense(args.xbar, "--xbar", args.dim)
-        y = _dense(args.y, "--y", args.dim)
-        desc = orthant.coderivative(xbar, y)
-        if args.z is not None:
-            z = _dense(args.z, "--z", args.dim)
-    else:
+    coderivative, xbar, y = _operation(args, "coderivative", "--xbar", "--y")
+    if args.set == "cone-l2":
         _require(args, "--support")
-        support = _support(args.support)
-        xbar = _sparse(args.xbar, "--xbar")
-        y = _sparse(args.y, "--y")
-        try:
-            desc = l2_cone.coderivative(xbar, support, y)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
-        if args.z is not None:
-            z = _sparse(args.z, "--z")
+        desc = coderivative(xbar, _support(args.support), y)
+    else:
+        desc = coderivative(xbar, y)
     out = {"set": args.set, "descriptor": desc.to_json()}
     if args.z is not None:
-        answer = desc.contains(z)
+        answer = desc.contains(_read(args, "--z"))
         out["contains"] = "unknown" if answer is None else answer
     return out, 0
 
 
 def _cmd_oracle_member(args: argparse.Namespace) -> tuple[dict, int]:
-    _require(args, "--xbar", "--y", "--z")
-    if args.set == "ball":
-        op = _ball(args)
-        f = op.project
-        xbar = _dense(args.xbar, "--xbar", args.dim)
-        y = _dense(args.y, "--y", args.dim)
-        z = _dense(args.z, "--z", args.dim)
-    elif args.set == "cone-rn":
-        f = orthant.project
-        xbar = _dense(args.xbar, "--xbar", args.dim)
-        y = _dense(args.y, "--y", args.dim)
-        z = _dense(args.z, "--z", args.dim)
-    else:
-        f = l2_cone.project
-        xbar = _sparse(args.xbar, "--xbar")
-        y = _sparse(args.y, "--y")
-        z = _sparse(args.z, "--z")
-    try:
-        config = ProbeConfig(seed=_seed(args), tolerance=args.tolerance)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    result = membership(f, xbar, y, z, config)
-    out = result.to_json()
+    # the set's own project, from which membership finds its row form
+    project, xbar, y, z = _operation(args, "project", "--xbar", "--y", "--z")
+    config = ProbeConfig(seed=_seed(args), tolerance=args.tolerance)
+    out = membership(project, xbar, y, z, config).to_json()
     out["set"] = args.set
     return out, 0
 
@@ -275,9 +222,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         # attempt's overflow warning would only be noise on stderr
         with np.errstate(over="ignore"):
             out, code = _DISPATCH[args.command](args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -26,7 +26,6 @@ __all__ = [
     "DerivativeSet",
     "SingletonSet",
     "EmptySet",
-    "UnknownSet",
     "LinearMap",
     "IdentityMap",
     "ZeroMap",
@@ -75,19 +74,6 @@ class EmptySet(DerivativeSet):
 
     def to_json(self) -> dict:
         return {"variant": "empty"}
-
-
-@dataclass(frozen=True)
-class UnknownSet(DerivativeSet):
-    """No closed form available; every query defers to the oracle."""
-
-    variant = "unknown"
-
-    def contains(self, z: Vector) -> Optional[bool]:
-        return None
-
-    def to_json(self) -> dict:
-        return {"variant": "unknown"}
 
 
 class LinearMap:

@@ -33,14 +33,12 @@ __all__ = [
     "as_support",
     "project",
     "project_rows",
-    "positive_mask",
     "has_positive_support",
     "nonnegative_off",
     "order_leq",
     "OrderIntervalSet",
     "SelfExclusionPartial",
     "coderivative",
-    "coderivative_on_subspace",
 ]
 
 
@@ -79,14 +77,6 @@ def project_rows(block) -> np.ndarray:
 
 
 project.rows = project_rows
-
-
-def positive_mask(x: SparseVector, w: SparseVector) -> SparseVector:
-    """Keep w on the coordinates where x is strictly positive."""
-    x = _require_sparse(x, "x")
-    w = _require_sparse(w, "w")
-    keep = {i for i, v in x.items() if v > 0.0}
-    return SparseVector({i: v for i, v in w.items() if i in keep})
 
 
 def has_positive_support(x: SparseVector, M: Iterable[int]) -> bool:
@@ -203,19 +193,3 @@ def coderivative(xbar: SparseVector, M: Iterable[int], y: SparseVector) -> Deriv
     if nonnegative_off(y, M):
         return OrderIntervalSet(bound=y, support=M)
     return SelfExclusionPartial(target=y)
-
-
-def coderivative_on_subspace(xbar: SparseVector, M: Iterable[int], y: SparseVector) -> SparseVector:
-    """Unique coderivative member for y supported inside M.
-
-    On such queries the order interval collapses and the coderivative
-    acts as the identity: the result is y itself.
-    """
-    xbar = _require_sparse(xbar, "xbar")
-    y = _require_sparse(y, "y")
-    M = as_support(M)
-    if not has_positive_support(xbar, M):
-        raise ValueError("xbar must be strictly positive exactly on M")
-    if not y.support <= M:
-        raise ValueError("y must be supported inside M")
-    return y

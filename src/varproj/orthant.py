@@ -3,21 +3,19 @@
     P(x)_i = max(x_i, 0).
 
 Sign patterns are classified exactly (no epsilon): a coordinate is
-positive, negative, or an exact zero.  The derivative regimes are
+positive, negative, or an exact zero.  At every point the one-sided
+directional derivative is
 
-* all coordinates positive: P is locally the identity;
-* all coordinates negative: P is locally the zero map;
-* mixed signs, no zeros: P is locally the linear mask keeping the
-  positive coordinates;
-* at least one zero coordinate: P is kinked.  Only one-sided directional
-  derivatives exist there,
+    d(x; w)_i = w_i          on positive coordinates,
+                0            on negative coordinates,
+                max(w_i, 0)  on zero coordinates.
 
-      d(x; w)_i = w_i          on positive coordinates,
-                  0            on negative coordinates,
-                  max(w_i, 0)  on zero coordinates,
-
-  and no Frechet derivative exists.  The coderivative at such points is
-  known only through partial rules; see ``CornerPartial``.
+It is linear in w, and P Frechet differentiable, exactly when x has no
+zero coordinate: the derivative is then the identity (all coordinates
+positive), the zero map (all negative), or the linear mask keeping the
+positive coordinates (mixed signs).  At points with zero coordinates P
+is kinked, and the coderivative there is known only through partial
+rules; see ``CornerPartial``.
 """
 
 from __future__ import annotations
@@ -47,8 +45,6 @@ __all__ = [
     "project_rows",
     "sign_partition",
     "region",
-    "positive_mask",
-    "corner_derivative",
     "gateaux",
     "frechet",
     "coderivative",
@@ -121,43 +117,11 @@ def region(x) -> OrthantRegion:
     return OrthantRegion.MIXED
 
 
-def positive_mask(x, w) -> np.ndarray:
-    """Linear mask keeping w on the positive coordinates of x.
-
-    Defined for mixed-sign points without zeros, where it is the local
-    (Frechet) derivative of the projection.
-    """
-    x = as_vector(x)
-    w = as_vector(w)
-    if x.shape != w.shape:
-        raise ValueError("x and w must have the same dimension")
-    if region(x) is not OrthantRegion.MIXED:
-        raise ValueError("positive_mask requires a mixed-sign point with no zero coordinate")
-    return np.where(x > 0.0, w, 0.0)
-
-
-def corner_derivative(x, w) -> np.ndarray:
-    """One-sided directional derivative at a point with zero coordinates.
-
-    Keeps w on positive coordinates, zeroes it on negative ones, and clips
-    it to its positive part on zero coordinates.  At x = 0 this is exactly
-    the projection of w.
-    """
-    x = as_vector(x)
-    w = as_vector(w)
-    if x.shape != w.shape:
-        raise ValueError("x and w must have the same dimension")
-    if region(x) is not OrthantRegion.WITH_ZEROS:
-        raise ValueError("corner_derivative requires at least one zero coordinate")
-    return np.where(x > 0.0, w, np.where(x < 0.0, 0.0, np.maximum(w, 0.0)))
-
-
 def gateaux(x, w) -> np.ndarray:
     """One-sided directional derivative of the projection at any point."""
     x = as_vector(x)
-    if region(x) is OrthantRegion.WITH_ZEROS:
-        return corner_derivative(x, w)
-    return frechet(x)(as_vector(w))
+    w = as_vector_of(w, x.shape[0])
+    return np.where(x > 0.0, w, np.where(x < 0.0, 0.0, np.maximum(w, 0.0)))
 
 
 def frechet(x) -> Optional[LinearMap]:

@@ -480,7 +480,7 @@ def run_cone_rn(seed: int) -> list[CaseResult]:
             for lam in (0.0, 0.5, 1.0, 2.0, 10.0)
         )
         w = rng.standard_normal(n)
-        ok = ok and np.array_equal(orthant.corner_derivative(np.zeros(n), w), orthant.project(w))
+        ok = ok and np.array_equal(orthant.gateaux(np.zeros(n), w), orthant.project(w))
         cases.append(CaseResult(f"cone-rn/homogeneity/{k:03d}", ok))
     for k in range(10):
         n = int(rng.integers(2, 7))
@@ -491,8 +491,8 @@ def run_cone_rn(seed: int) -> list[CaseResult]:
         v = rng.standard_normal(n)
         alpha, beta = rng.uniform(-2.0, 2.0, 2)
         lin = norm(
-            orthant.positive_mask(x, alpha * w + beta * v)
-            - (alpha * orthant.positive_mask(x, w) + beta * orthant.positive_mask(x, v))
+            orthant.gateaux(x, alpha * w + beta * v)
+            - (alpha * orthant.gateaux(x, w) + beta * orthant.gateaux(x, v))
         )
         cases.append(CaseResult(f"cone-rn/mask-linearity/{k:03d}", lin <= 1e-12))
     for k in range(10):
@@ -562,7 +562,6 @@ def run_cone_l2(seed: int) -> list[CaseResult]:
         y = rand_sparse(idx)
         desc = l2_cone.coderivative(xbar, M, y)
         ok = desc.is_singleton and desc.contains(y) is True
-        ok = ok and l2_cone.coderivative_on_subspace(xbar, M, y) == y
         cases.append(CaseResult(f"cone-l2/collapse/{k:03d}", ok))
     xbar, M, y, grid = order_interval_grid(rng, m_size=1, off_size=2)
     desc = l2_cone.coderivative(xbar, M, y)

@@ -15,6 +15,8 @@ from varproj import l2_cone, orthant
 from varproj.ball import BallProjection
 from varproj.oracle import ProbeConfig, Verdict, directional_quotient, jacobian_fd, membership
 from varproj.suites import (
+    _signed_coords,
+    _unit_dense,
     ball_membership_cases,
     decomposition_residuals,
     l2_membership_cases,
@@ -29,22 +31,13 @@ def _report(num: int, label: str, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num} ({label}): {detail}"
 
 
-def _signed(rng, n, lo=0.1, hi=2.0):
-    return rng.uniform(lo, hi, n) * rng.choice([-1.0, 1.0], n)
-
-
-def _unit(rng, n):
-    v = rng.standard_normal(n)
-    return v / np.linalg.norm(v)
-
-
 def test_criterion_1_splitting_identities():
     rng = np.random.default_rng(101)
     start = time.perf_counter()
     worst = 0.0
     for _ in range(1000):
         n = int(rng.integers(2, 9))
-        anchor = _signed(rng, n)
+        anchor = _signed_coords(rng, n, 0.1, 2.0)
         u = rng.standard_normal(n) * rng.uniform(0.1, 3.0)
         v = rng.standard_normal(n) * rng.uniform(0.1, 3.0)
         worst = max(worst, max(decomposition_residuals(anchor, u, v).values()))
@@ -113,7 +106,7 @@ def test_criterion_3_frechet_vs_finite_differences():
                 r = float(rng.choice((0.5, 1.0, 2.0)))
                 op = BallProjection(r)
                 scale = rng.uniform(0.2, 0.8) if regime == "ball-interior" else rng.uniform(1.5, 2.5)
-                x = _unit(rng, n) * (r * scale)
+                x = _unit_dense(rng, n) * (r * scale)
                 project, mapping = op.project, op.frechet(x)
             else:
                 if regime == "cone-positive":
@@ -121,7 +114,7 @@ def test_criterion_3_frechet_vs_finite_differences():
                 elif regime == "cone-negative":
                     x = -rng.uniform(0.1, 2.0, n)
                 else:
-                    x = _signed(rng, n)
+                    x = _signed_coords(rng, n, 0.1, 2.0)
                     x[0], x[1] = abs(x[0]), -abs(x[1])
                 project, mapping = orthant.project, orthant.frechet(x)
             err = max(err, float(np.max(np.abs(jacobian_fd(project, x) - mapping.matrix(n)))))
@@ -141,7 +134,7 @@ def test_criterion_4_gateaux_vs_forward_quotients():
         for trial in range(100):
             n = int(rng.integers(2, 7))
             if regime == "cone-corner":
-                x = _signed(rng, n)
+                x = _signed_coords(rng, n, 0.1, 2.0)
                 x[rng.choice(n, size=int(rng.integers(1, n)), replace=False)] = 0.0
                 w = rng.standard_normal(n)
                 got = orthant.gateaux(x, w)
@@ -149,7 +142,7 @@ def test_criterion_4_gateaux_vs_forward_quotients():
             else:
                 r = float(rng.choice((0.5, 1.0, 2.0)))
                 op = BallProjection(r)
-                x = r * _unit(rng, n)
+                x = r * _unit_dense(rng, n)
                 o = rng.standard_normal(n)
                 o -= np.dot(o, x) / np.dot(x, x) * x
                 o *= rng.uniform(0.5, 2.0) / np.linalg.norm(o)

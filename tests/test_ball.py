@@ -155,6 +155,12 @@ class TestGateaux:
         w = np.array([0.7, -0.1])
         np.testing.assert_array_equal(op.gateaux(np.array([0.2, 0.2]), w), w)
 
+    def test_interior_rejects_other_dimensions(self):
+        op = BallProjection(1.0)
+        for w in (np.ones(1), np.ones(3)):
+            with pytest.raises(ValueError):
+                op.gateaux(np.array([0.1, 0.0]), w)
+
     def test_exterior_frozen(self):
         op = BallProjection(1.0)
         got = op.gateaux(np.array([2.0, 0.0]), np.array([0.0, 1.0]))

@@ -59,7 +59,7 @@ class TestProject:
 
     def test_bad_json(self, capsys):
         code, _, err = run(capsys, "project", "--set", "cone-rn", "--point", "[1, ")
-        assert code == 2 and "--point" in err
+        assert code == 2 and err == "error: --point: invalid JSON (Expecting value)\n"
 
 
 class TestGateauxFrechet:
@@ -72,10 +72,28 @@ class TestGateauxFrechet:
         assert json.loads(out)["derivative"] == pytest.approx([0.0, 1.0])
 
     def test_gateaux_not_for_l2(self, capsys):
-        code, _, err = run(
-            capsys, "gateaux", "--set", "cone-l2", "--xbar", "[[1, 1.0]]", "--w", "[[1, 1.0]]"
+        # frechet too; one test id for both commands
+        for command in ("gateaux", "frechet"):
+            code, out, err = run(
+                capsys, command, "--set", "cone-l2", "--xbar", "[[1, 1.0]]", "--w", "[[1, 1.0]]"
+            )
+            assert code == 2 and out == ""
+            assert err == f"error: {command} is not available for --set cone-l2\n"
+
+    @pytest.mark.parametrize("xbar", ["[0.1, 0]", "[2, 0]", "[1, 0]"])
+    def test_gateaux_rejects_w_of_other_dimension(self, capsys, xbar):
+        code, out, err = run(
+            capsys, "gateaux", "--set", "ball", "--radius", "1", "--xbar", xbar, "--w", "[1, 2, 3]"
         )
-        assert code == 2 and "cone-l2" in err
+        assert code == 2 and out == "" and "dimension mismatch" in err
+
+    @pytest.mark.parametrize("setting", [("ball", "--radius", "1"), ("cone-rn",)])
+    def test_frechet_reads_w_at_the_dimension_of_xbar(self, capsys, setting):
+        code, out, err = run(
+            capsys, "frechet", "--set", *setting, "--xbar", "[0.1, 0.2]", "--w", "[1, 2, 3]"
+        )
+        assert code == 2 and out == ""
+        assert err == "error: --w: expected dimension 2, got 3\n"
 
     def test_frechet_exterior(self, capsys):
         code, out, _ = run(

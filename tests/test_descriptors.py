@@ -7,7 +7,6 @@ from varproj.descriptors import (
     IdentityMap,
     ScaledComplementMap,
     SingletonSet,
-    UnknownSet,
     ZeroMap,
 )
 from varproj.vectors import SparseVector
@@ -37,11 +36,6 @@ class TestSets:
         e = EmptySet()
         assert e.contains(np.zeros(2)) is False
         assert e.to_json() == {"variant": "empty"}
-
-    def test_unknown(self):
-        u = UnknownSet()
-        assert u.contains(np.zeros(2)) is None
-        assert u.to_json()["variant"] == "unknown"
 
     def test_singleton_json(self):
         assert SingletonSet(np.array([0.5, 0.0])).to_json() == {

@@ -89,11 +89,6 @@ class TestSupportPredicates:
         assert not l2_cone.nonnegative_off(SparseVector({1: 4.0, 2: -0.5}), M)
         assert l2_cone.nonnegative_off(SparseVector.zero(), M)
 
-    def test_positive_mask(self):
-        x = SparseVector({1: 2.0, 2: -1.0})
-        w = SparseVector({1: 5.0, 2: 7.0, 3: 1.0})
-        assert l2_cone.positive_mask(x, w) == SparseVector({1: 5.0})
-
 
 class TestOrder:
     def test_examples(self):
@@ -220,22 +215,3 @@ class TestCoderivative:
     def test_interval_validates_bound(self):
         with pytest.raises(ValueError):
             OrderIntervalSet(bound=SparseVector({2: -1.0}), support=frozenset({1}))
-
-
-class TestSubspaceRestriction:
-    def test_identity_on_supported_targets(self):
-        M = frozenset({1, 3})
-        xbar = SparseVector({1: 0.5, 3: 2.0})
-        y = SparseVector({1: -1.0, 3: 4.0})
-        assert l2_cone.coderivative_on_subspace(xbar, M, y) == y
-
-    def test_requires_supported_target(self):
-        M = frozenset({1})
-        xbar = SparseVector({1: 0.5})
-        with pytest.raises(ValueError):
-            l2_cone.coderivative_on_subspace(xbar, M, SparseVector({2: 1.0}))
-
-    def test_requires_valid_base_point(self):
-        M = frozenset({1})
-        with pytest.raises(ValueError):
-            l2_cone.coderivative_on_subspace(SparseVector({1: -0.5}), M, SparseVector({1: 1.0}))

@@ -97,27 +97,21 @@ class TestSignPartition:
 
 
 class TestMaskAndCorner:
+    """``gateaux`` is the positive mask at mixed points and clips w on the zeros."""
+
     def test_positive_mask_frozen(self):
-        got = orthant.positive_mask(np.array([2.0, -3.0]), np.array([5.0, 7.0]))
+        got = orthant.gateaux(np.array([2.0, -3.0]), np.array([5.0, 7.0]))
         np.testing.assert_array_equal(got, [5.0, 0.0])
 
-    def test_positive_mask_requires_mixed(self):
-        with pytest.raises(ValueError):
-            orthant.positive_mask(np.array([1.0, 0.0]), np.ones(2))
-
     def test_corner_frozen(self):
-        got = orthant.corner_derivative(np.array([1.0, 0.0, -1.0]), np.array([2.0, -3.0, 4.0]))
+        got = orthant.gateaux(np.array([1.0, 0.0, -1.0]), np.array([2.0, -3.0, 4.0]))
         np.testing.assert_array_equal(got, [2.0, 0.0, 0.0])
-        got = orthant.corner_derivative(np.array([1.0, 0.0, -1.0]), np.array([2.0, 3.0, 4.0]))
+        got = orthant.gateaux(np.array([1.0, 0.0, -1.0]), np.array([2.0, 3.0, 4.0]))
         np.testing.assert_array_equal(got, [2.0, 3.0, 0.0])
 
     def test_corner_at_origin_is_projection(self):
         w = np.array([1.0, -2.0, 0.5])
-        np.testing.assert_array_equal(orthant.corner_derivative(np.zeros(3), w), orthant.project(w))
-
-    def test_corner_requires_zeros(self):
-        with pytest.raises(ValueError):
-            orthant.corner_derivative(np.array([1.0, -1.0]), np.ones(2))
+        np.testing.assert_array_equal(orthant.gateaux(np.zeros(3), w), orthant.project(w))
 
 
 class TestGateaux:
@@ -127,6 +121,16 @@ class TestGateaux:
         np.testing.assert_array_equal(orthant.gateaux(np.array([-1.0, -2.0]), w), np.zeros(2))
         np.testing.assert_array_equal(orthant.gateaux(np.array([1.0, -2.0]), w), [1.0, 0.0])
         np.testing.assert_array_equal(orthant.gateaux(np.array([1.0, 0.0]), w), [1.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "x", [[1.0, 2.0], [-1.0, -2.0], [1.0, -2.0]], ids=["positive", "negative", "mixed"]
+    )
+    def test_rejects_other_dimensions(self, x):
+        for w in (np.ones(1), np.ones(3)):
+            with pytest.raises(ValueError):
+                orthant.gateaux(np.array(x), w)
+        with pytest.raises(TypeError):
+            orthant.gateaux(np.array(x), SparseVector({1: 1.0}))
 
     def test_forward_quotient_exact_at_corner(self):
         # one-sided quotients stabilize once the step is below the

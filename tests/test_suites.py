@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -28,6 +29,14 @@ def test_all_aggregates():
     report = run_suite("all", 42)
     total = sum(len(run_suite(name, 42).cases) for name in SUITE_NAMES)
     assert len(report.cases) == total and report.all_ok
+
+
+def test_all_report_is_pinned():
+    # the report of `varproj verify --suite all --seed 42`; any refactor
+    # that changes a case id or verdict changes this digest
+    text = json.dumps(run_suite("all", 42).to_json(), sort_keys=True)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "dbb617c8ed5c00ab52ffc35140508d43cfcfd652efd9a1fc5e5356c98f6a6c84"
 
 
 def test_reports_are_deterministic():
