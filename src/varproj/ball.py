@@ -168,6 +168,41 @@ class BallProjection:
             out[i] = self.project(block[i])
         return out
 
+    def project_axes(self, sq_norm: float, xj, moved):
+        """Axis form: images of the probes u = x + (moved - x_j) e_j from scalars.
+
+        Takes ``sq_norm`` = ||x||^2 and, elementwise over the probes, x_j
+        and the moved coordinate.  With c(v) = r / max(||v||, r), returns
+        (a, b) with P(u) - P(x) = a x + b e_j:
+
+            a = c(u) - c(x),   b = c(u) du,   du = moved - x_j,
+            ||u||^2 = ||x||^2 + du (moved + x_j).
+
+        When both points lie outside the ball, c(u) - c(x) is computed as
+        -c(u) (||u|| - ||x||) / ||x||, with ||u|| - ||x|| = du (moved + x_j)
+        / (||u|| + ||x||), so nothing cancels.  Returns None, declining
+        the probes, when ``sq_norm`` is not a finite normal double or some
+        c(u) would underflow; ``project_rows`` handles those.
+        """
+        if not _TINY <= sq_norm < np.inf:
+            return None
+        r = self.radius
+        du = moved - xj
+        # ||u||^2 >= moved^2, which rounding must not undercut; an overflow
+        # makes ||u|| inf and c(u) 0, which declines below
+        with np.errstate(over="ignore"):
+            grow = du * (moved + xj)
+            norm_u = np.sqrt(np.maximum(sq_norm + grow, moved * moved))
+        scale_u = r / np.maximum(norm_u, r)
+        if not np.all(scale_u >= _TINY):
+            return None
+        norm_x = np.sqrt(sq_norm)
+        if norm_x <= r:
+            a = scale_u - 1.0
+        else:
+            a = np.where(norm_u > r, -scale_u * (grow / (norm_u + norm_x) / norm_x), 1.0 - r / norm_x)
+        return a, scale_u * du
+
     def region(self, x) -> BallRegion:
         x = as_vector(x)
         tol = SPHERE_RTOL * self.radius
@@ -241,5 +276,5 @@ class BallProjection:
         if is_zero(y):
             return SingletonSet(np.zeros_like(y))
         if approx_equal(y, xbar, rel=SELF_QUERY_RTOL):
-            return EmptySet()
+            return EmptySet(xbar.shape[0])
         return SpherePartial(anchor=tuple(map(float, xbar)), target=tuple(map(float, y)))

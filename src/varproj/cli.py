@@ -9,7 +9,9 @@ The three sets share their operation names: ``BallProjection(radius)``,
 the ``orthant`` module and the ``l2_cone`` module each give ``project``,
 and ``gateaux``, ``frechet`` and ``coderivative`` where the set has them.
 Every command calls the operation of its name on the set chosen by
-``--set``, and exits 2 when that set has none.
+``--set``, and exits 2 when that set has none, or when a set flag is
+given that the command does not read (``--radius`` off the ball,
+``--dim`` for cone-l2, ``--support`` outside ``coderiv --set cone-l2``).
 """
 
 from __future__ import annotations
@@ -73,8 +75,19 @@ def _read(args: argparse.Namespace, flag: str, dim: Optional[int] = None):
     return vec
 
 
+def _reject_unused(args: argparse.Namespace) -> None:
+    """Refuse the set flags the command ignores: --radius off the ball, --dim for
+    cone-l2, --support outside ``coderiv --set cone-l2``."""
+    unused = {"radius": args.set != "ball", "dim": args.set == "cone-l2",
+              "support": (args.command, args.set) != ("coderiv", "cone-l2")}
+    for name, ignored in unused.items():
+        if ignored and getattr(args, name) is not None:
+            raise InputError(f"--{name} is not used by {args.command} --set {args.set}")
+
+
 def _operation(args: argparse.Namespace, name: str, *flags: str) -> tuple:
     """The operation ``name`` of the set chosen by --set, then the vectors of ``flags``."""
+    _reject_unused(args)
     _require(args, *flags)
     if args.set == "ball":
         _require(args, "--radius")

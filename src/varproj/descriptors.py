@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .vectors import Vector, approx_equal, as_vector, encode_vector, norm
+from .vectors import Vector, approx_equal, as_vector, as_vector_of, encode_vector, norm
 
 __all__ = [
     "DerivativeSet",
@@ -65,11 +65,17 @@ class SingletonSet(DerivativeSet):
 
 @dataclass(frozen=True)
 class EmptySet(DerivativeSet):
-    """The empty set: every membership query is definitely False."""
+    """The empty subset of R^dim: every membership query is definitely False.
 
+    A query of another dimension raises ValueError and a SparseVector
+    TypeError, as for ``SingletonSet``.
+    """
+
+    dim: int
     variant = "empty"
 
     def contains(self, z: Vector) -> Optional[bool]:
+        as_vector_of(z, self.dim)
         return False
 
     def to_json(self) -> dict:

@@ -27,6 +27,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .descriptors import DerivativeSet, SingletonSet
+from .orthant import project_axes
 from .vectors import SparseVector, as_rows
 
 __all__ = [
@@ -77,6 +78,8 @@ def project_rows(block) -> np.ndarray:
 
 
 project.rows = project_rows
+# coordinates on the probed indices, as for project_rows
+project.axes = project_axes
 
 
 def has_positive_support(x: SparseVector, M: Iterable[int]) -> bool:

@@ -17,24 +17,40 @@ probes, so normalising directions to unit length loses no coverage.
 
 Evaluation is batched.  f(xbar) is computed once per verdict.  At each
 radius the probe directions are stacked as rows and scored in blocks of
-about 32k floats; the differences, norms, inner products and the argmax
-are array expressions over the block.  Sparse queries use the same dense
+about 32k floats (the axis probes in one block of scalars, see below);
+the differences, norms, inner products and the argmax are array
+expressions over the block.  Sparse queries use the same dense
 path: they are embedded in R^m over the probed axes (all supports plus
 one fresh index).
 
 The random directions depend only on (seed, random_directions, m, number
 of radii), so for an integer seed they are drawn once per process and
-kept, read-only, in a cache of the 16 most recently used such plans.
-The axis probes xbar +- t*e_j are scored in closed form: u - xbar is one
-number per row, so its norm and its inner product with z cost no k x m
-work; only f(u) and its terms do.  Both give the same bits as drawing
-anew and scoring full direction rows, block for block.
+kept, read-only, in a cache of the 16 most recently used such plans;
+they give the same bits as drawing anew, block for block.
 
-When f has a row form (see ``_row_form``: the ``project`` of every set
-in this package has one), f is applied to a whole block in one call,
-and its images lie on the probed coordinates.  Any other f is called
-once per row: sparse rows reach it as SparseVectors, and its outputs are
-laid out over the union of their supports, wherever f maps.
+The 2m axis probes u = xbar +- t*e_j of a radius are one block.  Their
+u - xbar is one number du per probe, so its norm and its inner product
+with z are scalars.  When f has an axis form (see ``_form``: the
+``project`` of every set in this package has one), so is the image side:
+the form maps ||xbar||^2, xbar_j and the moved coordinate of each probe
+to two numbers (a, b) with f(u) - f(xbar) = a*xbar + b*e_j, or declines
+the block.  Then
+
+    <y, f(u) - f(xbar)>  = a*<y, xbar> + b*y_j,
+    ||f(u) - f(xbar)||   = hypot(a*||xbar - xbar_j e_j||, a*xbar_j + b),
+
+with <y, xbar> and the off-axis norms (prefix and suffix sums of
+squares, so nothing cancels) computed once per verdict, so a radius
+costs O(m).  A block the form declines, and every axis block of
+an f without one, is scored as the tile of its 2m full rows, in row
+blocks like the random directions.  Separable forms (a = 0) give the
+tile's bits.
+
+When f has a row form (``_form`` again), f is applied to a whole row
+block in one call, and its images lie on the probed coordinates.  Any
+other f is called once per row: sparse rows reach it as SparseVectors,
+and its outputs are laid out over the union of their supports, wherever
+f maps.
 
 The winning probe at the smallest radius is scored again through the
 scalar ``quotient``; that value is the last supremum and the witness
@@ -62,7 +78,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -271,51 +287,82 @@ def _direction_probes(x0: np.ndarray, z0: np.ndarray, t: float, dirs: np.ndarray
     return u, np.linalg.norm(du, axis=1), du @ z0
 
 
-def _axis_blocks(x0: np.ndarray, z0: np.ndarray, rows: int) -> list[tuple[np.ndarray, ...]]:
-    """The axis probes k = 0 .. 2m-1 in blocks of at most `rows` probes.
+def _axis_block(x0: np.ndarray, y0: np.ndarray, z0: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The axis probes k = 0 .. 2m-1 as the tuple (j, s, x0[j], y0[j], z0[j]).
 
     Probe k moves along axis j = k // 2 with sign s = +1 for even k and -1
-    for odd k.  A block is the tuple (j, s, x0[j], z0[j]) of its probes.
+    for odd k.
     """
-    k = np.arange(2 * x0.size)
-    j, s = k // 2, np.where(k % 2 == 0, 1.0, -1.0)
-    return [(j[a:a + rows], s[a:a + rows], x0[j[a:a + rows]], z0[j[a:a + rows]])
-            for a in range(0, k.size, rows)]
+    j = np.repeat(np.arange(x0.size), 2)
+    return j, np.tile((1.0, -1.0), x0.size), x0[j], y0[j], z0[j]
 
 
-def _axis_probes(x0: np.ndarray, t: float, block: tuple[np.ndarray, ...]):
-    """Points u = x0 + s*t*e_j for the probes of an axis block, scored in closed form.
+def _axis_probes(t: float, block: tuple[np.ndarray, ...]):
+    """Moved coordinates x0[j] + s*t of an axis block, with ||u - x0|| and <z0, u - x0>.
 
-    Each row differs from x0 + 0.0 only at j, so u - x0 is the single
-    number du = u[r, j] - x0[j]: the row norm is sqrt(du*du) and the inner
+    Each probe differs from x0 + 0.0 only at j, so u - x0 is the single
+    number du = moved - x0[j]: the row norm is sqrt(du*du) and the inner
     product du*z0[j] + 0.0, bit for bit what ``_direction_probes`` gets
     from the full rows (a sum of zero products rounds to +0.0).
     """
-    j, s, xj, zj = block
+    _, s, xj, _, zj = block
     moved = xj + s * t
+    du = moved - xj
+    return moved, np.sqrt(du * du), du * zj + 0.0
+
+
+def _axis_rows(x0: np.ndarray, j: np.ndarray, moved: np.ndarray) -> np.ndarray:
+    """The full rows x0 + 0.0 with entry j set to ``moved``, one per axis probe."""
     u = np.tile(x0 + 0.0, (j.size, 1))
     u[np.arange(j.size), j] = moved
-    du = moved - xj
-    return u, np.sqrt(du * du), du * zj + 0.0
+    return u
 
 
-def _row_form(f: Callable[[Vector], Vector]) -> Optional[Callable[[np.ndarray], np.ndarray]]:
-    """The block form of f, or None when f has none.
+def _off_axis_norms(x0: np.ndarray) -> np.ndarray:
+    """||x0 - x0_j e_j|| for every j, from exclusive prefix and suffix sums, so nothing cancels."""
+    sq = x0 * x0
+    before = np.concatenate(([0.0], np.cumsum(sq[:-1])))
+    after = np.concatenate((np.cumsum(sq[:0:-1])[::-1], [0.0]))
+    return np.sqrt(before + after)
 
-    A block form maps a k x m array of points (rows) to the k x m array of
-    their images on the same coordinates.  It is the ``project_rows`` of
-    the object when f is its bound ``project`` method, and otherwise the
-    ``rows`` attribute of f, as set on ``orthant.project`` and
-    ``l2_cone.project``.  For a sparse f the block holds coordinates on
-    the probed axes, which is valid only when f acts coordinate by
-    coordinate and maps 0 to 0.
+
+def _axis_image_terms(a, b, block: tuple[np.ndarray, ...], frame: Callable[[], tuple]):
+    """<y0, df> and ||df|| for the images df = a*x0 + b*e_j of an axis block.
+
+    ``frame()`` gives (<y0, x0>, the off-axis norms of x0), read only when
+    some a is nonzero.  With a = 0 the terms are b*y0[j] and sqrt(b*b),
+    the bits of the full rows, whose other entries are zeros.
+    """
+    j, _, xj, yj, _ = block
+    if not np.any(a):
+        return b * yj, np.sqrt(b * b)
+    y_x, off = frame()
+    return a * y_x + b * yj, np.hypot(a * off[j], a * xj + b)
+
+
+def _form(f: Callable[[Vector], Vector], kind: str) -> Optional[Callable]:
+    """The ``kind`` form of f ("rows" or "axes"), or None when f has none.
+
+    It is the ``project_<kind>`` method of the object when f is its bound
+    ``project``, and otherwise the ``<kind>`` attribute of f, as set on
+    ``orthant.project`` and ``l2_cone.project``.
+
+    * A row form maps a k x m array of points (rows) to the k x m array
+      of their images on the same coordinates.
+    * An axis form maps (||x0||^2, x0[j], moved) for a base point x0 and
+      probes u = x0 + (moved - x0[j]) e_j to (a, b) with
+      f(u) - f(x0) = a*x0 + b*e_j, elementwise over the probes, or to
+      None when it declines them.
+
+    For a sparse f the coordinates are those on the probed axes, which is
+    valid only when f acts coordinate by coordinate and maps 0 to 0.
     """
     owner = getattr(f, "__self__", None)
     if owner is not None and getattr(f, "__name__", None) == "project":
-        rows = getattr(owner, "project_rows", None)
-        if rows is not None:
-            return rows
-    return getattr(f, "rows", None)
+        form = getattr(owner, f"project_{kind}", None)
+        if form is not None:
+            return form
+    return getattr(f, kind, None)
 
 
 def _output_rows(outs: list[Vector], fx: Vector, y: Vector) -> tuple[np.ndarray, np.ndarray]:
@@ -357,19 +404,32 @@ def membership(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, z: Vector
             return row
     m = x0.size
     rows = _block_rows(m)
-    # probe order at every radius: the structured head, the axis blocks,
+    # probe order at every radius: the structured head, the axis block,
     # then the radius's random blocks
     fixed: list[np.ndarray | tuple] = []
     if config.structured_probes:
         head = _structured_head(x0, y0, z0)
-        fixed = ([np.array(head)] if head else []) + _axis_blocks(x0, z0, rows)
+        fixed = ([np.array(head)] if head else []) + [_axis_block(x0, y0, z0)]
     # a generator or an unhashable seed draws afresh, as default_rng would
     draw = _random_blocks if isinstance(config.seed, (int, np.integer)) else _random_blocks.__wrapped__
     randoms = draw(config.seed, config.random_directions, m, len(config.radii))
     fx = f(xbar)
-    f_rows = _row_form(f)
+    f_rows, f_axes = _form(f, "rows"), _form(f, "axes")
     if f_rows is not None:
         fx0 = _dense_over(fx, axes) if isinstance(fx, SparseVector) else fx
+    if f_axes is not None:
+        # an overflowing square is inf, which the ball's form declines
+        with np.errstate(over="ignore"):
+            sq_norm = float(x0 @ x0)
+    frame = cache(lambda: (float(y0 @ x0), _off_axis_norms(x0)))
+
+    def row_terms(u):
+        """<y, df> and ||df|| of the images of the probe rows u."""
+        if f_rows is not None:
+            df, y_out = f_rows(u) - fx0, y0
+        else:
+            df, y_out = _output_rows([f(point(row)) for row in u], fx, y)
+        return df @ y_out, np.linalg.norm(df, axis=1)
 
     estimates: list[tuple[float, float]] = []
     for t, random_blocks in zip(config.radii, randoms):
@@ -378,16 +438,25 @@ def membership(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, z: Vector
             if not len(block):
                 continue
             axis = isinstance(block, tuple)
-            u, d_in, dz = _axis_probes(x0, t, block) if axis else _direction_probes(x0, z0, t, block)
+            if axis:
+                moved, d_in, dz = _axis_probes(t, block)
+            else:
+                u, d_in, dz = _direction_probes(x0, z0, t, block)
             if not np.all(d_in > 0.0):
                 raise ValueError(
                     f"u must differ from xbar: a probe at radius {t!r} rounds back to xbar at "
                     f"||xbar|| = {norm(xbar):.6g}; probe radii are absolute")
-            if f_rows is not None:
-                df, y_out = f_rows(u) - fx0, y0
+            images = f_axes(sq_norm, block[2], moved) if axis and f_axes is not None else None
+            if images is not None:
+                y_df, df_norm = _axis_image_terms(*images, block, frame)
+            elif axis:
+                # the full rows, in row blocks of the random directions' size
+                y_df, df_norm = map(np.concatenate, zip(*(
+                    row_terms(_axis_rows(x0, block[0][k:k + rows], moved[k:k + rows]))
+                    for k in range(0, moved.size, rows))))
             else:
-                df, y_out = _output_rows([f(point(row)) for row in u], fx, y)
-            q = (dz - df @ y_out) / _denominator(config.denominator, d_in, np.linalg.norm(df, axis=1))
+                y_df, df_norm = row_terms(u)
+            q = (dz - y_df) / _denominator(config.denominator, d_in, df_norm)
             i = int(np.argmax(q))
             if best is None or q[i] > sup:
                 sup = float(q[i])

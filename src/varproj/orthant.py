@@ -43,6 +43,7 @@ __all__ = [
     "CornerPartial",
     "project",
     "project_rows",
+    "project_axes",
     "sign_partition",
     "region",
     "gateaux",
@@ -94,7 +95,19 @@ def project_rows(block) -> np.ndarray:
     return np.maximum(as_rows(block), 0.0)
 
 
+def project_axes(sq_norm: float, xj, moved):
+    """Axis form: images of the probes u = x + (moved - x_j) e_j from scalars.
+
+    The projection acts coordinate by coordinate, so P(u) - P(x) =
+    b e_j with b = max(moved, 0) - max(x_j, 0), elementwise over the
+    probes; returns (0.0, b), and ``sq_norm`` = ||x||^2 is not read.
+    b is the difference ``project_rows`` gives at j, bit for bit.
+    """
+    return 0.0, np.maximum(moved, 0.0) - np.maximum(xj, 0.0)
+
+
 project.rows = project_rows
+project.axes = project_axes
 
 
 def sign_partition(x) -> SignPartition:
@@ -212,5 +225,5 @@ def coderivative(xbar, y) -> DerivativeSet:
     if np.array_equal(y, xbar):
         if not np.any(xbar > 0.0):
             return SingletonSet(np.zeros_like(y))
-        return EmptySet()
+        return EmptySet(xbar.shape[0])
     return CornerPartial(anchor=tuple(map(float, xbar)), target=tuple(map(float, y)))

@@ -166,6 +166,36 @@ class TestCoderiv:
         assert code == 2 and err
 
 
+class TestUnusedFlags:
+    @pytest.mark.parametrize("argv, flag", [
+        (("project", "--set", "cone-l2", "--support", "[1, 4]", "--point", "[[1, 2.5]]"), "--support"),
+        (("oracle-member", "--set", "cone-l2", "--support", "[1]",
+          "--xbar", "[[1, 1.0]]", "--y", "[[1, 1.0]]", "--z", "[[1, 1.0]]"), "--support"),
+        (("coderiv", "--set", "cone-rn", "--support", "[1]", "--xbar", "[1, 0]", "--y", "[1, 0]"), "--support"),
+        (("gateaux", "--set", "ball", "--radius", "1", "--support", "[1]",
+          "--xbar", "[2, 0]", "--w", "[1, 1]"), "--support"),
+        (("project", "--set", "cone-rn", "--radius", "1", "--point", "[1, -1]"), "--radius"),
+        (("coderiv", "--set", "cone-l2", "--support", "[1]", "--radius", "1",
+          "--xbar", "[[1, 1.0]]", "--y", "[[1, 1.0]]"), "--radius"),
+        (("project", "--set", "cone-l2", "--dim", "2", "--point", "[[1, 2.5]]"), "--dim"),
+        (("coderiv", "--set", "cone-l2", "--support", "[1]", "--dim", "1",
+          "--xbar", "[[1, 1.0]]", "--y", "[[1, 1.0]]"), "--dim"),
+    ])
+    def test_rejected(self, capsys, argv, flag):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {flag} is not used by {argv[0]} --set {argv[2]}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("project", "--set", "ball", "--radius", "1", "--dim", "2", "--point", "[3, 4]"),
+        ("frechet", "--set", "cone-rn", "--dim", "2", "--xbar", "[1, -1]"),
+        ("coderiv", "--set", "cone-l2", "--support", "[1]", "--xbar", "[[1, 1.0]]", "--y", "[[1, 1.0]]"),
+    ])
+    def test_read_flags_accepted(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == "" and json.loads(out)["set"] == argv[2]
+
+
 class TestOracleMember:
     def test_non_member(self, capsys):
         code, out, _ = run(

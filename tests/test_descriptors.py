@@ -33,9 +33,30 @@ class TestSets:
         assert s.contains(SparseVector.zero()) is False
 
     def test_empty(self):
-        e = EmptySet()
+        e = EmptySet(2)
         assert e.contains(np.zeros(2)) is False
         assert e.to_json() == {"variant": "empty"}
+
+    def test_empty_rejects_other_dimensions_and_kinds(self):
+        e = EmptySet(2)
+        for z in (np.zeros(1), np.zeros(3)):
+            with pytest.raises(ValueError):
+                e.contains(z)
+        with pytest.raises(TypeError):
+            e.contains(SparseVector.zero())
+
+    def test_empty_from_the_sets_checks_its_query(self):
+        from varproj import orthant
+        from varproj.ball import BallProjection
+
+        for empty in (BallProjection(1.0).coderivative(np.array([0.6, 0.8]), np.array([0.6, 0.8])),
+                      orthant.coderivative(np.array([1.0, 0.0]), np.array([1.0, 0.0]))):
+            assert empty == EmptySet(2)
+            assert empty.contains([5.0, -1.0]) is False
+            with pytest.raises(ValueError, match="dimension mismatch: 3 vs 2"):
+                empty.contains(np.zeros(3))
+            with pytest.raises(TypeError):
+                empty.contains(SparseVector({1: 1.0}))
 
     def test_singleton_json(self):
         assert SingletonSet(np.array([0.5, 0.0])).to_json() == {

@@ -9,7 +9,7 @@ from varproj.ball import BallProjection
 from varproj.oracle import (
     ProbeConfig,
     Verdict,
-    _row_form,
+    _form,
     directional_quotient,
     jacobian_fd,
     membership,
@@ -303,7 +303,10 @@ def _golden_digest(f, xbar, y, z, denominator):
 # First 16 hex digits of the sha256 of each verdict's sorted JSON, recorded
 # with the oracle that drew its random directions anew for every verdict and
 # scored every probe as a full direction row.  Equal digests mean equal bytes:
-# every sup, witness coordinate and signed zero.
+# every sup, witness coordinate and signed zero.  The four ball/n500/exterior
+# entries were recorded again when the ball's axis probes moved to the axis
+# form: their sups at radii 1e-2 and 1e-3 moved by at most 5e-14, and their
+# verdicts and witnesses kept their bytes.
 GOLDEN = {
     "ball/n2/exterior/sum": "27a0572f1af2cfaf",
     "ball/n2/exterior/euclidean": "f12e61cbebdb04f4",
@@ -329,10 +332,10 @@ GOLDEN = {
     "orthant/n50/mixed/euclidean": "17709945d474f107",
     "orthant/n50/corner/sum": "72392eb51f582a3b",
     "orthant/n50/corner/euclidean": "61c87f40593f3d7e",
-    "ball/n500/exterior/sum": "b98c97f3c49fed42",
-    "ball/n500/exterior/euclidean": "8edc7a063cc3a63d",
-    "ball/n500/exterior-off/sum": "78cddf17b4e05ce4",
-    "ball/n500/exterior-off/euclidean": "111f68e76a15b774",
+    "ball/n500/exterior/sum": "74febe8efbb125c7",
+    "ball/n500/exterior/euclidean": "c5b7516462f6963c",
+    "ball/n500/exterior-off/sum": "07f28fbb94ba6444",
+    "ball/n500/exterior-off/euclidean": "32528313bec5031b",
     "orthant/n500/mixed/sum": "eab878c85415e708",
     "orthant/n500/mixed/euclidean": "eab878c85415e708",
     "orthant/n500/corner/sum": "4b428e0cf0e27caa",
@@ -394,11 +397,11 @@ class TestGolden:
 class TestRowForm:
     def test_found_on_every_set(self):
         op = BallProjection(1.0)
-        assert _row_form(op.project) == op.project_rows
-        assert _row_form(orthant.project) is orthant.project_rows
-        assert _row_form(l2_cone.project) is l2_cone.project_rows
-        assert _row_form(lambda u: op.project(u)) is None
-        assert _row_form(op) is None
+        assert _form(op.project, "rows") == op.project_rows
+        assert _form(orthant.project, "rows") is orthant.project_rows
+        assert _form(l2_cone.project, "rows") is l2_cone.project_rows
+        assert _form(lambda u: op.project(u), "rows") is None
+        assert _form(op, "rows") is None
 
     @pytest.mark.parametrize("seed", [3, 4])
     @pytest.mark.parametrize("denominator", ["sum", "euclidean"])
@@ -419,6 +422,128 @@ class TestRowForm:
             assert json.dumps(rows.to_json()["witness"]) == json.dumps(per_row.to_json()["witness"])
             for (_, a), (_, b) in zip(rows.sup_estimates, per_row.sup_estimates):
                 assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), case.label
+
+
+def _axis_images(form, x0, t, y0=None):
+    """The axis form's (a, b) for the 2m probes of x0 at radius t, the block and the full probe rows."""
+    block = oracle._axis_block(x0, x0 if y0 is None else y0, x0)
+    moved = block[2] + block[1] * t
+    with np.errstate(over="ignore"):
+        sq_norm = float(x0 @ x0)
+    return form(sq_norm, block[2], moved), block, oracle._axis_rows(x0, block[0], moved)
+
+
+def _bits(v):
+    return np.asarray(v, dtype=float).view(np.int64)
+
+
+class _RowsOnlyBall(BallProjection):
+    """A ball whose project has the row form but no axis form."""
+
+    project_axes = None
+
+
+class TestAxisForm:
+    def test_found_on_every_set(self):
+        op = BallProjection(1.0)
+        assert _form(op.project, "axes") == op.project_axes
+        assert _form(orthant.project, "axes") is orthant.project_axes
+        assert _form(l2_cone.project, "axes") is orthant.project_axes
+        assert _form(lambda u: op.project(u), "axes") is None
+        assert _form(_RowsOnlyBall(1.0).project, "axes") is None
+
+    @pytest.mark.parametrize("t", [1e-2, 0.5, 2.0, 1e-300])
+    def test_separable_forms_match_rows_bit_for_bit(self, t):
+        # signed zeros, exact zeros after the move (0.5 - 0.5), and a
+        # sparse query laid out over its probed axes
+        dense = np.array([-0.0, 0.0, 0.5, -0.5, -2.0, 3.0, 1e-300])
+        sparse = SparseVector({1: 0.5, 3: -0.5, 4: 2.0})
+        fx_sparse = oracle._dense_over(l2_cone.project(sparse), [1, 3, 4, 5])
+        for f, x0, fx0 in ((orthant.project, dense, orthant.project(dense)),
+                           (l2_cone.project, oracle._dense_over(sparse, [1, 3, 4, 5]), fx_sparse)):
+            (a, b), block, u = _axis_images(f.axes, x0, t)
+            df = f.rows(u) - fx0
+            assert a == 0.0
+            np.testing.assert_array_equal(_bits(df[np.arange(u.shape[0]), block[0]]), _bits(b))
+            df[np.arange(u.shape[0]), block[0]] = 0.0
+            assert not _bits(df).any()
+
+    @pytest.mark.parametrize("r", [1e-200, 1.0, 1e200])
+    def test_ball_form_matches_rows(self, r):
+        # x0 inside, on and outside the sphere, and far from it at norms whose
+        # square is a normal double; probe radii small and crossing the sphere
+        rng = np.random.default_rng(11)
+        op = BallProjection(r)
+        accepted = 0
+        for n in (1, 2, 3, 7):
+            u = rng.standard_normal(n)
+            u /= np.linalg.norm(u)
+            for rho in (0.5 * r, r, 2.0 * r, 1e-100, 1e100):
+                x0 = rho * u
+                for t in (1e-3 * rho, 0.6 * rho):
+                    images, block, rows = _axis_images(op.project_axes, x0, t)
+                    # the safe norms warn on their plain attempt's overflow
+                    with np.errstate(over="ignore"):
+                        sq_norm = x0 @ x0
+                        images_u, image_x = op.project_rows(rows), op.project(x0)
+                    if images is None:
+                        lengths = np.linalg.norm(rows / rho, axis=1) * rho
+                        tiny = np.finfo(float).tiny
+                        assert not (tiny <= sq_norm < np.inf) or (r / lengths).min() < tiny
+                        continue
+                    accepted += 1
+                    a, b = images
+                    closed = a[:, None] * x0
+                    closed[np.arange(rows.shape[0]), block[0]] += b
+                    scale = np.maximum(np.abs(images_u).max(axis=1), np.abs(image_x).max())
+                    assert np.all(np.abs(closed - (images_u - image_x)) <= 4.0 * np.spacing(scale)[:, None])
+        assert accepted >= 16
+
+    @pytest.mark.parametrize("case", ["origin", "tiny-sphere", "huge-norm", "scale-underflow"])
+    def test_declined_block_takes_the_row_path(self, case):
+        r, x0, config = {
+            "origin": (1.0, np.zeros(3), ProbeConfig()),
+            "tiny-sphere": (1e-200, np.array([6e-201, -8e-201]), ProbeConfig()),
+            "huge-norm": (1e200, np.array([6e154, -8e154]), ProbeConfig(radii=(1e150, 1e149))),
+            "scale-underflow": (1e-200, np.array([3e120, 4e120]), ProbeConfig(radii=(1e119, 1e118))),
+        }[case]
+        y, z = np.ones(x0.size), 0.5 * np.ones(x0.size)
+        assert _axis_images(BallProjection(r).project_axes, x0, config.radii[0])[0] is None
+        with np.errstate(over="ignore"):
+            got = membership(BallProjection(r).project, x0, y, z, config)
+            want = membership(_RowsOnlyBall(r).project, x0, y, z, config)
+        assert json.dumps(got.to_json(), sort_keys=True) == json.dumps(want.to_json(), sort_keys=True)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="np.longdouble is no wider than a double here")
+    def test_ball_terms_no_less_accurate_than_rows(self):
+        # at exterior points, against an extended-precision evaluation of the
+        # full rows: the closed form's <y, df> and ||df|| err no more than
+        # the rows' do, or than 2 ulp of the term where the rows happen to be
+        # closer (at the sphere both sit within an ulp or two of the scale,
+        # which test_ball_form_matches_rows covers)
+        wide = np.longdouble
+
+        def exact_terms(r, rows, x0, y):
+            def project(v):
+                return (wide(r) / np.maximum(np.sqrt((v * v).sum(axis=-1)), wide(r)))[..., None] * v
+            df = project(rows.astype(wide)) - project(x0.astype(wide))
+            return df @ y.astype(wide), np.sqrt((df * df).sum(axis=1))
+
+        cases = [(f.__self__, x0, y) for label, f, x0, y, _ in _golden_queries()
+                 if label.startswith("ball/n") and "signed" not in label]
+        # near an axis, where ||df||^2 = a^2 ||x0||^2 + 2ab x0_j + b^2 would cancel
+        cases += [(BallProjection(1.0), np.array([1.7, 1e-9]), np.array([0.3, -1.1])),
+                  (BallProjection(0.5), np.array([1.3, 0.7, 1e-6]), np.array([1.0, 0.2, -0.4]))]
+        for op, x0, y in cases:
+            for t in ProbeConfig().radii:
+                (a, b), block, rows = _axis_images(op.project_axes, x0, t, y)
+                closed = oracle._axis_image_terms(a, b, block, lambda: (y @ x0, oracle._off_axis_norms(x0)))
+                df = op.project_rows(rows) - op.project(x0)
+                tile = (df @ y, np.linalg.norm(df, axis=1))
+                for got, rows_got, exact in zip(closed, tile, exact_terms(op.radius, rows, x0, y)):
+                    bound = max(np.abs(rows_got - exact).max(), 2.0 * np.spacing(float(np.abs(exact).max())))
+                    assert np.abs(got - exact).max() <= bound, (x0.size, t)
 
 
 class TestDirectionalQuotient:
