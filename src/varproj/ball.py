@@ -102,7 +102,6 @@ class SpherePartial(DerivativeSet):
 
     anchor: tuple[float, ...]
     target: tuple[float, ...]
-    variant = "partial"
     rule = "ball-sphere"
 
     def _contains_zero(self) -> bool:
@@ -180,11 +179,14 @@ class BallProjection:
 
         When both points lie outside the ball, c(u) - c(x) is computed as
         -c(u) (||u|| - ||x||) / ||x||, with ||u|| - ||x|| = du (moved + x_j)
-        / (||u|| + ||x||), so nothing cancels.  Returns None, declining
-        the probes, when ``sq_norm`` is not a finite normal double or some
-        c(u) would underflow; ``project_rows`` handles those.
+        / (||u|| + ||x||), so nothing cancels.  At the origin (``sq_norm``
+        = 0 and every x_j = 0), c(x) = 1 and ||u|| = |moved| exactly.
+        Returns None, declining the probes, when ``sq_norm`` is not a
+        finite normal double away from the origin, or some c(u) would
+        underflow; ``project_rows`` handles those.
         """
-        if not _TINY <= sq_norm < np.inf:
+        origin = sq_norm == 0.0 and not np.any(xj)
+        if not (origin or _TINY <= sq_norm < np.inf):
             return None
         r = self.radius
         du = moved - xj
@@ -192,7 +194,7 @@ class BallProjection:
         # makes ||u|| inf and c(u) 0, which declines below
         with np.errstate(over="ignore"):
             grow = du * (moved + xj)
-            norm_u = np.sqrt(np.maximum(sq_norm + grow, moved * moved))
+            norm_u = np.abs(moved) if origin else np.sqrt(np.maximum(sq_norm + grow, moved * moved))
         scale_u = r / np.maximum(norm_u, r)
         if not np.all(scale_u >= _TINY):
             return None

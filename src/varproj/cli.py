@@ -174,12 +174,11 @@ _DISPATCH = {
 }
 
 
-def _add_common(sub: argparse.ArgumentParser, *, with_set: bool = True) -> None:
-    if with_set:
-        sub.add_argument("--set", required=True, choices=SETS, help="constraint set")
-        sub.add_argument("--radius", type=float, help="ball radius (ball only)")
-        sub.add_argument("--dim", type=int, help="expected dimension of dense vectors")
-        sub.add_argument("--support", help="JSON array of 1-based indices (cone-l2 only)")
+def _add_common(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--set", required=True, choices=SETS, help="constraint set")
+    sub.add_argument("--radius", type=float, help="ball radius (ball only)")
+    sub.add_argument("--dim", type=int, help="expected dimension of dense vectors")
+    sub.add_argument("--support", help="JSON array of 1-based indices (cone-l2 only)")
 
 
 def _build_parser() -> argparse.ArgumentParser:

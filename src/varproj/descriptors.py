@@ -40,8 +40,6 @@ SINGLETON_RTOL = 1e-9
 class DerivativeSet:
     """Base class for coderivative value descriptors."""
 
-    variant = "abstract"
-
     def contains(self, z: Vector) -> Optional[bool]:
         raise NotImplementedError
 
@@ -54,7 +52,6 @@ class SingletonSet(DerivativeSet):
     """The set {value}."""
 
     value: Vector
-    variant = "singleton"
 
     def contains(self, z: Vector) -> Optional[bool]:
         return approx_equal(z, self.value, rel=SINGLETON_RTOL)
@@ -72,7 +69,6 @@ class EmptySet(DerivativeSet):
     """
 
     dim: int
-    variant = "empty"
 
     def contains(self, z: Vector) -> Optional[bool]:
         as_vector_of(z, self.dim)
@@ -85,8 +81,6 @@ class EmptySet(DerivativeSet):
 class LinearMap:
     """Closed-form derivative map.  All maps here are self-adjoint, so the
     coderivative of a differentiable point is the singleton {map(y)}."""
-
-    kind = "abstract"
 
     def __call__(self, v: Vector) -> Vector:
         raise NotImplementedError
@@ -106,8 +100,6 @@ class LinearMap:
 
 @dataclass(frozen=True)
 class IdentityMap(LinearMap):
-    kind = "identity"
-
     def __call__(self, v: Vector) -> Vector:
         return v
 
@@ -117,8 +109,6 @@ class IdentityMap(LinearMap):
 
 @dataclass(frozen=True)
 class ZeroMap(LinearMap):
-    kind = "zero"
-
     def __call__(self, v: Vector) -> Vector:
         if isinstance(v, np.ndarray):
             return np.zeros_like(v)
@@ -138,7 +128,6 @@ class ScaledComplementMap(LinearMap):
 
     scale: float
     axis: tuple[float, ...]
-    kind = "scaled_complement"
 
     @classmethod
     def from_point(cls, scale: float, axis_vector: np.ndarray) -> "ScaledComplementMap":
@@ -165,7 +154,6 @@ class CoordinateMaskMap(LinearMap):
 
     keep: frozenset[int]
     dim: int
-    kind = "coordinate_mask"
 
     def __call__(self, v: Vector) -> Vector:
         v = as_vector(v)

@@ -4,8 +4,9 @@ The cone consists of sequences with every coordinate >= 0, and the
 projection takes the componentwise positive part.  All computations here
 use finite-support sparse vectors, which is lossless: the projection,
 the derivative maps, and every membership rule below preserve finite
-support.  The one exception is ``project_rows``, which projects many
-points at once, given as rows of their coordinates on fixed indices.
+support.  The one exception is ``project_rows``, the orthant's row form,
+which projects many points at once, given as rows of their coordinates
+on fixed indices.
 
 The interesting base points are those with support exactly M and
 strictly positive values there ("strictly positive on M").  For such a
@@ -24,11 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-import numpy as np
-
 from .descriptors import DerivativeSet, SingletonSet
-from .orthant import project_axes
-from .vectors import SparseVector, as_rows
+from .orthant import project_axes, project_rows
+from .vectors import SparseVector
 
 __all__ = [
     "as_support",
@@ -65,20 +64,9 @@ def project(x: SparseVector) -> SparseVector:
     return _require_sparse(x, "x").positive_part()
 
 
-def project_rows(block) -> np.ndarray:
-    """Project each row of a k x m block of points; returns the k x m block of images.
-
-    A row holds the coordinates of a sparse vector on m fixed indices,
-    zero elsewhere, and its image is laid out on the same indices.  This
-    is exact because the projection acts coordinate by coordinate and
-    maps 0 to 0: row i equals ``project`` of the sparse vector, read back
-    on those indices.
-    """
-    return np.maximum(as_rows(block), 0.0)
-
-
+# the orthant's forms are exact on coordinates over fixed indices, because
+# the projection acts coordinate by coordinate and maps 0 to 0
 project.rows = project_rows
-# coordinates on the probed indices, as for project_rows
 project.axes = project_axes
 
 
@@ -119,7 +107,6 @@ class OrderIntervalSet(DerivativeSet):
 
     bound: SparseVector
     support: frozenset[int]
-    variant = "order_interval"
 
     def __post_init__(self):
         if not nonnegative_off(self.bound, self.support):
@@ -165,7 +152,6 @@ class SelfExclusionPartial(DerivativeSet):
     """
 
     target: SparseVector
-    variant = "partial"
     rule = "l2-self-exclusion"
 
     def contains(self, z) -> Optional[bool]:

@@ -83,7 +83,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .vectors import SparseVector, Vector, as_vector, inner, is_zero, norm, orth_decompose
+from .vectors import SparseVector, Vector, as_vector, inner, is_zero, norm, orth_decompose, row_norms
 
 __all__ = [
     "ProbeConfig",
@@ -105,11 +105,13 @@ _BLOCK_FLOATS = 1 << 15
 class ProbeConfig:
     """Sampling plan for the membership estimator.
 
+    Every radius probes the structured directions of the module docstring,
+    the axis probes among them, and then the random ones.
+
     radii: strictly decreasing probe radii.
     random_directions: random unit directions drawn per radius.
     seed: seed for the direction generator; fixed seed, fixed verdict.
     tolerance: decision band for the quotient suprema.
-    structured_probes: include the worst-case-family probes.
     denominator: "sum" for ||du|| + ||df||, "euclidean" for the root of
         the sum of squares.
     """
@@ -118,7 +120,6 @@ class ProbeConfig:
     random_directions: int = 256
     seed: int = 0
     tolerance: float = 1e-3
-    structured_probes: bool = True
     denominator: str = "sum"
 
     def __post_init__(self):
@@ -280,11 +281,20 @@ def _random_blocks(seed, count: int, m: int, n_radii: int) -> tuple[tuple[np.nda
     return tuple(plan)
 
 
+def _lengths(rows: np.ndarray) -> np.ndarray:
+    """Row norms: plain, except that rows whose squares overflow go through ``row_norms``."""
+    lengths = np.linalg.norm(rows, axis=1)
+    big = np.isinf(lengths)
+    if big.any():
+        lengths[big] = row_norms(rows[big])
+    return lengths
+
+
 def _direction_probes(x0: np.ndarray, z0: np.ndarray, t: float, dirs: np.ndarray):
     """Points u = x0 + t*d for the rows d of dirs, with ||u - x0|| and <z0, u - x0>."""
     u = x0 + t * dirs
     du = u - x0
-    return u, np.linalg.norm(du, axis=1), du @ z0
+    return u, _lengths(du), du @ z0
 
 
 def _axis_block(x0: np.ndarray, y0: np.ndarray, z0: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -301,14 +311,15 @@ def _axis_probes(t: float, block: tuple[np.ndarray, ...]):
     """Moved coordinates x0[j] + s*t of an axis block, with ||u - x0|| and <z0, u - x0>.
 
     Each probe differs from x0 + 0.0 only at j, so u - x0 is the single
-    number du = moved - x0[j]: the row norm is sqrt(du*du) and the inner
+    number du = moved - x0[j]: the row norm is |du| and the inner
     product du*z0[j] + 0.0, bit for bit what ``_direction_probes`` gets
-    from the full rows (a sum of zero products rounds to +0.0).
+    from the full rows (a sum of zero products rounds to +0.0) wherever
+    du*du does not underflow.
     """
     _, s, xj, _, zj = block
     moved = xj + s * t
     du = moved - xj
-    return moved, np.sqrt(du * du), du * zj + 0.0
+    return moved, np.abs(du), du * zj + 0.0
 
 
 def _axis_rows(x0: np.ndarray, j: np.ndarray, moved: np.ndarray) -> np.ndarray:
@@ -330,12 +341,13 @@ def _axis_image_terms(a, b, block: tuple[np.ndarray, ...], frame: Callable[[], t
     """<y0, df> and ||df|| for the images df = a*x0 + b*e_j of an axis block.
 
     ``frame()`` gives (<y0, x0>, the off-axis norms of x0), read only when
-    some a is nonzero.  With a = 0 the terms are b*y0[j] and sqrt(b*b),
-    the bits of the full rows, whose other entries are zeros.
+    some a is nonzero.  With a = 0 the terms are b*y0[j] and |b|,
+    the bits of the full rows, whose other entries are zeros, wherever
+    b*b does not underflow.
     """
     j, _, xj, yj, _ = block
     if not np.any(a):
-        return b * yj, np.sqrt(b * b)
+        return b * yj, np.abs(b)
     y_x, off = frame()
     return a * y_x + b * yj, np.hypot(a * off[j], a * xj + b)
 
@@ -406,10 +418,8 @@ def membership(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, z: Vector
     rows = _block_rows(m)
     # probe order at every radius: the structured head, the axis block,
     # then the radius's random blocks
-    fixed: list[np.ndarray | tuple] = []
-    if config.structured_probes:
-        head = _structured_head(x0, y0, z0)
-        fixed = ([np.array(head)] if head else []) + [_axis_block(x0, y0, z0)]
+    head = _structured_head(x0, y0, z0)
+    fixed = ([np.array(head)] if head else []) + [_axis_block(x0, y0, z0)]
     # a generator or an unhashable seed draws afresh, as default_rng would
     draw = _random_blocks if isinstance(config.seed, (int, np.integer)) else _random_blocks.__wrapped__
     randoms = draw(config.seed, config.random_directions, m, len(config.radii))
@@ -429,7 +439,7 @@ def membership(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, z: Vector
             df, y_out = f_rows(u) - fx0, y0
         else:
             df, y_out = _output_rows([f(point(row)) for row in u], fx, y)
-        return df @ y_out, np.linalg.norm(df, axis=1)
+        return df @ y_out, _lengths(df)
 
     estimates: list[tuple[float, float]] = []
     for t, random_blocks in zip(config.radii, randoms):
@@ -465,8 +475,6 @@ def membership(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, z: Vector
                     best[block[0][i]] = block[1][i]
                 else:
                     best = block[i].copy()
-        if best is None:
-            raise ValueError("probe plan is empty; enable structured probes or random directions")
         estimates.append((t, sup))
 
     # the winner at the smallest radius is scored again through the scalar

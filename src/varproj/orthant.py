@@ -166,7 +166,6 @@ class CornerPartial(DerivativeSet):
 
     anchor: tuple[float, ...]
     target: tuple[float, ...]
-    variant = "partial"
     rule = "cone-corner"
 
     def _has_negative_on_zero(self) -> bool:

@@ -41,15 +41,6 @@ __all__ = [
     "order_interval_grid",
 ]
 
-SUITE_NAMES = (
-    "decomp",
-    "ball-deriv",
-    "ball-coderiv",
-    "cone-rn",
-    "cone-l2",
-    "oracle-consistency",
-)
-
 
 @dataclass(frozen=True)
 class CaseResult:
@@ -656,14 +647,15 @@ _RUNNERS = {
     "cone-l2": run_cone_l2,
     "oracle-consistency": run_oracle_consistency,
 }
+SUITE_NAMES = tuple(_RUNNERS)
 
 
 def run_suite(name: str, seed: int) -> SuiteReport:
     """Run one named suite (or ``all``) with a fixed seed."""
     if name == "all":
         cases: list[CaseResult] = []
-        for sub in SUITE_NAMES:
-            cases.extend(_RUNNERS[sub](seed))
+        for runner in _RUNNERS.values():
+            cases.extend(runner(seed))
         return SuiteReport(suite="all", seed=seed, cases=tuple(cases))
     if name not in _RUNNERS:
         raise ValueError(f"unknown suite {name!r}; choose from {('all',) + SUITE_NAMES}")

@@ -248,12 +248,14 @@ def is_zero(u: Vector) -> bool:
 
 
 def approx_equal(u: Vector, v: Vector, rel: float = 1e-9) -> bool:
-    """||u - v|| <= rel * max(1, ||u||, ||v||)."""
-    if _check_same_kind(u, v):
+    """||u - v|| <= rel * max(1, ||u||, ||v||), with safe norms; False when u - v overflows."""
+    if not _check_same_kind(u, v):
+        v = as_vector(v)
+        u = as_vector_of(u, v.shape[0])
+    try:
         diff = norm(u - v)
-    else:
-        b = as_vector(v)
-        diff = float(np.linalg.norm(as_vector_of(u, b.shape[0]) - b))
+    except ValueError:  # an entry of u - v is infinite
+        return False
     return diff <= rel * max(1.0, norm(u), norm(v))
 
 

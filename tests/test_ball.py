@@ -66,6 +66,12 @@ class TestWideMagnitudes:
             got = BallProjection(1e-200).project(np.array([3e200, 4e200]))
         np.testing.assert_allclose(got, [6e-201, 8e-201], rtol=1e-15)
 
+    def test_self_query_whose_difference_squares_overflow(self):
+        # y = x (1 + 1e-13) is the self query y = x, as at r = 1
+        x = np.array([6e199, -8e199])
+        with np.errstate(over="ignore"):
+            assert BallProjection(1e200).coderivative(x, x * (1.0 + 1e-13)).to_json() == {"variant": "empty"}
+
     @pytest.mark.parametrize("r", [1.0, 1e100, 1e200, 1e-100, 1e-200])
     def test_region_at_large_radii(self, r):
         op = BallProjection(5.0 * r)

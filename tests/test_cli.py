@@ -143,6 +143,14 @@ class TestCoderiv:
         code, out, _ = run(capsys, *args, "--z", "[[1, 1.0], [2, 0.75]]")
         assert code == 0 and json.loads(out)["contains"] is False
 
+    def test_contains_with_overflowing_squares(self, capsys):
+        # z is the singleton value times 1 + 1e-12; ||z - value||^2 overflows
+        code, out, err = run(
+            capsys, "coderiv", "--set", "ball", "--radius", "1", "--xbar", "[3, 4]",
+            "--y", "[3e200, -4e200]", "--z", "[7.680000000000768e+199, -5.760000000000576e+199]",
+        )
+        assert code == 0 and err == "" and json.loads(out)["contains"] is True
+
     def test_contains_unknown(self, capsys):
         code, out, _ = run(
             capsys, "coderiv", "--set", "ball", "--radius", "1",

@@ -41,17 +41,16 @@ def _reference_membership(f, xbar, y, z, config):
         return v * (1.0 / length) if sparse else v / length
 
     structured = []
-    if config.structured_probes:
-        anchors = [xbar] if not is_zero(xbar) else []
-        for v in (y, z):
-            if not is_zero(v):
-                anchors.append(v)
-                if not is_zero(xbar):
-                    o = orth_decompose(xbar, v).o
-                    if norm(o) > 1e-13 * norm(v):
-                        anchors.append(o)
-        for v in anchors + basis:
-            structured += [unit(v), -unit(v)]
+    anchors = [xbar] if not is_zero(xbar) else []
+    for v in (y, z):
+        if not is_zero(v):
+            anchors.append(v)
+            if not is_zero(xbar):
+                o = orth_decompose(xbar, v).o
+                if norm(o) > 1e-13 * norm(v):
+                    anchors.append(o)
+    for v in anchors + basis:
+        structured += [unit(v), -unit(v)]
     rng = np.random.default_rng(config.seed)
     sups = []
     for t in config.radii:
@@ -266,6 +265,15 @@ class TestBatchedAgainstReference:
         ):
             _assert_matches_reference(shift, xbar, y, z, ProbeConfig(random_directions=64))
         assert membership(shift, x1, SparseVector({}), SparseVector({2: 1.0})).witness.quotient == 0.5
+
+    def test_radii_whose_squares_overflow(self):
+        # probe steps of 1e198 and 1e197, whose plain norms are inf
+        xbar, ones = np.array([6e199, -8e199]), np.ones(2)
+        config = ProbeConfig(radii=(1e198, 1e197), random_directions=4)
+        with np.errstate(over="ignore"):
+            _assert_matches_reference(BallProjection(1e200).project, xbar, ones, ones, config)
+            sups = membership(BallProjection(1e200).project, xbar, ones, ones, config).sup_estimates
+        assert [repr(s) for _, s in sups] == ["0.0", "0.0"]
 
 
 def _golden_queries():
@@ -501,6 +509,8 @@ class TestAxisForm:
 
     @pytest.mark.parametrize("case", ["origin", "tiny-sphere", "huge-norm", "scale-underflow"])
     def test_declined_block_takes_the_row_path(self, case):
+        # the form declines every case but the origin, where c(xbar) = 1
+        # exactly; either way the verdict is that of the full rows
         r, x0, config = {
             "origin": (1.0, np.zeros(3), ProbeConfig()),
             "tiny-sphere": (1e-200, np.array([6e-201, -8e-201]), ProbeConfig()),
@@ -508,7 +518,8 @@ class TestAxisForm:
             "scale-underflow": (1e-200, np.array([3e120, 4e120]), ProbeConfig(radii=(1e119, 1e118))),
         }[case]
         y, z = np.ones(x0.size), 0.5 * np.ones(x0.size)
-        assert _axis_images(BallProjection(r).project_axes, x0, config.radii[0])[0] is None
+        images = _axis_images(BallProjection(r).project_axes, x0, config.radii[0])[0]
+        assert (images is None) == (case != "origin")
         with np.errstate(over="ignore"):
             got = membership(BallProjection(r).project, x0, y, z, config)
             want = membership(_RowsOnlyBall(r).project, x0, y, z, config)

@@ -323,6 +323,19 @@ class TestApproxEqual:
     def test_sparse(self):
         assert approx_equal(SparseVector({1: 1.0}), SparseVector({1: 1.0 + 1e-12}))
 
+    def test_difference_with_overflowing_squares(self):
+        # ||u - v|| is about 1e188 although its plain sum of squares is inf
+        u = np.array([7.68e199, -5.76e199])
+        with np.errstate(over="ignore"):
+            assert approx_equal(u, u * (1.0 + 1e-12))
+            assert not approx_equal(u, u * (1.0 + 1e-6))
+
+    def test_overflowing_difference_is_not_equal(self):
+        # u - v itself is inf: unequal for both kinds, not an error
+        with np.errstate(over="ignore"):
+            assert not approx_equal(np.array([1.5e308, 0.0]), np.array([-1.5e308, 1.0]))
+            assert not approx_equal(SparseVector({1: 1.5e308}), SparseVector({1: -1.5e308}))
+
     def test_dimension_mismatch_is_not_broadcast(self):
         # a length-1 vector would broadcast against any other length
         with pytest.raises(ValueError):
