@@ -15,22 +15,33 @@ and moves along y and z themselves).  Scaled single-coordinate segments
 such as u_j = xbar_j + t * z_j trace the same rays as the coordinate
 probes, so normalising directions to unit length loses no coverage.
 
-Evaluation is batched.  f(xbar) is computed once per verdict.  At each
-radius the probe directions are stacked as rows and scored in blocks of
-about 32k floats (the axis probes in one block of scalars, see below);
-the differences, norms, inner products and the argmax are array
-expressions over the block.  Sparse queries use the same dense
-path: they are embedded in R^m over the probed axes (all supports plus
-one fresh index).
+Evaluation is batched.  f(xbar) is computed once per verdict, and the
+probes of every radius are scored in one pass over a probe plan that
+keeps the order of a radius-by-radius walk: at each radius the
+structured head, the axis probes, then the radius's random blocks.  The
+head and the random blocks are row segments tagged with their radius.
+Consecutive segments are packed into chunks of at most about 32k floats
+(``_block_rows``), and a segment is never split: at the default config
+every row of a query with m <= 41 lies in one chunk, and at m = 500
+each chunk is one segment.  A chunk is scored by one set of array
+expressions, with u = xbar + t*d (t per row) and one call of the row
+form; the inner products with y and z are taken segment by segment,
+since a BLAS matrix-vector product may round a row differently at
+another position in the matrix, and so the quotients keep the bits of a
+walk that scores every segment alone.  The axis probes of every radius
+form one block of scalars (see below).  The supremum at a radius is the
+first largest quotient in its probe order.  Sparse queries use the same
+dense path: they are embedded in R^m over the probed axes (all supports
+plus one fresh index).
 
 The random directions depend only on (seed, random_directions, m, number
 of radii), so for an integer seed they are drawn once per process and
 kept, read-only, in a cache of the 16 most recently used such plans;
 they give the same bits as drawing anew, block for block.
 
-The 2m axis probes u = xbar +- t*e_j of a radius are one block.  Their
-u - xbar is one number du per probe, so its norm and its inner product
-with z are scalars.  When f has an axis form (see ``_form``: the
+The 2m axis probes u = xbar +- t*e_j of every radius are one block.
+Their u - xbar is one number du per probe, so its norm and its inner
+product with z are scalars.  When f has an axis form (see ``_form``: the
 ``project`` of every set in this package has one), so is the image side:
 the form maps ||xbar||^2, xbar_j and the moved coordinate of each probe
 to two numbers (a, b) with f(u) - f(xbar) = a*xbar + b*e_j, or declines
@@ -41,16 +52,17 @@ the block.  Then
 
 with <y, xbar> and the off-axis norms (prefix and suffix sums of
 squares, so nothing cancels) computed once per verdict, so a radius
-costs O(m).  A block the form declines, and every axis block of
-an f without one, is scored as the tile of its 2m full rows, in row
-blocks like the random directions.  Separable forms (a = 0) give the
-tile's bits.
+costs O(m).  When the form declines the block, or f has none, the
+probes are scored radius by radius: through the form on that radius's
+2m probes alone, and where it declines them too, as the tile of their
+2m full rows, in row blocks like the random directions.  Separable
+forms (a = 0) give the tile's bits.
 
-When f has a row form (``_form`` again), f is applied to a whole row
-block in one call, and its images lie on the probed coordinates.  Any
-other f is called once per row: sparse rows reach it as SparseVectors,
-and its outputs are laid out over the union of their supports, wherever
-f maps.
+When f has a row form (``_form`` again), f is applied to a whole chunk
+in one call, and its images lie on the probed coordinates.  Any other f
+is called once per row: sparse rows reach it as SparseVectors, and the
+outputs of a segment are laid out over the union of their supports,
+wherever f maps.
 
 The winning probe at the smallest radius is scored again through the
 scalar ``quotient``; that value is the last supremum and the witness
@@ -79,6 +91,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, lru_cache
+from itertools import accumulate
 from typing import Callable, Optional
 
 import numpy as np
@@ -281,40 +294,40 @@ def _random_blocks(seed, count: int, m: int, n_radii: int) -> tuple[tuple[np.nda
     return tuple(plan)
 
 
-def _lengths(rows: np.ndarray) -> np.ndarray:
-    """Row norms: plain, except that rows whose squares overflow go through ``row_norms``."""
-    lengths = np.linalg.norm(rows, axis=1)
-    big = np.isinf(lengths)
-    if big.any():
-        lengths[big] = row_norms(rows[big])
-    return lengths
+def _chunks(segments: list, rows: int):
+    """Consecutive (radius index, slot, rows) segments packed into chunks of at most ``rows`` rows.
+
+    A segment is never split, so one longer than ``rows`` is a chunk of its own.
+    """
+    chunk, size = [], 0
+    for segment in segments:
+        if chunk and size + len(segment[2]) > rows:
+            yield chunk
+            chunk, size = [], 0
+        chunk.append(segment)
+        size += len(segment[2])
+    if chunk:
+        yield chunk
 
 
-def _direction_probes(x0: np.ndarray, z0: np.ndarray, t: float, dirs: np.ndarray):
-    """Points u = x0 + t*d for the rows d of dirs, with ||u - x0|| and <z0, u - x0>."""
-    u = x0 + t * dirs
-    du = u - x0
-    return u, _lengths(du), du @ z0
-
-
-def _axis_block(x0: np.ndarray, y0: np.ndarray, z0: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The axis probes k = 0 .. 2m-1 as the tuple (j, s, x0[j], y0[j], z0[j]).
+def _axis_block(x0: np.ndarray, y0: np.ndarray, z0: np.ndarray, copies: int = 1) -> tuple[np.ndarray, ...]:
+    """The axis probes k = 0 .. 2m-1, ``copies`` times over, as the tuple (j, s, x0[j], y0[j], z0[j]).
 
     Probe k moves along axis j = k // 2 with sign s = +1 for even k and -1
-    for odd k.
+    for odd k; copy c follows copy c - 1 (one copy per probe radius).
     """
-    j = np.repeat(np.arange(x0.size), 2)
-    return j, np.tile((1.0, -1.0), x0.size), x0[j], y0[j], z0[j]
+    j = np.tile(np.repeat(np.arange(x0.size), 2), copies)
+    return j, np.tile((1.0, -1.0), x0.size * copies), x0[j], y0[j], z0[j]
 
 
-def _axis_probes(t: float, block: tuple[np.ndarray, ...]):
+def _axis_probes(t, block: tuple[np.ndarray, ...]):
     """Moved coordinates x0[j] + s*t of an axis block, with ||u - x0|| and <z0, u - x0>.
 
-    Each probe differs from x0 + 0.0 only at j, so u - x0 is the single
-    number du = moved - x0[j]: the row norm is |du| and the inner
-    product du*z0[j] + 0.0, bit for bit what ``_direction_probes`` gets
-    from the full rows (a sum of zero products rounds to +0.0) wherever
-    du*du does not underflow.
+    t is the radius, or an array of one radius per probe.  Each probe
+    differs from x0 + 0.0 only at j, so u - x0 is the single number
+    du = moved - x0[j]: the row norm is |du| and the inner product
+    du*z0[j] + 0.0, bit for bit what the full rows give (a sum of zero
+    products rounds to +0.0) wherever du*du does not underflow.
     """
     _, s, xj, _, zj = block
     moved = xj + s * t
@@ -343,7 +356,10 @@ def _axis_image_terms(a, b, block: tuple[np.ndarray, ...], frame: Callable[[], t
     ``frame()`` gives (<y0, x0>, the off-axis norms of x0), read only when
     some a is nonzero.  With a = 0 the terms are b*y0[j] and |b|,
     the bits of the full rows, whose other entries are zeros, wherever
-    b*b does not underflow.
+    b*b does not underflow.  An entry with a = +-0 among nonzero ones
+    gets the same |b|, and b*y0[j] up to the sign of a zero, which
+    <z0, du> (never -0.0) absorbs in the quotient as long as <y0, x0> is
+    finite; so the probes of several radii can share one block.
     """
     j, _, xj, yj, _ = block
     if not np.any(a):
@@ -415,14 +431,22 @@ def membership(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, z: Vector
         def point(row: np.ndarray) -> Vector:
             return row
     m = x0.size
-    rows = _block_rows(m)
-    # probe order at every radius: the structured head, the axis block,
-    # then the radius's random blocks
-    head = _structured_head(x0, y0, z0)
-    fixed = ([np.array(head)] if head else []) + [_axis_block(x0, y0, z0)]
+    radii, rows, per = config.radii, _block_rows(m), 2 * m
     # a generator or an unhashable seed draws afresh, as default_rng would
     draw = _random_blocks if isinstance(config.seed, (int, np.integer)) else _random_blocks.__wrapped__
-    randoms = draw(config.seed, config.random_directions, m, len(config.radii))
+    randoms = draw(config.seed, config.random_directions, m, len(radii))
+    # the probe plan, radius by radius: the structured head (slot 0), the
+    # axis probes (slot 1), then the radius's random blocks (slots 2, ...).
+    # The head and the random blocks are row segments (radius index, slot,
+    # rows); the axis probes of every radius form one block of scalars.
+    head = _structured_head(x0, y0, z0)
+    head = [np.array(head)] if head else []
+    segments = []
+    for k, blocks in enumerate(randoms):
+        segments += [(k, 0, block) for block in head]
+        segments += [(k, 2 + b, block) for b, block in enumerate(blocks) if len(block)]
+    axis = _axis_block(x0, y0, z0, len(radii))
+    moved, axis_in, axis_z = _axis_probes(np.repeat(radii, per), axis)
     fx = f(xbar)
     f_rows, f_axes = _form(f, "rows"), _form(f, "axes")
     if f_rows is not None:
@@ -433,53 +457,93 @@ def membership(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, z: Vector
             sq_norm = float(x0 @ x0)
     frame = cache(lambda: (float(y0 @ x0), _off_axis_norms(x0)))
 
-    def row_terms(u):
-        """<y, df> and ||df|| of the images of the probe rows u."""
-        if f_rows is not None:
-            df, y_out = f_rows(u) - fx0, y0
+    def unmoved(k: int):
+        raise ValueError(
+            f"u must differ from xbar: a probe at radius {radii[k]!r} rounds back to xbar at "
+            f"||xbar|| = {norm(xbar):.6g}; probe radii are absolute")
+
+    def row_terms(u, bounds):
+        """<y, df> and ||df|| of the images of the probe rows u, segment u[a:b] by segment.
+
+        A row form maps all of u in one call; any other f is called once
+        per row, and its outputs are laid out segment by segment.
+        """
+        if f_rows is None:
+            parts = [_output_rows([f(point(row)) for row in u[a:b]], fx, y) for a, b in bounds]
+            return (np.concatenate([df @ y_out for df, y_out in parts]),
+                    np.concatenate([row_norms(df) for df, _ in parts]))
+        df = f_rows(u) - fx0
+        return np.concatenate([df[a:b] @ y0 for a, b in bounds]), row_norms(df)
+
+    def axis_terms(k: int):
+        """<y, df> and ||df|| of the axis probes of radius k alone."""
+        part = tuple(v[k * per:(k + 1) * per] for v in axis)
+        moved_k = moved[k * per:(k + 1) * per]
+        images = f_axes(sq_norm, part[2], moved_k) if f_axes is not None else None
+        if images is not None:
+            return _axis_image_terms(*images, part, frame)
+        # the full rows, in row blocks of the random directions' size
+        tiles = (_axis_rows(x0, part[0][i:i + rows], moved_k[i:i + rows]) for i in range(0, per, rows))
+        return map(np.concatenate, zip(*(row_terms(u, [(0, len(u))]) for u in tiles)))
+
+    # a probe that rounds back to xbar is reported at the first radius
+    # where one does: the radius of the first such axis probe, if any, and
+    # below, that of the first such row of each chunk
+    stuck = None if np.all(axis_in > 0.0) else int(np.argmin(axis_in > 0.0)) // per
+    # per radius and slot, the first largest quotient: (value, rows or None for the axis, index)
+    wins = [[None] * (2 + len(blocks)) for blocks in randoms]
+    for chunk in _chunks(segments, rows):
+        sizes = [len(block) for _, _, block in chunk]
+        ends = list(accumulate(sizes))
+        bounds = list(zip([0] + ends, ends))
+        if len(chunk) == 1:
+            dirs, t = chunk[0][2], radii[chunk[0][0]]
         else:
-            df, y_out = _output_rows([f(point(row)) for row in u], fx, y)
-        return df @ y_out, _lengths(df)
+            dirs = np.concatenate([block for _, _, block in chunk])
+            t = np.repeat([radii[k] for k, _, _ in chunk], sizes)[:, None]
+        u = x0 + t * dirs
+        du = u - x0
+        d_in = row_norms(du)
+        if not np.all(d_in > 0.0):
+            first = int(np.argmin(d_in > 0.0))
+            k = next(k for (k, _, _), (_, b) in zip(chunk, bounds) if first < b)
+            unmoved(k if stuck is None else min(k, stuck))
+        dz = np.concatenate([du[a:b] @ z0 for a, b in bounds])
+        y_df, df_norm = row_terms(u, bounds)
+        q = (dz - y_df) / _denominator(config.denominator, d_in, df_norm)
+        for (k, slot, block), (a, b) in zip(chunk, bounds):
+            i = int(np.argmax(q[a:b]))
+            wins[k][slot] = (float(q[a + i]), block, i)
+    if stuck is not None:
+        unmoved(stuck)
+
+    images = f_axes(sq_norm, axis[2], moved) if f_axes is not None else None
+    if images is not None:
+        y_df, df_norm = _axis_image_terms(*images, axis, frame)
+    else:
+        # f has no axis form, or it declined some radius: score radius by radius
+        y_df, df_norm = map(np.concatenate, zip(*(axis_terms(k) for k in range(len(radii)))))
+    q = ((axis_z - y_df) / _denominator(config.denominator, axis_in, df_norm)).reshape(len(radii), per)
+    for k, i in enumerate(np.argmax(q, axis=1).tolist()):
+        wins[k][1] = (float(q[k, i]), None, k * per + i)
 
     estimates: list[tuple[float, float]] = []
-    for t, random_blocks in zip(config.radii, randoms):
+    for t, found in zip(radii, wins):
         sup, best = -np.inf, None
-        for block in (*fixed, *random_blocks):
-            if not len(block):
-                continue
-            axis = isinstance(block, tuple)
-            if axis:
-                moved, d_in, dz = _axis_probes(t, block)
-            else:
-                u, d_in, dz = _direction_probes(x0, z0, t, block)
-            if not np.all(d_in > 0.0):
-                raise ValueError(
-                    f"u must differ from xbar: a probe at radius {t!r} rounds back to xbar at "
-                    f"||xbar|| = {norm(xbar):.6g}; probe radii are absolute")
-            images = f_axes(sq_norm, block[2], moved) if axis and f_axes is not None else None
-            if images is not None:
-                y_df, df_norm = _axis_image_terms(*images, block, frame)
-            elif axis:
-                # the full rows, in row blocks of the random directions' size
-                y_df, df_norm = map(np.concatenate, zip(*(
-                    row_terms(_axis_rows(x0, block[0][k:k + rows], moved[k:k + rows]))
-                    for k in range(0, moved.size, rows))))
-            else:
-                y_df, df_norm = row_terms(u)
-            q = (dz - y_df) / _denominator(config.denominator, d_in, df_norm)
-            i = int(np.argmax(q))
-            if best is None or q[i] > sup:
-                sup = float(q[i])
-                if axis:
-                    best = np.zeros(m)
-                    best[block[0][i]] = block[1][i]
-                else:
-                    best = block[i].copy()
+        for win in found:
+            if win is not None and (best is None or win[0] > sup):
+                sup, best = win[0], win
         estimates.append((t, sup))
+    _, block, i = best
+    if block is None:
+        unit = np.zeros(m)
+        unit[axis[0][i]] = axis[1][i]
+    else:
+        unit = block[i].copy()
 
     # the winner at the smallest radius is scored again through the scalar
     # quotient, so the witness re-evaluates to exactly the stored value
-    direction = point(best)
+    direction = point(unit)
     t = config.radii[-1]
     estimates[-1] = (t, quotient(f, xbar, y, z, xbar + t * direction, config.denominator))
     sups = [s for _, s in estimates]

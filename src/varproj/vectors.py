@@ -234,10 +234,17 @@ def norm(u: Vector) -> float:
 
 
 def row_norms(block: np.ndarray) -> np.ndarray:
-    """Norms of the rows of a 2-D array, with the same rescue as ``norm``."""
+    """Norms of the rows of a 2-D array, with the same rescue as ``norm``.
+
+    Only rows whose plain norm lies outside [_TINY_NORM, inf) and that
+    have a nonzero entry are recomputed, one by one; a zero row keeps its
+    plain +0.0.
+    """
     lengths = np.linalg.norm(block, axis=1)
-    for i in np.flatnonzero(~((lengths >= _TINY_NORM) & (lengths < np.inf))):
-        lengths[i] = _rescaled_norm(block[i])
+    if lengths.size and not (lengths.min() >= _TINY_NORM and lengths.max() < np.inf):
+        odd = np.flatnonzero(~((lengths >= _TINY_NORM) & (lengths < np.inf)))
+        for i in odd[block[odd].any(axis=1)]:
+            lengths[i] = _rescaled_norm(block[i])
     return lengths
 
 

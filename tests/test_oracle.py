@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -198,6 +199,28 @@ class TestMembership:
         # the absolute radius 1e-4 is below the spacing of doubles near 1e13
         with pytest.raises(ValueError, match=r"radius 0\.0001 .*\|\|xbar\|\| = 1e\+13"):
             membership(BallProjection(1).project, [1e13, 0], [0, 0], [0, 0])
+
+    def test_vanished_probe_is_named_at_its_first_radius(self):
+        # the axis probe along -7e14 rounds back from radius 0.06 (half the
+        # spacing there is 0.0625), the probe rows only from 1e-5
+        with pytest.raises(ValueError, match=r"radius 0\.06 "):
+            membership(orthant.project, [-6e7, -7e14], [0, 0], [0, 0],
+                       ProbeConfig(radii=(1.0, 0.06, 1e-5), random_directions=2))
+
+    @pytest.mark.parametrize("f, y, z, want", [
+        (orthant.project, [0.2, 0.3, -0.1], [0.5, 0.3, 0.0], Verdict.NON_MEMBER),
+        (orthant.project, [1.0, -0.5, 0.25], [0.5, -0.5, 0.0], Verdict.NON_MEMBER),
+        (BallProjection(1.0).project, [0.2, 0.3, -0.1], [0.2, 0.3, -0.1], Verdict.MEMBER),
+    ])
+    def test_radii_whose_squares_underflow(self, f, y, z, want):
+        # below about 1.5e-154 the squares of a probe step underflow; the
+        # rescued norms see the same quotients as the default radii, since
+        # both sets are positively homogeneous near the origin
+        tiny = membership(f, np.zeros(3), y, z, ProbeConfig(radii=(1e-165, 1e-170)))
+        plain = membership(f, np.zeros(3), y, z)
+        assert tiny.verdict is plain.verdict is want
+        for (_, a), (_, b) in zip(tiny.sup_estimates, plain.sup_estimates):
+            assert abs(a - b) <= 1e-12
 
     def test_sup_estimates_track_radii(self):
         op = BallProjection(1.0)
@@ -555,6 +578,82 @@ class TestAxisForm:
                 for got, rows_got, exact in zip(closed, tile, exact_terms(op.radius, rows, x0, y)):
                     bound = max(np.abs(rows_got - exact).max(), 2.0 * np.spacing(float(np.abs(exact).max())))
                     assert np.abs(got - exact).max() <= bound, (x0.size, t)
+
+
+@dataclass(frozen=True)
+class _CountingBall(BallProjection):
+    """A ball that records its row-form calls (with their row counts) and its axis-form calls."""
+
+    calls: list = field(default_factory=list, compare=False)
+
+    def project_rows(self, block):
+        self.calls.append(("rows", len(block)))
+        return super().project_rows(block)
+
+    def project_axes(self, sq_norm, xj, moved):
+        self.calls.append(("axes", len(moved)))
+        return super().project_axes(sq_norm, xj, moved)
+
+
+def _verdict_json(f, xbar, y, z, config=None):
+    return json.dumps(membership(f, xbar, y, z, config).to_json(), sort_keys=True)
+
+
+class TestPackedPlan:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_small_verdict_calls_each_form_once(self, n):
+        # interior, exterior and the origin: the row segments of all three
+        # radii go through one row-form call, their axis probes through one
+        # axis-form call
+        rng = np.random.default_rng(n)
+        u = rng.standard_normal(n)
+        u /= np.linalg.norm(u)
+        for xbar in (0.5 * u, 2.0 * u, np.zeros(n)):
+            op = _CountingBall(1.0)
+            membership(op.project, xbar, rng.standard_normal(n), rng.standard_normal(n))
+            assert sorted(kind for kind, _ in op.calls) == ["axes", "rows"]
+            assert dict(op.calls)["axes"] == 3 * 2 * n
+
+    def test_wide_verdict_keeps_the_row_budget(self):
+        # at n = 500 every chunk is one segment: the head, then the random
+        # blocks of 65, 65, 65 and 61 rows, radius by radius
+        rng = np.random.default_rng(500)
+        x, y, z = rng.standard_normal((3, 500))
+        op = _CountingBall(1.0)
+        membership(op.project, x, y, z)
+        rows = [count for kind, count in op.calls if kind == "rows"]
+        assert max(rows) <= oracle._block_rows(500)
+        assert rows == [10, 65, 65, 65, 61] * 3
+        assert [kind for kind, _ in op.calls].count("axes") == 1
+
+    @pytest.mark.parametrize("n", [2, 6, 500])
+    def test_matches_the_rows_only_ball(self, n):
+        # inside the ball and at the origin the axis form gives the bits of
+        # the full rows, which _RowsOnlyBall scores radius by radius
+        rng = np.random.default_rng(n + 1)
+        u = rng.standard_normal(n)
+        u /= np.linalg.norm(u)
+        for xbar in (0.5 * u, np.zeros(n)):
+            y, z = rng.standard_normal((2, n))
+            assert _verdict_json(_CountingBall(1.0).project, xbar, y, z) == \
+                _verdict_json(_RowsOnlyBall(1.0).project, xbar, y, z)
+
+    @pytest.mark.parametrize("n", [2, 6, 9, 50])
+    def test_packing_changes_no_bit(self, n, monkeypatch):
+        # each segment scored as a chunk of its own is the per-block scoring
+        # the packed pass replaced; the verdicts must keep every byte
+        rng = np.random.default_rng(n + 2)
+        u = rng.standard_normal(n)
+        u /= np.linalg.norm(u)
+        x = rng.uniform(-1.0, 1.0, n)
+        queries = [(BallProjection(1.0).project, 2.0 * u), (BallProjection(1.0).project, (1.0 - 1e-3) * u),
+                   (orthant.project, x), (lambda v: orthant.project(v), x)]
+        configs = [ProbeConfig(seed=3), ProbeConfig(random_directions=5, denominator="euclidean"),
+                   ProbeConfig(radii=(1e-1, 1e-2, 1e-3, 1e-4, 1e-5), random_directions=130)]
+        cases = [(f, xbar, *rng.standard_normal((2, n)), config) for f, xbar in queries for config in configs]
+        packed = [_verdict_json(*case) for case in cases]
+        monkeypatch.setattr(oracle, "_chunks", lambda segments, rows: ([s] for s in segments))
+        assert [_verdict_json(*case) for case in cases] == packed
 
 
 class TestDirectionalQuotient:

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, assume
 from hypothesis import strategies as st
 
+from varproj import vectors
+
 from varproj.vectors import (
     SparseVector,
     approx_equal,
@@ -186,6 +188,25 @@ class TestWideMagnitudeNorms:
             got = row_norms(block)
             want = np.array([norm(row) for row in block])
         np.testing.assert_array_max_ulp(got, want, maxulp=4)
+
+    def test_row_norms_rescue_only_nonzero_rows(self, monkeypatch):
+        # zero rows keep their plain +0.0 without the one-row-at-a-time rescue
+        rescued, rescale = [], vectors._rescaled_norm
+
+        def counting(x):
+            rescued.append(x.copy())
+            return rescale(x)
+
+        monkeypatch.setattr(vectors, "_rescaled_norm", counting)
+        block = np.random.default_rng(12).standard_normal((64, 5))
+        block[3], block[7], block[10] = 0.0, -0.0, 1e-200
+        got = row_norms(block)
+        assert got[3] == got[7] == 0.0 and not np.signbit(got[[3, 7]]).any()
+        assert got[10] == 1e-200 * np.sqrt(5.0)
+        assert len(rescued) == 1 and np.array_equal(rescued[0], block[10])
+        ordinary = np.setdiff1d(np.arange(64), [3, 7, 10])
+        np.testing.assert_array_equal(got[ordinary].view(np.int64),
+                                      np.linalg.norm(block[ordinary], axis=1).view(np.int64))
 
     def test_as_rows(self):
         assert as_rows([[1, 2], [3, 4]]).dtype == np.float64
