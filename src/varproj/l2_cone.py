@@ -42,9 +42,15 @@ __all__ = [
 ]
 
 
+class _Support(frozenset):
+    """A support set that ``as_support`` has validated, so it is not checked again."""
+
+
 def as_support(M: Iterable[int]) -> frozenset[int]:
     """Validate a support set: a nonempty finite set of 1-based indices."""
-    out = frozenset(M)
+    if isinstance(M, _Support):
+        return M
+    out = _Support(M)
     if not out:
         raise ValueError("support set must be nonempty")
     for i in out:
@@ -109,6 +115,8 @@ class OrderIntervalSet(DerivativeSet):
     support: frozenset[int]
 
     def __post_init__(self):
+        _require_sparse(self.bound, "y")
+        object.__setattr__(self, "support", as_support(self.support))
         if not nonnegative_off(self.bound, self.support):
             raise ValueError("order interval bound must be nonnegative off the support set")
 

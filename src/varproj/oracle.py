@@ -14,6 +14,8 @@ orthogonal parts of y and z against xbar, single-coordinate segments,
 and moves along y and z themselves).  Scaled single-coordinate segments
 such as u_j = xbar_j + t * z_j trace the same rays as the coordinate
 probes, so normalising directions to unit length loses no coverage.
+The structured directions other than the axes (the head) come from
+scalar products taken once per verdict (see ``_structured_head``).
 
 Evaluation is batched.  f(xbar) is computed once per verdict, and the
 probes of every radius are scored in one pass over a probe plan that
@@ -96,7 +98,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .vectors import SparseVector, Vector, as_vector, inner, is_zero, norm, orth_decompose, row_norms
+from .vectors import (_TINY_NORM, SparseVector, Vector, _check_residual, _dense_norm, as_vector, inner, norm,
+                      row_norms)
 
 __all__ = [
     "ProbeConfig",
@@ -228,24 +231,39 @@ def quotient(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, z: Vector, 
     return float(num / _denominator(denominator, d_in, norm(df)))
 
 
-def _structured_head(xbar: np.ndarray, y: np.ndarray, z: np.ndarray) -> list[np.ndarray]:
-    """Unit directions +-xbar, +-y, +-z and +- the parts of y and z orthogonal to xbar."""
-    dirs: list[np.ndarray] = []
+def _structured_head(x0: np.ndarray, y0: np.ndarray, z0: np.ndarray) -> list[np.ndarray]:
+    """Unit directions +-xbar, +-y, +-z and +- the parts of y and z orthogonal to xbar.
 
-    def both_ways(v: np.ndarray):
-        u = v / norm(v)
-        dirs.extend((u, -u))
-
-    if not is_zero(xbar):
-        both_ways(xbar)
-    for v in (y, z):
-        if not is_zero(v):
-            both_ways(v)
-            if not is_zero(xbar):
-                o = orth_decompose(xbar, v).o
-                if norm(o) > 1e-13 * norm(v):
-                    both_ways(o)
-    return dirs
+    They come from scalar products taken once, with the bits and checks
+    of ``norm`` and ``orth_decompose``: norms from square sums on the
+    raveled arrays, and <x0, x0>, <v, x0> and <o, x0> on the arrays as
+    given, against x0 / max|x0| when <x0, x0> under- or overflows.
+    """
+    x_len, anchor = _dense_norm(x0), None
+    parts = [(x0, x_len)] if x_len else []
+    for v in (y0, z0):
+        v_len = _dense_norm(v)
+        if not v_len:
+            continue
+        parts.append((v, v_len))
+        if x_len:
+            if anchor is None:  # taken when first needed, so no square is taken that no split uses
+                anchor = x0, float(x0 @ x0), x_len
+                if not _TINY_NORM**2 <= anchor[1] < np.inf:
+                    unit = x0 / np.max(np.abs(x0))
+                    anchor = unit, float(unit @ unit), _dense_norm(unit)
+            a, a_sq, a_len = anchor
+            coef = float(v @ a) / a_sq
+            o = v - coef * a
+            if not abs(coef) * a_len + v_len < 1e308:  # o may not be finite: raise as inner(o, x0) did
+                as_vector(o)
+            residual = abs(float(o @ a))
+            o_len = _dense_norm(o)
+            _check_residual(residual, o_len, a_len, lambda: v_len)
+            if o_len > 1e-13 * v_len:
+                parts.append((o, o_len))
+    units = [v / length for v, length in parts]
+    return [w for u in units for w in (u, -u)]
 
 
 def _active_axes(xbar: SparseVector, y: SparseVector, z: SparseVector) -> list[int]:

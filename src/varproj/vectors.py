@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 import numpy as np
 
@@ -213,24 +213,31 @@ def _rescaled_norm(x: np.ndarray) -> float:
     return s * float(np.linalg.norm(x / s)) if s > 0.0 else 0.0
 
 
+def _dense_norm(x: np.ndarray) -> float:
+    """``norm`` of a finite 1-D array, not validated again; the square sum is np.linalg.norm's."""
+    flat = x.ravel(order="K")
+    length = math.sqrt(float(flat.dot(flat)))
+    if _TINY_NORM <= length < math.inf or not x.any():
+        return length
+    return _rescaled_norm(x)
+
+
 def norm(u: Vector) -> float:
     """Euclidean / l2 norm, safe from overflow and underflow.
 
     The plain norm is kept whenever it lies in [_TINY_NORM, inf), so
     ordinary inputs get the plain result bit for bit; outside that range
     the norm is recomputed on u / max|u| (Blue's safe scaling, reduced to
-    one scale).
+    one scale).  A dense square sum that overflows raises numpy's
+    "overflow encountered in dot" RuntimeWarning before the rescue, so
+    callers that turn warnings into errors need ``np.errstate(over="ignore")``.
     """
     if isinstance(u, SparseVector):
         length = float(np.sqrt(sum(v * v for _, v in u.pairs)))
         if _TINY_NORM <= length < np.inf or not u.pairs:
             return length
         return _rescaled_norm(np.array([v for _, v in u.pairs]))
-    x = as_vector(u)
-    length = float(np.linalg.norm(x))
-    if _TINY_NORM <= length < np.inf or not x.any():
-        return length
-    return _rescaled_norm(x)
+    return _dense_norm(as_vector(u))
 
 
 def row_norms(block: np.ndarray) -> np.ndarray:
@@ -305,11 +312,14 @@ def orth_decompose(anchor: Vector, x: Vector, *, orth_rtol: float = 1e-12) -> Or
         return OrthDecomp(a=split.a / s, o=split.o, anchor=anchor)
     a = inner(x, anchor) / anchor_sq
     o = x - a * anchor
-    residual = abs(inner(o, anchor))
-    bound = orth_rtol * max(norm(o) * norm(anchor), 1e-300)
-    if residual > bound and residual > orth_rtol * max(1.0, norm(x) * norm(anchor)):
-        raise ArithmeticError("orthogonality residual exceeds tolerance; anchor is ill-conditioned")
+    _check_residual(abs(inner(o, anchor)), norm(o), norm(anchor), lambda: norm(x), orth_rtol)
     return OrthDecomp(a=float(a), o=o, anchor=anchor)
+
+
+def _check_residual(residual: float, o_norm: float, a_norm: float, x_norm: Callable, orth_rtol: float = 1e-12):
+    """The residual check of ``orth_decompose``, with a_norm = ||anchor||; ``x_norm()`` is read only if needed."""
+    if residual > orth_rtol * max(o_norm * a_norm, 1e-300) and residual > orth_rtol * max(1.0, x_norm() * a_norm):
+        raise ArithmeticError("orthogonality residual exceeds tolerance; anchor is ill-conditioned")
 
 
 def encode_vector(v: Vector):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -68,6 +70,16 @@ class TestProjection:
         assert norm(l2_cone.project(u) - l2_cone.project(v)) <= norm(u - v) + 1e-12
 
 
+class _Index(int):
+    """A support index that counts the comparisons made to validate it."""
+
+    checks = 0
+
+    def __lt__(self, other):
+        _Index.checks += 1
+        return int(self) < other
+
+
 class TestSupportPredicates:
     def test_as_support(self):
         assert l2_cone.as_support([3, 1]) == frozenset({1, 3})
@@ -75,6 +87,38 @@ class TestSupportPredicates:
             l2_cone.as_support([])
         with pytest.raises(ValueError):
             l2_cone.as_support([0, 1])
+
+    def test_support_is_validated_once(self):
+        # once per coderivative call and once per OrderIntervalSet; contains
+        # and the predicates called on a validated support check nothing again
+        M = [_Index(1), _Index(3)]
+        y = SparseVector({1: 0.5, 2: 0.7})
+        _Index.checks = 0
+        d = l2_cone.coderivative(SparseVector({1: 1.0, 3: 2.0}), M, y)
+        assert isinstance(d, OrderIntervalSet) and _Index.checks == 2
+        assert d.contains(y) and not d.contains(SparseVector({1: 0.5, 2: 0.9}))
+        assert _Index.checks == 2
+        direct = OrderIntervalSet(bound=y, support=frozenset(M))
+        assert direct == d and _Index.checks == 4
+        assert direct.contains(y) and l2_cone.order_leq(y, y, direct.support)
+        assert _Index.checks == 4
+
+    @pytest.mark.parametrize("M, message", [
+        ([], "support set must be nonempty"),
+        ([0, 1], "support indices must be positive integers, got 0"),
+        ([True], "support indices must be positive integers, got True"),
+        ([2, "3"], "support indices must be positive integers, got '3'"),
+    ])
+    def test_bad_supports_raise_as_before(self, M, message):
+        x, y = SparseVector({1: 1.0}), SparseVector({1: 0.5, 2: 0.7})
+        calls = [lambda: l2_cone.as_support(M), lambda: l2_cone.coderivative(x, M, y),
+                 lambda: OrderIntervalSet(bound=y, support=M), lambda: l2_cone.nonnegative_off(y, M),
+                 lambda: l2_cone.order_leq(y, y, M), lambda: l2_cone.has_positive_support(x, M)]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call()
+        with pytest.raises(TypeError, match="^y must be a SparseVector$"):
+            OrderIntervalSet(bound={1: 0.5}, support=M)
 
     def test_has_positive_support(self):
         M = frozenset({1, 3})

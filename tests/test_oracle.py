@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -5,7 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from varproj import l2_cone, oracle, orthant, suites
+from varproj import l2_cone, oracle, orthant, suites, vectors
 from varproj.ball import BallProjection
 from varproj.oracle import (
     ProbeConfig,
@@ -654,6 +655,140 @@ class TestPackedPlan:
         packed = [_verdict_json(*case) for case in cases]
         monkeypatch.setattr(oracle, "_chunks", lambda segments, rows: ([s] for s in segments))
         assert [_verdict_json(*case) for case in cases] == packed
+
+
+def _plain_norm(x: np.ndarray) -> float:
+    """``norm`` as it was computed before the structured head took scalars: np.linalg.norm, then the rescue."""
+    length = float(np.linalg.norm(x))
+    if vectors._TINY_NORM <= length < np.inf or not x.any():
+        return length
+    return vectors._rescaled_norm(x)
+
+
+def _reference_head(xbar, y, z):
+    """The structured head by the formula the scalar one replaced: is_zero, norm and orth_decompose."""
+    dirs = []
+
+    def both_ways(v):
+        u = v / _plain_norm(v)
+        dirs.extend((u, -u))
+
+    if not is_zero(xbar):
+        both_ways(xbar)
+    for v in (y, z):
+        if not is_zero(v):
+            both_ways(v)
+            if not is_zero(xbar):
+                o = orth_decompose(xbar, v).o
+                if _plain_norm(o) > 1e-13 * _plain_norm(v):
+                    both_ways(o)
+    return dirs
+
+
+def _head_bytes(head, xbar, y, z):
+    """The bytes of every direction of a head, or the type and message of what it raised."""
+    try:
+        return [d.tobytes() for d in head(xbar, y, z)]
+    except (ValueError, ArithmeticError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _head_cases(n: int):
+    """(label, xbar, y, z) at dimension n: scales 1e-300..1e300, zeros, -0.0, parallel and strided inputs."""
+    rng = np.random.default_rng(n)
+    for e in range(-300, 301, 50):
+        x, y, z = rng.standard_normal((3, n))
+        yield f"scale/1e{e}", x * 10.0**e, y * 10.0**e, z
+        yield f"mixed/1e{e}", x * 10.0**e, y, z * 10.0**-e
+        yield f"zeros/1e{e}", x * 10.0**e, np.zeros(n), -np.zeros(n)
+        yield f"zero-xbar/1e{e}", -np.zeros(n), y * 10.0**e, z
+        block = rng.standard_normal((n, 4)) * 10.0**e
+        yield f"strided/1e{e}", block[:, 0], block[:, 1], block[:, 2]
+        yield f"strided-reversed/1e{e}", block[::-1, 3], block[:, 0], block[::-1, 1]
+    x = rng.standard_normal(n)
+    yield "parallel", x, 2.5 * x, -x
+    yield "signed-zeros", -np.zeros(n), -np.zeros(n), np.zeros(n)
+
+
+class TestStructuredHead:
+    @pytest.mark.parametrize("n", [*range(1, 10), 50, 500])
+    def test_bytes_match_the_reference(self, n):
+        # 1e300 scales overflow the plain square sums, which the rescue repairs
+        with np.errstate(over="ignore"):
+            for label, xbar, y, z in _head_cases(n):
+                want = _head_bytes(_reference_head, xbar, y, z)
+                assert _head_bytes(oracle._structured_head, xbar, y, z) == want, label
+
+    @pytest.mark.parametrize("n", [2, 6, 50])
+    def test_parallel_parts_are_dropped(self, n):
+        # y and z parallel to xbar: the 1e-13 rule drops both orthogonal parts
+        x = np.random.default_rng(n).standard_normal(n)
+        assert len(oracle._structured_head(x, 2.5 * x, -x)) == 6
+
+    def test_strided_views_take_the_raveled_square_sums(self):
+        # a strided view's own square sum differs in the last bit for many
+        # columns; the head must take the norms of the raveled arrays
+        rng = np.random.default_rng(17)
+        differ = 0
+        for n in (7, 50, 500):
+            for _ in range(20):
+                block = rng.standard_normal((n, 3))
+                x, y, z = block[:, 0], block[:, 1], block[:, 2]
+                differ += float(x @ x) != float(np.ascontiguousarray(x) @ np.ascontiguousarray(x))
+                assert _head_bytes(oracle._structured_head, x, y, z) == _head_bytes(_reference_head, x, y, z)
+        assert differ > 0
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-170, 1e170])
+    def test_residual_check_kept_on_both_paths(self, scale, monkeypatch):
+        # with orth_rtol = 0 the check fires, whether <xbar, xbar> is a
+        # normal double or has to be rescaled
+        xbar, y = np.array([0.3, -1.7, 2.9]) * scale, np.array([1.1, 0.4, -0.6]) * scale
+        strict = functools.partial(vectors._check_residual, orth_rtol=0.0)
+        monkeypatch.setattr(oracle, "_check_residual", strict)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ArithmeticError, match="orthogonality residual"):
+                oracle._structured_head(xbar, y, np.zeros(3))
+
+    def test_overflowing_part_raises_as_before(self):
+        # <y, xbar> / <xbar, xbar> is inf, so o is not finite (inf * 0.0 is nan)
+        xbar, y = np.array([2e-146, 0.0]), np.array([1e300, 1.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _head_bytes(_reference_head, xbar, y, np.zeros(2))
+            assert want == "ValueError: vector entries must be finite"
+            assert _head_bytes(oracle._structured_head, xbar, y, np.zeros(2)) == want
+
+    def test_verdicts_reach_no_generic_helper_from_the_head(self, monkeypatch):
+        # the head runs on its scalars: neither norm, orth_decompose nor
+        # is_zero is called while it runs, in a ball and an l2-cone verdict
+        calls, inside, heads, head = [], [], [], oracle._structured_head
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append((name, bool(inside)))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def watched_head(*args):
+            heads.append(args)
+            inside.append(True)
+            try:
+                return head(*args)
+            finally:
+                inside.pop()
+
+        for name in ("norm", "orth_decompose", "is_zero"):
+            fn = getattr(vectors, name)
+            monkeypatch.setattr(vectors, name, counting(name, fn))
+            monkeypatch.setattr(oracle, name, counting(name, fn), raising=False)
+        monkeypatch.setattr(oracle, "_structured_head", watched_head)
+        rng = np.random.default_rng(6)
+        x, y, z = rng.standard_normal((3, 6))
+        membership(BallProjection(1.0).project, 2.0 * x / np.linalg.norm(x), y, z)
+        membership(l2_cone.project, SparseVector({1: 1.0, 3: 0.5}), SparseVector({1: 0.4, 2: 0.7}),
+                   SparseVector({1: 0.4, 2: 0.3}))
+        assert len(heads) == 2
+        assert ("norm", False) in calls  # the counters are live: the witness re-score uses norm
+        assert [c for c in calls if c[1]] == []
 
 
 class TestDirectionalQuotient:

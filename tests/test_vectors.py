@@ -182,6 +182,33 @@ class TestWideMagnitudeNorms:
             sx = SparseVector({i + 1: v for i, v in enumerate(x)})
             assert norm(sx) == float(np.sqrt(sum(v * v for _, v in sx.pairs)))
 
+    def test_dense_norm_has_the_bits_of_numpy(self):
+        # the square sum is taken on the raveled array, as np.linalg.norm
+        # takes it; a strided view's own sum differs in the last bit often
+        rng = np.random.default_rng(13)
+        for n in (1, 3, 7, 16, 50, 600):
+            for _ in range(5):
+                block = rng.standard_normal((n, 4)) * 10.0 ** rng.integers(-140, 140)
+                for x in (block[:, 1], block[::-1, 2], np.ascontiguousarray(block[:, 3]), block[0]):
+                    assert repr(norm(x)) == repr(float(np.linalg.norm(x)))
+
+    @pytest.mark.parametrize(
+        "values, want",
+        [
+            ([3e200, -4e200], "4.9999999999999995e+200"),
+            ([1e200, 1e200, 1e200], "1.7320508075688773e+200"),
+            ([3e-200, 4e-200], "5e-200"),
+            ([1e300, -1e300], "1.4142135623730952e+300"),
+            ([1e-300, 2e-300, 2e-300], "3e-300"),
+        ],
+    )
+    def test_rescued_dense_norms_keep_their_bits(self, values, want):
+        block = np.zeros((len(values), 3))
+        block[:, 1] = values
+        with np.errstate(over="ignore"):
+            assert repr(norm(np.array(values))) == want
+            assert repr(norm(block[:, 1])) == want
+
     def test_row_norms_match_norm(self):
         block = np.array([[3.0, 4.0], [0.0, 0.0], [1e200, -1e200], [3e-200, 4e-200], [1e-170, 0.0]])
         with np.errstate(over="ignore"):
