@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .vectors import Vector, approx_equal, as_vector, as_vector_of, encode_vector, norm
+from .vectors import Vector, _dot, approx_equal, as_vector, as_vector_of, encode_vector, norm
 
 __all__ = [
     "DerivativeSet",
@@ -142,7 +142,7 @@ class ScaledComplementMap(LinearMap):
         axis = np.array(self.axis)
         if v.shape != axis.shape:
             raise ValueError("dimension mismatch with map axis")
-        return self.scale * (v - (v @ axis) * axis)
+        return self.scale * (v - _dot(v, axis) * axis)
 
     def to_json(self) -> dict:
         return {"kind": "scaled_complement", "scale": self.scale, "axis": list(self.axis)}

@@ -27,14 +27,14 @@ Consecutive segments are packed into chunks of at most about 32k floats
 every row of a query with m <= 41 lies in one chunk, and at m = 500
 each chunk is one segment.  A chunk is scored by one set of array
 expressions, with u = xbar + t*d (t per row) and one call of the row
-form; the inner products with y and z are taken segment by segment,
-since a BLAS matrix-vector product may round a row differently at
-another position in the matrix, and so the quotients keep the bits of a
-walk that scores every segment alone.  The axis probes of every radius
-form one block of scalars (see below).  The supremum at a radius is the
-first largest quotient in its probe order.  Sparse queries use the same
-dense path: they are embedded in R^m over the probed axes (all supports
-plus one fresh index).
+form.  Its inner products are taken in the fixed order of
+``vectors._dot`` and its norms by ``row_norms``, both of which give a
+row the same bits at every position in a chunk, so the quotients keep
+the bits of a walk that scores every segment alone.  The axis probes of
+every radius form one block of scalars (see below).  The supremum at a
+radius is the first largest quotient in its probe order.  Sparse
+queries use the same dense path: they are embedded in R^m over the
+probed axes (all supports plus one fresh index).
 
 The random directions depend only on (seed, random_directions, m, number
 of radii), so for an integer seed they are drawn once per process and
@@ -62,9 +62,9 @@ forms (a = 0) give the tile's bits.
 
 When f has a row form (``_form`` again), f is applied to a whole chunk
 in one call, and its images lie on the probed coordinates.  Any other f
-is called once per row: sparse rows reach it as SparseVectors, and the
-outputs of a segment are laid out over the union of their supports,
-wherever f maps.
+is called once per row.  Its dense images are scored as a row form's;
+sparse rows reach it as SparseVectors, and their images, wherever f
+maps, are scored through ``inner`` and ``norm``.
 
 The winning probe at the smallest radius is scored again through the
 scalar ``quotient``; that value is the last supremum and the witness
@@ -98,8 +98,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .vectors import (_TINY_NORM, SparseVector, Vector, _check_residual, _dense_norm, as_vector, inner, norm,
-                      row_norms)
+from .vectors import (_TINY_NORM, SparseVector, Vector, _check_residual, _dense_norm, _dot, as_vector, inner,
+                      norm, row_norms)
 
 __all__ = [
     "ProbeConfig",
@@ -191,10 +191,6 @@ class OracleVerdict:
     witness: Optional[Witness]
     tolerance: float
 
-    @property
-    def sups(self) -> dict[float, float]:
-        return dict(self.sup_estimates)
-
     def to_json(self) -> dict:
         return {
             "verdict": self.verdict.value,
@@ -234,10 +230,10 @@ def quotient(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, z: Vector, 
 def _structured_head(x0: np.ndarray, y0: np.ndarray, z0: np.ndarray) -> list[np.ndarray]:
     """Unit directions +-xbar, +-y, +-z and +- the parts of y and z orthogonal to xbar.
 
-    They come from scalar products taken once, with the bits and checks
-    of ``norm`` and ``orth_decompose``: norms from square sums on the
-    raveled arrays, and <x0, x0>, <v, x0> and <o, x0> on the arrays as
-    given, against x0 / max|x0| when <x0, x0> under- or overflows.
+    They come from scalar products taken once by ``_dot``, with the bits
+    and checks of ``norm`` and ``orth_decompose``: <x0, x0>, <v, x0> and
+    <o, x0> are taken against x0 / max|x0| when <x0, x0> under- or
+    overflows.
     """
     x_len, anchor = _dense_norm(x0), None
     parts = [(x0, x_len)] if x_len else []
@@ -248,16 +244,16 @@ def _structured_head(x0: np.ndarray, y0: np.ndarray, z0: np.ndarray) -> list[np.
         parts.append((v, v_len))
         if x_len:
             if anchor is None:  # taken when first needed, so no square is taken that no split uses
-                anchor = x0, float(x0 @ x0), x_len
+                anchor = x0, float(_dot(x0, x0)), x_len
                 if not _TINY_NORM**2 <= anchor[1] < np.inf:
                     unit = x0 / np.max(np.abs(x0))
-                    anchor = unit, float(unit @ unit), _dense_norm(unit)
+                    anchor = unit, float(_dot(unit, unit)), _dense_norm(unit)
             a, a_sq, a_len = anchor
-            coef = float(v @ a) / a_sq
+            coef = float(_dot(v, a)) / a_sq
             o = v - coef * a
             if not abs(coef) * a_len + v_len < 1e308:  # o may not be finite: raise as inner(o, x0) did
                 as_vector(o)
-            residual = abs(float(o @ a))
+            residual = abs(float(_dot(o, a)))
             o_len = _dense_norm(o)
             _check_residual(residual, o_len, a_len, lambda: v_len)
             if o_len > 1e-13 * v_len:
@@ -411,23 +407,6 @@ def _form(f: Callable[[Vector], Vector], kind: str) -> Optional[Callable]:
     return getattr(f, kind, None)
 
 
-def _output_rows(outs: list[Vector], fx: Vector, y: Vector) -> tuple[np.ndarray, np.ndarray]:
-    """Rows f(u) - f(xbar), and y, as dense arrays over one set of output coordinates.
-
-    Sparse outputs are laid out over the union of their supports and that
-    of f(xbar), so f may map anywhere in the sequence space.
-    """
-    if not isinstance(fx, SparseVector):
-        return np.array(outs) - fx, y
-    cols = sorted(fx.support.union(*(o.support for o in outs)))
-    index = {i: c for c, i in enumerate(cols)}
-    values = np.zeros((len(outs), len(cols)))
-    for r, o in enumerate(outs):
-        for i, v in o.pairs:
-            values[r, index[i]] = v
-    return values - _dense_over(fx, cols), _dense_over(y, cols)
-
-
 def membership(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, z: Vector,
                config: Optional[ProbeConfig] = None) -> OracleVerdict:
     """Estimate whether z belongs to the coderivative of f at xbar for y."""
@@ -470,28 +449,27 @@ def membership(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, z: Vector
     if f_rows is not None:
         fx0 = _dense_over(fx, axes) if isinstance(fx, SparseVector) else fx
     if f_axes is not None:
-        # an overflowing square is inf, which the ball's form declines
-        with np.errstate(over="ignore"):
-            sq_norm = float(x0 @ x0)
-    frame = cache(lambda: (float(y0 @ x0), _off_axis_norms(x0)))
+        sq_norm = float(_dot(x0, x0))  # inf if it overflows, which the ball's form declines
+    frame = cache(lambda: (float(_dot(y0, x0)), _off_axis_norms(x0)))
 
     def unmoved(k: int):
         raise ValueError(
             f"u must differ from xbar: a probe at radius {radii[k]!r} rounds back to xbar at "
             f"||xbar|| = {norm(xbar):.6g}; probe radii are absolute")
 
-    def row_terms(u, bounds):
-        """<y, df> and ||df|| of the images of the probe rows u, segment u[a:b] by segment.
+    def row_terms(u):
+        """<y, df> and ||df|| of the images of the probe rows u.
 
-        A row form maps all of u in one call; any other f is called once
-        per row, and its outputs are laid out segment by segment.
+        A row form maps all of u in one call; any other f is called once per row.
         """
-        if f_rows is None:
-            parts = [_output_rows([f(point(row)) for row in u[a:b]], fx, y) for a, b in bounds]
-            return (np.concatenate([df @ y_out for df, y_out in parts]),
-                    np.concatenate([row_norms(df) for df, _ in parts]))
-        df = f_rows(u) - fx0
-        return np.concatenate([df[a:b] @ y0 for a, b in bounds]), row_norms(df)
+        if f_rows is not None:
+            df = f_rows(u) - fx0
+        elif isinstance(fx, SparseVector):
+            dfs = [f(point(row)) - fx for row in u]
+            return np.array([inner(y, d) for d in dfs]), np.array([norm(d) for d in dfs])
+        else:
+            df = np.array([f(row) for row in u]) - fx
+        return _dot(df, y0), row_norms(df)
 
     def axis_terms(k: int):
         """<y, df> and ||df|| of the axis probes of radius k alone."""
@@ -502,7 +480,7 @@ def membership(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, z: Vector
             return _axis_image_terms(*images, part, frame)
         # the full rows, in row blocks of the random directions' size
         tiles = (_axis_rows(x0, part[0][i:i + rows], moved_k[i:i + rows]) for i in range(0, per, rows))
-        return map(np.concatenate, zip(*(row_terms(u, [(0, len(u))]) for u in tiles)))
+        return map(np.concatenate, zip(*(row_terms(u) for u in tiles)))
 
     # a probe that rounds back to xbar is reported at the first radius
     # where one does: the radius of the first such axis probe, if any, and
@@ -526,9 +504,8 @@ def membership(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, z: Vector
             first = int(np.argmin(d_in > 0.0))
             k = next(k for (k, _, _), (_, b) in zip(chunk, bounds) if first < b)
             unmoved(k if stuck is None else min(k, stuck))
-        dz = np.concatenate([du[a:b] @ z0 for a, b in bounds])
-        y_df, df_norm = row_terms(u, bounds)
-        q = (dz - y_df) / _denominator(config.denominator, d_in, df_norm)
+        y_df, df_norm = row_terms(u)
+        q = (_dot(du, z0) - y_df) / _denominator(config.denominator, d_in, df_norm)
         for (k, slot, block), (a, b) in zip(chunk, bounds):
             i = int(np.argmax(q[a:b]))
             wins[k][slot] = (float(q[a + i]), block, i)

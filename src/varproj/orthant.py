@@ -39,12 +39,10 @@ from .vectors import as_rows, as_vector, as_vector_of, inner, is_zero, norm
 
 __all__ = [
     "OrthantRegion",
-    "SignPartition",
     "CornerPartial",
     "project",
     "project_rows",
     "project_axes",
-    "sign_partition",
     "region",
     "gateaux",
     "frechet",
@@ -60,26 +58,6 @@ class OrthantRegion(Enum):
     NEGATIVE = "negative"        # all coordinates < 0
     MIXED = "mixed"              # both signs present, no zeros
     WITH_ZEROS = "with_zeros"    # at least one exact zero
-
-
-@dataclass(frozen=True)
-class SignPartition:
-    """Exact sign classification of the coordinates (0-based index sets)."""
-
-    plus: frozenset[int]
-    minus: frozenset[int]
-    zero: frozenset[int]
-
-    @property
-    def dim(self) -> int:
-        return len(self.plus) + len(self.minus) + len(self.zero)
-
-    def to_json(self) -> dict:
-        return {
-            "plus": sorted(self.plus),
-            "minus": sorted(self.minus),
-            "zero": sorted(self.zero),
-        }
 
 
 def project(x) -> np.ndarray:
@@ -110,16 +88,8 @@ project.rows = project_rows
 project.axes = project_axes
 
 
-def sign_partition(x) -> SignPartition:
-    x = as_vector(x)
-    plus = frozenset(int(i) for i in np.flatnonzero(x > 0.0))
-    minus = frozenset(int(i) for i in np.flatnonzero(x < 0.0))
-    zero = frozenset(int(i) for i in np.flatnonzero(x == 0.0))
-    return SignPartition(plus=plus, minus=minus, zero=zero)
-
-
 def region(x) -> OrthantRegion:
-    """Region of x from exact coordinate signs, as ``sign_partition`` gives it (-0.0 is a zero)."""
+    """Region of x from exact coordinate signs (-0.0 is a zero)."""
     x = as_vector(x)
     if not x.all():
         return OrthantRegion.WITH_ZEROS

@@ -106,7 +106,7 @@ def _signed_coords(rng: np.random.Generator, n: int, lo: float = 0.1, hi: float 
 def _unit_dense(rng: np.random.Generator, n: int) -> np.ndarray:
     while True:
         v = rng.standard_normal(n)
-        length = float(np.linalg.norm(v))
+        length = norm(v)
         if length > 1e-6:
             return v / length
 
@@ -573,8 +573,10 @@ def run_oracle_consistency(seed: int) -> list[CaseResult]:
         + orthant_membership_cases(rng, per_family=1)[:5]
         + l2_membership_cases(rng, per_family=1)[:4]
     )
-    for idx, mc in enumerate(samples):
-        v_sum = membership(mc.project, mc.xbar, mc.y, mc.z, ProbeConfig(random_directions=64, seed=seed))
+    # one sum-denominator verdict per sample, read again by the determinism and witness checks
+    config = ProbeConfig(random_directions=64, seed=seed)
+    sums = [membership(mc.project, mc.xbar, mc.y, mc.z, config) for mc in samples]
+    for idx, (mc, v_sum) in enumerate(zip(samples, sums)):
         v_euc = membership(
             mc.project, mc.xbar, mc.y, mc.z,
             ProbeConfig(random_directions=64, seed=seed, denominator="euclidean"),
@@ -586,9 +588,8 @@ def run_oracle_consistency(seed: int) -> list[CaseResult]:
                 f"sum {v_sum.verdict.value} euclidean {v_euc.verdict.value}",
             )
         )
-    for idx, mc in enumerate(samples[:5]):
-        a = membership(mc.project, mc.xbar, mc.y, mc.z, ProbeConfig(random_directions=64, seed=seed))
-        b = membership(mc.project, mc.xbar, mc.y, mc.z, ProbeConfig(random_directions=64, seed=seed))
+    for idx, (mc, a) in enumerate(zip(samples[:5], sums)):
+        b = membership(mc.project, mc.xbar, mc.y, mc.z, config)
         cases.append(
             CaseResult(
                 f"oracle/determinism/{idx:03d}",
@@ -615,10 +616,9 @@ def run_oracle_consistency(seed: int) -> list[CaseResult]:
     cases.append(CaseResult("oracle/denominator-ratio/000", ratio_ok))
     witness_checked = 0
     idx = 0
-    for mc in samples:
+    for mc, verdict in zip(samples, sums):
         if mc.expected:
             continue
-        verdict = membership(mc.project, mc.xbar, mc.y, mc.z, ProbeConfig(random_directions=64, seed=seed))
         if verdict.verdict is not Verdict.NON_MEMBER:
             cases.append(CaseResult(f"oracle/witness/{idx:03d}", False, "expected NonMember"))
             idx += 1

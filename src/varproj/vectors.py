@@ -13,6 +13,12 @@ Every vector admits an orthogonal splitting against a nonzero anchor:
 Both the coefficient ``a`` and the orthogonal component ``o`` are linear
 in x, and ||x||^2 = a^2 ||anchor||^2 + ||o||^2.  Convergence x -> anchor
 is equivalent to a -> 1 together with ||o|| -> 0.
+
+Every dense inner product of the library, and the square sum of a dense
+``norm``, is taken by ``_dot`` in one fixed summation order, with no BLAS
+call: a row of a block gets the bits of the same row alone, at every
+position in the block and under every BLAS kernel.  ``row_norms`` sums
+along each row, which is as independent of the row's position.
 """
 
 from __future__ import annotations
@@ -23,6 +29,11 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
 import numpy as np
+
+try:  # numpy's C einsum; the Python dispatch of np.einsum more than doubles the cost of a short product
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:  # numpy < 2
+    from numpy.core.multiarray import c_einsum as _einsum
 
 __all__ = [
     "SparseVector",
@@ -191,6 +202,19 @@ def _check_same_kind(u: Vector, v: Vector) -> bool:
     return u_sparse
 
 
+def _dot(a: np.ndarray, b: np.ndarray):
+    """<a, b> over the last axis: a 1-D or 2-D array a against a 1-D b, in one fixed order.
+
+    numpy's einsum loop sums the products of two contiguous operands in
+    an order set by their length alone, so a row of a block gets the bits
+    of that row as a 1-D array, at every position in the block.  A BLAS
+    product does not: it rounds a row by its position and by the kernel
+    that runs.  A strided view is summed as its contiguous copy.  Unlike
+    a BLAS product, an overflowing sum gives inf without a warning.
+    """
+    return _einsum("...i,i->...", np.ascontiguousarray(a), np.ascontiguousarray(b))
+
+
 def inner(u: Vector, v: Vector) -> float:
     """Inner product <u, v>.  Disjoint sparse supports contribute zero."""
     if _check_same_kind(u, v):
@@ -198,7 +222,7 @@ def inner(u: Vector, v: Vector) -> float:
         lookup = dict(big.pairs)
         return float(sum(val * lookup.get(i, 0.0) for i, val in small.pairs))
     b = as_vector(v)
-    return float(as_vector_of(u, b.shape[0]) @ b)
+    return float(_dot(as_vector_of(u, b.shape[0]), b))
 
 
 # The squares behind a plain norm below this may have underflowed (the
@@ -210,13 +234,12 @@ _TINY_NORM = 1e-146
 def _rescaled_norm(x: np.ndarray) -> float:
     """Norm of x computed on x / max|x|, so no square over- or underflows."""
     s = float(np.max(np.abs(x), initial=0.0))
-    return s * float(np.linalg.norm(x / s)) if s > 0.0 else 0.0
+    return s * math.sqrt(float(_dot(x / s, x / s))) if s > 0.0 else 0.0
 
 
 def _dense_norm(x: np.ndarray) -> float:
-    """``norm`` of a finite 1-D array, not validated again; the square sum is np.linalg.norm's."""
-    flat = x.ravel(order="K")
-    length = math.sqrt(float(flat.dot(flat)))
+    """``norm`` of a finite 1-D array, not validated again."""
+    length = math.sqrt(float(_dot(x, x)))
     if _TINY_NORM <= length < math.inf or not x.any():
         return length
     return _rescaled_norm(x)
@@ -228,9 +251,8 @@ def norm(u: Vector) -> float:
     The plain norm is kept whenever it lies in [_TINY_NORM, inf), so
     ordinary inputs get the plain result bit for bit; outside that range
     the norm is recomputed on u / max|u| (Blue's safe scaling, reduced to
-    one scale).  A dense square sum that overflows raises numpy's
-    "overflow encountered in dot" RuntimeWarning before the rescue, so
-    callers that turn warnings into errors need ``np.errstate(over="ignore")``.
+    one scale).  The dense square sum is ``_dot``'s, so its overflow
+    gives no warning.
     """
     if isinstance(u, SparseVector):
         length = float(np.sqrt(sum(v * v for _, v in u.pairs)))

@@ -1,6 +1,11 @@
 import functools
 import hashlib
 import json
+import math
+import os
+import pathlib
+import subprocess
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -273,11 +278,6 @@ class TestBatchedAgainstReference:
                 _assert_matches_reference(l2_cone.project, xbar, y, z, config)
 
     def test_sparse_image_off_probe_axes(self):
-        # f shifts every index up by one, so part of its output lies outside
-        # the axes the oracle probes
-        def shift(x):
-            return SparseVector({i + 1: v for i, v in x.positive_part().items()})
-
         x1 = SparseVector({1: 1.0})
         x13 = SparseVector({1: 1.0, 3: -0.5})
         for xbar, y, z in (
@@ -287,8 +287,8 @@ class TestBatchedAgainstReference:
             # the limsup is 1/2, not the 1 that ignoring index 3 would give
             (x1, SparseVector({}), SparseVector({2: 1.0})),
         ):
-            _assert_matches_reference(shift, xbar, y, z, ProbeConfig(random_directions=64))
-        assert membership(shift, x1, SparseVector({}), SparseVector({2: 1.0})).witness.quotient == 0.5
+            _assert_matches_reference(_shift, xbar, y, z, ProbeConfig(random_directions=64))
+        assert membership(_shift, x1, SparseVector({}), SparseVector({2: 1.0})).witness.quotient == 0.5
 
     def test_radii_whose_squares_overflow(self):
         # probe steps of 1e198 and 1e197, whose plain norms are inf
@@ -300,23 +300,29 @@ class TestBatchedAgainstReference:
         assert [repr(s) for _, s in sups] == ["0.0", "0.0"]
 
 
+def _shift(x):
+    """A sparse map with no row form whose output lies partly off the probed axes: every index moves up by one."""
+    return SparseVector({i + 1: v for i, v in x.positive_part().items()})
+
+
 def _golden_queries():
     """Seeded ball and orthant queries at n 2, 6, 50 and 500, signed zeros at n 1, and a sparse l2-cone query."""
     rng = np.random.default_rng(2024)
     ball = BallProjection(1.0)
     out = []
     for n in (2, 6, 50, 500):
+        # norms and products in the fixed order of vectors._dot, so the inputs hold on every BLAS kernel
         u = rng.standard_normal(n)
-        u /= np.linalg.norm(u)
+        u /= norm(u)
         y = rng.standard_normal(n)
         v = rng.standard_normal(n)
         x = 2.0 * u
-        ay = 0.5 * (y - (y @ u) * u)
+        ay = 0.5 * (y - vectors._dot(y, u) * u)
         out += [(f"ball/n{n}/exterior", ball.project, x, y, ay),
-                (f"ball/n{n}/exterior-off", ball.project, x, y, ay + 0.5 * v / np.linalg.norm(v))]
+                (f"ball/n{n}/exterior-off", ball.project, x, y, ay + 0.5 * v / norm(v))]
         x = rng.uniform(0.1, 1.0, n) * rng.choice((-1.0, 1.0), n)
         z = np.where(x > 0.0, y, 0.0)
-        out.append((f"orthant/n{n}/mixed", orthant.project, x, y, z + 0.3 * v / np.linalg.norm(v)))
+        out.append((f"orthant/n{n}/mixed", orthant.project, x, y, z + 0.3 * v / norm(v)))
         x = np.where(rng.random(n) < 0.3, 0.0, x)
         x[0] = 0.0
         out.append((f"orthant/n{n}/corner", orthant.project, x, y, np.where(x > 0.0, y, 0.0) + np.eye(n)[0]))
@@ -338,40 +344,44 @@ def _golden_digest(f, xbar, y, z, denominator):
 # every sup, witness coordinate and signed zero.  The four ball/n500/exterior
 # entries were recorded again when the ball's axis probes moved to the axis
 # form: their sups at radii 1e-2 and 1e-3 moved by at most 5e-14, and their
-# verdicts and witnesses kept their bytes.
+# verdicts and witnesses kept their bytes.  All were recorded again when every
+# inner product and square sum, of the oracle and of these inputs, moved from
+# BLAS to the fixed order of vectors._dot, whose bits hold on every OpenBLAS
+# kernel (before, 19 to 23 digests changed with OPENBLAS_CORETYPE): 23 changed,
+# no verdict did, and no sup moved by more than 3e-12.
 GOLDEN = {
-    "ball/n2/exterior/sum": "27a0572f1af2cfaf",
-    "ball/n2/exterior/euclidean": "f12e61cbebdb04f4",
-    "ball/n2/exterior-off/sum": "d87ecf8d89152d8c",
-    "ball/n2/exterior-off/euclidean": "9db0fef65ff0a24b",
+    "ball/n2/exterior/sum": "20ebea947ef55cde",
+    "ball/n2/exterior/euclidean": "abf7ba8fb0ba4420",
+    "ball/n2/exterior-off/sum": "42dd452b255ddb56",
+    "ball/n2/exterior-off/euclidean": "3e0398de5555b539",
     "orthant/n2/mixed/sum": "53bec434dc2cf080",
     "orthant/n2/mixed/euclidean": "077e8aea4248b47a",
     "orthant/n2/corner/sum": "0cc55c50fce7f5b3",
     "orthant/n2/corner/euclidean": "0cc55c50fce7f5b3",
-    "ball/n6/exterior/sum": "c352f464fa9a8856",
-    "ball/n6/exterior/euclidean": "5256d3d4b242c8e1",
-    "ball/n6/exterior-off/sum": "e0a34847b4f45a34",
-    "ball/n6/exterior-off/euclidean": "975a84df026526ae",
-    "orthant/n6/mixed/sum": "6dddc5040a4f3f53",
-    "orthant/n6/mixed/euclidean": "e7a424050162facb",
+    "ball/n6/exterior/sum": "c68477f80ec6ced8",
+    "ball/n6/exterior/euclidean": "3b6ed7f2ae63b523",
+    "ball/n6/exterior-off/sum": "2851159e2d8d1289",
+    "ball/n6/exterior-off/euclidean": "e8ff2baa4e2b0f4f",
+    "orthant/n6/mixed/sum": "4a4c4558c3efea13",
+    "orthant/n6/mixed/euclidean": "c4ff664ddd784c14",
     "orthant/n6/corner/sum": "4e2926b754c71445",
     "orthant/n6/corner/euclidean": "0cadd765adb9afe1",
-    "ball/n50/exterior/sum": "ab207cb27904e99e",
-    "ball/n50/exterior/euclidean": "0827d5972019a108",
-    "ball/n50/exterior-off/sum": "290c6f8a912f6361",
-    "ball/n50/exterior-off/euclidean": "01897fefe355bc27",
+    "ball/n50/exterior/sum": "d2a0c6b8aea99836",
+    "ball/n50/exterior/euclidean": "e507730b8cfa6e62",
+    "ball/n50/exterior-off/sum": "34431ec5ec984ff8",
+    "ball/n50/exterior-off/euclidean": "1cafe6c210b2a1ff",
     "orthant/n50/mixed/sum": "dd188bfec23dd15d",
-    "orthant/n50/mixed/euclidean": "17709945d474f107",
+    "orthant/n50/mixed/euclidean": "0621421c4e6d7b99",
     "orthant/n50/corner/sum": "72392eb51f582a3b",
     "orthant/n50/corner/euclidean": "61c87f40593f3d7e",
-    "ball/n500/exterior/sum": "74febe8efbb125c7",
-    "ball/n500/exterior/euclidean": "c5b7516462f6963c",
-    "ball/n500/exterior-off/sum": "07f28fbb94ba6444",
-    "ball/n500/exterior-off/euclidean": "32528313bec5031b",
-    "orthant/n500/mixed/sum": "eab878c85415e708",
-    "orthant/n500/mixed/euclidean": "eab878c85415e708",
-    "orthant/n500/corner/sum": "4b428e0cf0e27caa",
-    "orthant/n500/corner/euclidean": "2e853f109ae6b344",
+    "ball/n500/exterior/sum": "38f4f6f336d12344",
+    "ball/n500/exterior/euclidean": "a95c5a0e274996f6",
+    "ball/n500/exterior-off/sum": "249bf64790fba451",
+    "ball/n500/exterior-off/euclidean": "bbd00955bfa6f645",
+    "orthant/n500/mixed/sum": "c8a55ad1e60825d9",
+    "orthant/n500/mixed/euclidean": "c8a55ad1e60825d9",
+    "orthant/n500/corner/sum": "ee0399a27fe78ccd",
+    "orthant/n500/corner/euclidean": "35768466899a47a0",
     "ball/n1/signed-zeros/sum": "0cc55c50fce7f5b3",
     "ball/n1/signed-zeros/euclidean": "0cc55c50fce7f5b3",
     "l2_cone/sparse/sum": "073f99bb17b440b6",
@@ -379,13 +389,40 @@ GOLDEN = {
 }
 
 
+def _golden_digests() -> dict:
+    got = {}
+    for label, f, xbar, y, z in _golden_queries():
+        for denominator in ("sum", "euclidean"):
+            got[f"{label}/{denominator}"] = _golden_digest(f, xbar, y, z, denominator)
+    return got
+
+
+def _openblas_picks_its_kernel_at_run_time() -> bool:
+    try:
+        return "DYNAMIC_ARCH" in np.__config__.CONFIG["Build Dependencies"]["blas"]["openblas configuration"]
+    except (AttributeError, KeyError, TypeError):
+        return False
+
+
 class TestGolden:
     def test_verdicts_are_byte_identical(self):
-        got = {}
-        for label, f, xbar, y, z in _golden_queries():
-            for denominator in ("sum", "euclidean"):
-                got[f"{label}/{denominator}"] = _golden_digest(f, xbar, y, z, denominator)
-        assert got == GOLDEN
+        assert _golden_digests() == GOLDEN
+
+    @pytest.mark.skipif(not _openblas_picks_its_kernel_at_run_time(),
+                        reason="numpy's BLAS is not an OpenBLAS built with DYNAMIC_ARCH, so OPENBLAS_CORETYPE "
+                               "selects no kernel")
+    @pytest.mark.parametrize("coretype", ["Prescott", "Haswell"])
+    def test_digests_hold_on_another_openblas_kernel(self, coretype):
+        # a fresh process loads OpenBLAS with the named kernel; the oracle
+        # calls no BLAS routine, so every digest keeps its bytes
+        tests = pathlib.Path(__file__).resolve().parent
+        src = pathlib.Path(oracle.__file__).resolve().parents[1]
+        path = os.pathsep.join(filter(None, [str(src), str(tests), os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, OPENBLAS_CORETYPE=coretype, PYTHONPATH=path)
+        script = "import json, test_oracle; print(json.dumps(test_oracle._golden_digests()))"
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                             timeout=300, check=True)
+        assert json.loads(out.stdout) == GOLDEN
 
     def test_cold_and_warm_cache_agree(self):
         for label, f, xbar, y, z in _golden_queries()[::3]:
@@ -652,14 +689,17 @@ class TestPackedPlan:
         configs = [ProbeConfig(seed=3), ProbeConfig(random_directions=5, denominator="euclidean"),
                    ProbeConfig(radii=(1e-1, 1e-2, 1e-3, 1e-4, 1e-5), random_directions=130)]
         cases = [(f, xbar, *rng.standard_normal((2, n)), config) for f, xbar in queries for config in configs]
+        # a sparse f with no row form, scored row by row through inner and norm
+        sparse = [SparseVector({i + 1: v for i, v in enumerate(w) if v > -0.5}) for w in rng.standard_normal((3, n))]
+        cases += [(_shift, *sparse, config) for config in configs]
         packed = [_verdict_json(*case) for case in cases]
         monkeypatch.setattr(oracle, "_chunks", lambda segments, rows: ([s] for s in segments))
         assert [_verdict_json(*case) for case in cases] == packed
 
 
 def _plain_norm(x: np.ndarray) -> float:
-    """``norm`` as it was computed before the structured head took scalars: np.linalg.norm, then the rescue."""
-    length = float(np.linalg.norm(x))
+    """``norm`` as it was computed before the structured head took scalars: the square sum, then the rescue."""
+    length = math.sqrt(float(vectors._dot(x, x)))
     if vectors._TINY_NORM <= length < np.inf or not x.any():
         return length
     return vectors._rescaled_norm(x)
@@ -727,14 +767,14 @@ class TestStructuredHead:
 
     def test_strided_views_take_the_raveled_square_sums(self):
         # a strided view's own square sum differs in the last bit for many
-        # columns; the head must take the norms of the raveled arrays
+        # columns; the head must take the sums of the contiguous copies
         rng = np.random.default_rng(17)
         differ = 0
         for n in (7, 50, 500):
             for _ in range(20):
                 block = rng.standard_normal((n, 3))
                 x, y, z = block[:, 0], block[:, 1], block[:, 2]
-                differ += float(x @ x) != float(np.ascontiguousarray(x) @ np.ascontiguousarray(x))
+                differ += float(np.einsum("i,i->", x, x)) != float(vectors._dot(x, x))
                 assert _head_bytes(oracle._structured_head, x, y, z) == _head_bytes(_reference_head, x, y, z)
         assert differ > 0
 

@@ -22,13 +22,13 @@ sign_patterns = st.lists(signed_entries, min_size=1, max_size=8).map(np.array)
 
 
 def _region_from_partition(x):
-    """Reference region: read off the three index sets of ``sign_partition``."""
-    parts = orthant.sign_partition(x)
-    if parts.zero:
+    """Reference region: read off the index sets of the positive, negative and zero coordinates."""
+    plus, minus, zero = (np.flatnonzero(test(x, 0.0)) for test in (np.greater, np.less, np.equal))
+    if zero.size:
         return OrthantRegion.WITH_ZEROS
-    if not parts.minus:
+    if not minus.size:
         return OrthantRegion.POSITIVE
-    if not parts.plus:
+    if not plus.size:
         return OrthantRegion.NEGATIVE
     return OrthantRegion.MIXED
 
@@ -63,12 +63,6 @@ class TestProjection:
 
 
 class TestSignPartition:
-    def test_frozen(self):
-        part = orthant.sign_partition(np.array([2.0, -1.0, 0.0]))
-        assert part.plus == frozenset({0})
-        assert part.minus == frozenset({1})
-        assert part.zero == frozenset({2})
-
     def test_region_dispatch(self):
         assert orthant.region(np.array([1.0, 2.0])) is OrthantRegion.POSITIVE
         assert orthant.region(np.array([-1.0, -0.1])) is OrthantRegion.NEGATIVE
@@ -79,7 +73,7 @@ class TestSignPartition:
     def test_negative_zero_is_a_zero(self):
         assert orthant.region(np.array([1.0, -0.0])) is OrthantRegion.WITH_ZEROS
         assert orthant.region(np.array([-0.0])) is OrthantRegion.WITH_ZEROS
-        assert orthant.sign_partition(np.array([1.0, -0.0])).zero == frozenset({1})
+        assert _region_from_partition(np.array([1.0, -0.0])) is OrthantRegion.WITH_ZEROS
 
     @given(sign_patterns)
     def test_region_matches_sign_partition(self, x):
@@ -90,10 +84,6 @@ class TestSignPartition:
             orthant.region([1.0, np.nan])
         with pytest.raises(ValueError):
             orthant.region([])
-
-    def test_json(self):
-        j = orthant.sign_partition(np.array([2.0, -1.0, 0.0])).to_json()
-        assert j == {"plus": [0], "minus": [1], "zero": [2]}
 
 
 class TestMaskAndCorner:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, assume
@@ -149,6 +151,38 @@ class TestInnerNorm:
         assert not is_zero(np.array([0.0, 1e-12]))
 
 
+class TestFixedOrderDot:
+    """``vectors._dot`` sums in one order: a row's bits do not depend on where it lies."""
+
+    def test_a_row_keeps_its_bits_at_every_offset(self):
+        # with a BLAS product (@) on OpenBLAS, most seven-row windows of this
+        # block round some row differently from the whole block
+        rng = np.random.default_rng(21)
+        block, z = rng.standard_normal((300, 50)), rng.standard_normal(50)
+        whole = vectors._dot(block, z).view(np.int64)
+        for offset in range(len(block) - 6):
+            window = vectors._dot(block[offset:offset + 7], z).view(np.int64)
+            np.testing.assert_array_equal(window, whole[offset:offset + 7])
+
+    @pytest.mark.parametrize("m", [*range(1, 20), 31, 50, 64, 127, 500])
+    def test_a_row_has_the_bits_of_the_row_alone(self, m):
+        rng = np.random.default_rng(m)
+        for k in (1, 2, 7, 64):
+            block, z = rng.standard_normal((k, m)), rng.standard_normal(m)
+            want = np.array([vectors._dot(row, z) for row in block])
+            np.testing.assert_array_equal(vectors._dot(block, z).view(np.int64), want.view(np.int64))
+
+    def test_a_strided_view_has_the_bits_of_its_contiguous_copy(self):
+        rng = np.random.default_rng(22)
+        for n in (7, 50, 500):
+            block = rng.standard_normal((n, 4))
+            for x, y in ((block[:, 0], block[:, 1]), (block[::-1, 2], block[:, 3])):
+                assert vectors._dot(x, y) == vectors._dot(x.copy(), y.copy())
+            rows = rng.standard_normal((5, 2 * n))[:, ::2]
+            want = vectors._dot(rows.copy(), block[:, 0].copy())
+            np.testing.assert_array_equal(vectors._dot(rows, block[:, 0]).view(np.int64), want.view(np.int64))
+
+
 class TestWideMagnitudeNorms:
     """Norms whose plain sum of squares over- or underflows are rescaled."""
 
@@ -178,19 +212,20 @@ class TestWideMagnitudeNorms:
         rng = np.random.default_rng(11)
         for exponent in range(-140, 141, 20):
             x = rng.standard_normal(int(rng.integers(1, 9))) * 10.0**exponent
-            assert norm(x) == float(np.linalg.norm(x))
+            assert norm(x) == math.sqrt(vectors._dot(x, x))
             sx = SparseVector({i + 1: v for i, v in enumerate(x)})
             assert norm(sx) == float(np.sqrt(sum(v * v for _, v in sx.pairs)))
 
-    def test_dense_norm_has_the_bits_of_numpy(self):
-        # the square sum is taken on the raveled array, as np.linalg.norm
-        # takes it; a strided view's own sum differs in the last bit often
+    def test_dense_norm_takes_the_fixed_order_square_sum(self):
+        # the square sum is the helper's on the contiguous copy; a strided
+        # view's own sum differs in the last bit often
         rng = np.random.default_rng(13)
         for n in (1, 3, 7, 16, 50, 600):
             for _ in range(5):
                 block = rng.standard_normal((n, 4)) * 10.0 ** rng.integers(-140, 140)
                 for x in (block[:, 1], block[::-1, 2], np.ascontiguousarray(block[:, 3]), block[0]):
-                    assert repr(norm(x)) == repr(float(np.linalg.norm(x)))
+                    c = x.copy()
+                    assert repr(norm(x)) == repr(math.sqrt(vectors._dot(c, c)))
 
     @pytest.mark.parametrize(
         "values, want",
@@ -290,7 +325,7 @@ class TestOrthDecompose:
         for _ in range(20):
             anchor, x = rng.standard_normal(5), rng.standard_normal(5)
             d = orth_decompose(anchor, x)
-            a = float(x @ anchor) / float(anchor @ anchor)
+            a = float(vectors._dot(x, anchor)) / float(vectors._dot(anchor, anchor))
             assert d.a == a
             np.testing.assert_array_equal(d.o, x - a * anchor)
 
