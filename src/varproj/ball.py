@@ -156,9 +156,9 @@ class BallProjection:
 
         Row i is scaled by r / max(||row||, r): a row inside the ball is
         multiplied by exactly 1.0, and a zero row needs no division.  Row
-        norms use the same overflow and underflow rescue as ``norm``, and
-        rows whose scale would underflow go through ``project``, so row i
-        matches ``project(block[i])`` to within a few ulp.
+        norms are ``norm``'s bit for bit, and rows whose scale would
+        underflow go through ``project``, so row i matches
+        ``project(block[i])`` bit for bit.
         """
         block = as_rows(block)
         scale = self.radius / np.maximum(row_norms(block), self.radius)

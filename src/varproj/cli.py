@@ -22,8 +22,6 @@ import os
 import sys
 from typing import Optional
 
-import numpy as np
-
 from . import l2_cone, orthant
 from .ball import BallProjection
 from .oracle import ProbeConfig, membership
@@ -230,10 +228,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        # the library rescues norms whose squares overflow; the plain
-        # attempt's overflow warning would only be noise on stderr
-        with np.errstate(over="ignore"):
-            out, code = _DISPATCH[args.command](args)
+        out, code = _DISPATCH[args.command](args)
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

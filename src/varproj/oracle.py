@@ -37,9 +37,9 @@ queries use the same dense path: they are embedded in R^m over the
 probed axes (all supports plus one fresh index).
 
 The random directions depend only on (seed, random_directions, m, number
-of radii), so for an integer seed they are drawn once per process and
-kept, read-only, in a cache of the 16 most recently used such plans;
-they give the same bits as drawing anew, block for block.
+of radii), so they are drawn once per process and kept, read-only, in
+a cache of the 16 most recently used such plans; they give the same
+bits as drawing anew, block for block.
 
 The 2m axis probes u = xbar +- t*e_j of every radius are one block.
 Their u - xbar is one number du per probe, so its norm and its inner
@@ -54,11 +54,9 @@ the block.  Then
 
 with <y, xbar> and the off-axis norms (prefix and suffix sums of
 squares, so nothing cancels) computed once per verdict, so a radius
-costs O(m).  When the form declines the block, or f has none, the
-probes are scored radius by radius: through the form on that radius's
-2m probes alone, and where it declines them too, as the tile of their
-2m full rows, in row blocks like the random directions.  Separable
-forms (a = 0) give the tile's bits.
+costs O(m).  When the form declines the block, or f has none, every
+axis probe of every radius is scored as a full row, in row blocks like
+the random directions.  Separable forms (a = 0) give those rows' bits.
 
 When f has a row form (``_form`` again), f is applied to a whole chunk
 in one call, and its images lie on the probed coordinates.  Any other f
@@ -98,8 +96,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .vectors import (_TINY_NORM, SparseVector, Vector, _check_residual, _dense_norm, _dot, as_vector, inner,
-                      norm, row_norms)
+from .vectors import SparseVector, Vector, _dense_norm, _dot, _split, as_vector, inner, norm, row_norms
 
 __all__ = [
     "ProbeConfig",
@@ -126,7 +123,7 @@ class ProbeConfig:
 
     radii: strictly decreasing probe radii.
     random_directions: random unit directions drawn per radius.
-    seed: seed for the direction generator; fixed seed, fixed verdict.
+    seed: integer seed (not a bool) for the direction generator; fixed seed, fixed verdict.
     tolerance: decision band for the quotient suprema.
     denominator: "sum" for ||du|| + ||df||, "euclidean" for the root of
         the sum of squares.
@@ -151,6 +148,8 @@ class ProbeConfig:
             raise ValueError("tolerance must be positive")
         if self.denominator not in _DENOMINATORS:
             raise ValueError(f"denominator must be one of {_DENOMINATORS}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+            raise TypeError(f"seed must be an integer, got {self.seed!r}")
 
 
 class Verdict(str, Enum):
@@ -230,12 +229,10 @@ def quotient(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, z: Vector, 
 def _structured_head(x0: np.ndarray, y0: np.ndarray, z0: np.ndarray) -> list[np.ndarray]:
     """Unit directions +-xbar, +-y, +-z and +- the parts of y and z orthogonal to xbar.
 
-    They come from scalar products taken once by ``_dot``, with the bits
-    and checks of ``norm`` and ``orth_decompose``: <x0, x0>, <v, x0> and
-    <o, x0> are taken against x0 / max|x0| when <x0, x0> under- or
-    overflows.
+    The norms are ``norm``'s and the orthogonal parts the split of
+    ``orth_decompose`` (``vectors._split``), bit for bit and with its checks.
     """
-    x_len, anchor = _dense_norm(x0), None
+    x_len = _dense_norm(x0)
     parts = [(x0, x_len)] if x_len else []
     for v in (y0, z0):
         v_len = _dense_norm(v)
@@ -243,19 +240,7 @@ def _structured_head(x0: np.ndarray, y0: np.ndarray, z0: np.ndarray) -> list[np.
             continue
         parts.append((v, v_len))
         if x_len:
-            if anchor is None:  # taken when first needed, so no square is taken that no split uses
-                anchor = x0, float(_dot(x0, x0)), x_len
-                if not _TINY_NORM**2 <= anchor[1] < np.inf:
-                    unit = x0 / np.max(np.abs(x0))
-                    anchor = unit, float(_dot(unit, unit)), _dense_norm(unit)
-            a, a_sq, a_len = anchor
-            coef = float(_dot(v, a)) / a_sq
-            o = v - coef * a
-            if not abs(coef) * a_len + v_len < 1e308:  # o may not be finite: raise as inner(o, x0) did
-                as_vector(o)
-            residual = abs(float(_dot(o, a)))
-            o_len = _dense_norm(o)
-            _check_residual(residual, o_len, a_len, lambda: v_len)
+            _, o, o_len = _split(x0, v)
             if o_len > 1e-13 * v_len:
                 parts.append((o, o_len))
     units = [v / length for v, length in parts]
@@ -429,9 +414,7 @@ def membership(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, z: Vector
             return row
     m = x0.size
     radii, rows, per = config.radii, _block_rows(m), 2 * m
-    # a generator or an unhashable seed draws afresh, as default_rng would
-    draw = _random_blocks if isinstance(config.seed, (int, np.integer)) else _random_blocks.__wrapped__
-    randoms = draw(config.seed, config.random_directions, m, len(radii))
+    randoms = _random_blocks(config.seed, config.random_directions, m, len(radii))
     # the probe plan, radius by radius: the structured head (slot 0), the
     # axis probes (slot 1), then the radius's random blocks (slots 2, ...).
     # The head and the random blocks are row segments (radius index, slot,
@@ -471,17 +454,6 @@ def membership(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, z: Vector
             df = np.array([f(row) for row in u]) - fx
         return _dot(df, y0), row_norms(df)
 
-    def axis_terms(k: int):
-        """<y, df> and ||df|| of the axis probes of radius k alone."""
-        part = tuple(v[k * per:(k + 1) * per] for v in axis)
-        moved_k = moved[k * per:(k + 1) * per]
-        images = f_axes(sq_norm, part[2], moved_k) if f_axes is not None else None
-        if images is not None:
-            return _axis_image_terms(*images, part, frame)
-        # the full rows, in row blocks of the random directions' size
-        tiles = (_axis_rows(x0, part[0][i:i + rows], moved_k[i:i + rows]) for i in range(0, per, rows))
-        return map(np.concatenate, zip(*(row_terms(u) for u in tiles)))
-
     # a probe that rounds back to xbar is reported at the first radius
     # where one does: the radius of the first such axis probe, if any, and
     # below, that of the first such row of each chunk
@@ -516,8 +488,9 @@ def membership(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, z: Vector
     if images is not None:
         y_df, df_norm = _axis_image_terms(*images, axis, frame)
     else:
-        # f has no axis form, or it declined some radius: score radius by radius
-        y_df, df_norm = map(np.concatenate, zip(*(axis_terms(k) for k in range(len(radii)))))
+        # f has no axis form, or it declined the block: the full rows, in row blocks of the random directions' size
+        tiles = (_axis_rows(x0, axis[0][i:i + rows], moved[i:i + rows]) for i in range(0, moved.size, rows))
+        y_df, df_norm = map(np.concatenate, zip(*(row_terms(u) for u in tiles)))
     q = ((axis_z - y_df) / _denominator(config.denominator, axis_in, df_norm)).reshape(len(radii), per)
     for k, i in enumerate(np.argmax(q, axis=1).tolist()):
         wins[k][1] = (float(q[k, i]), None, k * per + i)

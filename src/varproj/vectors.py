@@ -14,11 +14,11 @@ Both the coefficient ``a`` and the orthogonal component ``o`` are linear
 in x, and ||x||^2 = a^2 ||anchor||^2 + ||o||^2.  Convergence x -> anchor
 is equivalent to a -> 1 together with ||o|| -> 0.
 
-Every dense inner product of the library, and the square sum of a dense
-``norm``, is taken by ``_dot`` in one fixed summation order, with no BLAS
-call: a row of a block gets the bits of the same row alone, at every
-position in the block and under every BLAS kernel.  ``row_norms`` sums
-along each row, which is as independent of the row's position.
+Every dense inner product of the library, and every dense square sum
+(``norm``, ``row_norms``), is taken by ``_dot`` in one fixed summation
+order, with no BLAS call: a row of a block gets the bits of the same row
+alone, at every position in the block and under every BLAS kernel.
+Every dense split is taken by ``_split``.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 import numpy as np
 
@@ -203,7 +203,7 @@ def _check_same_kind(u: Vector, v: Vector) -> bool:
 
 
 def _dot(a: np.ndarray, b: np.ndarray):
-    """<a, b> over the last axis: a 1-D or 2-D array a against a 1-D b, in one fixed order.
+    """<a, b> over the last axis, in one fixed order: a 1-D or 2-D a against a 1-D b or a block of a's shape.
 
     numpy's einsum loop sums the products of two contiguous operands in
     an order set by their length alone, so a row of a block gets the bits
@@ -212,7 +212,7 @@ def _dot(a: np.ndarray, b: np.ndarray):
     that runs.  A strided view is summed as its contiguous copy.  Unlike
     a BLAS product, an overflowing sum gives inf without a warning.
     """
-    return _einsum("...i,i->...", np.ascontiguousarray(a), np.ascontiguousarray(b))
+    return _einsum("...i,...i->...", np.ascontiguousarray(a), np.ascontiguousarray(b))
 
 
 def inner(u: Vector, v: Vector) -> float:
@@ -263,13 +263,13 @@ def norm(u: Vector) -> float:
 
 
 def row_norms(block: np.ndarray) -> np.ndarray:
-    """Norms of the rows of a 2-D array, with the same rescue as ``norm``.
+    """Norms of the rows of a 2-D array: row i gets the bits of ``norm(block[i])``.
 
     Only rows whose plain norm lies outside [_TINY_NORM, inf) and that
     have a nonzero entry are recomputed, one by one; a zero row keeps its
     plain +0.0.
     """
-    lengths = np.linalg.norm(block, axis=1)
+    lengths = np.sqrt(_dot(block, block))
     if lengths.size and not (lengths.min() >= _TINY_NORM and lengths.max() < np.inf):
         odd = np.flatnonzero(~((lengths >= _TINY_NORM) & (lengths < np.inf)))
         for i in odd[block[odd].any(axis=1)]:
@@ -289,7 +289,8 @@ def approx_equal(u: Vector, v: Vector, rel: float = 1e-9) -> bool:
         v = as_vector(v)
         u = as_vector_of(u, v.shape[0])
     try:
-        diff = norm(u - v)
+        with np.errstate(over="ignore"):
+            diff = norm(u - v)
     except ValueError:  # an entry of u - v is infinite
         return False
     return diff <= rel * max(1.0, norm(u), norm(v))
@@ -311,37 +312,44 @@ class OrthDecomp:
         return self.a * self.anchor + self.o
 
 
+def _split(anchor: np.ndarray, x: np.ndarray, orth_rtol: float = 1e-12) -> tuple[float, np.ndarray, float]:
+    """(a, o, ||o||) of x = a * anchor + o for finite 1-D arrays, with the checks of ``orth_decompose``.
+
+    When ||anchor||^2 under- or overflows, x is split against
+    anchor / max|anchor| instead and ``a`` is converted back to the anchor.
+    """
+    anchor_sq, scale = float(_dot(anchor, anchor)), 1.0
+    if not _TINY_NORM**2 <= anchor_sq < math.inf:
+        scale = float(np.max(np.abs(anchor), initial=0.0))
+        if scale == 0.0:
+            raise ValueError("anchor must be nonzero")
+        anchor = anchor / scale
+        anchor_sq = float(_dot(anchor, anchor))
+    a = float(_dot(x, anchor)) / anchor_sq
+    with np.errstate(over="ignore", invalid="ignore"):  # an o that is not finite raises here
+        o = as_vector(x - a * anchor)
+    residual, o_len, a_len = abs(float(_dot(o, anchor))), _dense_norm(o), _dense_norm(anchor)
+    if residual > orth_rtol * max(o_len * a_len, 1e-300) and residual > orth_rtol * max(1.0, _dense_norm(x) * a_len):
+        raise ArithmeticError("orthogonality residual exceeds tolerance; anchor is ill-conditioned")
+    return a / scale, o, o_len
+
+
 def orth_decompose(anchor: Vector, x: Vector, *, orth_rtol: float = 1e-12) -> OrthDecomp:
     """Split x against a nonzero anchor; verifies orthogonality numerically.
 
     The residual check |<o, anchor>| <= orth_rtol * ||o|| * ||anchor|| guards
     against calling with a near-zero anchor where the split is meaningless.
-    When ||anchor||^2 under- or overflows, x is split against
-    anchor / max|anchor| instead and ``a`` is converted back to the anchor.
+    A non-finite o raises ValueError.  A sparse pair is split as its
+    dense embedding over the union of the two supports.
     """
-    _check_same_kind(anchor, x)
-    if isinstance(x, np.ndarray):
-        x = as_vector(x)
-        anchor = as_vector(anchor)
-    anchor_sq = inner(anchor, anchor)
-    if not _TINY_NORM**2 <= anchor_sq < np.inf:
-        sparse = isinstance(anchor, SparseVector)
-        s = float(np.max(np.abs([v for _, v in anchor.pairs] if sparse else anchor), initial=0.0))
-        if s == 0.0:
-            raise ValueError("anchor must be nonzero")
-        unit = SparseVector({i: v / s for i, v in anchor.pairs}) if sparse else anchor / s
-        split = orth_decompose(unit, x, orth_rtol=orth_rtol)
-        return OrthDecomp(a=split.a / s, o=split.o, anchor=anchor)
-    a = inner(x, anchor) / anchor_sq
-    o = x - a * anchor
-    _check_residual(abs(inner(o, anchor)), norm(o), norm(anchor), lambda: norm(x), orth_rtol)
-    return OrthDecomp(a=float(a), o=o, anchor=anchor)
-
-
-def _check_residual(residual: float, o_norm: float, a_norm: float, x_norm: Callable, orth_rtol: float = 1e-12):
-    """The residual check of ``orth_decompose``, with a_norm = ||anchor||; ``x_norm()`` is read only if needed."""
-    if residual > orth_rtol * max(o_norm * a_norm, 1e-300) and residual > orth_rtol * max(1.0, x_norm() * a_norm):
-        raise ArithmeticError("orthogonality residual exceeds tolerance; anchor is ill-conditioned")
+    if _check_same_kind(anchor, x):
+        axes = sorted(anchor.support | x.support)
+        a, o, _ = _split(*(np.array([v.get(i) for i in axes]) for v in (anchor, x)), orth_rtol)
+        return OrthDecomp(a=a, o=SparseVector(zip(axes, o.tolist())), anchor=anchor)
+    anchor = as_vector(anchor)
+    x = as_vector_of(x, anchor.shape[0])
+    a, o, _ = _split(anchor, x, orth_rtol)
+    return OrthDecomp(a=a, o=o, anchor=anchor)
 
 
 def encode_vector(v: Vector):

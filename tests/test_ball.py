@@ -48,8 +48,7 @@ class TestWideMagnitudes:
     """Norms that over- or underflow when squared give right answers, not silent zeros."""
 
     def test_overflowing_point(self):
-        with np.errstate(over="ignore"):
-            got = BallProjection(1.0).project(np.array([1e200, 1e200]))
+        got = BallProjection(1.0).project(np.array([1e200, 1e200]))
         np.testing.assert_allclose(got, [np.sqrt(0.5), np.sqrt(0.5)], rtol=1e-15)
 
     def test_underflowing_radius(self):
@@ -57,32 +56,28 @@ class TestWideMagnitudes:
         np.testing.assert_allclose(got, [6e-201, 8e-201], rtol=1e-15)
 
     def test_norm_beyond_the_largest_double(self):
-        with np.errstate(over="ignore"):
-            got = BallProjection(1.0).project(np.array([1.5e308, -1.5e308]))
+        got = BallProjection(1.0).project(np.array([1.5e308, -1.5e308]))
         np.testing.assert_allclose(got, [np.sqrt(0.5), -np.sqrt(0.5)], rtol=1e-15)
 
     def test_scale_that_underflows(self):
-        with np.errstate(over="ignore"):
-            got = BallProjection(1e-200).project(np.array([3e200, 4e200]))
+        got = BallProjection(1e-200).project(np.array([3e200, 4e200]))
         np.testing.assert_allclose(got, [6e-201, 8e-201], rtol=1e-15)
 
     def test_self_query_whose_difference_squares_overflow(self):
         # y = x (1 + 1e-13) is the self query y = x, as at r = 1
         x = np.array([6e199, -8e199])
-        with np.errstate(over="ignore"):
-            assert BallProjection(1e200).coderivative(x, x * (1.0 + 1e-13)).to_json() == {"variant": "empty"}
+        assert BallProjection(1e200).coderivative(x, x * (1.0 + 1e-13)).to_json() == {"variant": "empty"}
 
     @pytest.mark.parametrize("r", [1.0, 1e100, 1e200, 1e-100, 1e-200])
     def test_region_at_large_radii(self, r):
         op = BallProjection(5.0 * r)
-        with np.errstate(over="ignore"):
-            assert op.region(np.array([3.0 * r, 4.0 * r])) is BallRegion.SPHERE
-            assert op.region(np.array([3.0 * r, 3.9 * r])) is BallRegion.INTERIOR
-            assert op.region(np.array([3.0 * r, 4.1 * r])) is BallRegion.EXTERIOR
+        assert op.region(np.array([3.0 * r, 4.0 * r])) is BallRegion.SPHERE
+        assert op.region(np.array([3.0 * r, 3.9 * r])) is BallRegion.INTERIOR
+        assert op.region(np.array([3.0 * r, 4.1 * r])) is BallRegion.EXTERIOR
 
 
 class TestProjectRows:
-    """project_rows(U)[i] agrees with project(U[i]) to within 4 ulp."""
+    """project_rows(U)[i] has the bits of project(U[i])."""
 
     @pytest.mark.parametrize("r", [1.0, 2.5, 1e-200, 1e200])
     def test_matches_project(self, r):
@@ -100,10 +95,9 @@ class TestProjectRows:
             rng.standard_normal((8, 4)),
         ])
         op = BallProjection(r)
-        with np.errstate(over="ignore"):
-            got = op.project_rows(block)
-            want = np.array([op.project(row) for row in block])
-        np.testing.assert_array_max_ulp(got, want, maxulp=4)
+        got = op.project_rows(block)
+        want = np.array([op.project(row) for row in block])
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_rows_inside_are_unchanged(self):
         block = np.array([[0.3, -0.4], [1.0, 0.0], [0.0, 0.0]])

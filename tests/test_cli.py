@@ -306,6 +306,18 @@ class TestProcess:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["projection"] == [1.0, 0.0]
 
+    @pytest.mark.parametrize("argv", [
+        ("project", "--set", "ball", "--radius", "1", "--point", "[1e200, 1e200]"),
+        ("coderiv", "--set", "ball", "--radius", "1", "--xbar", "[0.1, 0]", "--y", "[1e308, 1e308]",
+         "--z", "[-1e308, -1e308]"),
+    ])
+    def test_handled_overflow_warns_nothing(self, argv):
+        # the library answers these overflows itself, so no warning reaches
+        # stderr even when every warning is an error
+        proc = self.spawn(*argv, python_flags=("-W", "error"), stdout=subprocess.PIPE)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        assert isinstance(json.loads(proc.stdout), dict)
+
     def test_readme_has_examples(self):
         assert len(_readme_examples()) >= 6
 

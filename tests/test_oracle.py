@@ -294,9 +294,8 @@ class TestBatchedAgainstReference:
         # probe steps of 1e198 and 1e197, whose plain norms are inf
         xbar, ones = np.array([6e199, -8e199]), np.ones(2)
         config = ProbeConfig(radii=(1e198, 1e197), random_directions=4)
-        with np.errstate(over="ignore"):
-            _assert_matches_reference(BallProjection(1e200).project, xbar, ones, ones, config)
-            sups = membership(BallProjection(1e200).project, xbar, ones, ones, config).sup_estimates
+        _assert_matches_reference(BallProjection(1e200).project, xbar, ones, ones, config)
+        sups = membership(BallProjection(1e200).project, xbar, ones, ones, config).sup_estimates
         assert [repr(s) for _, s in sups] == ["0.0", "0.0"]
 
 
@@ -348,7 +347,11 @@ def _golden_digest(f, xbar, y, z, denominator):
 # inner product and square sum, of the oracle and of these inputs, moved from
 # BLAS to the fixed order of vectors._dot, whose bits hold on every OpenBLAS
 # kernel (before, 19 to 23 digests changed with OPENBLAS_CORETYPE): 23 changed,
-# no verdict did, and no sup moved by more than 3e-12.
+# no verdict did, and no sup moved by more than 3e-12.  The two
+# orthant/n500/corner entries were recorded again when row_norms moved from
+# np.linalg.norm to the square sums of vectors._dot, so a row's norm is
+# norm(row) bit for bit: one sup each moved, by at most 4.5e-16, and their
+# verdicts and witnesses kept their bytes.
 GOLDEN = {
     "ball/n2/exterior/sum": "20ebea947ef55cde",
     "ball/n2/exterior/euclidean": "abf7ba8fb0ba4420",
@@ -380,8 +383,8 @@ GOLDEN = {
     "ball/n500/exterior-off/euclidean": "bbd00955bfa6f645",
     "orthant/n500/mixed/sum": "c8a55ad1e60825d9",
     "orthant/n500/mixed/euclidean": "c8a55ad1e60825d9",
-    "orthant/n500/corner/sum": "ee0399a27fe78ccd",
-    "orthant/n500/corner/euclidean": "35768466899a47a0",
+    "orthant/n500/corner/sum": "c3ca208c6f17c1fc",
+    "orthant/n500/corner/euclidean": "2c97039e9836625c",
     "ball/n1/signed-zeros/sum": "0cc55c50fce7f5b3",
     "ball/n1/signed-zeros/euclidean": "0cc55c50fce7f5b3",
     "l2_cone/sparse/sum": "073f99bb17b440b6",
@@ -453,14 +456,16 @@ class TestGolden:
                 draws = rng.standard_normal((len(block), m))
                 np.testing.assert_array_equal(block, draws / np.linalg.norm(draws, axis=1)[:, None])
 
-    def test_unhashable_seed_draws_afresh(self):
-        before = oracle._random_blocks.cache_info()
-        op = BallProjection(1.0)
-        args = (op.project, np.array([1.0, 0.0]), np.zeros(2), np.array([1.3, 0.0]))
-        a = membership(*args, ProbeConfig(seed=[5, 1], random_directions=8))
-        b = membership(*args, ProbeConfig(seed=[5, 1], random_directions=8))
-        assert a.to_json() == b.to_json()
-        assert oracle._random_blocks.cache_info() == before
+    def test_seed_must_be_an_integer(self):
+        for seed in ([5, 1], np.random.default_rng(5), True):
+            with pytest.raises(TypeError, match="seed must be an integer"):
+                ProbeConfig(seed=seed)
+        # a numpy integer keys the cache as the equal int does
+        args = (BallProjection(1.0).project, np.array([1.0, 0.0]), np.zeros(2), np.array([1.3, 0.0]))
+        plain = membership(*args, ProbeConfig(seed=5, random_directions=8))
+        hits = oracle._random_blocks.cache_info().hits
+        assert membership(*args, ProbeConfig(seed=np.int64(5), random_directions=8)).to_json() == plain.to_json()
+        assert oracle._random_blocks.cache_info().hits == hits + 1
 
 
 class TestRowForm:
@@ -551,10 +556,9 @@ class TestAxisForm:
                 x0 = rho * u
                 for t in (1e-3 * rho, 0.6 * rho):
                     images, block, rows = _axis_images(op.project_axes, x0, t)
-                    # the safe norms warn on their plain attempt's overflow
                     with np.errstate(over="ignore"):
                         sq_norm = x0 @ x0
-                        images_u, image_x = op.project_rows(rows), op.project(x0)
+                    images_u, image_x = op.project_rows(rows), op.project(x0)
                     if images is None:
                         lengths = np.linalg.norm(rows / rho, axis=1) * rho
                         tiny = np.finfo(float).tiny
@@ -581,9 +585,8 @@ class TestAxisForm:
         y, z = np.ones(x0.size), 0.5 * np.ones(x0.size)
         images = _axis_images(BallProjection(r).project_axes, x0, config.radii[0])[0]
         assert (images is None) == (case != "origin")
-        with np.errstate(over="ignore"):
-            got = membership(BallProjection(r).project, x0, y, z, config)
-            want = membership(_RowsOnlyBall(r).project, x0, y, z, config)
+        got = membership(BallProjection(r).project, x0, y, z, config)
+        want = membership(_RowsOnlyBall(r).project, x0, y, z, config)
         assert json.dumps(got.to_json(), sort_keys=True) == json.dumps(want.to_json(), sort_keys=True)
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
@@ -667,7 +670,7 @@ class TestPackedPlan:
     @pytest.mark.parametrize("n", [2, 6, 500])
     def test_matches_the_rows_only_ball(self, n):
         # inside the ball and at the origin the axis form gives the bits of
-        # the full rows, which _RowsOnlyBall scores radius by radius
+        # the full rows, which _RowsOnlyBall scores in row blocks
         rng = np.random.default_rng(n + 1)
         u = rng.standard_normal(n)
         u /= np.linalg.norm(u)
@@ -754,10 +757,9 @@ class TestStructuredHead:
     @pytest.mark.parametrize("n", [*range(1, 10), 50, 500])
     def test_bytes_match_the_reference(self, n):
         # 1e300 scales overflow the plain square sums, which the rescue repairs
-        with np.errstate(over="ignore"):
-            for label, xbar, y, z in _head_cases(n):
-                want = _head_bytes(_reference_head, xbar, y, z)
-                assert _head_bytes(oracle._structured_head, xbar, y, z) == want, label
+        for label, xbar, y, z in _head_cases(n):
+            want = _head_bytes(_reference_head, xbar, y, z)
+            assert _head_bytes(oracle._structured_head, xbar, y, z) == want, label
 
     @pytest.mark.parametrize("n", [2, 6, 50])
     def test_parallel_parts_are_dropped(self, n):
@@ -783,19 +785,16 @@ class TestStructuredHead:
         # with orth_rtol = 0 the check fires, whether <xbar, xbar> is a
         # normal double or has to be rescaled
         xbar, y = np.array([0.3, -1.7, 2.9]) * scale, np.array([1.1, 0.4, -0.6]) * scale
-        strict = functools.partial(vectors._check_residual, orth_rtol=0.0)
-        monkeypatch.setattr(oracle, "_check_residual", strict)
-        with np.errstate(over="ignore"):
-            with pytest.raises(ArithmeticError, match="orthogonality residual"):
-                oracle._structured_head(xbar, y, np.zeros(3))
+        monkeypatch.setattr(oracle, "_split", functools.partial(vectors._split, orth_rtol=0.0))
+        with pytest.raises(ArithmeticError, match="orthogonality residual"):
+            oracle._structured_head(xbar, y, np.zeros(3))
 
     def test_overflowing_part_raises_as_before(self):
         # <y, xbar> / <xbar, xbar> is inf, so o is not finite (inf * 0.0 is nan)
         xbar, y = np.array([2e-146, 0.0]), np.array([1e300, 1.0])
-        with np.errstate(over="ignore", invalid="ignore"):
-            want = _head_bytes(_reference_head, xbar, y, np.zeros(2))
-            assert want == "ValueError: vector entries must be finite"
-            assert _head_bytes(oracle._structured_head, xbar, y, np.zeros(2)) == want
+        want = _head_bytes(_reference_head, xbar, y, np.zeros(2))
+        assert want == "ValueError: vector entries must be finite"
+        assert _head_bytes(oracle._structured_head, xbar, y, np.zeros(2)) == want
 
     def test_verdicts_reach_no_generic_helper_from_the_head(self, monkeypatch):
         # the head runs on its scalars: neither norm, orth_decompose nor

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, assume
 from hypothesis import strategies as st
 
+from test_oracle import _head_cases
 from varproj import vectors
 
 from varproj.vectors import (
@@ -198,9 +199,8 @@ class TestWideMagnitudeNorms:
         ],
     )
     def test_dense_and_sparse(self, values, want):
-        with np.errstate(over="ignore"):
-            got_dense = norm(np.array(values))
-            got_sparse = norm(SparseVector({2 * i + 1: v for i, v in enumerate(values)}))
+        got_dense = norm(np.array(values))
+        got_sparse = norm(SparseVector({2 * i + 1: v for i, v in enumerate(values)}))
         assert got_dense == pytest.approx(want, rel=1e-15)
         assert got_sparse == pytest.approx(want, rel=1e-15)
 
@@ -240,16 +240,21 @@ class TestWideMagnitudeNorms:
     def test_rescued_dense_norms_keep_their_bits(self, values, want):
         block = np.zeros((len(values), 3))
         block[:, 1] = values
-        with np.errstate(over="ignore"):
-            assert repr(norm(np.array(values))) == want
-            assert repr(norm(block[:, 1])) == want
+        assert repr(norm(np.array(values))) == want
+        assert repr(norm(block[:, 1])) == want
 
     def test_row_norms_match_norm(self):
-        block = np.array([[3.0, 4.0], [0.0, 0.0], [1e200, -1e200], [3e-200, 4e-200], [1e-170, 0.0]])
-        with np.errstate(over="ignore"):
-            got = row_norms(block)
+        # row i has the bits of norm(block[i]), at every width and magnitude,
+        # for zero and -0.0 rows and for a strided block
+        rng = np.random.default_rng(14)
+        blocks = [np.array([[3.0, 4.0], [0.0, 0.0], [1e200, -1e200], [3e-200, 4e-200], [1e-170, 0.0]])]
+        for m in (1, 2, 3, 7, 16, 50, 500):
+            block = rng.standard_normal((61, m)) * 10.0 ** np.arange(-300, 301, 10)[:, None]
+            block[0], block[1] = 0.0, -0.0
+            blocks += [block, np.asfortranarray(block)[:, ::-1]]
+        for block in blocks:
             want = np.array([norm(row) for row in block])
-        np.testing.assert_array_max_ulp(got, want, maxulp=4)
+            np.testing.assert_array_equal(row_norms(block).view(np.int64), want.view(np.int64))
 
     def test_row_norms_rescue_only_nonzero_rows(self, monkeypatch):
         # zero rows keep their plain +0.0 without the one-row-at-a-time rescue
@@ -267,8 +272,8 @@ class TestWideMagnitudeNorms:
         assert got[10] == 1e-200 * np.sqrt(5.0)
         assert len(rescued) == 1 and np.array_equal(rescued[0], block[10])
         ordinary = np.setdiff1d(np.arange(64), [3, 7, 10])
-        np.testing.assert_array_equal(got[ordinary].view(np.int64),
-                                      np.linalg.norm(block[ordinary], axis=1).view(np.int64))
+        want = np.array([norm(row) for row in block[ordinary]])
+        np.testing.assert_array_equal(got[ordinary].view(np.int64), want.view(np.int64))
 
     def test_as_rows(self):
         assert as_rows([[1, 2], [3, 4]]).dtype == np.float64
@@ -278,7 +283,62 @@ class TestWideMagnitudeNorms:
                 as_rows(bad)
 
 
+def _former_split(anchor, x, orth_rtol=1e-12):
+    """(a, o) by the formula orth_decompose had before ``vectors._split``: ``inner`` and ``norm``, rescaling recursively."""
+    anchor_sq = inner(anchor, anchor)
+    if not vectors._TINY_NORM**2 <= anchor_sq < np.inf:
+        sparse = isinstance(anchor, SparseVector)
+        s = float(np.max(np.abs([v for _, v in anchor.pairs] if sparse else anchor), initial=0.0))
+        if s == 0.0:
+            raise ValueError("anchor must be nonzero")
+        unit = SparseVector({i: v / s for i, v in anchor.pairs}) if sparse else anchor / s
+        a, o = _former_split(unit, x, orth_rtol)
+        return a / s, o
+    a = inner(x, anchor) / anchor_sq
+    o = x - a * anchor
+    residual, o_norm, a_norm = abs(inner(o, anchor)), norm(o), norm(anchor)
+    if residual > orth_rtol * max(o_norm * a_norm, 1e-300) and residual > orth_rtol * max(1.0, norm(x) * a_norm):
+        raise ArithmeticError("orthogonality residual exceeds tolerance; anchor is ill-conditioned")
+    return a, o
+
+
+def _split_or_error(split, anchor, x):
+    try:
+        return split(anchor, x)
+    except (ValueError, ArithmeticError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
 class TestOrthDecompose:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 50, 500])
+    def test_split_keeps_the_former_formula(self, n):
+        # on the structured head's inputs (scales 1e-300..1e300, zeros, -0.0,
+        # strided views): the dense split keeps every byte; the sparse one sums
+        # in einsum order, not in the order of its pairs, and moves by at most
+        # 1.1e-15 * ||x|| at n = 500
+        def split(anchor, x):
+            d = orth_decompose(anchor, x)
+            return d.a, d.o
+
+        def sparse(v):
+            return SparseVector({i + 1: float(e) for i, e in enumerate(v)})
+
+        for label, xbar, y, z in _head_cases(n):
+            for v in (y, z):
+                want, got = _split_or_error(_former_split, xbar, v), _split_or_error(split, xbar, v)
+                if isinstance(want, str):
+                    assert got == want, label
+                else:
+                    assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes(), label
+                    assert got[1].tobytes() == want[1].tobytes(), label
+                anchor, x = sparse(xbar), sparse(v)
+                want, got = _split_or_error(_former_split, anchor, x), _split_or_error(split, anchor, x)
+                if isinstance(want, str):
+                    assert got == want, label
+                else:
+                    assert got[0] == want[0] or abs(got[0] - want[0]) * norm(anchor) <= 2e-15 * norm(x), label
+                    assert norm(got[1] - want[1]) <= 2e-15 * norm(x), label
+
     def test_frozen_example(self):
         d = orth_decompose(np.array([1.0, 0.0]), np.array([3.0, 4.0]))
         assert d.a == 3.0
@@ -293,9 +353,8 @@ class TestOrthDecompose:
     @pytest.mark.parametrize("scale", [1e-170, 1e170, 1e-300, 1e300])
     def test_anchor_whose_square_under_or_overflows(self, scale):
         anchor = np.array([scale, 0.0])
-        with np.errstate(over="ignore"):
-            d = orth_decompose(anchor, np.array([2.0 * scale, scale]))
-            s = orth_decompose(SparseVector({1: scale}), SparseVector({1: 2.0 * scale, 4: scale}))
+        d = orth_decompose(anchor, np.array([2.0 * scale, scale]))
+        s = orth_decompose(SparseVector({1: scale}), SparseVector({1: 2.0 * scale, 4: scale}))
         assert d.a == 2.0 and s.a == 2.0
         np.testing.assert_array_equal(d.o, [0.0, scale])
         assert s.o == SparseVector({4: scale})
@@ -306,19 +365,17 @@ class TestOrthDecompose:
         rng = np.random.default_rng(5)
         anchor, x = rng.standard_normal(4), rng.standard_normal(4)
         ref = orth_decompose(anchor, x)
-        with np.errstate(over="ignore"):
-            for scale in (1e-170, 1e170):
-                d = orth_decompose(anchor * scale, x)
-                assert d.a == pytest.approx(ref.a / scale, rel=1e-14)
-                np.testing.assert_allclose(d.o, ref.o, rtol=1e-13, atol=1e-15)
+        for scale in (1e-170, 1e170):
+            d = orth_decompose(anchor * scale, x)
+            assert d.a == pytest.approx(ref.a / scale, rel=1e-14)
+            np.testing.assert_allclose(d.o, ref.o, rtol=1e-13, atol=1e-15)
 
     def test_residual_check_kept_on_both_paths(self):
         anchor = np.array([0.3, -1.7, 2.9])
         x = np.array([1.1, 0.4, -0.6])
-        with np.errstate(over="ignore"):
-            for scale in (1.0, 1e-170, 1e170):
-                with pytest.raises(ArithmeticError):
-                    orth_decompose(anchor * scale, x * scale, orth_rtol=0.0)
+        for scale in (1.0, 1e-170, 1e170):
+            with pytest.raises(ArithmeticError):
+                orth_decompose(anchor * scale, x * scale, orth_rtol=0.0)
 
     def test_ordinary_anchor_keeps_the_plain_split(self):
         rng = np.random.default_rng(8)
@@ -409,15 +466,13 @@ class TestApproxEqual:
     def test_difference_with_overflowing_squares(self):
         # ||u - v|| is about 1e188 although its plain sum of squares is inf
         u = np.array([7.68e199, -5.76e199])
-        with np.errstate(over="ignore"):
-            assert approx_equal(u, u * (1.0 + 1e-12))
-            assert not approx_equal(u, u * (1.0 + 1e-6))
+        assert approx_equal(u, u * (1.0 + 1e-12))
+        assert not approx_equal(u, u * (1.0 + 1e-6))
 
     def test_overflowing_difference_is_not_equal(self):
         # u - v itself is inf: unequal for both kinds, not an error
-        with np.errstate(over="ignore"):
-            assert not approx_equal(np.array([1.5e308, 0.0]), np.array([-1.5e308, 1.0]))
-            assert not approx_equal(SparseVector({1: 1.5e308}), SparseVector({1: -1.5e308}))
+        assert not approx_equal(np.array([1.5e308, 0.0]), np.array([-1.5e308, 1.0]))
+        assert not approx_equal(SparseVector({1: 1.5e308}), SparseVector({1: -1.5e308}))
 
     def test_dimension_mismatch_is_not_broadcast(self):
         # a length-1 vector would broadcast against any other length
