@@ -15,19 +15,26 @@ and moves along y and z themselves).  Scaled single-coordinate segments
 such as u_j = xbar_j + t * z_j trace the same rays as the coordinate
 probes, so normalising directions to unit length loses no coverage.
 The structured directions other than the axes (the head) come from
-scalar products taken once per verdict (see ``_structured_head``).
+scalar products taken once per plan (xbar and y) and once per verdict
+(z); see ``_structured_head``.
 
-Evaluation is batched.  f(xbar) is computed once per verdict, and the
-probes of every radius are scored in one pass over a probe plan that
-keeps the order of a radius-by-radius walk: at each radius the
-structured head, the axis probes, then the radius's random blocks.  The
-head and the random blocks are row segments tagged with their radius.
-Consecutive segments are packed into chunks of at most about 32k floats
-(``_block_rows``), and a segment is never split: at the default config
-every row of a query with m <= 41 lies in one chunk, and at m = 500
-each chunk is one segment.  A chunk is scored by one set of array
-expressions, with u = xbar + t*d (t per row) and one call of the row
-form.  Its inner products are taken in the fixed order of
+Evaluation is batched, and split in two.  Only the +-z and +-orth(z)
+head rows and <z, u - xbar> depend on z, so a verdict first takes a
+z-free plan of (f, xbar, y, config): f(xbar), <xbar, xbar> and ||xbar||,
+the head rows of xbar and y, and for every probe outside the rows of z
+its u - xbar, ||u - xbar||, <y, f(u) - f(xbar)> and ||f(u) - f(xbar)||.
+The z pass then scores the rows of z, takes one <z, u - xbar> per chunk
+of rows and per axis probe, and runs the argmaxes, the verdict rule and
+the witness.  The plan keeps the order of a radius-by-radius walk: at
+each radius the head (the rows of z last), the axis probes, then the
+radius's random blocks.  The head and the random blocks are row
+segments tagged with their radius.  Consecutive segments are packed
+into chunks of at most about 32k floats (``_block_rows``), and a segment
+is never split: at the default config every row of a query with m <= 41
+lies in one chunk, and at m = 500 each chunk is one segment.  A chunk is
+scored by one set of array expressions, with u = xbar + t*d (t per row)
+and one call of the row form; the rows of z of every radius are such a
+chunk of their own.  Its inner products are taken in the fixed order of
 ``vectors._dot`` and its norms by ``row_norms``, both of which give a
 row the same bits at every position in a chunk, so the quotients keep
 the bits of a walk that scores every segment alone.  The axis probes of
@@ -36,9 +43,18 @@ radius is the first largest quotient in its probe order.  Sparse
 queries use the same dense path: they are embedded in R^m over the
 probed axes (all supports plus one fresh index).
 
+The 16 most recently used plans are kept, keyed by f, the bytes of
+xbar and y over the probed axes, the axes and the config, when f has a
+row form (the sets of this package are pure; a user callable may not
+be) and all of a plan's rows fit in one chunk (m <= 41 at the default
+config).  A kept plan holds private read-only copies of xbar and y, so
+a caller that later changes its arrays cannot reach it, and -0.0 and
+0.0 key apart.  Any other plan streams its chunks to the z pass one by
+one and is dropped with the verdict.
+
 The random directions depend only on (seed, random_directions, m, number
 of radii), so they are drawn once per process and kept, read-only, in
-a cache of the 16 most recently used such plans; they give the same
+a cache of the 16 most recently used such sets; they give the same
 bits as drawing anew, block for block.
 
 The 2m axis probes u = xbar +- t*e_j of every radius are one block.
@@ -53,7 +69,7 @@ the block.  Then
     ||f(u) - f(xbar)||   = hypot(a*||xbar - xbar_j e_j||, a*xbar_j + b),
 
 with <y, xbar> and the off-axis norms (prefix and suffix sums of
-squares, so nothing cancels) computed once per verdict, so a radius
+squares, so nothing cancels) computed once per plan, so a radius
 costs O(m).  When the form declines the block, or f has none, every
 axis probe of every radius is scored as a full row, in row blocks like
 the random directions.  Separable forms (a = 0) give those rows' bits.
@@ -65,9 +81,10 @@ sparse rows reach it as SparseVectors, and their images, wherever f
 maps, are scored through ``inner`` and ``norm``.
 
 The winning probe at the smallest radius is scored again through the
-scalar ``quotient``; that value is the last supremum and the witness
-quotient, so a witness re-evaluates exactly.  Witness directions of
-sparse queries are SparseVectors with 1-based indices.
+scalar ``quotient``, with the plan's f(xbar); that value is the last
+supremum and the witness quotient, so a witness re-evaluates exactly.
+Witness directions of sparse queries are SparseVectors with 1-based
+indices.
 
 Verdict rule, with s_k the supremum of the quotient at the k-th radius
 (radii decrease) and tol the configured tolerance:
@@ -91,8 +108,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, lru_cache
-from itertools import accumulate
-from typing import Callable, Optional
+from itertools import accumulate, chain
+from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -215,48 +232,69 @@ def quotient(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, z: Vector, 
     """
     if denominator not in _DENOMINATORS:
         raise ValueError(f"denominator must be one of {_DENOMINATORS}")
+    return _quotient(f, None, xbar, y, z, u, denominator)
+
+
+def _quotient(f: Callable[[Vector], Vector], fx: Optional[Vector], xbar: Vector, y: Vector, z: Vector,
+              u: Vector, denominator: str) -> float:
+    """``quotient`` with f(xbar) given as fx; None takes f(xbar) after f(u), as ``quotient`` does."""
     if isinstance(xbar, np.ndarray):
         u = as_vector(u)
     du = u - xbar
     d_in = norm(du)
     if d_in == 0.0:
         raise ValueError(f"u must differ from xbar: ||u - xbar|| is 0 at ||xbar|| = {norm(xbar):.6g}")
-    df = f(u) - f(xbar)
+    df = f(u) - (f(xbar) if fx is None else fx)
     num = inner(z, du) - inner(y, df)
     return float(num / _denominator(denominator, d_in, norm(df)))
 
 
-def _structured_head(x0: np.ndarray, y0: np.ndarray, z0: np.ndarray) -> list[np.ndarray]:
-    """Unit directions +-xbar, +-y, +-z and +- the parts of y and z orthogonal to xbar.
+def _anchor(x0: np.ndarray) -> tuple[float, float]:
+    """<x0, x0> and ``norm(x0)``, from one square sum."""
+    x_sq = float(_dot(x0, x0))
+    return x_sq, _dense_norm(x0, x_sq)
 
-    The norms are ``norm``'s and the orthogonal parts the split of
-    ``orth_decompose`` (``vectors._split``), bit for bit and with its checks.
+
+def _structured_head(x0: np.ndarray, *vs: np.ndarray, anchor: Optional[tuple[float, float]] = None,
+                     xbar_rows: bool = True) -> list[np.ndarray]:
+    """Unit directions +-xbar, then for each v of vs: +-v and +- the part of v orthogonal to xbar.
+
+    ``anchor`` is ``_anchor(x0)`` when the caller holds it, and
+    ``xbar_rows=False`` leaves out +-xbar: a verdict's plan builds the
+    rows of xbar and y, its z pass those of z.  The norms are ``norm``'s
+    and the orthogonal parts the split of ``orth_decompose``
+    (``vectors._split``), bit for bit and with its checks.
     """
-    x_len = _dense_norm(x0)
-    parts = [(x0, x_len)] if x_len else []
-    for v in (y0, z0):
+    x_sq, x_len = _anchor(x0) if anchor is None else anchor
+    parts = [(x0, x_len)] if x_len and xbar_rows else []
+    for v in vs:
         v_len = _dense_norm(v)
         if not v_len:
             continue
         parts.append((v, v_len))
         if x_len:
-            _, o, o_len = _split(x0, v)
+            _, o, o_len = _split(x0, v, anchor_sq=x_sq)
             if o_len > 1e-13 * v_len:
                 parts.append((o, o_len))
     units = [v / length for v, length in parts]
     return [w for u in units for w in (u, -u)]
 
 
-def _active_axes(xbar: SparseVector, y: SparseVector, z: SparseVector) -> list[int]:
+def _active_axes(xbar: SparseVector, y: SparseVector, z: SparseVector) -> tuple[int, ...]:
     """Coordinate axes worth probing: all supports plus one fresh index."""
     active = sorted(xbar.support | y.support | z.support)
     fresh = (active[-1] + 1) if active else 1
-    return active + [fresh]
+    return (*active, fresh)
 
 
-def _dense_over(v: SparseVector, axes: list[int]) -> np.ndarray:
+def _dense_over(v: SparseVector, axes) -> np.ndarray:
     values = v.to_mapping()
     return np.array([values.get(i, 0.0) for i in axes])
+
+
+def _point(axes: Optional[tuple[int, ...]], row: np.ndarray) -> Vector:
+    """A probe row as a vector of the query's kind: the row itself, or a SparseVector over the probed axes."""
+    return row if axes is None else SparseVector(zip(axes, row.tolist()))
 
 
 def _block_rows(m: int) -> int:
@@ -309,29 +347,67 @@ def _chunks(segments: list, rows: int):
         yield chunk
 
 
-def _axis_block(x0: np.ndarray, y0: np.ndarray, z0: np.ndarray, copies: int = 1) -> tuple[np.ndarray, ...]:
-    """The axis probes k = 0 .. 2m-1, ``copies`` times over, as the tuple (j, s, x0[j], y0[j], z0[j]).
+class _Scores(NamedTuple):
+    """The z-free scores of one chunk of row segments (see ``_scored_chunks``)."""
+
+    chunk: list          # its (radius index, slot, rows) segments
+    bounds: list         # (start, end) of each segment in the chunk
+    du: np.ndarray       # u - xbar, one row per probe
+    y_df: np.ndarray     # <y, f(u) - f(xbar)>
+    den: np.ndarray      # the quotient's denominator
+    stuck: int           # radius index of the first row with u == xbar, or the number of radii
+
+
+def _scored_chunks(segments: list, x0: np.ndarray, radii: tuple, terms: Callable, denominator: str):
+    """The z-free scores of row segments, one ``_Scores`` per chunk, with u = xbar + t*d (t per row).
+
+    A chunk with a row that rounds back to xbar is not passed to f: it
+    names the radius of its first such row, and its other scores are None.
+    """
+    for chunk in _chunks(segments, _block_rows(x0.size)):
+        sizes = [len(block) for _, _, block in chunk]
+        ends = list(accumulate(sizes))
+        bounds = list(zip([0] + ends, ends))
+        if len(chunk) == 1:
+            dirs, t = chunk[0][2], radii[chunk[0][0]]
+        else:
+            dirs = np.concatenate([block for _, _, block in chunk])
+            t = np.repeat([radii[k] for k, _, _ in chunk], sizes)[:, None]
+        u = x0 + t * dirs
+        du = u - x0
+        d_in = row_norms(du)
+        if not (d_in > 0.0).all():
+            first = int(np.argmin(d_in > 0.0))
+            yield _Scores(chunk, bounds, None, None, None,
+                          next(k for (k, _, _), (_, b) in zip(chunk, bounds) if first < b))
+            continue
+        y_df, df_norm = terms(u)
+        yield _Scores(chunk, bounds, du, y_df, _denominator(denominator, d_in, df_norm), len(radii))
+
+
+def _axis_block(x0: np.ndarray, *vs: np.ndarray, copies: int = 1) -> tuple[np.ndarray, ...]:
+    """The axis probes k = 0 .. 2m-1, ``copies`` times over, as the tuple (j, s, x0[j], *(v[j] for v in vs)).
 
     Probe k moves along axis j = k // 2 with sign s = +1 for even k and -1
     for odd k; copy c follows copy c - 1 (one copy per probe radius).
     """
     j = np.tile(np.repeat(np.arange(x0.size), 2), copies)
-    return j, np.tile((1.0, -1.0), x0.size * copies), x0[j], y0[j], z0[j]
+    return (j, np.tile((1.0, -1.0), x0.size * copies), x0[j], *(v[j] for v in vs))
 
 
 def _axis_probes(t, block: tuple[np.ndarray, ...]):
-    """Moved coordinates x0[j] + s*t of an axis block, with ||u - x0|| and <z0, u - x0>.
+    """Moved coordinates x0[j] + s*t of an axis block, with ||u - x0|| and the step du.
 
     t is the radius, or an array of one radius per probe.  Each probe
     differs from x0 + 0.0 only at j, so u - x0 is the single number
-    du = moved - x0[j]: the row norm is |du| and the inner product
+    du = moved - x0[j]: the row norm is |du| and the inner product with z0
     du*z0[j] + 0.0, bit for bit what the full rows give (a sum of zero
     products rounds to +0.0) wherever du*du does not underflow.
     """
-    _, s, xj, _, zj = block
+    _, s, xj = block[:3]
     moved = xj + s * t
     du = moved - xj
-    return moved, np.abs(du), du * zj + 0.0
+    return moved, np.abs(du), du
 
 
 def _axis_rows(x0: np.ndarray, j: np.ndarray, moved: np.ndarray) -> np.ndarray:
@@ -350,7 +426,7 @@ def _off_axis_norms(x0: np.ndarray) -> np.ndarray:
 
 
 def _axis_image_terms(a, b, block: tuple[np.ndarray, ...], frame: Callable[[], tuple]):
-    """<y0, df> and ||df|| for the images df = a*x0 + b*e_j of an axis block.
+    """<y0, df> and ||df|| for the images df = a*x0 + b*e_j of an axis block (j, s, x0[j], y0[j], ...).
 
     ``frame()`` gives (<y0, x0>, the off-axis norms of x0), read only when
     some a is nonzero.  With a = 0 the terms are b*y0[j] and |b|,
@@ -360,7 +436,7 @@ def _axis_image_terms(a, b, block: tuple[np.ndarray, ...], frame: Callable[[], t
     <z0, du> (never -0.0) absorbs in the quotient as long as <y0, x0> is
     finite; so the probes of several radii can share one block.
     """
-    j, _, xj, yj, _ = block
+    j, _, xj, yj = block[:4]
     if not np.any(a):
         return b * yj, np.abs(b)
     y_x, off = frame()
@@ -392,55 +468,48 @@ def _form(f: Callable[[Vector], Vector], kind: str) -> Optional[Callable]:
     return getattr(f, kind, None)
 
 
-def membership(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, z: Vector,
-               config: Optional[ProbeConfig] = None) -> OracleVerdict:
-    """Estimate whether z belongs to the coderivative of f at xbar for y."""
-    if config is None:
-        config = ProbeConfig()
-    if isinstance(xbar, SparseVector):
-        if not (isinstance(y, SparseVector) and isinstance(z, SparseVector)):
-            raise TypeError("dense and sparse vectors cannot be combined in one operation")
-        axes = _active_axes(xbar, y, z)
-        x0, y0, z0 = (_dense_over(v, axes) for v in (xbar, y, z))
+class _Plan(NamedTuple):
+    """The part of a verdict that does not depend on z (see ``_plan``)."""
 
-        def point(row: np.ndarray) -> Vector:
-            return SparseVector(zip(axes, row.tolist()))
-    else:
-        xbar, y, z = x0, y0, z0 = as_vector(xbar), as_vector(y), as_vector(z)
-        if not x0.shape == y0.shape == z0.shape:
-            raise ValueError(f"dimension mismatch: {x0.size}, {y0.size}, {z0.size}")
+    fx: Vector                     # f(xbar)
+    terms: Callable                # probe rows u -> (<y, f(u) - f(xbar)>, ||f(u) - f(xbar)||)
+    anchor: tuple[float, float]    # <x0, x0> and ||x0||
+    slots: int                     # per radius: head, z rows, axis probes, then the random blocks
+    chunks: Iterable[_Scores]      # the head and random rows: a tuple when kept, else streamed
+    axis: tuple                    # (j, s, du) of the axis probes of every radius
+    stuck: int                     # radius index of the first axis probe with u == xbar, or the number of radii
+    axis_scores: Callable[[], tuple]  # (<y, df>, denominator) of the axis probes, taken on first use
 
-        def point(row: np.ndarray) -> Vector:
-            return row
-    m = x0.size
-    radii, rows, per = config.radii, _block_rows(m), 2 * m
+
+def _plan(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, x0: np.ndarray, y0: np.ndarray,
+          axes: Optional[tuple[int, ...]], config: ProbeConfig, keep: bool) -> _Plan:
+    """The z-free part of a verdict on f at xbar for y.
+
+    A kept plan scores its rows here; any other streams them to the z pass
+    chunk by chunk, so at most one chunk of rows is in memory.
+    """
+    m, radii = x0.size, config.radii
     randoms = _random_blocks(config.seed, config.random_directions, m, len(radii))
-    # the probe plan, radius by radius: the structured head (slot 0), the
-    # axis probes (slot 1), then the radius's random blocks (slots 2, ...).
-    # The head and the random blocks are row segments (radius index, slot,
-    # rows); the axis probes of every radius form one block of scalars.
-    head = _structured_head(x0, y0, z0)
+    # the probe plan, radius by radius: the head rows of xbar and y
+    # (slot 0), those of z (slot 1, see _z_pass), the axis probes (slot 2),
+    # then the radius's random blocks (slots 3, ...).  The head and the
+    # random blocks are row segments (radius index, slot, rows); the axis
+    # probes of every radius form one block of scalars.
+    anchor = _anchor(x0)
+    head = _structured_head(x0, y0, anchor=anchor)
     head = [np.array(head)] if head else []
     segments = []
     for k, blocks in enumerate(randoms):
         segments += [(k, 0, block) for block in head]
-        segments += [(k, 2 + b, block) for b, block in enumerate(blocks) if len(block)]
-    axis = _axis_block(x0, y0, z0, len(radii))
-    moved, axis_in, axis_z = _axis_probes(np.repeat(radii, per), axis)
+        segments += [(k, 3 + b, block) for b, block in enumerate(blocks) if len(block)]
+    axis = _axis_block(x0, y0, copies=len(radii))
+    moved, axis_in, axis_du = _axis_probes(np.repeat(radii, 2 * m), axis)
     fx = f(xbar)
     f_rows, f_axes = _form(f, "rows"), _form(f, "axes")
     if f_rows is not None:
         fx0 = _dense_over(fx, axes) if isinstance(fx, SparseVector) else fx
-    if f_axes is not None:
-        sq_norm = float(_dot(x0, x0))  # inf if it overflows, which the ball's form declines
-    frame = cache(lambda: (float(_dot(y0, x0)), _off_axis_norms(x0)))
 
-    def unmoved(k: int):
-        raise ValueError(
-            f"u must differ from xbar: a probe at radius {radii[k]!r} rounds back to xbar at "
-            f"||xbar|| = {norm(xbar):.6g}; probe radii are absolute")
-
-    def row_terms(u):
+    def terms(u):
         """<y, df> and ||df|| of the images of the probe rows u.
 
         A row form maps all of u in one call; any other f is called once per row.
@@ -448,52 +517,92 @@ def membership(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, z: Vector
         if f_rows is not None:
             df = f_rows(u) - fx0
         elif isinstance(fx, SparseVector):
-            dfs = [f(point(row)) - fx for row in u]
+            dfs = [f(_point(axes, row)) - fx for row in u]
             return np.array([inner(y, d) for d in dfs]), np.array([norm(d) for d in dfs])
         else:
             df = np.array([f(row) for row in u]) - fx
         return _dot(df, y0), row_norms(df)
 
-    # a probe that rounds back to xbar is reported at the first radius
-    # where one does: the radius of the first such axis probe, if any, and
-    # below, that of the first such row of each chunk
-    stuck = None if np.all(axis_in > 0.0) else int(np.argmin(axis_in > 0.0)) // per
-    # per radius and slot, the first largest quotient: (value, rows or None for the axis, index)
-    wins = [[None] * (2 + len(blocks)) for blocks in randoms]
-    for chunk in _chunks(segments, rows):
-        sizes = [len(block) for _, _, block in chunk]
-        ends = list(accumulate(sizes))
-        bounds = list(zip([0] + ends, ends))
-        if len(chunk) == 1:
-            dirs, t = chunk[0][2], radii[chunk[0][0]]
+    @cache
+    def axis_scores():
+        images = f_axes(anchor[0], axis[2], moved) if f_axes is not None else None
+        if images is not None:
+            y_df, df_norm = _axis_image_terms(*images, axis, lambda: (float(_dot(y0, x0)), _off_axis_norms(x0)))
         else:
-            dirs = np.concatenate([block for _, _, block in chunk])
-            t = np.repeat([radii[k] for k, _, _ in chunk], sizes)[:, None]
-        u = x0 + t * dirs
-        du = u - x0
-        d_in = row_norms(du)
-        if not np.all(d_in > 0.0):
-            first = int(np.argmin(d_in > 0.0))
-            k = next(k for (k, _, _), (_, b) in zip(chunk, bounds) if first < b)
-            unmoved(k if stuck is None else min(k, stuck))
-        y_df, df_norm = row_terms(u)
-        q = (_dot(du, z0) - y_df) / _denominator(config.denominator, d_in, df_norm)
-        for (k, slot, block), (a, b) in zip(chunk, bounds):
-            i = int(np.argmax(q[a:b]))
-            wins[k][slot] = (float(q[a + i]), block, i)
-    if stuck is not None:
-        unmoved(stuck)
+            # f has no axis form, or it declined the block: the full rows, in row blocks of the random directions' size
+            rows = _block_rows(m)
+            tiles = (_axis_rows(x0, axis[0][i:i + rows], moved[i:i + rows]) for i in range(0, moved.size, rows))
+            y_df, df_norm = map(np.concatenate, zip(*(terms(u) for u in tiles)))
+        return y_df, _denominator(config.denominator, axis_in, df_norm)
 
-    images = f_axes(sq_norm, axis[2], moved) if f_axes is not None else None
-    if images is not None:
-        y_df, df_norm = _axis_image_terms(*images, axis, frame)
-    else:
-        # f has no axis form, or it declined the block: the full rows, in row blocks of the random directions' size
-        tiles = (_axis_rows(x0, axis[0][i:i + rows], moved[i:i + rows]) for i in range(0, moved.size, rows))
-        y_df, df_norm = map(np.concatenate, zip(*(row_terms(u) for u in tiles)))
-    q = ((axis_z - y_df) / _denominator(config.denominator, axis_in, df_norm)).reshape(len(radii), per)
-    for k, i in enumerate(np.argmax(q, axis=1).tolist()):
-        wins[k][1] = (float(q[k, i]), None, k * per + i)
+    chunks = _scored_chunks(segments, x0, radii, terms, config.denominator)
+    stuck = len(radii) if np.all(axis_in > 0.0) else int(np.argmin(axis_in > 0.0)) // (2 * m)
+    return _Plan(fx, terms, anchor, 3 + len(randoms[0]), tuple(chunks) if keep else chunks,
+                 (axis[0], axis[1], axis_du), stuck, axis_scores)
+
+
+def _plan_key(f: Callable[[Vector], Vector], x0: np.ndarray, y0: np.ndarray, axes: Optional[tuple[int, ...]],
+              config: ProbeConfig) -> Optional[tuple]:
+    """The key under which a verdict's plan is kept, or None when it is not kept.
+
+    A plan is kept when f has a row form (the sets of this package are
+    pure; a user callable may not be), when every row of the plan fits in
+    one chunk, so that a kept plan holds at most about 32k floats of
+    u - xbar, and when f and the config are hashable.
+    """
+    if _form(f, "rows") is None or len(config.radii) * (6 + config.random_directions) > _block_rows(x0.size):
+        return None
+    key = (f, x0.tobytes(), y0.tobytes(), axes, config)
+    try:
+        hash(key)
+    except TypeError:  # e.g. radii given as a list
+        return None
+    return key
+
+
+# the 16 most recently used plans of _plan_key, at most about 32k floats of u - xbar each
+@lru_cache(maxsize=16)
+def _kept_plan(f: Callable[[Vector], Vector], x_bytes: bytes, y_bytes: bytes, axes: Optional[tuple[int, ...]],
+               config: ProbeConfig) -> _Plan:
+    """The plan of ``_plan_key``, built on read-only copies of x0 and y0 that no caller can reach."""
+    x0, y0 = np.frombuffer(x_bytes), np.frombuffer(y_bytes)
+    return _plan(f, _point(axes, x0), _point(axes, y0), x0, y0, axes, config, keep=True)
+
+
+def _z_pass(plan: _Plan, f: Callable[[Vector], Vector], xbar: Vector, y: Vector, z: Vector, x0: np.ndarray,
+            z0: np.ndarray, axes: Optional[tuple[int, ...]], config: ProbeConfig) -> OracleVerdict:
+    """The verdict on z from its plan: the +-z and +-orth(z) rows, <z, u - xbar>, the argmaxes and the witness."""
+    radii, per = config.radii, 2 * x0.size
+    # the rows of z follow the head rows of the plan at every radius, so the
+    # first largest quotient in probe order is that of the whole head
+    z_rows = _structured_head(x0, z0, anchor=plan.anchor, xbar_rows=False)
+    z_rows = [np.array(z_rows)] if z_rows else []
+    z_segments = [(k, 1, block) for k in range(len(radii)) for block in z_rows]
+    z_scores = list(_scored_chunks(z_segments, x0, radii, plan.terms, config.denominator))
+    # a probe that rounds back to xbar is reported at the first radius
+    # where one does; a streamed plan is read up to its first such chunk
+    stuck = min([plan.stuck] + [scores.stuck for scores in z_scores])
+    # per radius and slot, the first largest quotient: (value, rows or None for the axis, index)
+    wins = [[None] * plan.slots for _ in radii]
+    for scores in chain(plan.chunks, z_scores):
+        if scores.stuck < len(radii):
+            stuck = min(stuck, scores.stuck)
+            break
+        if stuck == len(radii):
+            q = (_dot(scores.du, z0) - scores.y_df) / scores.den
+            for (k, slot, block), (a, b) in zip(scores.chunk, scores.bounds):
+                i = int(q[a:b].argmax())
+                wins[k][slot] = (float(q[a + i]), block, i)
+    if stuck < len(radii):
+        raise ValueError(
+            f"u must differ from xbar: a probe at radius {radii[stuck]!r} rounds back to xbar at "
+            f"||xbar|| = {norm(xbar):.6g}; probe radii are absolute")
+
+    axis_j, axis_s, axis_du = plan.axis
+    y_df, den = plan.axis_scores()
+    q = (((axis_du * z0[axis_j] + 0.0) - y_df) / den).reshape(len(radii), per)
+    for k, i in enumerate(q.argmax(axis=1).tolist()):
+        wins[k][2] = (float(q[k, i]), None, k * per + i)
 
     estimates: list[tuple[float, float]] = []
     for t, found in zip(radii, wins):
@@ -504,16 +613,17 @@ def membership(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, z: Vector
         estimates.append((t, sup))
     _, block, i = best
     if block is None:
-        unit = np.zeros(m)
-        unit[axis[0][i]] = axis[1][i]
+        unit = np.zeros(x0.size)
+        unit[axis_j[i]] = axis_s[i]
     else:
         unit = block[i].copy()
 
     # the winner at the smallest radius is scored again through the scalar
-    # quotient, so the witness re-evaluates to exactly the stored value
-    direction = point(unit)
-    t = config.radii[-1]
-    estimates[-1] = (t, quotient(f, xbar, y, z, xbar + t * direction, config.denominator))
+    # quotient, with the plan's f(xbar), so the witness re-evaluates to
+    # exactly the stored value
+    direction = _point(axes, unit)
+    t = radii[-1]
+    estimates[-1] = (t, _quotient(f, plan.fx, xbar, y, z, xbar + t * direction, config.denominator))
     sups = [s for _, s in estimates]
     tol = config.tolerance
     witness = None
@@ -532,6 +642,26 @@ def membership(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, z: Vector
         witness=witness,
         tolerance=tol,
     )
+
+
+def membership(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, z: Vector,
+               config: Optional[ProbeConfig] = None) -> OracleVerdict:
+    """Estimate whether z belongs to the coderivative of f at xbar for y."""
+    if config is None:
+        config = ProbeConfig()
+    if isinstance(xbar, SparseVector):
+        if not (isinstance(y, SparseVector) and isinstance(z, SparseVector)):
+            raise TypeError("dense and sparse vectors cannot be combined in one operation")
+        axes = _active_axes(xbar, y, z)
+        x0, y0, z0 = (_dense_over(v, axes) for v in (xbar, y, z))
+    else:
+        xbar, y, z = x0, y0, z0 = as_vector(xbar), as_vector(y), as_vector(z)
+        if not x0.shape == y0.shape == z0.shape:
+            raise ValueError(f"dimension mismatch: {x0.size}, {y0.size}, {z0.size}")
+        axes = None
+    key = _plan_key(f, x0, y0, axes, config)
+    plan = _kept_plan(*key) if key else _plan(f, xbar, y, x0, y0, axes, config, keep=False)
+    return _z_pass(plan, f, xbar, y, z, x0, z0, axes, config)
 
 
 def directional_quotient(f: Callable[[Vector], Vector], xbar: Vector, w: Vector, t: float) -> Vector:

@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Union
 
 import numpy as np
 
@@ -237,9 +238,9 @@ def _rescaled_norm(x: np.ndarray) -> float:
     return s * math.sqrt(float(_dot(x / s, x / s))) if s > 0.0 else 0.0
 
 
-def _dense_norm(x: np.ndarray) -> float:
-    """``norm`` of a finite 1-D array, not validated again."""
-    length = math.sqrt(float(_dot(x, x)))
+def _dense_norm(x: np.ndarray, sq: float | None = None) -> float:
+    """``norm`` of a finite 1-D array, not validated again; ``sq`` is ``float(_dot(x, x))`` when the caller has it."""
+    length = math.sqrt(float(_dot(x, x)) if sq is None else sq)
     if _TINY_NORM <= length < math.inf or not x.any():
         return length
     return _rescaled_norm(x)
@@ -312,13 +313,17 @@ class OrthDecomp:
         return self.a * self.anchor + self.o
 
 
-def _split(anchor: np.ndarray, x: np.ndarray, orth_rtol: float = 1e-12) -> tuple[float, np.ndarray, float]:
+def _split(anchor: np.ndarray, x: np.ndarray, orth_rtol: float = 1e-12,
+           anchor_sq: float | None = None) -> tuple[float, np.ndarray, float]:
     """(a, o, ||o||) of x = a * anchor + o for finite 1-D arrays, with the checks of ``orth_decompose``.
 
+    ``anchor_sq`` is ``float(_dot(anchor, anchor))`` when the caller has it.
     When ||anchor||^2 under- or overflows, x is split against
     anchor / max|anchor| instead and ``a`` is converted back to the anchor.
     """
-    anchor_sq, scale = float(_dot(anchor, anchor)), 1.0
+    if anchor_sq is None:
+        anchor_sq = float(_dot(anchor, anchor))
+    scale = 1.0
     if not _TINY_NORM**2 <= anchor_sq < math.inf:
         scale = float(np.max(np.abs(anchor), initial=0.0))
         if scale == 0.0:
@@ -328,7 +333,7 @@ def _split(anchor: np.ndarray, x: np.ndarray, orth_rtol: float = 1e-12) -> tuple
     a = float(_dot(x, anchor)) / anchor_sq
     with np.errstate(over="ignore", invalid="ignore"):  # an o that is not finite raises here
         o = as_vector(x - a * anchor)
-    residual, o_len, a_len = abs(float(_dot(o, anchor))), _dense_norm(o), _dense_norm(anchor)
+    residual, o_len, a_len = abs(float(_dot(o, anchor))), _dense_norm(o), _dense_norm(anchor, anchor_sq)
     if residual > orth_rtol * max(o_len * a_len, 1e-300) and residual > orth_rtol * max(1.0, _dense_norm(x) * a_len):
         raise ArithmeticError("orthogonality residual exceeds tolerance; anchor is ill-conditioned")
     return a / scale, o, o_len

@@ -428,12 +428,16 @@ class TestGolden:
         assert json.loads(out.stdout) == GOLDEN
 
     def test_cold_and_warm_cache_agree(self):
+        # a warm verdict reuses its kept plan (n <= 41), or else the cached directions
         for label, f, xbar, y, z in _golden_queries()[::3]:
             oracle._random_blocks.cache_clear()
+            oracle._kept_plan.cache_clear()
             cold = _golden_digest(f, xbar, y, z, "sum")
             assert oracle._random_blocks.cache_info().misses == 1
             assert _golden_digest(f, xbar, y, z, "sum") == cold, label
-            assert oracle._random_blocks.cache_info().hits == 1
+            kept = oracle._kept_plan.cache_info().hits
+            assert kept == (xbar.size <= 41), label
+            assert oracle._random_blocks.cache_info().hits == 1 - kept, label
 
     def test_cached_directions_reject_writes(self):
         plan = oracle._random_blocks(5, 256, 500, 3)
@@ -460,9 +464,13 @@ class TestGolden:
         for seed in ([5, 1], np.random.default_rng(5), True):
             with pytest.raises(TypeError, match="seed must be an integer"):
                 ProbeConfig(seed=seed)
-        # a numpy integer keys the cache as the equal int does
+        # a numpy integer keys the plan cache, and the direction cache, as the equal int does
         args = (BallProjection(1.0).project, np.array([1.0, 0.0]), np.zeros(2), np.array([1.3, 0.0]))
         plain = membership(*args, ProbeConfig(seed=5, random_directions=8))
+        hits = oracle._kept_plan.cache_info().hits
+        assert membership(*args, ProbeConfig(seed=np.int64(5), random_directions=8)).to_json() == plain.to_json()
+        assert oracle._kept_plan.cache_info().hits == hits + 1
+        oracle._kept_plan.cache_clear()
         hits = oracle._random_blocks.cache_info().hits
         assert membership(*args, ProbeConfig(seed=np.int64(5), random_directions=8)).to_json() == plain.to_json()
         assert oracle._random_blocks.cache_info().hits == hits + 1
@@ -643,28 +651,36 @@ def _verdict_json(f, xbar, y, z, config=None):
 class TestPackedPlan:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_small_verdict_calls_each_form_once(self, n):
-        # interior, exterior and the origin: the row segments of all three
-        # radii go through one row-form call, their axis probes through one
-        # axis-form call
+        # interior, exterior and the origin: the plan's row segments of all
+        # three radii go through one row-form call, the rows of z of all
+        # three radii through one more, and the axis probes through one
+        # axis-form call; a verdict on the kept plan makes only the z call
         rng = np.random.default_rng(n)
         u = rng.standard_normal(n)
         u /= np.linalg.norm(u)
         for xbar in (0.5 * u, 2.0 * u, np.zeros(n)):
             op = _CountingBall(1.0)
-            membership(op.project, xbar, rng.standard_normal(n), rng.standard_normal(n))
-            assert sorted(kind for kind, _ in op.calls) == ["axes", "rows"]
-            assert dict(op.calls)["axes"] == 3 * 2 * n
+            y, z, z_next = rng.standard_normal((3, n))
+            membership(op.project, xbar, y, z)
+            # +-xbar and +-orth(y) (none at the origin), +-y; then +-z, +-orth(z)
+            head, z_rows = (6, 4) if xbar.any() else (2, 2)
+            assert op.calls == [("rows", 3 * (head + 256)), ("rows", 3 * z_rows), ("axes", 3 * 2 * n)]
+            op.calls.clear()
+            membership(op.project, xbar, y, z_next)
+            assert op.calls == [("rows", 3 * z_rows)]
 
     def test_wide_verdict_keeps_the_row_budget(self):
-        # at n = 500 every chunk is one segment: the head, then the random
-        # blocks of 65, 65, 65 and 61 rows, radius by radius
+        # at n = 500 the plan is streamed and every chunk is one segment:
+        # the head rows of xbar and y, then the random blocks of 65, 65, 65
+        # and 61 rows, radius by radius; the rows of z of all three radii
+        # (+-z, +-orth(z)) are scored first, in one call
         rng = np.random.default_rng(500)
         x, y, z = rng.standard_normal((3, 500))
         op = _CountingBall(1.0)
         membership(op.project, x, y, z)
         rows = [count for kind, count in op.calls if kind == "rows"]
         assert max(rows) <= oracle._block_rows(500)
-        assert rows == [10, 65, 65, 65, 61] * 3
+        assert rows == [12] + [6, 65, 65, 65, 61] * 3
         assert [kind for kind, _ in op.calls].count("axes") == 1
 
     @pytest.mark.parametrize("n", [2, 6, 500])
@@ -698,6 +714,105 @@ class TestPackedPlan:
         packed = [_verdict_json(*case) for case in cases]
         monkeypatch.setattr(oracle, "_chunks", lambda segments, rows: ([s] for s in segments))
         assert [_verdict_json(*case) for case in cases] == packed
+
+
+class TestPlanCache:
+    @pytest.mark.parametrize("denominator", ["sum", "euclidean"])
+    def test_hit_gives_the_bytes_of_a_cold_verdict(self, denominator):
+        # every z of an order-interval grid shares one (xbar, y): the first
+        # verdict of a grid builds the plan, every other one reuses it
+        rng = np.random.default_rng(707)
+        config = ProbeConfig(random_directions=32, seed=7, denominator=denominator)
+        for variant in (0, 1):
+            xbar, _, y, grid = suites.order_interval_grid(rng, 2, 2, variant=variant)
+            oracle._kept_plan.cache_clear()
+            warm = [_verdict_json(l2_cone.project, xbar, y, z, config) for z in grid]
+            assert oracle._kept_plan.cache_info().hits == len(grid) - 1
+            cold = []
+            for z in grid:
+                oracle._kept_plan.cache_clear()
+                cold.append(_verdict_json(l2_cone.project, xbar, y, z, config))
+            assert warm == cold
+
+    def test_caller_mutation_reaches_no_kept_plan(self):
+        ball = BallProjection(1.0)
+        x, y, z = np.array([1.5, -0.5, 0.25]), np.array([0.3, 0.4, -0.2]), np.array([0.1, 0.2, 0.3])
+        oracle._kept_plan.cache_clear()
+        first = _verdict_json(ball.project, x, y, z)
+        x[0], y[1] = 0.5, -3.0
+        again = _verdict_json(ball.project, np.array([1.5, -0.5, 0.25]), np.array([0.3, 0.4, -0.2]), z)
+        assert oracle._kept_plan.cache_info().hits == 1
+        assert again == first
+        # the mutated arrays key a plan of their own
+        mutated = _verdict_json(ball.project, x, y, z)
+        oracle._kept_plan.cache_clear()
+        assert mutated == _verdict_json(ball.project, x, y, z) != first
+
+    def test_signed_zeros_key_apart(self):
+        # -0.0 and 0.0 compare equal but have other bytes and other verdicts
+        y, z = np.array([1.0, -0.5]), np.array([0.5, 0.0])
+        oracle._kept_plan.cache_clear()
+        warm = [_verdict_json(orthant.project, np.array([zero, 1.0]), y, z) for zero in (-0.0, 0.0)]
+        info = oracle._kept_plan.cache_info()
+        assert (info.hits, info.currsize) == (0, 2)
+        assert warm[0] != warm[1]
+        for zero, want in zip((-0.0, 0.0), warm):
+            oracle._kept_plan.cache_clear()
+            assert _verdict_json(orthant.project, np.array([zero, 1.0]), y, z) == want
+
+    def test_formless_f_and_unhashable_config_are_never_kept(self):
+        # radii given as a list are valid but unhashable
+        ball = BallProjection(1.0)
+        args = (np.array([1.5, 0.0]), np.ones(2), np.ones(2))
+        oracle._kept_plan.cache_clear()
+        for f, config in ((lambda u: ball.project(u), None), (ball.project, ProbeConfig(radii=[1e-2, 1e-3]))):
+            first = _verdict_json(f, *args, config)
+            assert _verdict_json(f, *args, config) == first
+        assert first == _verdict_json(ball.project, *args, ProbeConfig(radii=(1e-2, 1e-3)))
+        assert oracle._kept_plan.cache_info().misses == 1
+
+    def test_kept_plans_are_small_and_at_most_16(self):
+        # at the default config a plan is kept up to m = 41, where all its
+        # rows fit in one chunk; the n = 500 plan streams
+        ball = BallProjection(1.0)
+        assert oracle._plan_key(ball.project, np.ones(41), np.ones(41), None, ProbeConfig()) is not None
+        assert oracle._plan_key(ball.project, np.ones(42), np.ones(42), None, ProbeConfig()) is None
+        rng = np.random.default_rng(16)
+        x, y, z = rng.standard_normal((3, 500))
+        oracle._kept_plan.cache_clear()
+        membership(ball.project, x, y, z)
+        assert oracle._kept_plan.cache_info().misses == 0
+        for k in range(20):
+            membership(ball.project, x[:3] + k, y[:3], z[:3], ProbeConfig(random_directions=8))
+        info = oracle._kept_plan.cache_info()
+        assert (info.misses, info.currsize) == (20, 16)
+
+    def test_rounds_back_at_the_same_radius_on_a_hit(self):
+        # every probe rounds back at 1e-5; at 0.086 only the rows of z = (1, 1)
+        # do (half the spacing of doubles near 1e15 is 0.0625)
+        config = ProbeConfig(radii=(1.0, 0.086, 1e-5), random_directions=0)
+        x, y = np.array([1e15, 1.1e15]), np.zeros(2)
+        oracle._kept_plan.cache_clear()
+        for z, radius in (([1.0, 1.0], r"0\.086"), ([0.0, 0.0], r"1e-05"), ([1.0, 1.0], r"0\.086")):
+            with pytest.raises(ValueError, match=rf"a probe at radius {radius} rounds back"):
+                membership(orthant.project, x, y, np.array(z), config)
+        assert oracle._kept_plan.cache_info().hits == 2
+
+    def test_per_segment_scoring_of_built_plans(self, monkeypatch):
+        # test_packing_changes_no_bit with every plan built anew, so that
+        # kept plans take the per-segment chunks too
+        rng = np.random.default_rng(8)
+        cases = [(f, x, *rng.standard_normal((2, x.size)))
+                 for f in (BallProjection(1.0).project, orthant.project)
+                 for x in (rng.uniform(-1.0, 1.0, 6), 3.0 * rng.standard_normal(2))]
+
+        def cold(case):
+            oracle._kept_plan.cache_clear()
+            return _verdict_json(*case, ProbeConfig(random_directions=5, denominator="euclidean"))
+
+        packed = [cold(case) for case in cases]
+        monkeypatch.setattr(oracle, "_chunks", lambda segments, rows: ([s] for s in segments))
+        assert [cold(case) for case in cases] == packed
 
 
 def _plain_norm(x: np.ndarray) -> float:
@@ -798,7 +913,9 @@ class TestStructuredHead:
 
     def test_verdicts_reach_no_generic_helper_from_the_head(self, monkeypatch):
         # the head runs on its scalars: neither norm, orth_decompose nor
-        # is_zero is called while it runs, in a ball and an l2-cone verdict
+        # is_zero is called while it runs, in a ball and an l2-cone verdict.
+        # It builds both parts of the head: the rows of xbar and y in the
+        # plan, those of z in the z pass, which alone runs on a kept plan
         calls, inside, heads, head = [], [], [], oracle._structured_head
 
         def counting(name, fn):
@@ -807,11 +924,11 @@ class TestStructuredHead:
                 return fn(*args, **kwargs)
             return wrapper
 
-        def watched_head(*args):
+        def watched_head(*args, **kwargs):
             heads.append(args)
             inside.append(True)
             try:
-                return head(*args)
+                return head(*args, **kwargs)
             finally:
                 inside.pop()
 
@@ -820,12 +937,16 @@ class TestStructuredHead:
             monkeypatch.setattr(vectors, name, counting(name, fn))
             monkeypatch.setattr(oracle, name, counting(name, fn), raising=False)
         monkeypatch.setattr(oracle, "_structured_head", watched_head)
+        oracle._kept_plan.cache_clear()
         rng = np.random.default_rng(6)
         x, y, z = rng.standard_normal((3, 6))
-        membership(BallProjection(1.0).project, 2.0 * x / np.linalg.norm(x), y, z)
+        ball = BallProjection(1.0)
+        membership(ball.project, 2.0 * x / np.linalg.norm(x), y, z)
         membership(l2_cone.project, SparseVector({1: 1.0, 3: 0.5}), SparseVector({1: 0.4, 2: 0.7}),
                    SparseVector({1: 0.4, 2: 0.3}))
-        assert len(heads) == 2
+        assert len(heads) == 4
+        membership(ball.project, 2.0 * x / np.linalg.norm(x), y, -z)
+        assert len(heads) == 5
         assert ("norm", False) in calls  # the counters are live: the witness re-score uses norm
         assert [c for c in calls if c[1]] == []
 
