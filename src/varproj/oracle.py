@@ -45,9 +45,11 @@ probed axes (all supports plus one fresh index).
 
 The 16 most recently used plans are kept, keyed by f, the bytes of
 xbar and y over the probed axes, the axes and the config, when f has a
-row form (the sets of this package are pure; a user callable may not
-be) and all of a plan's rows fit in one chunk (m <= 41 at the default
-config).  A kept plan holds private read-only copies of xbar and y, so
+row form and all of a plan's rows fit in one chunk (m <= 41 at the
+default config).  A row form thus marks f as a pure function of its
+argument, as the sets of this package are: an object whose ``project``
+has a ``project_rows`` but whose result changes with its state must not
+be reused for equal (xbar, y, config) after that state changes.  A kept plan holds private read-only copies of xbar and y, so
 a caller that later changes its arrays cannot reach it, and -0.0 and
 0.0 key apart.  Any other plan streams its chunks to the z pass one by
 one and is dropped with the verdict.
@@ -459,6 +461,11 @@ def _form(f: Callable[[Vector], Vector], kind: str) -> Optional[Callable]:
 
     For a sparse f the coordinates are those on the probed axes, which is
     valid only when f acts coordinate by coordinate and maps 0 to 0.
+
+    An f with a row form must be a pure function of its argument: its
+    z-free plan may be kept (see ``_kept_plan``) and reused by a later
+    verdict on equal (f, xbar, y, config), and a kept plan holds f, and
+    so its object, until the plan is dropped.
     """
     owner = getattr(f, "__self__", None)
     if owner is not None and getattr(f, "__name__", None) == "project":

@@ -711,9 +711,15 @@ class TestPackedPlan:
         # a sparse f with no row form, scored row by row through inner and norm
         sparse = [SparseVector({i + 1: v for i, v in enumerate(w) if v > -0.5}) for w in rng.standard_normal((3, n))]
         cases += [(_shift, *sparse, config) for config in configs]
-        packed = [_verdict_json(*case) for case in cases]
+
+        def built_anew(case):
+            # a kept plan would carry the packed run's chunks into the other
+            oracle._kept_plan.cache_clear()
+            return _verdict_json(*case)
+
+        packed = [built_anew(case) for case in cases]
         monkeypatch.setattr(oracle, "_chunks", lambda segments, rows: ([s] for s in segments))
-        assert [_verdict_json(*case) for case in cases] == packed
+        assert [built_anew(case) for case in cases] == packed
 
 
 class TestPlanCache:
@@ -737,7 +743,6 @@ class TestPlanCache:
     def test_caller_mutation_reaches_no_kept_plan(self):
         ball = BallProjection(1.0)
         x, y, z = np.array([1.5, -0.5, 0.25]), np.array([0.3, 0.4, -0.2]), np.array([0.1, 0.2, 0.3])
-        oracle._kept_plan.cache_clear()
         first = _verdict_json(ball.project, x, y, z)
         x[0], y[1] = 0.5, -3.0
         again = _verdict_json(ball.project, np.array([1.5, -0.5, 0.25]), np.array([0.3, 0.4, -0.2]), z)
@@ -751,7 +756,6 @@ class TestPlanCache:
     def test_signed_zeros_key_apart(self):
         # -0.0 and 0.0 compare equal but have other bytes and other verdicts
         y, z = np.array([1.0, -0.5]), np.array([0.5, 0.0])
-        oracle._kept_plan.cache_clear()
         warm = [_verdict_json(orthant.project, np.array([zero, 1.0]), y, z) for zero in (-0.0, 0.0)]
         info = oracle._kept_plan.cache_info()
         assert (info.hits, info.currsize) == (0, 2)
@@ -764,7 +768,6 @@ class TestPlanCache:
         # radii given as a list are valid but unhashable
         ball = BallProjection(1.0)
         args = (np.array([1.5, 0.0]), np.ones(2), np.ones(2))
-        oracle._kept_plan.cache_clear()
         for f, config in ((lambda u: ball.project(u), None), (ball.project, ProbeConfig(radii=[1e-2, 1e-3]))):
             first = _verdict_json(f, *args, config)
             assert _verdict_json(f, *args, config) == first
@@ -779,7 +782,6 @@ class TestPlanCache:
         assert oracle._plan_key(ball.project, np.ones(42), np.ones(42), None, ProbeConfig()) is None
         rng = np.random.default_rng(16)
         x, y, z = rng.standard_normal((3, 500))
-        oracle._kept_plan.cache_clear()
         membership(ball.project, x, y, z)
         assert oracle._kept_plan.cache_info().misses == 0
         for k in range(20):
@@ -792,27 +794,10 @@ class TestPlanCache:
         # do (half the spacing of doubles near 1e15 is 0.0625)
         config = ProbeConfig(radii=(1.0, 0.086, 1e-5), random_directions=0)
         x, y = np.array([1e15, 1.1e15]), np.zeros(2)
-        oracle._kept_plan.cache_clear()
         for z, radius in (([1.0, 1.0], r"0\.086"), ([0.0, 0.0], r"1e-05"), ([1.0, 1.0], r"0\.086")):
             with pytest.raises(ValueError, match=rf"a probe at radius {radius} rounds back"):
                 membership(orthant.project, x, y, np.array(z), config)
         assert oracle._kept_plan.cache_info().hits == 2
-
-    def test_per_segment_scoring_of_built_plans(self, monkeypatch):
-        # test_packing_changes_no_bit with every plan built anew, so that
-        # kept plans take the per-segment chunks too
-        rng = np.random.default_rng(8)
-        cases = [(f, x, *rng.standard_normal((2, x.size)))
-                 for f in (BallProjection(1.0).project, orthant.project)
-                 for x in (rng.uniform(-1.0, 1.0, 6), 3.0 * rng.standard_normal(2))]
-
-        def cold(case):
-            oracle._kept_plan.cache_clear()
-            return _verdict_json(*case, ProbeConfig(random_directions=5, denominator="euclidean"))
-
-        packed = [cold(case) for case in cases]
-        monkeypatch.setattr(oracle, "_chunks", lambda segments, rows: ([s] for s in segments))
-        assert [cold(case) for case in cases] == packed
 
 
 def _plain_norm(x: np.ndarray) -> float:
@@ -937,7 +922,6 @@ class TestStructuredHead:
             monkeypatch.setattr(vectors, name, counting(name, fn))
             monkeypatch.setattr(oracle, name, counting(name, fn), raising=False)
         monkeypatch.setattr(oracle, "_structured_head", watched_head)
-        oracle._kept_plan.cache_clear()
         rng = np.random.default_rng(6)
         x, y, z = rng.standard_normal((3, 6))
         ball = BallProjection(1.0)
