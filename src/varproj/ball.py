@@ -89,40 +89,29 @@ class DirectionClass(Enum):
 
 @dataclass(frozen=True)
 class SpherePartial(DerivativeSet):
-    """Partial coderivative rules at a sphere point x with ||y|| > 0, y != x.
+    """Partial coderivative rules at a sphere point x for a query y other than 0 and x.
 
-    The only settled membership query is contains(0):
+    The one settled membership query is contains(0):
 
         0 is a member  <=>  y = a x  with  <y, x> <= 0,
 
-    i.e. y must be radial with a nonpositive coefficient.  Every other
-    query is undetermined by the closed form and answers None.  A query
-    of another dimension, or a SparseVector, raises as for ``SingletonSet``.
+    i.e. y must be radial with a nonpositive coefficient.  The descriptor
+    keeps only that answer, ``contains_zero``, and ``dim``; every other
+    query answers None.  A query of another dimension than ``dim``, or a
+    SparseVector, raises as for ``SingletonSet``.
     """
 
-    anchor: tuple[float, ...]
-    target: tuple[float, ...]
+    dim: int
+    contains_zero: bool
     rule = "ball-sphere"
 
-    def _contains_zero(self) -> bool:
-        x = np.array(self.anchor)
-        y = np.array(self.target)
-        split = orth_decompose(x, y)
-        if norm(split.o) > RADIAL_RTOL * norm(y):
-            return False
-        return inner(y, x) <= 0.0
-
     def contains(self, z) -> Optional[bool]:
-        if not as_vector_of(z, len(self.anchor)).any():
-            return self._contains_zero()
+        if not as_vector_of(z, self.dim).any():
+            return self.contains_zero
         return None
 
     def to_json(self) -> dict:
-        return {
-            "variant": "partial",
-            "rule": self.rule,
-            "known": {"contains_zero": self._contains_zero()},
-        }
+        return {"variant": "partial", "rule": self.rule, "known": {"contains_zero": self.contains_zero}}
 
 
 @dataclass(frozen=True)
@@ -217,8 +206,9 @@ class BallProjection:
         """Classify a nonzero direction at a sphere point.
 
         Radial detection is numerical (orthogonal part below RADIAL_RTOL of
-        ||w|| with positive coefficient); otherwise the sign of <xbar, w>
-        decides, with ties (tangent directions) classified OUTWARD because
+        ||w|| with positive coefficient); otherwise the sign of <xbar / r, w>
+        decides (it keeps its sign at radii where <xbar, w> under- or
+        overflows), with ties (tangent directions) classified OUTWARD because
         ||xbar + t w||^2 = r^2 + t^2 ||w||^2 >= r^2.
         """
         xbar = as_vector(xbar)
@@ -230,7 +220,7 @@ class BallProjection:
         split = orth_decompose(xbar, w)
         if norm(split.o) <= RADIAL_RTOL * norm(w) and split.a > 0.0:
             return DirectionClass.RADIAL
-        return DirectionClass.OUTWARD if inner(xbar, w) >= 0.0 else DirectionClass.INWARD
+        return DirectionClass.OUTWARD if inner(xbar / self.radius, w) >= 0.0 else DirectionClass.INWARD
 
     def gateaux(self, xbar, w) -> np.ndarray:
         """One-sided directional derivative lim_{t->0+} (P(x+tw) - P(x))/t."""
@@ -245,7 +235,8 @@ class BallProjection:
         if kind is DirectionClass.RADIAL:
             return np.zeros_like(w)
         if kind is DirectionClass.OUTWARD:
-            return w - (inner(xbar, w) / self.radius**2) * xbar
+            unit = xbar / self.radius
+            return w - inner(unit, w) * unit
         return w.copy()
 
     def frechet(self, xbar) -> Optional[LinearMap]:
@@ -272,11 +263,12 @@ class BallProjection:
         y = as_vector(y)
         if xbar.shape != y.shape:
             raise ValueError("xbar and y must have the same dimension")
-        region = self.region(xbar)
-        if region is not BallRegion.SPHERE:
-            return SingletonSet(self.frechet(xbar)(y))
+        derivative = self.frechet(xbar)
+        if derivative is not None:
+            return SingletonSet(derivative(y))
         if is_zero(y):
             return SingletonSet(np.zeros_like(y))
         if approx_equal(y, xbar, rel=SELF_QUERY_RTOL):
             return EmptySet(xbar.shape[0])
-        return SpherePartial(anchor=tuple(map(float, xbar)), target=tuple(map(float, y)))
+        radial = norm(orth_decompose(xbar, y).o) <= RADIAL_RTOL * norm(y)
+        return SpherePartial(xbar.shape[0], radial and inner(y, xbar) <= 0.0)

@@ -101,7 +101,8 @@ class LinearMap:
 @dataclass(frozen=True)
 class IdentityMap(LinearMap):
     def __call__(self, v: Vector) -> Vector:
-        return v
+        # a copy, so a singleton built from the image never shares the caller's array
+        return v.copy() if isinstance(v, np.ndarray) else v
 
     def to_json(self) -> dict:
         return {"kind": "identity"}
@@ -118,16 +119,16 @@ class ZeroMap(LinearMap):
         return {"kind": "zero"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScaledComplementMap(LinearMap):
-    """v  |->  scale * (v - <v, axis> axis) for a unit vector ``axis``.
+    """v  |->  scale * (v - <v, axis> axis) for a unit vector ``axis``, a read-only array.
 
     This is the derivative of the ball projection at an exterior point:
     scale = r/||x|| and axis = x/||x||.
     """
 
     scale: float
-    axis: tuple[float, ...]
+    axis: np.ndarray
 
     @classmethod
     def from_point(cls, scale: float, axis_vector: np.ndarray) -> "ScaledComplementMap":
@@ -135,17 +136,18 @@ class ScaledComplementMap(LinearMap):
         length = norm(axis)
         if length == 0.0:
             raise ValueError("axis must be nonzero")
-        return cls(scale=float(scale), axis=tuple(float(x) for x in axis / length))
+        unit = axis / length
+        unit.flags.writeable = False
+        return cls(scale=float(scale), axis=unit)
 
     def __call__(self, v: Vector) -> Vector:
         v = as_vector(v)
-        axis = np.array(self.axis)
-        if v.shape != axis.shape:
+        if v.shape != self.axis.shape:
             raise ValueError("dimension mismatch with map axis")
-        return self.scale * (v - _dot(v, axis) * axis)
+        return self.scale * (v - _dot(v, self.axis) * self.axis)
 
     def to_json(self) -> dict:
-        return {"kind": "scaled_complement", "scale": self.scale, "axis": list(self.axis)}
+        return {"kind": "scaled_complement", "scale": self.scale, "axis": self.axis.tolist()}
 
 
 @dataclass(frozen=True)

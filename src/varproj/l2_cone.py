@@ -45,6 +45,9 @@ __all__ = [
 class _Support(frozenset):
     """A support set that ``as_support`` has validated, so it is not checked again."""
 
+    def __repr__(self) -> str:
+        return repr(frozenset(self))
+
 
 def as_support(M: Iterable[int]) -> frozenset[int]:
     """Validate a support set: a nonempty finite set of 1-based indices."""

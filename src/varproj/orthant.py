@@ -35,7 +35,7 @@ from .descriptors import (
     SingletonSet,
     ZeroMap,
 )
-from .vectors import as_rows, as_vector, as_vector_of, inner, is_zero, norm
+from .vectors import _dense_norm, _dot, as_rows, as_vector, as_vector_of, is_zero, norm
 
 __all__ = [
     "OrthantRegion",
@@ -121,48 +121,43 @@ def frechet(x) -> Optional[LinearMap]:
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CornerPartial(DerivativeSet):
-    """Partial coderivative rules at a point with zero coordinates.
+    """Partial coderivative rules at a point x with zero coordinates.
 
     Context: base point x (with at least one zero) and query vector y,
     after the special cases y = 0 and y = x have been handled.  The one
     proven family of answers: if y has a negative entry on some zero
     coordinate of x, then no multiple lambda * y with lambda < 1 belongs
-    to the set (in particular 0 does not).  Everything else answers None.
-    A query of another dimension, or a SparseVector, raises as for
-    ``SingletonSet``.
+    to the set (in particular 0 does not).  ``target`` is a read-only copy
+    of y when this rule applies and None otherwise; every other query
+    answers None.  A query of another dimension than ``dim``, or a
+    SparseVector, raises as for ``SingletonSet``.
     """
 
-    anchor: tuple[float, ...]
-    target: tuple[float, ...]
+    dim: int
+    target: Optional[np.ndarray]
     rule = "cone-corner"
 
-    def _has_negative_on_zero(self) -> bool:
-        x = np.array(self.anchor)
-        y = np.array(self.target)
-        return bool(np.any((x == 0.0) & (y < 0.0)))
-
-    def _multiple_of_target(self, z: np.ndarray) -> Optional[float]:
-        """Return lambda with z = lambda * y, or None if z is not a multiple."""
-        y = np.array(self.target)
-        scale = inner(z, y) / inner(y, y)
-        if norm(z - scale * y) <= MULTIPLE_RTOL * max(1.0, norm(z), norm(y)):
-            return float(scale)
-        return None
-
     def contains(self, z) -> Optional[bool]:
-        z = as_vector_of(z, len(self.target))
-        if not self._has_negative_on_zero():
+        z = as_vector_of(z, self.dim)
+        if self.target is None:
             return None
-        scale = self._multiple_of_target(z)
-        if scale is not None and scale < 1.0:
+        # z = scale * y within tolerance, tested on y and z times 2^-e with
+        # max|y| < 2^e: the bits of the plain test, with no square to overflow
+        e = np.frexp(np.abs(self.target).max())[1]
+        with np.errstate(over="ignore"):
+            y, z, floor = np.ldexp(self.target, -e), np.ldexp(z, -e), np.ldexp(1.0, -e)
+        if not np.isfinite(z).all():  # lambda in z = lambda * y would exceed every double
+            return None
+        scale = float(_dot(z, y)) / float(_dot(y, y))
+        if norm(z - scale * y) <= MULTIPLE_RTOL * max(floor, _dense_norm(z), _dense_norm(y)) and scale < 1.0:
             return False
         return None
 
     def to_json(self) -> dict:
         known = {}
-        if self._has_negative_on_zero():
+        if self.target is not None:
             known["submultiples_excluded"] = True
             known["contains_zero"] = False
         return {"variant": "partial", "rule": self.rule, "known": known}
@@ -187,12 +182,17 @@ def coderivative(xbar, y) -> DerivativeSet:
     y = as_vector(y)
     if xbar.shape != y.shape:
         raise ValueError("xbar and y must have the same dimension")
-    if region(xbar) is not OrthantRegion.WITH_ZEROS:
-        return SingletonSet(frechet(xbar)(y))
+    derivative = frechet(xbar)
+    if derivative is not None:
+        return SingletonSet(derivative(y))
     if is_zero(y):
         return SingletonSet(np.zeros_like(y))
     if np.array_equal(y, xbar):
         if not np.any(xbar > 0.0):
             return SingletonSet(np.zeros_like(y))
         return EmptySet(xbar.shape[0])
-    return CornerPartial(anchor=tuple(map(float, xbar)), target=tuple(map(float, y)))
+    if not ((xbar == 0.0) & (y < 0.0)).any():
+        return CornerPartial(xbar.shape[0], None)
+    target = y.copy()
+    target.flags.writeable = False
+    return CornerPartial(xbar.shape[0], target)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from varproj.ball import BallProjection, BallRegion, DirectionClass, SpherePartial
 from varproj.descriptors import EmptySet, IdentityMap, ScaledComplementMap, SingletonSet
 from varproj.oracle import directional_quotient, jacobian_fd
-from varproj.vectors import SparseVector, norm
+from varproj.vectors import SparseVector, norm, orth_decompose
 
 finite = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False, allow_infinity=False)
 
@@ -67,6 +67,22 @@ class TestWideMagnitudes:
         # y = x (1 + 1e-13) is the self query y = x, as at r = 1
         x = np.array([6e199, -8e199])
         assert BallProjection(1e200).coderivative(x, x * (1.0 + 1e-13)).to_json() == {"variant": "empty"}
+
+    @pytest.mark.parametrize("r", [1e200, 1e-200])
+    @pytest.mark.parametrize("w, kind", [
+        ([0.8, 0.4], DirectionClass.OUTWARD),
+        ([0.8, -0.6], DirectionClass.OUTWARD),     # tangent
+        ([-0.6, 0.2], DirectionClass.INWARD),
+        ([1.2, 1.6], DirectionClass.RADIAL),
+    ], ids=["outward", "tangent", "inward", "radial"])
+    def test_gateaux_at_extreme_radii(self, r, w, kind):
+        # P is positively homogeneous: the limit at (r x, r w) on the ball of
+        # radius r is r times the limit at (x, w) on the unit ball
+        x, w = np.array([0.6, 0.8]), np.array(w)
+        op = BallProjection(r)
+        assert op.direction_class(r * x, r * w) is kind
+        want = r * BallProjection(1.0).gateaux(x, w)
+        np.testing.assert_allclose(op.gateaux(r * x, r * w), want, rtol=1e-14, atol=1e-16 * r)
 
     @pytest.mark.parametrize("r", [1.0, 1e100, 1e200, 1e-100, 1e-200])
     def test_region_at_large_radii(self, r):
@@ -278,6 +294,19 @@ class TestCoderivative:
                 d.contains(z)
         with pytest.raises(TypeError):
             d.contains(SparseVector.zero())
+
+    def test_sphere_partial_splits_once(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return orth_decompose(*args, **kwargs)
+
+        monkeypatch.setattr("varproj.ball.orth_decompose", counting)
+        d = self.op.coderivative(np.array([0.6, 0.8]), np.array([-1.2, -1.6]))
+        assert d.to_json()["known"] == {"contains_zero": True}
+        assert [d.contains(np.zeros(2)) for _ in range(3)] == [True] * 3
+        assert len(calls) == 1
 
     def test_json_variants(self):
         xbar = np.array([1.0, 0.0])

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from varproj import orthant
+from varproj.ball import BallProjection
 from varproj.descriptors import (
     CoordinateMaskMap,
     EmptySet,
@@ -105,3 +107,40 @@ class TestLinearMaps:
         assert CoordinateMaskMap(frozenset({1}), 2).to_json()["kind"] == "coordinate_mask"
         j = ScaledComplementMap.from_point(0.5, np.array([2.0, 0.0])).to_json()
         assert j["kind"] == "scaled_complement" and j["scale"] == 0.5
+
+
+# (set, xbar, y, queries) for every dense regime of the two sets
+_REGIMES = {
+    "ball-interior": (BallProjection(1.0), [0.3, -0.2], [0.5, 1.5], [[0.5, 1.5], [0.0, 0.0]]),
+    "ball-exterior": (BallProjection(1.0), [2.0, 0.0], [1.0, 1.0], [[0.0, 0.5], [1.0, 1.0]]),
+    "ball-sphere": (BallProjection(1.0), [0.6, 0.8], [-1.2, -1.6], [[0.0, 0.0], [0.3, 0.1]]),
+    "orthant-positive": (orthant, [1.0, 2.0], [0.5, -1.5], [[0.5, -1.5], [0.0, 0.0]]),
+    "orthant-negative": (orthant, [-1.0, -2.0], [0.5, -1.5], [[0.0, 0.0], [0.5, -1.5]]),
+    "orthant-mixed": (orthant, [1.0, -2.0], [0.5, -1.5], [[0.5, 0.0], [0.5, -1.5]]),
+    "orthant-corner": (orthant, [0.0, 1.0], [-1.0, 2.0], [[-0.5, 1.0], [0.0, 0.0], [-1.0, 2.0]]),
+}
+
+
+class TestNoSharedArrays:
+    """A descriptor keeps no array of its caller: changing xbar or y afterwards changes no answer."""
+
+    @pytest.mark.parametrize("regime", sorted(_REGIMES))
+    def test_answers_survive_writes_to_the_inputs(self, regime):
+        ops, xbar, y, queries = _REGIMES[regime]
+        xbar, y = np.array(xbar), np.array(y)
+        d = ops.coderivative(xbar, y)
+        before = (d.to_json(), [d.contains(np.array(z)) for z in queries])
+        xbar[:] = 99.0
+        y[:] = 99.0
+        assert (d.to_json(), [d.contains(np.array(z)) for z in queries]) == before
+
+    def test_corner_target_is_read_only(self):
+        d = orthant.coderivative(np.array([0.0, 1.0]), np.array([-1.0, 2.0]))
+        with pytest.raises(ValueError):
+            d.target[0] = 5.0
+
+    def test_scaled_complement_axis_is_read_only(self):
+        m = BallProjection(1.0).frechet(np.array([2.0, 0.0]))
+        assert isinstance(m, ScaledComplementMap)
+        with pytest.raises(ValueError):
+            m.axis[0] = 5.0

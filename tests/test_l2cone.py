@@ -256,6 +256,10 @@ class TestCoderivative:
         j = l2_cone.coderivative(self.xbar, self.M, y_out).to_json()
         assert j["variant"] == "partial" and j["rule"] == "l2-self-exclusion"
 
+    def test_repr_shows_a_frozenset(self):
+        d = l2_cone.coderivative(self.xbar, [1], SparseVector({1: 2.0, 3: 1.0}))
+        assert repr(d) == "OrderIntervalSet(bound=SparseVector({1: 2.0, 3: 1.0}), support=frozenset({1}))"
+
     def test_interval_validates_bound(self):
         with pytest.raises(ValueError):
             OrderIntervalSet(bound=SparseVector({2: -1.0}), support=frozenset({1}))

@@ -191,6 +191,19 @@ class TestCoderivative:
         # non-multiples are not covered either
         assert d.contains(np.array([1.0, -1.0])) is None
 
+    @pytest.mark.parametrize("s", [1e200, 1e-200, 1.0])
+    def test_exclusion_at_wide_magnitudes(self, s):
+        # <y, y> over- or underflows at 1e+-200; the rule answers as at s = 1
+        y = s * np.array([-1.0, 1.0])
+        d = orthant.coderivative(np.array([0.0, 1.0]), y)
+        assert d.contains(0.5 * y) is False
+        assert d.contains(-3.0 * y) is False
+        assert d.contains(np.zeros(2)) is False
+        assert d.contains(y) is None
+        assert d.contains(2.0 * y) is None
+        if s >= 1.0:  # below 1 the tolerance's absolute floor makes every small z a multiple
+            assert d.contains(s * np.array([1.0, 1.0])) is None
+
     def test_exclusion_needs_negative_on_zero(self):
         d = orthant.coderivative(np.array([0.0, -2.0]), np.array([1.0, 1.0]))
         assert d.contains(np.zeros(2)) is None
