@@ -25,6 +25,7 @@ Differentiability is governed by the position of the base point:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -40,7 +41,7 @@ from .descriptors import (
     SingletonSet,
 )
 from .vectors import (
-    approx_equal,
+    _distance,
     as_rows,
     as_vector,
     as_vector_of,
@@ -61,7 +62,7 @@ SPHERE_RTOL = 1e-12
 # fraction of its norm.
 RADIAL_RTOL = 1e-10
 
-# Relative tolerance for the query y == x at a sphere point (empty set rule).
+# The query y == x at a sphere point (empty set rule): ||y - x|| <= SELF_QUERY_RTOL * ||x||.
 SELF_QUERY_RTOL = 1e-10
 
 # smallest normal double: a projection scale below it has lost precision
@@ -268,7 +269,18 @@ class BallProjection:
             return SingletonSet(derivative(y))
         if is_zero(y):
             return SingletonSet(np.zeros_like(y))
-        if approx_equal(y, xbar, rel=SELF_QUERY_RTOL):
+        if _distance(y, xbar) <= SELF_QUERY_RTOL * norm(xbar):
             return EmptySet(xbar.shape[0])
-        radial = norm(orth_decompose(xbar, y).o) <= RADIAL_RTOL * norm(y)
-        return SpherePartial(xbar.shape[0], radial and inner(y, xbar) <= 0.0)
+        # 0 is in the set when y is radial and inward (<y, xbar> <= 0, the
+        # sign of the split's a, which no underflow of <y, xbar> zeroes);
+        # both are facts of the direction of y, so a y whose norm or split
+        # overflows is tested as y / 2^e with max|y| < 2^e
+        y_len = norm(y)
+        try:
+            split = orth_decompose(xbar, y)
+        except ValueError:  # a or o is beyond the largest double
+            split = None
+        if split is None or y_len == math.inf:
+            y = np.ldexp(y, -math.frexp(float(np.max(np.abs(y))))[1])
+            y_len, split = norm(y), orth_decompose(xbar, y)
+        return SpherePartial(xbar.shape[0], norm(split.o) <= RADIAL_RTOL * y_len and split.a <= 0.0)

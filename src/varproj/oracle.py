@@ -32,16 +32,18 @@ segments tagged with their radius.  Consecutive segments are packed
 into chunks of at most about 32k floats (``_block_rows``), and a segment
 is never split: at the default config every row of a query with m <= 41
 lies in one chunk, and at m = 500 each chunk is one segment.  A chunk is
-scored by one set of array expressions, with u = xbar + t*d (t per row)
-and one call of the row form; the rows of z of every radius are such a
-chunk of their own.  Its inner products are taken in the fixed order of
-``vectors._dot`` and its norms by ``row_norms``, both of which give a
-row the same bits at every position in a chunk, so the quotients keep
-the bits of a walk that scores every segment alone.  The axis probes of
+scored by one set of array expressions (``_score``), with u = xbar + t*d
+(t per row) and one call of the row form; the rows of z of every radius
+are one segment, scored by the same step on its own.  Its inner
+products are taken in the fixed order of ``vectors._dot`` and its norms
+by ``row_norms``, both of which give a row the same bits at every
+position in a chunk, so the quotients keep the bits of a walk that
+scores every segment alone.  The axis probes of
 every radius form one block of scalars (see below).  The supremum at a
 radius is the first largest quotient in its probe order.  Sparse
 queries use the same dense path: they are embedded in R^m over the
-probed axes (all supports plus one fresh index).
+probed axes (all supports plus one fresh index), from one dict per
+vector (``_embed``).
 
 The 16 most recently used plans are kept, keyed by f, the bytes of
 xbar and y over the probed axes, the axes and the config, when f has a
@@ -83,10 +85,18 @@ sparse rows reach it as SparseVectors, and their images, wherever f
 maps, are scored through ``inner`` and ``norm``.
 
 The winning probe at the smallest radius is scored again through the
-scalar ``quotient``, with the plan's f(xbar); that value is the last
-supremum and the witness quotient, so a witness re-evaluates exactly.
-Witness directions of sparse queries are SparseVectors with 1-based
-indices.
+two halves of the scalar ``quotient``, with the plan's f(xbar): the
+z-free half (u - xbar, <y, f(u) - f(xbar)> and the denominator) and the
+z half (<z, u - xbar> and the division).  That value is the last
+supremum and the witness quotient, and ``quotient`` calls the same two
+halves, so a witness re-evaluates exactly.  The plan keeps the z-free
+half of each such winner outside the rows of z, keyed by its slot and
+index and filled on first use, so a kept plan holds at most one per
+probe of the smallest radius (2m axis probes, at most six head rows and
+the random directions); a winner among the rows of z depends on z and is
+scored in full every time.  A dense witness direction is a copy the plan
+does not keep; witness directions of sparse queries are (immutable)
+SparseVectors with 1-based indices.
 
 Verdict rule, with s_k the supremum of the quotient at the k-th radius
 (radii decrease) and tol the configured tolerance:
@@ -110,7 +120,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, lru_cache
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
@@ -234,12 +244,15 @@ def quotient(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, z: Vector, 
     """
     if denominator not in _DENOMINATORS:
         raise ValueError(f"denominator must be one of {_DENOMINATORS}")
-    return _quotient(f, None, xbar, y, z, u, denominator)
+    return _z_half(z, *_z_free_half(f, None, xbar, y, u, denominator))
 
 
-def _quotient(f: Callable[[Vector], Vector], fx: Optional[Vector], xbar: Vector, y: Vector, z: Vector,
-              u: Vector, denominator: str) -> float:
-    """``quotient`` with f(xbar) given as fx; None takes f(xbar) after f(u), as ``quotient`` does."""
+def _z_free_half(f: Callable[[Vector], Vector], fx: Optional[Vector], xbar: Vector, y: Vector, u: Vector,
+                 denominator: str) -> tuple[Vector, float, float]:
+    """The part of ``quotient`` that does not read z: u - xbar, <y, f(u) - f(xbar)> and the denominator.
+
+    fx is f(xbar); None takes f(xbar) after f(u), as ``quotient`` does.
+    """
     if isinstance(xbar, np.ndarray):
         u = as_vector(u)
     du = u - xbar
@@ -247,8 +260,12 @@ def _quotient(f: Callable[[Vector], Vector], fx: Optional[Vector], xbar: Vector,
     if d_in == 0.0:
         raise ValueError(f"u must differ from xbar: ||u - xbar|| is 0 at ||xbar|| = {norm(xbar):.6g}")
     df = f(u) - (f(xbar) if fx is None else fx)
-    num = inner(z, du) - inner(y, df)
-    return float(num / _denominator(denominator, d_in, norm(df)))
+    return du, inner(y, df), _denominator(denominator, d_in, norm(df))
+
+
+def _z_half(z: Vector, du: Vector, y_df: float, den) -> float:
+    """The quotient from its z-free half (see ``_z_free_half``) and z."""
+    return float((inner(z, du) - y_df) / den)
 
 
 def _anchor(x0: np.ndarray) -> tuple[float, float]:
@@ -282,11 +299,12 @@ def _structured_head(x0: np.ndarray, *vs: np.ndarray, anchor: Optional[tuple[flo
     return [w for u in units for w in (u, -u)]
 
 
-def _active_axes(xbar: SparseVector, y: SparseVector, z: SparseVector) -> tuple[int, ...]:
-    """Coordinate axes worth probing: all supports plus one fresh index."""
-    active = sorted(xbar.support | y.support | z.support)
-    fresh = (active[-1] + 1) if active else 1
-    return (*active, fresh)
+def _embed(xbar: SparseVector, y: SparseVector, z: SparseVector) -> tuple:
+    """The probed axes of a sparse query (all supports plus one fresh index) and x0, y0, z0 over them."""
+    maps = [v.to_mapping() for v in (xbar, y, z)]
+    active = sorted(maps[0].keys() | maps[1].keys() | maps[2].keys())
+    axes = (*active, (active[-1] + 1) if active else 1)
+    return (axes, *(np.array([values.get(i, 0.0) for i in axes]) for values in maps))
 
 
 def _dense_over(v: SparseVector, axes) -> np.ndarray:
@@ -296,7 +314,7 @@ def _dense_over(v: SparseVector, axes) -> np.ndarray:
 
 def _point(axes: Optional[tuple[int, ...]], row: np.ndarray) -> Vector:
     """A probe row as a vector of the query's kind: the row itself, or a SparseVector over the probed axes."""
-    return row if axes is None else SparseVector(zip(axes, row.tolist()))
+    return row if axes is None else SparseVector._of(zip(axes, row.tolist()))
 
 
 def _block_rows(m: int) -> int:
@@ -360,11 +378,26 @@ class _Scores(NamedTuple):
     stuck: int           # radius index of the first row with u == xbar, or the number of radii
 
 
-def _scored_chunks(segments: list, x0: np.ndarray, radii: tuple, terms: Callable, denominator: str):
-    """The z-free scores of row segments, one ``_Scores`` per chunk, with u = xbar + t*d (t per row).
+def _score(dirs: np.ndarray, t, x0: np.ndarray, terms: Callable, denominator: str) -> tuple:
+    """(first, u - xbar, <y, df>, denominator) of the probe rows u = x0 + t*dirs, t a radius or one per row.
 
-    A chunk with a row that rounds back to xbar is not passed to f: it
-    names the radius of its first such row, and its other scores are None.
+    ``first`` is None, or the index of the first row that rounds back to
+    xbar; then f is not called and the other scores are None.
+    """
+    u = x0 + t * dirs
+    du = u - x0
+    d_in = row_norms(du)
+    if not (d_in > 0.0).all():
+        return int(np.argmin(d_in > 0.0)), None, None, None
+    y_df, df_norm = terms(u)
+    return None, du, y_df, _denominator(denominator, d_in, df_norm)
+
+
+def _scored_chunks(segments: list, x0: np.ndarray, radii: tuple, terms: Callable, denominator: str):
+    """The z-free scores of row segments, one ``_Scores`` per chunk (see ``_chunks`` and ``_score``).
+
+    A chunk with a row that rounds back to xbar names the radius of its
+    first such row, and its other scores are None.
     """
     for chunk in _chunks(segments, _block_rows(x0.size)):
         sizes = [len(block) for _, _, block in chunk]
@@ -375,16 +408,9 @@ def _scored_chunks(segments: list, x0: np.ndarray, radii: tuple, terms: Callable
         else:
             dirs = np.concatenate([block for _, _, block in chunk])
             t = np.repeat([radii[k] for k, _, _ in chunk], sizes)[:, None]
-        u = x0 + t * dirs
-        du = u - x0
-        d_in = row_norms(du)
-        if not (d_in > 0.0).all():
-            first = int(np.argmin(d_in > 0.0))
-            yield _Scores(chunk, bounds, None, None, None,
-                          next(k for (k, _, _), (_, b) in zip(chunk, bounds) if first < b))
-            continue
-        y_df, df_norm = terms(u)
-        yield _Scores(chunk, bounds, du, y_df, _denominator(denominator, d_in, df_norm), len(radii))
+        first, du, y_df, den = _score(dirs, t, x0, terms, denominator)
+        stuck = len(radii) if first is None else next(k for (k, _, _), (_, b) in zip(chunk, bounds) if first < b)
+        yield _Scores(chunk, bounds, du, y_df, den, stuck)
 
 
 def _axis_block(x0: np.ndarray, *vs: np.ndarray, copies: int = 1) -> tuple[np.ndarray, ...]:
@@ -486,6 +512,7 @@ class _Plan(NamedTuple):
     axis: tuple                    # (j, s, du) of the axis probes of every radius
     stuck: int                     # radius index of the first axis probe with u == xbar, or the number of radii
     axis_scores: Callable[[], tuple]  # (<y, df>, denominator) of the axis probes, taken on first use
+    halves: dict                   # (slot, index) -> (direction, *z-free half) of witnesses at the last radius
 
 
 def _plan(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, x0: np.ndarray, y0: np.ndarray,
@@ -545,7 +572,7 @@ def _plan(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, x0: np.ndarray
     chunks = _scored_chunks(segments, x0, radii, terms, config.denominator)
     stuck = len(radii) if np.all(axis_in > 0.0) else int(np.argmin(axis_in > 0.0)) // (2 * m)
     return _Plan(fx, terms, anchor, 3 + len(randoms[0]), tuple(chunks) if keep else chunks,
-                 (axis[0], axis[1], axis_du), stuck, axis_scores)
+                 (axis[0], axis[1], axis_du), stuck, axis_scores, {})
 
 
 def _plan_key(f: Callable[[Vector], Vector], x0: np.ndarray, y0: np.ndarray, axes: Optional[tuple[int, ...]],
@@ -580,65 +607,80 @@ def _z_pass(plan: _Plan, f: Callable[[Vector], Vector], xbar: Vector, y: Vector,
             z0: np.ndarray, axes: Optional[tuple[int, ...]], config: ProbeConfig) -> OracleVerdict:
     """The verdict on z from its plan: the +-z and +-orth(z) rows, <z, u - xbar>, the argmaxes and the witness."""
     radii, per = config.radii, 2 * x0.size
-    # the rows of z follow the head rows of the plan at every radius, so the
-    # first largest quotient in probe order is that of the whole head
-    z_rows = _structured_head(x0, z0, anchor=plan.anchor, xbar_rows=False)
-    z_rows = [np.array(z_rows)] if z_rows else []
-    z_segments = [(k, 1, block) for k in range(len(radii)) for block in z_rows]
-    z_scores = list(_scored_chunks(z_segments, x0, radii, plan.terms, config.denominator))
-    # a probe that rounds back to xbar is reported at the first radius
-    # where one does; a streamed plan is read up to its first such chunk
-    stuck = min([plan.stuck] + [scores.stuck for scores in z_scores])
+    n_radii = len(radii)
     # per radius and slot, the first largest quotient: (value, rows or None for the axis, index)
     wins = [[None] * plan.slots for _ in radii]
-    for scores in chain(plan.chunks, z_scores):
-        if scores.stuck < len(radii):
+    # the rows of z of every radius are one segment, scored first; they follow
+    # the head rows of the plan at every radius, so the first largest
+    # quotient in probe order is that of the whole head
+    stuck = plan.stuck
+    z_rows = _structured_head(x0, z0, anchor=plan.anchor, xbar_rows=False)
+    if z_rows:
+        z_block = np.array(z_rows)
+        t = np.array(radii).repeat(len(z_block))[:, None]
+        first, du, y_df, den = _score(np.concatenate([z_block] * n_radii), t, x0, plan.terms, config.denominator)
+        if first is not None:
+            stuck = min(stuck, first // len(z_block))
+        else:
+            q = ((_dot(du, z0) - y_df) / den).reshape(n_radii, len(z_block))
+            for k, i in enumerate(q.argmax(axis=1).tolist()):
+                wins[k][1] = (float(q[k, i]), z_block, i)
+    # a probe that rounds back to xbar is reported at the first radius
+    # where one does; a streamed plan is read up to its first such chunk
+    for scores in plan.chunks:
+        if scores.stuck < n_radii:
             stuck = min(stuck, scores.stuck)
             break
-        if stuck == len(radii):
+        if stuck == n_radii:
             q = (_dot(scores.du, z0) - scores.y_df) / scores.den
             for (k, slot, block), (a, b) in zip(scores.chunk, scores.bounds):
                 i = int(q[a:b].argmax())
                 wins[k][slot] = (float(q[a + i]), block, i)
-    if stuck < len(radii):
+    if stuck < n_radii:
         raise ValueError(
             f"u must differ from xbar: a probe at radius {radii[stuck]!r} rounds back to xbar at "
             f"||xbar|| = {norm(xbar):.6g}; probe radii are absolute")
 
     axis_j, axis_s, axis_du = plan.axis
     y_df, den = plan.axis_scores()
-    q = (((axis_du * z0[axis_j] + 0.0) - y_df) / den).reshape(len(radii), per)
+    q = (((axis_du * z0[axis_j] + 0.0) - y_df) / den).reshape(n_radii, per)
     for k, i in enumerate(q.argmax(axis=1).tolist()):
         wins[k][2] = (float(q[k, i]), None, k * per + i)
 
     estimates: list[tuple[float, float]] = []
     for t, found in zip(radii, wins):
         sup, best = -np.inf, None
-        for win in found:
+        for slot, win in enumerate(found):
             if win is not None and (best is None or win[0] > sup):
-                sup, best = win[0], win
+                sup, best = win[0], slot
         estimates.append((t, sup))
-    _, block, i = best
-    if block is None:
-        unit = np.zeros(x0.size)
-        unit[axis_j[i]] = axis_s[i]
-    else:
-        unit = block[i].copy()
 
-    # the winner at the smallest radius is scored again through the scalar
-    # quotient, with the plan's f(xbar), so the witness re-evaluates to
-    # exactly the stored value
-    direction = _point(axes, unit)
-    t = radii[-1]
-    estimates[-1] = (t, _quotient(f, plan.fx, xbar, y, z, xbar + t * direction, config.denominator))
+    # the winner at the smallest radius is scored again through the two
+    # halves of the scalar quotient, with the plan's f(xbar), so the witness
+    # re-evaluates to exactly the stored value; the plan keeps the z-free
+    # half of each winner outside the rows of z, which depend on z
+    t, (_, block, i) = radii[-1], wins[-1][best]
+    half = plan.halves.get((best, i))
+    if half is None:
+        if block is None:
+            unit = np.zeros(x0.size)
+            unit[axis_j[i]] = axis_s[i]
+        else:
+            unit = block[i].copy()
+        direction = _point(axes, unit)
+        half = (direction, *_z_free_half(f, plan.fx, xbar, y, xbar + t * direction, config.denominator))
+        if best != 1:
+            plan.halves[best, i] = half
+    direction, *z_free = half
+    estimates[-1] = (t, _z_half(z, *z_free))
     sups = [s for _, s in estimates]
     tol = config.tolerance
     witness = None
     if sups[-1] > tol:
         # a persisting positive quotient at the smallest radius certifies
-        # exclusion; keep the probe that achieved it
+        # exclusion; keep the probe that achieved it, in an array of its own
         verdict = Verdict.NON_MEMBER
-        witness = Witness(direction=direction, radius=t, quotient=sups[-1])
+        witness = Witness(direction=direction.copy() if axes is None else direction, radius=t, quotient=sups[-1])
     elif all(max(b, 0.0) <= max(a, 0.0) + tol for a, b in zip(sups, sups[1:])):
         verdict = Verdict.MEMBER
     else:
@@ -659,8 +701,7 @@ def membership(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, z: Vector
     if isinstance(xbar, SparseVector):
         if not (isinstance(y, SparseVector) and isinstance(z, SparseVector)):
             raise TypeError("dense and sparse vectors cannot be combined in one operation")
-        axes = _active_axes(xbar, y, z)
-        x0, y0, z0 = (_dense_over(v, axes) for v in (xbar, y, z))
+        axes, x0, y0, z0 = _embed(xbar, y, z)
     else:
         xbar, y, z = x0, y0, z0 = as_vector(xbar), as_vector(y), as_vector(z)
         if not x0.shape == y0.shape == z0.shape:

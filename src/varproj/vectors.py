@@ -118,6 +118,22 @@ class SparseVector:
         object.__setattr__(self, "_pairs", tuple(sorted(seen.items())))
 
     @classmethod
+    def _of(cls, items: Iterable[tuple[int, float]]) -> "SparseVector":
+        """A SparseVector of (index, float) pairs whose indices are distinct positive ints, as the library builds them.
+
+        The index checks of the constructor are skipped; its finiteness
+        check is kept, and names the first non-finite value in the order
+        of ``items``.  Zeros are dropped and the pairs sorted, as there.
+        """
+        kept = [(i, v) for i, v in items if v != 0.0]
+        if not all(math.isfinite(v) for _, v in kept):
+            index = next(i for i, v in kept if not math.isfinite(v))
+            raise ValueError(f"sparse value at index {index} must be finite")
+        out = object.__new__(cls)
+        object.__setattr__(out, "_pairs", tuple(sorted(kept)))
+        return out
+
+    @classmethod
     def zero(cls) -> "SparseVector":
         return cls()
 
@@ -151,7 +167,7 @@ class SparseVector:
         return not self._pairs
 
     def positive_part(self) -> "SparseVector":
-        return SparseVector({i: v for i, v in self._pairs if v > 0.0})
+        return SparseVector._of((i, v) for i, v in self._pairs if v > 0.0)
 
     def __add__(self, other: "SparseVector") -> "SparseVector":
         if not isinstance(other, SparseVector):
@@ -159,7 +175,7 @@ class SparseVector:
         out = dict(self._pairs)
         for i, v in other._pairs:
             out[i] = out.get(i, 0.0) + v
-        return SparseVector(out)
+        return SparseVector._of(out.items())
 
     def __sub__(self, other: "SparseVector") -> "SparseVector":
         if not isinstance(other, SparseVector):
@@ -167,16 +183,16 @@ class SparseVector:
         out = dict(self._pairs)
         for i, v in other._pairs:
             out[i] = out.get(i, 0.0) - v
-        return SparseVector(out)
+        return SparseVector._of(out.items())
 
     def __mul__(self, s) -> "SparseVector":
         s = float(s)
-        return SparseVector({i: v * s for i, v in self._pairs})
+        return SparseVector._of((i, v * s) for i, v in self._pairs)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "SparseVector":
-        return SparseVector({i: -v for i, v in self._pairs})
+        return SparseVector._of((i, -v) for i, v in self._pairs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseVector):
@@ -284,17 +300,30 @@ def is_zero(u: Vector) -> bool:
     return bool(np.all(as_vector(u) == 0.0))
 
 
+def _distance(u: Vector, v: Vector) -> float:
+    """||u - v|| with a safe norm, inf when an entry of u - v overflows; u and v are vectors of one kind and size."""
+    try:
+        with np.errstate(over="ignore"):
+            return norm(u - v)
+    except ValueError:  # an entry of u - v is infinite
+        return math.inf
+
+
 def approx_equal(u: Vector, v: Vector, rel: float = 1e-9) -> bool:
-    """||u - v|| <= rel * max(1, ||u||, ||v||), with safe norms; False when u - v overflows."""
+    """||u - v|| <= rel * max(1, ||u||, ||v||), with safe norms; False when u - v overflows.
+
+    When a norm exceeds the largest double, so that the bound is inf, u
+    and v are compared as u / 2^64 and v / 2^64, whose norms are doubles;
+    the scaling changes no digit of an entry above 2^-958.
+    """
     if not _check_same_kind(u, v):
         v = as_vector(v)
         u = as_vector_of(u, v.shape[0])
-    try:
-        with np.errstate(over="ignore"):
-            diff = norm(u - v)
-    except ValueError:  # an entry of u - v is infinite
-        return False
-    return diff <= rel * max(1.0, norm(u), norm(v))
+    bound = rel * max(1.0, norm(u), norm(v))
+    if bound == math.inf:
+        u, v = u * 2.0**-64, v * 2.0**-64
+        bound = rel * max(1.0, norm(u), norm(v))
+    return _distance(u, v) <= bound
 
 
 @dataclass(frozen=True)
@@ -320,6 +349,9 @@ def _split(anchor: np.ndarray, x: np.ndarray, orth_rtol: float = 1e-12,
     ``anchor_sq`` is ``float(_dot(anchor, anchor))`` when the caller has it.
     When ||anchor||^2 under- or overflows, x is split against
     anchor / max|anchor| instead and ``a`` is converted back to the anchor.
+    When <x, anchor> or o overflows, x / 2^e with max|x| < 2^e is split and
+    a and o are scaled back; a ValueError is raised only when a or o is
+    itself not a finite double.
     """
     if anchor_sq is None:
         anchor_sq = float(_dot(anchor, anchor))
@@ -331,8 +363,17 @@ def _split(anchor: np.ndarray, x: np.ndarray, orth_rtol: float = 1e-12,
         anchor = anchor / scale
         anchor_sq = float(_dot(anchor, anchor))
     a = float(_dot(x, anchor)) / anchor_sq
-    with np.errstate(over="ignore", invalid="ignore"):  # an o that is not finite raises here
-        o = as_vector(x - a * anchor)
+    with np.errstate(over="ignore", invalid="ignore"):
+        o = x - a * anchor
+    if not np.isfinite(o).all():
+        # <x, anchor> or a * anchor overflowed: split x / 2^e, max|x| < 2^e, and scale a and o back
+        e = math.frexp(float(np.max(np.abs(x))))[1]
+        a, o, _ = _split(anchor, np.ldexp(x, -e), orth_rtol, anchor_sq)
+        with np.errstate(over="ignore"):
+            a, o = float(np.ldexp(a / scale, e)), np.ldexp(o, e)
+        if not (math.isfinite(a) and np.isfinite(o).all()):
+            raise ValueError("vector entries must be finite")
+        return a, o, _dense_norm(o)
     residual, o_len, a_len = abs(float(_dot(o, anchor))), _dense_norm(o), _dense_norm(anchor, anchor_sq)
     if residual > orth_rtol * max(o_len * a_len, 1e-300) and residual > orth_rtol * max(1.0, _dense_norm(x) * a_len):
         raise ArithmeticError("orthogonality residual exceeds tolerance; anchor is ill-conditioned")

@@ -69,6 +69,31 @@ class TestWideMagnitudes:
         assert BallProjection(1e200).coderivative(x, x * (1.0 + 1e-13)).to_json() == {"variant": "empty"}
 
     @pytest.mark.parametrize("r", [1e200, 1e-200])
+    @pytest.mark.parametrize("y", [[0.3, 0.4], [-0.3, -0.4], [0.6, 0.8], [0.6, 0.8 + 1e-13], [1.2, 1.6],
+                                   [-1.2, -1.6], [0.8, -0.6], [-0.5, 0.1]],
+                             ids=["half", "minus-half", "self", "near-self", "double", "minus-double",
+                                  "tangent", "mixed"])
+    def test_sphere_coderivative_at_extreme_radii(self, r, y):
+        # the coderivative of the positively homogeneous P is a cone in y and
+        # scales with (x, y): at (r x, r y) on the ball of radius r it answers
+        # as at (x, y) on the unit ball, the self query y = x included
+        x, y = np.array([0.6, 0.8]), np.array(y)
+        assert BallProjection(r).coderivative(r * x, r * y).to_json() == BallProjection(1.0).coderivative(x, y).to_json()
+
+    def test_sphere_coderivative_of_a_target_beyond_the_largest_double(self):
+        # ||y|| is no double: y is neither the self query nor radial
+        want = {"variant": "partial", "rule": "ball-sphere", "known": {"contains_zero": False}}
+        assert BallProjection(1.0).coderivative([0.6, 0.8], [1.5e308, 1.5e308]).to_json() == want
+        assert BallProjection(1.0).coderivative([1.0, 0.0], [-1.5e308, 1.5e308]).to_json() == want
+        inward = BallProjection(1.0).coderivative([1.0, 0.0], [-1.5e308, 1e-300]).to_json()
+        assert inward["known"] == {"contains_zero": True}
+
+    def test_sphere_coderivative_whose_split_product_overflows(self):
+        # <y, xbar> = -1e310, yet y = -1e290 xbar + (0, 1e300) is not radial
+        got = BallProjection(1e10).coderivative([1e10, 0.0], [-1e300, 1e300]).to_json()
+        assert got == {"variant": "partial", "rule": "ball-sphere", "known": {"contains_zero": False}}
+
+    @pytest.mark.parametrize("r", [1e200, 1e-200])
     @pytest.mark.parametrize("w, kind", [
         ([0.8, 0.4], DirectionClass.OUTWARD),
         ([0.8, -0.6], DirectionClass.OUTWARD),     # tangent

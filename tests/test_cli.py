@@ -151,6 +151,14 @@ class TestCoderiv:
         )
         assert code == 0 and err == "" and json.loads(out)["contains"] is True
 
+    def test_ball_whose_split_product_overflows(self, capsys):
+        code, out, err = run(
+            capsys, "coderiv", "--set", "ball", "--radius", "1e10", "--xbar", "[1e10, 0]", "--y", "[-1e300, 1e300]",
+        )
+        assert code == 0 and err == ""
+        assert json.loads(out)["descriptor"] == {"variant": "partial", "rule": "ball-sphere",
+                                                 "known": {"contains_zero": False}}
+
     def test_contains_unknown(self, capsys):
         code, out, _ = run(
             capsys, "coderiv", "--set", "ball", "--radius", "1",
@@ -214,6 +222,15 @@ class TestOracleMember:
         payload = json.loads(out)
         assert payload["verdict"] == "non_member"
         assert payload["witness"]["quotient"] == pytest.approx(1.3)
+
+    def test_sparse_non_member_witness(self, capsys):
+        code, out, _ = run(
+            capsys, "oracle-member", "--set", "cone-l2", "--xbar", "[[1, 1.0], [3, 0.5]]",
+            "--y", "[[1, 1.0], [2, 1.0]]", "--z", "[[1, 1.0], [2, 1.5]]", "--seed", "5",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["verdict"] == "non_member" and payload["witness"]["direction"] == [[2, 1.0]]
 
     def test_member(self, capsys):
         code, out, _ = run(

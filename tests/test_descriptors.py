@@ -29,6 +29,12 @@ class TestSets:
         with pytest.raises(TypeError):
             s.contains(SparseVector.zero())
 
+    def test_singleton_does_not_contain_a_query_beyond_the_largest_double(self):
+        huge = np.array([1.5e308, 1.5e308])
+        assert SingletonSet(np.zeros(2)).contains(huge) is False
+        assert orthant.coderivative([1.0, 2.0], [0.0, 0.0]).contains(huge) is False
+        assert SingletonSet(huge).contains(huge) is True
+
     def test_singleton_sparse(self):
         s = SingletonSet(SparseVector({1: 1.0}))
         assert s.contains(SparseVector({1: 1.0})) is True

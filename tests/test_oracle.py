@@ -800,6 +800,109 @@ class TestPlanCache:
         assert oracle._kept_plan.cache_info().hits == 2
 
 
+def _witness_queries():
+    """Kept-plan queries sharing one (f, xbar, y, config) per group: two order-interval grids and small dense sets."""
+    rng = np.random.default_rng(909)
+    groups = []
+    for variant in (0, 1):
+        xbar, _, y, grid = suites.order_interval_grid(rng, 2, 2, variant=variant)
+        groups.append((l2_cone.project, xbar, y, grid, 32))
+    for n in (2, 4, 6):
+        u = rng.standard_normal(n)
+        u /= np.linalg.norm(u)
+        for f, xbar in ((BallProjection(1.0).project, u), (BallProjection(1.0).project, 2.0 * u),
+                        (orthant.project, np.where(rng.random(n) < 0.3, 0.0, rng.standard_normal(n)))):
+            y = rng.standard_normal(n)
+            groups.append((f, xbar, y, [y + 0.5 * rng.standard_normal(n) for _ in range(12)], 16))
+    return groups
+
+
+def _counting_halves(monkeypatch) -> list:
+    """Record the probe point u of every z-free half computed, not taken from a kept plan."""
+    computed = []
+
+    def counted(*args):
+        computed.append(args[4])
+        return original(*args)
+
+    original = oracle._z_free_half
+    monkeypatch.setattr(oracle, "_z_free_half", counted)
+    return computed
+
+
+class TestWitnessHalves:
+    @pytest.mark.parametrize("denominator", ["sum", "euclidean"])
+    def test_stored_half_gives_the_bytes_of_a_cold_verdict(self, denominator, monkeypatch):
+        # a warm verdict that finds its winner's half in the kept plan gives
+        # the bytes of a verdict that computes it, on a plan built anew
+        computed = _counting_halves(monkeypatch)
+        reused = {"sparse": 0, "dense": 0}
+        for f, xbar, y, zs, count in _witness_queries():
+            config = ProbeConfig(random_directions=count, seed=4, denominator=denominator)
+            oracle._kept_plan.cache_clear()
+            computed.clear()
+            warm = [_verdict_json(f, xbar, y, z, config) for z in zs]
+            reused["sparse" if isinstance(xbar, SparseVector) else "dense"] += len(zs) - len(computed)
+            cold = []
+            for z in zs:
+                oracle._kept_plan.cache_clear()
+                cold.append(_verdict_json(f, xbar, y, z, config))
+            assert warm == cold
+        assert reused["sparse"] > 0 and reused["dense"] > 0
+
+    def test_witness_reevaluates_through_quotient(self, monkeypatch):
+        computed = _counting_halves(monkeypatch)
+        seen = {"stored": 0, "computed": 0}
+        for f, xbar, y, zs, count in _witness_queries():
+            for denominator in ("sum", "euclidean"):
+                config = ProbeConfig(random_directions=count, denominator=denominator)
+                for z in zs + zs:
+                    before = len(computed)
+                    out = membership(f, xbar, y, z, config)
+                    if out.verdict is not Verdict.NON_MEMBER:
+                        continue
+                    seen["computed" if len(computed) > before else "stored"] += 1
+                    w = out.witness
+                    again = quotient(f, xbar, y, z, xbar + w.radius * w.direction, denominator)
+                    assert again == w.quotient == out.sup_estimates[-1][1]
+        assert seen["stored"] > 0 and seen["computed"] > 0
+
+    def test_writing_to_a_dense_witness_direction_changes_no_later_verdict(self):
+        ball = BallProjection(1.0)
+        xbar, y = np.array([0.6, 0.8]), np.array([1.0, -0.5])
+        zs = [np.array([0.9, 0.3]), np.array([1.2, -0.1])]
+        first = [membership(ball.project, xbar, y, z) for z in zs]
+        assert all(out.verdict is Verdict.NON_MEMBER for out in first)
+        want = [json.dumps(out.to_json(), sort_keys=True) for out in first]
+        for out in first:
+            out.witness.direction[:] = 7.0
+        assert [_verdict_json(ball.project, xbar, y, z) for z in zs] == want
+        assert oracle._kept_plan.cache_info().hits == 3
+
+    def test_a_kept_plan_stores_one_half_per_probe_at_most(self):
+        # the keys are the smallest-radius probes outside the rows of z
+        # (slot 1): (slot, row in its block), or (2, index of the axis probe)
+        stored = 0
+        for f, xbar, y, zs, count in _witness_queries():
+            config = ProbeConfig(random_directions=count)
+            for z in zs:
+                membership(f, xbar, y, z, config)
+            if isinstance(xbar, SparseVector):
+                axes, x0, y0, _ = oracle._embed(xbar, y, zs[0])
+            else:
+                axes, x0, y0 = None, xbar, y
+            plan = oracle._kept_plan(*oracle._plan_key(f, x0, y0, axes, config))
+            last, per = len(config.radii) - 1, 2 * x0.size
+            rows = {slot: len(block) for scores in plan.chunks for k, slot, block in scores.chunk if k == last}
+            rows[2] = per
+            assert len(plan.halves) <= sum(rows.values())
+            stored += len(plan.halves)
+            for slot, i in plan.halves:
+                assert slot != 1
+                assert (last * per <= i < (last + 1) * per) if slot == 2 else (0 <= i < rows[slot])
+        assert stored > 0
+
+
 def _plain_norm(x: np.ndarray) -> float:
     """``norm`` as it was computed before the structured head took scalars: the square sum, then the rescue."""
     length = math.sqrt(float(vectors._dot(x, x)))

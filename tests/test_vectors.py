@@ -124,6 +124,60 @@ class TestSparseVector:
         assert e.get(4) == 1.0 and e.support == frozenset({4})
 
 
+def _public(values: dict):
+    """SparseVector(values), or the (type, message) of the error it raises."""
+    try:
+        return SparseVector(values)
+    except ValueError as error:
+        return ValueError, str(error)
+
+
+def _library(op):
+    try:
+        return op()
+    except ValueError as error:
+        return ValueError, str(error)
+
+
+# every double: zeros of both signs, subnormals, and values whose sums and products overflow
+any_double = st.floats(allow_nan=False, allow_infinity=False)
+wide_sparse = st.dictionaries(st.integers(1, 12), any_double, max_size=6).map(SparseVector)
+
+
+class TestLibraryBuiltSparseVectors:
+    """Results the library builds skip the index checks but match the public constructor."""
+
+    @given(wide_sparse, wide_sparse, any_double)
+    def test_same_pairs_eq_hash_and_errors_as_the_public_constructor(self, u, v, s):
+        def combined(sign):
+            out = dict(u.pairs)
+            for i, x in v.pairs:
+                out[i] = out.get(i, 0.0) + sign * x
+            return out
+
+        cases = [
+            (lambda: u + v, combined(1.0)),
+            (lambda: u - v, combined(-1.0)),
+            (lambda: u * s, {i: x * s for i, x in u.pairs}),
+            (lambda: s * u, {i: x * s for i, x in u.pairs}),
+            (lambda: -u, {i: -x for i, x in u.pairs}),
+            (lambda: u.positive_part(), {i: x for i, x in u.pairs if x > 0.0}),
+        ]
+        for op, values in cases:
+            got, want = _library(op), _public(values)
+            if isinstance(want, tuple):
+                assert got == want
+                continue
+            assert got.pairs == want.pairs and got == want and hash(got) == hash(want)
+            assert all(type(i) is int and type(x) is float for i, x in got.pairs)
+
+    def test_overflow_raises_the_constructors_error(self):
+        u = SparseVector({3: 1.0, 4: 1e308, 6: 1e308})
+        for op in (lambda: u + u, lambda: u - (-u), lambda: u * 1e10):
+            with pytest.raises(ValueError, match="^sparse value at index 4 must be finite$"):
+                op()
+
+
 class TestInnerNorm:
     def test_sparse_example(self):
         assert inner(SparseVector({1: 2.0, 5: 3.0}), SparseVector({5: 4.0})) == 12.0
@@ -344,6 +398,20 @@ class TestOrthDecompose:
         assert d.a == 3.0
         np.testing.assert_allclose(d.o, [0.0, 4.0])
 
+    def test_split_whose_product_overflows(self):
+        # <x, anchor> = 1e310 overflows, yet x = 1e290 * anchor + (0, 1e300)
+        for anchor, x in ((np.array([1e10, 0.0]), np.array([1e300, 1e300])),
+                          (SparseVector({1: 1e10}), SparseVector({1: 1e300, 2: 1e300}))):
+            d = orth_decompose(anchor, x)
+            assert d.a == pytest.approx(1e290, rel=1e-15)
+            o = d.o if isinstance(d.o, np.ndarray) else np.array([d.o.get(1), d.o.get(2)])
+            assert abs(o[0]) <= 1e-15 * 1e300 and o[1] == 1e300
+
+    def test_split_beyond_the_largest_double_raises(self):
+        # a = 2.1e308 is no double, though o is
+        with pytest.raises(ValueError, match="vector entries must be finite"):
+            orth_decompose(np.array([0.6, 0.8]), np.array([1.5e308, 1.5e308]))
+
     def test_zero_anchor_rejected(self):
         with pytest.raises(ValueError):
             orth_decompose(np.zeros(2), np.array([1.0, 0.0]))
@@ -473,6 +541,17 @@ class TestApproxEqual:
         # u - v itself is inf: unequal for both kinds, not an error
         assert not approx_equal(np.array([1.5e308, 0.0]), np.array([-1.5e308, 1.0]))
         assert not approx_equal(SparseVector({1: 1.5e308}), SparseVector({1: -1.5e308}))
+
+    def test_norms_beyond_the_largest_double(self):
+        # the bound rel * max(1, ||u||, ||v||) is inf; u and v are compared scaled by 2^-1024
+        huge = np.array([1.5e308, 1.5e308])
+        assert not approx_equal(huge, np.zeros(2))
+        assert not approx_equal(np.zeros(2), huge)
+        assert not approx_equal(huge, np.array([1.5e308, 1.4e308]))
+        assert approx_equal(huge, huge)
+        assert approx_equal(huge, huge * (1.0 + 1e-12))
+        assert not approx_equal(SparseVector({1: 1.5e308, 2: 1.5e308}), SparseVector.zero())
+        assert approx_equal(SparseVector({1: 1.5e308, 2: 1.5e308}), SparseVector({1: 1.5e308, 2: 1.5e308}))
 
     def test_dimension_mismatch_is_not_broadcast(self):
         # a length-1 vector would broadcast against any other length
