@@ -271,16 +271,10 @@ class BallProjection:
             return SingletonSet(np.zeros_like(y))
         if _distance(y, xbar) <= SELF_QUERY_RTOL * norm(xbar):
             return EmptySet(xbar.shape[0])
-        # 0 is in the set when y is radial and inward (<y, xbar> <= 0, the
-        # sign of the split's a, which no underflow of <y, xbar> zeroes);
-        # both are facts of the direction of y, so a y whose norm or split
-        # overflows is tested as y / 2^e with max|y| < 2^e
-        y_len = norm(y)
-        try:
-            split = orth_decompose(xbar, y)
-        except ValueError:  # a or o is beyond the largest double
-            split = None
-        if split is None or y_len == math.inf:
-            y = np.ldexp(y, -math.frexp(float(np.max(np.abs(y))))[1])
-            y_len, split = norm(y), orth_decompose(xbar, y)
-        return SpherePartial(xbar.shape[0], norm(split.o) <= RADIAL_RTOL * y_len and split.a <= 0.0)
+        # 0 is in the set when y is radial and inward (<y, xbar> <= 0); both
+        # are facts of the direction of y, tested on y / 2^e with max|y| < 2^e
+        # (exact), so no norm or split of y overflows and a, about 1/r on a
+        # radial y, never underflows to the +0.0 of a tangent one
+        y = np.ldexp(y, -math.frexp(float(np.max(np.abs(y))))[1])
+        split = orth_decompose(xbar, y)
+        return SpherePartial(xbar.shape[0], norm(split.o) <= RADIAL_RTOL * norm(y) and split.a <= 0.0)

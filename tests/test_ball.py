@@ -93,6 +93,15 @@ class TestWideMagnitudes:
         got = BallProjection(1e10).coderivative([1e10, 0.0], [-1e300, 1e300]).to_json()
         assert got == {"variant": "partial", "rule": "ball-sphere", "known": {"contains_zero": False}}
 
+    @pytest.mark.parametrize("r, s", [(1e200, 1e-200), (1e200, 5e-324), (1e-200, 1e200)],
+                             ids=["large-r", "subnormal-y", "small-r"])
+    def test_radial_target_far_below_or_above_the_radius(self, r, s):
+        # <y, xbar> = +-s r keeps its sign although a = +-s / r under- or overflows
+        def known(y):
+            return BallProjection(r).coderivative([r, 0.0], [y, 0.0]).to_json()["known"]
+        assert known(s) == {"contains_zero": False}
+        assert known(-s) == {"contains_zero": True}
+
     @pytest.mark.parametrize("r", [1e200, 1e-200])
     @pytest.mark.parametrize("w, kind", [
         ([0.8, 0.4], DirectionClass.OUTWARD),
