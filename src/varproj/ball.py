@@ -42,6 +42,9 @@ from .descriptors import (
 )
 from .vectors import (
     _distance,
+    _dot,
+    _dots,
+    _stacked_rows,
     as_rows,
     as_vector,
     as_vector_of,
@@ -67,6 +70,12 @@ SELF_QUERY_RTOL = 1e-10
 
 # smallest normal double: a projection scale below it has lost precision
 _TINY = np.finfo(float).tiny
+
+
+def _halved(v: np.ndarray) -> tuple[np.ndarray, int]:
+    """(v / 2^e, e) with max|v| < 2^e: the scaling is exact, and no norm or split of v / 2^e overflows."""
+    e = math.frexp(float(np.max(np.abs(v))))[1]
+    return np.ldexp(v, -e), e
 
 
 class BallRegion(Enum):
@@ -157,6 +166,31 @@ class BallProjection:
             out[i] = self.project(block[i])
         return out
 
+    def _scales(self, sq_norm: float, origin: bool, grow, norm_u):
+        """(a, c(u)) with a = c(u) - c(x) and c(v) = r / max(||v||, r), or None when some c(u) underflows.
+
+        Takes ||x||^2, whether x is the origin, ||u||^2 - ||x||^2 and ||u||,
+        elementwise over the probes.  a is taken from ||u|| - ||x|| =
+        (||u||^2 - ||x||^2) / (||u|| + ||x||) (||u|| at the origin), so
+        nothing cancels: as -c(u) (||u|| - ||x||) / ||x|| when both points
+        lie outside the ball, and as (r - ||x|| - (||u|| - ||x||)) / ||u||
+        when only u does.
+        """
+        r = self.radius
+        top = float(norm_u.max())
+        if not r / max(top, r) >= _TINY:
+            return None
+        scale_u = r / np.maximum(norm_u, r)
+        norm_x = math.sqrt(sq_norm)
+        if norm_x <= r and top <= r:
+            return scale_u - 1.0, scale_u
+        gap = norm_u if origin else grow / (norm_u + norm_x)
+        if norm_x <= r:
+            return np.where(norm_u > r, (r - norm_x - gap) / np.maximum(norm_u, r), 0.0), scale_u
+        if norm_u.min() > r:
+            return scale_u * (gap / -norm_x), scale_u
+        return np.where(norm_u > r, -scale_u * (gap / norm_x), 1.0 - r / norm_x), scale_u
+
     def project_axes(self, sq_norm: float, xj, moved):
         """Axis form: images of the probes u = x + (moved - x_j) e_j from scalars.
 
@@ -165,35 +199,69 @@ class BallProjection:
         (a, b) with P(u) - P(x) = a x + b e_j:
 
             a = c(u) - c(x),   b = c(u) du,   du = moved - x_j,
-            ||u||^2 = ||x||^2 + du (moved + x_j).
+            ||u||^2 = ||x||^2 + du (moved + x_j),
 
-        When both points lie outside the ball, c(u) - c(x) is computed as
-        -c(u) (||u|| - ||x||) / ||x||, with ||u|| - ||x|| = du (moved + x_j)
-        / (||u|| + ||x||), so nothing cancels.  At the origin (``sq_norm``
-        = 0 and every x_j = 0), c(x) = 1 and ||u|| = |moved| exactly.
-        Returns None, declining the probes, when ``sq_norm`` is not a
-        finite normal double away from the origin, or some c(u) would
+        with a taken without cancellation (see ``_scales``).  At the origin
+        (``sq_norm`` = 0 and every x_j = 0), c(x) = 1 and ||u|| = |moved|
+        exactly.  Returns None, declining the probes, when ``sq_norm`` is
+        not a finite normal double away from the origin, or some c(u) would
         underflow; ``project_rows`` handles those.
         """
         origin = sq_norm == 0.0 and not np.any(xj)
         if not (origin or _TINY <= sq_norm < np.inf):
             return None
-        r = self.radius
         du = moved - xj
         # ||u||^2 >= moved^2, which rounding must not undercut; an overflow
-        # makes ||u|| inf and c(u) 0, which declines below
+        # makes ||u|| inf and c(u) 0, which declines
         with np.errstate(over="ignore"):
             grow = du * (moved + xj)
             norm_u = np.abs(moved) if origin else np.sqrt(np.maximum(sq_norm + grow, moved * moved))
-        scale_u = r / np.maximum(norm_u, r)
-        if not np.all(scale_u >= _TINY):
+        scales = self._scales(sq_norm, origin, grow, norm_u)
+        return None if scales is None else (scales[0], scales[1] * du)
+
+    def project_dirs(self, x0: np.ndarray, y0: np.ndarray, dirs, t: np.ndarray):
+        """Direction form: <y0, P(u) - P(x0)> and ||P(u) - P(x0)|| of the probes u = x0 + t d, from scalars.
+
+        ``dirs`` is a sequence of 2-D blocks whose stacked rows are unit
+        directions d, and t holds one radius per row.  This is the algebra
+        of ``project_axes`` with x_j replaced by <d, x0>: with
+        c(v) = r / max(||v||, r), P(u) - P(x0) = a x0 + b d, where
+
+            a = c(u) - c(x0),   b = c(u) t,   ||u||^2 = ||x0||^2 + t (2 <d, x0> + t),
+
+        and a is taken without cancellation (see ``_scales``).  Then
+
+            <y0, P(u) - P(x0)> = a <y0, x0> + b <d, y0>,
+            ||P(u) - P(x0)||   = hypot(a ||x0 - <d, x0> d||, a <d, x0> + b),
+
+        the split along d.  ||x0 - <d, x0> d||^2 is ||x0||^2 - <d, x0>^2,
+        which loses at most a factor 16 of its digits above ||x0||^2 / 16;
+        below (d near +-x0) it is the square sum of the row x0 - <d, x0> d.
+        Returns None, declining the probes, where ``project_axes`` would.
+        """
+        sq_norm = float(_dot(x0, x0))
+        origin = sq_norm == 0.0 and not x0.any()
+        if not (origin or _TINY <= sq_norm < np.inf):
             return None
-        norm_x = np.sqrt(sq_norm)
-        if norm_x <= r:
-            a = scale_u - 1.0
-        else:
-            a = np.where(norm_u > r, -scale_u * (grow / (norm_u + norm_x) / norm_x), 1.0 - r / norm_x)
-        return a, scale_u * du
+        xd, yd = _dots(dirs, (x0, y0))
+        # as in project_axes, ||u||^2 >= (<d, x0> + t)^2, and an overflow declines
+        with np.errstate(over="ignore"):
+            along = xd + t  # <u, d>
+            grow = t * (xd + along)
+            norm_u = t if origin else np.sqrt(np.maximum(sq_norm + grow, along * along))
+        scales = self._scales(sq_norm, origin, grow, norm_u)
+        if scales is None:
+            return None
+        a, b = scales[0], scales[1] * t
+        y_df = a * float(_dot(y0, x0)) + b * yd
+        if not np.any(a):  # u and x0 inside the ball: P(u) - P(x0) = t d
+            return y_df, np.abs(b)
+        off_sq = sq_norm - xd * xd
+        near = np.flatnonzero(off_sq < sq_norm / 16.0)
+        if near.size:
+            off = x0 - xd[near, None] * _stacked_rows(dirs, near)
+            off_sq[near] = _dot(off, off)
+        return y_df, np.hypot(a * np.sqrt(off_sq), a * xd + b)
 
     def region(self, x) -> BallRegion:
         x = as_vector(x)
@@ -206,10 +274,11 @@ class BallProjection:
     def direction_class(self, xbar, w) -> DirectionClass:
         """Classify a nonzero direction at a sphere point.
 
-        Radial detection is numerical (orthogonal part below RADIAL_RTOL of
-        ||w|| with positive coefficient); otherwise the sign of <xbar / r, w>
-        decides (it keeps its sign at radii where <xbar, w> under- or
-        overflows), with ties (tangent directions) classified OUTWARD because
+        Both tests read w / 2^e with max|w| < 2^e.  Radial detection is
+        numerical (orthogonal part below RADIAL_RTOL of ||w|| with positive
+        coefficient); otherwise the sign of <xbar / r, w> decides (it keeps
+        its sign at radii where <xbar, w> under- or overflows), with ties
+        (tangent directions) classified OUTWARD because
         ||xbar + t w||^2 = r^2 + t^2 ||w||^2 >= r^2.
         """
         xbar = as_vector(xbar)
@@ -218,6 +287,8 @@ class BallProjection:
             raise ValueError("direction classification is defined at sphere points only")
         if is_zero(w):
             raise ValueError("direction must be nonzero")
+        # w / 2^e is exact, and its split coefficient is a double for every finite w
+        w = _halved(w)[0]
         split = orth_decompose(xbar, w)
         if norm(split.o) <= RADIAL_RTOL * norm(w) and split.a > 0.0:
             return DirectionClass.RADIAL
@@ -236,8 +307,12 @@ class BallProjection:
         if kind is DirectionClass.RADIAL:
             return np.zeros_like(w)
         if kind is DirectionClass.OUTWARD:
-            unit = xbar / self.radius
-            return w - inner(unit, w) * unit
+            # w - <x, w> x / r^2 on w / 2^e, so <x, w> cannot overflow, then scaled back (all exact)
+            unit, (half, e) = xbar / self.radius, _halved(w)
+            limit = half - inner(unit, half) * unit
+            if math.frexp(float(np.max(np.abs(limit))))[1] + e > 1024:
+                raise ValueError("the directional derivative exceeds the largest double")
+            return np.ldexp(limit, e)
         return w.copy()
 
     def frechet(self, xbar) -> Optional[LinearMap]:
@@ -275,6 +350,6 @@ class BallProjection:
         # are facts of the direction of y, tested on y / 2^e with max|y| < 2^e
         # (exact), so no norm or split of y overflows and a, about 1/r on a
         # radial y, never underflows to the +0.0 of a tangent one
-        y = np.ldexp(y, -math.frexp(float(np.max(np.abs(y))))[1])
+        y = _halved(y)[0]
         split = orth_decompose(xbar, y)
         return SpherePartial(xbar.shape[0], norm(split.o) <= RADIAL_RTOL * norm(y) and split.a <= 0.0)

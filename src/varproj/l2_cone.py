@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .descriptors import DerivativeSet, SingletonSet
-from .orthant import project_axes, project_rows
+from .orthant import project_axes, project_dirs, project_rows
 from .vectors import SparseVector
 
 __all__ = [
@@ -77,6 +77,7 @@ def project(x: SparseVector) -> SparseVector:
 # the projection acts coordinate by coordinate and maps 0 to 0
 project.rows = project_rows
 project.axes = project_axes
+project.dirs = project_dirs
 
 
 def has_positive_support(x: SparseVector, M: Iterable[int]) -> bool:

@@ -21,29 +21,41 @@ scalar products taken once per plan (xbar and y) and once per verdict
 Evaluation is batched, and split in two.  Only the +-z and +-orth(z)
 head rows and <z, u - xbar> depend on z, so a verdict first takes a
 z-free plan of (f, xbar, y, config): f(xbar), <xbar, xbar> and ||xbar||,
-the head rows of xbar and y, and for every probe outside the rows of z
-its u - xbar, ||u - xbar||, <y, f(u) - f(xbar)> and ||f(u) - f(xbar)||.
-The z pass then scores the rows of z, takes one <z, u - xbar> per chunk
-of rows and per axis probe, and runs the argmaxes, the verdict rule and
-the witness.  The plan keeps the order of a radius-by-radius walk: at
-each radius the head (the rows of z last), the axis probes, then the
-radius's random blocks.  The head and the random blocks are row
-segments tagged with their radius.  Consecutive segments are packed
-into chunks of at most about 32k floats (``_block_rows``), and a segment
-is never split: at the default config every row of a query with m <= 41
-lies in one chunk, and at m = 500 each chunk is one segment.  A chunk is
-scored by one set of array expressions (``_score``), with u = xbar + t*d
-(t per row) and one call of the row form; the rows of z of every radius
-are one segment, scored by the same step on its own.  Its inner
-products are taken in the fixed order of ``vectors._dot`` and its norms
-by ``row_norms``, both of which give a row the same bits at every
-position in a chunk, so the quotients keep the bits of a walk that
-scores every segment alone.  The axis probes of
-every radius form one block of scalars (see below).  The supremum at a
-radius is the first largest quotient in its probe order.  Sparse
-queries use the same dense path: they are embedded in R^m over the
-probed axes (all supports plus one fresh index), from one dict per
-vector (``_embed``).
+the head rows of xbar and y, and for every random probe its
+<y, f(u) - f(xbar)> and denominator.  The z pass then scores the head
+rows, takes one <z, u - xbar> per chunk of rows and per axis probe, and
+runs the argmaxes, the verdict rule and the witness.  Every radius
+probes, in order, the head (the rows of z last), the axis probes, then
+its random blocks; the supremum at a radius is the first largest
+quotient in that order.  The random blocks are row segments tagged with
+their radius.  Sparse queries use the same dense path: they are
+embedded in R^m over the probed axes (all supports plus one fresh
+index), from one dict per vector (``_embed``).
+
+The head rows take the row path: u = xbar + t*d is formed (t per row)
+and scored with one call of the row form (``_score``), inner products in
+the fixed order of ``vectors._dot`` and norms by ``row_norms``, which
+give a row the same bits at every position in a call.  So the head keeps
+the bits of the scalar ``quotient``, and two head rows that round to one
+probe tie, the first winning.  The head rows of the plan and the rows of
+z of every radius take one call; the first z pass on a plan keeps the
+z-free scores of the plan's head rows, so a later one forms only the
+rows of z.
+
+The random rows take the direction form of f when it has one (see
+``_form``; the ``project`` of every set in this package has one).  It
+scores the exact probe u = xbar + t*d from products of d with xbar and
+y taken in the plan, without forming u, and the z pass adds
+<z, u - xbar> = t*<d, z>, with ||u - xbar|| = t: three products per
+direction.  The row path scores the rounded probe instead; the two
+quotients differ by about the spacing of doubles at xbar over t.  The
+plan makes one call for every random row, each row at its radius, and
+a row's terms do not depend on the other rows.  The form is not called,
+and the random rows take the row path, when some row might round back to
+xbar (see ``_plan``); the ball's form declines, with the same result,
+where its axis form does.  On the row path, consecutive random segments
+are packed into chunks of at most about 32k floats (``_block_rows``), a
+segment never split, each chunk one ``_score`` call.
 
 The 16 most recently used plans are kept, keyed by f, the bytes of
 xbar and y over the probed axes, the axes and the config, when f has a
@@ -51,10 +63,11 @@ row form and all of a plan's rows fit in one chunk (m <= 41 at the
 default config).  A row form thus marks f as a pure function of its
 argument, as the sets of this package are: an object whose ``project``
 has a ``project_rows`` but whose result changes with its state must not
-be reused for equal (xbar, y, config) after that state changes.  A kept plan holds private read-only copies of xbar and y, so
-a caller that later changes its arrays cannot reach it, and -0.0 and
-0.0 key apart.  Any other plan streams its chunks to the z pass one by
-one and is dropped with the verdict.
+be reused for equal (xbar, y, config) after that state changes.  A kept
+plan holds private read-only copies of xbar and y, so a caller that
+later changes its arrays cannot reach it, and -0.0 and 0.0 key apart.
+Any other plan streams its chunks to the z pass one by one and is
+dropped with the verdict.
 
 The random directions depend only on (seed, random_directions, m, number
 of radii), so they are drawn once per process and kept, read-only, in
@@ -78,8 +91,8 @@ costs O(m).  When the form declines the block, or f has none, every
 axis probe of every radius is scored as a full row, in row blocks like
 the random directions.  Separable forms (a = 0) give those rows' bits.
 
-When f has a row form (``_form`` again), f is applied to a whole chunk
-in one call, and its images lie on the probed coordinates.  Any other f
+When f has a row form (``_form`` again), f is applied to a whole call's
+rows at once, and its images lie on the probed coordinates.  Any other f
 is called once per row.  Its dense images are scored as a row form's;
 sparse rows reach it as SparseVectors, and their images, wherever f
 maps, are scored through ``inner`` and ``norm``.
@@ -117,6 +130,7 @@ ratio lies in [sqrt(2)/2, 1], so verdicts agree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, lru_cache
@@ -372,7 +386,8 @@ class _Scores(NamedTuple):
 
     chunk: list          # its (radius index, slot, rows) segments
     bounds: list         # (start, end) of each segment in the chunk
-    du: np.ndarray       # u - xbar, one row per probe
+    rows: tuple          # blocks of stacked rows r with <z, u - xbar> = scale * <r, z>, one per probe
+    scale: Optional[np.ndarray]  # the radius of each probe when the rows are its direction; None when they are u - xbar
     y_df: np.ndarray     # <y, f(u) - f(xbar)>
     den: np.ndarray      # the quotient's denominator
     stuck: int           # radius index of the first row with u == xbar, or the number of radii
@@ -393,24 +408,83 @@ def _score(dirs: np.ndarray, t, x0: np.ndarray, terms: Callable, denominator: st
     return None, du, y_df, _denominator(denominator, d_in, df_norm)
 
 
-def _scored_chunks(segments: list, x0: np.ndarray, radii: tuple, terms: Callable, denominator: str):
+def _bounds(sizes: list) -> list:
+    """(start, end) of consecutive segments of the given sizes."""
+    ends = list(accumulate(sizes))
+    return list(zip([0] + ends, ends))
+
+
+def _dir_scores(chunk: list, radii: tuple, dirs: Callable, denominator: str) -> Optional[_Scores]:
+    """The ``_Scores`` of a chunk from the direction form ``dirs``, or None when it declines.
+
+    A row d at radius t is scored at u = x0 + t d, never formed: the rows
+    of the ``_Scores`` are the directions (one array when they fit in a
+    row block) and its scale the radius of each, so <z, u - xbar> =
+    t <d, z> and ||u - xbar|| = t.
+    """
+    blocks = [block for _, _, block in chunk]
+    sizes = [len(block) for block in blocks]
+    t = np.repeat([radii[k] for k, _, _ in chunk], sizes)
+    if 1 < len(blocks) and t.size <= _block_rows(blocks[0].shape[1]):
+        blocks = [np.concatenate(blocks)]
+    terms = dirs(blocks, t)
+    if terms is None:
+        return None
+    return _Scores(chunk, _bounds(sizes), tuple(blocks), t, terms[0], _denominator(denominator, t, terms[1]),
+                   len(radii))
+
+
+def _scored_chunks(segments: list, x0: np.ndarray, radii: tuple, terms: Callable, denominator: str,
+                   dirs: Optional[Callable] = None):
     """The z-free scores of row segments, one ``_Scores`` per chunk (see ``_chunks`` and ``_score``).
 
-    A chunk with a row that rounds back to xbar names the radius of its
-    first such row, and its other scores are None.
+    ``dirs`` is f's direction form on (x0, y0), or None.  With it, all the
+    segments are one chunk scored from their directions (``_dir_scores``),
+    unless the form declines; then every segment takes the row path.  On
+    the row path a chunk with a row that rounds back to xbar names the
+    radius of its first such row, and its other scores are None.
     """
+    if dirs is not None:
+        scored = [_dir_scores(chunk, radii, dirs, denominator) for chunk in _chunks(segments, math.inf)]
+        if all(scores is not None for scores in scored):
+            yield from scored
+            return
     for chunk in _chunks(segments, _block_rows(x0.size)):
         sizes = [len(block) for _, _, block in chunk]
-        ends = list(accumulate(sizes))
-        bounds = list(zip([0] + ends, ends))
+        bounds = _bounds(sizes)
         if len(chunk) == 1:
-            dirs, t = chunk[0][2], radii[chunk[0][0]]
+            rows, t = chunk[0][2], radii[chunk[0][0]]
         else:
-            dirs = np.concatenate([block for _, _, block in chunk])
+            rows = np.concatenate([block for _, _, block in chunk])
             t = np.repeat([radii[k] for k, _, _ in chunk], sizes)[:, None]
-        first, du, y_df, den = _score(dirs, t, x0, terms, denominator)
+        first, du, y_df, den = _score(rows, t, x0, terms, denominator)
         stuck = len(radii) if first is None else next(k for (k, _, _), (_, b) in zip(chunk, bounds) if first < b)
-        yield _Scores(chunk, bounds, du, y_df, den, stuck)
+        yield _Scores(chunk, bounds, (du,), None, y_df, den, stuck)
+
+
+def _merged(parts: list) -> _Scores:
+    """Chunks of a kept plan as one ``_Scores``, so a z pass takes one product with z."""
+    chunk, bounds, start = [], [], 0
+    for scores in parts:
+        chunk += scores.chunk
+        bounds += [(a + start, b + start) for a, b in scores.bounds]
+        start += len(scores.y_df)
+    scale = None
+    if any(scores.scale is not None for scores in parts):
+        scale = np.concatenate([np.ones(len(s.y_df)) if s.scale is None else s.scale for s in parts])
+    return _Scores(chunk, bounds, (np.concatenate([rows for scores in parts for rows in scores.rows]),), scale,
+                   np.concatenate([s.y_df for s in parts]), np.concatenate([s.den for s in parts]), parts[0].stuck)
+
+
+def _record(scores: _Scores, z0: np.ndarray, wins: list) -> None:
+    """Set wins[k][slot] to (quotient, rows, index) of the first largest quotient of each segment of a chunk."""
+    z_du = _dot(scores.rows[0], z0) if len(scores.rows) == 1 else np.concatenate([_dot(r, z0) for r in scores.rows])
+    if scores.scale is not None:
+        z_du *= scores.scale
+    q = (z_du - scores.y_df) / scores.den
+    for (k, slot, block), (a, b) in zip(scores.chunk, scores.bounds):
+        i = int(q[a:b].argmax())
+        wins[k][slot] = (float(q[a + i]), block, i)
 
 
 def _axis_block(x0: np.ndarray, *vs: np.ndarray, copies: int = 1) -> tuple[np.ndarray, ...]:
@@ -419,8 +493,9 @@ def _axis_block(x0: np.ndarray, *vs: np.ndarray, copies: int = 1) -> tuple[np.nd
     Probe k moves along axis j = k // 2 with sign s = +1 for even k and -1
     for odd k; copy c follows copy c - 1 (one copy per probe radius).
     """
-    j = np.tile(np.repeat(np.arange(x0.size), 2), copies)
-    return (j, np.tile((1.0, -1.0), x0.size * copies), x0[j], *(v[j] for v in vs))
+    k = np.arange(2 * x0.size * copies)
+    j = (k >> 1) % x0.size
+    return (j, 1.0 - 2.0 * (k & 1), x0[j], *(v[j] for v in vs))
 
 
 def _axis_probes(t, block: tuple[np.ndarray, ...]):
@@ -472,7 +547,7 @@ def _axis_image_terms(a, b, block: tuple[np.ndarray, ...], frame: Callable[[], t
 
 
 def _form(f: Callable[[Vector], Vector], kind: str) -> Optional[Callable]:
-    """The ``kind`` form of f ("rows" or "axes"), or None when f has none.
+    """The ``kind`` form of f ("rows", "axes" or "dirs"), or None when f has none.
 
     It is the ``project_<kind>`` method of the object when f is its bound
     ``project``, and otherwise the ``<kind>`` attribute of f, as set on
@@ -484,6 +559,10 @@ def _form(f: Callable[[Vector], Vector], kind: str) -> Optional[Callable]:
       probes u = x0 + (moved - x0[j]) e_j to (a, b) with
       f(u) - f(x0) = a*x0 + b*e_j, elementwise over the probes, or to
       None when it declines them.
+    * A direction form maps (x0, y0, dirs, t), dirs a sequence of 2-D
+      blocks whose stacked rows are unit directions d and t one radius per
+      row, to the arrays <y0, f(u) - f(x0)> and ||f(u) - f(x0)|| over the
+      probes u = x0 + t*d, or to None when it declines them.
 
     For a sparse f the coordinates are those on the probed axes, which is
     valid only when f acts coordinate by coordinate and maps 0 to 0.
@@ -507,8 +586,9 @@ class _Plan(NamedTuple):
     fx: Vector                     # f(xbar)
     terms: Callable                # probe rows u -> (<y, f(u) - f(xbar)>, ||f(u) - f(xbar)||)
     anchor: tuple[float, float]    # <x0, x0> and ||x0||
+    head: list                     # the head rows of xbar and y while no z pass has scored them (see _z_pass)
     slots: int                     # per radius: head, z rows, axis probes, then the random blocks
-    chunks: Iterable[_Scores]      # the head and random rows: a tuple when kept, else streamed
+    chunks: Iterable[_Scores]      # the random rows, then the head: a list when kept, else streamed
     axis: tuple                    # (j, s, du) of the axis probes of every radius
     stuck: int                     # radius index of the first axis probe with u == xbar, or the number of radii
     axis_scores: Callable[[], tuple]  # (<y, df>, denominator) of the axis probes, taken on first use
@@ -519,27 +599,24 @@ def _plan(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, x0: np.ndarray
           axes: Optional[tuple[int, ...]], config: ProbeConfig, keep: bool) -> _Plan:
     """The z-free part of a verdict on f at xbar for y.
 
-    A kept plan scores its rows here; any other streams them to the z pass
-    chunk by chunk, so at most one chunk of rows is in memory.
+    A kept plan scores its random rows here; any other streams them to the
+    z pass chunk by chunk, so at most one chunk of rows is in memory.  The
+    head rows are scored by the first z pass (see ``_z_pass``).
     """
     m, radii = x0.size, config.radii
     randoms = _random_blocks(config.seed, config.random_directions, m, len(radii))
     # the probe plan, radius by radius: the head rows of xbar and y
-    # (slot 0), those of z (slot 1, see _z_pass), the axis probes (slot 2),
-    # then the radius's random blocks (slots 3, ...).  The head and the
+    # (slot 0) and those of z (slot 1), both scored by the z pass, the axis
+    # probes (slot 2), then the radius's random blocks (slots 3, ...).  The
     # random blocks are row segments (radius index, slot, rows); the axis
     # probes of every radius form one block of scalars.
     anchor = _anchor(x0)
     head = _structured_head(x0, y0, anchor=anchor)
-    head = [np.array(head)] if head else []
-    segments = []
-    for k, blocks in enumerate(randoms):
-        segments += [(k, 0, block) for block in head]
-        segments += [(k, 3 + b, block) for b, block in enumerate(blocks) if len(block)]
+    segments = [(k, 3 + b, block) for k, blocks in enumerate(randoms) for b, block in enumerate(blocks) if len(block)]
     axis = _axis_block(x0, y0, copies=len(radii))
     moved, axis_in, axis_du = _axis_probes(np.repeat(radii, 2 * m), axis)
     fx = f(xbar)
-    f_rows, f_axes = _form(f, "rows"), _form(f, "axes")
+    f_rows, f_axes, f_dirs = _form(f, "rows"), _form(f, "axes"), _form(f, "dirs")
     if f_rows is not None:
         fx0 = _dense_over(fx, axes) if isinstance(fx, SparseVector) else fx
 
@@ -569,10 +646,20 @@ def _plan(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, x0: np.ndarray
             y_df, df_norm = map(np.concatenate, zip(*(terms(u) for u in tiles)))
         return y_df, _denominator(config.denominator, axis_in, df_norm)
 
-    chunks = _scored_chunks(segments, x0, radii, terms, config.denominator)
+    # a unit row has an entry of at least 1/sqrt(m), so it moves x0 by more
+    # than half the spacing of doubles at some entry, and no probe rounds
+    # back to xbar, when the smallest radius exceeds sqrt(m) times the
+    # largest spacing in x0; then the random rows take the direction form,
+    # and else they are formed and tested
+    dirs = None
+    if f_dirs is not None and radii[-1] > math.sqrt(m) * float(np.spacing(np.max(np.abs(x0)))):
+        def dirs(blocks, t):
+            return f_dirs(x0, y0, blocks, t)
+
+    chunks = _scored_chunks(segments, x0, radii, terms, config.denominator, dirs)
     stuck = len(radii) if np.all(axis_in > 0.0) else int(np.argmin(axis_in > 0.0)) // (2 * m)
-    return _Plan(fx, terms, anchor, 3 + len(randoms[0]), tuple(chunks) if keep else chunks,
-                 (axis[0], axis[1], axis_du), stuck, axis_scores, {})
+    return _Plan(fx, terms, anchor, [np.array(head)] if head else [], 3 + len(randoms[0]),
+                 list(chunks) if keep else chunks, (axis[0], axis[1], axis_du), stuck, axis_scores, {})
 
 
 def _plan_key(f: Callable[[Vector], Vector], x0: np.ndarray, y0: np.ndarray, axes: Optional[tuple[int, ...]],
@@ -582,7 +669,7 @@ def _plan_key(f: Callable[[Vector], Vector], x0: np.ndarray, y0: np.ndarray, axe
     A plan is kept when f has a row form (the sets of this package are
     pure; a user callable may not be), when every row of the plan fits in
     one chunk, so that a kept plan holds at most about 32k floats of
-    u - xbar, and when f and the config are hashable.
+    u - xbar or of directions, and when f and the config are hashable.
     """
     if _form(f, "rows") is None or len(config.radii) * (6 + config.random_directions) > _block_rows(x0.size):
         return None
@@ -610,21 +697,32 @@ def _z_pass(plan: _Plan, f: Callable[[Vector], Vector], xbar: Vector, y: Vector,
     n_radii = len(radii)
     # per radius and slot, the first largest quotient: (value, rows or None for the axis, index)
     wins = [[None] * plan.slots for _ in radii]
-    # the rows of z of every radius are one segment, scored first; they follow
-    # the head rows of the plan at every radius, so the first largest
-    # quotient in probe order is that of the whole head
+    # the plan's head rows, until a z pass has scored them, and the rows of
+    # z take the row path in one call, per radius the head, then the rows
+    # of z; a kept plan then keeps the head's z-free scores in its chunk
     stuck = plan.stuck
     z_rows = _structured_head(x0, z0, anchor=plan.anchor, xbar_rows=False)
-    if z_rows:
-        z_block = np.array(z_rows)
-        t = np.array(radii).repeat(len(z_block))[:, None]
-        first, du, y_df, den = _score(np.concatenate([z_block] * n_radii), t, x0, plan.terms, config.denominator)
+    parts = [(0, block) for block in plan.head] + ([(1, np.array(z_rows))] if z_rows else [])
+    head_scores = None
+    if parts:
+        rows = np.concatenate([block for _, block in parts]) if len(parts) > 1 else parts[0][1]
+        t = np.array(radii).repeat(len(rows))[:, None]
+        first, du, y_df, den = _score(np.concatenate([rows] * n_radii), t, x0, plan.terms, config.denominator)
         if first is not None:
-            stuck = min(stuck, first // len(z_block))
+            stuck = min(stuck, first // len(rows))
         else:
-            q = ((_dot(du, z0) - y_df) / den).reshape(n_radii, len(z_block))
-            for k, i in enumerate(q.argmax(axis=1).tolist()):
-                wins[k][1] = (float(q[k, i]), z_block, i)
+            q = ((_dot(du, z0) - y_df) / den).reshape(n_radii, len(rows))
+            start = 0
+            for slot, block in parts:
+                part = q[:, start:start + len(block)]
+                for k, i in enumerate(part.argmax(axis=1).tolist()):
+                    wins[k][slot] = (float(part[k, i]), block, i)
+                start += len(block)
+            if plan.head and isinstance(plan.chunks, list):
+                h = len(plan.head[0])
+                at = (np.arange(n_radii)[:, None] * len(rows) + np.arange(h)).ravel()
+                head_scores = _Scores([(k, 0, plan.head[0]) for k in range(n_radii)], _bounds([h] * n_radii),
+                                      (du[at],), None, y_df[at], den[at], n_radii)
     # a probe that rounds back to xbar is reported at the first radius
     # where one does; a streamed plan is read up to its first such chunk
     for scores in plan.chunks:
@@ -632,14 +730,14 @@ def _z_pass(plan: _Plan, f: Callable[[Vector], Vector], xbar: Vector, y: Vector,
             stuck = min(stuck, scores.stuck)
             break
         if stuck == n_radii:
-            q = (_dot(scores.du, z0) - scores.y_df) / scores.den
-            for (k, slot, block), (a, b) in zip(scores.chunk, scores.bounds):
-                i = int(q[a:b].argmax())
-                wins[k][slot] = (float(q[a + i]), block, i)
+            _record(scores, z0, wins)
     if stuck < n_radii:
         raise ValueError(
             f"u must differ from xbar: a probe at radius {radii[stuck]!r} rounds back to xbar at "
             f"||xbar|| = {norm(xbar):.6g}; probe radii are absolute")
+    if head_scores is not None:
+        plan.chunks[:] = [_merged(plan.chunks + [head_scores])]
+        plan.head.clear()
 
     axis_j, axis_s, axis_du = plan.axis
     y_df, den = plan.axis_scores()

@@ -118,6 +118,17 @@ class TestWideMagnitudes:
         want = r * BallProjection(1.0).gateaux(x, w)
         np.testing.assert_allclose(op.gateaux(r * x, r * w), want, rtol=1e-14, atol=1e-16 * r)
 
+    def test_gateaux_of_a_direction_beyond_the_largest_double(self):
+        # <x, w> = 2.1e308 is no double, yet w - <x, w> x is; the direction
+        # is read from w / 2^e
+        op = BallProjection(1.0)
+        w = np.array([1.5e308, 1.5e308])
+        assert op.direction_class([0.6, 0.8], w) is DirectionClass.OUTWARD
+        np.testing.assert_allclose(op.gateaux([0.6, 0.8], w), [2.4e307, -1.8e307], rtol=1e-14)
+        assert op.direction_class([0.6, 0.8], -w) is DirectionClass.INWARD
+        np.testing.assert_array_equal(op.gateaux([0.6, 0.8], -w), -w)
+        assert op.direction_class([0.6, 0.8], [0.9e308, 1.2e308]) is DirectionClass.RADIAL
+
     @pytest.mark.parametrize("r", [1.0, 1e100, 1e200, 1e-100, 1e-200])
     def test_region_at_large_radii(self, r):
         op = BallProjection(5.0 * r)

@@ -351,30 +351,34 @@ def _golden_digest(f, xbar, y, z, denominator):
 # orthant/n500/corner entries were recorded again when row_norms moved from
 # np.linalg.norm to the square sums of vectors._dot, so a row's norm is
 # norm(row) bit for bit: one sup each moved, by at most 4.5e-16, and their
-# verdicts and witnesses kept their bytes.
+# verdicts and witnesses kept their bytes.  The 19 entries at n 2 to 50 whose
+# random probes decide a supremum were recorded again when the random probes
+# moved to the direction forms, which score the exact probe xbar + t*d where
+# a row is rounded: no verdict or witness changed, no sup moved by more than
+# 1.6e-13, and the n = 500, signed-zero and sparse entries kept their digests.
 GOLDEN = {
-    "ball/n2/exterior/sum": "20ebea947ef55cde",
-    "ball/n2/exterior/euclidean": "abf7ba8fb0ba4420",
-    "ball/n2/exterior-off/sum": "42dd452b255ddb56",
-    "ball/n2/exterior-off/euclidean": "3e0398de5555b539",
-    "orthant/n2/mixed/sum": "53bec434dc2cf080",
-    "orthant/n2/mixed/euclidean": "077e8aea4248b47a",
+    "ball/n2/exterior/sum": "7b57ebd40e1cfaa8",
+    "ball/n2/exterior/euclidean": "40380496cfdaaf37",
+    "ball/n2/exterior-off/sum": "d45b374ae5a5a5ce",
+    "ball/n2/exterior-off/euclidean": "5e79f4566fd6d460",
+    "orthant/n2/mixed/sum": "d5c8f74edb8d893e",
+    "orthant/n2/mixed/euclidean": "c0be6341c29d5893",
     "orthant/n2/corner/sum": "0cc55c50fce7f5b3",
     "orthant/n2/corner/euclidean": "0cc55c50fce7f5b3",
-    "ball/n6/exterior/sum": "c68477f80ec6ced8",
-    "ball/n6/exterior/euclidean": "3b6ed7f2ae63b523",
-    "ball/n6/exterior-off/sum": "2851159e2d8d1289",
-    "ball/n6/exterior-off/euclidean": "e8ff2baa4e2b0f4f",
-    "orthant/n6/mixed/sum": "4a4c4558c3efea13",
-    "orthant/n6/mixed/euclidean": "c4ff664ddd784c14",
-    "orthant/n6/corner/sum": "4e2926b754c71445",
-    "orthant/n6/corner/euclidean": "0cadd765adb9afe1",
-    "ball/n50/exterior/sum": "d2a0c6b8aea99836",
-    "ball/n50/exterior/euclidean": "e507730b8cfa6e62",
-    "ball/n50/exterior-off/sum": "34431ec5ec984ff8",
-    "ball/n50/exterior-off/euclidean": "1cafe6c210b2a1ff",
+    "ball/n6/exterior/sum": "4aa34def9eb3a93a",
+    "ball/n6/exterior/euclidean": "70ee8c612b431717",
+    "ball/n6/exterior-off/sum": "92f6700d7e564c12",
+    "ball/n6/exterior-off/euclidean": "f2a13fb8e51266f5",
+    "orthant/n6/mixed/sum": "a5dc8c105b53be32",
+    "orthant/n6/mixed/euclidean": "39a6d797b4a05fd0",
+    "orthant/n6/corner/sum": "9943513f1d8990ae",
+    "orthant/n6/corner/euclidean": "695d4975fc4faeb4",
+    "ball/n50/exterior/sum": "f3ce81e176121a64",
+    "ball/n50/exterior/euclidean": "43077569531be36a",
+    "ball/n50/exterior-off/sum": "fcae49d8393a6351",
+    "ball/n50/exterior-off/euclidean": "c6b5cad7af4c8eee",
     "orthant/n50/mixed/sum": "dd188bfec23dd15d",
-    "orthant/n50/mixed/euclidean": "0621421c4e6d7b99",
+    "orthant/n50/mixed/euclidean": "0f01bc1d1d4231f2",
     "orthant/n50/corner/sum": "72392eb51f582a3b",
     "orthant/n50/corner/euclidean": "61c87f40593f3d7e",
     "ball/n500/exterior/sum": "38f4f6f336d12344",
@@ -629,9 +633,120 @@ class TestAxisForm:
                     assert np.abs(got - exact).max() <= bound, (x0.size, t)
 
 
+class _NoDirsBall(BallProjection):
+    """A ball whose project has the row and axis forms but no direction form."""
+
+    project_dirs = None
+
+
+def _wide_ball(r):
+    """The ball projection of the rows of a block, in np.longdouble."""
+    wide = np.longdouble
+    return lambda v: (wide(r) / np.maximum(np.sqrt((v * v).sum(axis=-1)), wide(r)))[..., None] * v
+
+
+def _wide_orthant(v):
+    return np.maximum(v, np.longdouble(0.0))
+
+
+class TestDirectionForm:
+    def test_found_on_every_set(self):
+        op = BallProjection(1.0)
+        assert _form(op.project, "dirs") == op.project_dirs
+        assert _form(orthant.project, "dirs") is orthant.project_dirs
+        assert _form(l2_cone.project, "dirs") is orthant.project_dirs
+        assert _form(lambda u: op.project(u), "dirs") is None
+        assert _form(_NoDirsBall(1.0).project, "dirs") is None
+
+    @pytest.mark.parametrize("m", [6, 41, 500])
+    def test_stacked_products_are_the_bits_of_dot(self, m):
+        # <d, x0>, <d, y0> and <d, z0> over the cached random blocks, taken
+        # together, give the bits of one vectors._dot per vector
+        rng = np.random.default_rng(m)
+        vs = rng.standard_normal((3, m)) * np.array([[1.0], [1e-3], [1e3]])
+        blocks = [block for radius in oracle._random_blocks(7, 256, m, 3) for block in radius]
+        stacked = vectors._dots(blocks, vs)
+        for got, v in zip(stacked, vs):
+            want = np.concatenate([vectors._dot(block, v) for block in blocks])
+            np.testing.assert_array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="np.longdouble is no wider than a double here")
+    def test_terms_no_less_accurate_than_rows(self):
+        # against an extended-precision evaluation of the full rows x0 + t d:
+        # the form's <y, df> and ||df|| err no more than the row path's, or
+        # than 2 ulp where the rows happen to be closer.  df is a difference
+        # of points of norm up to s = max ||P(v)||, so an ulp of ||df|| is
+        # one of s, and one of <y, df> one of ||y|| s: at the sphere ||x0||
+        # itself rounds by about an ulp of r
+        wide = np.longdouble
+        rng = np.random.default_rng(16)
+        cases = []
+        for n in (2, 3, 6, 50):
+            u = rng.standard_normal(n)
+            u /= norm(u)
+            y, z = rng.standard_normal((2, n))
+            randoms = oracle._random_blocks(3, 64, n, 1)[0][0]
+            # interior, sphere and exterior points; the head rows hold +-xbar,
+            # where ||x0||^2 - <d, x0>^2 cancels
+            for r, rho in ((1.0, 0.5), (1.0, 1.0), (2.0, 2.0), (0.5, 1.0), (1.0, 3.0)):
+                x0 = rho * u
+                dirs = np.concatenate([np.array(oracle._structured_head(x0, y, z)), randoms])
+                cases.append((BallProjection(r), _wide_ball(r), x0, y, dirs))
+            # a zero coordinate, and one that the largest radius moves across 0
+            x0 = rng.uniform(0.2, 1.0, n) * rng.choice((-1.0, 1.0), n)
+            x0[0], x0[-1] = 0.0, 3e-3
+            cases.append((orthant, _wide_orthant, x0, y, np.concatenate([np.eye(n), -np.eye(n), randoms])))
+        for op, exact_map, x0, y0, dirs in cases:
+            for radius in ProbeConfig().radii:
+                t = np.full(len(dirs), radius)
+                got = op.project_dirs(x0, y0, [dirs], t)
+                df = op.project_rows(x0 + t[:, None] * dirs) - op.project(x0)
+                rows = (vectors._dot(df, y0), vectors.row_norms(df))
+                u = x0.astype(wide) + t.astype(wide)[:, None] * dirs.astype(wide)
+                exact_df = exact_map(u) - exact_map(x0.astype(wide)[None])
+                exact = (exact_df @ y0.astype(wide), np.sqrt((exact_df * exact_df).sum(axis=1)))
+                scale = max(norm(op.project(x0)), vectors.row_norms(df + op.project(x0)).max())
+                for term, by_rows, want, ulp in zip(got, rows, exact, (norm(y0) * scale, scale)):
+                    bound = max(np.abs(by_rows - want).max(), 2.0 * np.spacing(ulp))
+                    assert np.abs(term - want).max() <= bound, (x0.size, radius)
+
+    @pytest.mark.parametrize("f", [BallProjection(1.0).project, orthant.project], ids=["ball", "orthant"])
+    def test_rounds_back_at_the_radius_of_the_row_path(self, f):
+        # from ||xbar|| near 1e12 a probe rounds back to xbar: the random rows
+        # take the row path, and the verdict raises at the radius that a
+        # formless f names
+        rng = np.random.default_rng(13)
+        for scale in (1e12, 3e12, 1e13, 3e13):
+            x, y, z = scale * rng.uniform(0.5, 1.0, 4), rng.standard_normal(4), rng.standard_normal(4)
+            errors = []
+            for g in (f, lambda u: f(u)):
+                with pytest.raises(ValueError, match="rounds back to xbar") as info:
+                    membership(g, x, y, z)
+                errors.append(str(info.value))
+            assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize("case", ["tiny-sphere", "huge-norm", "scale-underflow"])
+    def test_declined_block_takes_the_row_path(self, case):
+        # ||xbar||^2 is no normal double, or a scale r / ||u|| underflows:
+        # the form declines the random rows, and the verdict is the row path's
+        r, x0, config = {
+            "tiny-sphere": (1e-200, np.array([6e-201, -8e-201]), ProbeConfig()),
+            "huge-norm": (1e200, np.array([6e154, -8e154]), ProbeConfig(radii=(1e150, 1e149))),
+            "scale-underflow": (1e-200, np.array([3e120, 4e120]), ProbeConfig(radii=(1e119, 1e118))),
+        }[case]
+        y, z = np.ones(x0.size), 0.5 * np.ones(x0.size)
+        randoms = oracle._random_blocks(config.seed, config.random_directions, x0.size, len(config.radii))
+        t = np.repeat(config.radii, config.random_directions)
+        assert BallProjection(r).project_dirs(x0, y, [block for blocks in randoms for block in blocks], t) is None
+        got = membership(BallProjection(r).project, x0, y, z, config)
+        want = membership(_NoDirsBall(r).project, x0, y, z, config)
+        assert json.dumps(got.to_json(), sort_keys=True) == json.dumps(want.to_json(), sort_keys=True)
+
+
 @dataclass(frozen=True)
 class _CountingBall(BallProjection):
-    """A ball that records its row-form calls (with their row counts) and its axis-form calls."""
+    """A ball that records its row-, axis- and direction-form calls, with their probe counts."""
 
     calls: list = field(default_factory=list, compare=False)
 
@@ -643,6 +758,10 @@ class _CountingBall(BallProjection):
         self.calls.append(("axes", len(moved)))
         return super().project_axes(sq_norm, xj, moved)
 
+    def project_dirs(self, x0, y0, dirs, t):
+        self.calls.append(("dirs", len(t)))
+        return super().project_dirs(x0, y0, dirs, t)
+
 
 def _verdict_json(f, xbar, y, z, config=None):
     return json.dumps(membership(f, xbar, y, z, config).to_json(), sort_keys=True)
@@ -651,10 +770,11 @@ def _verdict_json(f, xbar, y, z, config=None):
 class TestPackedPlan:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_small_verdict_calls_each_form_once(self, n):
-        # interior, exterior and the origin: the plan's row segments of all
-        # three radii go through one row-form call, the rows of z of all
-        # three radii through one more, and the axis probes through one
-        # axis-form call; a verdict on the kept plan makes only the z call
+        # interior, exterior and the origin: the plan's random rows of all
+        # three radii go through one direction-form call, the head rows and
+        # the rows of z of all three radii through one row-form call, and
+        # the axis probes through one axis-form call; a verdict on the kept
+        # plan makes only the row-form call on the rows of z
         rng = np.random.default_rng(n)
         u = rng.standard_normal(n)
         u /= np.linalg.norm(u)
@@ -664,24 +784,23 @@ class TestPackedPlan:
             membership(op.project, xbar, y, z)
             # +-xbar and +-orth(y) (none at the origin), +-y; then +-z, +-orth(z)
             head, z_rows = (6, 4) if xbar.any() else (2, 2)
-            assert op.calls == [("rows", 3 * (head + 256)), ("rows", 3 * z_rows), ("axes", 3 * 2 * n)]
+            assert op.calls == [("dirs", 3 * 256), ("rows", 3 * (head + z_rows)), ("axes", 3 * 2 * n)]
             op.calls.clear()
             membership(op.project, xbar, y, z_next)
             assert op.calls == [("rows", 3 * z_rows)]
 
     def test_wide_verdict_keeps_the_row_budget(self):
-        # at n = 500 the plan is streamed and every chunk is one segment:
-        # the head rows of xbar and y, then the random blocks of 65, 65, 65
-        # and 61 rows, radius by radius; the rows of z of all three radii
-        # (+-z, +-orth(z)) are scored first, in one call
+        # at n = 500 the plan is streamed, so the z pass scores first the
+        # only rows formed, the head rows of xbar and y and the rows of z
+        # (+-z, +-orth(z)) of all three radii, in one row-form call within
+        # the row budget; then the random rows of all three radii, in one
+        # direction-form call
         rng = np.random.default_rng(500)
         x, y, z = rng.standard_normal((3, 500))
         op = _CountingBall(1.0)
         membership(op.project, x, y, z)
-        rows = [count for kind, count in op.calls if kind == "rows"]
-        assert max(rows) <= oracle._block_rows(500)
-        assert rows == [12] + [6, 65, 65, 65, 61] * 3
-        assert [kind for kind, _ in op.calls].count("axes") == 1
+        assert op.calls == [("rows", 3 * (6 + 4)), ("dirs", 3 * 256), ("axes", 3 * 2 * 500)]
+        assert 3 * (6 + 4) <= oracle._block_rows(500)
 
     @pytest.mark.parametrize("n", [2, 6, 500])
     def test_matches_the_rows_only_ball(self, n):
