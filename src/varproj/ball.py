@@ -44,7 +44,6 @@ from .vectors import (
     _distance,
     _dot,
     _dots,
-    _stacked_rows,
     as_rows,
     as_vector,
     as_vector_of,
@@ -219,13 +218,13 @@ class BallProjection:
         scales = self._scales(sq_norm, origin, grow, norm_u)
         return None if scales is None else (scales[0], scales[1] * du)
 
-    def project_dirs(self, x0: np.ndarray, y0: np.ndarray, dirs, t: np.ndarray):
+    def project_dirs(self, x0: np.ndarray, y0: np.ndarray, dirs: np.ndarray, t: np.ndarray):
         """Direction form: <y0, P(u) - P(x0)> and ||P(u) - P(x0)|| of the probes u = x0 + t d, from scalars.
 
-        ``dirs`` is a sequence of 2-D blocks whose stacked rows are unit
-        directions d, and t holds one radius per row.  This is the algebra
-        of ``project_axes`` with x_j replaced by <d, x0>: with
-        c(v) = r / max(||v||, r), P(u) - P(x0) = a x0 + b d, where
+        The rows of the 2-D array ``dirs`` are unit directions d, and t
+        holds one radius per row.  This is the algebra of ``project_axes``
+        with x_j replaced by <d, x0>: with c(v) = r / max(||v||, r),
+        P(u) - P(x0) = a x0 + b d, where
 
             a = c(u) - c(x0),   b = c(u) t,   ||u||^2 = ||x0||^2 + t (2 <d, x0> + t),
 
@@ -259,7 +258,7 @@ class BallProjection:
         off_sq = sq_norm - xd * xd
         near = np.flatnonzero(off_sq < sq_norm / 16.0)
         if near.size:
-            off = x0 - xd[near, None] * _stacked_rows(dirs, near)
+            off = x0 - xd[near, None] * dirs[near]
             off_sq[near] = _dot(off, off)
         return y_df, np.hypot(a * np.sqrt(off_sq), a * xd + b)
 

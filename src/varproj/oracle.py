@@ -21,16 +21,16 @@ scalar products taken once per plan (xbar and y) and once per verdict
 Evaluation is batched, and split in two.  Only the +-z and +-orth(z)
 head rows and <z, u - xbar> depend on z, so a verdict first takes a
 z-free plan of (f, xbar, y, config): f(xbar), <xbar, xbar> and ||xbar||,
-the head rows of xbar and y, and for every random probe its
+the head rows of xbar and y, and for every random and axis probe its
 <y, f(u) - f(xbar)> and denominator.  The z pass then scores the head
 rows, takes one <z, u - xbar> per chunk of rows and per axis probe, and
 runs the argmaxes, the verdict rule and the witness.  Every radius
 probes, in order, the head (the rows of z last), the axis probes, then
-its random blocks; the supremum at a radius is the first largest
-quotient in that order.  The random blocks are row segments tagged with
-their radius.  Sparse queries use the same dense path: they are
-embedded in R^m over the probed axes (all supports plus one fresh
-index), from one dict per vector (``_embed``).
+its random directions; the supremum at a radius is the first largest
+quotient in that order.  The random directions of all radii are one
+array, each radius a range of its rows.  Sparse queries use the same
+dense path: they are embedded in R^m over the probed axes (all supports
+plus one fresh index), from one dict per vector (``_embed``).
 
 The head rows take the row path: u = xbar + t*d is formed (t per row)
 and scored with one call of the row form (``_score``), inner products in
@@ -53,9 +53,10 @@ plan makes one call for every random row, each row at its radius, and
 a row's terms do not depend on the other rows.  The form is not called,
 and the random rows take the row path, when some row might round back to
 xbar (see ``_plan``); the ball's form declines, with the same result,
-where its axis form does.  On the row path, consecutive random segments
-are packed into chunks of at most about 32k floats (``_block_rows``), a
-segment never split, each chunk one ``_score`` call.
+where its axis form does.  On the row path, the random rows are cut into
+chunks of at most about 32k floats (``_block_rows``), each one ``_score``
+call; a chunk may span two radii, and each radius keeps the first
+largest quotient over its chunks.
 
 The 16 most recently used plans are kept, keyed by f, the bytes of
 xbar and y over the probed axes, the axes and the config, when f has a
@@ -70,9 +71,9 @@ Any other plan streams its chunks to the z pass one by one and is
 dropped with the verdict.
 
 The random directions depend only on (seed, random_directions, m, number
-of radii), so they are drawn once per process and kept, read-only, in
-a cache of the 16 most recently used such sets; they give the same
-bits as drawing anew, block for block.
+of radii), so they are drawn once per process and kept, read-only, as
+one array in a cache of the 16 most recently used such sets; they give
+the same bits as drawing anew, radius by radius.
 
 The 2m axis probes u = xbar +- t*e_j of every radius are one block.
 Their u - xbar is one number du per probe, so its norm and its inner
@@ -88,8 +89,8 @@ the block.  Then
 with <y, xbar> and the off-axis norms (prefix and suffix sums of
 squares, so nothing cancels) computed once per plan, so a radius
 costs O(m).  When the form declines the block, or f has none, every
-axis probe of every radius is scored as a full row, in row blocks like
-the random directions.  Separable forms (a = 0) give those rows' bits.
+axis probe of every radius is scored as a full row, in chunks of the
+random rows' size.  Separable forms (a = 0) give those rows' bits.
 
 When f has a row form (``_form`` again), f is applied to a whole call's
 rows at once, and its images lie on the probed coordinates.  Any other f
@@ -133,7 +134,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache, lru_cache
+from functools import lru_cache
 from itertools import accumulate
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -153,7 +154,7 @@ __all__ = [
 ]
 
 _DENOMINATORS = ("sum", "euclidean")
-# probe rows are generated and scored in blocks of about this many floats
+# the row path scores probe rows in chunks of about this many floats
 _BLOCK_FLOATS = 1 << 15
 
 
@@ -164,10 +165,10 @@ class ProbeConfig:
     Every radius probes the structured directions of the module docstring,
     the axis probes among them, and then the random ones.
 
-    radii: strictly decreasing probe radii.
-    random_directions: random unit directions drawn per radius.
+    radii: strictly decreasing, positive and finite probe radii.
+    random_directions: random unit directions drawn per radius, an integer (not a bool).
     seed: integer seed (not a bool) for the direction generator; fixed seed, fixed verdict.
-    tolerance: decision band for the quotient suprema.
+    tolerance: decision band for the quotient suprema, positive and finite.
     denominator: "sum" for ||du|| + ||df||, "euclidean" for the root of
         the sum of squares.
     """
@@ -181,18 +182,20 @@ class ProbeConfig:
     def __post_init__(self):
         if not self.radii:
             raise ValueError("at least one probe radius is required")
-        if any(not (t > 0.0) for t in self.radii):
-            raise ValueError("probe radii must be positive")
+        if any(not (0.0 < t < math.inf) for t in self.radii):
+            raise ValueError("probe radii must be positive and finite")
         if any(a <= b for a, b in zip(self.radii, self.radii[1:])):
             raise ValueError("probe radii must be strictly decreasing")
+        for name in ("random_directions", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
         if self.random_directions < 0:
             raise ValueError("random_directions must be nonnegative")
-        if not (self.tolerance > 0.0):
-            raise ValueError("tolerance must be positive")
+        if not (0.0 < self.tolerance < math.inf):
+            raise ValueError("tolerance must be positive and finite")
         if self.denominator not in _DENOMINATORS:
             raise ValueError(f"denominator must be one of {_DENOMINATORS}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
-            raise TypeError(f"seed must be an integer, got {self.seed!r}")
 
 
 class Verdict(str, Enum):
@@ -335,58 +338,38 @@ def _block_rows(m: int) -> int:
     return max(1, _BLOCK_FLOATS // m)
 
 
-# one plan per (seed, count, m, number of radii); 3 MB at m = 500, count = 256
+# one array per (seed, count, m, number of radii); 3 MB at m = 500, count = 256
 @lru_cache(maxsize=16)
-def _random_blocks(seed, count: int, m: int, n_radii: int) -> tuple[tuple[np.ndarray, ...], ...]:
-    """Seeded random unit directions: per radius, a tuple of read-only row blocks.
+def _random_dirs(seed, count: int, m: int, n_radii: int) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
+    """Seeded random unit directions: one read-only (rows, m) array, and the (start, end) rows of each radius.
 
     For each radius in turn, `count` Gaussian draws of length m are taken
-    from default_rng(seed) and scaled to unit length in place; draws
-    shorter than 1e-12 are dropped.  Each block holds the kept draws of a
-    run of at most `_block_rows(m)` draws, the layout they are scored in.
+    from default_rng(seed) into the radius's rows and scaled to unit length
+    in place; draws shorter than 1e-12 are dropped.
     """
     rng = np.random.default_rng(seed)
-    rows = _block_rows(m)
-    plan = []
+    dirs, bounds, end = np.empty((n_radii * count, m)), [], 0
     for _ in range(n_radii):
-        draws = rng.standard_normal((count, m))
+        draws = dirs[end:end + count]
+        rng.standard_normal(out=draws)
         length = np.linalg.norm(draws, axis=1)
         keep = length >= 1e-12
         np.divide(draws, length[:, None], out=draws, where=keep[:, None])
-        draws.flags.writeable = False
-        blocks = []
-        for start in range(0, count, rows):
-            block, kept = draws[start:start + rows], keep[start:start + rows]
-            if not kept.all():
-                block = block[kept]
-                block.flags.writeable = False
-            blocks.append(block)
-        plan.append(tuple(blocks))
-    return tuple(plan)
-
-
-def _chunks(segments: list, rows: int):
-    """Consecutive (radius index, slot, rows) segments packed into chunks of at most ``rows`` rows.
-
-    A segment is never split, so one longer than ``rows`` is a chunk of its own.
-    """
-    chunk, size = [], 0
-    for segment in segments:
-        if chunk and size + len(segment[2]) > rows:
-            yield chunk
-            chunk, size = [], 0
-        chunk.append(segment)
-        size += len(segment[2])
-    if chunk:
-        yield chunk
+        kept = int(np.count_nonzero(keep))
+        if kept < count:
+            draws[:kept] = draws[keep]
+        bounds.append((end, end + kept))
+        end += kept
+    dirs = dirs[:end]
+    dirs.flags.writeable = False
+    return dirs, tuple(bounds)
 
 
 class _Scores(NamedTuple):
-    """The z-free scores of one chunk of row segments (see ``_scored_chunks``)."""
+    """The z-free scores of one chunk of probe rows (see ``_scored_chunks``)."""
 
-    chunk: list          # its (radius index, slot, rows) segments
-    bounds: list         # (start, end) of each segment in the chunk
-    rows: tuple          # blocks of stacked rows r with <z, u - xbar> = scale * <r, z>, one per probe
+    rows: np.ndarray     # rows r with <z, u - xbar> = scale * <r, z>, one per probe
+    segments: list       # (radius index, slot, start, end, block, first): row start + i is block[first + i]
     scale: Optional[np.ndarray]  # the radius of each probe when the rows are its direction; None when they are u - xbar
     y_df: np.ndarray     # <y, f(u) - f(xbar)>
     den: np.ndarray      # the quotient's denominator
@@ -408,83 +391,66 @@ def _score(dirs: np.ndarray, t, x0: np.ndarray, terms: Callable, denominator: st
     return None, du, y_df, _denominator(denominator, d_in, df_norm)
 
 
-def _bounds(sizes: list) -> list:
-    """(start, end) of consecutive segments of the given sizes."""
-    ends = list(accumulate(sizes))
-    return list(zip([0] + ends, ends))
+def _scored_chunks(dirs: np.ndarray, bounds: tuple, x0: np.ndarray, radii: tuple, terms: Callable,
+                   denominator: str, form: Optional[Callable] = None):
+    """The z-free scores of the random rows (radius k at rows ``bounds[k]`` of ``dirs``), one ``_Scores`` per chunk.
 
-
-def _dir_scores(chunk: list, radii: tuple, dirs: Callable, denominator: str) -> Optional[_Scores]:
-    """The ``_Scores`` of a chunk from the direction form ``dirs``, or None when it declines.
-
-    A row d at radius t is scored at u = x0 + t d, never formed: the rows
-    of the ``_Scores`` are the directions (one array when they fit in a
-    row block) and its scale the radius of each, so <z, u - xbar> =
-    t <d, z> and ||u - xbar|| = t.
+    ``form`` is f's direction form on (x0, y0), or None.  With it, all the
+    rows are one chunk scored from their directions: a row d at radius t
+    is scored at u = x0 + t d, never formed, so <z, u - xbar> = t <d, z>
+    and ||u - xbar|| = t.  When the form declines, or f has none, the rows
+    take the row path in chunks of ``_block_rows`` rows, a chunk possibly
+    spanning two radii; a chunk with a row that rounds back to xbar names
+    the radius of its first such row, and its other scores are None.
     """
-    blocks = [block for _, _, block in chunk]
-    sizes = [len(block) for block in blocks]
-    t = np.repeat([radii[k] for k, _, _ in chunk], sizes)
-    if 1 < len(blocks) and t.size <= _block_rows(blocks[0].shape[1]):
-        blocks = [np.concatenate(blocks)]
-    terms = dirs(blocks, t)
-    if terms is None:
-        return None
-    return _Scores(chunk, _bounds(sizes), tuple(blocks), t, terms[0], _denominator(denominator, t, terms[1]),
-                   len(radii))
-
-
-def _scored_chunks(segments: list, x0: np.ndarray, radii: tuple, terms: Callable, denominator: str,
-                   dirs: Optional[Callable] = None):
-    """The z-free scores of row segments, one ``_Scores`` per chunk (see ``_chunks`` and ``_score``).
-
-    ``dirs`` is f's direction form on (x0, y0), or None.  With it, all the
-    segments are one chunk scored from their directions (``_dir_scores``),
-    unless the form declines; then every segment takes the row path.  On
-    the row path a chunk with a row that rounds back to xbar names the
-    radius of its first such row, and its other scores are None.
-    """
-    if dirs is not None:
-        scored = [_dir_scores(chunk, radii, dirs, denominator) for chunk in _chunks(segments, math.inf)]
-        if all(scores is not None for scores in scored):
-            yield from scored
+    if not len(dirs):
+        return
+    t = np.repeat(radii, [end - start for start, end in bounds])
+    if form is not None:
+        images = form(dirs, t)
+        if images is not None:
+            segments = [(k, 3, start, end, dirs, start) for k, (start, end) in enumerate(bounds) if start < end]
+            yield _Scores(dirs, segments, t, images[0], _denominator(denominator, t, images[1]), len(radii))
             return
-    for chunk in _chunks(segments, _block_rows(x0.size)):
-        sizes = [len(block) for _, _, block in chunk]
-        bounds = _bounds(sizes)
-        if len(chunk) == 1:
-            rows, t = chunk[0][2], radii[chunk[0][0]]
-        else:
-            rows = np.concatenate([block for _, _, block in chunk])
-            t = np.repeat([radii[k] for k, _, _ in chunk], sizes)[:, None]
-        first, du, y_df, den = _score(rows, t, x0, terms, denominator)
-        stuck = len(radii) if first is None else next(k for (k, _, _), (_, b) in zip(chunk, bounds) if first < b)
-        yield _Scores(chunk, bounds, (du,), None, y_df, den, stuck)
+    size = _block_rows(x0.size)
+    for lo in range(0, len(dirs), size):
+        hi = min(lo + size, len(dirs))
+        first, du, y_df, den = _score(dirs[lo:hi], t[lo:hi, None], x0, terms, denominator)
+        stuck = len(radii) if first is None else next(k for k, (_, end) in enumerate(bounds) if lo + first < end)
+        segments = [(k, 3, max(start, lo) - lo, min(end, hi) - lo, dirs, max(start, lo))
+                    for k, (start, end) in enumerate(bounds) if start < hi and lo < end]
+        yield _Scores(du, segments, None, y_df, den, stuck)
 
 
 def _merged(parts: list) -> _Scores:
     """Chunks of a kept plan as one ``_Scores``, so a z pass takes one product with z."""
-    chunk, bounds, start = [], [], 0
+    segments, start = [], 0
     for scores in parts:
-        chunk += scores.chunk
-        bounds += [(a + start, b + start) for a, b in scores.bounds]
+        segments += [(k, slot, a + start, b + start, block, first) for k, slot, a, b, block, first in scores.segments]
         start += len(scores.y_df)
     scale = None
     if any(scores.scale is not None for scores in parts):
         scale = np.concatenate([np.ones(len(s.y_df)) if s.scale is None else s.scale for s in parts])
-    return _Scores(chunk, bounds, (np.concatenate([rows for scores in parts for rows in scores.rows]),), scale,
-                   np.concatenate([s.y_df for s in parts]), np.concatenate([s.den for s in parts]), parts[0].stuck)
+    return _Scores(np.concatenate([s.rows for s in parts]), segments, scale, np.concatenate([s.y_df for s in parts]),
+                   np.concatenate([s.den for s in parts]), parts[0].stuck)
 
 
 def _record(scores: _Scores, z0: np.ndarray, wins: list) -> None:
-    """Set wins[k][slot] to (quotient, rows, index) of the first largest quotient of each segment of a chunk."""
-    z_du = _dot(scores.rows[0], z0) if len(scores.rows) == 1 else np.concatenate([_dot(r, z0) for r in scores.rows])
+    """Keep in wins[k][slot] the (quotient, block, row in block) of the first largest quotient of each segment.
+
+    A segment's win replaces an earlier one of its (radius, slot) only when
+    it is strictly larger, so a (radius, slot) split over chunks keeps its
+    first largest quotient.
+    """
+    z_du = _dot(scores.rows, z0)
     if scores.scale is not None:
         z_du *= scores.scale
     q = (z_du - scores.y_df) / scores.den
-    for (k, slot, block), (a, b) in zip(scores.chunk, scores.bounds):
-        i = int(q[a:b].argmax())
-        wins[k][slot] = (float(q[a + i]), block, i)
+    for k, slot, start, end, block, first in scores.segments:
+        i = int(q[start:end].argmax())
+        value, win = float(q[start + i]), wins[k][slot]
+        if win is None or value > win[0]:
+            wins[k][slot] = (value, block, first + i)
 
 
 def _axis_block(x0: np.ndarray, *vs: np.ndarray, copies: int = 1) -> tuple[np.ndarray, ...]:
@@ -559,10 +525,10 @@ def _form(f: Callable[[Vector], Vector], kind: str) -> Optional[Callable]:
       probes u = x0 + (moved - x0[j]) e_j to (a, b) with
       f(u) - f(x0) = a*x0 + b*e_j, elementwise over the probes, or to
       None when it declines them.
-    * A direction form maps (x0, y0, dirs, t), dirs a sequence of 2-D
-      blocks whose stacked rows are unit directions d and t one radius per
-      row, to the arrays <y0, f(u) - f(x0)> and ||f(u) - f(x0)|| over the
-      probes u = x0 + t*d, or to None when it declines them.
+    * A direction form maps (x0, y0, dirs, t), dirs a 2-D array whose
+      rows are unit directions d and t one radius per row, to the arrays
+      <y0, f(u) - f(x0)> and ||f(u) - f(x0)|| over the probes
+      u = x0 + t*d, or to None when it declines them.
 
     For a sparse f the coordinates are those on the probed axes, which is
     valid only when f acts coordinate by coordinate and maps 0 to 0.
@@ -587,11 +553,9 @@ class _Plan(NamedTuple):
     terms: Callable                # probe rows u -> (<y, f(u) - f(xbar)>, ||f(u) - f(xbar)||)
     anchor: tuple[float, float]    # <x0, x0> and ||x0||
     head: list                     # the head rows of xbar and y while no z pass has scored them (see _z_pass)
-    slots: int                     # per radius: head, z rows, axis probes, then the random blocks
     chunks: Iterable[_Scores]      # the random rows, then the head: a list when kept, else streamed
-    axis: tuple                    # (j, s, du) of the axis probes of every radius
+    axis: tuple                    # (j, s, du, <y, df>, denominator) of the axis probes of every radius
     stuck: int                     # radius index of the first axis probe with u == xbar, or the number of radii
-    axis_scores: Callable[[], tuple]  # (<y, df>, denominator) of the axis probes, taken on first use
     halves: dict                   # (slot, index) -> (direction, *z-free half) of witnesses at the last radius
 
 
@@ -604,15 +568,13 @@ def _plan(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, x0: np.ndarray
     head rows are scored by the first z pass (see ``_z_pass``).
     """
     m, radii = x0.size, config.radii
-    randoms = _random_blocks(config.seed, config.random_directions, m, len(radii))
+    dirs, bounds = _random_dirs(config.seed, config.random_directions, m, len(radii))
     # the probe plan, radius by radius: the head rows of xbar and y
     # (slot 0) and those of z (slot 1), both scored by the z pass, the axis
-    # probes (slot 2), then the radius's random blocks (slots 3, ...).  The
-    # random blocks are row segments (radius index, slot, rows); the axis
-    # probes of every radius form one block of scalars.
+    # probes (slot 2), then the radius's random rows (slot 3); the axis
+    # probes of every radius form one block of scalars
     anchor = _anchor(x0)
     head = _structured_head(x0, y0, anchor=anchor)
-    segments = [(k, 3 + b, block) for k, blocks in enumerate(randoms) for b, block in enumerate(blocks) if len(block)]
     axis = _axis_block(x0, y0, copies=len(radii))
     moved, axis_in, axis_du = _axis_probes(np.repeat(radii, 2 * m), axis)
     fx = f(xbar)
@@ -634,32 +596,29 @@ def _plan(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, x0: np.ndarray
             df = np.array([f(row) for row in u]) - fx
         return _dot(df, y0), row_norms(df)
 
-    @cache
-    def axis_scores():
-        images = f_axes(anchor[0], axis[2], moved) if f_axes is not None else None
-        if images is not None:
-            y_df, df_norm = _axis_image_terms(*images, axis, lambda: (float(_dot(y0, x0)), _off_axis_norms(x0)))
-        else:
-            # f has no axis form, or it declined the block: the full rows, in row blocks of the random directions' size
-            rows = _block_rows(m)
-            tiles = (_axis_rows(x0, axis[0][i:i + rows], moved[i:i + rows]) for i in range(0, moved.size, rows))
-            y_df, df_norm = map(np.concatenate, zip(*(terms(u) for u in tiles)))
-        return y_df, _denominator(config.denominator, axis_in, df_norm)
+    images = f_axes(anchor[0], axis[2], moved) if f_axes is not None else None
+    if images is not None:
+        axis_y_df, df_norm = _axis_image_terms(*images, axis, lambda: (float(_dot(y0, x0)), _off_axis_norms(x0)))
+    else:
+        # f has no axis form, or it declined the block: the full rows, in chunks of the random rows' size
+        rows = _block_rows(m)
+        tiles = (_axis_rows(x0, axis[0][i:i + rows], moved[i:i + rows]) for i in range(0, moved.size, rows))
+        axis_y_df, df_norm = map(np.concatenate, zip(*(terms(u) for u in tiles)))
 
     # a unit row has an entry of at least 1/sqrt(m), so it moves x0 by more
     # than half the spacing of doubles at some entry, and no probe rounds
     # back to xbar, when the smallest radius exceeds sqrt(m) times the
     # largest spacing in x0; then the random rows take the direction form,
     # and else they are formed and tested
-    dirs = None
+    form = None
     if f_dirs is not None and radii[-1] > math.sqrt(m) * float(np.spacing(np.max(np.abs(x0)))):
-        def dirs(blocks, t):
-            return f_dirs(x0, y0, blocks, t)
+        def form(rows, t):
+            return f_dirs(x0, y0, rows, t)
 
-    chunks = _scored_chunks(segments, x0, radii, terms, config.denominator, dirs)
+    chunks = _scored_chunks(dirs, bounds, x0, radii, terms, config.denominator, form)
     stuck = len(radii) if np.all(axis_in > 0.0) else int(np.argmin(axis_in > 0.0)) // (2 * m)
-    return _Plan(fx, terms, anchor, [np.array(head)] if head else [], 3 + len(randoms[0]),
-                 list(chunks) if keep else chunks, (axis[0], axis[1], axis_du), stuck, axis_scores, {})
+    return _Plan(fx, terms, anchor, [np.array(head)] if head else [], list(chunks) if keep else chunks,
+                 (axis[0], axis[1], axis_du, axis_y_df, _denominator(config.denominator, axis_in, df_norm)), stuck, {})
 
 
 def _plan_key(f: Callable[[Vector], Vector], x0: np.ndarray, y0: np.ndarray, axes: Optional[tuple[int, ...]],
@@ -695,8 +654,8 @@ def _z_pass(plan: _Plan, f: Callable[[Vector], Vector], xbar: Vector, y: Vector,
     """The verdict on z from its plan: the +-z and +-orth(z) rows, <z, u - xbar>, the argmaxes and the witness."""
     radii, per = config.radii, 2 * x0.size
     n_radii = len(radii)
-    # per radius and slot, the first largest quotient: (value, rows or None for the axis, index)
-    wins = [[None] * plan.slots for _ in radii]
+    # per radius and slot, the first largest quotient: (value, block or None for the axis, row in block)
+    wins = [[None] * 4 for _ in radii]
     # the plan's head rows, until a z pass has scored them, and the rows of
     # z take the row path in one call, per radius the head, then the rows
     # of z; a kept plan then keeps the head's z-free scores in its chunk
@@ -706,23 +665,21 @@ def _z_pass(plan: _Plan, f: Callable[[Vector], Vector], xbar: Vector, y: Vector,
     head_scores = None
     if parts:
         rows = np.concatenate([block for _, block in parts]) if len(parts) > 1 else parts[0][1]
-        t = np.array(radii).repeat(len(rows))[:, None]
+        n = len(rows)
+        t = np.array(radii).repeat(n)[:, None]
         first, du, y_df, den = _score(np.concatenate([rows] * n_radii), t, x0, plan.terms, config.denominator)
         if first is not None:
-            stuck = min(stuck, first // len(rows))
+            stuck = min(stuck, first // n)
         else:
-            q = ((_dot(du, z0) - y_df) / den).reshape(n_radii, len(rows))
-            start = 0
-            for slot, block in parts:
-                part = q[:, start:start + len(block)]
-                for k, i in enumerate(part.argmax(axis=1).tolist()):
-                    wins[k][slot] = (float(part[k, i]), block, i)
-                start += len(block)
+            starts = accumulate([len(block) for _, block in parts], initial=0)
+            segments = [(k, slot, k * n + a, k * n + a + len(block), block, 0)
+                        for (slot, block), a in zip(parts, starts) for k in range(n_radii)]
+            _record(_Scores(du, segments, None, y_df, den, n_radii), z0, wins)
             if plan.head and isinstance(plan.chunks, list):
                 h = len(plan.head[0])
-                at = (np.arange(n_radii)[:, None] * len(rows) + np.arange(h)).ravel()
-                head_scores = _Scores([(k, 0, plan.head[0]) for k in range(n_radii)], _bounds([h] * n_radii),
-                                      (du[at],), None, y_df[at], den[at], n_radii)
+                at = (np.arange(n_radii)[:, None] * n + np.arange(h)).ravel()
+                head_scores = _Scores(du[at], [(k, 0, k * h, (k + 1) * h, plan.head[0], 0) for k in range(n_radii)],
+                                      None, y_df[at], den[at], n_radii)
     # a probe that rounds back to xbar is reported at the first radius
     # where one does; a streamed plan is read up to its first such chunk
     for scores in plan.chunks:
@@ -739,8 +696,7 @@ def _z_pass(plan: _Plan, f: Callable[[Vector], Vector], xbar: Vector, y: Vector,
         plan.chunks[:] = [_merged(plan.chunks + [head_scores])]
         plan.head.clear()
 
-    axis_j, axis_s, axis_du = plan.axis
-    y_df, den = plan.axis_scores()
+    axis_j, axis_s, axis_du, y_df, den = plan.axis
     q = (((axis_du * z0[axis_j] + 0.0) - y_df) / den).reshape(n_radii, per)
     for k, i in enumerate(q.argmax(axis=1).tolist()):
         wins[k][2] = (float(q[k, i]), None, k * per + i)

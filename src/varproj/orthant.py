@@ -35,7 +35,7 @@ from .descriptors import (
     SingletonSet,
     ZeroMap,
 )
-from .vectors import _dense_norm, _dot, _einsum, _stacked_rows, as_rows, as_vector, as_vector_of, is_zero, norm
+from .vectors import _dense_norm, _dot, _einsum, as_rows, as_vector, as_vector_of, is_zero, norm
 
 __all__ = [
     "OrthantRegion",
@@ -85,20 +85,15 @@ def project_axes(sq_norm: float, xj, moved):
     return 0.0, np.maximum(moved, 0.0) - np.maximum(xj, 0.0)
 
 
-def _cat(parts: list) -> np.ndarray:
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
-def _dir_terms(x0: np.ndarray, y0: np.ndarray, dirs, t: np.ndarray, bound: float, reach: np.ndarray):
+def _dir_terms(x0: np.ndarray, y0: np.ndarray, dirs: np.ndarray, t: np.ndarray, bound: float, reach: np.ndarray):
     """``project_dirs`` of rows whose radii are at most ``bound`` / (1 + 2^-40); ``reach`` is |x0|."""
     pos = x0 > bound
     count = np.count_nonzero(pos)
     if count == x0.size:
-        y_d, d_sq = _cat([_dot(block, y0) for block in dirs]), _cat([_dot(block, block) for block in dirs])
+        y_d, d_sq = _dot(dirs, y0), _dot(dirs, dirs)
     elif count:
         y_pos, mask = np.where(pos, y0, 0.0), pos.astype(float)
-        y_d = _cat([_dot(block, y_pos) for block in dirs])
-        d_sq = _cat([_einsum("ij,ij,j->i", block, block, mask) for block in dirs])
+        y_d, d_sq = _dot(dirs, y_pos), _einsum("ij,ij,j->i", dirs, dirs, mask)
     else:
         y_d = d_sq = np.zeros(t.size)
     near = np.flatnonzero(reach <= bound)
@@ -106,19 +101,19 @@ def _dir_terms(x0: np.ndarray, y0: np.ndarray, dirs, t: np.ndarray, bound: float
         return t * y_d, t * np.sqrt(d_sq)
     # df on C, then its terms scaled by 1 / t, so no square of a small radius underflows
     x_c, t_col = x0[near], t[:, None]
-    df_c = np.maximum(x_c + t_col * _cat([block[:, near] for block in dirs]), 0.0) - np.maximum(x_c, 0.0)
+    df_c = np.maximum(x_c + t_col * dirs[:, near], 0.0) - np.maximum(x_c, 0.0)
     w = df_c / t_col
     return t * (y_d + _dot(w, y0[near])), t * np.sqrt(d_sq + _dot(w, w))
 
 
-def project_dirs(x0: np.ndarray, y0: np.ndarray, dirs, t: np.ndarray):
+def project_dirs(x0: np.ndarray, y0: np.ndarray, dirs: np.ndarray, t: np.ndarray):
     """Direction form: <y0, P(u) - P(x0)> and ||P(u) - P(x0)|| of the probes u = x0 + t d.
 
-    ``dirs`` is a sequence of 2-D blocks whose stacked rows are unit
-    directions d, and t holds one radius per row.  A coordinate can change
-    sign only where |x0_i| <= t |d_i| <= t; call those columns C (every
-    zero coordinate is in C).  Off C, P(u) - P(x0) is t d on the positive
-    coordinates P and 0 on the negative ones, so with w = df_C / t,
+    The rows of the 2-D array ``dirs`` are unit directions d, and t holds
+    one radius per row.  A coordinate can change sign only where
+    |x0_i| <= t |d_i| <= t; call those columns C (every zero coordinate is
+    in C).  Off C, P(u) - P(x0) is t d on the positive coordinates P and 0
+    on the negative ones, so with w = df_C / t,
 
         <y0, P(u) - P(x0)> = t (<d, y0 on P> + <y0_C, w>),
         ||P(u) - P(x0)||   = t sqrt(||d on P||^2 + ||w||^2),
@@ -136,8 +131,7 @@ def project_dirs(x0: np.ndarray, y0: np.ndarray, dirs, t: np.ndarray):
     y_df, df_norm = np.empty(t.size), np.empty(t.size)
     for radius in np.unique(t):
         rows = np.flatnonzero(t == radius)
-        y_df[rows], df_norm[rows] = _dir_terms(x0, y0, [_stacked_rows(dirs, rows)], t[rows],
-                                               float(radius) * (1.0 + 2.0**-40), reach)
+        y_df[rows], df_norm[rows] = _dir_terms(x0, y0, dirs[rows], t[rows], float(radius) * (1.0 + 2.0**-40), reach)
     return y_df, df_norm
 
 

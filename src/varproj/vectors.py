@@ -232,27 +232,12 @@ def _dot(a: np.ndarray, b: np.ndarray):
     return _einsum("...i,...i->...", np.ascontiguousarray(a), np.ascontiguousarray(b))
 
 
-def _dots(blocks, vs) -> np.ndarray:
-    """<d, v> for every row d of the stacked 2-D blocks and every v of vs, as a (len(vs), rows) array.
+def _dots(rows: np.ndarray, vs) -> np.ndarray:
+    """<d, v> for every row d of a 2-D array and every v of vs, as a (len(vs), rows) array.
 
-    One ``ij,kj->ki`` einsum per block, with no copy of the blocks; entry
-    (k, i) has the bits of ``_dot(d_i, v_k)``.
+    One ``ij,kj->ki`` einsum; entry (k, i) has the bits of ``_dot(d_i, v_k)``.
     """
-    stack = np.array(vs, dtype=float)
-    out = [_einsum("ij,kj->ki", np.ascontiguousarray(block), stack) for block in blocks]
-    return out[0] if len(out) == 1 else np.concatenate(out, axis=1)
-
-
-def _stacked_rows(blocks, index: np.ndarray) -> np.ndarray:
-    """The rows at the sorted indices ``index`` of the stacked 2-D blocks, as one array."""
-    if len(blocks) == 1:
-        return blocks[0][index]
-    out, start = [], 0
-    for block in blocks:
-        lo, hi = np.searchsorted(index, (start, start + len(block)))
-        out.append(block[index[lo:hi] - start])
-        start += len(block)
-    return np.concatenate(out)
+    return _einsum("ij,kj->ki", np.ascontiguousarray(rows), np.array(vs, dtype=float))
 
 
 def inner(u: Vector, v: Vector) -> float:

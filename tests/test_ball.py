@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from varproj.ball import BallProjection, BallRegion, DirectionClass, SpherePartial
@@ -13,6 +13,22 @@ finite = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False, allow_infinit
 
 def points(n=4):
     return st.lists(finite, min_size=n, max_size=n).map(np.array)
+
+
+# magnitudes from 1e-300 to 1e300, as m * 10^e with 1 <= m < 10
+magnitudes = st.builds(lambda m, e: m * 10.0**e, st.floats(min_value=1.0, max_value=9.99), st.integers(-300, 299))
+
+
+def wide_points(n=4):
+    """Vectors whose entries each have their own magnitude in 1e-300..1e300 (or are zero), or share one."""
+    entries = st.one_of(st.just(0.0), magnitudes, magnitudes.map(lambda v: -v))
+    shared = st.builds(lambda v, e: v * 10.0**e, points(n), st.integers(-300, 299))
+    return st.one_of(st.lists(entries, min_size=n, max_size=n).map(np.array), shared)
+
+
+def _ulp(v: np.ndarray) -> float:
+    """The spacing of doubles at max|v|."""
+    return float(np.spacing(np.max(np.abs(v))))
 
 
 class TestProjection:
@@ -42,6 +58,41 @@ class TestProjection:
         p = op.project(x)
         assert norm(p) <= 1.5 + 1e-12
         assert norm(op.project(p) - p) <= 1e-12
+
+
+class TestWideMagnitudeProperties:
+    """The projection's laws for x and r anywhere in 1e-300..1e300."""
+
+    @given(wide_points(), magnitudes)
+    def test_feasible(self, x, r):
+        assert norm(BallProjection(r).project(x)) <= r * (1.0 + 4.0 * np.finfo(float).eps)
+
+    @given(wide_points(), magnitudes)
+    def test_idempotent(self, x, r):
+        op = BallProjection(r)
+        p = op.project(x)
+        assert np.max(np.abs(op.project(p) - p)) <= 8.0 * _ulp(p)
+
+    @given(wide_points(), wide_points(), magnitudes)
+    def test_nonexpansive(self, u, v, r):
+        with np.errstate(over="ignore"):
+            d = u - v
+        assume(np.all(np.isfinite(d)))
+        op = BallProjection(r)
+        # each entry of a projection rounds by about an ulp of r
+        assert norm(op.project(u) - op.project(v)) <= norm(d) * (1.0 + 4.0 * np.finfo(float).eps) + 8.0 * _ulp(r)
+
+    @given(wide_points(), magnitudes, st.integers(-200, 200))
+    def test_scaling(self, x, r, k):
+        # P_{2^k r}(2^k x) = 2^k P_r(x) wherever scaling by 2^k is exact
+        s = 2.0**k
+        with np.errstate(over="ignore"):
+            sx, sr = s * x, s * r
+        tiny = np.finfo(float).tiny
+        assume(np.isfinite(sr) and sr >= tiny and np.all(np.isfinite(sx)))
+        assume(np.all((x == 0.0) | ((np.abs(x) >= tiny) & (np.abs(sx) >= tiny))))
+        want = s * BallProjection(r).project(x)
+        assert np.max(np.abs(BallProjection(sr).project(sx) - want)) <= 4.0 * _ulp(want)
 
 
 class TestWideMagnitudes:

@@ -252,6 +252,19 @@ class TestOracleMember:
         code, out_seed, _ = run(capsys, *args, "--seed", "7")
         assert out_env == out_seed
 
+    @pytest.mark.parametrize("argv, message", [
+        # an infinite tolerance would read every supremum as a member
+        *((("--xbar", "[3, 4]", "--y", "[1, 0]", "--z", "[5, 5]", "--tolerance", tolerance),
+           "tolerance must be positive and finite") for tolerance in ("inf", "nan", "0", "-1")),
+        # from ||xbar|| near 1e13 the random rows take the row path, which
+        # finds a probe that rounds back to xbar, with no warning on the way
+        (("--xbar", "[1e13, 1e13, 1e13]", "--y", "[1, 0, 0]", "--z", "[0, 1, 0]"), "rounds back to xbar"),
+    ])
+    def test_rejected_query(self, capsys, argv, message):
+        code, out, err = run(capsys, "oracle-member", "--set", "ball", "--radius", "1", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
     def test_bad_env_seed(self, capsys, monkeypatch):
         monkeypatch.setenv("VARPROJ_SEED", "soup")
         code, _, err = run(

@@ -107,12 +107,16 @@ class TestProbeConfig:
             ProbeConfig(radii=())
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ProbeConfig(tolerance=0.0)
-        with pytest.raises(ValueError):
-            ProbeConfig(random_directions=-1)
-        with pytest.raises(ValueError):
-            ProbeConfig(denominator="max")
+        for kwargs in ({"tolerance": 0.0}, {"tolerance": math.inf}, {"tolerance": math.nan},
+                       {"random_directions": -1}, {"denominator": "max"},
+                       {"radii": (math.inf, 1e-2)}, {"radii": (1e-2, math.nan)}):
+            with pytest.raises(ValueError):
+                ProbeConfig(**kwargs)
+        for count in (1.5, 256.0, True, "8", None):
+            with pytest.raises(TypeError, match="random_directions must be an integer"):
+                ProbeConfig(random_directions=count)
+        # a numpy integer is an integer, as for the seed
+        assert ProbeConfig(random_directions=np.int64(8)) == ProbeConfig(random_directions=8)
 
 
 class TestQuotient:
@@ -434,35 +438,57 @@ class TestGolden:
     def test_cold_and_warm_cache_agree(self):
         # a warm verdict reuses its kept plan (n <= 41), or else the cached directions
         for label, f, xbar, y, z in _golden_queries()[::3]:
-            oracle._random_blocks.cache_clear()
+            oracle._random_dirs.cache_clear()
             oracle._kept_plan.cache_clear()
             cold = _golden_digest(f, xbar, y, z, "sum")
-            assert oracle._random_blocks.cache_info().misses == 1
+            assert oracle._random_dirs.cache_info().misses == 1
             assert _golden_digest(f, xbar, y, z, "sum") == cold, label
             kept = oracle._kept_plan.cache_info().hits
             assert kept == (xbar.size <= 41), label
-            assert oracle._random_blocks.cache_info().hits == 1 - kept, label
+            assert oracle._random_dirs.cache_info().hits == 1 - kept, label
 
     def test_cached_directions_reject_writes(self):
-        plan = oracle._random_blocks(5, 256, 500, 3)
-        assert oracle._random_blocks(5, 256, 500, 3) is plan
-        for blocks in plan:
-            for block in blocks:
-                assert not block.flags.writeable
-                with pytest.raises(ValueError):
-                    block[0, 0] = 1.0
+        plan = oracle._random_dirs(5, 256, 500, 3)
+        assert oracle._random_dirs(5, 256, 500, 3) is plan
+        dirs, bounds = plan
+        assert dirs.shape == (3 * 256, 500) and bounds == ((0, 256), (256, 512), (512, 768))
+        assert not dirs.flags.writeable
+        with pytest.raises(ValueError):
+            dirs[0, 0] = 1.0
 
-    def test_blocks_follow_the_generator_stream(self):
-        # blocks of at most _BLOCK_FLOATS // m rows, in the order of one
-        # fresh generator drawing block by block
-        m, count = 500, 256
-        rows = oracle._BLOCK_FLOATS // m
-        rng = np.random.default_rng(9)
-        for blocks in oracle._random_blocks(9, count, m, 2):
-            assert [len(b) for b in blocks] == [min(rows, count - s) for s in range(0, count, rows)]
-            for block in blocks:
-                draws = rng.standard_normal((len(block), m))
-                np.testing.assert_array_equal(block, draws / np.linalg.norm(draws, axis=1)[:, None])
+    def test_directions_follow_the_generator_stream(self):
+        # the rows of each radius, in the order of one fresh generator
+        # drawing radius by radius
+        count = 256
+        for m in (1, 6, 41, 500):
+            rng = np.random.default_rng(9)
+            dirs, bounds = oracle._random_dirs(9, count, m, 3)
+            assert bounds == ((0, count), (count, 2 * count), (2 * count, 3 * count))
+            for start, end in bounds:
+                draws = rng.standard_normal((count, m))
+                np.testing.assert_array_equal(dirs[start:end], draws / np.linalg.norm(draws, axis=1)[:, None])
+
+    def test_short_draws_are_dropped(self, monkeypatch):
+        # a draw shorter than 1e-12 leaves its radius, and the later rows move up
+        default_rng = np.random.default_rng
+
+        class ShortDraws:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def standard_normal(self, out):
+                self.rng.standard_normal(out=out)
+                out[1] *= 1e-13
+                out[3] = 0.0
+
+        monkeypatch.setattr(oracle.np.random, "default_rng", ShortDraws)
+        dirs, bounds = oracle._random_dirs.__wrapped__(4, 5, 3, 2)
+        monkeypatch.undo()
+        assert bounds == ((0, 3), (3, 6)) and dirs.shape == (6, 3) and not dirs.flags.writeable
+        rng = np.random.default_rng(4)
+        for start, end in bounds:
+            draws = rng.standard_normal((5, 3))[[0, 2, 4]]
+            np.testing.assert_array_equal(dirs[start:end], draws / np.linalg.norm(draws, axis=1)[:, None])
 
     def test_seed_must_be_an_integer(self):
         for seed in ([5, 1], np.random.default_rng(5), True):
@@ -475,9 +501,9 @@ class TestGolden:
         assert membership(*args, ProbeConfig(seed=np.int64(5), random_directions=8)).to_json() == plain.to_json()
         assert oracle._kept_plan.cache_info().hits == hits + 1
         oracle._kept_plan.cache_clear()
-        hits = oracle._random_blocks.cache_info().hits
+        hits = oracle._random_dirs.cache_info().hits
         assert membership(*args, ProbeConfig(seed=np.int64(5), random_directions=8)).to_json() == plain.to_json()
-        assert oracle._random_blocks.cache_info().hits == hits + 1
+        assert oracle._random_dirs.cache_info().hits == hits + 1
 
 
 class TestRowForm:
@@ -660,14 +686,14 @@ class TestDirectionForm:
 
     @pytest.mark.parametrize("m", [6, 41, 500])
     def test_stacked_products_are_the_bits_of_dot(self, m):
-        # <d, x0>, <d, y0> and <d, z0> over the cached random blocks, taken
-        # together, give the bits of one vectors._dot per vector
+        # <d, x0>, <d, y0> and <d, z0> over the cached random directions,
+        # taken together, give the bits of one vectors._dot per row and vector
         rng = np.random.default_rng(m)
         vs = rng.standard_normal((3, m)) * np.array([[1.0], [1e-3], [1e3]])
-        blocks = [block for radius in oracle._random_blocks(7, 256, m, 3) for block in radius]
-        stacked = vectors._dots(blocks, vs)
+        dirs = oracle._random_dirs(7, 256, m, 3)[0]
+        stacked = vectors._dots(dirs, vs)
         for got, v in zip(stacked, vs):
-            want = np.concatenate([vectors._dot(block, v) for block in blocks])
+            want = np.array([vectors._dot(d, v) for d in dirs])
             np.testing.assert_array_equal(_bits(got), _bits(want))
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
@@ -686,7 +712,7 @@ class TestDirectionForm:
             u = rng.standard_normal(n)
             u /= norm(u)
             y, z = rng.standard_normal((2, n))
-            randoms = oracle._random_blocks(3, 64, n, 1)[0][0]
+            randoms = oracle._random_dirs(3, 64, n, 1)[0]
             # interior, sphere and exterior points; the head rows hold +-xbar,
             # where ||x0||^2 - <d, x0>^2 cancels
             for r, rho in ((1.0, 0.5), (1.0, 1.0), (2.0, 2.0), (0.5, 1.0), (1.0, 3.0)):
@@ -700,7 +726,7 @@ class TestDirectionForm:
         for op, exact_map, x0, y0, dirs in cases:
             for radius in ProbeConfig().radii:
                 t = np.full(len(dirs), radius)
-                got = op.project_dirs(x0, y0, [dirs], t)
+                got = op.project_dirs(x0, y0, dirs, t)
                 df = op.project_rows(x0 + t[:, None] * dirs) - op.project(x0)
                 rows = (vectors._dot(df, y0), vectors.row_norms(df))
                 u = x0.astype(wide) + t.astype(wide)[:, None] * dirs.astype(wide)
@@ -736,9 +762,9 @@ class TestDirectionForm:
             "scale-underflow": (1e-200, np.array([3e120, 4e120]), ProbeConfig(radii=(1e119, 1e118))),
         }[case]
         y, z = np.ones(x0.size), 0.5 * np.ones(x0.size)
-        randoms = oracle._random_blocks(config.seed, config.random_directions, x0.size, len(config.radii))
+        dirs = oracle._random_dirs(config.seed, config.random_directions, x0.size, len(config.radii))[0]
         t = np.repeat(config.radii, config.random_directions)
-        assert BallProjection(r).project_dirs(x0, y, [block for blocks in randoms for block in blocks], t) is None
+        assert BallProjection(r).project_dirs(x0, y, dirs, t) is None
         got = membership(BallProjection(r).project, x0, y, z, config)
         want = membership(_NoDirsBall(r).project, x0, y, z, config)
         assert json.dumps(got.to_json(), sort_keys=True) == json.dumps(want.to_json(), sort_keys=True)
@@ -770,11 +796,11 @@ def _verdict_json(f, xbar, y, z, config=None):
 class TestPackedPlan:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_small_verdict_calls_each_form_once(self, n):
-        # interior, exterior and the origin: the plan's random rows of all
-        # three radii go through one direction-form call, the head rows and
-        # the rows of z of all three radii through one row-form call, and
-        # the axis probes through one axis-form call; a verdict on the kept
-        # plan makes only the row-form call on the rows of z
+        # interior, exterior and the origin: the plan's axis probes go
+        # through one axis-form call and its random rows of all three radii
+        # through one direction-form call, then the head rows and the rows
+        # of z of all three radii through one row-form call; a verdict on
+        # the kept plan makes only the row-form call on the rows of z
         rng = np.random.default_rng(n)
         u = rng.standard_normal(n)
         u /= np.linalg.norm(u)
@@ -784,22 +810,22 @@ class TestPackedPlan:
             membership(op.project, xbar, y, z)
             # +-xbar and +-orth(y) (none at the origin), +-y; then +-z, +-orth(z)
             head, z_rows = (6, 4) if xbar.any() else (2, 2)
-            assert op.calls == [("dirs", 3 * 256), ("rows", 3 * (head + z_rows)), ("axes", 3 * 2 * n)]
+            assert op.calls == [("axes", 3 * 2 * n), ("dirs", 3 * 256), ("rows", 3 * (head + z_rows))]
             op.calls.clear()
             membership(op.project, xbar, y, z_next)
             assert op.calls == [("rows", 3 * z_rows)]
 
     def test_wide_verdict_keeps_the_row_budget(self):
-        # at n = 500 the plan is streamed, so the z pass scores first the
-        # only rows formed, the head rows of xbar and y and the rows of z
-        # (+-z, +-orth(z)) of all three radii, in one row-form call within
-        # the row budget; then the random rows of all three radii, in one
-        # direction-form call
+        # at n = 500 the plan is streamed: the plan makes the axis-form
+        # call, then the z pass scores the only rows formed, the head rows
+        # of xbar and y and the rows of z (+-z, +-orth(z)) of all three
+        # radii, in one row-form call within the row budget; then the
+        # random rows of all three radii, in one direction-form call
         rng = np.random.default_rng(500)
         x, y, z = rng.standard_normal((3, 500))
         op = _CountingBall(1.0)
         membership(op.project, x, y, z)
-        assert op.calls == [("rows", 3 * (6 + 4)), ("dirs", 3 * 256), ("axes", 3 * 2 * 500)]
+        assert op.calls == [("axes", 3 * 2 * 500), ("rows", 3 * (6 + 4)), ("dirs", 3 * 256)]
         assert 3 * (6 + 4) <= oracle._block_rows(500)
 
     @pytest.mark.parametrize("n", [2, 6, 500])
@@ -814,10 +840,12 @@ class TestPackedPlan:
             assert _verdict_json(_CountingBall(1.0).project, xbar, y, z) == \
                 _verdict_json(_RowsOnlyBall(1.0).project, xbar, y, z)
 
-    @pytest.mark.parametrize("n", [2, 6, 9, 50])
+    @pytest.mark.parametrize("n", [2, 6, 9, 50, 120])
     def test_packing_changes_no_bit(self, n, monkeypatch):
-        # each segment scored as a chunk of its own is the per-block scoring
-        # the packed pass replaced; the verdicts must keep every byte
+        # the row path scores the random rows in chunks of _block_rows(m)
+        # rows, a chunk possibly spanning two radii (a formless f at n = 50
+        # and 120 does at the default size); every chunk size must give the
+        # verdicts the same bytes
         rng = np.random.default_rng(n + 2)
         u = rng.standard_normal(n)
         u /= np.linalg.norm(u)
@@ -832,13 +860,14 @@ class TestPackedPlan:
         cases += [(_shift, *sparse, config) for config in configs]
 
         def built_anew(case):
-            # a kept plan would carry the packed run's chunks into the other
+            # a kept plan would carry one run's chunks into the other
             oracle._kept_plan.cache_clear()
             return _verdict_json(*case)
 
-        packed = [built_anew(case) for case in cases]
-        monkeypatch.setattr(oracle, "_chunks", lambda segments, rows: ([s] for s in segments))
-        assert [built_anew(case) for case in cases] == packed
+        want = [built_anew(case) for case in cases]
+        for rows in (1, 7, 100):
+            monkeypatch.setattr(oracle, "_block_rows", lambda m, rows=rows: rows)
+            assert [built_anew(case) for case in cases] == want, rows
 
 
 class TestPlanCache:
@@ -1000,7 +1029,9 @@ class TestWitnessHalves:
 
     def test_a_kept_plan_stores_one_half_per_probe_at_most(self):
         # the keys are the smallest-radius probes outside the rows of z
-        # (slot 1): (slot, row in its block), or (2, index of the axis probe)
+        # (slot 1): (slot, row in its block), or (2, index of the axis probe);
+        # the random rows (slot 3) of the smallest radius are a range of the
+        # rows of the one direction array
         stored = 0
         for f, xbar, y, zs, count in _witness_queries():
             config = ProbeConfig(random_directions=count)
@@ -1012,13 +1043,13 @@ class TestWitnessHalves:
                 axes, x0, y0 = None, xbar, y
             plan = oracle._kept_plan(*oracle._plan_key(f, x0, y0, axes, config))
             last, per = len(config.radii) - 1, 2 * x0.size
-            rows = {slot: len(block) for scores in plan.chunks for k, slot, block in scores.chunk if k == last}
-            rows[2] = per
-            assert len(plan.halves) <= sum(rows.values())
+            rows = {slot: range(first, first + end - start) for scores in plan.chunks
+                    for k, slot, start, end, _, first in scores.segments if k == last}
+            rows[2] = range(last * per, (last + 1) * per)
+            assert len(plan.halves) <= sum(map(len, rows.values()))
             stored += len(plan.halves)
             for slot, i in plan.halves:
-                assert slot != 1
-                assert (last * per <= i < (last + 1) * per) if slot == 2 else (0 <= i < rows[slot])
+                assert slot != 1 and i in rows[slot]
         assert stored > 0
 
 
