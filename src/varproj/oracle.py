@@ -37,10 +37,9 @@ and scored with one call of the row form (``_score``), inner products in
 the fixed order of ``vectors._dot`` and norms by ``row_norms``, which
 give a row the same bits at every position in a call.  So the head keeps
 the bits of the scalar ``quotient``, and two head rows that round to one
-probe tie, the first winning.  The head rows of the plan and the rows of
-z of every radius take one call; the first z pass on a plan keeps the
-z-free scores of the plan's head rows, so a later one forms only the
-rows of z.
+probe tie, the first winning.  In every z pass, the head rows of xbar,
+y and z of every radius take one call, so a z pass only reads its plan,
+apart from the witness halves below.
 
 The random rows take the direction form of f when it has one (see
 ``_form``; the ``project`` of every set in this package has one).  It
@@ -104,13 +103,14 @@ z-free half (u - xbar, <y, f(u) - f(xbar)> and the denominator) and the
 z half (<z, u - xbar> and the division).  That value is the last
 supremum and the witness quotient, and ``quotient`` calls the same two
 halves, so a witness re-evaluates exactly.  The plan keeps the z-free
-half of each such winner outside the rows of z, keyed by its slot and
-index and filled on first use, so a kept plan holds at most one per
-probe of the smallest radius (2m axis probes, at most six head rows and
-the random directions); a winner among the rows of z depends on z and is
-scored in full every time.  A dense witness direction is a copy the plan
-does not keep; witness directions of sparse queries are (immutable)
-SparseVectors with 1-based indices.
+half of each such winner, keyed by its slot (0 the head, 1 the axis
+probes, 2 the random rows) and index and filled on first use, so a kept
+plan holds at most one per probe of the smallest radius (at most six
+head rows of xbar and y, 2m axis probes and the random directions).  A
+winner among the rows of z, the head rows from ``len(plan.head)`` on,
+depends on z and is scored in full every time.  A dense witness
+direction is a copy the plan does not keep; witness directions of sparse
+queries are (immutable) SparseVectors with 1-based indices.
 
 Verdict rule, with s_k the supremum of the quotient at the k-th radius
 (radii decrease) and tol the configured tolerance:
@@ -132,10 +132,10 @@ ratio lies in [sqrt(2)/2, 1], so verdicts agree.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import accumulate
 from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
@@ -165,10 +165,12 @@ class ProbeConfig:
     Every radius probes the structured directions of the module docstring,
     the axis probes among them, and then the random ones.
 
-    radii: strictly decreasing, positive and finite probe radii.
+    radii: strictly decreasing, positive and finite probe radii, real numbers
+        (not bools) in any iterable; kept as a tuple of floats.
     random_directions: random unit directions drawn per radius, an integer (not a bool).
     seed: integer seed (not a bool) for the direction generator; fixed seed, fixed verdict.
-    tolerance: decision band for the quotient suprema, positive and finite.
+    tolerance: decision band for the quotient suprema, a positive and finite
+        real number (not a bool); kept as a float.
     denominator: "sum" for ||du|| + ||df||, "euclidean" for the root of
         the sum of squares.
     """
@@ -180,6 +182,12 @@ class ProbeConfig:
     denominator: str = "sum"
 
     def __post_init__(self):
+        radii = tuple(self.radii)
+        for value in (*radii, self.tolerance):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise TypeError(f"probe radii and tolerance must be real numbers, got {value!r}")
+        object.__setattr__(self, "radii", tuple(map(float, radii)))
+        object.__setattr__(self, "tolerance", float(self.tolerance))
         if not self.radii:
             raise ValueError("at least one probe radius is required")
         if any(not (0.0 < t < math.inf) for t in self.radii):
@@ -409,7 +417,7 @@ def _scored_chunks(dirs: np.ndarray, bounds: tuple, x0: np.ndarray, radii: tuple
     if form is not None:
         images = form(dirs, t)
         if images is not None:
-            segments = [(k, 3, start, end, dirs, start) for k, (start, end) in enumerate(bounds) if start < end]
+            segments = [(k, 2, start, end, dirs, start) for k, (start, end) in enumerate(bounds) if start < end]
             yield _Scores(dirs, segments, t, images[0], _denominator(denominator, t, images[1]), len(radii))
             return
     size = _block_rows(x0.size)
@@ -417,22 +425,9 @@ def _scored_chunks(dirs: np.ndarray, bounds: tuple, x0: np.ndarray, radii: tuple
         hi = min(lo + size, len(dirs))
         first, du, y_df, den = _score(dirs[lo:hi], t[lo:hi, None], x0, terms, denominator)
         stuck = len(radii) if first is None else next(k for k, (_, end) in enumerate(bounds) if lo + first < end)
-        segments = [(k, 3, max(start, lo) - lo, min(end, hi) - lo, dirs, max(start, lo))
+        segments = [(k, 2, max(start, lo) - lo, min(end, hi) - lo, dirs, max(start, lo))
                     for k, (start, end) in enumerate(bounds) if start < hi and lo < end]
         yield _Scores(du, segments, None, y_df, den, stuck)
-
-
-def _merged(parts: list) -> _Scores:
-    """Chunks of a kept plan as one ``_Scores``, so a z pass takes one product with z."""
-    segments, start = [], 0
-    for scores in parts:
-        segments += [(k, slot, a + start, b + start, block, first) for k, slot, a, b, block, first in scores.segments]
-        start += len(scores.y_df)
-    scale = None
-    if any(scores.scale is not None for scores in parts):
-        scale = np.concatenate([np.ones(len(s.y_df)) if s.scale is None else s.scale for s in parts])
-    return _Scores(np.concatenate([s.rows for s in parts]), segments, scale, np.concatenate([s.y_df for s in parts]),
-                   np.concatenate([s.den for s in parts]), parts[0].stuck)
 
 
 def _record(scores: _Scores, z0: np.ndarray, wins: list) -> None:
@@ -552,29 +547,30 @@ class _Plan(NamedTuple):
     fx: Vector                     # f(xbar)
     terms: Callable                # probe rows u -> (<y, f(u) - f(xbar)>, ||f(u) - f(xbar)||)
     anchor: tuple[float, float]    # <x0, x0> and ||x0||
-    head: list                     # the head rows of xbar and y while no z pass has scored them (see _z_pass)
-    chunks: Iterable[_Scores]      # the random rows, then the head: a list when kept, else streamed
+    head: np.ndarray               # the read-only (h, m) head rows of xbar and y, scored by every z pass
+    chunks: Iterable[_Scores]      # the random rows: a list when kept, else streamed
     axis: tuple                    # (j, s, du, <y, df>, denominator) of the axis probes of every radius
     stuck: int                     # radius index of the first axis probe with u == xbar, or the number of radii
     halves: dict                   # (slot, index) -> (direction, *z-free half) of witnesses at the last radius
 
 
 def _plan(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, x0: np.ndarray, y0: np.ndarray,
-          axes: Optional[tuple[int, ...]], config: ProbeConfig, keep: bool) -> _Plan:
+          axes: Optional[tuple[int, ...]], config: ProbeConfig) -> _Plan:
     """The z-free part of a verdict on f at xbar for y.
 
-    A kept plan scores its random rows here; any other streams them to the
-    z pass chunk by chunk, so at most one chunk of rows is in memory.  The
-    head rows are scored by the first z pass (see ``_z_pass``).
+    The random rows stream to the z pass chunk by chunk, so at most one
+    chunk of rows is in memory; ``_kept_plan`` scores and keeps them all.
+    Every z pass scores the head rows (see ``_z_pass``).
     """
     m, radii = x0.size, config.radii
     dirs, bounds = _random_dirs(config.seed, config.random_directions, m, len(radii))
-    # the probe plan, radius by radius: the head rows of xbar and y
-    # (slot 0) and those of z (slot 1), both scored by the z pass, the axis
-    # probes (slot 2), then the radius's random rows (slot 3); the axis
+    # the probe plan, radius by radius: the head rows (slot 0), those of
+    # xbar and y and then those of z, all scored by the z pass, the axis
+    # probes (slot 1), then the radius's random rows (slot 2); the axis
     # probes of every radius form one block of scalars
     anchor = _anchor(x0)
-    head = _structured_head(x0, y0, anchor=anchor)
+    head = np.reshape(_structured_head(x0, y0, anchor=anchor), (-1, m))
+    head.flags.writeable = False
     axis = _axis_block(x0, y0, copies=len(radii))
     moved, axis_in, axis_du = _axis_probes(np.repeat(radii, 2 * m), axis)
     fx = f(xbar)
@@ -617,7 +613,7 @@ def _plan(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, x0: np.ndarray
 
     chunks = _scored_chunks(dirs, bounds, x0, radii, terms, config.denominator, form)
     stuck = len(radii) if np.all(axis_in > 0.0) else int(np.argmin(axis_in > 0.0)) // (2 * m)
-    return _Plan(fx, terms, anchor, [np.array(head)] if head else [], list(chunks) if keep else chunks,
+    return _Plan(fx, terms, anchor, head, chunks,
                  (axis[0], axis[1], axis_du, axis_y_df, _denominator(config.denominator, axis_in, df_norm)), stuck, {})
 
 
@@ -628,14 +624,14 @@ def _plan_key(f: Callable[[Vector], Vector], x0: np.ndarray, y0: np.ndarray, axe
     A plan is kept when f has a row form (the sets of this package are
     pure; a user callable may not be), when every row of the plan fits in
     one chunk, so that a kept plan holds at most about 32k floats of
-    u - xbar or of directions, and when f and the config are hashable.
+    u - xbar or of directions, and when f is hashable.
     """
     if _form(f, "rows") is None or len(config.radii) * (6 + config.random_directions) > _block_rows(x0.size):
         return None
     key = (f, x0.tobytes(), y0.tobytes(), axes, config)
     try:
         hash(key)
-    except TypeError:  # e.g. radii given as a list
+    except TypeError:  # an unhashable f, such as an instance of a class whose __hash__ is None
         return None
     return key
 
@@ -646,7 +642,8 @@ def _kept_plan(f: Callable[[Vector], Vector], x_bytes: bytes, y_bytes: bytes, ax
                config: ProbeConfig) -> _Plan:
     """The plan of ``_plan_key``, built on read-only copies of x0 and y0 that no caller can reach."""
     x0, y0 = np.frombuffer(x_bytes), np.frombuffer(y_bytes)
-    return _plan(f, _point(axes, x0), _point(axes, y0), x0, y0, axes, config, keep=True)
+    plan = _plan(f, _point(axes, x0), _point(axes, y0), x0, y0, axes, config)
+    return plan._replace(chunks=list(plan.chunks))
 
 
 def _z_pass(plan: _Plan, f: Callable[[Vector], Vector], xbar: Vector, y: Vector, z: Vector, x0: np.ndarray,
@@ -655,31 +652,21 @@ def _z_pass(plan: _Plan, f: Callable[[Vector], Vector], xbar: Vector, y: Vector,
     radii, per = config.radii, 2 * x0.size
     n_radii = len(radii)
     # per radius and slot, the first largest quotient: (value, block or None for the axis, row in block)
-    wins = [[None] * 4 for _ in radii]
-    # the plan's head rows, until a z pass has scored them, and the rows of
-    # z take the row path in one call, per radius the head, then the rows
-    # of z; a kept plan then keeps the head's z-free scores in its chunk
+    wins = [[None] * 3 for _ in radii]
+    # the head rows of the plan, then those of z, of every radius take the
+    # row path in one call, one segment per radius
     stuck = plan.stuck
     z_rows = _structured_head(x0, z0, anchor=plan.anchor, xbar_rows=False)
-    parts = [(0, block) for block in plan.head] + ([(1, np.array(z_rows))] if z_rows else [])
-    head_scores = None
-    if parts:
-        rows = np.concatenate([block for _, block in parts]) if len(parts) > 1 else parts[0][1]
-        n = len(rows)
+    head = np.concatenate([plan.head, z_rows]) if z_rows else plan.head
+    n = len(head)
+    if n:
         t = np.array(radii).repeat(n)[:, None]
-        first, du, y_df, den = _score(np.concatenate([rows] * n_radii), t, x0, plan.terms, config.denominator)
+        first, du, y_df, den = _score(np.concatenate([head] * n_radii), t, x0, plan.terms, config.denominator)
         if first is not None:
             stuck = min(stuck, first // n)
         else:
-            starts = accumulate([len(block) for _, block in parts], initial=0)
-            segments = [(k, slot, k * n + a, k * n + a + len(block), block, 0)
-                        for (slot, block), a in zip(parts, starts) for k in range(n_radii)]
+            segments = [(k, 0, k * n, (k + 1) * n, head, 0) for k in range(n_radii)]
             _record(_Scores(du, segments, None, y_df, den, n_radii), z0, wins)
-            if plan.head and isinstance(plan.chunks, list):
-                h = len(plan.head[0])
-                at = (np.arange(n_radii)[:, None] * n + np.arange(h)).ravel()
-                head_scores = _Scores(du[at], [(k, 0, k * h, (k + 1) * h, plan.head[0], 0) for k in range(n_radii)],
-                                      None, y_df[at], den[at], n_radii)
     # a probe that rounds back to xbar is reported at the first radius
     # where one does; a streamed plan is read up to its first such chunk
     for scores in plan.chunks:
@@ -692,14 +679,11 @@ def _z_pass(plan: _Plan, f: Callable[[Vector], Vector], xbar: Vector, y: Vector,
         raise ValueError(
             f"u must differ from xbar: a probe at radius {radii[stuck]!r} rounds back to xbar at "
             f"||xbar|| = {norm(xbar):.6g}; probe radii are absolute")
-    if head_scores is not None:
-        plan.chunks[:] = [_merged(plan.chunks + [head_scores])]
-        plan.head.clear()
 
     axis_j, axis_s, axis_du, y_df, den = plan.axis
     q = (((axis_du * z0[axis_j] + 0.0) - y_df) / den).reshape(n_radii, per)
     for k, i in enumerate(q.argmax(axis=1).tolist()):
-        wins[k][2] = (float(q[k, i]), None, k * per + i)
+        wins[k][1] = (float(q[k, i]), None, k * per + i)
 
     estimates: list[tuple[float, float]] = []
     for t, found in zip(radii, wins):
@@ -712,7 +696,8 @@ def _z_pass(plan: _Plan, f: Callable[[Vector], Vector], xbar: Vector, y: Vector,
     # the winner at the smallest radius is scored again through the two
     # halves of the scalar quotient, with the plan's f(xbar), so the witness
     # re-evaluates to exactly the stored value; the plan keeps the z-free
-    # half of each winner outside the rows of z, which depend on z
+    # half of each winner but the rows of z, the head rows from
+    # len(plan.head) on, which depend on z
     t, (_, block, i) = radii[-1], wins[-1][best]
     half = plan.halves.get((best, i))
     if half is None:
@@ -723,7 +708,7 @@ def _z_pass(plan: _Plan, f: Callable[[Vector], Vector], xbar: Vector, y: Vector,
             unit = block[i].copy()
         direction = _point(axes, unit)
         half = (direction, *_z_free_half(f, plan.fx, xbar, y, xbar + t * direction, config.denominator))
-        if best != 1:
+        if best or i < len(plan.head):
             plan.halves[best, i] = half
     direction, *z_free = half
     estimates[-1] = (t, _z_half(z, *z_free))
@@ -762,7 +747,7 @@ def membership(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, z: Vector
             raise ValueError(f"dimension mismatch: {x0.size}, {y0.size}, {z0.size}")
         axes = None
     key = _plan_key(f, x0, y0, axes, config)
-    plan = _kept_plan(*key) if key else _plan(f, xbar, y, x0, y0, axes, config, keep=False)
+    plan = _kept_plan(*key) if key else _plan(f, xbar, y, x0, y0, axes, config)
     return _z_pass(plan, f, xbar, y, z, x0, z0, axes, config)
 
 

@@ -2,14 +2,14 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from varproj import l2_cone
 from varproj.descriptors import SingletonSet
 from varproj.l2_cone import OrderIntervalSet, SelfExclusionPartial
 from varproj.oracle import _dense_over
-from varproj.vectors import SparseVector
+from varproj.vectors import SparseVector, norm
 
 nonzero = st.floats(min_value=0.1, max_value=3.0).flatmap(
     lambda v: st.sampled_from([v, -v])
@@ -20,6 +20,10 @@ coarse = st.dictionaries(
     st.integers(1, 8), st.sampled_from([-2.0, -1.0, 0.5, 1.0, 2.0]), min_size=0, max_size=6
 ).map(SparseVector)
 supports = st.frozensets(st.integers(1, 12), min_size=1, max_size=6)
+# values of magnitude 1e-300..1e300, as m * 10^e with 1 <= m < 10, of either sign, or zeros of either sign
+magnitudes = st.builds(lambda m, e: m * 10.0**e, st.floats(min_value=1.0, max_value=9.99), st.integers(-300, 299))
+wide_values = st.one_of(st.sampled_from([0.0, -0.0]), magnitudes, magnitudes.map(lambda v: -v))
+wide = st.dictionaries(st.integers(1, 8), wide_values, max_size=6).map(SparseVector)
 
 
 def _scan_get(v, index):
@@ -68,6 +72,34 @@ class TestProjection:
         from varproj.vectors import norm
 
         assert norm(l2_cone.project(u) - l2_cone.project(v)) <= norm(u - v) + 1e-12
+
+
+class TestWideMagnitudeProperties:
+    """The projection's laws for values anywhere in 1e-300..1e300, and signed zeros."""
+
+    @given(wide)
+    def test_feasible_and_idempotent(self, x):
+        p = l2_cone.project(x)
+        assert all(v > 0.0 for _, v in p.items())
+        assert l2_cone.project(p).pairs == p.pairs
+
+    @given(wide, wide)
+    def test_nonexpansive(self, u, v):
+        # u - v is taken over the union of the supports, where it may overflow
+        indices = sorted(u.support | v.support)
+        with np.errstate(over="ignore"):
+            d = np.array([u.get(i) for i in indices]) - np.array([v.get(i) for i in indices])
+        assume(np.all(np.isfinite(d)))
+        got = norm(l2_cone.project(u) - l2_cone.project(v))
+        assert got <= norm(u - v) * (1.0 + 4.0 * np.finfo(float).eps)
+
+    @given(wide, st.integers(-200, 200))
+    def test_scaling(self, x, k):
+        # P(2^k x) = 2^k P(x) bit for bit wherever scaling by 2^k is exact
+        s = 2.0**k
+        tiny = np.finfo(float).tiny
+        assume(all(tiny <= abs(v * s) < np.inf and abs(v) >= tiny for _, v in x.items()))
+        assert l2_cone.project(x * s).pairs == (l2_cone.project(x) * s).pairs
 
 
 class _Index(int):

@@ -118,6 +118,28 @@ class TestProbeConfig:
         # a numpy integer is an integer, as for the seed
         assert ProbeConfig(random_directions=np.int64(8)) == ProbeConfig(random_directions=8)
 
+    def test_radii_and_tolerance_must_be_real_numbers(self):
+        for kwargs in ({"radii": (1e-2, "1e-3")}, {"radii": (True,)}, {"radii": (1e-2, None)},
+                       {"tolerance": "1e-3"}, {"tolerance": True}, {"tolerance": None}):
+            with pytest.raises(TypeError, match="must be real numbers"):
+                ProbeConfig(**kwargs)
+        config = ProbeConfig(radii=(1, 0.5), tolerance=np.float32(0.5))
+        assert config.radii == (1.0, 0.5) and all(type(t) is float for t in config.radii)
+        assert type(config.tolerance) is float
+
+    def test_numpy_radii_print_as_floats(self):
+        config = ProbeConfig(radii=tuple(np.array([1e-2, 1e-3, 1e-4])))
+        out = membership(BallProjection(1.0).project, [3, 4], [1, 0], [5, 5], config).to_json()
+        assert list(out["sup_estimates"]) == ["0.01", "0.001", "0.0001"]
+
+    def test_an_array_or_list_of_radii_is_a_tuple_of_floats(self):
+        # and so a hashable config, equal to the default's
+        want = ProbeConfig()
+        for radii in (np.array([1e-2, 1e-3, 1e-4]), [1e-2, 1e-3, 1e-4]):
+            config = ProbeConfig(radii=radii, tolerance=np.float64(1e-3))
+            assert config == want and hash(config) == hash(want)
+            assert all(type(t) is float for t in config.radii) and type(config.tolerance) is float
+
 
 class TestQuotient:
     def test_zero_everything(self):
@@ -800,7 +822,7 @@ class TestPackedPlan:
         # through one axis-form call and its random rows of all three radii
         # through one direction-form call, then the head rows and the rows
         # of z of all three radii through one row-form call; a verdict on
-        # the kept plan makes only the row-form call on the rows of z
+        # the kept plan makes only that row-form call
         rng = np.random.default_rng(n)
         u = rng.standard_normal(n)
         u /= np.linalg.norm(u)
@@ -813,7 +835,7 @@ class TestPackedPlan:
             assert op.calls == [("axes", 3 * 2 * n), ("dirs", 3 * 256), ("rows", 3 * (head + z_rows))]
             op.calls.clear()
             membership(op.project, xbar, y, z_next)
-            assert op.calls == [("rows", 3 * z_rows)]
+            assert op.calls == [("rows", 3 * (head + z_rows))]
 
     def test_wide_verdict_keeps_the_row_budget(self):
         # at n = 500 the plan is streamed: the plan makes the axis-form
@@ -912,15 +934,53 @@ class TestPlanCache:
             oracle._kept_plan.cache_clear()
             assert _verdict_json(orthant.project, np.array([zero, 1.0]), y, z) == want
 
-    def test_formless_f_and_unhashable_config_are_never_kept(self):
-        # radii given as a list are valid but unhashable
+    def test_formless_f_and_unhashable_f_are_never_kept(self):
+        # an instance of a non-frozen dataclass is unhashable, though it has
+        # a row form; radii given as a list make a hashable config, which
+        # keys the plan of a tuple of the same floats
         ball = BallProjection(1.0)
         args = (np.array([1.5, 0.0]), np.ones(2), np.ones(2))
-        for f, config in ((lambda u: ball.project(u), None), (ball.project, ProbeConfig(radii=[1e-2, 1e-3]))):
+        config = ProbeConfig(radii=(1e-2, 1e-3))
+        for f in (lambda u: ball.project(u), _UnhashableBall()):
             first = _verdict_json(f, *args, config)
             assert _verdict_json(f, *args, config) == first
-        assert first == _verdict_json(ball.project, *args, ProbeConfig(radii=(1e-2, 1e-3)))
-        assert oracle._kept_plan.cache_info().misses == 1
+        assert oracle._kept_plan.cache_info().misses == 0
+        first = _verdict_json(ball.project, *args, ProbeConfig(radii=[1e-2, 1e-3]))
+        assert _verdict_json(ball.project, *args, config) == first
+        info = oracle._kept_plan.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_a_z_pass_changes_no_kept_plan_but_its_halves(self, sparse):
+        # a z pass only reads its plan: the head rows of xbar and y are
+        # scored in every pass, and only the witness halves are filled
+        rng = np.random.default_rng(1818)
+        config = ProbeConfig(random_directions=32, seed=5)
+        if sparse:
+            f = l2_cone.project
+            xbar, _, y, zs = suites.order_interval_grid(rng, 2, 2, variant=0)
+            axes, x0, y0, _ = oracle._embed(xbar, y, zs[0])
+        else:
+            f = BallProjection(1.0).project
+            # inside the ball, z = y is the one member
+            xbar, y = np.array([0.3, 0.4, 0.5]), np.array([1.0, -0.5, 0.25])
+            zs = [y + 0.5 * rng.standard_normal(3) for _ in range(8)] + [y, np.zeros(3)]
+            axes, x0, y0 = None, xbar, y
+        plan = oracle._kept_plan(*oracle._plan_key(f, x0, y0, axes, config))
+
+        def snapshot():
+            chunks = [(c.rows.tobytes(), None if c.scale is None else c.scale.tobytes(), c.y_df.tobytes(),
+                       c.den.tobytes(), [(k, slot, a, b, block.tobytes(), first)
+                                         for k, slot, a, b, block, first in c.segments]) for c in plan.chunks]
+            return plan.head.tobytes(), plan.head.shape, chunks
+
+        before = snapshot()
+        assert not plan.head.flags.writeable and len(plan.head) > 0
+        verdicts = [membership(f, xbar, y, z, config).verdict for z in zs]
+        assert Verdict.NON_MEMBER in verdicts and Verdict.MEMBER in verdicts
+        assert oracle._kept_plan(*oracle._plan_key(f, x0, y0, axes, config)) is plan
+        assert snapshot() == before
+        assert plan.halves
 
     def test_kept_plans_are_small_and_at_most_16(self):
         # at the default config a plan is kept up to m = 41, where all its
@@ -946,6 +1006,23 @@ class TestPlanCache:
             with pytest.raises(ValueError, match=rf"a probe at radius {radius} rounds back"):
                 membership(orthant.project, x, y, np.array(z), config)
         assert oracle._kept_plan.cache_info().hits == 2
+
+
+@dataclass
+class _UnhashableBall:
+    """The unit ball's projection as a callable with a row form, on a dataclass that is not frozen, so unhashable.
+
+    (A bound method hashes by the identity of its object, so the bound
+    ``project`` of such a class would be hashable.)
+    """
+
+    ball: BallProjection = BallProjection(1.0)
+
+    def __call__(self, x):
+        return self.ball.project(x)
+
+    def rows(self, block):
+        return self.ball.project_rows(block)
 
 
 def _witness_queries():
@@ -1028,10 +1105,10 @@ class TestWitnessHalves:
         assert oracle._kept_plan.cache_info().hits == 3
 
     def test_a_kept_plan_stores_one_half_per_probe_at_most(self):
-        # the keys are the smallest-radius probes outside the rows of z
-        # (slot 1): (slot, row in its block), or (2, index of the axis probe);
-        # the random rows (slot 3) of the smallest radius are a range of the
-        # rows of the one direction array
+        # the keys are the smallest-radius probes but the rows of z:
+        # (0, head row of xbar or y), (1, index of the axis probe) or
+        # (2, row in the one direction array), where the random rows of the
+        # smallest radius are a range
         stored = 0
         for f, xbar, y, zs, count in _witness_queries():
             config = ProbeConfig(random_directions=count)
@@ -1045,11 +1122,12 @@ class TestWitnessHalves:
             last, per = len(config.radii) - 1, 2 * x0.size
             rows = {slot: range(first, first + end - start) for scores in plan.chunks
                     for k, slot, start, end, _, first in scores.segments if k == last}
-            rows[2] = range(last * per, (last + 1) * per)
+            rows[0] = range(len(plan.head))
+            rows[1] = range(last * per, (last + 1) * per)
             assert len(plan.halves) <= sum(map(len, rows.values()))
             stored += len(plan.halves)
             for slot, i in plan.halves:
-                assert slot != 1 and i in rows[slot]
+                assert i in rows[slot]
         assert stored > 0
 
 

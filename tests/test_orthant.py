@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from varproj import orthant
 from varproj.descriptors import CoordinateMaskMap, EmptySet, IdentityMap, SingletonSet, ZeroMap
 from varproj.oracle import ProbeConfig, Verdict, jacobian_fd, membership
 from varproj.orthant import OrthantRegion
-from varproj.vectors import SparseVector
+from varproj.vectors import SparseVector, norm
 
 finite = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False, allow_infinity=False)
 
@@ -15,6 +15,11 @@ finite = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False, allow_infinit
 def points(n=4):
     return st.lists(finite, min_size=n, max_size=n).map(np.array)
 
+
+# entries of magnitude 1e-300..1e300, as m * 10^e with 1 <= m < 10, of either sign, or zeros of either sign
+magnitudes = st.builds(lambda m, e: m * 10.0**e, st.floats(min_value=1.0, max_value=9.99), st.integers(-300, 299))
+wide_entries = st.one_of(st.sampled_from([0.0, -0.0]), magnitudes, magnitudes.map(lambda v: -v))
+wide_points = st.lists(wide_entries, min_size=4, max_size=4).map(np.array)
 
 # sign patterns: exact zeros of both signs next to small and large magnitudes
 signed_entries = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300, -1e300]), finite)
@@ -60,6 +65,34 @@ class TestProjection:
     def test_positive_homogeneous(self, x):
         for lam in (0.0, 0.5, 2.0):
             np.testing.assert_array_equal(orthant.project(lam * x), lam * orthant.project(x))
+
+
+class TestWideMagnitudeProperties:
+    """The projection's laws for entries anywhere in 1e-300..1e300, and signed zeros."""
+
+    @given(wide_points)
+    def test_feasible_and_idempotent(self, x):
+        p = orthant.project(x)
+        assert np.all(p >= 0.0)
+        assert orthant.project(p).tobytes() == p.tobytes()
+
+    @given(wide_points, wide_points)
+    def test_nonexpansive(self, u, v):
+        with np.errstate(over="ignore"):
+            d = u - v
+        assume(np.all(np.isfinite(d)))
+        assert norm(orthant.project(u) - orthant.project(v)) <= norm(d) * (1.0 + 4.0 * np.finfo(float).eps)
+
+    @given(wide_points, st.integers(-200, 200))
+    def test_scaling(self, x, k):
+        # P(2^k x) = 2^k P(x) bit for bit wherever scaling by 2^k is exact
+        s = 2.0**k
+        with np.errstate(over="ignore"):
+            sx = s * x
+        tiny = np.finfo(float).tiny
+        assume(np.all(np.isfinite(sx)))
+        assume(np.all((x == 0.0) | ((np.abs(x) >= tiny) & (np.abs(sx) >= tiny))))
+        assert orthant.project(sx).tobytes() == (s * orthant.project(x)).tobytes()
 
 
 class TestSignPartition:
