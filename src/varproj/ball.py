@@ -165,16 +165,22 @@ class BallProjection:
             out[i] = self.project(block[i])
         return out
 
-    def _scales(self, sq_norm: float, origin: bool, grow, norm_u):
+    def _scales(self, sq_norm: float, origin: bool, x_d, step, u_d):
         """(a, c(u)) with a = c(u) - c(x) and c(v) = r / max(||v||, r), or None when some c(u) underflows.
 
-        Takes ||x||^2, whether x is the origin, ||u||^2 - ||x||^2 and ||u||,
-        elementwise over the probes.  a is taken from ||u|| - ||x|| =
-        (||u||^2 - ||x||^2) / (||u|| + ||x||) (||u|| at the origin), so
-        nothing cancels: as -c(u) (||u|| - ||x||) / ||x|| when both points
-        lie outside the ball, and as (r - ||x|| - (||u|| - ||x||)) / ||u||
-        when only u does.
+        Takes ||x||^2, whether x is the origin, and, elementwise over the
+        probes u = x + step d for a unit d, x_d = <x, d> and u_d = <u, d>,
+        so ||u||^2 = ||x||^2 + grow with grow = step (x_d + u_d) (||u|| =
+        |u_d| at the origin).  ||u||^2 >= u_d^2, which rounding must not
+        undercut; an overflow makes ||u|| inf and c(u) 0, which declines.
+        a is taken from ||u|| - ||x|| = grow / (||u|| + ||x||) (||u|| at the
+        origin), so nothing cancels: as -c(u) (||u|| - ||x||) / ||x|| when
+        both points lie outside the ball, and as (r - ||x|| - (||u|| -
+        ||x||)) / ||u|| when only u does.
         """
+        with np.errstate(over="ignore"):
+            grow = step * (x_d + u_d)
+            norm_u = np.abs(u_d) if origin else np.sqrt(np.maximum(sq_norm + grow, u_d * u_d))
         r = self.radius
         top = float(norm_u.max())
         if not r / max(top, r) >= _TINY:
@@ -210,12 +216,7 @@ class BallProjection:
         if not (origin or _TINY <= sq_norm < np.inf):
             return None
         du = moved - xj
-        # ||u||^2 >= moved^2, which rounding must not undercut; an overflow
-        # makes ||u|| inf and c(u) 0, which declines
-        with np.errstate(over="ignore"):
-            grow = du * (moved + xj)
-            norm_u = np.abs(moved) if origin else np.sqrt(np.maximum(sq_norm + grow, moved * moved))
-        scales = self._scales(sq_norm, origin, grow, norm_u)
+        scales = self._scales(sq_norm, origin, xj, du, moved)
         return None if scales is None else (scales[0], scales[1] * du)
 
     def project_dirs(self, x0: np.ndarray, y0: np.ndarray, dirs: np.ndarray, t: np.ndarray):
@@ -243,12 +244,7 @@ class BallProjection:
         if not (origin or _TINY <= sq_norm < np.inf):
             return None
         xd, yd = _dots(dirs, (x0, y0))
-        # as in project_axes, ||u||^2 >= (<d, x0> + t)^2, and an overflow declines
-        with np.errstate(over="ignore"):
-            along = xd + t  # <u, d>
-            grow = t * (xd + along)
-            norm_u = t if origin else np.sqrt(np.maximum(sq_norm + grow, along * along))
-        scales = self._scales(sq_norm, origin, grow, norm_u)
+        scales = self._scales(sq_norm, origin, xd, t, xd + t)
         if scales is None:
             return None
         a, b = scales[0], scales[1] * t

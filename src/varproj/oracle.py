@@ -10,8 +10,8 @@ The oracle estimates the limsup by sampling u = xbar + t*d over a fixed
 set of shrinking radii t and many unit directions d: a seeded batch of
 random directions per radius plus structured probes aligned with the
 known worst-case families (radial moves along xbar, moves along the
-orthogonal parts of y and z against xbar, single-coordinate segments,
-and moves along y and z themselves).  Scaled single-coordinate segments
+orthogonal parts of y and z against xbar, single-coordinate moves,
+and moves along y and z themselves).  Scaled single-coordinate moves
 such as u_j = xbar_j + t * z_j trace the same rays as the coordinate
 probes, so normalising directions to unit length loses no coverage.
 The structured directions other than the axes (the head) come from
@@ -24,13 +24,16 @@ z-free plan of (f, xbar, y, config): f(xbar), <xbar, xbar> and ||xbar||,
 the head rows of xbar and y, and for every random and axis probe its
 <y, f(u) - f(xbar)> and denominator.  The z pass then scores the head
 rows, takes one <z, u - xbar> per chunk of rows and per axis probe, and
-runs the argmaxes, the verdict rule and the witness.  Every radius
-probes, in order, the head (the rows of z last), the axis probes, then
-its random directions; the supremum at a radius is the first largest
-quotient in that order.  The random directions of all radii are one
-array, each radius a range of its rows.  Sparse queries use the same
-dense path: they are embedded in R^m over the probed axes (all supports
-plus one fresh index), from one dict per vector (``_embed``).
+writes every quotient into one table, then runs one argmax, the verdict
+rule and the witness.  Row k of the table holds the quotients of radius
+k in probe order: the head (the rows of z last), the 2m axis probes,
+then the radius's random directions, and -inf past the random rows it
+kept (fewer than the others only when a short draw was dropped).  The
+supremum at a radius is the first largest entry of its row.  The random
+directions of all radii are one array, each radius a range of its rows.
+Sparse queries use the same dense path: they are embedded in R^m over
+the probed axes (all supports plus one fresh index), from one dict per
+vector (``_embed``).
 
 The head rows take the row path: u = xbar + t*d is formed (t per row)
 and scored with one call of the row form (``_score``), inner products in
@@ -54,20 +57,20 @@ and the random rows take the row path, when some row might round back to
 xbar (see ``_plan``); the ball's form declines, with the same result,
 where its axis form does.  On the row path, the random rows are cut into
 chunks of at most about 32k floats (``_block_rows``), each one ``_score``
-call; a chunk may span two radii, and each radius keeps the first
-largest quotient over its chunks.
+call; a chunk may span two radii, and the quotients of the chunks, in
+order, fill the random columns of the table.
 
 The 16 most recently used plans are kept, keyed by f, the bytes of
 xbar and y over the probed axes, the axes and the config, when f has a
 row form and all of a plan's rows fit in one chunk (m <= 41 at the
-default config).  A row form thus marks f as a pure function of its
-argument, as the sets of this package are: an object whose ``project``
-has a ``project_rows`` but whose result changes with its state must not
-be reused for equal (xbar, y, config) after that state changes.  A kept
-plan holds private read-only copies of xbar and y, so a caller that
-later changes its arrays cannot reach it, and -0.0 and 0.0 key apart.
-Any other plan streams its chunks to the z pass one by one and is
-dropped with the verdict.
+default config), and f, with the object of a bound f, is hashable.  A
+row form thus marks f as a pure function of its argument, as the sets
+of this package are; the bound ``project`` of an unhashable object (a
+dataclass that is not frozen, say), whose result may change with its
+state, gets no kept plan.  A kept plan holds private read-only copies
+of xbar and y, so a caller that later changes its arrays cannot reach
+it, and -0.0 and 0.0 key apart.  Any other plan streams its chunks to
+the z pass one by one and is dropped with the verdict.
 
 The random directions depend only on (seed, random_directions, m, number
 of radii), so they are drawn once per process and kept, read-only, as
@@ -102,15 +105,18 @@ two halves of the scalar ``quotient``, with the plan's f(xbar): the
 z-free half (u - xbar, <y, f(u) - f(xbar)> and the denominator) and the
 z half (<z, u - xbar> and the division).  That value is the last
 supremum and the witness quotient, and ``quotient`` calls the same two
-halves, so a witness re-evaluates exactly.  The plan keeps the z-free
-half of each such winner, keyed by its slot (0 the head, 1 the axis
-probes, 2 the random rows) and index and filled on first use, so a kept
-plan holds at most one per probe of the smallest radius (at most six
-head rows of xbar and y, 2m axis probes and the random directions).  A
-winner among the rows of z, the head rows from ``len(plan.head)`` on,
-depends on z and is scored in full every time.  A dense witness
-direction is a copy the plan does not keep; witness directions of sparse
-queries are (immutable) SparseVectors with 1-based indices.
+halves, so a witness re-evaluates exactly.  The winner's column in the
+table names its slot (0 the head, 1 the axis probes, 2 the random rows)
+and its index (the head row, the axis probe among those of every
+radius, or the row of the direction array).  The plan keeps the
+z-free half of each such winner, keyed by the two and filled on first
+use, so a kept plan holds at most one per probe of the smallest radius
+(at most six head rows of xbar and y, 2m axis probes and the random
+directions).  A winner among the rows of z, the head rows from
+``len(plan.head)`` on, depends on z and is scored in full every time.
+A dense witness direction is a copy the plan does not keep; witness
+directions of sparse queries are (immutable) SparseVectors with 1-based
+indices.
 
 Verdict rule, with s_k the supremum of the quotient at the k-th radius
 (radii decrease) and tol the configured tolerance:
@@ -374,14 +380,20 @@ def _random_dirs(seed, count: int, m: int, n_radii: int) -> tuple[np.ndarray, tu
 
 
 class _Scores(NamedTuple):
-    """The z-free scores of one chunk of probe rows (see ``_scored_chunks``)."""
+    """The z-free scores of one chunk of probe rows, in probe order (see ``_scored_chunks``)."""
 
     rows: np.ndarray     # rows r with <z, u - xbar> = scale * <r, z>, one per probe
-    segments: list       # (radius index, slot, start, end, block, first): row start + i is block[first + i]
     scale: Optional[np.ndarray]  # the radius of each probe when the rows are its direction; None when they are u - xbar
     y_df: np.ndarray     # <y, f(u) - f(xbar)>
     den: np.ndarray      # the quotient's denominator
     stuck: int           # radius index of the first row with u == xbar, or the number of radii
+
+    def quotients(self, z0: np.ndarray) -> np.ndarray:
+        """The quotient of every probe of the chunk for z."""
+        z_du = _dot(self.rows, z0)
+        if self.scale is not None:
+            z_du *= self.scale
+        return (z_du - self.y_df) / self.den
 
 
 def _score(dirs: np.ndarray, t, x0: np.ndarray, terms: Callable, denominator: str) -> tuple:
@@ -417,35 +429,13 @@ def _scored_chunks(dirs: np.ndarray, bounds: tuple, x0: np.ndarray, radii: tuple
     if form is not None:
         images = form(dirs, t)
         if images is not None:
-            segments = [(k, 2, start, end, dirs, start) for k, (start, end) in enumerate(bounds) if start < end]
-            yield _Scores(dirs, segments, t, images[0], _denominator(denominator, t, images[1]), len(radii))
+            yield _Scores(dirs, t, images[0], _denominator(denominator, t, images[1]), len(radii))
             return
     size = _block_rows(x0.size)
     for lo in range(0, len(dirs), size):
-        hi = min(lo + size, len(dirs))
-        first, du, y_df, den = _score(dirs[lo:hi], t[lo:hi, None], x0, terms, denominator)
+        first, du, y_df, den = _score(dirs[lo:lo + size], t[lo:lo + size, None], x0, terms, denominator)
         stuck = len(radii) if first is None else next(k for k, (_, end) in enumerate(bounds) if lo + first < end)
-        segments = [(k, 2, max(start, lo) - lo, min(end, hi) - lo, dirs, max(start, lo))
-                    for k, (start, end) in enumerate(bounds) if start < hi and lo < end]
-        yield _Scores(du, segments, None, y_df, den, stuck)
-
-
-def _record(scores: _Scores, z0: np.ndarray, wins: list) -> None:
-    """Keep in wins[k][slot] the (quotient, block, row in block) of the first largest quotient of each segment.
-
-    A segment's win replaces an earlier one of its (radius, slot) only when
-    it is strictly larger, so a (radius, slot) split over chunks keeps its
-    first largest quotient.
-    """
-    z_du = _dot(scores.rows, z0)
-    if scores.scale is not None:
-        z_du *= scores.scale
-    q = (z_du - scores.y_df) / scores.den
-    for k, slot, start, end, block, first in scores.segments:
-        i = int(q[start:end].argmax())
-        value, win = float(q[start + i]), wins[k][slot]
-        if win is None or value > win[0]:
-            wins[k][slot] = (value, block, first + i)
+        yield _Scores(du, None, y_df, den, stuck)
 
 
 def _axis_block(x0: np.ndarray, *vs: np.ndarray, copies: int = 1) -> tuple[np.ndarray, ...]:
@@ -531,7 +521,10 @@ def _form(f: Callable[[Vector], Vector], kind: str) -> Optional[Callable]:
     An f with a row form must be a pure function of its argument: its
     z-free plan may be kept (see ``_kept_plan``) and reused by a later
     verdict on equal (f, xbar, y, config), and a kept plan holds f, and
-    so its object, until the plan is dropped.
+    so its object, until the plan is dropped.  The plan of a bound method
+    is kept only when its object is hashable (immutable by convention,
+    as a frozen dataclass is), so the state of a mutable object is never
+    answered from a stale plan.
     """
     owner = getattr(f, "__self__", None)
     if owner is not None and getattr(f, "__name__", None) == "project":
@@ -548,7 +541,9 @@ class _Plan(NamedTuple):
     terms: Callable                # probe rows u -> (<y, f(u) - f(xbar)>, ||f(u) - f(xbar)||)
     anchor: tuple[float, float]    # <x0, x0> and ||x0||
     head: np.ndarray               # the read-only (h, m) head rows of xbar and y, scored by every z pass
-    chunks: Iterable[_Scores]      # the random rows: a list when kept, else streamed
+    dirs: np.ndarray               # the read-only random directions of every radius (``_random_dirs``)
+    bounds: tuple                  # the (start, end) rows of dirs of each radius
+    chunks: Iterable[_Scores]      # the scores of the rows of dirs, in order: a list when kept, else streamed
     axis: tuple                    # (j, s, du, <y, df>, denominator) of the axis probes of every radius
     stuck: int                     # radius index of the first axis probe with u == xbar, or the number of radii
     halves: dict                   # (slot, index) -> (direction, *z-free half) of witnesses at the last radius
@@ -566,8 +561,9 @@ def _plan(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, x0: np.ndarray
     dirs, bounds = _random_dirs(config.seed, config.random_directions, m, len(radii))
     # the probe plan, radius by radius: the head rows (slot 0), those of
     # xbar and y and then those of z, all scored by the z pass, the axis
-    # probes (slot 1), then the radius's random rows (slot 2); the axis
-    # probes of every radius form one block of scalars
+    # probes (slot 1), then the radius's random rows (slot 2), the columns
+    # of the z pass's table in this order; the axis probes of every radius
+    # form one block of scalars
     anchor = _anchor(x0)
     head = np.reshape(_structured_head(x0, y0, anchor=anchor), (-1, m))
     head.flags.writeable = False
@@ -613,7 +609,7 @@ def _plan(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, x0: np.ndarray
 
     chunks = _scored_chunks(dirs, bounds, x0, radii, terms, config.denominator, form)
     stuck = len(radii) if np.all(axis_in > 0.0) else int(np.argmin(axis_in > 0.0)) // (2 * m)
-    return _Plan(fx, terms, anchor, head, chunks,
+    return _Plan(fx, terms, anchor, head, dirs, bounds, chunks,
                  (axis[0], axis[1], axis_du, axis_y_df, _denominator(config.denominator, axis_in, df_norm)), stuck, {})
 
 
@@ -624,14 +620,15 @@ def _plan_key(f: Callable[[Vector], Vector], x0: np.ndarray, y0: np.ndarray, axe
     A plan is kept when f has a row form (the sets of this package are
     pure; a user callable may not be), when every row of the plan fits in
     one chunk, so that a kept plan holds at most about 32k floats of
-    u - xbar or of directions, and when f is hashable.
+    u - xbar or of directions, and when f and the object of a bound f are
+    hashable (a bound method hashes by the identity of its object).
     """
     if _form(f, "rows") is None or len(config.radii) * (6 + config.random_directions) > _block_rows(x0.size):
         return None
     key = (f, x0.tobytes(), y0.tobytes(), axes, config)
     try:
-        hash(key)
-    except TypeError:  # an unhashable f, such as an instance of a class whose __hash__ is None
+        hash((key, getattr(f, "__self__", None)))
+    except TypeError:  # an unhashable f or object, such as an instance of a class whose __hash__ is None
         return None
     return key
 
@@ -648,13 +645,11 @@ def _kept_plan(f: Callable[[Vector], Vector], x_bytes: bytes, y_bytes: bytes, ax
 
 def _z_pass(plan: _Plan, f: Callable[[Vector], Vector], xbar: Vector, y: Vector, z: Vector, x0: np.ndarray,
             z0: np.ndarray, axes: Optional[tuple[int, ...]], config: ProbeConfig) -> OracleVerdict:
-    """The verdict on z from its plan: the +-z and +-orth(z) rows, <z, u - xbar>, the argmaxes and the witness."""
+    """The verdict on z from its plan: the +-z and +-orth(z) rows, the table of quotients and the witness."""
     radii, per = config.radii, 2 * x0.size
     n_radii = len(radii)
-    # per radius and slot, the first largest quotient: (value, block or None for the axis, row in block)
-    wins = [[None] * 3 for _ in radii]
     # the head rows of the plan, then those of z, of every radius take the
-    # row path in one call, one segment per radius
+    # row path in one call
     stuck = plan.stuck
     z_rows = _structured_head(x0, z0, anchor=plan.anchor, xbar_rows=False)
     head = np.concatenate([plan.head, z_rows]) if z_rows else plan.head
@@ -664,52 +659,56 @@ def _z_pass(plan: _Plan, f: Callable[[Vector], Vector], xbar: Vector, y: Vector,
         first, du, y_df, den = _score(np.concatenate([head] * n_radii), t, x0, plan.terms, config.denominator)
         if first is not None:
             stuck = min(stuck, first // n)
-        else:
-            segments = [(k, 0, k * n, (k + 1) * n, head, 0) for k in range(n_radii)]
-            _record(_Scores(du, segments, None, y_df, den, n_radii), z0, wins)
     # a probe that rounds back to xbar is reported at the first radius
     # where one does; a streamed plan is read up to its first such chunk
+    random_q = []
     for scores in plan.chunks:
         if scores.stuck < n_radii:
             stuck = min(stuck, scores.stuck)
             break
         if stuck == n_radii:
-            _record(scores, z0, wins)
+            random_q.append(scores.quotients(z0))
     if stuck < n_radii:
         raise ValueError(
             f"u must differ from xbar: a probe at radius {radii[stuck]!r} rounds back to xbar at "
             f"||xbar|| = {norm(xbar):.6g}; probe radii are absolute")
 
-    axis_j, axis_s, axis_du, y_df, den = plan.axis
-    q = (((axis_du * z0[axis_j] + 0.0) - y_df) / den).reshape(n_radii, per)
-    for k, i in enumerate(q.argmax(axis=1).tolist()):
-        wins[k][1] = (float(q[k, i]), None, k * per + i)
-
-    estimates: list[tuple[float, float]] = []
-    for t, found in zip(radii, wins):
-        sup, best = -np.inf, None
-        for slot, win in enumerate(found):
-            if win is not None and (best is None or win[0] > sup):
-                sup, best = win[0], slot
-        estimates.append((t, sup))
+    axis_j, axis_s, axis_du, axis_y_df, axis_den = plan.axis
+    # not prefilled: every entry is written, and random_q is empty only when no radius kept a random row
+    kept = [end - start for start, end in plan.bounds]
+    table = np.empty((n_radii, n + per + max(kept)))
+    if n:
+        table[:, :n] = _Scores(du, None, y_df, den, n_radii).quotients(z0).reshape(n_radii, n)
+    table[:, n:n + per] = (((axis_du * z0[axis_j] + 0.0) - axis_y_df) / axis_den).reshape(n_radii, per)
+    if random_q:
+        q, random = np.concatenate(random_q), table[:, n + per:]
+        if q.size < random.size:  # a radius lost a short draw: -inf past its rows
+            random[...] = -np.inf
+            random[np.arange(random.shape[1]) < np.array(kept)[:, None]] = q
+        else:
+            random[...] = q.reshape(random.shape)
+    best = table.argmax(axis=1)
+    estimates = list(zip(radii, table[np.arange(n_radii), best].tolist()))
 
     # the winner at the smallest radius is scored again through the two
     # halves of the scalar quotient, with the plan's f(xbar), so the witness
-    # re-evaluates to exactly the stored value; the plan keeps the z-free
-    # half of each winner but the rows of z, the head rows from
-    # len(plan.head) on, which depend on z
-    t, (_, block, i) = radii[-1], wins[-1][best]
-    half = plan.halves.get((best, i))
+    # re-evaluates to exactly the stored value; its column gives its slot
+    # and index, and the plan keeps the z-free half of each winner but the
+    # rows of z, the head rows from len(plan.head) on, which depend on z
+    t, i = radii[-1], int(best[-1])
+    slot = (i >= n) + (i >= n + per)
+    i = (i, (n_radii - 1) * per + i - n, plan.bounds[-1][0] + i - n - per)[slot]
+    half = plan.halves.get((slot, i))
     if half is None:
-        if block is None:
+        if slot == 1:
             unit = np.zeros(x0.size)
             unit[axis_j[i]] = axis_s[i]
         else:
-            unit = block[i].copy()
+            unit = (head if slot == 0 else plan.dirs)[i].copy()
         direction = _point(axes, unit)
         half = (direction, *_z_free_half(f, plan.fx, xbar, y, xbar + t * direction, config.denominator))
-        if best or i < len(plan.head):
-            plan.halves[best, i] = half
+        if slot or i < len(plan.head):
+            plan.halves[slot, i] = half
     direction, *z_free = half
     estimates[-1] = (t, _z_half(z, *z_free))
     sups = [s for _, s in estimates]

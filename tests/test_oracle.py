@@ -892,6 +892,63 @@ class TestPackedPlan:
             assert [built_anew(case) for case in cases] == want, rows
 
 
+def _ragged_dirs(seed, count, m, n_radii, draw=oracle._random_dirs):
+    """``_random_dirs`` with two draws of the second radius and one of the last dropped, as if shorter than 1e-12."""
+    dirs, bounds = draw(seed, count, m, n_radii)
+    drop = [bounds[1][0], bounds[1][0] + 2, bounds[-1][1] - 1]
+    keep = np.delete(np.arange(len(dirs)), drop)
+    counts = [end - start - sum(start <= i < end for i in drop) for start, end in bounds]
+    ends = np.cumsum(counts).tolist()
+    return dirs[keep], tuple(zip([0] + ends[:-1], ends))
+
+
+class TestQuotientTable:
+    def test_a_cross_family_tie_keeps_the_head_probe(self):
+        # +xbar (head row 0) and the axis probe +e_0 (index 8 at the last
+        # radius) are one probe: the first in probe order wins
+        out = membership(orthant.project, np.array([1.0, 0.0]), np.zeros(2), np.array([1.0, 0.0]))
+        assert out.verdict is Verdict.NON_MEMBER
+        assert out.witness.quotient == 0.5
+        np.testing.assert_array_equal(out.witness.direction, [1.0, 0.0])
+        plan = oracle._kept_plan(*oracle._plan_key(orthant.project, np.array([1.0, 0.0]), np.zeros(2), None,
+                                                   ProbeConfig()))
+        assert set(plan.halves) == {(0, 0)}
+
+    @pytest.mark.parametrize("rows", [None, 7])
+    def test_ragged_random_rows(self, rows, monkeypatch):
+        # radii that keep unequal numbers of random rows: each supremum is
+        # the largest quotient of the radius's probes, and the witness
+        # re-evaluates exactly; a formless f scores every probe as quotient
+        # does.  u -> u*u at 0 for y = 1 and z = 0 has every quotient
+        # negative, so no entry past a radius's rows may win
+        monkeypatch.setattr(oracle, "_random_dirs", _ragged_dirs)
+        if rows is not None:
+            monkeypatch.setattr(oracle, "_block_rows", lambda m: rows)
+        config = ProbeConfig(random_directions=40, seed=11)
+        ball = BallProjection(1.0)
+        rng = np.random.default_rng(4)
+        seen = set()
+        for n in (1, 3, 6):
+            dirs, bounds = _ragged_dirs(config.seed, config.random_directions, n, len(config.radii))
+            assert len({end - start for start, end in bounds}) > 1
+            cases = [(lambda v: ball.project(v), scale * rng.standard_normal(n), *rng.standard_normal((2, n)))
+                     for scale in (0.5, 3.0)]
+            cases.append((lambda v: v * v, np.zeros(n), np.ones(n), np.zeros(n)))
+            for f, xbar, y, z in cases:
+                out = membership(f, xbar, y, z, config)
+                probes = [*_reference_head(xbar, y, z), *(s * e for e in np.eye(n) for s in (1.0, -1.0))]
+                for k, (t, sup) in enumerate(out.sup_estimates):
+                    q = [quotient(f, xbar, y, z, xbar + t * d) for d in [*probes, *dirs[slice(*bounds[k])]]]
+                    assert sup == max(q), (n, k)
+                    if k == len(bounds) - 1:
+                        seen.add("random" if int(np.argmax(q)) >= len(probes) else "structured")
+                if out.verdict is Verdict.NON_MEMBER:
+                    w = out.witness
+                    assert quotient(f, xbar, y, z, xbar + w.radius * w.direction) == w.quotient == sup
+            assert out.verdict is Verdict.MEMBER and max(s for _, s in out.sup_estimates) < 0.0
+        assert seen == {"random", "structured"}
+
+
 class TestPlanCache:
     @pytest.mark.parametrize("denominator", ["sum", "euclidean"])
     def test_hit_gives_the_bytes_of_a_cold_verdict(self, denominator):
@@ -950,6 +1007,20 @@ class TestPlanCache:
         info = oracle._kept_plan.cache_info()
         assert (info.misses, info.hits) == (1, 1)
 
+    def test_a_mutable_object_gets_no_stale_plan(self):
+        # the bound project of a mutable object hashes by the object's
+        # identity; its plan is not kept, so a changed radius is answered anew
+        obj = _MutableBall(1.0)
+        args = (np.array([1.5, 0.0]), np.array([0.0, 1.0]), np.array([0.0, 0.5]))
+        membership(obj.project, *args)
+        obj.radius = 2.0
+        out = membership(obj.project, *args)
+        assert oracle._kept_plan.cache_info().misses == 0
+        # inside the ball of radius 2, f is the identity near xbar: the sup is ||z - y|| / 2
+        assert out.verdict is Verdict.NON_MEMBER
+        assert [s for _, s in out.sup_estimates] == pytest.approx([0.25] * 3, abs=1e-12)
+        assert json.dumps(out.to_json(), sort_keys=True) == _verdict_json(_MutableBall(2.0).project, *args)
+
     @pytest.mark.parametrize("sparse", [False, True])
     def test_a_z_pass_changes_no_kept_plan_but_its_halves(self, sparse):
         # a z pass only reads its plan: the head rows of xbar and y are
@@ -970,8 +1041,7 @@ class TestPlanCache:
 
         def snapshot():
             chunks = [(c.rows.tobytes(), None if c.scale is None else c.scale.tobytes(), c.y_df.tobytes(),
-                       c.den.tobytes(), [(k, slot, a, b, block.tobytes(), first)
-                                         for k, slot, a, b, block, first in c.segments]) for c in plan.chunks]
+                       c.den.tobytes()) for c in plan.chunks]
             return plan.head.tobytes(), plan.head.shape, chunks
 
         before = snapshot()
@@ -1012,8 +1082,9 @@ class TestPlanCache:
 class _UnhashableBall:
     """The unit ball's projection as a callable with a row form, on a dataclass that is not frozen, so unhashable.
 
-    (A bound method hashes by the identity of its object, so the bound
-    ``project`` of such a class would be hashable.)
+    (The bound ``project`` of such a class, see ``_MutableBall``, is never
+    kept either: a bound method hashes by the identity of its object, so
+    the plan key also hashes the object.)
     """
 
     ball: BallProjection = BallProjection(1.0)
@@ -1023,6 +1094,19 @@ class _UnhashableBall:
 
     def rows(self, block):
         return self.ball.project_rows(block)
+
+
+@dataclass
+class _MutableBall:
+    """A ball whose radius may change, with a row form beside its ``project``; not frozen, so unhashable."""
+
+    radius: float
+
+    def project(self, x):
+        return BallProjection(self.radius).project(x)
+
+    def project_rows(self, block):
+        return BallProjection(self.radius).project_rows(block)
 
 
 def _witness_queries():
@@ -1120,10 +1204,7 @@ class TestWitnessHalves:
                 axes, x0, y0 = None, xbar, y
             plan = oracle._kept_plan(*oracle._plan_key(f, x0, y0, axes, config))
             last, per = len(config.radii) - 1, 2 * x0.size
-            rows = {slot: range(first, first + end - start) for scores in plan.chunks
-                    for k, slot, start, end, _, first in scores.segments if k == last}
-            rows[0] = range(len(plan.head))
-            rows[1] = range(last * per, (last + 1) * per)
+            rows = {0: range(len(plan.head)), 1: range(last * per, (last + 1) * per), 2: range(*plan.bounds[last])}
             assert len(plan.halves) <= sum(map(len, rows.values()))
             stored += len(plan.halves)
             for slot, i in plan.halves:
