@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -165,19 +165,31 @@ class BallProjection:
             out[i] = self.project(block[i])
         return out
 
-    def _scales(self, sq_norm: float, origin: bool, x_d, step, u_d):
-        """(a, c(u)) with a = c(u) - c(x) and c(v) = r / max(||v||, r), or None when some c(u) underflows.
+    def _image_terms(self, x0: np.ndarray, y0: np.ndarray, x_d, y_d, step, u_d, off: Callable[[], np.ndarray]):
+        """<y0, P(u) - P(x0)> and ||P(u) - P(x0)|| of the probes u = x0 + step d for unit d, or None.
 
-        Takes ||x||^2, whether x is the origin, and, elementwise over the
-        probes u = x + step d for a unit d, x_d = <x, d> and u_d = <u, d>,
-        so ||u||^2 = ||x||^2 + grow with grow = step (x_d + u_d) (||u|| =
-        |u_d| at the origin).  ||u||^2 >= u_d^2, which rounding must not
-        undercut; an overflow makes ||u|| inf and c(u) 0, which declines.
-        a is taken from ||u|| - ||x|| = grow / (||u|| + ||x||) (||u|| at the
-        origin), so nothing cancels: as -c(u) (||u|| - ||x||) / ||x|| when
-        both points lie outside the ball, and as (r - ||x|| - (||u|| -
-        ||x||)) / ||u|| when only u does.
+        Takes, elementwise over the probes, x_d = <x0, d>, y_d = <y0, d>,
+        the step and u_d = <u, d>, and ``off()`` = ||x0 - x_d d||, read only
+        when some a is nonzero.  With c(v) = r / max(||v||, r),
+        P(u) - P(x0) = a x0 + b d, so, split along d,
+
+            a = c(u) - c(x0),   b = c(u) step,   ||u||^2 = ||x0||^2 + grow,   grow = step (x_d + u_d),
+            <y0, P(u) - P(x0)> = a <y0, x0> + b y_d,   ||P(u) - P(x0)|| = hypot(a off, a x_d + b).
+
+        ||u||^2 >= u_d^2, which rounding must not undercut; at the origin
+        c(x0) = 1 and ||u|| = |u_d| exactly.  a is taken from ||u|| - ||x0||
+        = grow / (||u|| + ||x0||) (||u|| at the origin), so nothing
+        cancels: as -c(u) (||u|| - ||x0||) / ||x0|| when both points lie
+        outside the ball, and as (r - ||x0|| - (||u|| - ||x0||)) / ||u||
+        when only u does.  Declines when ||x0||^2 is not a finite normal
+        double away from the origin, <y0, x0> is not finite, or some c(u)
+        underflows (an overflow makes ||u|| inf and c(u) 0);
+        ``project_rows`` handles those.
         """
+        sq_norm, y_x = float(_dot(x0, x0)), float(_dot(y0, x0))
+        origin = sq_norm == 0.0 and not x0.any()
+        if not ((origin or _TINY <= sq_norm < np.inf) and math.isfinite(y_x)):
+            return None
         with np.errstate(over="ignore"):
             grow = step * (x_d + u_d)
             norm_u = np.abs(u_d) if origin else np.sqrt(np.maximum(sq_norm + grow, u_d * u_d))
@@ -188,75 +200,64 @@ class BallProjection:
         scale_u = r / np.maximum(norm_u, r)
         norm_x = math.sqrt(sq_norm)
         if norm_x <= r and top <= r:
-            return scale_u - 1.0, scale_u
-        gap = norm_u if origin else grow / (norm_u + norm_x)
-        if norm_x <= r:
-            return np.where(norm_u > r, (r - norm_x - gap) / np.maximum(norm_u, r), 0.0), scale_u
-        if norm_u.min() > r:
-            return scale_u * (gap / -norm_x), scale_u
-        return np.where(norm_u > r, -scale_u * (gap / norm_x), 1.0 - r / norm_x), scale_u
+            a = scale_u - 1.0
+        else:
+            gap = norm_u if origin else grow / (norm_u + norm_x)
+            if norm_x <= r:
+                a = np.where(norm_u > r, (r - norm_x - gap) / np.maximum(norm_u, r), 0.0)
+            elif norm_u.min() > r:
+                a = scale_u * (gap / -norm_x)
+            else:
+                a = np.where(norm_u > r, -scale_u * (gap / norm_x), 1.0 - r / norm_x)
+        b = scale_u * step
+        y_df = a * y_x + b * y_d
+        if not np.any(a):  # u and x0 inside the ball: P(u) - P(x0) = step d
+            return y_df, np.abs(b)
+        return y_df, np.hypot(a * off(), a * x_d + b)
 
-    def project_axes(self, sq_norm: float, xj, moved):
-        """Axis form: images of the probes u = x + (moved - x_j) e_j from scalars.
+    def project_axes(self, x0: np.ndarray, y0: np.ndarray, j, moved):
+        """Axis form: <y0, P(u) - P(x0)> and ||P(u) - P(x0)|| of the probes u = x0 + (moved - x0_j) e_j.
 
-        Takes ``sq_norm`` = ||x||^2 and, elementwise over the probes, x_j
-        and the moved coordinate.  With c(v) = r / max(||v||, r), returns
-        (a, b) with P(u) - P(x) = a x + b e_j:
-
-            a = c(u) - c(x),   b = c(u) du,   du = moved - x_j,
-            ||u||^2 = ||x||^2 + du (moved + x_j),
-
-        with a taken without cancellation (see ``_scales``).  At the origin
-        (``sq_norm`` = 0 and every x_j = 0), c(x) = 1 and ||u|| = |moved|
-        exactly.  Returns None, declining the probes, when ``sq_norm`` is
-        not a finite normal double away from the origin, or some c(u) would
-        underflow; ``project_rows`` handles those.
+        Elementwise over the probes, j is the moved axis and ``moved`` the
+        new coordinate.  This is ``_image_terms`` at d = e_j: x_d = x0_j,
+        y_d = y0_j, the step moved - x0_j and u_d = moved, with the
+        off-axis norms ||x0 - x0_j e_j|| from exclusive prefix and suffix
+        sums of squares, so nothing cancels.  Returns None where
+        ``_image_terms`` declines.
         """
-        origin = sq_norm == 0.0 and not np.any(xj)
-        if not (origin or _TINY <= sq_norm < np.inf):
-            return None
-        du = moved - xj
-        scales = self._scales(sq_norm, origin, xj, du, moved)
-        return None if scales is None else (scales[0], scales[1] * du)
+        xj = x0[j]
+
+        def off():
+            sq = x0 * x0
+            before = np.concatenate(([0.0], np.cumsum(sq[:-1])))
+            after = np.concatenate((np.cumsum(sq[:0:-1])[::-1], [0.0]))
+            return np.sqrt(before + after)[j]
+
+        return self._image_terms(x0, y0, xj, y0[j], moved - xj, moved, off)
 
     def project_dirs(self, x0: np.ndarray, y0: np.ndarray, dirs: np.ndarray, t: np.ndarray):
-        """Direction form: <y0, P(u) - P(x0)> and ||P(u) - P(x0)|| of the probes u = x0 + t d, from scalars.
+        """Direction form: <y0, P(u) - P(x0)> and ||P(u) - P(x0)|| of the probes u = x0 + t d.
 
         The rows of the 2-D array ``dirs`` are unit directions d, and t
-        holds one radius per row.  This is the algebra of ``project_axes``
-        with x_j replaced by <d, x0>: with c(v) = r / max(||v||, r),
-        P(u) - P(x0) = a x0 + b d, where
-
-            a = c(u) - c(x0),   b = c(u) t,   ||u||^2 = ||x0||^2 + t (2 <d, x0> + t),
-
-        and a is taken without cancellation (see ``_scales``).  Then
-
-            <y0, P(u) - P(x0)> = a <y0, x0> + b <d, y0>,
-            ||P(u) - P(x0)||   = hypot(a ||x0 - <d, x0> d||, a <d, x0> + b),
-
-        the split along d.  ||x0 - <d, x0> d||^2 is ||x0||^2 - <d, x0>^2,
-        which loses at most a factor 16 of its digits above ||x0||^2 / 16;
-        below (d near +-x0) it is the square sum of the row x0 - <d, x0> d.
-        Returns None, declining the probes, where ``project_axes`` would.
+        holds one radius per row.  This is ``_image_terms`` with x_d =
+        <d, x0>, y_d = <d, y0>, the step t and u_d = x_d + t.
+        ||x0 - x_d d||^2 is ||x0||^2 - x_d^2, which loses at most a factor
+        16 of its digits above ||x0||^2 / 16; below (d near +-x0) it is the
+        square sum of the row x0 - x_d d.  Returns None where
+        ``_image_terms`` declines.
         """
-        sq_norm = float(_dot(x0, x0))
-        origin = sq_norm == 0.0 and not x0.any()
-        if not (origin or _TINY <= sq_norm < np.inf):
-            return None
         xd, yd = _dots(dirs, (x0, y0))
-        scales = self._scales(sq_norm, origin, xd, t, xd + t)
-        if scales is None:
-            return None
-        a, b = scales[0], scales[1] * t
-        y_df = a * float(_dot(y0, x0)) + b * yd
-        if not np.any(a):  # u and x0 inside the ball: P(u) - P(x0) = t d
-            return y_df, np.abs(b)
-        off_sq = sq_norm - xd * xd
-        near = np.flatnonzero(off_sq < sq_norm / 16.0)
-        if near.size:
-            off = x0 - xd[near, None] * dirs[near]
-            off_sq[near] = _dot(off, off)
-        return y_df, np.hypot(a * np.sqrt(off_sq), a * xd + b)
+
+        def off():
+            sq_norm = float(_dot(x0, x0))
+            off_sq = sq_norm - xd * xd
+            near = np.flatnonzero(off_sq < sq_norm / 16.0)
+            if near.size:
+                rows = x0 - xd[near, None] * dirs[near]
+                off_sq[near] = _dot(rows, rows)
+            return np.sqrt(off_sq)
+
+        return self._image_terms(x0, y0, xd, yd, t, xd + t, off)
 
     def region(self, x) -> BallRegion:
         x = as_vector(x)

@@ -81,18 +81,12 @@ The 2m axis probes u = xbar +- t*e_j of every radius are one block.
 Their u - xbar is one number du per probe, so its norm and its inner
 product with z are scalars.  When f has an axis form (see ``_form``: the
 ``project`` of every set in this package has one), so is the image side:
-the form maps ||xbar||^2, xbar_j and the moved coordinate of each probe
-to two numbers (a, b) with f(u) - f(xbar) = a*xbar + b*e_j, or declines
-the block.  Then
-
-    <y, f(u) - f(xbar)>  = a*<y, xbar> + b*y_j,
-    ||f(u) - f(xbar)||   = hypot(a*||xbar - xbar_j e_j||, a*xbar_j + b),
-
-with <y, xbar> and the off-axis norms (prefix and suffix sums of
-squares, so nothing cancels) computed once per plan, so a radius
-costs O(m).  When the form declines the block, or f has none, every
-axis probe of every radius is scored as a full row, in chunks of the
-random rows' size.  Separable forms (a = 0) give those rows' bits.
+the form maps xbar, y, and the axis j and moved coordinate of each probe
+to <y, f(u) - f(xbar)> and ||f(u) - f(xbar)||, as the direction form
+does at d = e_j, in O(m) per radius, or declines the block.  When the
+form declines the block, or f has none, every axis probe of every radius
+is scored as a full row, in chunks of the random rows' size.  The
+separable forms give those rows' bits.
 
 When f has a row form (``_form`` again), f is applied to a whole call's
 rows at once, and its images lie on the probed coordinates.  Any other f
@@ -438,15 +432,15 @@ def _scored_chunks(dirs: np.ndarray, bounds: tuple, x0: np.ndarray, radii: tuple
         yield _Scores(du, None, y_df, den, stuck)
 
 
-def _axis_block(x0: np.ndarray, *vs: np.ndarray, copies: int = 1) -> tuple[np.ndarray, ...]:
-    """The axis probes k = 0 .. 2m-1, ``copies`` times over, as the tuple (j, s, x0[j], *(v[j] for v in vs)).
+def _axis_block(x0: np.ndarray, copies: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The axis probes k = 0 .. 2m-1, ``copies`` times over, as the tuple (j, s, x0[j]).
 
     Probe k moves along axis j = k // 2 with sign s = +1 for even k and -1
     for odd k; copy c follows copy c - 1 (one copy per probe radius).
     """
     k = np.arange(2 * x0.size * copies)
     j = (k >> 1) % x0.size
-    return (j, 1.0 - 2.0 * (k & 1), x0[j], *(v[j] for v in vs))
+    return j, 1.0 - 2.0 * (k & 1), x0[j]
 
 
 def _axis_probes(t, block: tuple[np.ndarray, ...]):
@@ -458,7 +452,7 @@ def _axis_probes(t, block: tuple[np.ndarray, ...]):
     du*z0[j] + 0.0, bit for bit what the full rows give (a sum of zero
     products rounds to +0.0) wherever du*du does not underflow.
     """
-    _, s, xj = block[:3]
+    _, s, xj = block
     moved = xj + s * t
     du = moved - xj
     return moved, np.abs(du), du
@@ -471,32 +465,6 @@ def _axis_rows(x0: np.ndarray, j: np.ndarray, moved: np.ndarray) -> np.ndarray:
     return u
 
 
-def _off_axis_norms(x0: np.ndarray) -> np.ndarray:
-    """||x0 - x0_j e_j|| for every j, from exclusive prefix and suffix sums, so nothing cancels."""
-    sq = x0 * x0
-    before = np.concatenate(([0.0], np.cumsum(sq[:-1])))
-    after = np.concatenate((np.cumsum(sq[:0:-1])[::-1], [0.0]))
-    return np.sqrt(before + after)
-
-
-def _axis_image_terms(a, b, block: tuple[np.ndarray, ...], frame: Callable[[], tuple]):
-    """<y0, df> and ||df|| for the images df = a*x0 + b*e_j of an axis block (j, s, x0[j], y0[j], ...).
-
-    ``frame()`` gives (<y0, x0>, the off-axis norms of x0), read only when
-    some a is nonzero.  With a = 0 the terms are b*y0[j] and |b|,
-    the bits of the full rows, whose other entries are zeros, wherever
-    b*b does not underflow.  An entry with a = +-0 among nonzero ones
-    gets the same |b|, and b*y0[j] up to the sign of a zero, which
-    <z0, du> (never -0.0) absorbs in the quotient as long as <y0, x0> is
-    finite; so the probes of several radii can share one block.
-    """
-    j, _, xj, yj = block[:4]
-    if not np.any(a):
-        return b * yj, np.abs(b)
-    y_x, off = frame()
-    return a * y_x + b * yj, np.hypot(a * off[j], a * xj + b)
-
-
 def _form(f: Callable[[Vector], Vector], kind: str) -> Optional[Callable]:
     """The ``kind`` form of f ("rows", "axes" or "dirs"), or None when f has none.
 
@@ -506,10 +474,11 @@ def _form(f: Callable[[Vector], Vector], kind: str) -> Optional[Callable]:
 
     * A row form maps a k x m array of points (rows) to the k x m array
       of their images on the same coordinates.
-    * An axis form maps (||x0||^2, x0[j], moved) for a base point x0 and
-      probes u = x0 + (moved - x0[j]) e_j to (a, b) with
-      f(u) - f(x0) = a*x0 + b*e_j, elementwise over the probes, or to
-      None when it declines them.
+    * An axis form maps (x0, y0, j, moved), j the moved axis and
+      ``moved`` the new coordinate of each probe u = x0 + (moved - x0[j]) e_j,
+      to the arrays <y0, f(u) - f(x0)> and ||f(u) - f(x0)|| over the
+      probes, or to None when it declines them: the direction form's
+      contract at d = e_j.
     * A direction form maps (x0, y0, dirs, t), dirs a 2-D array whose
       rows are unit directions d and t one radius per row, to the arrays
       <y0, f(u) - f(x0)> and ||f(u) - f(x0)|| over the probes
@@ -567,7 +536,7 @@ def _plan(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, x0: np.ndarray
     anchor = _anchor(x0)
     head = np.reshape(_structured_head(x0, y0, anchor=anchor), (-1, m))
     head.flags.writeable = False
-    axis = _axis_block(x0, y0, copies=len(radii))
+    axis = _axis_block(x0, copies=len(radii))
     moved, axis_in, axis_du = _axis_probes(np.repeat(radii, 2 * m), axis)
     fx = f(xbar)
     f_rows, f_axes, f_dirs = _form(f, "rows"), _form(f, "axes"), _form(f, "dirs")
@@ -588,14 +557,13 @@ def _plan(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, x0: np.ndarray
             df = np.array([f(row) for row in u]) - fx
         return _dot(df, y0), row_norms(df)
 
-    images = f_axes(anchor[0], axis[2], moved) if f_axes is not None else None
-    if images is not None:
-        axis_y_df, df_norm = _axis_image_terms(*images, axis, lambda: (float(_dot(y0, x0)), _off_axis_norms(x0)))
-    else:
+    images = f_axes(x0, y0, axis[0], moved) if f_axes is not None else None
+    if images is None:
         # f has no axis form, or it declined the block: the full rows, in chunks of the random rows' size
         rows = _block_rows(m)
         tiles = (_axis_rows(x0, axis[0][i:i + rows], moved[i:i + rows]) for i in range(0, moved.size, rows))
-        axis_y_df, df_norm = map(np.concatenate, zip(*(terms(u) for u in tiles)))
+        images = map(np.concatenate, zip(*(terms(u) for u in tiles)))
+    axis_y_df, df_norm = images
 
     # a unit row has an entry of at least 1/sqrt(m), so it moves x0 by more
     # than half the spacing of doubles at some entry, and no probe rounds

@@ -74,15 +74,17 @@ def project_rows(block) -> np.ndarray:
     return np.maximum(as_rows(block), 0.0)
 
 
-def project_axes(sq_norm: float, xj, moved):
-    """Axis form: images of the probes u = x + (moved - x_j) e_j from scalars.
+def project_axes(x0: np.ndarray, y0: np.ndarray, j, moved):
+    """Axis form: <y0, P(u) - P(x0)> and ||P(u) - P(x0)|| of the probes u = x0 + (moved - x0_j) e_j.
 
-    The projection acts coordinate by coordinate, so P(u) - P(x) =
-    b e_j with b = max(moved, 0) - max(x_j, 0), elementwise over the
-    probes; returns (0.0, b), and ``sq_norm`` = ||x||^2 is not read.
-    b is the difference ``project_rows`` gives at j, bit for bit.
+    The projection acts coordinate by coordinate, so P(u) - P(x0) = b e_j
+    with b = max(moved, 0) - max(x0_j, 0), elementwise over the probes;
+    returns (b y0_j, |b|), the bits the full rows give (b is the
+    difference ``project_rows`` gives at j, and every other entry of the
+    row is 0).  Never declines.
     """
-    return 0.0, np.maximum(moved, 0.0) - np.maximum(xj, 0.0)
+    b = np.maximum(moved, 0.0) - np.maximum(x0[j], 0.0)
+    return b * y0[j], np.abs(b)
 
 
 def _dir_terms(x0: np.ndarray, y0: np.ndarray, dirs: np.ndarray, t: np.ndarray, bound: float, reach: np.ndarray):

@@ -559,12 +559,10 @@ class TestRowForm:
 
 
 def _axis_images(form, x0, t, y0=None):
-    """The axis form's (a, b) for the 2m probes of x0 at radius t, the block and the full probe rows."""
-    block = oracle._axis_block(x0, x0 if y0 is None else y0, x0)
+    """The axis form's terms for the 2m probes of x0 at radius t (y0 = x0 by default), the block and the full probe rows."""
+    block = oracle._axis_block(x0)
     moved = block[2] + block[1] * t
-    with np.errstate(over="ignore"):
-        sq_norm = float(x0 @ x0)
-    return form(sq_norm, block[2], moved), block, oracle._axis_rows(x0, block[0], moved)
+    return form(x0, x0 if y0 is None else y0, block[0], moved), block, oracle._axis_rows(x0, block[0], moved)
 
 
 def _bits(v):
@@ -589,16 +587,19 @@ class TestAxisForm:
     @pytest.mark.parametrize("t", [1e-2, 0.5, 2.0, 1e-300])
     def test_separable_forms_match_rows_bit_for_bit(self, t):
         # signed zeros, exact zeros after the move (0.5 - 0.5), and a
-        # sparse query laid out over its probed axes
+        # sparse query laid out over its probed axes; the terms are those
+        # of df = b e_j, with b read from the full rows
         dense = np.array([-0.0, 0.0, 0.5, -0.5, -2.0, 3.0, 1e-300])
         sparse = SparseVector({1: 0.5, 3: -0.5, 4: 2.0})
         fx_sparse = oracle._dense_over(l2_cone.project(sparse), [1, 3, 4, 5])
         for f, x0, fx0 in ((orthant.project, dense, orthant.project(dense)),
                            (l2_cone.project, oracle._dense_over(sparse, [1, 3, 4, 5]), fx_sparse)):
-            (a, b), block, u = _axis_images(f.axes, x0, t)
+            y0 = np.resize([1.5, -0.0, -2.0, 0.25], x0.size)
+            (y_df, df_norm), block, u = _axis_images(f.axes, x0, t, y0)
             df = f.rows(u) - fx0
-            assert a == 0.0
-            np.testing.assert_array_equal(_bits(df[np.arange(u.shape[0]), block[0]]), _bits(b))
+            b = df[np.arange(u.shape[0]), block[0]]
+            np.testing.assert_array_equal(_bits(y_df), _bits(b * y0[block[0]]))
+            np.testing.assert_array_equal(_bits(df_norm), _bits(np.abs(b)))
             df[np.arange(u.shape[0]), block[0]] = 0.0
             assert not _bits(df).any()
 
@@ -612,10 +613,11 @@ class TestAxisForm:
         for n in (1, 2, 3, 7):
             u = rng.standard_normal(n)
             u /= np.linalg.norm(u)
+            y0 = rng.standard_normal(n)
             for rho in (0.5 * r, r, 2.0 * r, 1e-100, 1e100):
                 x0 = rho * u
                 for t in (1e-3 * rho, 0.6 * rho):
-                    images, block, rows = _axis_images(op.project_axes, x0, t)
+                    images, block, rows = _axis_images(op.project_axes, x0, t, y0)
                     with np.errstate(over="ignore"):
                         sq_norm = x0 @ x0
                     images_u, image_x = op.project_rows(rows), op.project(x0)
@@ -625,11 +627,12 @@ class TestAxisForm:
                         assert not (tiny <= sq_norm < np.inf) or (r / lengths).min() < tiny
                         continue
                     accepted += 1
-                    a, b = images
-                    closed = a[:, None] * x0
-                    closed[np.arange(rows.shape[0]), block[0]] += b
+                    df = images_u - image_x
+                    # a term gathers the m entries of df, each within 4 ulp of the scale
                     scale = np.maximum(np.abs(images_u).max(axis=1), np.abs(image_x).max())
-                    assert np.all(np.abs(closed - (images_u - image_x)) <= 4.0 * np.spacing(scale)[:, None])
+                    ulp = 4.0 * math.sqrt(n) * np.spacing(scale)
+                    assert np.all(np.abs(images[0] - df @ y0) <= ulp * norm(y0))
+                    assert np.all(np.abs(images[1] - vectors.row_norms(df)) <= ulp)
         assert accepted >= 16
 
     @pytest.mark.parametrize("case", ["origin", "tiny-sphere", "huge-norm", "scale-underflow"])
@@ -648,6 +651,24 @@ class TestAxisForm:
         got = membership(BallProjection(r).project, x0, y, z, config)
         want = membership(_RowsOnlyBall(r).project, x0, y, z, config)
         assert json.dumps(got.to_json(), sort_keys=True) == json.dumps(want.to_json(), sort_keys=True)
+
+    def test_ball_forms_decline_an_overflowing_y_xbar(self):
+        # <y, xbar> overflows though the terms, with df small, are finite
+        op, x0, y0 = BallProjection(1.0), np.array([3e10, 4e10]), np.array([1e298, 1e298])
+        assert _axis_images(op.project_axes, x0, 1e-2, y0)[0] is None
+        dirs = oracle._random_dirs(0, 8, 2, 1)[0]
+        assert op.project_dirs(x0, y0, dirs, np.full(len(dirs), 1e-2)) is None
+
+    @pytest.mark.parametrize("r, xbar, y, z, want", [
+        (1.0, [3e10, 4e10], [1e298, 1e298], [0.0, 0.0], "non_member"),
+        (1e20, [1e10, 0.0], [1e300, 1e300], [1e300, 1e300], "member"),
+    ], ids=["exterior", "interior"])
+    def test_overflowing_y_xbar_gives_the_formless_verdict(self, r, xbar, y, z, want):
+        # the forms decline, so the row path answers, with no inf or NaN supremum
+        op = BallProjection(r)
+        got = membership(op.project, xbar, y, z).to_json()
+        assert got["verdict"] == want
+        assert json.dumps(got, sort_keys=True) == _verdict_json(lambda u: op.project(u), xbar, y, z)
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
                         reason="np.longdouble is no wider than a double here")
@@ -672,8 +693,7 @@ class TestAxisForm:
                   (BallProjection(0.5), np.array([1.3, 0.7, 1e-6]), np.array([1.0, 0.2, -0.4]))]
         for op, x0, y in cases:
             for t in ProbeConfig().radii:
-                (a, b), block, rows = _axis_images(op.project_axes, x0, t, y)
-                closed = oracle._axis_image_terms(a, b, block, lambda: (y @ x0, oracle._off_axis_norms(x0)))
+                closed, _, rows = _axis_images(op.project_axes, x0, t, y)
                 df = op.project_rows(rows) - op.project(x0)
                 tile = (df @ y, np.linalg.norm(df, axis=1))
                 for got, rows_got, exact in zip(closed, tile, exact_terms(op.radius, rows, x0, y)):
@@ -802,9 +822,9 @@ class _CountingBall(BallProjection):
         self.calls.append(("rows", len(block)))
         return super().project_rows(block)
 
-    def project_axes(self, sq_norm, xj, moved):
+    def project_axes(self, x0, y0, j, moved):
         self.calls.append(("axes", len(moved)))
-        return super().project_axes(sq_norm, xj, moved)
+        return super().project_axes(x0, y0, j, moved)
 
     def project_dirs(self, x0, y0, dirs, t):
         self.calls.append(("dirs", len(t)))
