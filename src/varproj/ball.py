@@ -44,6 +44,7 @@ from .vectors import (
     _distance,
     _dot,
     _dots,
+    _halved,
     as_rows,
     as_vector,
     as_vector_of,
@@ -69,12 +70,6 @@ SELF_QUERY_RTOL = 1e-10
 
 # smallest normal double: a projection scale below it has lost precision
 _TINY = np.finfo(float).tiny
-
-
-def _halved(v: np.ndarray) -> tuple[np.ndarray, int]:
-    """(v / 2^e, e) with max|v| < 2^e: the scaling is exact, and no norm or split of v / 2^e overflows."""
-    e = math.frexp(float(np.max(np.abs(v))))[1]
-    return np.ldexp(v, -e), e
 
 
 class BallRegion(Enum):
@@ -244,9 +239,12 @@ class BallProjection:
         ||x0 - x_d d||^2 is ||x0||^2 - x_d^2, which loses at most a factor
         16 of its digits above ||x0||^2 / 16; below (d near +-x0) it is the
         square sum of the row x0 - x_d d.  Returns None where
-        ``_image_terms`` declines.
+        ``_image_terms`` declines, and where some <d, y0> overflows,
+        although t <d, y0> may not.
         """
         xd, yd = _dots(dirs, (x0, y0))
+        if not np.isfinite(yd).all():
+            return None
 
         def off():
             sq_norm = float(_dot(x0, x0))

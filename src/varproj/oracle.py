@@ -75,7 +75,10 @@ the z pass one by one and is dropped with the verdict.
 The random directions depend only on (seed, random_directions, m, number
 of radii), so they are drawn once per process and kept, read-only, as
 one array in a cache of the 16 most recently used such sets; they give
-the same bits as drawing anew, radius by radius.
+the same bits as drawing anew, radius by radius.  The axis, sign and
+radius of every axis probe and the radius of every random row depend
+only on m and the config, and are kept the same way (``_geometry``), so
+a plan only gathers x0 at the probes' axes.
 
 The 2m axis probes u = xbar +- t*e_j of every radius are one block.
 Their u - xbar is one number du per probe, so its norm and its inner
@@ -94,23 +97,32 @@ is called once per row.  Its dense images are scored as a row form's;
 sparse rows reach it as SparseVectors, and their images, wherever f
 maps, are scored through ``inner`` and ``norm``.
 
-The winning probe at the smallest radius is scored again through the
-two halves of the scalar ``quotient``, with the plan's f(xbar): the
-z-free half (u - xbar, <y, f(u) - f(xbar)> and the denominator) and the
-z half (<z, u - xbar> and the division).  That value is the last
-supremum and the witness quotient, and ``quotient`` calls the same two
-halves, so a witness re-evaluates exactly.  The winner's column in the
-table names its slot (0 the head, 1 the axis probes, 2 the random rows)
-and its index (the head row, the axis probe among those of every
-radius, or the row of the direction array).  The plan keeps the
-z-free half of each such winner, keyed by the two and filled on first
-use, so a kept plan holds at most one per probe of the smallest radius
-(at most six head rows of xbar and y, 2m axis probes and the random
-directions).  A winner among the rows of z, the head rows from
-``len(plan.head)`` on, depends on z and is scored in full every time.
-A dense witness direction is a copy the plan does not keep; witness
-directions of sparse queries are (immutable) SparseVectors with 1-based
-indices.
+The winning probe at the smallest radius gives the last supremum and
+the witness.  A dense head row was scored as the scalar ``quotient``
+scores it: the same u = xbar + t*d, ``row_norms`` (``norm``'s bits), the
+row form or f row by row (f's bits, see ``_form``), ``vectors._dot``
+(``inner``'s bits) and the same denominator.  So when it wins and its
+entry is finite, that entry is the witness quotient and a copy of the
+row the witness direction, with no call of f.  Any other winner is
+scored again through the two halves of the scalar ``quotient``, with
+the plan's f(xbar): the z-free half (u - xbar, <y, f(u) - f(xbar)> and
+the denominator) and the z half (<z, u - xbar> and the division).
+Those are the axis probes, the random rows, the head rows of a sparse
+query (whose SparseVector norms sum in another order than the row
+path's) and a non-finite entry (an image with a NaN raises there, as it
+always has).  That value is the last supremum and the witness quotient,
+and ``quotient`` calls the same two halves, so a witness re-evaluates
+exactly.  The winner's column in the table names its slot (0 the head,
+1 the axis probes, 2 the random rows) and its index (the head row, the
+axis probe among those of every radius, or the row of the direction
+array).  The plan keeps the z-free half of each such winner, keyed by
+the two and filled on first use, so a kept plan holds at most one per
+probe of the smallest radius (2m axis probes, the random directions
+and, for a sparse query, at most six head rows of xbar and y).  A
+sparse winner among the rows of z, the head rows from ``len(plan.head)``
+on, depends on z and is scored in full every time.  A dense witness
+direction is a copy the plan does not keep; witness directions of
+sparse queries are (immutable) SparseVectors with 1-based indices.
 
 Verdict rule, with s_k the supremum of the quotient at the k-th radius
 (radii decrease) and tol the configured tolerance:
@@ -140,7 +152,7 @@ from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from .vectors import SparseVector, Vector, _dense_norm, _dot, _split, as_vector, inner, norm, row_norms
+from .vectors import SparseVector, Vector, _dense_norm, _dot, _halved, _split, as_vector, inner, norm, row_norms
 
 __all__ = [
     "ProbeConfig",
@@ -307,12 +319,17 @@ def _structured_head(x0: np.ndarray, *vs: np.ndarray, anchor: Optional[tuple[flo
     ``xbar_rows=False`` leaves out +-xbar: a verdict's plan builds the
     rows of xbar and y, its z pass those of z.  The norms are ``norm``'s
     and the orthogonal parts the split of ``orth_decompose``
-    (``vectors._split``), bit for bit and with its checks.
+    (``vectors._split``), bit for bit and with its checks.  A v whose norm
+    exceeds the largest double is taken as v / 2^e with max|v| < 2^e
+    (``vectors._halved``), which has the same unit rows and a finite norm.
     """
     x_sq, x_len = _anchor(x0) if anchor is None else anchor
     parts = [(x0, x_len)] if x_len and xbar_rows else []
     for v in vs:
         v_len = _dense_norm(v)
+        if v_len == math.inf:
+            v = _halved(v)[0]
+            v_len = _dense_norm(v)
         if not v_len:
             continue
         parts.append((v, v_len))
@@ -405,11 +422,12 @@ def _score(dirs: np.ndarray, t, x0: np.ndarray, terms: Callable, denominator: st
     return None, du, y_df, _denominator(denominator, d_in, df_norm)
 
 
-def _scored_chunks(dirs: np.ndarray, bounds: tuple, x0: np.ndarray, radii: tuple, terms: Callable,
+def _scored_chunks(dirs: np.ndarray, bounds: tuple, t: np.ndarray, x0: np.ndarray, radii: tuple, terms: Callable,
                    denominator: str, form: Optional[Callable] = None):
     """The z-free scores of the random rows (radius k at rows ``bounds[k]`` of ``dirs``), one ``_Scores`` per chunk.
 
-    ``form`` is f's direction form on (x0, y0), or None.  With it, all the
+    t holds the radius of each row (``_geometry``), and ``form`` is f's
+    direction form on (x0, y0), or None.  With it, all the
     rows are one chunk scored from their directions: a row d at radius t
     is scored at u = x0 + t d, never formed, so <z, u - xbar> = t <d, z>
     and ||u - xbar|| = t.  When the form declines, or f has none, the rows
@@ -419,7 +437,6 @@ def _scored_chunks(dirs: np.ndarray, bounds: tuple, x0: np.ndarray, radii: tuple
     """
     if not len(dirs):
         return
-    t = np.repeat(radii, [end - start for start, end in bounds])
     if form is not None:
         images = form(dirs, t)
         if images is not None:
@@ -432,19 +449,27 @@ def _scored_chunks(dirs: np.ndarray, bounds: tuple, x0: np.ndarray, radii: tuple
         yield _Scores(du, None, y_df, den, stuck)
 
 
-def _axis_block(x0: np.ndarray, copies: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The axis probes k = 0 .. 2m-1, ``copies`` times over, as the tuple (j, s, x0[j]).
+# one set per (m, radii, random rows of each radius); about 80 kB at m = 500, three radii
+@lru_cache(maxsize=16)
+def _geometry(m: int, radii: tuple, bounds: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The read-only arrays (j, s, t) of the axis probes of every radius, and the radius of each random row.
 
-    Probe k moves along axis j = k // 2 with sign s = +1 for even k and -1
-    for odd k; copy c follows copy c - 1 (one copy per probe radius).
+    Axis probe k = 0 .. 2m-1 of a radius moves along axis j = k // 2 with
+    sign s = +1 for even k and -1 for odd k, at the radius t; the probes of
+    each radius follow those of the one before.  The random rows of radius
+    k are the rows ``bounds[k]`` of the direction array (``_random_dirs``).
+    None of it reads xbar or y, so a plan only gathers x0[j].
     """
-    k = np.arange(2 * x0.size * copies)
-    j = (k >> 1) % x0.size
-    return j, 1.0 - 2.0 * (k & 1), x0[j]
+    k = np.arange(2 * m * len(radii))
+    arrays = ((k >> 1) % m, 1.0 - 2.0 * (k & 1), np.repeat(radii, 2 * m),
+              np.repeat(radii, [end - start for start, end in bounds]))
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
-def _axis_probes(t, block: tuple[np.ndarray, ...]):
-    """Moved coordinates x0[j] + s*t of an axis block, with ||u - x0|| and the step du.
+def _axis_probes(xj: np.ndarray, s: np.ndarray, t):
+    """Moved coordinates x0[j] + s*t of axis probes, with ||u - x0|| and the step du.
 
     t is the radius, or an array of one radius per probe.  Each probe
     differs from x0 + 0.0 only at j, so u - x0 is the single number
@@ -452,7 +477,6 @@ def _axis_probes(t, block: tuple[np.ndarray, ...]):
     du*z0[j] + 0.0, bit for bit what the full rows give (a sum of zero
     products rounds to +0.0) wherever du*du does not underflow.
     """
-    _, s, xj = block
     moved = xj + s * t
     du = moved - xj
     return moved, np.abs(du), du
@@ -473,7 +497,9 @@ def _form(f: Callable[[Vector], Vector], kind: str) -> Optional[Callable]:
     ``orthant.project`` and ``l2_cone.project``.
 
     * A row form maps a k x m array of points (rows) to the k x m array
-      of their images on the same coordinates.
+      of their images on the same coordinates, row i bit for bit the
+      image f gives of row i alone, as every set of this package does: a
+      dense head winner's witness quotient is read from the row path.
     * An axis form maps (x0, y0, j, moved), j the moved axis and
       ``moved`` the new coordinate of each probe u = x0 + (moved - x0[j]) e_j,
       to the arrays <y0, f(u) - f(x0)> and ||f(u) - f(x0)|| over the
@@ -536,8 +562,8 @@ def _plan(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, x0: np.ndarray
     anchor = _anchor(x0)
     head = np.reshape(_structured_head(x0, y0, anchor=anchor), (-1, m))
     head.flags.writeable = False
-    axis = _axis_block(x0, copies=len(radii))
-    moved, axis_in, axis_du = _axis_probes(np.repeat(radii, 2 * m), axis)
+    axis_j, axis_s, axis_t, random_t = _geometry(m, radii, bounds)
+    moved, axis_in, axis_du = _axis_probes(x0[axis_j], axis_s, axis_t)
     fx = f(xbar)
     f_rows, f_axes, f_dirs = _form(f, "rows"), _form(f, "axes"), _form(f, "dirs")
     if f_rows is not None:
@@ -557,11 +583,11 @@ def _plan(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, x0: np.ndarray
             df = np.array([f(row) for row in u]) - fx
         return _dot(df, y0), row_norms(df)
 
-    images = f_axes(x0, y0, axis[0], moved) if f_axes is not None else None
+    images = f_axes(x0, y0, axis_j, moved) if f_axes is not None else None
     if images is None:
         # f has no axis form, or it declined the block: the full rows, in chunks of the random rows' size
         rows = _block_rows(m)
-        tiles = (_axis_rows(x0, axis[0][i:i + rows], moved[i:i + rows]) for i in range(0, moved.size, rows))
+        tiles = (_axis_rows(x0, axis_j[i:i + rows], moved[i:i + rows]) for i in range(0, moved.size, rows))
         images = map(np.concatenate, zip(*(terms(u) for u in tiles)))
     axis_y_df, df_norm = images
 
@@ -575,10 +601,10 @@ def _plan(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, x0: np.ndarray
         def form(rows, t):
             return f_dirs(x0, y0, rows, t)
 
-    chunks = _scored_chunks(dirs, bounds, x0, radii, terms, config.denominator, form)
+    chunks = _scored_chunks(dirs, bounds, random_t, x0, radii, terms, config.denominator, form)
     stuck = len(radii) if np.all(axis_in > 0.0) else int(np.argmin(axis_in > 0.0)) // (2 * m)
     return _Plan(fx, terms, anchor, head, dirs, bounds, chunks,
-                 (axis[0], axis[1], axis_du, axis_y_df, _denominator(config.denominator, axis_in, df_norm)), stuck, {})
+                 (axis_j, axis_s, axis_du, axis_y_df, _denominator(config.denominator, axis_in, df_norm)), stuck, {})
 
 
 def _plan_key(f: Callable[[Vector], Vector], x0: np.ndarray, y0: np.ndarray, axes: Optional[tuple[int, ...]],
@@ -658,27 +684,32 @@ def _z_pass(plan: _Plan, f: Callable[[Vector], Vector], xbar: Vector, y: Vector,
     best = table.argmax(axis=1)
     estimates = list(zip(radii, table[np.arange(n_radii), best].tolist()))
 
-    # the winner at the smallest radius is scored again through the two
-    # halves of the scalar quotient, with the plan's f(xbar), so the witness
-    # re-evaluates to exactly the stored value; its column gives its slot
-    # and index, and the plan keeps the z-free half of each winner but the
-    # rows of z, the head rows from len(plan.head) on, which depend on z
+    # the witness: a dense head row was scored as quotient scores it, so
+    # its finite entry is the last supremum.  Any other winner at the
+    # smallest radius is scored again through the two halves of the scalar
+    # quotient, with the plan's f(xbar), so the witness re-evaluates to
+    # exactly the stored value; its column gives its slot and index, and the
+    # plan keeps the z-free half of each such winner but the rows of z, the
+    # head rows from len(plan.head) on, which depend on z
     t, i = radii[-1], int(best[-1])
     slot = (i >= n) + (i >= n + per)
-    i = (i, (n_radii - 1) * per + i - n, plan.bounds[-1][0] + i - n - per)[slot]
-    half = plan.halves.get((slot, i))
-    if half is None:
-        if slot == 1:
-            unit = np.zeros(x0.size)
-            unit[axis_j[i]] = axis_s[i]
-        else:
-            unit = (head if slot == 0 else plan.dirs)[i].copy()
-        direction = _point(axes, unit)
-        half = (direction, *_z_free_half(f, plan.fx, xbar, y, xbar + t * direction, config.denominator))
-        if slot or i < len(plan.head):
-            plan.halves[slot, i] = half
-    direction, *z_free = half
-    estimates[-1] = (t, _z_half(z, *z_free))
+    if not slot and axes is None and math.isfinite(estimates[-1][1]):
+        direction = head[i]
+    else:
+        i = (i, (n_radii - 1) * per + i - n, plan.bounds[-1][0] + i - n - per)[slot]
+        half = plan.halves.get((slot, i))
+        if half is None:
+            if slot == 1:
+                unit = np.zeros(x0.size)
+                unit[axis_j[i]] = axis_s[i]
+            else:
+                unit = (head if slot == 0 else plan.dirs)[i].copy()
+            direction = _point(axes, unit)
+            half = (direction, *_z_free_half(f, plan.fx, xbar, y, xbar + t * direction, config.denominator))
+            if slot or (axes is not None and i < len(plan.head)):
+                plan.halves[slot, i] = half
+        direction, *z_free = half
+        estimates[-1] = (t, _z_half(z, *z_free))
     sups = [s for _, s in estimates]
     tol = config.tolerance
     witness = None

@@ -123,17 +123,24 @@ def project_dirs(x0: np.ndarray, y0: np.ndarray, dirs: np.ndarray, t: np.ndarray
     where df_C = max(x0_C + t d_C, 0) - max(x0_C, 0) is taken on the
     sub-block of the C columns, bit for bit as ``project_rows`` gives it.
     C is taken at each row's own radius, so a row's terms do not depend on
-    the other rows.  Never declines.
+    the other rows.  Declines when some <y0, P(u) - P(x0)> is not finite:
+    <d, y0> may overflow where t <d, y0> does not, and the full rows score
+    those probes.
     """
     # |t d_i| <= t (1 + 2^-50) rounds to at most t (1 + 2^-40)
     bound, reach = float(t.max()) * (1.0 + 2.0**-40), np.abs(x0)
-    if not ((reach <= bound) & (reach > 0.0)).any():
-        return _dir_terms(x0, y0, dirs, t, bound, reach)
-    # a nonzero coordinate within reach of some radius: C differs by radius
-    y_df, df_norm = np.empty(t.size), np.empty(t.size)
-    for radius in np.unique(t):
-        rows = np.flatnonzero(t == radius)
-        y_df[rows], df_norm[rows] = _dir_terms(x0, y0, dirs[rows], t[rows], float(radius) * (1.0 + 2.0**-40), reach)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not ((reach <= bound) & (reach > 0.0)).any():
+            y_df, df_norm = _dir_terms(x0, y0, dirs, t, bound, reach)
+        else:
+            # a nonzero coordinate within reach of some radius: C differs by radius
+            y_df, df_norm = np.empty(t.size), np.empty(t.size)
+            for radius in np.unique(t):
+                rows = np.flatnonzero(t == radius)
+                y_df[rows], df_norm[rows] = _dir_terms(x0, y0, dirs[rows], t[rows],
+                                                       float(radius) * (1.0 + 2.0**-40), reach)
+    if not np.isfinite(y_df).all():
+        return None
     return y_df, df_norm
 
 

@@ -350,6 +350,12 @@ class OrthDecomp:
         return self.a * self.anchor + self.o
 
 
+def _halved(v: np.ndarray) -> tuple[np.ndarray, int]:
+    """(v / 2^e, e) with max|v| < 2^e: the scaling is exact, and no norm or split of v / 2^e overflows."""
+    e = math.frexp(float(np.max(np.abs(v))))[1]
+    return np.ldexp(v, -e), e
+
+
 def _split(anchor: np.ndarray, x: np.ndarray, orth_rtol: float = 1e-12,
            anchor_sq: float | None = None) -> tuple[float, np.ndarray, float]:
     """(a, o, ||o||) of x = a * anchor + o for finite 1-D arrays, with the checks of ``orth_decompose``.
@@ -375,8 +381,8 @@ def _split(anchor: np.ndarray, x: np.ndarray, orth_rtol: float = 1e-12,
         o = x - a * anchor
     if not np.isfinite(o).all():
         # <x, anchor> or a * anchor overflowed: split x / 2^e, max|x| < 2^e, and scale a and o back
-        e = math.frexp(float(np.max(np.abs(x))))[1]
-        a, o, _ = _split(anchor, np.ldexp(x, -e), orth_rtol, anchor_sq)
+        half, e = _halved(x)
+        a, o, _ = _split(anchor, half, orth_rtol, anchor_sq)
         with np.errstate(over="ignore"):
             a, o = float(np.ldexp(a / scale, e)), np.ldexp(o, e)
         if not (math.isfinite(a) and np.isfinite(o).all()):

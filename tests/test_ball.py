@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from varproj.ball import BallProjection, BallRegion, DirectionClass, SpherePartial
 from varproj.descriptors import EmptySet, IdentityMap, ScaledComplementMap, SingletonSet
 from varproj.oracle import directional_quotient, jacobian_fd
-from varproj.vectors import SparseVector, norm, orth_decompose
+from varproj.vectors import SparseVector, approx_equal, inner, norm, orth_decompose
 
 finite = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False, allow_infinity=False)
 
@@ -410,3 +410,56 @@ class TestCoderivative:
         assert self.op.coderivative(xbar, xbar).to_json()["variant"] == "empty"
         j = self.op.coderivative(xbar, -xbar).to_json()
         assert j["variant"] == "partial" and j["rule"] == "ball-sphere"
+
+
+# entries of magnitude 1e-6..5 or zero, and radii 1e-100..1e101: no product
+# or square of x, y or x scaled by 2^k, |k| <= 60, is subnormal or overflows
+moderate_entries = st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=5.0),
+                             st.floats(min_value=-5.0, max_value=-1e-6))
+moderate_points = st.lists(moderate_entries, min_size=4, max_size=4).map(np.array)
+moderate_radii = st.builds(lambda m, e: m * 10.0**e, st.floats(min_value=1.0, max_value=9.99), st.integers(-100, 100))
+# ||x|| / r: the origin, the sphere, inside and outside
+spans = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=3.0))
+
+
+def _at_span(v: np.ndarray, r: float, c: float) -> np.ndarray:
+    """v scaled to norm c * r (up to rounding), or 0 for a zero v."""
+    return v * (c * r / norm(v)) if v.any() else v
+
+
+class TestDifferentiableAgreement:
+    """Off the sphere, the Frechet map is the Gateaux derivative, is self-adjoint, and gives the coderivative."""
+
+    eps = np.finfo(float).eps
+
+    @given(moderate_points, moderate_points, moderate_radii,
+           st.one_of(st.floats(min_value=0.0, max_value=0.99), st.floats(min_value=1.01, max_value=5.0)))
+    def test_coderivative_contains_the_adjoint_image(self, v, y, r, c):
+        op, x = BallProjection(r), _at_span(v, r, c)
+        assert op.coderivative(x, y).contains(op.frechet(x)(y)) is True
+
+    @given(moderate_points, moderate_points, moderate_radii,
+           st.one_of(st.floats(min_value=0.0, max_value=0.99), st.floats(min_value=1.01, max_value=5.0)))
+    def test_gateaux_is_the_frechet_map(self, v, w, r, c):
+        op, x = BallProjection(r), _at_span(v, r, c)
+        assert norm(op.gateaux(x, w) - op.frechet(x)(w)) <= 4.0 * self.eps * norm(w)
+
+    @given(moderate_points, moderate_points, moderate_points, moderate_radii,
+           st.one_of(st.floats(min_value=0.0, max_value=0.99), st.floats(min_value=1.01, max_value=5.0)))
+    def test_frechet_map_is_self_adjoint(self, v, w, u, r, c):
+        derivative = BallProjection(r).frechet(_at_span(v, r, c))
+        gap = abs(inner(derivative(w), u) - inner(w, derivative(u)))
+        assert gap <= 4.0 * self.eps * norm(w) * norm(u)
+
+
+class TestScalingWithTheBall:
+    """Scaling x and r by one power of two keeps the region and the coderivative (ROADMAP item 4)."""
+
+    @given(moderate_points, moderate_points, moderate_radii, spans, st.sampled_from([-40, -3, 5, 60]))
+    def test_region_and_coderivative(self, v, y, r, c, k):
+        x, s = _at_span(v, r, c), 2.0**k
+        # y near x or 2^k x is the self query of one side only
+        assume(not approx_equal(y, x, rel=1e-9) and not approx_equal(y, s * x, rel=1e-9))
+        small, large = BallProjection(r), BallProjection(s * r)
+        assert large.region(s * x) is small.region(x)
+        assert large.coderivative(s * x, y).to_json() == small.coderivative(x, y).to_json()

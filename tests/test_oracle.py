@@ -560,7 +560,8 @@ class TestRowForm:
 
 def _axis_images(form, x0, t, y0=None):
     """The axis form's terms for the 2m probes of x0 at radius t (y0 = x0 by default), the block and the full probe rows."""
-    block = oracle._axis_block(x0)
+    j, s = oracle._geometry(x0.size, (t,), ((0, 0),))[:2]
+    block = (j, s, x0[j])
     moved = block[2] + block[1] * t
     return form(x0, x0 if y0 is None else y0, block[0], moved), block, oracle._axis_rows(x0, block[0], moved)
 
@@ -925,14 +926,15 @@ def _ragged_dirs(seed, count, m, n_radii, draw=oracle._random_dirs):
 class TestQuotientTable:
     def test_a_cross_family_tie_keeps_the_head_probe(self):
         # +xbar (head row 0) and the axis probe +e_0 (index 8 at the last
-        # radius) are one probe: the first in probe order wins
+        # radius) are one probe: the first in probe order wins, and a dense
+        # head winner's witness is its table entry, so no half is stored
         out = membership(orthant.project, np.array([1.0, 0.0]), np.zeros(2), np.array([1.0, 0.0]))
         assert out.verdict is Verdict.NON_MEMBER
         assert out.witness.quotient == 0.5
         np.testing.assert_array_equal(out.witness.direction, [1.0, 0.0])
         plan = oracle._kept_plan(*oracle._plan_key(orthant.project, np.array([1.0, 0.0]), np.zeros(2), None,
                                                    ProbeConfig()))
-        assert set(plan.halves) == {(0, 0)}
+        assert plan.halves == {}
 
     @pytest.mark.parametrize("rows", [None, 7])
     def test_ragged_random_rows(self, rows, monkeypatch):
@@ -1230,6 +1232,155 @@ class TestWitnessHalves:
             for slot, i in plan.halves:
                 assert i in rows[slot]
         assert stored > 0
+
+
+_BALL = BallProjection(1.0)
+
+# queries whose winner at the smallest radius is a dense head row
+_DENSE_HEAD_WINNERS = {
+    # +xbar, a radial head row, wins at a sphere point, with and without y
+    "ball-sphere-radial": (_BALL.project, [0.6, 0.8], [0.0, 0.0], [0.6, 0.8]),
+    "ball-sphere-radial-y": (_BALL.project, [0.6, 0.8, 0.0], [0.3, -0.2, 0.1], [0.9, 1.2, 0.0]),
+    # +z, a row of z, wins: y and z lie on the negative coordinates, where P is flat
+    "orthant-row-of-z": (orthant.project, [1.0, -1.0, -2.0], [0.0, 0.5, 0.0], [0.0, -1.0, -2.0]),
+}
+
+# queries whose winner is anything else, with the slot of the one half a
+# kept plan stores for it (None: a sparse row of z, which is never stored)
+_OTHER_WINNERS = {
+    # z - y = e_0 at an interior point: the axis probe +e_0
+    "axis": (_BALL.project, np.array([0.1, 0.2]), np.array([1.0, 1.0]), np.array([2.0, 1.0]), 1),
+    "random": (orthant.project, np.array([1.0, -1.0, -2.0]), np.zeros(3), np.array([3.0, 1.0, 0.0]), 2),
+    # z - y is a multiple of xbar: the head row +xbar of a sparse query
+    "sparse-head": (l2_cone.project, SparseVector({1: 1.0, 3: 0.5}), SparseVector({1: 1.0}),
+                    SparseVector({1: 2.0, 3: 0.5}), 0),
+    "sparse-row-of-z": (l2_cone.project, SparseVector({1: 1.0, 3: 0.5}), SparseVector(),
+                        SparseVector({2: -1.0, 4: -1.5}), None),
+}
+
+
+class TestHeadWitness:
+    """A dense head winner's witness is its table entry; every other winner is scored again."""
+
+    @pytest.mark.parametrize("formless", [False, True], ids=["form", "formless"])
+    @pytest.mark.parametrize("denominator", ["sum", "euclidean"])
+    @pytest.mark.parametrize("case", sorted(_DENSE_HEAD_WINNERS))
+    def test_dense_head_winner_computes_no_half(self, case, denominator, formless, monkeypatch):
+        # on a new plan and on a kept one (a formless f gets a new plan each
+        # time): no z-free half is computed or stored, and the witness, a head
+        # row, re-evaluates through quotient to the stored supremum
+        f, xbar, y, z = _DENSE_HEAD_WINNERS[case]
+        if formless:
+            f = functools.partial(lambda g, u: g(u), f)
+        xbar, y, z = np.array(xbar), np.array(y), np.array(z)
+        config = ProbeConfig(denominator=denominator)
+        computed = _counting_halves(monkeypatch)
+        oracle._kept_plan.cache_clear()
+        outs = [membership(f, xbar, y, z, config) for _ in range(2)]
+        assert computed == []
+        assert outs[0].to_json() == outs[1].to_json()
+        assert oracle._kept_plan.cache_info().hits == (0 if formless else 1)
+        w = outs[1].witness
+        assert outs[1].verdict is Verdict.NON_MEMBER
+        assert any(np.array_equal(w.direction, d) for d in oracle._structured_head(xbar, y, z))
+        assert quotient(f, xbar, y, z, xbar + w.radius * w.direction, denominator) == w.quotient
+        assert w.quotient == outs[1].sup_estimates[-1][1]
+        if not formless:
+            assert oracle._kept_plan(*oracle._plan_key(f, xbar, y, None, config)).halves == {}
+
+    @pytest.mark.parametrize("denominator", ["sum", "euclidean"])
+    @pytest.mark.parametrize("case", sorted(_OTHER_WINNERS))
+    def test_other_winners_compute_one_half(self, case, denominator, monkeypatch):
+        # one half on a new plan; a kept plan then reuses it, but for the rows of z
+        f, xbar, y, z, slot = _OTHER_WINNERS[case]
+        config = ProbeConfig(denominator=denominator)
+        computed = _counting_halves(monkeypatch)
+        oracle._kept_plan.cache_clear()
+        out = membership(f, xbar, y, z, config)
+        assert len(computed) == 1
+        assert membership(f, xbar, y, z, config).to_json() == out.to_json()
+        assert len(computed) == (1 if slot is not None else 2)
+        if isinstance(xbar, SparseVector):
+            axes, x0, y0, _ = oracle._embed(xbar, y, z)
+        else:
+            axes, x0, y0 = None, xbar, y
+        halves = oracle._kept_plan(*oracle._plan_key(f, x0, y0, axes, config)).halves
+        assert [key[0] for key in halves] == ([] if slot is None else [slot])
+        w = out.witness
+        assert out.verdict is Verdict.NON_MEMBER
+        assert quotient(f, xbar, y, z, xbar + w.radius * w.direction, denominator) == w.quotient
+        assert w.quotient == out.sup_estimates[-1][1]
+
+    def test_nan_at_the_winning_head_probe_still_raises(self):
+        # every probe's image is NaN, so every entry is, and the first column,
+        # the head row +xbar, wins; its re-score raises as it always has
+        xbar = np.array([1.0, -1.0, 0.5])
+
+        def f(u):
+            return orthant.project(u) if np.array_equal(u, xbar) else np.full(u.shape, np.nan)
+
+        with pytest.raises(ValueError, match="vector entries must be finite"):
+            membership(f, xbar, np.ones(3), np.zeros(3), ProbeConfig(random_directions=8))
+
+
+# a query whose y has a norm beyond the largest double (ROADMAP item 4)
+_BIG_X = np.array([1.0, -1.0, 1.5, -0.5, 1.0, 1.2])
+_BIG_Y = np.full(6, 1e308)
+
+
+class TestOverflowingNorms:
+    """A y or z whose norm exceeds the largest double gets a verdict, on the form and the row path alike."""
+
+    @pytest.mark.parametrize("z, want", [("zero", Verdict.NON_MEMBER), ("y", Verdict.NON_MEMBER),
+                                         ("Dy", Verdict.MEMBER)])
+    def test_orthant(self, z, want):
+        z = {"zero": np.zeros(6), "y": _BIG_Y, "Dy": orthant.frechet(_BIG_X)(_BIG_Y)}[z]
+        # the exact set is {Dy}: y on the positive coordinates
+        assert orthant.coderivative(_BIG_X, _BIG_Y).contains(z) is (want is Verdict.MEMBER)
+        out = membership(orthant.project, _BIG_X, _BIG_Y, z)
+        assert out.verdict is want
+        assert json.dumps(out.to_json(), sort_keys=True) == _verdict_json(lambda u: orthant.project(u), _BIG_X,
+                                                                          _BIG_Y, z)
+        if out.witness is not None:
+            w = out.witness
+            assert quotient(orthant.project, _BIG_X, _BIG_Y, z, _BIG_X + w.radius * w.direction) == w.quotient
+
+    @pytest.mark.parametrize("z", ["zero", "y", "y-on-M"])
+    def test_l2_cone(self, z):
+        # xbar positive exactly on M = {1, 3, 5, 6} and y >= 0: the order interval
+        xbar = SparseVector({1: 1.0, 3: 1.5, 5: 1.0, 6: 1.2})
+        y = SparseVector({i: 1e308 for i in range(1, 7)})
+        z = {"zero": SparseVector(), "y": y, "y-on-M": SparseVector({i: 1e308 for i in (1, 3, 5, 6)})}[z]
+        want = l2_cone.coderivative(xbar, {1, 3, 5, 6}, y).contains(z)
+        for f in (l2_cone.project, lambda u: l2_cone.project(u)):
+            out = membership(f, xbar, y, z)
+            assert out.verdict is (Verdict.MEMBER if want else Verdict.NON_MEMBER)
+
+    @pytest.mark.parametrize("z, want", [("zero", Verdict.NON_MEMBER), ("y", Verdict.MEMBER)])
+    def test_ball_interior(self, z, want):
+        # an interior point: the exact set is {y}
+        xbar, z = 0.1 * _BIG_X, {"zero": np.zeros(6), "y": _BIG_Y}[z]
+        assert _BALL.coderivative(xbar, _BIG_Y).contains(z) is (want is Verdict.MEMBER)
+        for f in (_BALL.project, lambda u: _BALL.project(u)):
+            assert membership(f, xbar, _BIG_Y, z).verdict is want
+
+    def test_direction_forms_decline_an_overflowing_product(self):
+        # <d, y0> overflows on the first row, though t <d, y0> does not: the
+        # row path scores the probes
+        dirs = np.array([[0.5, 0.0, 0.5, 0.0, 0.5, 0.5], [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
+        t = np.full(len(dirs), 1e-2)
+        assert orthant.project_dirs(_BIG_X, _BIG_Y, dirs, t) is None
+        assert _BALL.project_dirs(0.1 * _BIG_X, _BIG_Y, dirs, t) is None
+        assert orthant.project_dirs(_BIG_X, np.ones(6), dirs, t) is not None
+        assert _BALL.project_dirs(0.1 * _BIG_X, np.ones(6), dirs, t) is not None
+
+    def test_head_rows_of_an_overflowing_vector(self):
+        # the unit rows of v are those of v / 2^e, max|v| < 2^e: no zero rows
+        head = oracle._structured_head(_BIG_X, _BIG_Y)
+        half = oracle._structured_head(_BIG_X, np.ldexp(_BIG_Y, -1024))
+        assert [d.tobytes() for d in head] == [d.tobytes() for d in half]
+        assert len(head) == 6
+        np.testing.assert_allclose([norm(d) for d in head], 1.0, rtol=1e-15)
 
 
 def _plain_norm(x: np.ndarray) -> float:

@@ -7,7 +7,7 @@ from varproj import orthant
 from varproj.descriptors import CoordinateMaskMap, EmptySet, IdentityMap, SingletonSet, ZeroMap
 from varproj.oracle import ProbeConfig, Verdict, jacobian_fd, membership
 from varproj.orthant import OrthantRegion
-from varproj.vectors import SparseVector, norm
+from varproj.vectors import SparseVector, inner, norm
 
 finite = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False, allow_infinity=False)
 
@@ -255,6 +255,30 @@ class TestCoderivative:
         xbar = np.zeros(2)
         j = orthant.coderivative(xbar, np.array([0.0, -1.0])).to_json()
         assert j["variant"] == "partial" and j["rule"] == "cone-corner"
+
+
+# points with no zero coordinate, where the projection is Frechet differentiable
+smooth_points = st.lists(finite.filter(bool), min_size=4, max_size=4).map(np.array)
+
+
+class TestDifferentiableAgreement:
+    """Off the corners, the Frechet map is the Gateaux derivative, is self-adjoint, and gives the coderivative."""
+
+    eps = np.finfo(float).eps
+
+    @given(smooth_points, points())
+    def test_coderivative_contains_the_adjoint_image(self, x, y):
+        assert orthant.coderivative(x, y).contains(orthant.frechet(x)(y)) is True
+
+    @given(smooth_points, points())
+    def test_gateaux_is_the_frechet_map(self, x, w):
+        assert norm(orthant.gateaux(x, w) - orthant.frechet(x)(w)) <= 4.0 * self.eps * norm(w)
+
+    @given(smooth_points, points(), points())
+    def test_frechet_map_is_self_adjoint(self, x, w, u):
+        derivative = orthant.frechet(x)
+        gap = abs(inner(derivative(w), u) - inner(w, derivative(u)))
+        assert gap <= 4.0 * self.eps * norm(w) * norm(u)
 
 
 class TestKnownBlindSpot:
