@@ -40,20 +40,7 @@ from .descriptors import (
     ScaledComplementMap,
     SingletonSet,
 )
-from .vectors import (
-    _distance,
-    _dot,
-    _dots,
-    _halved,
-    as_rows,
-    as_vector,
-    as_vector_of,
-    inner,
-    is_zero,
-    norm,
-    orth_decompose,
-    row_norms,
-)
+from .vectors import _dense_norm, _distance, _dot, _dots, _halved, _split, as_rows, as_vector, as_vector_of, row_norms
 
 __all__ = ["BallRegion", "DirectionClass", "BallProjection", "SpherePartial"]
 
@@ -132,8 +119,10 @@ class BallProjection:
         return self.project(x)
 
     def project(self, x) -> np.ndarray:
-        x = as_vector(x)
-        length = norm(x)
+        return self._project(as_vector(x))
+
+    def _project(self, x: np.ndarray) -> np.ndarray:
+        length = _dense_norm(x)
         if length <= self.radius:
             return x.copy()
         scale = self.radius / length
@@ -141,7 +130,7 @@ class BallProjection:
             # ||x|| exceeds the largest double, or r / ||x|| underflows:
             # project x / max|x|, which has the same direction
             x = x / np.max(np.abs(x))
-            scale = self.radius / norm(x)
+            scale = self.radius / _dense_norm(x)
         return scale * x
 
     def project_rows(self, block) -> np.ndarray:
@@ -157,7 +146,7 @@ class BallProjection:
         scale = self.radius / np.maximum(row_norms(block), self.radius)
         out = scale[:, None] * block
         for i in np.flatnonzero(scale < _TINY):
-            out[i] = self.project(block[i])
+            out[i] = self._project(block[i])
         return out
 
     def _image_terms(self, x0: np.ndarray, y0: np.ndarray, x_d, y_d, step, u_d, off: Callable[[], np.ndarray]):
@@ -258,10 +247,11 @@ class BallProjection:
         return self._image_terms(x0, y0, xd, yd, t, xd + t, off)
 
     def region(self, x) -> BallRegion:
-        x = as_vector(x)
-        tol = SPHERE_RTOL * self.radius
-        gap = norm(x) - self.radius
-        if abs(gap) <= tol:
+        return self._region(as_vector(x))
+
+    def _region(self, x: np.ndarray) -> BallRegion:
+        gap = _dense_norm(x) - self.radius
+        if abs(gap) <= SPHERE_RTOL * self.radius:
             return BallRegion.SPHERE
         return BallRegion.INTERIOR if gap < 0.0 else BallRegion.EXTERIOR
 
@@ -275,35 +265,40 @@ class BallProjection:
         (tangent directions) classified OUTWARD because
         ||xbar + t w||^2 = r^2 + t^2 ||w||^2 >= r^2.
         """
-        xbar = as_vector(xbar)
-        w = as_vector(w)
-        if self.region(xbar) is not BallRegion.SPHERE:
+        xbar, w = as_vector(xbar), as_vector(w)
+        if self._region(xbar) is not BallRegion.SPHERE:
             raise ValueError("direction classification is defined at sphere points only")
-        if is_zero(w):
+        if w.any() and w.shape != xbar.shape:
+            raise ValueError(f"dimension mismatch: {w.shape[0]} vs {xbar.shape[0]}")
+        return self._direction_class(xbar, w)
+
+    def _direction_class(self, xbar: np.ndarray, w: np.ndarray) -> DirectionClass:
+        """``direction_class`` of checked arrays of one size, xbar on the sphere; a zero w raises."""
+        if not w.any():
             raise ValueError("direction must be nonzero")
         # w / 2^e is exact, and its split coefficient is a double for every finite w
         w = _halved(w)[0]
-        split = orth_decompose(xbar, w)
-        if norm(split.o) <= RADIAL_RTOL * norm(w) and split.a > 0.0:
+        a, _, o_len = _split(xbar, w)
+        if o_len <= RADIAL_RTOL * _dense_norm(w) and a > 0.0:
             return DirectionClass.RADIAL
-        return DirectionClass.OUTWARD if inner(xbar / self.radius, w) >= 0.0 else DirectionClass.INWARD
+        return DirectionClass.OUTWARD if float(_dot(xbar / self.radius, w)) >= 0.0 else DirectionClass.INWARD
 
     def gateaux(self, xbar, w) -> np.ndarray:
         """One-sided directional derivative lim_{t->0+} (P(x+tw) - P(x))/t."""
         xbar = as_vector(xbar)
         w = as_vector_of(w, xbar.shape[0])
-        region = self.region(xbar)
+        region = self._region(xbar)
         if region is BallRegion.INTERIOR:
             return w.copy()
         if region is BallRegion.EXTERIOR:
-            return (self.radius / norm(xbar)) * orth_decompose(xbar, w).o
-        kind = self.direction_class(xbar, w)
+            return (self.radius / _dense_norm(xbar)) * _split(xbar, w)[1]
+        kind = self._direction_class(xbar, w)
         if kind is DirectionClass.RADIAL:
             return np.zeros_like(w)
         if kind is DirectionClass.OUTWARD:
             # w - <x, w> x / r^2 on w / 2^e, so <x, w> cannot overflow, then scaled back (all exact)
             unit, (half, e) = xbar / self.radius, _halved(w)
-            limit = half - inner(unit, half) * unit
+            limit = half - float(_dot(unit, half)) * unit
             if math.frexp(float(np.max(np.abs(limit))))[1] + e > 1024:
                 raise ValueError("the directional derivative exceeds the largest double")
             return np.ldexp(limit, e)
@@ -311,12 +306,14 @@ class BallProjection:
 
     def frechet(self, xbar) -> Optional[LinearMap]:
         """Frechet derivative map, or None on the sphere where none exists."""
-        xbar = as_vector(xbar)
-        region = self.region(xbar)
+        return self._frechet(as_vector(xbar))
+
+    def _frechet(self, xbar: np.ndarray) -> Optional[LinearMap]:
+        region = self._region(xbar)
         if region is BallRegion.INTERIOR:
             return IdentityMap()
         if region is BallRegion.EXTERIOR:
-            return ScaledComplementMap.from_point(self.radius / norm(xbar), xbar)
+            return ScaledComplementMap._of(self.radius / _dense_norm(xbar), xbar)
         return None
 
     def coderivative(self, xbar, y) -> DerivativeSet:
@@ -333,17 +330,17 @@ class BallProjection:
         y = as_vector(y)
         if xbar.shape != y.shape:
             raise ValueError("xbar and y must have the same dimension")
-        derivative = self.frechet(xbar)
+        derivative = self._frechet(xbar)
         if derivative is not None:
-            return SingletonSet(derivative(y))
-        if is_zero(y):
+            return SingletonSet(derivative._on(y))
+        if not y.any():
             return SingletonSet(np.zeros_like(y))
-        if _distance(y, xbar) <= SELF_QUERY_RTOL * norm(xbar):
+        if _distance(y, xbar) <= SELF_QUERY_RTOL * _dense_norm(xbar):
             return EmptySet(xbar.shape[0])
         # 0 is in the set when y is radial and inward (<y, xbar> <= 0); both
         # are facts of the direction of y, tested on y / 2^e with max|y| < 2^e
         # (exact), so no norm or split of y overflows and a, about 1/r on a
         # radial y, never underflows to the +0.0 of a tangent one
         y = _halved(y)[0]
-        split = orth_decompose(xbar, y)
-        return SpherePartial(xbar.shape[0], norm(split.o) <= RADIAL_RTOL * norm(y) and split.a <= 0.0)
+        a, _, o_len = _split(xbar, y)
+        return SpherePartial(xbar.shape[0], o_len <= RADIAL_RTOL * _dense_norm(y) and a <= 0.0)

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .vectors import Vector, _dot, approx_equal, as_vector, as_vector_of, encode_vector, norm
+from .vectors import Vector, _dense_norm, _dot, approx_equal, as_vector, as_vector_of, encode_vector
 
 __all__ = [
     "DerivativeSet",
@@ -85,6 +85,10 @@ class LinearMap:
     def __call__(self, v: Vector) -> Vector:
         raise NotImplementedError
 
+    def _on(self, v: np.ndarray) -> np.ndarray:
+        """The map of a checked array of the map's dimension, not checked again."""
+        return self(v)
+
     def matrix(self, n: int) -> np.ndarray:
         """Dense matrix representation on R^n (for derivative checks)."""
         cols = []
@@ -132,8 +136,12 @@ class ScaledComplementMap(LinearMap):
 
     @classmethod
     def from_point(cls, scale: float, axis_vector: np.ndarray) -> "ScaledComplementMap":
-        axis = as_vector(axis_vector)
-        length = norm(axis)
+        return cls._of(scale, as_vector(axis_vector))
+
+    @classmethod
+    def _of(cls, scale: float, axis: np.ndarray) -> "ScaledComplementMap":
+        """``from_point`` of a checked array."""
+        length = _dense_norm(axis)
         if length == 0.0:
             raise ValueError("axis must be nonzero")
         unit = axis / length
@@ -144,6 +152,9 @@ class ScaledComplementMap(LinearMap):
         v = as_vector(v)
         if v.shape != self.axis.shape:
             raise ValueError("dimension mismatch with map axis")
+        return self._on(v)
+
+    def _on(self, v: np.ndarray) -> np.ndarray:
         return self.scale * (v - _dot(v, self.axis) * self.axis)
 
     def to_json(self) -> dict:
@@ -161,6 +172,9 @@ class CoordinateMaskMap(LinearMap):
         v = as_vector(v)
         if v.shape[0] != self.dim:
             raise ValueError("dimension mismatch with mask")
+        return self._on(v)
+
+    def _on(self, v: np.ndarray) -> np.ndarray:
         out = np.zeros_like(v)
         idx = sorted(self.keep)
         out[idx] = v[idx]

@@ -124,6 +124,14 @@ class OrderIntervalSet(DerivativeSet):
         if not nonnegative_off(self.bound, self.support):
             raise ValueError("order interval bound must be nonnegative off the support set")
 
+    @classmethod
+    def _of(cls, bound: SparseVector, support: frozenset[int]) -> "OrderIntervalSet":
+        """The interval of a bound nonnegative off a support that ``as_support`` gave, not checked again."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "bound", bound)
+        object.__setattr__(out, "support", support)
+        return out
+
     def contains(self, z) -> Optional[bool]:
         z = _require_sparse(z, "z")
         return nonnegative_off(z, self.support) and order_leq(z, self.bound, self.support)
@@ -192,5 +200,5 @@ def coderivative(xbar: SparseVector, M: Iterable[int], y: SparseVector) -> Deriv
     if not has_positive_support(xbar, M):
         raise ValueError("xbar must be strictly positive exactly on M")
     if nonnegative_off(y, M):
-        return OrderIntervalSet(bound=y, support=M)
+        return OrderIntervalSet._of(y, M)
     return SelfExclusionPartial(target=y)

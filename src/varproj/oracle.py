@@ -399,12 +399,12 @@ class _Scores(NamedTuple):
     den: np.ndarray      # the quotient's denominator
     stuck: int           # radius index of the first row with u == xbar, or the number of radii
 
-    def quotients(self, z0: np.ndarray) -> np.ndarray:
-        """The quotient of every probe of the chunk for z."""
-        z_du = _dot(self.rows, z0)
-        if self.scale is not None:
-            z_du *= self.scale
-        return (z_du - self.y_df) / self.den
+
+def _quotients(z_du: np.ndarray, scale: Optional[np.ndarray], y_df: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """The quotients (<z, u - xbar> - <y, df>) / den of probes with <z, u - xbar> = scale * z_du (z_du when scale is None)."""
+    if scale is not None:
+        z_du = z_du * scale
+    return (z_du - y_df) / den
 
 
 def _score(dirs: np.ndarray, t, x0: np.ndarray, terms: Callable, denominator: str) -> tuple:
@@ -655,32 +655,34 @@ def _z_pass(plan: _Plan, f: Callable[[Vector], Vector], xbar: Vector, y: Vector,
             stuck = min(stuck, first // n)
     # a probe that rounds back to xbar is reported at the first radius
     # where one does; a streamed plan is read up to its first such chunk
-    random_q = []
+    random_terms = []
     for scores in plan.chunks:
         if scores.stuck < n_radii:
             stuck = min(stuck, scores.stuck)
             break
         if stuck == n_radii:
-            random_q.append(scores.quotients(z0))
+            random_terms.append((_dot(scores.rows, z0), scores.scale, scores.y_df, scores.den))
     if stuck < n_radii:
         raise ValueError(
             f"u must differ from xbar: a probe at radius {radii[stuck]!r} rounds back to xbar at "
             f"||xbar|| = {norm(xbar):.6g}; probe radii are absolute")
 
     axis_j, axis_s, axis_du, axis_y_df, axis_den = plan.axis
-    # not prefilled: every entry is written, and random_q is empty only when no radius kept a random row
+    # not prefilled: every entry is written, and random_terms is empty only when no radius kept a random row
     kept = [end - start for start, end in plan.bounds]
     table = np.empty((n_radii, n + per + max(kept)))
-    if n:
-        table[:, :n] = _Scores(du, None, y_df, den, n_radii).quotients(z0).reshape(n_radii, n)
-    table[:, n:n + per] = (((axis_du * z0[axis_j] + 0.0) - axis_y_df) / axis_den).reshape(n_radii, per)
-    if random_q:
-        q, random = np.concatenate(random_q), table[:, n + per:]
-        if q.size < random.size:  # a radius lost a short draw: -inf past its rows
-            random[...] = -np.inf
-            random[np.arange(random.shape[1]) < np.array(kept)[:, None]] = q
-        else:
-            random[...] = q.reshape(random.shape)
+    # a quotient above the largest double is inf, as it should be: it wins its radius
+    with np.errstate(over="ignore"):
+        if n:
+            table[:, :n] = _quotients(_dot(du, z0), None, y_df, den).reshape(n_radii, n)
+        table[:, n:n + per] = (((axis_du * z0[axis_j] + 0.0) - axis_y_df) / axis_den).reshape(n_radii, per)
+        if random_terms:
+            q, random = np.concatenate([_quotients(*terms) for terms in random_terms]), table[:, n + per:]
+            if q.size < random.size:  # a radius lost a short draw: -inf past its rows
+                random[...] = -np.inf
+                random[np.arange(random.shape[1]) < np.array(kept)[:, None]] = q
+            else:
+                random[...] = q.reshape(random.shape)
     best = table.argmax(axis=1)
     estimates = list(zip(radii, table[np.arange(n_radii), best].tolist()))
 

@@ -35,7 +35,7 @@ from .descriptors import (
     SingletonSet,
     ZeroMap,
 )
-from .vectors import _dense_norm, _dot, _einsum, as_rows, as_vector, as_vector_of, is_zero, norm
+from .vectors import _dense_norm, _dot, _einsum, as_rows, as_vector, as_vector_of, norm
 
 __all__ = [
     "OrthantRegion",
@@ -151,7 +151,10 @@ project.dirs = project_dirs
 
 def region(x) -> OrthantRegion:
     """Region of x from exact coordinate signs (-0.0 is a zero)."""
-    x = as_vector(x)
+    return _region(as_vector(x))
+
+
+def _region(x: np.ndarray) -> OrthantRegion:
     if not x.all():
         return OrthantRegion.WITH_ZEROS
     if not (x < 0.0).any():
@@ -170,8 +173,11 @@ def gateaux(x, w) -> np.ndarray:
 
 def frechet(x) -> Optional[LinearMap]:
     """Frechet derivative map, or None at points with zero coordinates."""
-    x = as_vector(x)
-    reg = region(x)
+    return _frechet(as_vector(x))
+
+
+def _frechet(x: np.ndarray) -> Optional[LinearMap]:
+    reg = _region(x)
     if reg is OrthantRegion.POSITIVE:
         return IdentityMap()
     if reg is OrthantRegion.NEGATIVE:
@@ -243,10 +249,10 @@ def coderivative(xbar, y) -> DerivativeSet:
     y = as_vector(y)
     if xbar.shape != y.shape:
         raise ValueError("xbar and y must have the same dimension")
-    derivative = frechet(xbar)
+    derivative = _frechet(xbar)
     if derivative is not None:
-        return SingletonSet(derivative(y))
-    if is_zero(y):
+        return SingletonSet(derivative._on(y))
+    if not y.any():
         return SingletonSet(np.zeros_like(y))
     if np.array_equal(y, xbar):
         if not np.any(xbar > 0.0):

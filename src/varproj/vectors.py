@@ -19,6 +19,21 @@ Every dense inner product of the library, and every dense square sum
 order, with no BLAS call: a row of a block gets the bits of the same row
 alone, at every position in the block and under every BLAS kernel.
 Every dense split is taken by ``_split``.
+
+Public names validate each argument once, at entry, here and in
+``ball``, ``orthant``, ``descriptors`` and ``l2_cone``: ``as_vector``
+and ``as_vector_of`` raise on a non-finite, empty or multi-dimensional
+argument, and on a SparseVector where a dense vector is expected.  A
+``_`` helper takes checked finite float arrays and checks none of them
+again: ``_dense_norm`` in place of ``norm``, ``_dot`` of ``inner``,
+``_split`` of ``orth_decompose``, ``x.any()`` of ``is_zero``, and the
+sets' ``_region``, ``_frechet`` and ``_direction_class`` and the maps'
+``_on``.  The checks that stay inside are on derived values, which can
+overflow although the arguments are finite: ``_distance`` answers inf
+when an entry of u - v does, ``_split`` raises when a or o is not a
+finite double, the ball's outward Gateaux limit raises when it exceeds
+the largest double, and the orthant's corner rule answers None when the
+scaled z overflows.
 """
 
 from __future__ import annotations
@@ -309,12 +324,15 @@ def is_zero(u: Vector) -> bool:
 
 
 def _distance(u: Vector, v: Vector) -> float:
-    """||u - v|| with a safe norm, inf when an entry of u - v overflows; u and v are vectors of one kind and size."""
-    try:
-        with np.errstate(over="ignore"):
+    """||u - v|| with a safe norm, inf when an entry of u - v overflows; u and v are checked vectors of one kind and size."""
+    if isinstance(u, SparseVector):
+        try:
             return norm(u - v)
-    except ValueError:  # an entry of u - v is infinite
-        return math.inf
+        except ValueError:  # an entry of u - v is infinite
+            return math.inf
+    with np.errstate(over="ignore"):
+        d = u - v
+    return _dense_norm(d) if np.isfinite(d).all() else math.inf
 
 
 def approx_equal(u: Vector, v: Vector, rel: float = 1e-9) -> bool:
@@ -324,13 +342,14 @@ def approx_equal(u: Vector, v: Vector, rel: float = 1e-9) -> bool:
     and v are compared as u / 2^64 and v / 2^64, whose norms are doubles;
     the scaling changes no digit of an entry above 2^-958.
     """
+    length = norm
     if not _check_same_kind(u, v):
         v = as_vector(v)
-        u = as_vector_of(u, v.shape[0])
-    bound = rel * max(1.0, norm(u), norm(v))
+        u, length = as_vector_of(u, v.shape[0]), _dense_norm
+    bound = rel * max(1.0, length(u), length(v))
     if bound == math.inf:
         u, v = u * 2.0**-64, v * 2.0**-64
-        bound = rel * max(1.0, norm(u), norm(v))
+        bound = rel * max(1.0, length(u), length(v))
     return _distance(u, v) <= bound
 
 

@@ -1364,6 +1364,16 @@ class TestOverflowingNorms:
         for f in (_BALL.project, lambda u: _BALL.project(u)):
             assert membership(f, xbar, _BIG_Y, z).verdict is want
 
+    @pytest.mark.parametrize("point", ["orthant", "ball"])
+    def test_quotients_above_the_largest_double_are_inf(self, point):
+        # z = -y: every quotient exceeds the largest double, and the z pass
+        # divides with numpy's overflow warning off (warnings are errors here)
+        f, xbar = {"orthant": (orthant.project, _BIG_X), "ball": (_BALL.project, 0.1 * _BIG_X)}[point]
+        for g in (f, lambda u: f(u)):
+            out = membership(g, xbar, _BIG_Y, -_BIG_Y)
+            assert out.verdict is Verdict.NON_MEMBER
+            assert [s for _, s in out.sup_estimates] == [math.inf] * 3
+
     def test_direction_forms_decline_an_overflowing_product(self):
         # <d, y0> overflows on the first row, though t <d, y0> does not: the
         # row path scores the probes
