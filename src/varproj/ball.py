@@ -40,7 +40,8 @@ from .descriptors import (
     ScaledComplementMap,
     SingletonSet,
 )
-from .vectors import _dense_norm, _distance, _dot, _dots, _halved, _split, as_rows, as_vector, as_vector_of, row_norms
+from .vectors import (_all_finite, _dense_norm, _distance, _dot, _dots, _halved, _split, as_rows, as_vector,
+                      as_vector_of, row_norms)
 
 __all__ = ["BallRegion", "DirectionClass", "BallProjection", "SpherePartial"]
 
@@ -97,7 +98,7 @@ class SpherePartial(DerivativeSet):
     rule = "ball-sphere"
 
     def contains(self, z) -> Optional[bool]:
-        if not as_vector_of(z, self.dim).any():
+        if not np.count_nonzero(as_vector_of(z, self.dim)):
             return self.contains_zero
         return None
 
@@ -129,7 +130,7 @@ class BallProjection:
         if not scale >= _TINY:
             # ||x|| exceeds the largest double, or r / ||x|| underflows:
             # project x / max|x|, which has the same direction
-            x = x / np.max(np.abs(x))
+            x = x / np.maximum.reduce(np.abs(x))
             scale = self.radius / _dense_norm(x)
         return scale * x
 
@@ -145,7 +146,7 @@ class BallProjection:
         block = as_rows(block)
         scale = self.radius / np.maximum(row_norms(block), self.radius)
         out = scale[:, None] * block
-        for i in np.flatnonzero(scale < _TINY):
+        for i in (scale < _TINY).nonzero()[0]:
             out[i] = self._project(block[i])
         return out
 
@@ -171,14 +172,14 @@ class BallProjection:
         ``project_rows`` handles those.
         """
         sq_norm, y_x = float(_dot(x0, x0)), float(_dot(y0, x0))
-        origin = sq_norm == 0.0 and not x0.any()
+        origin = sq_norm == 0.0 and not np.count_nonzero(x0)
         if not ((origin or _TINY <= sq_norm < np.inf) and math.isfinite(y_x)):
             return None
         with np.errstate(over="ignore"):
             grow = step * (x_d + u_d)
             norm_u = np.abs(u_d) if origin else np.sqrt(np.maximum(sq_norm + grow, u_d * u_d))
         r = self.radius
-        top = float(norm_u.max())
+        top = float(np.maximum.reduce(norm_u))
         if not r / max(top, r) >= _TINY:
             return None
         scale_u = r / np.maximum(norm_u, r)
@@ -189,13 +190,13 @@ class BallProjection:
             gap = norm_u if origin else grow / (norm_u + norm_x)
             if norm_x <= r:
                 a = np.where(norm_u > r, (r - norm_x - gap) / np.maximum(norm_u, r), 0.0)
-            elif norm_u.min() > r:
+            elif np.minimum.reduce(norm_u) > r:
                 a = scale_u * (gap / -norm_x)
             else:
                 a = np.where(norm_u > r, -scale_u * (gap / norm_x), 1.0 - r / norm_x)
         b = scale_u * step
         y_df = a * y_x + b * y_d
-        if not np.any(a):  # u and x0 inside the ball: P(u) - P(x0) = step d
+        if not np.count_nonzero(a):  # u and x0 inside the ball: P(u) - P(x0) = step d
             return y_df, np.abs(b)
         return y_df, np.hypot(a * off(), a * x_d + b)
 
@@ -213,8 +214,8 @@ class BallProjection:
 
         def off():
             sq = x0 * x0
-            before = np.concatenate(([0.0], np.cumsum(sq[:-1])))
-            after = np.concatenate((np.cumsum(sq[:0:-1])[::-1], [0.0]))
+            before = np.concatenate(([0.0], np.add.accumulate(sq[:-1])))
+            after = np.concatenate((np.add.accumulate(sq[:0:-1])[::-1], [0.0]))
             return np.sqrt(before + after)[j]
 
         return self._image_terms(x0, y0, xj, y0[j], moved - xj, moved, off)
@@ -232,13 +233,13 @@ class BallProjection:
         although t <d, y0> may not.
         """
         xd, yd = _dots(dirs, (x0, y0))
-        if not np.isfinite(yd).all():
+        if not _all_finite(yd):
             return None
 
         def off():
             sq_norm = float(_dot(x0, x0))
             off_sq = sq_norm - xd * xd
-            near = np.flatnonzero(off_sq < sq_norm / 16.0)
+            near = (off_sq < sq_norm / 16.0).nonzero()[0]
             if near.size:
                 rows = x0 - xd[near, None] * dirs[near]
                 off_sq[near] = _dot(rows, rows)
@@ -268,13 +269,13 @@ class BallProjection:
         xbar, w = as_vector(xbar), as_vector(w)
         if self._region(xbar) is not BallRegion.SPHERE:
             raise ValueError("direction classification is defined at sphere points only")
-        if w.any() and w.shape != xbar.shape:
+        if np.count_nonzero(w) and w.shape != xbar.shape:
             raise ValueError(f"dimension mismatch: {w.shape[0]} vs {xbar.shape[0]}")
         return self._direction_class(xbar, w)
 
     def _direction_class(self, xbar: np.ndarray, w: np.ndarray) -> DirectionClass:
         """``direction_class`` of checked arrays of one size, xbar on the sphere; a zero w raises."""
-        if not w.any():
+        if not np.count_nonzero(w):
             raise ValueError("direction must be nonzero")
         # w / 2^e is exact, and its split coefficient is a double for every finite w
         w = _halved(w)[0]
@@ -294,12 +295,12 @@ class BallProjection:
             return (self.radius / _dense_norm(xbar)) * _split(xbar, w)[1]
         kind = self._direction_class(xbar, w)
         if kind is DirectionClass.RADIAL:
-            return np.zeros_like(w)
+            return np.zeros(w.shape)
         if kind is DirectionClass.OUTWARD:
             # w - <x, w> x / r^2 on w / 2^e, so <x, w> cannot overflow, then scaled back (all exact)
             unit, (half, e) = xbar / self.radius, _halved(w)
             limit = half - float(_dot(unit, half)) * unit
-            if math.frexp(float(np.max(np.abs(limit))))[1] + e > 1024:
+            if math.frexp(float(np.maximum.reduce(np.abs(limit))))[1] + e > 1024:
                 raise ValueError("the directional derivative exceeds the largest double")
             return np.ldexp(limit, e)
         return w.copy()
@@ -333,8 +334,8 @@ class BallProjection:
         derivative = self._frechet(xbar)
         if derivative is not None:
             return SingletonSet(derivative._on(y))
-        if not y.any():
-            return SingletonSet(np.zeros_like(y))
+        if not np.count_nonzero(y):
+            return SingletonSet(np.zeros(y.shape))
         if _distance(y, xbar) <= SELF_QUERY_RTOL * _dense_norm(xbar):
             return EmptySet(xbar.shape[0])
         # 0 is in the set when y is radial and inward (<y, xbar> <= 0); both

@@ -15,12 +15,15 @@ numerical membership oracle is the fallback for ``None``.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .vectors import Vector, _dense_norm, _dot, approx_equal, as_vector, as_vector_of, encode_vector
+from .vectors import (SparseVector, Vector, _check_same_kind, _close, _dense_norm, _dot, as_vector, as_vector_of,
+                      encode_vector, norm)
 
 __all__ = [
     "DerivativeSet",
@@ -49,12 +52,28 @@ class DerivativeSet:
 
 @dataclass(frozen=True)
 class SingletonSet(DerivativeSet):
-    """The set {value}."""
+    """The set {value}.
+
+    ``contains`` is ``approx_equal(z, value)``: it raises and answers as
+    that does, but checks the value and takes its norm once, on first use.
+    """
 
     value: Vector
 
+    @cached_property
+    def _checked(self) -> tuple[Vector, Callable[[Vector], float], float]:
+        """(value, its norm function, its norm), the value checked as ``approx_equal`` checks it."""
+        if isinstance(self.value, SparseVector):
+            return self.value, norm, norm(self.value)
+        value = as_vector(self.value)
+        return value, _dense_norm, _dense_norm(value)
+
     def contains(self, z: Vector) -> Optional[bool]:
-        return approx_equal(z, self.value, rel=SINGLETON_RTOL)
+        sparse = _check_same_kind(z, self.value)
+        value, length, value_len = self._checked
+        if not sparse:
+            z = as_vector_of(z, value.shape[0])
+        return _close(z, value, SINGLETON_RTOL, length, value_len)
 
     def to_json(self) -> dict:
         return {"variant": "singleton", "value": encode_vector(self.value)}
@@ -116,7 +135,7 @@ class IdentityMap(LinearMap):
 class ZeroMap(LinearMap):
     def __call__(self, v: Vector) -> Vector:
         if isinstance(v, np.ndarray):
-            return np.zeros_like(v)
+            return np.zeros(v.shape, v.dtype)
         return v * 0.0
 
     def to_json(self) -> dict:
@@ -175,7 +194,7 @@ class CoordinateMaskMap(LinearMap):
         return self._on(v)
 
     def _on(self, v: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(v)
+        out = np.zeros(v.shape)
         idx = sorted(self.keep)
         out[idx] = v[idx]
         return out

@@ -400,10 +400,19 @@ class _Scores(NamedTuple):
     stuck: int           # radius index of the first row with u == xbar, or the number of radii
 
 
-def _quotients(z_du: np.ndarray, scale: Optional[np.ndarray], y_df: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """The quotients (<z, u - xbar> - <y, df>) / den of probes with <z, u - xbar> = scale * z_du (z_du when scale is None)."""
+def _quotients(rows: np.ndarray, scale: Optional[np.ndarray], z0: np.ndarray, y_df: np.ndarray,
+               den: np.ndarray) -> np.ndarray:
+    """The quotients (<z, u - xbar> - <y, df>) / den of probe rows r with <z, u - xbar> = scale * <r, z> (<r, z> unscaled).
+
+    When the rows are directions d, <d, z> may overflow where t <d, z>
+    does not: an entry whose t <d, z> is not finite is taken as <t d, z>.
+    """
+    z_du = _dot(rows, z0)
     if scale is not None:
         z_du = z_du * scale
+        lost = ~np.isfinite(z_du)
+        if np.count_nonzero(lost):
+            z_du[lost] = _dot(scale[lost, None] * rows[lost], z0)
     return (z_du - y_df) / den
 
 
@@ -416,8 +425,9 @@ def _score(dirs: np.ndarray, t, x0: np.ndarray, terms: Callable, denominator: st
     u = x0 + t * dirs
     du = u - x0
     d_in = row_norms(du)
-    if not (d_in > 0.0).all():
-        return int(np.argmin(d_in > 0.0)), None, None, None
+    moved = d_in > 0.0
+    if np.count_nonzero(moved) < moved.size:
+        return int(moved.argmin()), None, None, None
     y_df, df_norm = terms(u)
     return None, du, y_df, _denominator(denominator, d_in, df_norm)
 
@@ -560,7 +570,7 @@ def _plan(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, x0: np.ndarray
     # of the z pass's table in this order; the axis probes of every radius
     # form one block of scalars
     anchor = _anchor(x0)
-    head = np.reshape(_structured_head(x0, y0, anchor=anchor), (-1, m))
+    head = np.asarray(_structured_head(x0, y0, anchor=anchor)).reshape(-1, m)
     head.flags.writeable = False
     axis_j, axis_s, axis_t, random_t = _geometry(m, radii, bounds)
     moved, axis_in, axis_du = _axis_probes(x0[axis_j], axis_s, axis_t)
@@ -597,12 +607,13 @@ def _plan(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, x0: np.ndarray
     # largest spacing in x0; then the random rows take the direction form,
     # and else they are formed and tested
     form = None
-    if f_dirs is not None and radii[-1] > math.sqrt(m) * float(np.spacing(np.max(np.abs(x0)))):
+    if f_dirs is not None and radii[-1] > math.sqrt(m) * float(np.spacing(np.maximum.reduce(np.abs(x0)))):
         def form(rows, t):
             return f_dirs(x0, y0, rows, t)
 
     chunks = _scored_chunks(dirs, bounds, random_t, x0, radii, terms, config.denominator, form)
-    stuck = len(radii) if np.all(axis_in > 0.0) else int(np.argmin(axis_in > 0.0)) // (2 * m)
+    moves = axis_in > 0.0
+    stuck = len(radii) if np.count_nonzero(moves) == moves.size else int(moves.argmin()) // (2 * m)
     return _Plan(fx, terms, anchor, head, dirs, bounds, chunks,
                  (axis_j, axis_s, axis_du, axis_y_df, _denominator(config.denominator, axis_in, df_norm)), stuck, {})
 
@@ -661,7 +672,7 @@ def _z_pass(plan: _Plan, f: Callable[[Vector], Vector], xbar: Vector, y: Vector,
             stuck = min(stuck, scores.stuck)
             break
         if stuck == n_radii:
-            random_terms.append((_dot(scores.rows, z0), scores.scale, scores.y_df, scores.den))
+            random_terms.append(scores)
     if stuck < n_radii:
         raise ValueError(
             f"u must differ from xbar: a probe at radius {radii[stuck]!r} rounds back to xbar at "
@@ -674,10 +685,11 @@ def _z_pass(plan: _Plan, f: Callable[[Vector], Vector], xbar: Vector, y: Vector,
     # a quotient above the largest double is inf, as it should be: it wins its radius
     with np.errstate(over="ignore"):
         if n:
-            table[:, :n] = _quotients(_dot(du, z0), None, y_df, den).reshape(n_radii, n)
+            table[:, :n] = _quotients(du, None, z0, y_df, den).reshape(n_radii, n)
         table[:, n:n + per] = (((axis_du * z0[axis_j] + 0.0) - axis_y_df) / axis_den).reshape(n_radii, per)
         if random_terms:
-            q, random = np.concatenate([_quotients(*terms) for terms in random_terms]), table[:, n + per:]
+            q = np.concatenate([_quotients(r.rows, r.scale, z0, r.y_df, r.den) for r in random_terms])
+            random = table[:, n + per:]
             if q.size < random.size:  # a radius lost a short draw: -inf past its rows
                 random[...] = -np.inf
                 random[np.arange(random.shape[1]) < np.array(kept)[:, None]] = q

@@ -35,7 +35,7 @@ from .descriptors import (
     SingletonSet,
     ZeroMap,
 )
-from .vectors import _dense_norm, _dot, _einsum, as_rows, as_vector, as_vector_of, norm
+from .vectors import _all_finite, _dense_norm, _dot, _einsum, as_rows, as_vector, as_vector_of
 
 __all__ = [
     "OrthantRegion",
@@ -98,7 +98,7 @@ def _dir_terms(x0: np.ndarray, y0: np.ndarray, dirs: np.ndarray, t: np.ndarray, 
         y_d, d_sq = _dot(dirs, y_pos), _einsum("ij,ij,j->i", dirs, dirs, mask)
     else:
         y_d = d_sq = np.zeros(t.size)
-    near = np.flatnonzero(reach <= bound)
+    near = (reach <= bound).nonzero()[0]
     if not near.size:
         return t * y_d, t * np.sqrt(d_sq)
     # df on C, then its terms scaled by 1 / t, so no square of a small radius underflows
@@ -128,18 +128,18 @@ def project_dirs(x0: np.ndarray, y0: np.ndarray, dirs: np.ndarray, t: np.ndarray
     those probes.
     """
     # |t d_i| <= t (1 + 2^-50) rounds to at most t (1 + 2^-40)
-    bound, reach = float(t.max()) * (1.0 + 2.0**-40), np.abs(x0)
+    bound, reach = float(np.maximum.reduce(t)) * (1.0 + 2.0**-40), np.abs(x0)
     with np.errstate(over="ignore", invalid="ignore"):
-        if not ((reach <= bound) & (reach > 0.0)).any():
+        if not np.count_nonzero((reach <= bound) & (reach > 0.0)):
             y_df, df_norm = _dir_terms(x0, y0, dirs, t, bound, reach)
         else:
             # a nonzero coordinate within reach of some radius: C differs by radius
             y_df, df_norm = np.empty(t.size), np.empty(t.size)
             for radius in np.unique(t):
-                rows = np.flatnonzero(t == radius)
+                rows = (t == radius).nonzero()[0]
                 y_df[rows], df_norm[rows] = _dir_terms(x0, y0, dirs[rows], t[rows],
                                                        float(radius) * (1.0 + 2.0**-40), reach)
-    if not np.isfinite(y_df).all():
+    if not _all_finite(y_df):
         return None
     return y_df, df_norm
 
@@ -155,11 +155,12 @@ def region(x) -> OrthantRegion:
 
 
 def _region(x: np.ndarray) -> OrthantRegion:
-    if not x.all():
+    if np.count_nonzero(x) < x.size:
         return OrthantRegion.WITH_ZEROS
-    if not (x < 0.0).any():
+    negative = np.count_nonzero(x < 0.0)
+    if not negative:
         return OrthantRegion.POSITIVE
-    if not (x > 0.0).any():
+    if negative == x.size:
         return OrthantRegion.NEGATIVE
     return OrthantRegion.MIXED
 
@@ -183,7 +184,7 @@ def _frechet(x: np.ndarray) -> Optional[LinearMap]:
     if reg is OrthantRegion.NEGATIVE:
         return ZeroMap()
     if reg is OrthantRegion.MIXED:
-        keep = frozenset(int(i) for i in np.flatnonzero(x > 0.0))
+        keep = frozenset(int(i) for i in (x > 0.0).nonzero()[0])
         return CoordinateMaskMap(keep=keep, dim=x.shape[0])
     return None
 
@@ -212,13 +213,16 @@ class CornerPartial(DerivativeSet):
             return None
         # z = scale * y within tolerance, tested on y and z times 2^-e with
         # max|y| < 2^e: the bits of the plain test, with no square to overflow
-        e = np.frexp(np.abs(self.target).max())[1]
-        with np.errstate(over="ignore"):
+        e = np.frexp(np.maximum.reduce(np.abs(self.target)))[1]
+        with np.errstate(over="ignore", invalid="ignore"):
             y, z, floor = np.ldexp(self.target, -e), np.ldexp(z, -e), np.ldexp(1.0, -e)
-        if not np.isfinite(z).all():  # lambda in z = lambda * y would exceed every double
+            scale = float(_dot(z, y)) / float(_dot(y, y))
+            off = z - scale * y
+        # the scaled z, lambda in z = lambda * y or z - lambda * y exceeds
+        # every double; each makes an entry of z - lambda * y inf or nan
+        if not _all_finite(off):
             return None
-        scale = float(_dot(z, y)) / float(_dot(y, y))
-        if norm(z - scale * y) <= MULTIPLE_RTOL * max(floor, _dense_norm(z), _dense_norm(y)) and scale < 1.0:
+        if _dense_norm(off) <= MULTIPLE_RTOL * max(floor, _dense_norm(z), _dense_norm(y)) and scale < 1.0:
             return False
         return None
 
@@ -252,13 +256,13 @@ def coderivative(xbar, y) -> DerivativeSet:
     derivative = _frechet(xbar)
     if derivative is not None:
         return SingletonSet(derivative._on(y))
-    if not y.any():
-        return SingletonSet(np.zeros_like(y))
-    if np.array_equal(y, xbar):
-        if not np.any(xbar > 0.0):
-            return SingletonSet(np.zeros_like(y))
+    if not np.count_nonzero(y):
+        return SingletonSet(np.zeros(y.shape))
+    if not np.count_nonzero(y != xbar):
+        if not np.count_nonzero(xbar > 0.0):
+            return SingletonSet(np.zeros(y.shape))
         return EmptySet(xbar.shape[0])
-    if not ((xbar == 0.0) & (y < 0.0)).any():
+    if not np.count_nonzero((xbar == 0.0) & (y < 0.0)):
         return CornerPartial(xbar.shape[0], None)
     target = y.copy()
     target.flags.writeable = False

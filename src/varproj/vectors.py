@@ -26,21 +26,40 @@ and ``as_vector_of`` raise on a non-finite, empty or multi-dimensional
 argument, and on a SparseVector where a dense vector is expected.  A
 ``_`` helper takes checked finite float arrays and checks none of them
 again: ``_dense_norm`` in place of ``norm``, ``_dot`` of ``inner``,
-``_split`` of ``orth_decompose``, ``x.any()`` of ``is_zero``, and the
-sets' ``_region``, ``_frechet`` and ``_direction_class`` and the maps'
-``_on``.  The checks that stay inside are on derived values, which can
-overflow although the arguments are finite: ``_distance`` answers inf
-when an entry of u - v does, ``_split`` raises when a or o is not a
-finite double, the ball's outward Gateaux limit raises when it exceeds
-the largest double, and the orthant's corner rule answers None when the
-scaled z overflows.
+``_split`` of ``orth_decompose``, ``np.count_nonzero`` of ``is_zero``,
+``_close`` of ``approx_equal``, and the sets' ``_region``, ``_frechet``
+and ``_direction_class`` and the maps' ``_on``.  The checks that stay
+inside are on derived values, which can overflow although the
+arguments are finite: ``_distance`` answers inf when an entry of u - v
+does, ``_split`` raises when a or o is not a finite double, the ball's
+outward Gateaux limit raises when it exceeds the largest double, and
+the orthant's corner rule answers None when lambda or z - lambda y
+overflows after its scaling.
+
+A check or reduction on a per-call path of ``vectors``, ``ball``,
+``orthant``, ``descriptors`` and ``oracle`` calls numpy's C entry point,
+never a Python-level wrapper: ``_all_finite`` for finiteness,
+``np.count_nonzero`` for zero, sign and equality tests (it counts -0.0
+as zero and NaN as nonzero, as ``any()`` does), ``np.maximum.reduce``
+and ``np.minimum.reduce`` for extrema, ``np.zeros(v.shape)`` and
+``b.nonzero()[0]``.  ``ndarray.any/all/max/min`` run numpy's Python
+``_methods`` before the ufunc reduction, and ``np.any``, ``np.all``,
+``np.max``, ``np.array_equal``, ``np.zeros_like`` and ``np.flatnonzero``
+add Python dispatch.  On a 6-vector (numpy 2.4, Xeon, timeit, fastest
+of five) ``x.any()`` takes 1.6 us against 0.34 us for
+``np.count_nonzero(x)``; ``x.max()`` 2.3 us and ``np.max`` 3.4 us
+against 1.1 us for ``np.maximum.reduce``; ``np.isfinite(x).all()``
+2.1 us against 1.4 us; ``np.zeros_like``, ``np.flatnonzero`` and
+``np.array_equal`` 1.2, 1.4 and 2.3 us against 0.3-0.4 us for
+``np.zeros``, ``nonzero()[0]`` and ``np.count_nonzero``.  A closed form
+of about 9 us makes two to four such checks.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from typing import Union
 
@@ -69,12 +88,17 @@ __all__ = [
 ]
 
 
+def _all_finite(v: np.ndarray) -> bool:
+    """True when every entry of v is finite: ``np.isfinite(v).all()`` without numpy's Python ``_methods`` wrapper."""
+    return np.count_nonzero(np.isfinite(v)) == v.size
+
+
 def as_vector(x) -> np.ndarray:
     """Coerce array-like input to a finite 1-D float vector of length >= 1."""
     v = np.asarray(x, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("expected a one-dimensional vector with at least one entry")
-    if not np.isfinite(v).all():
+    if not _all_finite(v):
         raise ValueError("vector entries must be finite")
     return v
 
@@ -97,7 +121,7 @@ def as_rows(x) -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.ndim != 2 or v.shape[1] == 0:
         raise ValueError("expected a two-dimensional block with at least one column")
-    if not np.isfinite(v).all():
+    if not _all_finite(v):
         raise ValueError("vector entries must be finite")
     return v
 
@@ -273,14 +297,14 @@ _TINY_NORM = 1e-146
 
 def _rescaled_norm(x: np.ndarray) -> float:
     """Norm of x computed on x / max|x|, so no square over- or underflows."""
-    s = float(np.max(np.abs(x), initial=0.0))
+    s = float(np.maximum.reduce(np.abs(x), initial=0.0))
     return s * math.sqrt(float(_dot(x / s, x / s))) if s > 0.0 else 0.0
 
 
 def _dense_norm(x: np.ndarray, sq: float | None = None) -> float:
     """``norm`` of a finite 1-D array, not validated again; ``sq`` is ``float(_dot(x, x))`` when the caller has it."""
     length = math.sqrt(float(_dot(x, x)) if sq is None else sq)
-    if _TINY_NORM <= length < math.inf or not x.any():
+    if _TINY_NORM <= length < math.inf or not np.count_nonzero(x):
         return length
     return _rescaled_norm(x)
 
@@ -310,9 +334,9 @@ def row_norms(block: np.ndarray) -> np.ndarray:
     plain +0.0.
     """
     lengths = np.sqrt(_dot(block, block))
-    if lengths.size and not (lengths.min() >= _TINY_NORM and lengths.max() < np.inf):
-        odd = np.flatnonzero(~((lengths >= _TINY_NORM) & (lengths < np.inf)))
-        for i in odd[block[odd].any(axis=1)]:
+    if lengths.size and not (np.minimum.reduce(lengths) >= _TINY_NORM and np.maximum.reduce(lengths) < np.inf):
+        odd = (~((lengths >= _TINY_NORM) & (lengths < np.inf))).nonzero()[0]
+        for i in odd[np.logical_or.reduce(block[odd], axis=1, dtype=bool)]:
             lengths[i] = _rescaled_norm(block[i])
     return lengths
 
@@ -320,7 +344,7 @@ def row_norms(block: np.ndarray) -> np.ndarray:
 def is_zero(u: Vector) -> bool:
     if isinstance(u, SparseVector):
         return u.is_zero()
-    return bool(np.all(as_vector(u) == 0.0))
+    return not np.count_nonzero(as_vector(u))
 
 
 def _distance(u: Vector, v: Vector) -> float:
@@ -332,7 +356,7 @@ def _distance(u: Vector, v: Vector) -> float:
             return math.inf
     with np.errstate(over="ignore"):
         d = u - v
-    return _dense_norm(d) if np.isfinite(d).all() else math.inf
+    return _dense_norm(d) if _all_finite(d) else math.inf
 
 
 def approx_equal(u: Vector, v: Vector, rel: float = 1e-9) -> bool:
@@ -346,7 +370,12 @@ def approx_equal(u: Vector, v: Vector, rel: float = 1e-9) -> bool:
     if not _check_same_kind(u, v):
         v = as_vector(v)
         u, length = as_vector_of(u, v.shape[0]), _dense_norm
-    bound = rel * max(1.0, length(u), length(v))
+    return _close(u, v, rel, length, length(v))
+
+
+def _close(u: Vector, v: Vector, rel: float, length: Callable[[Vector], float], v_len: float) -> bool:
+    """``approx_equal`` of checked vectors of one kind and size; ``length`` is their norm and ``v_len`` = length(v)."""
+    bound = rel * max(1.0, length(u), v_len)
     if bound == math.inf:
         u, v = u * 2.0**-64, v * 2.0**-64
         bound = rel * max(1.0, length(u), length(v))
@@ -371,7 +400,7 @@ class OrthDecomp:
 
 def _halved(v: np.ndarray) -> tuple[np.ndarray, int]:
     """(v / 2^e, e) with max|v| < 2^e: the scaling is exact, and no norm or split of v / 2^e overflows."""
-    e = math.frexp(float(np.max(np.abs(v))))[1]
+    e = math.frexp(float(np.maximum.reduce(np.abs(v))))[1]
     return np.ldexp(v, -e), e
 
 
@@ -390,7 +419,7 @@ def _split(anchor: np.ndarray, x: np.ndarray, orth_rtol: float = 1e-12,
         anchor_sq = float(_dot(anchor, anchor))
     scale = 1.0
     if not _TINY_NORM**2 <= anchor_sq < math.inf:
-        scale = float(np.max(np.abs(anchor), initial=0.0))
+        scale = float(np.maximum.reduce(np.abs(anchor), initial=0.0))
         if scale == 0.0:
             raise ValueError("anchor must be nonzero")
         anchor = anchor / scale
@@ -398,13 +427,13 @@ def _split(anchor: np.ndarray, x: np.ndarray, orth_rtol: float = 1e-12,
     a = float(_dot(x, anchor)) / anchor_sq
     with np.errstate(over="ignore", invalid="ignore"):
         o = x - a * anchor
-    if not np.isfinite(o).all():
+    if not _all_finite(o):
         # <x, anchor> or a * anchor overflowed: split x / 2^e, max|x| < 2^e, and scale a and o back
         half, e = _halved(x)
         a, o, _ = _split(anchor, half, orth_rtol, anchor_sq)
         with np.errstate(over="ignore"):
             a, o = float(np.ldexp(a / scale, e)), np.ldexp(o, e)
-        if not (math.isfinite(a) and np.isfinite(o).all()):
+        if not (math.isfinite(a) and _all_finite(o)):
             raise ValueError("vector entries must be finite")
         return a, o, _dense_norm(o)
     residual, o_len, a_len = abs(float(_dot(o, anchor))), _dense_norm(o), _dense_norm(anchor, anchor_sq)

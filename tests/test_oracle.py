@@ -780,6 +780,18 @@ class TestDirectionForm:
                     bound = max(np.abs(by_rows - want).max(), 2.0 * np.spacing(ulp))
                     assert np.abs(term - want).max() <= bound, (x0.size, radius)
 
+    def test_overflowing_z_product_scores_the_scaled_direction(self):
+        # <d, z> overflows at |z| = 1e308 where t <d, z> does not: such an
+        # entry is scored as <t d, z>, and every supremum is finite and the
+        # formless path's
+        x, y, z = np.array([1.0, -1.0, 1.5, -0.5, 1.0, 1.2]), np.ones(6), np.full(6, 1e308)
+        got = membership(orthant.project, x, y, z)
+        want = membership(lambda u: orthant.project(u), x, y, z)
+        assert got.verdict is want.verdict is Verdict.NON_MEMBER
+        for (t, s), (t_want, s_want) in zip(got.sup_estimates, want.sup_estimates, strict=True):
+            assert t == t_want and math.isfinite(s)
+            assert abs(s - s_want) <= 1e-12 * abs(s_want)
+
     @pytest.mark.parametrize("f", [BallProjection(1.0).project, orthant.project], ids=["ball", "orthant"])
     def test_rounds_back_at_the_radius_of_the_row_path(self, f):
         # from ||xbar|| near 1e12 a probe rounds back to xbar: the random rows

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -236,6 +238,18 @@ class TestCoderivative:
         assert d.contains(2.0 * y) is None
         if s >= 1.0:  # below 1 the tolerance's absolute floor makes every small z a multiple
             assert d.contains(s * np.array([1.0, 1.0])) is None
+
+    @pytest.mark.parametrize("y", [[-0.01, -0.01, -0.01], [-0.01, 0.0, -0.01]], ids=["no-zero", "zero-entry"])
+    def test_overflowing_multiple_answers_none(self, y):
+        # z = -2.5e308 y: lambda = <z, y> / <y, y> is not finite after the
+        # 2^-e scaling, nor is z - lambda y (inf * 0 at a zero entry of y);
+        # the rule answers None, with no exception and no warning
+        d = orthant.coderivative(np.array([0.0, 1.0, 1.0]), np.array(y))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert d.contains(np.full(3, 2.5e306)) is None
+            assert d.contains(np.full(3, -2.5e306)) is None
+            assert d.contains(0.5 * np.array(y)) is False
 
     def test_exclusion_needs_negative_on_zero(self):
         d = orthant.coderivative(np.array([0.0, -2.0]), np.array([1.0, 1.0]))

@@ -6,6 +6,8 @@ run on the checked arrays.  ``TestValidatedOnce`` counts the calls of
 ``as_vector`` (which ``as_vector_of`` makes) with a profiler hook, and
 ``TestErrorParity`` pins the exception type and message of every bad
 argument, recorded before the checks were moved to the entry points.
+``TestNoNumpyWrappers`` checks, with the same hook, that a valid call
+enters none of numpy's Python-level reduction wrappers.
 """
 
 from __future__ import annotations
@@ -119,13 +121,13 @@ def _outcome(thunk) -> str:
 CASES = dict(_cases())
 
 
-def _as_vector_calls(fn, *args) -> int:
-    """The number of ``as_vector`` calls (``as_vector_of`` makes one) while fn(*args) runs."""
-    code, calls = vectors.as_vector.__code__, []
+def _calls(match, fn, *args) -> list:
+    """The code objects of the Python calls that ``match`` accepts while fn(*args) runs, from a profiler hook."""
+    calls = []
 
     def hook(frame, event, arg):
-        if event == "call" and frame.f_code is code:
-            calls.append(frame)
+        if event == "call" and match(frame.f_code):
+            calls.append(frame.f_code)
 
     previous = sys.getprofile()
     sys.setprofile(hook)
@@ -133,7 +135,24 @@ def _as_vector_calls(fn, *args) -> int:
         fn(*args)
     finally:
         sys.setprofile(previous)
-    return len(calls)
+    return calls
+
+
+def _as_vector_calls(fn, *args) -> int:
+    """The number of ``as_vector`` calls (``as_vector_of`` makes one) while fn(*args) runs."""
+    code = vectors.as_vector.__code__
+    return len(_calls(lambda c: c is code, fn, *args))
+
+
+def _numpy_wrapper(code) -> bool:
+    """A frame of numpy's Python ``_methods.py`` or ``fromnumeric.py``, or of ``array_equal``, ``zeros_like`` or ``flatnonzero``.
+
+    The files sit under ``numpy/_core/``, or ``numpy/core/`` before numpy 2.
+    """
+    folder, _, name = code.co_filename.replace("\\", "/").rpartition("/")
+    if not folder.endswith(("/numpy/_core", "/numpy/core")):
+        return False
+    return name in ("_methods.py", "fromnumeric.py") or code.co_name in ("array_equal", "zeros_like", "flatnonzero")
 
 
 X6 = np.array([0.6, 0.8, 0.0, 0.0, 0.0, 0.0])
@@ -172,6 +191,102 @@ ONCE = {
 }
 
 
+# one valid call of every public closed form at n = 6, and of every descriptor's contains
+SPHERE6, INSIDE6, OUTSIDE6 = X6, 0.5 * X6 + 0.1 * TANGENT6, 3.0 * X6 + TANGENT6
+MIXED6, CORNER6 = np.array([1.0, -2.0, 0.5, -0.1, 3.0, -4.0]), np.array([0.0, 1.0, 2.0, -1.0, 0.0, 0.5])
+BLOCK6 = np.stack([TANGENT6, 3.0 * X6, np.zeros(6), 1e-200 * X6])
+DIRS6 = np.stack([X6, -X6, TANGENT6 / vectors.norm(TANGENT6)])
+T6 = np.full(3, 0.01)
+AXES6 = (np.arange(6), 1.0 + np.arange(6))
+SPARSE_X, SPARSE_Y = SparseVector({1: 1.0, 3: 1.5}), SparseVector({1: 1.0, 2: -1.0, 4: 0.5})
+
+
+def _contains6() -> dict:
+    """(descriptor, query) for every descriptor of the library at n = 6, one per answer it can give."""
+    corner = orthant.coderivative(CORNER6, np.array([1.0, 0.0, 1.0, 0.0, -1.0, 0.0]))
+    sphere = OP.coderivative(SPHERE6, TANGENT6 - 0.5 * X6)
+    interval = l2_cone.coderivative(SPARSE_X, {1, 3}, SPARSE_Y)
+    return {
+        "SingletonSet/dense": (OP.coderivative(OUTSIDE6, TANGENT6), TANGENT6),
+        "SingletonSet/sparse": (SingletonSet(SPARSE_Y), SPARSE_Y),
+        "EmptySet": (EmptySet(6), TANGENT6),
+        "SpherePartial/zero": (sphere, np.zeros(6)),
+        "SpherePartial/other": (sphere, TANGENT6),
+        "CornerPartial/multiple": (corner, np.array([0.5, 0.0, 0.5, 0.0, -0.5, 0.0])),
+        "CornerPartial/other": (corner, TANGENT6),
+        "CornerPartial/overflow": (corner, 1.7e308 * np.ones(6)),
+        "CornerPartial/none": (orthant.coderivative(CORNER6, MIXED6), TANGENT6),
+        "OrderIntervalSet": (interval, SparseVector({1: 0.5, 2: -1.0, 4: 0.5})),
+        "SelfExclusionPartial": (l2_cone.coderivative(SPARSE_X, {1, 3}, SparseVector({2: -1.0})), SPARSE_Y),
+    }
+
+
+CLOSED_FORMS6 = {
+    "vectors.as_vector": (vectors.as_vector, TANGENT6),
+    "vectors.as_vector_of": (vectors.as_vector_of, TANGENT6, 6),
+    "vectors.as_rows": (vectors.as_rows, BLOCK6),
+    "vectors.inner": (vectors.inner, X6, TANGENT6),
+    "vectors.norm": (vectors.norm, TANGENT6),
+    "vectors.norm/tiny": (vectors.norm, 1e-200 * TANGENT6),
+    "vectors.norm/sparse": (vectors.norm, SPARSE_Y),
+    "vectors.row_norms": (vectors.row_norms, BLOCK6),
+    "vectors.is_zero": (vectors.is_zero, TANGENT6),
+    "vectors.is_zero/zero": (vectors.is_zero, np.zeros(6)),
+    "vectors.approx_equal": (vectors.approx_equal, TANGENT6, TANGENT6 + 1e-12),
+    "vectors.approx_equal/huge": (vectors.approx_equal, 1e308 * np.ones(6), 1e308 * np.ones(6)),
+    "vectors.orth_decompose": (vectors.orth_decompose, X6, TANGENT6),
+    "vectors.orth_decompose/overflow": (vectors.orth_decompose, X6 + 1.0, 1.7e308 * np.ones(6)),
+    "vectors.orth_decompose/sparse": (vectors.orth_decompose, SPARSE_X, SPARSE_Y),
+    "vectors.encode_vector": (vectors.encode_vector, TANGENT6),
+    "vectors.dense_from_wire": (vectors.dense_from_wire, TANGENT6.tolist()),
+    "ball.project/interior": (OP.project, INSIDE6),
+    "ball.project/exterior": (OP.project, OUTSIDE6),
+    "ball.project/huge": (OP.project, 1e308 * np.ones(6)),
+    "ball.project_rows": (OP.project_rows, BLOCK6),
+    "ball.project_axes": (OP.project_axes, OUTSIDE6, TANGENT6, *AXES6),
+    "ball.project_dirs": (OP.project_dirs, SPHERE6, TANGENT6, DIRS6, T6),
+    **{f"ball.region/{r}": (OP.region, x) for r, x in (("interior", INSIDE6), ("sphere", SPHERE6),
+                                                       ("exterior", OUTSIDE6))},
+    **{f"ball.frechet/{r}": (OP.frechet, x) for r, x in (("interior", INSIDE6), ("sphere", SPHERE6),
+                                                         ("exterior", OUTSIDE6))},
+    "ball.direction_class/radial": (OP.direction_class, X6, 2.0 * X6),
+    "ball.direction_class/outward": (OP.direction_class, X6, TANGENT6 + 0.5 * X6),
+    "ball.direction_class/inward": (OP.direction_class, X6, TANGENT6 - 0.5 * X6),
+    "ball.gateaux/interior": (OP.gateaux, INSIDE6, TANGENT6),
+    "ball.gateaux/exterior": (OP.gateaux, OUTSIDE6, TANGENT6),
+    "ball.gateaux/sphere-radial": (OP.gateaux, X6, 2.0 * X6),
+    "ball.gateaux/sphere-outward": (OP.gateaux, X6, TANGENT6 + 0.5 * X6),
+    "ball.gateaux/sphere-inward": (OP.gateaux, X6, TANGENT6 - 0.5 * X6),
+    "ball.coderivative/interior": (OP.coderivative, INSIDE6, TANGENT6),
+    "ball.coderivative/exterior": (OP.coderivative, OUTSIDE6, TANGENT6),
+    "ball.coderivative/sphere-zero": (OP.coderivative, X6, np.zeros(6)),
+    "ball.coderivative/sphere-self": (OP.coderivative, X6, X6.copy()),
+    "ball.coderivative/sphere-partial": (OP.coderivative, X6, TANGENT6 - 0.5 * X6),
+    "orthant.project": (orthant.project, MIXED6),
+    "orthant.project_rows": (orthant.project_rows, BLOCK6),
+    "orthant.project_axes": (orthant.project_axes, CORNER6, TANGENT6, *AXES6),
+    "orthant.project_dirs": (orthant.project_dirs, MIXED6, TANGENT6, DIRS6, T6),
+    "orthant.project_dirs/in-reach": (orthant.project_dirs, MIXED6 * 1e-3, TANGENT6, DIRS6, T6),
+    "orthant.region": (orthant.region, CORNER6),
+    "orthant.gateaux": (orthant.gateaux, CORNER6, TANGENT6),
+    **{f"orthant.frechet/{r}": (orthant.frechet, x) for r, x in (
+        ("positive", np.abs(MIXED6)), ("negative", -np.abs(MIXED6)), ("mixed", MIXED6), ("with_zeros", CORNER6))},
+    **{f"orthant.coderivative/{r}": (orthant.coderivative, x, TANGENT6) for r, x in (
+        ("positive", np.abs(MIXED6)), ("negative", -np.abs(MIXED6)), ("mixed", MIXED6))},
+    "orthant.coderivative/corner-zero": (orthant.coderivative, CORNER6, np.zeros(6)),
+    "orthant.coderivative/corner-self": (orthant.coderivative, CORNER6, CORNER6.copy()),
+    "orthant.coderivative/corner-self-nonpositive": (orthant.coderivative, -np.abs(CORNER6), -np.abs(CORNER6)),
+    "orthant.coderivative/corner-partial": (orthant.coderivative, CORNER6, MIXED6),
+    "l2_cone.project": (l2_cone.project, SPARSE_Y),
+    "l2_cone.coderivative": (l2_cone.coderivative, SPARSE_X, {1, 3}, SPARSE_Y),
+    "IdentityMap": (OP.frechet(INSIDE6), TANGENT6),
+    "ZeroMap": (orthant.frechet(-np.abs(MIXED6)), TANGENT6),
+    "ScaledComplementMap": (OP.frechet(OUTSIDE6), TANGENT6),
+    "CoordinateMaskMap": (orthant.frechet(MIXED6), TANGENT6),
+    **{f"{name}.contains": (desc.contains, z) for name, (desc, z) in _contains6().items()},
+}
+
+
 class TestValidatedOnce:
     @pytest.mark.parametrize("name", sorted(ONCE))
     def test_each_array_argument_is_checked_once(self, name):
@@ -179,11 +294,31 @@ class TestValidatedOnce:
         assert _as_vector_calls(fn, *args) <= len(args)
 
     def test_a_singleton_checks_its_query_and_its_value_once(self):
-        assert _as_vector_calls(SingletonSet(np.array([1.0, 2.0])).contains, np.array([1.0, 2.0])) <= 2
+        # the value is checked, and its norm taken, on the first call; from then on only z
+        singleton = SingletonSet(np.array([1.0, 2.0]))
+        assert _as_vector_calls(singleton.contains, np.array([1.0, 2.0])) == 2
+        assert _as_vector_calls(singleton.contains, np.array([1.0, 2.0])) == 1
+        assert _as_vector_calls(singleton.contains, np.array([3.0, 2.0])) == 1
 
     def test_the_hook_counts(self):
         assert _as_vector_calls(vectors.as_vector_of, W, 2) == 1
         assert _as_vector_calls(vectors.approx_equal, W, W) >= 2
+
+
+class TestNoNumpyWrappers:
+    """A closed form reduces through numpy's C entry points, never its Python wrappers (see ``vectors``)."""
+
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORMS6))
+    def test_no_python_wrapper_on_the_call(self, name):
+        fn, *args = CLOSED_FORMS6[name]
+        assert [f"{c.co_filename.rpartition('/')[2]}:{c.co_name}" for c in _calls(_numpy_wrapper, fn, *args)] == []
+
+    def test_the_hook_sees_each_wrapper(self):
+        wrappers = [lambda: X6.any(), lambda: np.max(X6), lambda: np.all(X6), lambda: np.array_equal(X6, X6),
+                    lambda: np.zeros_like(X6), lambda: np.flatnonzero(X6)]
+        for wrapper in wrappers:
+            assert _calls(_numpy_wrapper, wrapper)
+        assert not _calls(_numpy_wrapper, lambda: (np.count_nonzero(X6), np.maximum.reduce(X6), np.zeros(6)))
 
 
 class TestErrorParity:
