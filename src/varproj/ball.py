@@ -271,18 +271,19 @@ class BallProjection:
             raise ValueError("direction classification is defined at sphere points only")
         if np.count_nonzero(w) and w.shape != xbar.shape:
             raise ValueError(f"dimension mismatch: {w.shape[0]} vs {xbar.shape[0]}")
-        return self._direction_class(xbar, w)
+        return self._direction_class(xbar, w)[0]
 
-    def _direction_class(self, xbar: np.ndarray, w: np.ndarray) -> DirectionClass:
-        """``direction_class`` of checked arrays of one size, xbar on the sphere; a zero w raises."""
+    def _direction_class(self, xbar: np.ndarray, w: np.ndarray) -> tuple[DirectionClass, np.ndarray, int]:
+        """``direction_class``, and the (w / 2^e, e) it read, of checked arrays of one size, xbar on the sphere."""
         if not np.count_nonzero(w):
             raise ValueError("direction must be nonzero")
         # w / 2^e is exact, and its split coefficient is a double for every finite w
-        w = _halved(w)[0]
-        a, _, o_len = _split(xbar, w)
-        if o_len <= RADIAL_RTOL * _dense_norm(w) and a > 0.0:
-            return DirectionClass.RADIAL
-        return DirectionClass.OUTWARD if float(_dot(xbar / self.radius, w)) >= 0.0 else DirectionClass.INWARD
+        half, e = _halved(w)
+        a, _, o_len = _split(xbar, half)
+        if o_len <= RADIAL_RTOL * _dense_norm(half) and a > 0.0:
+            return DirectionClass.RADIAL, half, e
+        outward = float(_dot(xbar / self.radius, half)) >= 0.0
+        return DirectionClass.OUTWARD if outward else DirectionClass.INWARD, half, e
 
     def gateaux(self, xbar, w) -> np.ndarray:
         """One-sided directional derivative lim_{t->0+} (P(x+tw) - P(x))/t."""
@@ -293,12 +294,12 @@ class BallProjection:
             return w.copy()
         if region is BallRegion.EXTERIOR:
             return (self.radius / _dense_norm(xbar)) * _split(xbar, w)[1]
-        kind = self._direction_class(xbar, w)
+        kind, half, e = self._direction_class(xbar, w)
         if kind is DirectionClass.RADIAL:
             return np.zeros(w.shape)
         if kind is DirectionClass.OUTWARD:
             # w - <x, w> x / r^2 on w / 2^e, so <x, w> cannot overflow, then scaled back (all exact)
-            unit, (half, e) = xbar / self.radius, _halved(w)
+            unit = xbar / self.radius
             limit = half - float(_dot(unit, half)) * unit
             if math.frexp(float(np.maximum.reduce(np.abs(limit))))[1] + e > 1024:
                 raise ValueError("the directional derivative exceeds the largest double")

@@ -17,7 +17,9 @@ coderivative is the order interval
 
 which collapses to the singleton {y} exactly when y is supported inside
 M.  For y with a negative coordinate off M the closed form only proves
-that y itself is not a member.  The zero query always gives {0}.
+that y itself is not a member.  The zero query always gives {0}.  The
+origin is the base point with M empty: there P'(0; w) = max(w, 0), and
+for y >= 0 the interval is { 0 <= z <= y }.
 """
 
 from __future__ import annotations
@@ -50,12 +52,10 @@ class _Support(frozenset):
 
 
 def as_support(M: Iterable[int]) -> frozenset[int]:
-    """Validate a support set: a nonempty finite set of 1-based indices."""
+    """Validate a support set: a finite set of 1-based indices, empty for the origin."""
     if isinstance(M, _Support):
         return M
     out = _Support(M)
-    if not out:
-        raise ValueError("support set must be nonempty")
     for i in out:
         if not isinstance(i, int) or isinstance(i, bool) or i < 1:
             raise ValueError(f"support indices must be positive integers, got {i!r}")

@@ -23,14 +23,14 @@ head rows and <z, u - xbar> depend on z, so a verdict first takes a
 z-free plan of (f, xbar, y, config): f(xbar), <xbar, xbar> and ||xbar||,
 the head rows of xbar and y, and for every random and axis probe its
 <y, f(u) - f(xbar)> and denominator.  The z pass then scores the head
-rows, takes one <z, u - xbar> per chunk of rows and per axis probe, and
+rows, takes one <z, u - xbar> per random row and per axis probe, and
 writes every quotient into one table, then runs one argmax, the verdict
 rule and the witness.  Row k of the table holds the quotients of radius
 k in probe order: the head (the rows of z last), the 2m axis probes,
-then the radius's random directions, and -inf past the random rows it
-kept (fewer than the others only when a short draw was dropped).  The
-supremum at a radius is the first largest entry of its row.  The random
-directions of all radii are one array, each radius a range of its rows.
+then the radius's random directions.  The supremum at a radius is the
+first largest entry of its row.  The random directions of all radii are
+one array, radius k at rows k*count to (k+1)*count, count being
+``random_directions``.
 Sparse queries use the same dense path: they are embedded in R^m over
 the probed axes (all supports plus one fresh index), from one dict per
 vector (``_embed``).
@@ -57,8 +57,8 @@ and the random rows take the row path, when some row might round back to
 xbar (see ``_plan``); the ball's form declines, with the same result,
 where its axis form does.  On the row path, the random rows are cut into
 chunks of at most about 32k floats (``_block_rows``), each one ``_score``
-call; a chunk may span two radii, and the quotients of the chunks, in
-order, fill the random columns of the table.
+call that may span two radii, and the plan holds u - xbar of every row
+(3 MB at m = 500 at the default config).
 
 The 16 most recently used plans are kept, keyed by f, the bytes of
 xbar and y over the probed axes, the axes and the config, when f has a
@@ -69,8 +69,8 @@ of this package are; the bound ``project`` of an unhashable object (a
 dataclass that is not frozen, say), whose result may change with its
 state, gets no kept plan.  A kept plan holds private read-only copies
 of xbar and y, so a caller that later changes its arrays cannot reach
-it, and -0.0 and 0.0 key apart.  Any other plan streams its chunks to
-the z pass one by one and is dropped with the verdict.
+it, and -0.0 and 0.0 key apart.  Any other plan is dropped with the
+verdict.
 
 The random directions depend only on (seed, random_directions, m, number
 of radii), so they are drawn once per process and kept, read-only, as
@@ -148,7 +148,7 @@ import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -179,7 +179,8 @@ class ProbeConfig:
 
     radii: strictly decreasing, positive and finite probe radii, real numbers
         (not bools) in any iterable; kept as a tuple of floats.
-    random_directions: random unit directions drawn per radius, an integer (not a bool).
+    random_directions: the exact number of random unit directions each radius
+        probes (a draw shorter than 1e-12 is drawn again), an integer (not a bool).
     seed: integer seed (not a bool) for the direction generator; fixed seed, fixed verdict.
     tolerance: decision band for the quotient suprema, a positive and finite
         real number (not a bool); kept as a float.
@@ -365,42 +366,40 @@ def _block_rows(m: int) -> int:
 
 # one array per (seed, count, m, number of radii); 3 MB at m = 500, count = 256
 @lru_cache(maxsize=16)
-def _random_dirs(seed, count: int, m: int, n_radii: int) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
-    """Seeded random unit directions: one read-only (rows, m) array, and the (start, end) rows of each radius.
+def _random_dirs(seed, count: int, m: int, n_radii: int) -> np.ndarray:
+    """Seeded random unit directions: one read-only (n_radii * count, m) array, radius k at rows k*count:(k+1)*count.
 
-    For each radius in turn, `count` Gaussian draws of length m are taken
-    from default_rng(seed) into the radius's rows and scaled to unit length
-    in place; draws shorter than 1e-12 are dropped.
+    For each radius in turn, Gaussian draws of length m are taken from
+    default_rng(seed) into the radius's rows and scaled to unit length in
+    place.  A draw shorter than 1e-12 is dropped, the later rows move up,
+    and the radius draws again into the rows it still lacks until it holds
+    `count`; when no draw is short, each radius is one draw of `count` rows.
     """
-    rng = np.random.default_rng(seed)
-    dirs, bounds, end = np.empty((n_radii * count, m)), [], 0
-    for _ in range(n_radii):
-        draws = dirs[end:end + count]
+    rng, dirs, start = np.random.default_rng(seed), np.empty((n_radii * count, m)), 0
+    while start < len(dirs):
+        draws = dirs[start:(start // count + 1) * count]  # the rows the radius of row `start` still lacks
         rng.standard_normal(out=draws)
         length = np.linalg.norm(draws, axis=1)
         keep = length >= 1e-12
         np.divide(draws, length[:, None], out=draws, where=keep[:, None])
         kept = int(np.count_nonzero(keep))
-        if kept < count:
+        if kept < len(draws):
             draws[:kept] = draws[keep]
-        bounds.append((end, end + kept))
-        end += kept
-    dirs = dirs[:end]
+        start += kept
     dirs.flags.writeable = False
-    return dirs, tuple(bounds)
+    return dirs
 
 
 class _Scores(NamedTuple):
-    """The z-free scores of one chunk of probe rows, in probe order (see ``_scored_chunks``)."""
+    """The z-free scores of probe rows, in probe order (see ``_random_scores``)."""
 
     rows: np.ndarray     # rows r with <z, u - xbar> = scale * <r, z>, one per probe
     scale: Optional[np.ndarray]  # the radius of each probe when the rows are its direction; None when they are u - xbar
     y_df: np.ndarray     # <y, f(u) - f(xbar)>
     den: np.ndarray      # the quotient's denominator
-    stuck: int           # radius index of the first row with u == xbar, or the number of radii
 
 
-def _quotients(rows: np.ndarray, scale: Optional[np.ndarray], z0: np.ndarray, y_df: np.ndarray,
+def _quotients(z0: np.ndarray, rows: np.ndarray, scale: Optional[np.ndarray], y_df: np.ndarray,
                den: np.ndarray) -> np.ndarray:
     """The quotients (<z, u - xbar> - <y, df>) / den of probe rows r with <z, u - xbar> = scale * <r, z> (<r, z> unscaled).
 
@@ -432,47 +431,48 @@ def _score(dirs: np.ndarray, t, x0: np.ndarray, terms: Callable, denominator: st
     return None, du, y_df, _denominator(denominator, d_in, df_norm)
 
 
-def _scored_chunks(dirs: np.ndarray, bounds: tuple, t: np.ndarray, x0: np.ndarray, radii: tuple, terms: Callable,
-                   denominator: str, form: Optional[Callable] = None):
-    """The z-free scores of the random rows (radius k at rows ``bounds[k]`` of ``dirs``), one ``_Scores`` per chunk.
+def _random_scores(dirs: np.ndarray, t: np.ndarray, count: int, x0: np.ndarray, y0: np.ndarray, terms: Callable,
+                   denominator: str, f_dirs: Optional[Callable]) -> Union[int, _Scores, None]:
+    """The z-free scores of the random rows (``count`` per radius), or the radius index of the first that rounds back.
 
-    t holds the radius of each row (``_geometry``), and ``form`` is f's
-    direction form on (x0, y0), or None.  With it, all the
-    rows are one chunk scored from their directions: a row d at radius t
-    is scored at u = x0 + t d, never formed, so <z, u - xbar> = t <d, z>
-    and ||u - xbar|| = t.  When the form declines, or f has none, the rows
-    take the row path in chunks of ``_block_rows`` rows, a chunk possibly
-    spanning two radii; a chunk with a row that rounds back to xbar names
-    the radius of its first such row, and its other scores are None.
+    t holds the radius of each row (``_geometry``), and ``f_dirs`` is f's
+    direction form, or None.  With it, all the rows are scored from their
+    directions: a row d at radius t is scored at u = x0 + t d, never
+    formed, so <z, u - xbar> = t <d, z> and ||u - xbar|| = t.  When the
+    form declines, or f has none, the rows take the row path in chunks of
+    ``_block_rows`` rows, a chunk possibly spanning two radii, written into
+    one array, and f is called on no chunk after the first with a row that
+    rounds back to xbar.
+    With no random rows the result is None.
     """
     if not len(dirs):
-        return
-    if form is not None:
-        images = form(dirs, t)
+        return None
+    if f_dirs is not None:
+        images = f_dirs(x0, y0, dirs, t)
         if images is not None:
-            yield _Scores(dirs, t, images[0], _denominator(denominator, t, images[1]), len(radii))
-            return
-    size = _block_rows(x0.size)
+            return _Scores(dirs, t, images[0], _denominator(denominator, t, images[1]))
+    size, du, y_df, den = _block_rows(x0.size), np.empty(dirs.shape), np.empty(len(dirs)), np.empty(len(dirs))
     for lo in range(0, len(dirs), size):
-        first, du, y_df, den = _score(dirs[lo:lo + size], t[lo:lo + size, None], x0, terms, denominator)
-        stuck = len(radii) if first is None else next(k for k, (_, end) in enumerate(bounds) if lo + first < end)
-        yield _Scores(du, None, y_df, den, stuck)
+        first, *scores = _score(dirs[lo:lo + size], t[lo:lo + size, None], x0, terms, denominator)
+        if first is not None:
+            return (lo + first) // count
+        du[lo:lo + size], y_df[lo:lo + size], den[lo:lo + size] = scores
+    return _Scores(du, None, y_df, den)
 
 
-# one set per (m, radii, random rows of each radius); about 80 kB at m = 500, three radii
+# one set per (m, radii, random rows per radius); about 80 kB at m = 500, three radii
 @lru_cache(maxsize=16)
-def _geometry(m: int, radii: tuple, bounds: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _geometry(m: int, radii: tuple, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The read-only arrays (j, s, t) of the axis probes of every radius, and the radius of each random row.
 
     Axis probe k = 0 .. 2m-1 of a radius moves along axis j = k // 2 with
     sign s = +1 for even k and -1 for odd k, at the radius t; the probes of
-    each radius follow those of the one before.  The random rows of radius
-    k are the rows ``bounds[k]`` of the direction array (``_random_dirs``).
-    None of it reads xbar or y, so a plan only gathers x0[j].
+    each radius follow those of the one before.  Each radius has ``count``
+    random rows (``_random_dirs``).  None of it reads xbar or y, so a plan
+    only gathers x0[j].
     """
     k = np.arange(2 * m * len(radii))
-    arrays = ((k >> 1) % m, 1.0 - 2.0 * (k & 1), np.repeat(radii, 2 * m),
-              np.repeat(radii, [end - start for start, end in bounds]))
+    arrays = ((k >> 1) % m, 1.0 - 2.0 * (k & 1), np.repeat(radii, 2 * m), np.repeat(radii, count))
     for a in arrays:
         a.flags.writeable = False
     return arrays
@@ -547,10 +547,9 @@ class _Plan(NamedTuple):
     anchor: tuple[float, float]    # <x0, x0> and ||x0||
     head: np.ndarray               # the read-only (h, m) head rows of xbar and y, scored by every z pass
     dirs: np.ndarray               # the read-only random directions of every radius (``_random_dirs``)
-    bounds: tuple                  # the (start, end) rows of dirs of each radius
-    chunks: Iterable[_Scores]      # the scores of the rows of dirs, in order: a list when kept, else streamed
+    random: Optional[_Scores]      # the scores of the rows of dirs; None when there are none or a probe is stuck
     axis: tuple                    # (j, s, du, <y, df>, denominator) of the axis probes of every radius
-    stuck: int                     # radius index of the first axis probe with u == xbar, or the number of radii
+    stuck: int                     # radius index of the first axis or random row with u == xbar, or the number of radii
     halves: dict                   # (slot, index) -> (direction, *z-free half) of witnesses at the last radius
 
 
@@ -558,12 +557,11 @@ def _plan(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, x0: np.ndarray
           axes: Optional[tuple[int, ...]], config: ProbeConfig) -> _Plan:
     """The z-free part of a verdict on f at xbar for y.
 
-    The random rows stream to the z pass chunk by chunk, so at most one
-    chunk of rows is in memory; ``_kept_plan`` scores and keeps them all.
-    Every z pass scores the head rows (see ``_z_pass``).
+    The random rows are scored once, here; every z pass scores the head
+    rows (see ``_z_pass``).
     """
-    m, radii = x0.size, config.radii
-    dirs, bounds = _random_dirs(config.seed, config.random_directions, m, len(radii))
+    m, radii, count = x0.size, config.radii, config.random_directions
+    dirs = _random_dirs(config.seed, count, m, len(radii))
     # the probe plan, radius by radius: the head rows (slot 0), those of
     # xbar and y and then those of z, all scored by the z pass, the axis
     # probes (slot 1), then the radius's random rows (slot 2), the columns
@@ -572,7 +570,7 @@ def _plan(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, x0: np.ndarray
     anchor = _anchor(x0)
     head = np.asarray(_structured_head(x0, y0, anchor=anchor)).reshape(-1, m)
     head.flags.writeable = False
-    axis_j, axis_s, axis_t, random_t = _geometry(m, radii, bounds)
+    axis_j, axis_s, axis_t, random_t = _geometry(m, radii, count)
     moved, axis_in, axis_du = _axis_probes(x0[axis_j], axis_s, axis_t)
     fx = f(xbar)
     f_rows, f_axes, f_dirs = _form(f, "rows"), _form(f, "axes"), _form(f, "dirs")
@@ -606,15 +604,14 @@ def _plan(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, x0: np.ndarray
     # back to xbar, when the smallest radius exceeds sqrt(m) times the
     # largest spacing in x0; then the random rows take the direction form,
     # and else they are formed and tested
-    form = None
-    if f_dirs is not None and radii[-1] > math.sqrt(m) * float(np.spacing(np.maximum.reduce(np.abs(x0)))):
-        def form(rows, t):
-            return f_dirs(x0, y0, rows, t)
-
-    chunks = _scored_chunks(dirs, bounds, random_t, x0, radii, terms, config.denominator, form)
+    if radii[-1] <= math.sqrt(m) * float(np.spacing(np.maximum.reduce(np.abs(x0)))):
+        f_dirs = None
     moves = axis_in > 0.0
     stuck = len(radii) if np.count_nonzero(moves) == moves.size else int(moves.argmin()) // (2 * m)
-    return _Plan(fx, terms, anchor, head, dirs, bounds, chunks,
+    random = _random_scores(dirs, random_t, count, x0, y0, terms, config.denominator, f_dirs)
+    if isinstance(random, int):
+        stuck, random = min(stuck, random), None
+    return _Plan(fx, terms, anchor, head, dirs, random,
                  (axis_j, axis_s, axis_du, axis_y_df, _denominator(config.denominator, axis_in, df_norm)), stuck, {})
 
 
@@ -644,14 +641,13 @@ def _kept_plan(f: Callable[[Vector], Vector], x_bytes: bytes, y_bytes: bytes, ax
                config: ProbeConfig) -> _Plan:
     """The plan of ``_plan_key``, built on read-only copies of x0 and y0 that no caller can reach."""
     x0, y0 = np.frombuffer(x_bytes), np.frombuffer(y_bytes)
-    plan = _plan(f, _point(axes, x0), _point(axes, y0), x0, y0, axes, config)
-    return plan._replace(chunks=list(plan.chunks))
+    return _plan(f, _point(axes, x0), _point(axes, y0), x0, y0, axes, config)
 
 
 def _z_pass(plan: _Plan, f: Callable[[Vector], Vector], xbar: Vector, y: Vector, z: Vector, x0: np.ndarray,
             z0: np.ndarray, axes: Optional[tuple[int, ...]], config: ProbeConfig) -> OracleVerdict:
     """The verdict on z from its plan: the +-z and +-orth(z) rows, the table of quotients and the witness."""
-    radii, per = config.radii, 2 * x0.size
+    radii, per, count = config.radii, 2 * x0.size, config.random_directions
     n_radii = len(radii)
     # the head rows of the plan, then those of z, of every radius take the
     # row path in one call
@@ -664,37 +660,22 @@ def _z_pass(plan: _Plan, f: Callable[[Vector], Vector], xbar: Vector, y: Vector,
         first, du, y_df, den = _score(np.concatenate([head] * n_radii), t, x0, plan.terms, config.denominator)
         if first is not None:
             stuck = min(stuck, first // n)
-    # a probe that rounds back to xbar is reported at the first radius
-    # where one does; a streamed plan is read up to its first such chunk
-    random_terms = []
-    for scores in plan.chunks:
-        if scores.stuck < n_radii:
-            stuck = min(stuck, scores.stuck)
-            break
-        if stuck == n_radii:
-            random_terms.append(scores)
+    # a probe that rounds back to xbar is reported at the first radius where one does
     if stuck < n_radii:
         raise ValueError(
             f"u must differ from xbar: a probe at radius {radii[stuck]!r} rounds back to xbar at "
             f"||xbar|| = {norm(xbar):.6g}; probe radii are absolute")
 
     axis_j, axis_s, axis_du, axis_y_df, axis_den = plan.axis
-    # not prefilled: every entry is written, and random_terms is empty only when no radius kept a random row
-    kept = [end - start for start, end in plan.bounds]
-    table = np.empty((n_radii, n + per + max(kept)))
+    # not prefilled: every entry is written, and plan.random is None here only when count is 0
+    table = np.empty((n_radii, n + per + count))
     # a quotient above the largest double is inf, as it should be: it wins its radius
     with np.errstate(over="ignore"):
         if n:
-            table[:, :n] = _quotients(du, None, z0, y_df, den).reshape(n_radii, n)
+            table[:, :n] = _quotients(z0, du, None, y_df, den).reshape(n_radii, n)
         table[:, n:n + per] = (((axis_du * z0[axis_j] + 0.0) - axis_y_df) / axis_den).reshape(n_radii, per)
-        if random_terms:
-            q = np.concatenate([_quotients(r.rows, r.scale, z0, r.y_df, r.den) for r in random_terms])
-            random = table[:, n + per:]
-            if q.size < random.size:  # a radius lost a short draw: -inf past its rows
-                random[...] = -np.inf
-                random[np.arange(random.shape[1]) < np.array(kept)[:, None]] = q
-            else:
-                random[...] = q.reshape(random.shape)
+        if plan.random is not None:
+            table[:, n + per:] = _quotients(z0, *plan.random).reshape(n_radii, count)
     best = table.argmax(axis=1)
     estimates = list(zip(radii, table[np.arange(n_radii), best].tolist()))
 
@@ -710,7 +691,7 @@ def _z_pass(plan: _Plan, f: Callable[[Vector], Vector], xbar: Vector, y: Vector,
     if not slot and axes is None and math.isfinite(estimates[-1][1]):
         direction = head[i]
     else:
-        i = (i, (n_radii - 1) * per + i - n, plan.bounds[-1][0] + i - n - per)[slot]
+        i = (i, (n_radii - 1) * per + i - n, (n_radii - 1) * count + i - n - per)[slot]
         half = plan.halves.get((slot, i))
         if half is None:
             if slot == 1:

@@ -284,6 +284,24 @@ class TestGateaux:
         got = op.gateaux(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
         np.testing.assert_allclose(got, [0.0, 1.0])
 
+    @pytest.mark.parametrize("w", [[1.0, 1.0], [0.0, 1e300], [-8e-301, 6e-301]], ids=["outward", "huge", "tangent"])
+    def test_sphere_outward_halves_w_once(self, w, monkeypatch):
+        # the classification hands its w / 2^e to the outward limit, whose
+        # bits are those of w - <x, w> x / r^2 on w / 2^e, scaled back
+        op, xbar, w = BallProjection(1.0), np.array([0.6, 0.8]), np.array(w)
+        calls = []
+
+        def counting(v):
+            calls.append(v)
+            return vectors._halved(v)
+
+        monkeypatch.setattr("varproj.ball._halved", counting)
+        got = op.gateaux(xbar, w)
+        assert len(calls) == 1 and op.direction_class(xbar, w) is DirectionClass.OUTWARD
+        half, e = vectors._halved(w)
+        unit = xbar / 1.0
+        np.testing.assert_array_equal(got, np.ldexp(half - float(vectors._dot(unit, half)) * unit, e))
+
     def test_sphere_radial_is_zero(self):
         op = BallProjection(1.0)
         got = op.gateaux(np.array([1.0, 0.0]), np.array([3.0, 0.0]))

@@ -181,6 +181,20 @@ class TestCoderiv:
         )
         assert code == 2 and err
 
+    @pytest.mark.parametrize("y, z, contains, verdict", [
+        ("[[1, 1.0]]", "[[1, 0.5]]", True, "member"),
+        ("[[1, 1.0]]", "[[1, 1.5]]", False, "non_member"),
+        ("[[1, 1.0], [2, 0.5]]", "[[2, -0.5]]", False, "non_member"),
+    ])
+    def test_l2_at_the_origin_agrees_with_the_oracle(self, capsys, y, z, contains, verdict):
+        # the empty support is the origin's: the interval {0 <= z <= y}
+        code, out, err = run(capsys, "coderiv", "--set", "cone-l2", "--xbar", "[]", "--support", "[]",
+                             "--y", y, "--z", z)
+        assert code == 0 and err == ""
+        assert json.loads(out)["contains"] is contains
+        code, out, _ = run(capsys, "oracle-member", "--set", "cone-l2", "--xbar", "[]", "--y", y, "--z", z)
+        assert code == 0 and json.loads(out)["verdict"] == verdict
+
 
 class TestUnusedFlags:
     @pytest.mark.parametrize("argv, flag", [

@@ -115,8 +115,7 @@ class _Index(int):
 class TestSupportPredicates:
     def test_as_support(self):
         assert l2_cone.as_support([3, 1]) == frozenset({1, 3})
-        with pytest.raises(ValueError):
-            l2_cone.as_support([])
+        assert l2_cone.as_support([]) == frozenset()  # the support of the origin
         with pytest.raises(ValueError):
             l2_cone.as_support([0, 1])
 
@@ -136,7 +135,6 @@ class TestSupportPredicates:
         assert _Index.checks == 4
 
     @pytest.mark.parametrize("M, message", [
-        ([], "support set must be nonempty"),
         ([0, 1], "support indices must be positive integers, got 0"),
         ([True], "support indices must be positive integers, got True"),
         ([2, "3"], "support indices must be positive integers, got '3'"),
@@ -151,6 +149,36 @@ class TestSupportPredicates:
                 call()
         with pytest.raises(TypeError, match="^y must be a SparseVector$"):
             OrderIntervalSet(bound={1: 0.5}, support=M)
+
+    def test_the_empty_support_is_the_origin(self):
+        # M = {} is the support of xbar = 0: every call answers, and only
+        # coderivative at a nonzero xbar raises
+        x, y = SparseVector({1: 1.0}), SparseVector({1: 0.5, 2: 0.7})
+        assert l2_cone.as_support([]) == frozenset()
+        with pytest.raises(ValueError, match="^xbar must be strictly positive exactly on M$"):
+            l2_cone.coderivative(x, [], y)
+        interval = OrderIntervalSet(bound=y, support=[])
+        assert interval.support == frozenset() and not interval.is_singleton
+        assert interval.contains(SparseVector({1: 0.25})) and not interval.contains(SparseVector({1: -0.25}))
+        assert l2_cone.nonnegative_off(y, []) and not l2_cone.nonnegative_off(SparseVector({2: -1.0}), [])
+        assert l2_cone.order_leq(y, y, []) and not l2_cone.order_leq(y, SparseVector({1: 0.5}), [])
+        assert not l2_cone.has_positive_support(x, [])
+        assert l2_cone.has_positive_support(SparseVector.zero(), [])
+        with pytest.raises(TypeError, match="^y must be a SparseVector$"):
+            OrderIntervalSet(bound={1: 0.5}, support=[])
+
+    def test_coderivative_at_the_origin(self):
+        # P'(0; w) = max(w, 0): for y >= 0 the set is {0 <= z <= y}, the
+        # interval over M = {}; any other y keeps the self-exclusion rule
+        zero, y = SparseVector.zero(), SparseVector({1: 1.0, 3: 0.5})
+        d = l2_cone.coderivative(zero, set(), y)
+        assert d == OrderIntervalSet(bound=y, support=frozenset())
+        assert d.contains(SparseVector({1: 0.5})) and d.contains(SparseVector.zero()) and d.contains(y)
+        assert not d.contains(SparseVector({1: 1.5})) and not d.contains(SparseVector({3: -0.5}))
+        assert d.to_json() == {"variant": "order_interval", "y": [[1, 1.0], [3, 0.5]], "support": []}
+        negative = SparseVector({1: 1.0, 2: -0.5})
+        assert l2_cone.coderivative(zero, set(), negative) == SelfExclusionPartial(target=negative)
+        assert l2_cone.coderivative(zero, set(), SparseVector.zero()) == SingletonSet(SparseVector.zero())
 
     def test_has_positive_support(self):
         M = frozenset({1, 3})

@@ -30,7 +30,8 @@ def _reference_membership(f, xbar, y, z, config):
 
     Every probe goes through the public ``quotient``, in the order the
     batched path scores them: structured directions, then seeded random
-    ones drawn one vector at a time.
+    ones drawn one vector at a time, a draw shorter than 1e-12 drawn again
+    until the radius holds ``random_directions`` of them.
     """
     if isinstance(xbar, np.ndarray):
         xbar, y, z = as_vector(xbar), as_vector(y), as_vector(z)
@@ -62,7 +63,7 @@ def _reference_membership(f, xbar, y, z, config):
     sups = []
     for t in config.radii:
         dirs = list(structured)
-        for _ in range(config.random_directions):
+        while len(dirs) < len(structured) + config.random_directions:
             values = rng.standard_normal(len(axes))
             length = float(np.linalg.norm(values))
             if length < 1e-12:
@@ -505,10 +506,9 @@ class TestGolden:
             assert oracle._random_dirs.cache_info().hits == 1 - kept, label
 
     def test_cached_directions_reject_writes(self):
-        plan = oracle._random_dirs(5, 256, 500, 3)
-        assert oracle._random_dirs(5, 256, 500, 3) is plan
-        dirs, bounds = plan
-        assert dirs.shape == (3 * 256, 500) and bounds == ((0, 256), (256, 512), (512, 768))
+        dirs = oracle._random_dirs(5, 256, 500, 3)
+        assert oracle._random_dirs(5, 256, 500, 3) is dirs
+        assert dirs.shape == (3 * 256, 500)
         assert not dirs.flags.writeable
         with pytest.raises(ValueError):
             dirs[0, 0] = 1.0
@@ -519,15 +519,20 @@ class TestGolden:
         count = 256
         for m in (1, 6, 41, 500):
             rng = np.random.default_rng(9)
-            dirs, bounds = oracle._random_dirs(9, count, m, 3)
-            assert bounds == ((0, count), (count, 2 * count), (2 * count, 3 * count))
-            for start, end in bounds:
+            dirs = oracle._random_dirs(9, count, m, 3)
+            assert dirs.shape == (3 * count, m)
+            for k in range(3):
                 draws = rng.standard_normal((count, m))
-                np.testing.assert_array_equal(dirs[start:end], draws / np.linalg.norm(draws, axis=1)[:, None])
+                np.testing.assert_array_equal(dirs[k * count:(k + 1) * count],
+                                              draws / np.linalg.norm(draws, axis=1)[:, None])
 
-    def test_short_draws_are_dropped(self, monkeypatch):
-        # a draw shorter than 1e-12 leaves its radius, and the later rows move up
+    def test_short_draws_are_drawn_again(self, monkeypatch):
+        # a draw shorter than 1e-12 leaves its radius, the later rows move
+        # up, and the radius draws again into the rows it lacks, so every
+        # radius keeps count rows; the stream is unchanged when none is short
         default_rng = np.random.default_rng
+        short = {(0, 1): 1e-13, (0, 3): 0.0, (2, 0): 0.0}  # (call, row) -> scale of the short draws
+        sizes = []
 
         class ShortDraws:
             def __init__(self, seed):
@@ -535,17 +540,30 @@ class TestGolden:
 
             def standard_normal(self, out):
                 self.rng.standard_normal(out=out)
-                out[1] *= 1e-13
-                out[3] = 0.0
+                for (call, row), scale in short.items():
+                    if call == len(sizes):
+                        out[row] *= scale
+                sizes.append(len(out))
 
         monkeypatch.setattr(oracle.np.random, "default_rng", ShortDraws)
-        dirs, bounds = oracle._random_dirs.__wrapped__(4, 5, 3, 2)
+        dirs = oracle._random_dirs.__wrapped__(4, 5, 3, 2)
         monkeypatch.undo()
-        assert bounds == ((0, 3), (3, 6)) and dirs.shape == (6, 3) and not dirs.flags.writeable
+        # radius 0 loses two rows and draws two more; radius 1 loses one and draws one
+        assert sizes == [5, 2, 5, 1]
+        assert dirs.shape == (10, 3) and not dirs.flags.writeable
         rng = np.random.default_rng(4)
-        for start, end in bounds:
-            draws = rng.standard_normal((5, 3))[[0, 2, 4]]
-            np.testing.assert_array_equal(dirs[start:end], draws / np.linalg.norm(draws, axis=1)[:, None])
+        draws = [rng.standard_normal((k, 3)) for k in sizes]
+        kept = np.concatenate([draws[0][[0, 2, 4]], draws[1], draws[2][1:], draws[3]])
+        np.testing.assert_array_equal(dirs, kept / np.linalg.norm(kept, axis=1)[:, None])
+        assert (np.linalg.norm(dirs, axis=1) > 0.5).all()
+        # with no short draw the generator is read once per radius, as the cached directions are
+        sizes.clear()
+        short.clear()
+        monkeypatch.setattr(oracle.np.random, "default_rng", ShortDraws)
+        dirs = oracle._random_dirs.__wrapped__(4, 5, 3, 2)
+        monkeypatch.undo()
+        assert sizes == [5, 5]
+        np.testing.assert_array_equal(dirs, oracle._random_dirs(4, 5, 3, 2))
 
     def test_seed_must_be_an_integer(self):
         for seed in ([5, 1], np.random.default_rng(5), True):
@@ -595,7 +613,7 @@ class TestRowForm:
 
 def _axis_images(form, x0, t, y0=None):
     """The axis form's terms for the 2m probes of x0 at radius t (y0 = x0 by default), the block and the full probe rows."""
-    j, s = oracle._geometry(x0.size, (t,), ((0, 0),))[:2]
+    j, s = oracle._geometry(x0.size, (t,), 0)[:2]
     block = (j, s, x0[j])
     moved = block[2] + block[1] * t
     return form(x0, x0 if y0 is None else y0, block[0], moved), block, oracle._axis_rows(x0, block[0], moved)
@@ -692,7 +710,7 @@ class TestAxisForm:
         # <y, xbar> overflows though the terms, with df small, are finite
         op, x0, y0 = BallProjection(1.0), np.array([3e10, 4e10]), np.array([1e298, 1e298])
         assert _axis_images(op.project_axes, x0, 1e-2, y0)[0] is None
-        dirs = oracle._random_dirs(0, 8, 2, 1)[0]
+        dirs = oracle._random_dirs(0, 8, 2, 1)
         assert op.project_dirs(x0, y0, dirs, np.full(len(dirs), 1e-2)) is None
 
     @pytest.mark.parametrize("r, xbar, y, z, want", [
@@ -768,7 +786,7 @@ class TestDirectionForm:
         # taken together, give the bits of one vectors._dot per row and vector
         rng = np.random.default_rng(m)
         vs = rng.standard_normal((3, m)) * np.array([[1.0], [1e-3], [1e3]])
-        dirs = oracle._random_dirs(7, 256, m, 3)[0]
+        dirs = oracle._random_dirs(7, 256, m, 3)
         stacked = vectors._dots(dirs, vs)
         for got, v in zip(stacked, vs):
             want = np.array([vectors._dot(d, v) for d in dirs])
@@ -790,7 +808,7 @@ class TestDirectionForm:
             u = rng.standard_normal(n)
             u /= norm(u)
             y, z = rng.standard_normal((2, n))
-            randoms = oracle._random_dirs(3, 64, n, 1)[0]
+            randoms = oracle._random_dirs(3, 64, n, 1)
             # interior, sphere and exterior points; the head rows hold +-xbar,
             # where ||x0||^2 - <d, x0>^2 cancels
             for r, rho in ((1.0, 0.5), (1.0, 1.0), (2.0, 2.0), (0.5, 1.0), (1.0, 3.0)):
@@ -852,7 +870,7 @@ class TestDirectionForm:
             "scale-underflow": (1e-200, np.array([3e120, 4e120]), ProbeConfig(radii=(1e119, 1e118))),
         }[case]
         y, z = np.ones(x0.size), 0.5 * np.ones(x0.size)
-        dirs = oracle._random_dirs(config.seed, config.random_directions, x0.size, len(config.radii))[0]
+        dirs = oracle._random_dirs(config.seed, config.random_directions, x0.size, len(config.radii))
         t = np.repeat(config.radii, config.random_directions)
         assert BallProjection(r).project_dirs(x0, y, dirs, t) is None
         got = membership(BallProjection(r).project, x0, y, z, config)
@@ -906,16 +924,16 @@ class TestPackedPlan:
             assert op.calls == [("rows", 3 * (head + z_rows))]
 
     def test_wide_verdict_keeps_the_row_budget(self):
-        # at n = 500 the plan is streamed: the plan makes the axis-form
-        # call, then the z pass scores the only rows formed, the head rows
-        # of xbar and y and the rows of z (+-z, +-orth(z)) of all three
-        # radii, in one row-form call within the row budget; then the
-        # random rows of all three radii, in one direction-form call
+        # at n = 500 the plan is not kept: the plan makes the axis-form
+        # call and scores the random rows of all three radii in one
+        # direction-form call, then the z pass scores the only rows formed,
+        # the head rows of xbar and y and the rows of z (+-z, +-orth(z)) of
+        # all three radii, in one row-form call within the row budget
         rng = np.random.default_rng(500)
         x, y, z = rng.standard_normal((3, 500))
         op = _CountingBall(1.0)
         membership(op.project, x, y, z)
-        assert op.calls == [("axes", 3 * 2 * 500), ("rows", 3 * (6 + 4)), ("dirs", 3 * 256)]
+        assert op.calls == [("axes", 3 * 2 * 500), ("dirs", 3 * 256), ("rows", 3 * (6 + 4))]
         assert 3 * (6 + 4) <= oracle._block_rows(500)
 
     @pytest.mark.parametrize("n", [2, 6, 500])
@@ -960,16 +978,6 @@ class TestPackedPlan:
             assert [built_anew(case) for case in cases] == want, rows
 
 
-def _ragged_dirs(seed, count, m, n_radii, draw=oracle._random_dirs):
-    """``_random_dirs`` with two draws of the second radius and one of the last dropped, as if shorter than 1e-12."""
-    dirs, bounds = draw(seed, count, m, n_radii)
-    drop = [bounds[1][0], bounds[1][0] + 2, bounds[-1][1] - 1]
-    keep = np.delete(np.arange(len(dirs)), drop)
-    counts = [end - start - sum(start <= i < end for i in drop) for start, end in bounds]
-    ends = np.cumsum(counts).tolist()
-    return dirs[keep], tuple(zip([0] + ends[:-1], ends))
-
-
 class TestQuotientTable:
     def test_a_cross_family_tie_keeps_the_head_probe(self):
         # +xbar (head row 0) and the axis probe +e_0 (index 8 at the last
@@ -982,40 +990,6 @@ class TestQuotientTable:
         plan = oracle._kept_plan(*oracle._plan_key(orthant.project, np.array([1.0, 0.0]), np.zeros(2), None,
                                                    ProbeConfig()))
         assert plan.halves == {}
-
-    @pytest.mark.parametrize("rows", [None, 7])
-    def test_ragged_random_rows(self, rows, monkeypatch):
-        # radii that keep unequal numbers of random rows: each supremum is
-        # the largest quotient of the radius's probes, and the witness
-        # re-evaluates exactly; a formless f scores every probe as quotient
-        # does.  u -> u*u at 0 for y = 1 and z = 0 has every quotient
-        # negative, so no entry past a radius's rows may win
-        monkeypatch.setattr(oracle, "_random_dirs", _ragged_dirs)
-        if rows is not None:
-            monkeypatch.setattr(oracle, "_block_rows", lambda m: rows)
-        config = ProbeConfig(random_directions=40, seed=11)
-        ball = BallProjection(1.0)
-        rng = np.random.default_rng(4)
-        seen = set()
-        for n in (1, 3, 6):
-            dirs, bounds = _ragged_dirs(config.seed, config.random_directions, n, len(config.radii))
-            assert len({end - start for start, end in bounds}) > 1
-            cases = [(lambda v: ball.project(v), scale * rng.standard_normal(n), *rng.standard_normal((2, n)))
-                     for scale in (0.5, 3.0)]
-            cases.append((lambda v: v * v, np.zeros(n), np.ones(n), np.zeros(n)))
-            for f, xbar, y, z in cases:
-                out = membership(f, xbar, y, z, config)
-                probes = [*_reference_head(xbar, y, z), *(s * e for e in np.eye(n) for s in (1.0, -1.0))]
-                for k, (t, sup) in enumerate(out.sup_estimates):
-                    q = [quotient(f, xbar, y, z, xbar + t * d) for d in [*probes, *dirs[slice(*bounds[k])]]]
-                    assert sup == max(q), (n, k)
-                    if k == len(bounds) - 1:
-                        seen.add("random" if int(np.argmax(q)) >= len(probes) else "structured")
-                if out.verdict is Verdict.NON_MEMBER:
-                    w = out.witness
-                    assert quotient(f, xbar, y, z, xbar + w.radius * w.direction) == w.quotient == sup
-            assert out.verdict is Verdict.MEMBER and max(s for _, s in out.sup_estimates) < 0.0
-        assert seen == {"random", "structured"}
 
 
 class TestPlanCache:
@@ -1109,9 +1083,9 @@ class TestPlanCache:
         plan = oracle._kept_plan(*oracle._plan_key(f, x0, y0, axes, config))
 
         def snapshot():
-            chunks = [(c.rows.tobytes(), None if c.scale is None else c.scale.tobytes(), c.y_df.tobytes(),
-                       c.den.tobytes()) for c in plan.chunks]
-            return plan.head.tobytes(), plan.head.shape, chunks
+            r = plan.random
+            scale = None if r.scale is None else r.scale.tobytes()
+            return plan.head.tobytes(), plan.head.shape, r.rows.tobytes(), scale, r.y_df.tobytes(), r.den.tobytes()
 
         before = snapshot()
         assert not plan.head.flags.writeable and len(plan.head) > 0
@@ -1123,7 +1097,7 @@ class TestPlanCache:
 
     def test_kept_plans_are_small_and_at_most_16(self):
         # at the default config a plan is kept up to m = 41, where all its
-        # rows fit in one chunk; the n = 500 plan streams
+        # rows fit in one chunk; the n = 500 plan is not kept
         ball = BallProjection(1.0)
         assert oracle._plan_key(ball.project, np.ones(41), np.ones(41), None, ProbeConfig()) is not None
         assert oracle._plan_key(ball.project, np.ones(42), np.ones(42), None, ProbeConfig()) is None
@@ -1261,7 +1235,7 @@ class TestWitnessHalves:
         # the keys are the smallest-radius probes but the rows of z:
         # (0, head row of xbar or y), (1, index of the axis probe) or
         # (2, row in the one direction array), where the random rows of the
-        # smallest radius are a range
+        # smallest radius are its last count rows
         stored = 0
         for f, xbar, y, zs, count in _witness_queries():
             config = ProbeConfig(random_directions=count)
@@ -1273,7 +1247,8 @@ class TestWitnessHalves:
                 axes, x0, y0 = None, xbar, y
             plan = oracle._kept_plan(*oracle._plan_key(f, x0, y0, axes, config))
             last, per = len(config.radii) - 1, 2 * x0.size
-            rows = {0: range(len(plan.head)), 1: range(last * per, (last + 1) * per), 2: range(*plan.bounds[last])}
+            rows = {0: range(len(plan.head)), 1: range(last * per, (last + 1) * per),
+                    2: range(last * count, (last + 1) * count)}
             assert len(plan.halves) <= sum(map(len, rows.values()))
             stored += len(plan.halves)
             for slot, i in plan.halves:
