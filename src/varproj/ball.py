@@ -250,8 +250,9 @@ class BallProjection:
     def region(self, x) -> BallRegion:
         return self._region(as_vector(x))
 
-    def _region(self, x: np.ndarray) -> BallRegion:
-        gap = _dense_norm(x) - self.radius
+    def _region(self, x: np.ndarray, sq: float | None = None) -> BallRegion:
+        """``region`` of a checked array; ``sq`` is ``float(_dot(x, x))`` when the caller has it."""
+        gap = _dense_norm(x, sq) - self.radius
         if abs(gap) <= SPHERE_RTOL * self.radius:
             return BallRegion.SPHERE
         return BallRegion.INTERIOR if gap < 0.0 else BallRegion.EXTERIOR
@@ -267,40 +268,48 @@ class BallProjection:
         ||xbar + t w||^2 = r^2 + t^2 ||w||^2 >= r^2.
         """
         xbar, w = as_vector(xbar), as_vector(w)
-        if self._region(xbar) is not BallRegion.SPHERE:
+        x_sq = float(_dot(xbar, xbar))
+        if self._region(xbar, x_sq) is not BallRegion.SPHERE:
             raise ValueError("direction classification is defined at sphere points only")
         if np.count_nonzero(w) and w.shape != xbar.shape:
             raise ValueError(f"dimension mismatch: {w.shape[0]} vs {xbar.shape[0]}")
-        return self._direction_class(xbar, w)[0]
+        return self._direction_class(xbar, w, x_sq)[0]
 
-    def _direction_class(self, xbar: np.ndarray, w: np.ndarray) -> tuple[DirectionClass, np.ndarray, int]:
-        """``direction_class``, and the (w / 2^e, e) it read, of checked arrays of one size, xbar on the sphere."""
+    def _direction_class(self, xbar: np.ndarray, w: np.ndarray, x_sq: float | None = None
+                         ) -> tuple[DirectionClass, np.ndarray, int, Optional[np.ndarray], float]:
+        """``direction_class`` of checked arrays of one size, xbar on the sphere, and what it read.
+
+        Returns (class, w / 2^e, e, xbar / r, <xbar / r, w / 2^e>); the
+        last two are None and 0.0 for a radial w.  ``x_sq`` is
+        ``float(_dot(xbar, xbar))`` when the caller has it.
+        """
         if not np.count_nonzero(w):
             raise ValueError("direction must be nonzero")
         # w / 2^e is exact, and its split coefficient is a double for every finite w
         half, e = _halved(w)
-        a, _, o_len = _split(xbar, half)
+        a, _, o_len = _split(xbar, half, anchor_sq=x_sq)
         if o_len <= RADIAL_RTOL * _dense_norm(half) and a > 0.0:
-            return DirectionClass.RADIAL, half, e
-        outward = float(_dot(xbar / self.radius, half)) >= 0.0
-        return DirectionClass.OUTWARD if outward else DirectionClass.INWARD, half, e
+            return DirectionClass.RADIAL, half, e, None, 0.0
+        unit = xbar / self.radius
+        along = float(_dot(unit, half))
+        return DirectionClass.OUTWARD if along >= 0.0 else DirectionClass.INWARD, half, e, unit, along
 
     def gateaux(self, xbar, w) -> np.ndarray:
         """One-sided directional derivative lim_{t->0+} (P(x+tw) - P(x))/t."""
         xbar = as_vector(xbar)
         w = as_vector_of(w, xbar.shape[0])
-        region = self._region(xbar)
+        x_sq = float(_dot(xbar, xbar))
+        region = self._region(xbar, x_sq)
         if region is BallRegion.INTERIOR:
             return w.copy()
         if region is BallRegion.EXTERIOR:
-            return (self.radius / _dense_norm(xbar)) * _split(xbar, w)[1]
-        kind, half, e = self._direction_class(xbar, w)
+            return (self.radius / _dense_norm(xbar, x_sq)) * _split(xbar, w, anchor_sq=x_sq)[1]
+        kind, half, e, unit, along = self._direction_class(xbar, w, x_sq)
         if kind is DirectionClass.RADIAL:
             return np.zeros(w.shape)
         if kind is DirectionClass.OUTWARD:
             # w - <x, w> x / r^2 on w / 2^e, so <x, w> cannot overflow, then scaled back (all exact)
-            unit = xbar / self.radius
-            limit = half - float(_dot(unit, half)) * unit
+            limit = half - along * unit
             if math.frexp(float(np.maximum.reduce(np.abs(limit))))[1] + e > 1024:
                 raise ValueError("the directional derivative exceeds the largest double")
             return np.ldexp(limit, e)

@@ -182,10 +182,31 @@ class ScaledComplementMap(LinearMap):
 
 @dataclass(frozen=True)
 class CoordinateMaskMap(LinearMap):
-    """Keep the coordinates in ``keep`` (0-based), zero the rest."""
+    """Keep the coordinates in ``keep`` (0-based), zero the rest.
+
+    The map applies ``keep`` as a read-only boolean mask, with one
+    ``np.where``; the orthant hands it the mask x > 0 it already holds.
+    """
 
     keep: frozenset[int]
     dim: int
+
+    @classmethod
+    def _of(cls, mask: np.ndarray) -> "CoordinateMaskMap":
+        """The map keeping the coordinates where the 1-D boolean array ``mask`` is True; it holds a read-only copy of the mask."""
+        out = cls(keep=frozenset(mask.nonzero()[0].tolist()), dim=mask.shape[0])
+        held = mask.copy()
+        held.flags.writeable = False
+        out.__dict__["_mask"] = held
+        return out
+
+    @cached_property
+    def _mask(self) -> np.ndarray:
+        """The coordinates of ``keep`` as a read-only boolean array."""
+        mask = np.zeros(self.dim, dtype=bool)
+        mask[sorted(self.keep)] = True
+        mask.flags.writeable = False
+        return mask
 
     def __call__(self, v: Vector) -> Vector:
         v = as_vector(v)
@@ -194,10 +215,7 @@ class CoordinateMaskMap(LinearMap):
         return self._on(v)
 
     def _on(self, v: np.ndarray) -> np.ndarray:
-        out = np.zeros(v.shape)
-        idx = sorted(self.keep)
-        out[idx] = v[idx]
-        return out
+        return np.where(self._mask, v, 0.0)
 
     def to_json(self) -> dict:
         return {"kind": "coordinate_mask", "keep": sorted(self.keep), "dim": self.dim}

@@ -29,7 +29,7 @@ from typing import Iterable, Optional
 
 from .descriptors import DerivativeSet, SingletonSet
 from .orthant import project_axes, project_dirs, project_rows
-from .vectors import SparseVector
+from .vectors import _STOP, SparseVector
 
 __all__ = [
     "as_support",
@@ -84,27 +84,56 @@ def has_positive_support(x: SparseVector, M: Iterable[int]) -> bool:
     """True iff x is strictly positive exactly on M and zero elsewhere."""
     x = _require_sparse(x, "x")
     M = as_support(M)
-    return x.support == M and all(v > 0.0 for _, v in x.items())
+    # the stored indices are distinct: len(M) of them, all positive and in M, are M
+    positive = [i for i, v in x.pairs if v > 0.0]
+    return len(positive) == len(x.pairs) == len(M) and M.issuperset(positive)
 
 
 def nonnegative_off(y: SparseVector, M: Iterable[int]) -> bool:
     """True iff y_i >= 0 for every coordinate i outside M."""
     y = _require_sparse(y, "y")
     M = as_support(M)
-    return all(v >= 0.0 for i, v in y.items() if i not in M)
+    return M.issuperset([i for i, v in y.pairs if v < 0.0])
 
 
 def order_leq(z: SparseVector, y: SparseVector, M: Iterable[int]) -> bool:
     """Partial order: z_i = y_i for i in M and z_i <= y_i for i outside M."""
-    z = _require_sparse(z, "z").to_mapping()
-    y = _require_sparse(y, "y").to_mapping()
-    M = as_support(M)
-    # an index of M outside both supports compares 0.0 with 0.0
-    for i in z.keys() | y.keys():
-        zi, yi = z.get(i, 0.0), y.get(i, 0.0)
-        if zi != yi if i in M else zi > yi:
-            return False
-    return True
+    z = _require_sparse(z, "z")
+    y = _require_sparse(y, "y")
+    return _ordered(z.pairs, y.pairs, as_support(M), False)
+
+
+def _ordered(z: tuple, y: tuple, M: frozenset[int], z_nonnegative_off: bool) -> bool:
+    """``order_leq`` of the sorted pairs of z and y, and z_i >= 0 off M as well when ``z_nonnegative_off``: one walk.
+
+    Stored values are nonzero, so an index of z alone breaks the order on M
+    (z_i != 0) and off M unless z_i < 0, which breaks z >= 0; an index of
+    y alone breaks it on M and where y_i < 0.  An index of M outside both
+    supports compares 0.0 with 0.0.
+    """
+    step, stop = next, _STOP
+    iz, iy = iter(z), iter(y)
+    pz, py = step(iz, stop), step(iy, stop)
+    kz, ky = pz[0], py[0]
+    while True:
+        if kz == ky:
+            if pz is stop:
+                return True
+            zv, yv = pz[1], py[1]
+            if (zv != yv) if kz in M else (zv > yv or (z_nonnegative_off and zv < 0.0)):
+                return False
+            pz, py = step(iz, stop), step(iy, stop)
+            kz, ky = pz[0], py[0]
+        elif kz < ky:
+            if z_nonnegative_off or kz in M or pz[1] > 0.0:
+                return False
+            pz = step(iz, stop)
+            kz = pz[0]
+        else:
+            if ky in M or py[1] < 0.0:
+                return False
+            py = step(iy, stop)
+            ky = py[0]
 
 
 @dataclass(frozen=True)
@@ -133,8 +162,7 @@ class OrderIntervalSet(DerivativeSet):
         return out
 
     def contains(self, z) -> Optional[bool]:
-        z = _require_sparse(z, "z")
-        return nonnegative_off(z, self.support) and order_leq(z, self.bound, self.support)
+        return _ordered(_require_sparse(z, "z").pairs, self.bound.pairs, self.support, True)
 
     @property
     def is_singleton(self) -> bool:

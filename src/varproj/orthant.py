@@ -184,8 +184,7 @@ def _frechet(x: np.ndarray) -> Optional[LinearMap]:
     if reg is OrthantRegion.NEGATIVE:
         return ZeroMap()
     if reg is OrthantRegion.MIXED:
-        keep = frozenset(int(i) for i in (x > 0.0).nonzero()[0])
-        return CoordinateMaskMap(keep=keep, dim=x.shape[0])
+        return CoordinateMaskMap._of(x > 0.0)
     return None
 
 

@@ -14,6 +14,16 @@ Both the coefficient ``a`` and the orthogonal component ``o`` are linear
 in x, and ||x||^2 = a^2 ||anchor||^2 + ||o||^2.  Convergence x -> anchor
 is equivalent to a -> 1 together with ||o|| -> 0.
 
+A SparseVector holds its pairs in increasing index order.  The public
+constructor sorts them once; every vector the library builds (sums,
+differences, negatives, multiples, positive parts and the oracle's probe
+points) is built in that order and never sorted again, so ``+`` and
+``-`` are one two-pointer merge and every sparse test or product is one
+walk over the pairs.  Sparse inner products and square sums add their
+products left to right from 0.0 in index order, one rounding per term,
+so they have the same bits on every Python (the builtin ``sum`` of
+floats is compensated since Python 3.12).
+
 Every dense inner product of the library, and every dense square sum
 (``norm``, ``row_norms``), is taken by ``_dot`` in one fixed summation
 order, with no BLAS call: a row of a block gets the bits of the same row
@@ -130,8 +140,9 @@ class SparseVector:
     """Finite-support vector over 1-based integer coordinates.
 
     Stored values are finite and nonzero; exact zeros produced by
-    arithmetic are dropped so that the support is always minimal.
-    Instances are immutable, hashable, and compare structurally.
+    arithmetic are dropped so that the support is always minimal.  The
+    pairs are held in increasing index order.  Instances are immutable,
+    hashable, and compare structurally.
     """
 
     __slots__ = ("_pairs",)
@@ -158,18 +169,23 @@ class SparseVector:
 
     @classmethod
     def _of(cls, items: Iterable[tuple[int, float]]) -> "SparseVector":
-        """A SparseVector of (index, float) pairs whose indices are distinct positive ints, as the library builds them.
+        """A SparseVector of (index, float) pairs in increasing index order, as the library builds them.
 
-        The index checks of the constructor are skipped; its finiteness
-        check is kept, and names the first non-finite value in the order
-        of ``items``.  Zeros are dropped and the pairs sorted, as there.
+        The index checks of the constructor are skipped and the pairs are
+        not sorted again; its finiteness check is kept, and names the
+        first non-finite value in index order.  Zeros are dropped, as there.
         """
         kept = [(i, v) for i, v in items if v != 0.0]
         if not all(math.isfinite(v) for _, v in kept):
             index = next(i for i, v in kept if not math.isfinite(v))
             raise ValueError(f"sparse value at index {index} must be finite")
+        return cls._held(tuple(kept))
+
+    @classmethod
+    def _held(cls, pairs: tuple[tuple[int, float], ...]) -> "SparseVector":
+        """A SparseVector that holds ``pairs`` as they are: nonzero finite values in increasing index order."""
         out = object.__new__(cls)
-        object.__setattr__(out, "_pairs", tuple(sorted(kept)))
+        object.__setattr__(out, "_pairs", pairs)
         return out
 
     @classmethod
@@ -206,23 +222,17 @@ class SparseVector:
         return not self._pairs
 
     def positive_part(self) -> "SparseVector":
-        return SparseVector._of((i, v) for i, v in self._pairs if v > 0.0)
+        return SparseVector._held(tuple(p for p in self._pairs if p[1] > 0.0))
 
     def __add__(self, other: "SparseVector") -> "SparseVector":
         if not isinstance(other, SparseVector):
             return NotImplemented
-        out = dict(self._pairs)
-        for i, v in other._pairs:
-            out[i] = out.get(i, 0.0) + v
-        return SparseVector._of(out.items())
+        return SparseVector._held(_merged(self._pairs, other._pairs, True))
 
     def __sub__(self, other: "SparseVector") -> "SparseVector":
         if not isinstance(other, SparseVector):
             return NotImplemented
-        out = dict(self._pairs)
-        for i, v in other._pairs:
-            out[i] = out.get(i, 0.0) - v
-        return SparseVector._of(out.items())
+        return SparseVector._held(_merged(self._pairs, other._pairs, False))
 
     def __mul__(self, s) -> "SparseVector":
         s = float(s)
@@ -231,7 +241,7 @@ class SparseVector:
     __rmul__ = __mul__
 
     def __neg__(self) -> "SparseVector":
-        return SparseVector._of((i, -v) for i, v in self._pairs)
+        return SparseVector._held(tuple((i, -v) for i, v in self._pairs))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseVector):
@@ -247,6 +257,43 @@ class SparseVector:
 
 
 Vector = Union[np.ndarray, SparseVector]
+
+# a pair past every index: a walk over sorted pairs reads it once a side is used up
+_STOP = (math.inf, 0.0)
+
+
+def _merged(a: tuple, b: tuple, add: bool) -> tuple:
+    """The pairs of a + b, or of a - b when not ``add``, from pairs in increasing index order, in that order.
+
+    One two-pointer walk: an index of one side alone keeps its value (b's
+    negated for a difference), and a shared index is summed, dropped at 0
+    and checked for finiteness, so an overflow raises the constructor's
+    error at the first such index.
+    """
+    out = []
+    push, step, stop, finite = out.append, next, _STOP, math.isfinite
+    ia, ib = iter(a), iter(b)
+    pa, pb = step(ia, stop), step(ib, stop)
+    ka, kb = pa[0], pb[0]
+    while True:
+        if ka < kb:
+            push(pa)
+            pa = step(ia, stop)
+            ka = pa[0]
+        elif kb < ka:
+            push(pb if add else (kb, -pb[1]))
+            pb = step(ib, stop)
+            kb = pb[0]
+        elif pa is stop:  # both sides used up
+            return tuple(out)
+        else:
+            v = pa[1] + pb[1] if add else pa[1] - pb[1]
+            if v != 0.0:
+                if not finite(v):
+                    raise ValueError(f"sparse value at index {ka} must be finite")
+                push((ka, v))
+            pa, pb = step(ia, stop), step(ib, stop)
+            ka, kb = pa[0], pb[0]
 
 
 def _check_same_kind(u: Vector, v: Vector) -> bool:
@@ -280,11 +327,16 @@ def _dots(rows: np.ndarray, vs) -> np.ndarray:
 
 
 def inner(u: Vector, v: Vector) -> float:
-    """Inner product <u, v>.  Disjoint sparse supports contribute zero."""
+    """Inner product <u, v>.  Disjoint sparse supports contribute zero; shared ones add left to right in index order."""
     if _check_same_kind(u, v):
-        small, big = (u, v) if len(u.pairs) <= len(v.pairs) else (v, u)
-        lookup = dict(big.pairs)
-        return float(sum(val * lookup.get(i, 0.0) for i, val in small.pairs))
+        # one walk over the shorter pairs, adding the products of shared indices left to right from 0.0
+        short, long = (u.pairs, v.pairs) if len(u.pairs) <= len(v.pairs) else (v.pairs, u.pairs)
+        lookup, total = dict(long).get, 0.0
+        for i, x in short:
+            w = lookup(i)
+            if w is not None:
+                total += x * w
+        return total
     b = as_vector(v)
     return float(_dot(as_vector_of(u, b.shape[0]), b))
 
@@ -312,15 +364,19 @@ def _dense_norm(x: np.ndarray, sq: float | None = None) -> float:
 def norm(u: Vector) -> float:
     """Euclidean / l2 norm, safe from overflow and underflow.
 
-    The plain norm is kept whenever it lies in [_TINY_NORM, inf), so
+    A sparse square sum runs left to right in index order.  The plain
+    norm is kept whenever it lies in [_TINY_NORM, inf), so
     ordinary inputs get the plain result bit for bit; outside that range
     the norm is recomputed on u / max|u| (Blue's safe scaling, reduced to
     one scale).  The dense square sum is ``_dot``'s, so its overflow
     gives no warning.
     """
     if isinstance(u, SparseVector):
-        length = float(np.sqrt(sum(v * v for _, v in u.pairs)))
-        if _TINY_NORM <= length < np.inf or not u.pairs:
+        sq = 0.0
+        for _, v in u.pairs:
+            sq += v * v
+        length = math.sqrt(sq)
+        if _TINY_NORM <= length < math.inf or not u.pairs:
             return length
         return _rescaled_norm(np.array([v for _, v in u.pairs]))
     return _dense_norm(as_vector(u))
@@ -453,7 +509,7 @@ def orth_decompose(anchor: Vector, x: Vector, *, orth_rtol: float = 1e-12) -> Or
     if _check_same_kind(anchor, x):
         axes = sorted(anchor.support | x.support)
         a, o, _ = _split(*(np.array([v.get(i) for i in axes]) for v in (anchor, x)), orth_rtol)
-        return OrthDecomp(a=a, o=SparseVector(zip(axes, o.tolist())), anchor=anchor)
+        return OrthDecomp(a=a, o=SparseVector._of(zip(axes, o.tolist())), anchor=anchor)
     anchor = as_vector(anchor)
     x = as_vector_of(x, anchor.shape[0])
     a, o, _ = _split(anchor, x, orth_rtol)

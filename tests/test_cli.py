@@ -246,6 +246,17 @@ class TestOracleMember:
         payload = json.loads(out)
         assert payload["verdict"] == "non_member" and payload["witness"]["direction"] == [[2, 1.0]]
 
+    def test_sparse_witness_quotient_sums_left_to_right(self, capsys):
+        # three products per sparse sum; a compensated sum (the builtin sum
+        # since Python 3.12) gives 2.107373739760024
+        code, out, _ = run(
+            capsys, "oracle-member", "--set", "cone-l2", "--xbar", "[[2, 1.34], [6, 1.11]]",
+            "--y", "[[2, -0.12], [6, 1.66], [8, -1.97]]", "--z", "[[2, 1.96], [6, -0.12], [8, 1.29]]", "--seed", "9",
+        )
+        witness = json.loads(out)["witness"]
+        assert code == 0 and len(witness["direction"]) == 3
+        assert repr(witness["quotient"]) == "2.1073737397600234"
+
     def test_member(self, capsys):
         code, out, _ = run(
             capsys, "oracle-member", "--set", "cone-rn",

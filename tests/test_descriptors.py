@@ -107,6 +107,28 @@ class TestLinearMaps:
         np.testing.assert_array_equal(m(np.array([1.0, 2.0, 3.0])), [1.0, 0.0, 3.0])
         np.testing.assert_array_equal(m.matrix(3), np.diag([1.0, 0.0, 1.0]))
 
+    @pytest.mark.parametrize("n", [2, 6, 50, 500])
+    def test_mask_map_matches_the_fancy_index_form(self, n):
+        # the map of orthant.frechet holds the mask x > 0; its image of v is
+        # the zeros + fancy-index image of the keep set, bit for bit
+        rng = np.random.default_rng(n)
+        x = rng.uniform(0.1, 2.0, n) * rng.choice((-1.0, 1.0), n)
+        x[0], x[-1] = 1.0, -1.0
+        keep = frozenset(int(i) for i in np.flatnonzero(x > 0.0))
+        v = rng.standard_normal(n)
+        v[rng.choice(n, size=max(1, n // 4), replace=False)] = -0.0
+        held, public = orthant.frechet(x), CoordinateMaskMap(keep=keep, dim=n)
+        x[:] = -x  # the map keeps a copy of its mask
+        want = np.zeros(n)
+        want[sorted(keep)] = v[sorted(keep)]
+        for m in (held, public):
+            assert m._on(v).tobytes() == want.tobytes() and m(v).tobytes() == want.tobytes()
+            assert not m._mask.flags.writeable
+            assert m.keep == keep and m.dim == n
+            assert m.to_json() == {"kind": "coordinate_mask", "keep": sorted(keep), "dim": n}
+        assert held == public and hash(held) == hash(public) == hash((keep, n))
+        assert held != CoordinateMaskMap(keep=keep - {min(keep)}, dim=n)
+
     def test_json_kinds(self):
         assert IdentityMap().to_json()["kind"] == "identity"
         assert ZeroMap().to_json()["kind"] == "zero"

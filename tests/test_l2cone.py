@@ -42,6 +42,16 @@ def _order_leq_scan(z, y, M):
     return True
 
 
+def _nonnegative_off_scan(y, M):
+    """``nonnegative_off`` as a filtered scan of the pairs."""
+    return all(v >= 0.0 for i, v in y.pairs if i not in M)
+
+
+def _has_positive_support_sets(x, M):
+    """``has_positive_support`` from the support frozenset."""
+    return x.support == M and all(v > 0.0 for _, v in x.pairs)
+
+
 class TestProjection:
     def test_frozen(self):
         assert l2_cone.project(SparseVector({1: 2.0, 3: -1.0})) == SparseVector({1: 2.0})
@@ -209,7 +219,34 @@ class TestOrder:
     @given(st.one_of(sparse, coarse), st.one_of(sparse, coarse), supports)
     def test_matches_the_sorted_union_scan(self, z, y, M):
         # M may hold indices in neither support (up to 12, supports reach 8)
-        assert l2_cone.order_leq(z, y, M) == _order_leq_scan(z, y, M)
+        assert l2_cone.order_leq(z, y, M) is _order_leq_scan(z, y, M)
+        assert l2_cone.nonnegative_off(z, M) is _nonnegative_off_scan(z, M)
+        assert l2_cone.has_positive_support(z, M) is _has_positive_support_sets(z, M)
+        if _nonnegative_off_scan(y, M):
+            want = _nonnegative_off_scan(z, M) and _order_leq_scan(z, y, M)
+            assert OrderIntervalSet(bound=y, support=M).contains(z) is want
+            assert l2_cone.coderivative(SparseVector({i: 1.0 for i in M}), M, y).contains(z) is want
+        # z against the positive part of y, an interval bound for every M
+        bound = y.positive_part()
+        want = _nonnegative_off_scan(z, M) and _order_leq_scan(z, bound, M)
+        assert OrderIntervalSet(bound=bound, support=M).contains(z) is want
+
+    @given(supports, st.sampled_from(("exact", "drop", "extra", "negative", "negative-extra", "zero-extra")), st.data())
+    def test_positive_support_matches_the_support_set(self, M, change, data):
+        values = {i: data.draw(st.floats(0.1, 3.0)) for i in M}
+        if change == "drop":
+            del values[data.draw(st.sampled_from(sorted(M)))]
+        elif change == "extra":
+            values[data.draw(st.integers(13, 20))] = 1.0
+        elif change == "negative":
+            values[data.draw(st.sampled_from(sorted(M)))] *= -1.0
+        elif change == "negative-extra":
+            values[data.draw(st.integers(13, 20))] = -1.0
+        elif change == "zero-extra":
+            values[data.draw(st.integers(13, 20))] = 0.0
+        x = SparseVector(values)
+        assert l2_cone.has_positive_support(x, M) is _has_positive_support_sets(x, M)
+        assert l2_cone.has_positive_support(x, M) is (change in ("exact", "zero-extra"))
 
     def test_interval_with_2000_nonzeros_matches_the_scan(self):
         rng = np.random.default_rng(41)

@@ -287,6 +287,36 @@ CLOSED_FORMS6 = {
 }
 
 
+@pytest.mark.parametrize("radius", [1.0, 3.0, 1e200])
+@pytest.mark.parametrize("w", [[1.0, 1.0], [0.0, 1e300], [-8e-301, 6e-301]], ids=["outward", "huge", "tangent"])
+def test_outward_sphere_gateaux_takes_six_products(w, radius):
+    # the region's square sum is the split's <xbar, xbar>, and the outward
+    # test's xbar / r and <xbar / r, w / 2^e> are the limit's, with their bits
+    op, xbar, w = BallProjection(radius), radius * X_SPHERE, np.array(w)
+    code = vectors._dot.__code__
+    assert op.direction_class(xbar, w).value == "outward"
+    # at r = 1e200 the square sum overflows: the norm and the split each rescale, with one product more
+    assert len(_calls(lambda c: c is code, op.gateaux, xbar, w)) == (6 if radius < 1e150 else 8)
+    half, e = vectors._halved(w)
+    unit = xbar / radius
+    want = np.ldexp(half - float(vectors._dot(unit, half)) * unit, e)
+    assert op.gateaux(xbar, w).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("radius", [0.7, 3.0])
+def test_outward_sphere_gateaux_keeps_the_bits_of_its_own_products(radius):
+    rng = np.random.default_rng(17)
+    op, xbar = BallProjection(radius), rng.standard_normal(6)
+    xbar *= radius / vectors.norm(xbar)
+    for _ in range(50):
+        w = rng.standard_normal(6)
+        w *= 1.0 if np.dot(w, xbar) >= 0.0 else -1.0
+        half, e = vectors._halved(w)
+        unit = xbar / radius
+        want = np.ldexp(half - float(vectors._dot(unit, half)) * unit, e)
+        assert op.gateaux(xbar, w).tobytes() == want.tobytes()
+
+
 class TestValidatedOnce:
     @pytest.mark.parametrize("name", sorted(ONCE))
     def test_each_array_argument_is_checked_once(self, name):

@@ -1,4 +1,6 @@
 import math
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -144,6 +146,83 @@ any_double = st.floats(allow_nan=False, allow_infinity=False)
 wide_sparse = st.dictionaries(st.integers(1, 12), any_double, max_size=6).map(SparseVector)
 
 
+def _reference_of(items):
+    """``SparseVector._of`` before the sorted merge: drop zeros, name the first non-finite value, sort."""
+    kept = [(i, v) for i, v in items if v != 0.0]
+    if not all(math.isfinite(v) for _, v in kept):
+        index = next(i for i, v in kept if not math.isfinite(v))
+        return ValueError, f"sparse value at index {index} must be finite"
+    return tuple(sorted(kept))
+
+
+def _reference_add(u, v):
+    out = dict(u.pairs)
+    for i, x in v.pairs:
+        out[i] = out.get(i, 0.0) + x
+    return _reference_of(out.items())
+
+
+def _reference_sub(u, v):
+    out = dict(u.pairs)
+    for i, x in v.pairs:
+        out[i] = out.get(i, 0.0) - x
+    return _reference_of(out.items())
+
+
+near_max = st.floats(min_value=1e307, max_value=1.7976931348623157e308).flatmap(lambda x: st.sampled_from([x, -x]))
+tiny = st.floats(min_value=5e-324, max_value=1e-150).flatmap(lambda x: st.sampled_from([x, -x]))
+pair_values = st.one_of(any_double, near_max, tiny)
+
+
+@st.composite
+def sparse_pair(draw):
+    """Two SparseVectors whose supports are disjoint, identical, interleaved or free, with entries that may cancel."""
+    keys = draw(st.lists(st.integers(1, 20), unique=True, max_size=8))
+    u = {k: draw(pair_values) for k in keys}
+    layout = draw(st.sampled_from(("disjoint", "identical", "interleaved", "cancelling", "free")))
+    if layout == "disjoint":
+        v = {k + 20: draw(pair_values) for k in draw(st.lists(st.integers(1, 20), unique=True, max_size=8))}
+    elif layout == "identical":
+        v = {k: draw(pair_values) for k in keys}
+    elif layout == "interleaved":
+        u = {2 * k: x for k, x in u.items()}
+        v = {2 * k + draw(st.sampled_from((-1, 0, 1))): draw(pair_values) for k in keys}
+    elif layout == "cancelling":
+        v = {k: draw(st.sampled_from((1.0, -1.0))) * x for k, x in u.items() if draw(st.booleans())}
+    else:
+        v = draw(st.dictionaries(st.integers(1, 20), pair_values, max_size=8))
+    return SparseVector(u), SparseVector(v)
+
+
+class TestSortedMergeArithmetic:
+    """``+``, ``-``, unary ``-``, ``*`` and ``positive_part`` give the pairs, or the error, of the dict-and-sort code."""
+
+    @given(sparse_pair())
+    def test_sum_and_difference(self, pair):
+        u, v = pair
+        for got, want in ((lambda: u + v, _reference_add(u, v)), (lambda: u - v, _reference_sub(u, v)),
+                          (lambda: v - u, _reference_sub(v, u)), (lambda: u - u, ())):
+            got = _library(got)
+            assert (got if isinstance(got, tuple) else got.pairs) == want
+
+    @given(sparse_pair(), st.one_of(pair_values, st.sampled_from([0.0, -0.0, 1e-300, 1e300, 5e-324])))
+    def test_negation_scaling_and_positive_part(self, pair, s):
+        u = pair[0]
+        assert (-u).pairs == _reference_of((i, -x) for i, x in u.pairs)
+        assert u.positive_part().pairs == _reference_of((i, x) for i, x in u.pairs if x > 0.0)
+        want = _reference_of((i, x * s) for i, x in u.pairs)
+        for got in (_library(lambda: u * s), _library(lambda: s * u)):
+            assert (got if isinstance(got, tuple) else got.pairs) == want
+
+    def test_an_overflowing_sum_names_the_first_shared_index(self):
+        u = SparseVector({2: 1.0, 5: 1e308, 7: -1e308, 9: 1e308})
+        v = SparseVector({1: 3.0, 5: 1e308, 6: 1.0, 7: -1e308, 9: 1e308})
+        for op in (lambda: u + v, lambda: v + u, lambda: u - (-v)):
+            with pytest.raises(ValueError, match="^sparse value at index 5 must be finite$"):
+                op()
+        assert _reference_add(u, v) == _reference_add(v, u) == (ValueError, "sparse value at index 5 must be finite")
+
+
 class TestLibraryBuiltSparseVectors:
     """Results the library builds skip the index checks but match the public constructor."""
 
@@ -178,7 +257,30 @@ class TestLibraryBuiltSparseVectors:
                 op()
 
 
+def _left_to_right(terms) -> float:
+    """0.0 + t1 + t2 + ..., one rounding per term in order (not the builtin ``sum``, compensated since Python 3.12)."""
+    return reduce(add, terms, 0.0)
+
+
 class TestInnerNorm:
+    def test_sparse_sums_run_left_to_right(self):
+        # the bits of 0.0 + t1 + ... + t10 on every Python; a compensated
+        # sum gives 0.10000000000000002, 0.31622776601683794 and 0.3
+        tenth = SparseVector({i: 0.1 for i in range(1, 11)})
+        assert repr(inner(tenth, tenth)) == "0.10000000000000003"
+        assert repr(norm(tenth)) == "0.316227766016838"
+        assert repr(inner(tenth, SparseVector({i: 0.3 for i in range(1, 11)}))) == "0.30000000000000004"
+
+    @given(sparse_pair())
+    def test_sparse_inner_and_norm_add_in_index_order(self, pair):
+        u, v = pair
+        shared = sorted(u.support & v.support)
+        assert repr(inner(u, v)) == repr(_left_to_right(u.get(i) * v.get(i) for i in shared))
+        assert repr(inner(v, u)) == repr(inner(u, v))
+        sq = _left_to_right(x * x for _, x in u.pairs)
+        if 1e-146 <= math.sqrt(sq) < math.inf:
+            assert repr(norm(u)) == repr(math.sqrt(sq))
+
     def test_sparse_example(self):
         assert inner(SparseVector({1: 2.0, 5: 3.0}), SparseVector({5: 4.0})) == 12.0
 
@@ -268,7 +370,7 @@ class TestWideMagnitudeNorms:
             x = rng.standard_normal(int(rng.integers(1, 9))) * 10.0**exponent
             assert norm(x) == math.sqrt(vectors._dot(x, x))
             sx = SparseVector({i + 1: v for i, v in enumerate(x)})
-            assert norm(sx) == float(np.sqrt(sum(v * v for _, v in sx.pairs)))
+            assert norm(sx) == math.sqrt(_left_to_right(v * v for _, v in sx.pairs))
 
     def test_dense_norm_takes_the_fixed_order_square_sum(self):
         # the square sum is the helper's on the contiguous copy; a strided
