@@ -102,13 +102,14 @@ def _operation(args: argparse.Namespace, name: str, *flags: str) -> tuple:
 
 
 def _seed(args: argparse.Namespace) -> int:
-    if args.seed is not None:
-        return args.seed
-    raw = os.environ.get("VARPROJ_SEED", "0")
+    flag, raw = ("--seed", args.seed) if args.seed is not None else ("VARPROJ_SEED", os.environ.get("VARPROJ_SEED", "0"))
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError as exc:
-        raise InputError(f"VARPROJ_SEED: not an integer ({raw!r})") from exc
+        raise InputError(f"{flag}: not an integer ({raw!r})") from exc
+    if seed < 0:
+        raise InputError(f"{flag}: must be nonnegative, got {seed}")
+    return seed
 
 
 def _cmd_project(args: argparse.Namespace) -> tuple[dict, int]:

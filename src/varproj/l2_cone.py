@@ -4,9 +4,10 @@ The cone consists of sequences with every coordinate >= 0, and the
 projection takes the componentwise positive part.  All computations here
 use finite-support sparse vectors, which is lossless: the projection,
 the derivative maps, and every membership rule below preserve finite
-support.  The one exception is ``project_rows``, the orthant's row form,
-which projects many points at once, given as rows of their coordinates
-on fixed indices.
+support.  The exceptions are the orthant's forms ``project_rows``,
+``project_axes`` and ``project_dirs``, which take many points at once,
+given as their coordinates on fixed indices: exact, because the
+projection acts coordinate by coordinate and maps 0 to 0.
 
 The interesting base points are those with support exactly M and
 strictly positive values there ("strictly positive on M").  For such a
@@ -35,6 +36,8 @@ __all__ = [
     "as_support",
     "project",
     "project_rows",
+    "project_axes",
+    "project_dirs",
     "has_positive_support",
     "nonnegative_off",
     "order_leq",
@@ -71,13 +74,6 @@ def _require_sparse(v, name: str) -> SparseVector:
 def project(x: SparseVector) -> SparseVector:
     """Componentwise positive part."""
     return _require_sparse(x, "x").positive_part()
-
-
-# the orthant's forms are exact on coordinates over fixed indices, because
-# the projection acts coordinate by coordinate and maps 0 to 0
-project.rows = project_rows
-project.axes = project_axes
-project.dirs = project_dirs
 
 
 def has_positive_support(x: SparseVector, M: Iterable[int]) -> bool:

@@ -147,12 +147,13 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .vectors import SparseVector, Vector, _dense_norm, _dot, _halved, _split, as_vector, inner, norm, row_norms
+from .vectors import (SparseVector, Vector, _check_same_kind, _dense_norm, _dot, _halved, _split, as_vector,
+                      as_vector_of, inner, norm, row_norms)
 
 __all__ = [
     "ProbeConfig",
@@ -211,8 +212,8 @@ class ProbeConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise TypeError(f"{name} must be an integer, got {value!r}")
-        if self.random_directions < 0:
-            raise ValueError("random_directions must be nonnegative")
+            if value < 0:
+                raise ValueError(f"{name} must be nonnegative")
         if not (0.0 < self.tolerance < math.inf):
             raise ValueError("tolerance must be positive and finite")
         if self.denominator not in _DENOMINATORS:
@@ -282,7 +283,14 @@ def quotient(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, z: Vector, 
     """
     if denominator not in _DENOMINATORS:
         raise ValueError(f"denominator must be one of {_DENOMINATORS}")
+    if not _sparse(xbar, y, z, u):
+        xbar = as_vector(xbar)
     return _z_half(z, *_z_free_half(f, None, xbar, y, u, denominator))
+
+
+def _sparse(xbar: Vector, *vs: Vector) -> bool:
+    """True for a sparse query, False for a dense one; a mix raises ``inner``'s TypeError (every v is checked)."""
+    return all([_check_same_kind(xbar, v) for v in vs])
 
 
 def _z_free_half(f: Callable[[Vector], Vector], fx: Optional[Vector], xbar: Vector, y: Vector, u: Vector,
@@ -292,7 +300,7 @@ def _z_free_half(f: Callable[[Vector], Vector], fx: Optional[Vector], xbar: Vect
     fx is f(xbar); None takes f(xbar) after f(u), as ``quotient`` does.
     """
     if isinstance(xbar, np.ndarray):
-        u = as_vector(u)
+        u = as_vector_of(u, xbar.shape[0])
     du = u - xbar
     d_in = norm(du)
     if d_in == 0.0:
@@ -502,9 +510,10 @@ def _axis_rows(x0: np.ndarray, j: np.ndarray, moved: np.ndarray) -> np.ndarray:
 def _form(f: Callable[[Vector], Vector], kind: str) -> Optional[Callable]:
     """The ``kind`` form of f ("rows", "axes" or "dirs"), or None when f has none.
 
-    It is the ``project_<kind>`` method of the object when f is its bound
-    ``project``, and otherwise the ``<kind>`` attribute of f, as set on
-    ``orthant.project`` and ``l2_cone.project``.
+    A form is the ``project_<kind>`` of f's owner when f is the owner's
+    ``project``: the owner is ``f.__self__`` for a bound method and the
+    namespace of f's module, ``f.__globals__``, for a function.  Any other
+    f, a ``functools.wraps`` wrapper of a ``project`` among them, has none.
 
     * A row form maps a k x m array of points (rows) to the k x m array
       of their images on the same coordinates, row i bit for bit the
@@ -531,12 +540,11 @@ def _form(f: Callable[[Vector], Vector], kind: str) -> Optional[Callable]:
     as a frozen dataclass is), so the state of a mutable object is never
     answered from a stale plan.
     """
+    if getattr(f, "__name__", None) != "project":
+        return None
     owner = getattr(f, "__self__", None)
-    if owner is not None and getattr(f, "__name__", None) == "project":
-        form = getattr(owner, f"project_{kind}", None)
-        if form is not None:
-            return form
-    return getattr(f, kind, None)
+    get = getattr(f, "__globals__", {}).get if owner is None else partial(getattr, owner)
+    return get(f"project_{kind}", None) if get("project", None) == f else None
 
 
 class _Plan(NamedTuple):
@@ -730,9 +738,7 @@ def membership(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, z: Vector
     """Estimate whether z belongs to the coderivative of f at xbar for y."""
     if config is None:
         config = ProbeConfig()
-    if isinstance(xbar, SparseVector):
-        if not (isinstance(y, SparseVector) and isinstance(z, SparseVector)):
-            raise TypeError("dense and sparse vectors cannot be combined in one operation")
+    if _sparse(xbar, y, z):
         axes, x0, y0, z0 = _embed(xbar, y, z)
     else:
         xbar, y, z = x0, y0, z0 = as_vector(xbar), as_vector(y), as_vector(z)
@@ -748,9 +754,9 @@ def directional_quotient(f: Callable[[Vector], Vector], xbar: Vector, w: Vector,
     """Forward difference quotient (f(xbar + t w) - f(xbar)) / t."""
     if not (t > 0.0):
         raise ValueError("t must be positive")
-    if isinstance(xbar, np.ndarray):
+    if not _sparse(xbar, w):
         xbar = as_vector(xbar)
-        w = as_vector(w)
+        w = as_vector_of(w, xbar.shape[0])
     df = f(xbar + t * w) - f(xbar)
     return df * (1.0 / t) if isinstance(df, SparseVector) else df / t
 

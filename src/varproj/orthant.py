@@ -144,11 +144,6 @@ def project_dirs(x0: np.ndarray, y0: np.ndarray, dirs: np.ndarray, t: np.ndarray
     return y_df, df_norm
 
 
-project.rows = project_rows
-project.axes = project_axes
-project.dirs = project_dirs
-
-
 def region(x) -> OrthantRegion:
     """Region of x from exact coordinate signs (-0.0 is a zero)."""
     return _region(as_vector(x))

@@ -298,6 +298,16 @@ class TestOracleMember:
         )
         assert code == 2 and "VARPROJ_SEED" in err
 
+    def test_negative_seed(self, capsys, monkeypatch):
+        # refused before any verdict, naming where the seed came from
+        query = ("oracle-member", "--set", "cone-rn", "--xbar", "[1, 2]", "--y", "[1, 0]", "--z", "[1, 0]")
+        monkeypatch.setenv("VARPROJ_SEED", "-1")
+        for argv, name in (((*query, "--seed", "-1"), "--seed"), (query, "VARPROJ_SEED"),
+                           (("verify", "--suite", "decomp"), "VARPROJ_SEED")):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert err == f"error: {name}: must be nonnegative, got -1\n"
+
 
 class TestVerify:
     def test_single_suite_passes(self, capsys):

@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import types
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,6 +119,12 @@ class TestProbeConfig:
                 ProbeConfig(random_directions=count)
         # a numpy integer is an integer, as for the seed
         assert ProbeConfig(random_directions=np.int64(8)) == ProbeConfig(random_directions=8)
+
+    def test_seed_must_be_nonnegative(self):
+        for seed in (-1, np.int64(-1)):
+            with pytest.raises(ValueError, match="^seed must be nonnegative$"):
+                ProbeConfig(seed=seed)
+        assert ProbeConfig(seed=np.int64(0)) == ProbeConfig()
 
     def test_radii_and_tolerance_must_be_real_numbers(self):
         for kwargs in ({"radii": (1e-2, "1e-3")}, {"radii": (True,)}, {"radii": (1e-2, None)},
@@ -611,6 +618,66 @@ class TestRowForm:
                 assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), case.label
 
 
+def _scaled(project):
+    """A ``functools.wraps`` wrapper of project that maps u to 2 project(u)."""
+    return functools.wraps(project)(lambda u: project(u) * 2.0)
+
+
+def _module(name, source):
+    """A module of the given source, built in memory."""
+    module = types.ModuleType(name)
+    exec(source, module.__dict__)
+    return module
+
+
+class TestFormRule:
+    """A form is the ``project_<kind>`` of the owner of a ``project``: its object, or its module's namespace."""
+
+    def test_set_functions_carry_no_attributes(self):
+        assert orthant.project.__dict__ == {} and l2_cone.project.__dict__ == {}
+        for f in (orthant.project, l2_cone.project):
+            for kind in ("rows", "axes", "dirs"):
+                assert _form(f, kind) is getattr(orthant, f"project_{kind}")
+
+    @pytest.mark.parametrize("project", [orthant.project, l2_cone.project])
+    def test_a_wraps_wrapper_has_no_form(self, project):
+        wrapper = _scaled(project)
+        assert wrapper.__name__ == "project" and wrapper.__module__ == project.__module__
+        assert [_form(wrapper, kind) for kind in ("rows", "axes", "dirs")] == [None] * 3
+
+    def test_a_sparse_wraps_wrapper_is_scored_as_its_plain_lambda(self):
+        # the image set of 2P is {2y} here; P's forms answered member for z = y
+        wrapper, plain = _scaled(l2_cone.project), lambda u: l2_cone.project(u) * 2.0
+        xbar, y = SparseVector({1: 1.0, 2: 2.0}), SparseVector({1: 0.3, 2: -0.2})
+        for z, want in ((y, Verdict.NON_MEMBER), (y * 2.0, Verdict.MEMBER)):
+            assert membership(wrapper, xbar, y, z).verdict is want
+            assert _verdict_json(wrapper, xbar, y, z) == _verdict_json(plain, xbar, y, z)
+
+    def test_a_dense_wraps_wrapper_is_scored_as_its_plain_lambda(self):
+        wrapper, plain = _scaled(orthant.project), lambda u: orthant.project(u) * 2.0
+        args = (np.array([0.987, 1.009, 0.268]), np.array([0.842, -0.588, 0.702]), np.array([1.353, -0.713, 1.527]))
+        assert membership(wrapper, *args).verdict is Verdict.NON_MEMBER
+        assert _verdict_json(wrapper, *args) == _verdict_json(plain, *args)
+
+    def test_a_module_project_has_the_forms_beside_it(self):
+        with_rows = _module("with_rows", "import numpy as np\n"
+                            "def project(x):\n    return np.maximum(x, 0.0)\n"
+                            "def project_rows(block):\n    return np.maximum(block, 0.0)\n")
+        assert _form(with_rows.project, "rows") is with_rows.project_rows
+        assert _form(with_rows.project, "axes") is None
+        alone = _module("alone", "def project(x):\n    return x\n")
+        assert _form(alone.project, "rows") is None
+
+    def test_a_wrapper_beside_the_forms_has_none(self):
+        # the module holds the orthant's forms and its project, but the
+        # wrapper, though named project, is not that project
+        module = _module("beside", "import functools\nfrom varproj.orthant import *\n"
+                         "scaled = functools.wraps(project)(lambda u: 2.0 * project(u))\n")
+        assert module.scaled.__name__ == "project"
+        assert _form(module.scaled, "rows") is None
+        assert _form(module.project, "rows") is orthant.project_rows
+
+
 def _axis_images(form, x0, t, y0=None):
     """The axis form's terms for the 2m probes of x0 at radius t (y0 = x0 by default), the block and the full probe rows."""
     j, s = oracle._geometry(x0.size, (t,), 0)[:2]
@@ -649,8 +716,8 @@ class TestAxisForm:
         for f, x0, fx0 in ((orthant.project, dense, orthant.project(dense)),
                            (l2_cone.project, oracle._dense_over(sparse, [1, 3, 4, 5]), fx_sparse)):
             y0 = np.resize([1.5, -0.0, -2.0, 0.25], x0.size)
-            (y_df, df_norm), block, u = _axis_images(f.axes, x0, t, y0)
-            df = f.rows(u) - fx0
+            (y_df, df_norm), block, u = _axis_images(_form(f, "axes"), x0, t, y0)
+            df = _form(f, "rows")(u) - fx0
             b = df[np.arange(u.shape[0]), block[0]]
             np.testing.assert_array_equal(_bits(y_df), _bits(b * y0[block[0]]))
             np.testing.assert_array_equal(_bits(df_norm), _bits(np.abs(b)))
@@ -1035,8 +1102,8 @@ class TestPlanCache:
             assert _verdict_json(orthant.project, np.array([zero, 1.0]), y, z) == want
 
     def test_formless_f_and_unhashable_f_are_never_kept(self):
-        # an instance of a non-frozen dataclass is unhashable, though it has
-        # a row form; radii given as a list make a hashable config, which
+        # an instance of a non-frozen dataclass is unhashable, and a callable
+        # has no form; radii given as a list make a hashable config, which
         # keys the plan of a tuple of the same floats
         ball = BallProjection(1.0)
         args = (np.array([1.5, 0.0]), np.ones(2), np.ones(2))
@@ -1123,11 +1190,13 @@ class TestPlanCache:
 
 @dataclass
 class _UnhashableBall:
-    """The unit ball's projection as a callable with a row form, on a dataclass that is not frozen, so unhashable.
+    """The unit ball's projection as a callable on a dataclass that is not frozen, so unhashable.
 
-    (The bound ``project`` of such a class, see ``_MutableBall``, is never
-    kept either: a bound method hashes by the identity of its object, so
-    the plan key also hashes the object.)
+    Its ``rows`` method is no row form: only a ``project`` has forms (see
+    ``oracle._form``), so its plan is not kept.  The bound ``project`` of
+    such a class, with its forms beside it, is ``_MutableBall``: it is not
+    kept either, because a bound method hashes by the identity of its
+    object, so the plan key also hashes the object.
     """
 
     ball: BallProjection = BallProjection(1.0)
@@ -1564,6 +1633,42 @@ class TestDirectionalQuotient:
             l2_cone.project, SparseVector({1: 1.0}), SparseVector({2: -1.0}), 1e-6
         )
         assert got == SparseVector.zero()
+
+
+# each oracle entry point: the function and the number of vectors it takes after xbar
+_ENTRIES = {"membership": (membership, 2), "quotient": (quotient, 3),
+            "directional_quotient": (lambda f, xbar, w: directional_quotient(f, xbar, w, 1e-3), 1)}
+
+
+def _entry(name, xbar, odd, k):
+    """Call the entry point ``name`` at xbar with vectors of xbar's kind, ``odd`` in place of the k-th."""
+    call, count = _ENTRIES[name]
+    sparse = isinstance(xbar, SparseVector)
+    vs = [SparseVector({1: 0.5}) if sparse else np.array([0.5, 0.0])] * count
+    vs[k] = odd
+    return call(l2_cone.project if sparse else orthant.project, xbar, *vs)
+
+
+class TestEntryKinds:
+    @pytest.mark.parametrize("name", _ENTRIES)
+    @pytest.mark.parametrize("sparse_xbar", [False, True])
+    def test_mixed_kinds_raise_the_inner_message(self, name, sparse_xbar):
+        dense, sparse = np.array([1.0, 2.0]), SparseVector({1: 1.0, 2: 2.0})
+        xbar, odd = (sparse, dense) if sparse_xbar else (dense, sparse)
+        for k in range(_ENTRIES[name][1]):
+            with pytest.raises(TypeError, match="^dense and sparse vectors cannot be combined in one operation$"):
+                _entry(name, xbar, odd, k)
+
+    @pytest.mark.parametrize("name", _ENTRIES)
+    def test_a_wrong_length_raises_a_dimension_mismatch(self, name):
+        for k in range(_ENTRIES[name][1]):
+            with pytest.raises(ValueError, match="^dimension mismatch"):
+                _entry(name, np.array([1.0, 2.0]), np.array([0.5, 0.0, 1.0]), k)
+
+    def test_a_dense_query_may_be_given_as_lists(self):
+        got = directional_quotient(orthant.project, [0.0, -1.0], [1.0, 1.0], 1e-6)
+        np.testing.assert_allclose(got, [1.0, 0.0], atol=1e-12)
+        assert quotient(orthant.project, [1.0, 0.0], [0.0, 0.0], [1.0, 0.0], [1.5, 0.0]) == pytest.approx(0.5)
 
 
 class TestJacobianFD:

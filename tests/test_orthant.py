@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from varproj import orthant
 from varproj.descriptors import CoordinateMaskMap, EmptySet, IdentityMap, SingletonSet, ZeroMap
-from varproj.oracle import ProbeConfig, Verdict, jacobian_fd, membership
+from varproj.oracle import ProbeConfig, Verdict, _form, jacobian_fd, membership
 from varproj.orthant import OrthantRegion
 from varproj.vectors import SparseVector, inner, norm
 
@@ -53,7 +53,7 @@ class TestProjection:
         block[4, 1] = -0.0
         got = orthant.project_rows(block)
         np.testing.assert_array_equal(got, np.array([orthant.project(row) for row in block]))
-        assert orthant.project.rows is orthant.project_rows
+        assert _form(orthant.project, "rows") is orthant.project_rows
         with pytest.raises(ValueError):
             orthant.project_rows([[1.0, np.nan]])
 
