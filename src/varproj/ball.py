@@ -267,12 +267,11 @@ class BallProjection:
         (tangent directions) classified OUTWARD because
         ||xbar + t w||^2 = r^2 + t^2 ||w||^2 >= r^2.
         """
-        xbar, w = as_vector(xbar), as_vector(w)
+        xbar = as_vector(xbar)
+        w = as_vector_of(w, xbar.shape[0])
         x_sq = float(_dot(xbar, xbar))
         if self._region(xbar, x_sq) is not BallRegion.SPHERE:
             raise ValueError("direction classification is defined at sphere points only")
-        if np.count_nonzero(w) and w.shape != xbar.shape:
-            raise ValueError(f"dimension mismatch: {w.shape[0]} vs {xbar.shape[0]}")
         return self._direction_class(xbar, w, x_sq)[0]
 
     def _direction_class(self, xbar: np.ndarray, w: np.ndarray, x_sq: float | None = None
@@ -338,9 +337,7 @@ class BallProjection:
         * otherwise: partial rules (``SpherePartial``).
         """
         xbar = as_vector(xbar)
-        y = as_vector(y)
-        if xbar.shape != y.shape:
-            raise ValueError("xbar and y must have the same dimension")
+        y = as_vector_of(y, xbar.shape[0])
         derivative = self._frechet(xbar)
         if derivative is not None:
             return SingletonSet(derivative._on(y))

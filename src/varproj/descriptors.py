@@ -168,10 +168,7 @@ class ScaledComplementMap(LinearMap):
         return cls(scale=float(scale), axis=unit)
 
     def __call__(self, v: Vector) -> Vector:
-        v = as_vector(v)
-        if v.shape != self.axis.shape:
-            raise ValueError("dimension mismatch with map axis")
-        return self._on(v)
+        return self._on(as_vector_of(v, self.axis.shape[0]))
 
     def _on(self, v: np.ndarray) -> np.ndarray:
         return self.scale * (v - _dot(v, self.axis) * self.axis)
@@ -209,10 +206,7 @@ class CoordinateMaskMap(LinearMap):
         return mask
 
     def __call__(self, v: Vector) -> Vector:
-        v = as_vector(v)
-        if v.shape[0] != self.dim:
-            raise ValueError("dimension mismatch with mask")
-        return self._on(v)
+        return self._on(as_vector_of(v, self.dim))
 
     def _on(self, v: np.ndarray) -> np.ndarray:
         return np.where(self._mask, v, 0.0)

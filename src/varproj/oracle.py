@@ -285,7 +285,7 @@ def quotient(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, z: Vector, 
         raise ValueError(f"denominator must be one of {_DENOMINATORS}")
     if not _sparse(xbar, y, z, u):
         xbar = as_vector(xbar)
-    return _z_half(z, *_z_free_half(f, None, xbar, y, u, denominator))
+    return _z_half(z, *_z_free_half(f, f(xbar), xbar, y, u, denominator))
 
 
 def _sparse(xbar: Vector, *vs: Vector) -> bool:
@@ -293,19 +293,16 @@ def _sparse(xbar: Vector, *vs: Vector) -> bool:
     return all([_check_same_kind(xbar, v) for v in vs])
 
 
-def _z_free_half(f: Callable[[Vector], Vector], fx: Optional[Vector], xbar: Vector, y: Vector, u: Vector,
+def _z_free_half(f: Callable[[Vector], Vector], fx: Vector, xbar: Vector, y: Vector, u: Vector,
                  denominator: str) -> tuple[Vector, float, float]:
-    """The part of ``quotient`` that does not read z: u - xbar, <y, f(u) - f(xbar)> and the denominator.
-
-    fx is f(xbar); None takes f(xbar) after f(u), as ``quotient`` does.
-    """
+    """The part of ``quotient`` that does not read z: u - xbar, <y, f(u) - fx> and the denominator; fx is f(xbar)."""
     if isinstance(xbar, np.ndarray):
         u = as_vector_of(u, xbar.shape[0])
     du = u - xbar
     d_in = norm(du)
     if d_in == 0.0:
         raise ValueError(f"u must differ from xbar: ||u - xbar|| is 0 at ||xbar|| = {norm(xbar):.6g}")
-    df = f(u) - (f(xbar) if fx is None else fx)
+    df = f(u) - fx
     return du, inner(y, df), _denominator(denominator, d_in, norm(df))
 
 
@@ -582,21 +579,20 @@ def _plan(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, x0: np.ndarray
     moved, axis_in, axis_du = _axis_probes(x0[axis_j], axis_s, axis_t)
     fx = f(xbar)
     f_rows, f_axes, f_dirs = _form(f, "rows"), _form(f, "axes"), _form(f, "dirs")
+    if f_rows is None and not isinstance(fx, SparseVector):
+        f_rows = lambda rows: np.array([f(row) for row in rows])
     if f_rows is not None:
         fx0 = _dense_over(fx, axes) if isinstance(fx, SparseVector) else fx
 
     def terms(u):
         """<y, df> and ||df|| of the images of the probe rows u.
 
-        A row form maps all of u in one call; any other f is called once per row.
+        A row form maps all of u in one call; a formless sparse f is called once per row.
         """
-        if f_rows is not None:
-            df = f_rows(u) - fx0
-        elif isinstance(fx, SparseVector):
+        if f_rows is None:
             dfs = [f(_point(axes, row)) - fx for row in u]
             return np.array([inner(y, d) for d in dfs]), np.array([norm(d) for d in dfs])
-        else:
-            df = np.array([f(row) for row in u]) - fx
+        df = f_rows(u) - fx0
         return _dot(df, y0), row_norms(df)
 
     images = f_axes(x0, y0, axis_j, moved) if f_axes is not None else None
@@ -741,9 +737,8 @@ def membership(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, z: Vector
     if _sparse(xbar, y, z):
         axes, x0, y0, z0 = _embed(xbar, y, z)
     else:
-        xbar, y, z = x0, y0, z0 = as_vector(xbar), as_vector(y), as_vector(z)
-        if not x0.shape == y0.shape == z0.shape:
-            raise ValueError(f"dimension mismatch: {x0.size}, {y0.size}, {z0.size}")
+        xbar = x0 = as_vector(xbar)
+        y, z = y0, z0 = as_vector_of(y, x0.size), as_vector_of(z, x0.size)
         axes = None
     key = _plan_key(f, x0, y0, axes, config)
     plan = _kept_plan(*key) if key else _plan(f, xbar, y, x0, y0, axes, config)

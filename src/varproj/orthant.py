@@ -244,9 +244,7 @@ def coderivative(xbar, y) -> DerivativeSet:
     classification used everywhere in this module.
     """
     xbar = as_vector(xbar)
-    y = as_vector(y)
-    if xbar.shape != y.shape:
-        raise ValueError("xbar and y must have the same dimension")
+    y = as_vector_of(y, xbar.shape[0])
     derivative = _frechet(xbar)
     if derivative is not None:
         return SingletonSet(derivative._on(y))

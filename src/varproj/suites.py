@@ -115,6 +115,35 @@ def _dense_pert(rng: np.random.Generator, n: int, lo: float = 0.3, hi: float = 1
     return _unit_dense(rng, n) * rng.uniform(lo, hi)
 
 
+def _ball(rng: np.random.Generator) -> tuple[int, float, BallProjection]:
+    """A dimension in 2..6, a radius of 0.5, 1 or 2 and the ball's projection."""
+    n = int(rng.integers(2, 7))
+    r = float(rng.choice((0.5, 1.0, 2.0)))
+    return n, r, BallProjection(r)
+
+
+def _mixed(rng: np.random.Generator, n: int) -> np.ndarray:
+    """A point of R^n with |entries| in [0.1, 2), the first positive and the second negative."""
+    x = _signed_coords(rng, n, 0.1, 2.0)
+    x[0] = abs(x[0])
+    x[1] = -abs(x[1])
+    return x
+
+
+def _sparse(rng: np.random.Generator, idx, lo: float = 0.1, hi: float = 2.0, signs: bool = True) -> SparseVector:
+    """A SparseVector on the indices idx: a uniform magnitude in [lo, hi) each, then a random sign when ``signs``."""
+    return SparseVector({int(i): float(rng.uniform(lo, hi)) * (float(rng.choice((-1.0, 1.0))) if signs else 1.0)
+                         for i in idx})
+
+
+def _interval(rng: np.random.Generator, m_size: int, off_size: int, lo: float) -> tuple:
+    """(M, off, xbar, y) over indices 1..8: xbar > 0 on M, y signed in [lo, 2) on M and in [0.4, 2) on off."""
+    idx = [int(i) for i in rng.choice(np.arange(1, 9), size=m_size + off_size, replace=False)]
+    M, off = frozenset(idx[:m_size]), idx[m_size:]
+    xbar = _sparse(rng, M, 0.5, 2.0, signs=False)
+    return M, off, xbar, _sparse(rng, M, lo) + _sparse(rng, off, 0.4, 2.0, signs=False)
+
+
 def _orth_unit(rng: np.random.Generator, anchor: np.ndarray) -> np.ndarray:
     """Random unit vector orthogonal to the anchor."""
     while True:
@@ -137,9 +166,7 @@ def ball_membership_cases(rng: np.random.Generator, per_family: int) -> list[Mem
     """Queries spanning all coderivative regimes of the ball projection."""
     cases: list[MembershipCase] = []
     for k in range(per_family):
-        n = int(rng.integers(2, 7))
-        r = float(rng.choice((0.5, 1.0, 2.0)))
-        op = BallProjection(r)
+        n, r, op = _ball(rng)
         theta = np.zeros(n)
 
         def case(label, xbar, y, z, expected):
@@ -205,9 +232,7 @@ def orthant_membership_cases(rng: np.random.Generator, per_family: int) -> list[
         case("negative-member", x_neg, y2, theta.copy(), True)
         case("negative-off", x_neg, y2, _dense_pert(rng, n), False)
 
-        x_mix = _signed_coords(rng, n, 0.1, 2.0)
-        x_mix[0] = abs(x_mix[0])
-        x_mix[1] = -abs(x_mix[1])
+        x_mix = _mixed(rng, n)
         y3 = _signed_coords(rng, n)
         v3 = orthant.frechet(x_mix)(y3)
         case("mixed-member", x_mix, y3, v3, True)
@@ -252,22 +277,12 @@ def l2_membership_cases(rng: np.random.Generator, per_family: int) -> list[Membe
             )
 
         any_support = [int(i) for i in rng.choice(np.arange(1, 9), size=int(rng.integers(1, 5)), replace=False)]
-        x_any = SparseVector({i: float(rng.uniform(0.1, 2.0) * rng.choice((-1.0, 1.0))) for i in any_support})
+        x_any = _sparse(rng, any_support)
         m_any = frozenset(any_support)
         case("zero-query-member", x_any, m_any, zero, zero, True)
-        z_nz = SparseVector({i: float(rng.uniform(0.3, 1.0) * rng.choice((-1.0, 1.0))) for i in any_support})
-        case("zero-query-off", x_any, m_any, zero, z_nz, False)
+        case("zero-query-off", x_any, m_any, zero, _sparse(rng, any_support, 0.3, 1.0), False)
 
-        m_size = int(rng.integers(1, 4))
-        off_size = int(rng.integers(1, 4))
-        idx = [int(i) for i in rng.choice(np.arange(1, 9), size=m_size + off_size, replace=False)]
-        M = frozenset(idx[:m_size])
-        off = idx[m_size:]
-        xbar = SparseVector({i: float(rng.uniform(0.5, 2.0)) for i in M})
-        y = SparseVector(
-            {i: float(rng.uniform(0.1, 2.0) * rng.choice((-1.0, 1.0))) for i in M}
-            | {i: float(rng.uniform(0.4, 2.0)) for i in off}
-        )
+        M, off, xbar, y = _interval(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)), 0.1)
         i0 = off[0]
         j0 = min(M)
         case("interval-bound", xbar, M, y, y, True)
@@ -278,8 +293,8 @@ def l2_membership_cases(rng: np.random.Generator, per_family: int) -> list[Membe
         sign = float(rng.choice((-1.0, 1.0)))
         case("interval-on-support", xbar, M, y, y + SparseVector({j0: 0.5 * sign}), False)
 
-        y_col = SparseVector({i: float(rng.uniform(0.1, 2.0) * rng.choice((-1.0, 1.0))) for i in M})
-        fresh = max(idx) + 1
+        y_col = _sparse(rng, M)
+        fresh = max(M.union(off)) + 1
         case("collapse-member", xbar, M, y_col, y_col, True)
         case("collapse-off", xbar, M, y_col, y_col + SparseVector({fresh: 0.5}), False)
 
@@ -323,15 +338,8 @@ def order_interval_grid(rng: np.random.Generator, m_size: int, off_size: int,
     off-support lattice covers negative, inside, and above-the-bound
     values (with exact boundary points on even variants).
     """
-    idx = [int(i) for i in rng.choice(np.arange(1, 9), size=m_size + off_size, replace=False)]
-    M = frozenset(idx[:m_size])
-    off = idx[m_size:]
-    xbar = SparseVector({i: float(rng.uniform(0.5, 2.0)) for i in M})
-    y = SparseVector(
-        {i: float(rng.uniform(0.4, 2.0) * rng.choice((-1.0, 1.0))) for i in M}
-        | {i: float(rng.uniform(0.4, 2.0)) for i in off}
-    )
-    active = sorted(M | set(off))
+    M, off, xbar, y = _interval(rng, m_size, off_size, 0.4)
+    active = sorted(M.union(off))
     templates = []
     for i in active:
         yi = y.get(i)
@@ -345,14 +353,16 @@ def order_interval_grid(rng: np.random.Generator, m_size: int, off_size: int,
     return xbar, M, y, grid
 
 
-def _agreement_ok(case: MembershipCase, config: ProbeConfig) -> tuple[bool, str]:
-    verdict = membership(case.project, case.xbar, case.y, case.z, config).verdict
-    want = Verdict.MEMBER if case.expected else Verdict.NON_MEMBER
-    return verdict is want, f"closed form {case.expected}, oracle {verdict.value}"
-
-
-def _light_config(seed: int) -> ProbeConfig:
-    return ProbeConfig(random_directions=64, seed=seed)
+def _agreement(suite: str, cases: list[MembershipCase], seed: int) -> list[CaseResult]:
+    """One result per case: does the oracle's verdict, with 64 random directions, match the closed form's answer?"""
+    config = ProbeConfig(random_directions=64, seed=seed)
+    results = []
+    for mc in cases:
+        verdict = membership(mc.project, mc.xbar, mc.y, mc.z, config).verdict
+        want = Verdict.MEMBER if mc.expected else Verdict.NON_MEMBER
+        results.append(CaseResult(f"{suite}/{mc.label}", verdict is want,
+                                  f"closed form {mc.expected}, oracle {verdict.value}"))
+    return results
 
 
 def run_decomp(seed: int) -> list[CaseResult]:
@@ -398,9 +408,7 @@ def run_ball_deriv(seed: int) -> list[CaseResult]:
     rng = np.random.default_rng(seed)
     cases = []
     for k in range(15):
-        n = int(rng.integers(2, 7))
-        r = float(rng.choice((0.5, 1.0, 2.0)))
-        op = BallProjection(r)
+        n, r, op = _ball(rng)
         x_in = _unit_dense(rng, n) * (r * rng.uniform(0.2, 0.8))
         err = float(np.max(np.abs(jacobian_fd(op.project, x_in) - op.frechet(x_in).matrix(n))))
         cases.append(CaseResult(f"ball-deriv/jac-interior/{k:03d}", err <= 1e-5, f"err {err:.3e}"))
@@ -408,9 +416,7 @@ def run_ball_deriv(seed: int) -> list[CaseResult]:
         err = float(np.max(np.abs(jacobian_fd(op.project, x_ex) - op.frechet(x_ex).matrix(n))))
         cases.append(CaseResult(f"ball-deriv/jac-exterior/{k:03d}", err <= 1e-5, f"err {err:.3e}"))
     for k in range(15):
-        n = int(rng.integers(2, 7))
-        r = float(rng.choice((0.5, 1.0, 2.0)))
-        op = BallProjection(r)
+        n, r, op = _ball(rng)
         x_s = r * _unit_dense(rng, n)
         o_hat = _orth_unit(rng, x_s)
         directions = {
@@ -423,9 +429,7 @@ def run_ball_deriv(seed: int) -> list[CaseResult]:
             err = float(np.max(np.abs(got - op.gateaux(x_s, w))))
             cases.append(CaseResult(f"ball-deriv/gateaux-{tag}/{k:03d}", err <= 1e-4, f"err {err:.3e}"))
     for k in range(20):
-        n = int(rng.integers(2, 7))
-        r = float(rng.choice((0.5, 1.0, 2.0)))
-        op = BallProjection(r)
+        n, r, op = _ball(rng)
         u = _signed_coords(rng, n, 0.1, 3.0)
         v = _signed_coords(rng, n, 0.1, 3.0)
         nonexp = norm(op.project(u) - op.project(v)) <= norm(u - v) + 1e-12
@@ -436,14 +440,9 @@ def run_ball_deriv(seed: int) -> list[CaseResult]:
 
 def run_ball_coderiv(seed: int) -> list[CaseResult]:
     rng = np.random.default_rng(seed)
-    cases = []
-    for mc in ball_membership_cases(rng, per_family=1):
-        ok, detail = _agreement_ok(mc, _light_config(seed))
-        cases.append(CaseResult(f"ball-coderiv/{mc.label}", ok, detail))
+    cases = _agreement("ball-coderiv", ball_membership_cases(rng, per_family=1), seed)
     for k in range(10):
-        n = int(rng.integers(2, 7))
-        r = float(rng.choice((0.5, 1.0, 2.0)))
-        op = BallProjection(r)
+        n, r, op = _ball(rng)
         x = _unit_dense(rng, n) * (r * float(rng.choice((0.5, 1.7))))
         y = _signed_coords(rng, n)
         desc = op.coderivative(x, y)
@@ -475,9 +474,7 @@ def run_cone_rn(seed: int) -> list[CaseResult]:
         cases.append(CaseResult(f"cone-rn/homogeneity/{k:03d}", ok))
     for k in range(10):
         n = int(rng.integers(2, 7))
-        x = _signed_coords(rng, n, 0.1, 2.0)
-        x[0] = abs(x[0])
-        x[1] = -abs(x[1])
+        x = _mixed(rng, n)
         w = rng.standard_normal(n)
         v = rng.standard_normal(n)
         alpha, beta = rng.uniform(-2.0, 2.0, 2)
@@ -491,11 +488,8 @@ def run_cone_rn(seed: int) -> list[CaseResult]:
         regions = {
             "positive": rng.uniform(0.1, 2.0, n),
             "negative": -rng.uniform(0.1, 2.0, n),
+            "mixed": _mixed(rng, n),
         }
-        x_mix = _signed_coords(rng, n, 0.1, 2.0)
-        x_mix[0] = abs(x_mix[0])
-        x_mix[1] = -abs(x_mix[1])
-        regions["mixed"] = x_mix
         for tag, x in regions.items():
             err = float(np.max(np.abs(jacobian_fd(orthant.project, x) - orthant.frechet(x).matrix(n))))
             cases.append(CaseResult(f"cone-rn/jac-{tag}/{k:03d}", err <= 1e-5, f"err {err:.3e}"))
@@ -507,29 +501,16 @@ def run_cone_rn(seed: int) -> list[CaseResult]:
         got = directional_quotient(orthant.project, x, w, 1e-6)
         err = float(np.max(np.abs(got - orthant.gateaux(x, w))))
         cases.append(CaseResult(f"cone-rn/gateaux-corner/{k:03d}", err <= 1e-5, f"err {err:.3e}"))
-    for mc in orthant_membership_cases(rng, per_family=1):
-        ok, detail = _agreement_ok(mc, _light_config(seed))
-        cases.append(CaseResult(f"cone-rn/{mc.label}", ok, detail))
-    return cases
+    return cases + _agreement("cone-rn", orthant_membership_cases(rng, per_family=1), seed)
 
 
 def run_cone_l2(seed: int) -> list[CaseResult]:
     rng = np.random.default_rng(seed)
     cases = []
-
-    def rand_sparse(indices, lo=0.1, hi=2.0, signs=True) -> SparseVector:
-        values = {}
-        for i in indices:
-            v = float(rng.uniform(lo, hi))
-            if signs:
-                v *= float(rng.choice((-1.0, 1.0)))
-            values[int(i)] = v
-        return SparseVector(values)
-
     for k in range(20):
         base = [int(i) for i in rng.choice(np.arange(1, 9), size=3, replace=False)]
         M = frozenset(base[:2])
-        za, zb, zc = (rand_sparse(base) for _ in range(3))
+        za, zb, zc = (_sparse(rng, base) for _ in range(3))
         ok = l2_cone.order_leq(za, za, M)
         if l2_cone.order_leq(za, zb, M) and l2_cone.order_leq(zb, za, M):
             ok = ok and za == zb
@@ -538,19 +519,17 @@ def run_cone_l2(seed: int) -> list[CaseResult]:
         cases.append(CaseResult(f"cone-l2/order-axioms/{k:03d}", ok))
     for k in range(10):
         idx = [int(i) for i in rng.choice(np.arange(1, 9), size=3, replace=False)]
-        x = rand_sparse(idx)
+        x = _sparse(rng, idx)
         proj = l2_cone.project(x)
         ok = all(v > 0.0 for _, v in proj.items())
         ok = ok and all(proj.get(i) == max(x.get(i), 0.0) for i in idx)
         cases.append(CaseResult(f"cone-l2/project/{k:03d}", ok))
-    for mc in l2_membership_cases(rng, per_family=1):
-        ok, detail = _agreement_ok(mc, _light_config(seed))
-        cases.append(CaseResult(f"cone-l2/{mc.label}", ok, detail))
+    cases += _agreement("cone-l2", l2_membership_cases(rng, per_family=1), seed)
     for k in range(5):
         idx = [int(i) for i in rng.choice(np.arange(1, 7), size=2, replace=False)]
         M = frozenset(idx)
-        xbar = rand_sparse(idx, 0.5, 2.0, signs=False)
-        y = rand_sparse(idx)
+        xbar = _sparse(rng, idx, 0.5, 2.0, signs=False)
+        y = _sparse(rng, idx)
         desc = l2_cone.coderivative(xbar, M, y)
         ok = desc.is_singleton and desc.contains(y) is True
         cases.append(CaseResult(f"cone-l2/collapse/{k:03d}", ok))

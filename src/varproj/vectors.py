@@ -31,10 +31,15 @@ alone, at every position in the block and under every BLAS kernel.
 Every dense split is taken by ``_split``.
 
 Public names validate each argument once, at entry, here and in
-``ball``, ``orthant``, ``descriptors`` and ``l2_cone``: ``as_vector``
-and ``as_vector_of`` raise on a non-finite, empty or multi-dimensional
-argument, and on a SparseVector where a dense vector is expected.  A
-``_`` helper takes checked finite float arrays and checks none of them
+``ball``, ``orthant``, ``descriptors``, ``l2_cone`` and ``oracle``, and
+only this module words the error of a bad dense argument: ``as_vector``
+raises ValueError on a non-finite, empty or multi-dimensional argument.
+Kind rule: a SparseVector read as dense (``as_vector``), or a dense and
+a sparse vector in one operation (``inner``), raises TypeError "dense and
+sparse vectors cannot be combined in one operation".  Length rule: a
+vector whose length must match another's is read once, with
+``as_vector_of(v, n)``, and another length raises ValueError "dimension
+mismatch: <got> vs <want>".  A ``_`` helper takes checked finite float arrays and checks none of them
 again: ``_dense_norm`` in place of ``norm``, ``_dot`` of ``inner``,
 ``_split`` of ``orth_decompose``, ``np.count_nonzero`` of ``is_zero``,
 ``_close`` of ``approx_equal``, and the sets' ``_region``, ``_frechet``
@@ -98,13 +103,18 @@ __all__ = [
 ]
 
 
+_MIXED = "dense and sparse vectors cannot be combined in one operation"
+
+
 def _all_finite(v: np.ndarray) -> bool:
     """True when every entry of v is finite: ``np.isfinite(v).all()`` without numpy's Python ``_methods`` wrapper."""
     return np.count_nonzero(np.isfinite(v)) == v.size
 
 
 def as_vector(x) -> np.ndarray:
-    """Coerce array-like input to a finite 1-D float vector of length >= 1."""
+    """Coerce array-like input to a finite 1-D float vector of length >= 1; a SparseVector raises TypeError."""
+    if isinstance(x, SparseVector):
+        raise TypeError(_MIXED)
     v = np.asarray(x, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("expected a one-dimensional vector with at least one entry")
@@ -114,12 +124,7 @@ def as_vector(x) -> np.ndarray:
 
 
 def as_vector_of(x, dim: int) -> np.ndarray:
-    """``as_vector(x)`` with exactly ``dim`` entries.
-
-    A SparseVector raises TypeError and another length ValueError, as in ``inner``.
-    """
-    if isinstance(x, SparseVector):
-        raise TypeError("dense and sparse vectors cannot be combined in one operation")
+    """``as_vector(x)`` with exactly ``dim`` entries; another length raises ValueError, as in ``inner``."""
     v = as_vector(x)
     if v.shape[0] != dim:
         raise ValueError(f"dimension mismatch: {v.shape[0]} vs {dim}")
@@ -301,7 +306,7 @@ def _check_same_kind(u: Vector, v: Vector) -> bool:
     u_sparse = isinstance(u, SparseVector)
     v_sparse = isinstance(v, SparseVector)
     if u_sparse != v_sparse:
-        raise TypeError("dense and sparse vectors cannot be combined in one operation")
+        raise TypeError(_MIXED)
     return u_sparse
 
 

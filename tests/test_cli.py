@@ -62,6 +62,30 @@ class TestProject:
         assert code == 2 and err == "error: --point: invalid JSON (Expecting value)\n"
 
 
+class TestRejectedInput:
+    @pytest.mark.parametrize("argv, message", [
+        (("coderiv", "--set", "cone-l2", "--xbar", "[[1, 1.0]]", "--y", "[[1, 1.0]]", "--support", '{"a": 1}'),
+         "--support: expected a JSON array of indices"),
+        (("project", "--set", "cone-l2", "--point", "[[1, true]]"), "--point: sparse values must be numbers"),
+        (("project", "--set", "cone-l2", "--point", "[[1, 1.0, 2]]"),
+         "--point: sparse vector entries must be [index, value] pairs"),
+        (("project", "--set", "cone-l2", "--point", '{"1": 1.0}'),
+         "--point: sparse vector must be a JSON array of [index, value] pairs"),
+        (("project", "--set", "cone-l2", "--point", "[[1, 1e999]]"), "--point: sparse values must be finite"),
+        (("project", "--set", "cone-l2", "--point", "[[1.5, 1.0]]"),
+         "--point: sparse indices must be positive integers"),
+        (("project", "--set", "ball", "--radius", "-1", "--point", "[1, 0]"),
+         "--radius: radius must be a positive finite number"),
+        (("project", "--set", "cone-rn", "--point", "[]"),
+         "--point: dense vector must be a non-empty JSON array of numbers"),
+        (("project", "--set", "cone-rn", "--point", '[1, "a"]'), "--point: dense vector entries must be numbers"),
+    ])
+    def test_exits_2_with_one_line(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+
 class TestGateauxFrechet:
     def test_gateaux_sphere(self, capsys):
         code, out, _ = run(

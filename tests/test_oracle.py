@@ -275,6 +275,18 @@ class TestMembership:
         assert set(j["sup_estimates"]) == {"0.01", "0.001", "0.0001"}
         assert j["witness"]["radius"] == 1e-4
 
+    def test_a_quotient_that_rises_and_falls_again_is_inconclusive(self):
+        # f dips to -0.002 |u| on 5e-4 < |u| < 5e-3 only, so the quotient
+        # 0.002 t / (t + 0.002 t) = 0.002 / 1.002 exceeds the tolerance at
+        # the middle radius alone: no witness persists, and the suprema rise
+        def f(u):
+            a = abs(float(u[0]))
+            return np.array([-0.002 * a if 5e-4 < a < 5e-3 else 0.0])
+
+        out = membership(f, np.array([0.0]), np.array([1.0]), np.array([0.0]))
+        assert out.verdict is Verdict.INCONCLUSIVE and out.witness is None
+        assert out.sup_estimates == ((1e-2, 0.0), (1e-3, 0.001996007984031936), (1e-4, 0.0))
+
     def test_denominator_choice_same_verdict(self):
         op = BallProjection(1.0)
         xbar = np.array([1.0, 0.0])
@@ -1662,8 +1674,12 @@ class TestEntryKinds:
     @pytest.mark.parametrize("name", _ENTRIES)
     def test_a_wrong_length_raises_a_dimension_mismatch(self, name):
         for k in range(_ENTRIES[name][1]):
-            with pytest.raises(ValueError, match="^dimension mismatch"):
+            with pytest.raises(ValueError, match="^dimension mismatch: 3 vs 2$"):
                 _entry(name, np.array([1.0, 2.0]), np.array([0.5, 0.0, 1.0]), k)
+
+    def test_a_sparse_point_of_a_dense_jacobian_raises_the_inner_message(self):
+        with pytest.raises(TypeError, match="^dense and sparse vectors cannot be combined in one operation$"):
+            jacobian_fd(l2_cone.project, SparseVector({1: 1.0}))
 
     def test_a_dense_query_may_be_given_as_lists(self):
         got = directional_quotient(orthant.project, [0.0, -1.0], [1.0, 1.0], 1e-6)

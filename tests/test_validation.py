@@ -361,7 +361,8 @@ class TestErrorParity:
         assert {c: got[c] for c in CASES if got[c] != want[c]} == {}
 
 
-# outcome -> the cases that end in it, recorded before the checks moved to the entry points
+# outcome -> the cases that end in it, recorded before the checks moved to the entry points; the
+# SparseVector and wrong-length outcomes recorded again when ``vectors`` took over their messages
 EXPECTED = {
     'ValueError: vector entries must be finite': """
         ball.project/nan ball.region/nan ball.frechet/nan orthant.project/nan orthant.region/nan
@@ -441,20 +442,6 @@ EXPECTED = {
         SpherePartial.contains/empty CornerPartial.contains/empty CornerPartial-none.contains/empty
         ScaledComplementMap/empty CoordinateMaskMap/empty ScaledComplementMap.from_point/empty
     """.split(),
-    "TypeError: float() argument must be a string or a real number, not 'SparseVector'": """
-        ball.project/sparse ball.region/sparse ball.frechet/sparse orthant.project/sparse
-        orthant.region/sparse orthant.frechet/sparse ball.direction_class/interior/xbar-sparse
-        ball.direction_class/interior/w-sparse ball.gateaux/interior/xbar-sparse
-        ball.coderivative/interior/xbar-sparse ball.coderivative/interior/w-sparse
-        ball.direction_class/sphere/xbar-sparse ball.direction_class/sphere/w-sparse
-        ball.gateaux/sphere/xbar-sparse ball.coderivative/sphere/xbar-sparse
-        ball.coderivative/sphere/w-sparse ball.direction_class/exterior/xbar-sparse
-        ball.direction_class/exterior/w-sparse ball.gateaux/exterior/xbar-sparse
-        ball.coderivative/exterior/xbar-sparse ball.coderivative/exterior/w-sparse
-        orthant.gateaux/first-sparse orthant.coderivative/first-sparse
-        orthant.coderivative/second-sparse ScaledComplementMap/sparse CoordinateMaskMap/sparse
-        ScaledComplementMap.from_point/sparse
-    """.split(),
     'ok': """
         vectors.norm/sparse vectors.is_zero/sparse vectors.encode_vector/sparse
         OrderIntervalSet.contains/sparse SelfExclusionPartial.contains/sparse ball.project/dim3
@@ -468,18 +455,31 @@ EXPECTED = {
         vectors.approx_equal/first-sparse vectors.approx_equal/second-sparse
         vectors.orth_decompose/first-sparse vectors.orth_decompose/second-sparse
         SingletonSet.contains/sparse EmptySet.contains/sparse SpherePartial.contains/sparse
-        CornerPartial.contains/sparse CornerPartial-none.contains/sparse
+        CornerPartial.contains/sparse CornerPartial-none.contains/sparse ball.project/sparse
+        ball.region/sparse ball.frechet/sparse orthant.project/sparse orthant.region/sparse
+        orthant.frechet/sparse ball.direction_class/interior/xbar-sparse
+        ball.direction_class/interior/w-sparse ball.gateaux/interior/xbar-sparse
+        ball.coderivative/interior/xbar-sparse ball.coderivative/interior/w-sparse
+        ball.direction_class/sphere/xbar-sparse ball.direction_class/sphere/w-sparse
+        ball.gateaux/sphere/xbar-sparse ball.coderivative/sphere/xbar-sparse
+        ball.coderivative/sphere/w-sparse ball.direction_class/exterior/xbar-sparse
+        ball.direction_class/exterior/w-sparse ball.gateaux/exterior/xbar-sparse
+        ball.coderivative/exterior/xbar-sparse ball.coderivative/exterior/w-sparse
+        orthant.gateaux/first-sparse orthant.coderivative/first-sparse
+        orthant.coderivative/second-sparse ScaledComplementMap/sparse CoordinateMaskMap/sparse
+        ScaledComplementMap.from_point/sparse
     """.split(),
     'ValueError: dimension mismatch: 2 vs 3': """
         ball.direction_class/interior/xbar-dim3 ball.gateaux/interior/xbar-dim3
         ball.direction_class/sphere/xbar-dim3 ball.gateaux/sphere/xbar-dim3
         ball.direction_class/exterior/xbar-dim3 ball.gateaux/exterior/xbar-dim3
         orthant.gateaux/first-dim3 vectors.inner/second-dim3 vectors.approx_equal/second-dim3
-        vectors.orth_decompose/first-dim3
+        vectors.orth_decompose/first-dim3 ball.coderivative/interior/xbar-dim3
+        ball.coderivative/sphere/xbar-dim3 ball.coderivative/exterior/xbar-dim3
+        orthant.coderivative/first-dim3
     """.split(),
     'ValueError: direction classification is defined at sphere points only': """
-        ball.direction_class/interior/w-dim3 ball.direction_class/exterior/w-dim3
-        ball.direction_class/interior/zero-dim3 ball.direction_class/interior
+        ball.direction_class/interior
     """.split(),
     'ValueError: dimension mismatch: 3 vs 2': """
         ball.gateaux/interior/w-dim3 ball.direction_class/sphere/w-dim3 ball.gateaux/sphere/w-dim3
@@ -487,23 +487,15 @@ EXPECTED = {
         vectors.approx_equal/first-dim3 vectors.orth_decompose/second-dim3
         SingletonSet.contains/dim3 EmptySet.contains/dim3 SpherePartial.contains/dim3
         CornerPartial.contains/dim3 CornerPartial-none.contains/dim3 ball.gateaux/sphere/zero-dim3
-    """.split(),
-    'ValueError: xbar and y must have the same dimension': """
-        ball.coderivative/interior/xbar-dim3 ball.coderivative/interior/w-dim3
-        ball.coderivative/sphere/xbar-dim3 ball.coderivative/sphere/w-dim3
-        ball.coderivative/exterior/xbar-dim3 ball.coderivative/exterior/w-dim3
-        orthant.coderivative/first-dim3 orthant.coderivative/second-dim3
-        ball.coderivative/sphere/zero-dim3 orthant.coderivative/corner/zero-dim3
-    """.split(),
-    'ValueError: dimension mismatch with map axis': """
-        ScaledComplementMap/dim3
-    """.split(),
-    'ValueError: dimension mismatch with mask': """
-        CoordinateMaskMap/dim3
+        ball.direction_class/interior/w-dim3 ball.coderivative/interior/w-dim3
+        ball.coderivative/sphere/w-dim3 ball.direction_class/exterior/w-dim3
+        ball.coderivative/exterior/w-dim3 orthant.coderivative/second-dim3 ScaledComplementMap/dim3
+        CoordinateMaskMap/dim3 ball.direction_class/sphere/zero-dim3
+        ball.direction_class/interior/zero-dim3 ball.coderivative/sphere/zero-dim3
+        orthant.coderivative/corner/zero-dim3
     """.split(),
     'ValueError: direction must be nonzero': """
-        ball.direction_class/sphere/zero ball.direction_class/sphere/zero-dim3
-        ball.gateaux/sphere/zero
+        ball.direction_class/sphere/zero ball.gateaux/sphere/zero
     """.split(),
     'ValueError: the directional derivative exceeds the largest double': """
         ball.gateaux/outward-overflow
