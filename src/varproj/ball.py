@@ -21,6 +21,10 @@ Differentiability is governed by the position of the base point:
   and no single linear map matches all of these, so P is not Frechet
   differentiable on the sphere.  The coderivative there is only partially
   characterised; see ``SpherePartial``.
+
+``gateaux``, ``frechet`` and ``coderivative`` take ||xbar||^2 once per
+call: the region, the exterior scale r/||xbar|| and axis, the self
+query's bound and the sphere rule's split all read that one square sum.
 """
 
 from __future__ import annotations
@@ -40,8 +44,8 @@ from .descriptors import (
     ScaledComplementMap,
     SingletonSet,
 )
-from .vectors import (_all_finite, _dense_norm, _distance, _dot, _dots, _halved, _split, as_rows, as_vector,
-                      as_vector_of, row_norms)
+from .vectors import (_all_finite, _count_nonzero, _dense_norm, _distance, _dot, _dots, _halved, _split, as_rows,
+                      as_vector, as_vector_of, row_norms)
 
 __all__ = ["BallRegion", "DirectionClass", "BallProjection", "SpherePartial"]
 
@@ -98,7 +102,7 @@ class SpherePartial(DerivativeSet):
     rule = "ball-sphere"
 
     def contains(self, z) -> Optional[bool]:
-        if not np.count_nonzero(as_vector_of(z, self.dim)):
+        if not _count_nonzero(as_vector_of(z, self.dim)):
             return self.contains_zero
         return None
 
@@ -172,7 +176,7 @@ class BallProjection:
         ``project_rows`` handles those.
         """
         sq_norm, y_x = float(_dot(x0, x0)), float(_dot(y0, x0))
-        origin = sq_norm == 0.0 and not np.count_nonzero(x0)
+        origin = sq_norm == 0.0 and not _count_nonzero(x0)
         if not ((origin or _TINY <= sq_norm < np.inf) and math.isfinite(y_x)):
             return None
         with np.errstate(over="ignore"):
@@ -196,7 +200,7 @@ class BallProjection:
                 a = np.where(norm_u > r, -scale_u * (gap / norm_x), 1.0 - r / norm_x)
         b = scale_u * step
         y_df = a * y_x + b * y_d
-        if not np.count_nonzero(a):  # u and x0 inside the ball: P(u) - P(x0) = step d
+        if not _count_nonzero(a):  # u and x0 inside the ball: P(u) - P(x0) = step d
             return y_df, np.abs(b)
         return y_df, np.hypot(a * off(), a * x_d + b)
 
@@ -248,11 +252,11 @@ class BallProjection:
         return self._image_terms(x0, y0, xd, yd, t, xd + t, off)
 
     def region(self, x) -> BallRegion:
-        return self._region(as_vector(x))
+        return self._region(_dense_norm(as_vector(x)))
 
-    def _region(self, x: np.ndarray, sq: float | None = None) -> BallRegion:
-        """``region`` of a checked array; ``sq`` is ``float(_dot(x, x))`` when the caller has it."""
-        gap = _dense_norm(x, sq) - self.radius
+    def _region(self, length: float) -> BallRegion:
+        """``region`` of a point whose norm is ``length``."""
+        gap = length - self.radius
         if abs(gap) <= SPHERE_RTOL * self.radius:
             return BallRegion.SPHERE
         return BallRegion.INTERIOR if gap < 0.0 else BallRegion.EXTERIOR
@@ -270,7 +274,7 @@ class BallProjection:
         xbar = as_vector(xbar)
         w = as_vector_of(w, xbar.shape[0])
         x_sq = float(_dot(xbar, xbar))
-        if self._region(xbar, x_sq) is not BallRegion.SPHERE:
+        if self._region(_dense_norm(xbar, x_sq)) is not BallRegion.SPHERE:
             raise ValueError("direction classification is defined at sphere points only")
         return self._direction_class(xbar, w, x_sq)[0]
 
@@ -282,7 +286,7 @@ class BallProjection:
         last two are None and 0.0 for a radial w.  ``x_sq`` is
         ``float(_dot(xbar, xbar))`` when the caller has it.
         """
-        if not np.count_nonzero(w):
+        if not _count_nonzero(w):
             raise ValueError("direction must be nonzero")
         # w / 2^e is exact, and its split coefficient is a double for every finite w
         half, e = _halved(w)
@@ -298,11 +302,12 @@ class BallProjection:
         xbar = as_vector(xbar)
         w = as_vector_of(w, xbar.shape[0])
         x_sq = float(_dot(xbar, xbar))
-        region = self._region(xbar, x_sq)
+        length = _dense_norm(xbar, x_sq)
+        region = self._region(length)
         if region is BallRegion.INTERIOR:
             return w.copy()
         if region is BallRegion.EXTERIOR:
-            return (self.radius / _dense_norm(xbar, x_sq)) * _split(xbar, w, anchor_sq=x_sq)[1]
+            return (self.radius / length) * _split(xbar, w, anchor_sq=x_sq)[1]
         kind, half, e, unit, along = self._direction_class(xbar, w, x_sq)
         if kind is DirectionClass.RADIAL:
             return np.zeros(w.shape)
@@ -318,12 +323,14 @@ class BallProjection:
         """Frechet derivative map, or None on the sphere where none exists."""
         return self._frechet(as_vector(xbar))
 
-    def _frechet(self, xbar: np.ndarray) -> Optional[LinearMap]:
-        region = self._region(xbar)
+    def _frechet(self, xbar: np.ndarray, x_sq: float | None = None) -> Optional[LinearMap]:
+        """``frechet`` of a checked array; ``x_sq`` is ``float(_dot(xbar, xbar))`` when the caller has it."""
+        length = _dense_norm(xbar, x_sq)
+        region = self._region(length)
         if region is BallRegion.INTERIOR:
-            return IdentityMap()
+            return IdentityMap(xbar.shape[0])
         if region is BallRegion.EXTERIOR:
-            return ScaledComplementMap._of(self.radius / _dense_norm(xbar), xbar)
+            return ScaledComplementMap._of(self.radius / length, xbar, length)
         return None
 
     def coderivative(self, xbar, y) -> DerivativeSet:
@@ -338,17 +345,18 @@ class BallProjection:
         """
         xbar = as_vector(xbar)
         y = as_vector_of(y, xbar.shape[0])
-        derivative = self._frechet(xbar)
+        x_sq = float(_dot(xbar, xbar))
+        derivative = self._frechet(xbar, x_sq)
         if derivative is not None:
             return SingletonSet(derivative._on(y))
-        if not np.count_nonzero(y):
+        if not _count_nonzero(y):
             return SingletonSet(np.zeros(y.shape))
-        if _distance(y, xbar) <= SELF_QUERY_RTOL * _dense_norm(xbar):
+        if _distance(y, xbar) <= SELF_QUERY_RTOL * _dense_norm(xbar, x_sq):
             return EmptySet(xbar.shape[0])
         # 0 is in the set when y is radial and inward (<y, xbar> <= 0); both
         # are facts of the direction of y, tested on y / 2^e with max|y| < 2^e
         # (exact), so no norm or split of y overflows and a, about 1/r on a
         # radial y, never underflows to the +0.0 of a tangent one
         y = _halved(y)[0]
-        a, _, o_len = _split(xbar, y)
+        a, _, o_len = _split(xbar, y, anchor_sq=x_sq)
         return SpherePartial(xbar.shape[0], o_len <= RADIAL_RTOL * _dense_norm(y) and a <= 0.0)

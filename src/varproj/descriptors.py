@@ -98,15 +98,21 @@ class EmptySet(DerivativeSet):
 
 
 class LinearMap:
-    """Closed-form derivative map.  All maps here are self-adjoint, so the
-    coderivative of a differentiable point is the singleton {map(y)}."""
+    """Closed-form derivative map on R^dim.  All maps here are self-adjoint, so the
+    coderivative of a differentiable point is the singleton {map(y)}.
 
-    def __call__(self, v: Vector) -> Vector:
-        raise NotImplementedError
+    ``map(v)`` reads v with ``as_vector_of(v, dim)``, so a vector of
+    another length or a SparseVector raises as for ``SingletonSet``.
+    """
+
+    dim: int
+
+    def __call__(self, v: Vector) -> np.ndarray:
+        return self._on(as_vector_of(v, self.dim))
 
     def _on(self, v: np.ndarray) -> np.ndarray:
         """The map of a checked array of the map's dimension, not checked again."""
-        return self(v)
+        raise NotImplementedError
 
     def matrix(self, n: int) -> np.ndarray:
         """Dense matrix representation on R^n (for derivative checks)."""
@@ -123,9 +129,11 @@ class LinearMap:
 
 @dataclass(frozen=True)
 class IdentityMap(LinearMap):
-    def __call__(self, v: Vector) -> Vector:
+    dim: int
+
+    def _on(self, v: np.ndarray) -> np.ndarray:
         # a copy, so a singleton built from the image never shares the caller's array
-        return v.copy() if isinstance(v, np.ndarray) else v
+        return v.copy()
 
     def to_json(self) -> dict:
         return {"kind": "identity"}
@@ -133,10 +141,10 @@ class IdentityMap(LinearMap):
 
 @dataclass(frozen=True)
 class ZeroMap(LinearMap):
-    def __call__(self, v: Vector) -> Vector:
-        if isinstance(v, np.ndarray):
-            return np.zeros(v.shape, v.dtype)
-        return v * 0.0
+    dim: int
+
+    def _on(self, v: np.ndarray) -> np.ndarray:
+        return np.zeros(v.shape)
 
     def to_json(self) -> dict:
         return {"kind": "zero"}
@@ -158,17 +166,19 @@ class ScaledComplementMap(LinearMap):
         return cls._of(scale, as_vector(axis_vector))
 
     @classmethod
-    def _of(cls, scale: float, axis: np.ndarray) -> "ScaledComplementMap":
-        """``from_point`` of a checked array."""
-        length = _dense_norm(axis)
+    def _of(cls, scale: float, axis: np.ndarray, length: float | None = None) -> "ScaledComplementMap":
+        """``from_point`` of a checked array; ``length`` is ``_dense_norm(axis)`` when the caller has it."""
+        if length is None:
+            length = _dense_norm(axis)
         if length == 0.0:
             raise ValueError("axis must be nonzero")
         unit = axis / length
         unit.flags.writeable = False
         return cls(scale=float(scale), axis=unit)
 
-    def __call__(self, v: Vector) -> Vector:
-        return self._on(as_vector_of(v, self.axis.shape[0]))
+    @property
+    def dim(self) -> int:
+        return self.axis.shape[0]
 
     def _on(self, v: np.ndarray) -> np.ndarray:
         return self.scale * (v - _dot(v, self.axis) * self.axis)
@@ -204,9 +214,6 @@ class CoordinateMaskMap(LinearMap):
         mask[sorted(self.keep)] = True
         mask.flags.writeable = False
         return mask
-
-    def __call__(self, v: Vector) -> Vector:
-        return self._on(as_vector_of(v, self.dim))
 
     def _on(self, v: np.ndarray) -> np.ndarray:
         return np.where(self._mask, v, 0.0)

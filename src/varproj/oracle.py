@@ -152,8 +152,8 @@ from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .vectors import (SparseVector, Vector, _check_same_kind, _dense_norm, _dot, _halved, _split, as_vector,
-                      as_vector_of, inner, norm, row_norms)
+from .vectors import (SparseVector, Vector, _check_same_kind, _count_nonzero, _dense_norm, _dot, _halved, _split,
+                      as_vector, as_vector_of, inner, norm, row_norms)
 
 __all__ = [
     "ProbeConfig",
@@ -387,7 +387,7 @@ def _random_dirs(seed, count: int, m: int, n_radii: int) -> np.ndarray:
         length = np.linalg.norm(draws, axis=1)
         keep = length >= 1e-12
         np.divide(draws, length[:, None], out=draws, where=keep[:, None])
-        kept = int(np.count_nonzero(keep))
+        kept = int(_count_nonzero(keep))
         if kept < len(draws):
             draws[:kept] = draws[keep]
         start += kept
@@ -415,7 +415,7 @@ def _quotients(z0: np.ndarray, rows: np.ndarray, scale: Optional[np.ndarray], y_
     if scale is not None:
         z_du = z_du * scale
         lost = ~np.isfinite(z_du)
-        if np.count_nonzero(lost):
+        if _count_nonzero(lost):
             z_du[lost] = _dot(scale[lost, None] * rows[lost], z0)
     return (z_du - y_df) / den
 
@@ -430,7 +430,7 @@ def _score(dirs: np.ndarray, t, x0: np.ndarray, terms: Callable, denominator: st
     du = u - x0
     d_in = row_norms(du)
     moved = d_in > 0.0
-    if np.count_nonzero(moved) < moved.size:
+    if _count_nonzero(moved) < moved.size:
         return int(moved.argmin()), None, None, None
     y_df, df_norm = terms(u)
     return None, du, y_df, _denominator(denominator, d_in, df_norm)
@@ -611,7 +611,7 @@ def _plan(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, x0: np.ndarray
     if radii[-1] <= math.sqrt(m) * float(np.spacing(np.maximum.reduce(np.abs(x0)))):
         f_dirs = None
     moves = axis_in > 0.0
-    stuck = len(radii) if np.count_nonzero(moves) == moves.size else int(moves.argmin()) // (2 * m)
+    stuck = len(radii) if _count_nonzero(moves) == moves.size else int(moves.argmin()) // (2 * m)
     random = _random_scores(dirs, random_t, count, x0, y0, terms, config.denominator, f_dirs)
     if isinstance(random, int):
         stuck, random = min(stuck, random), None

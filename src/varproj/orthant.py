@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -35,7 +36,7 @@ from .descriptors import (
     SingletonSet,
     ZeroMap,
 )
-from .vectors import _all_finite, _dense_norm, _dot, _einsum, as_rows, as_vector, as_vector_of
+from .vectors import _all_finite, _count_nonzero, _dense_norm, _dot, _einsum, as_rows, as_vector, as_vector_of
 
 __all__ = [
     "OrthantRegion",
@@ -90,7 +91,7 @@ def project_axes(x0: np.ndarray, y0: np.ndarray, j, moved):
 def _dir_terms(x0: np.ndarray, y0: np.ndarray, dirs: np.ndarray, t: np.ndarray, bound: float, reach: np.ndarray):
     """``project_dirs`` of rows whose radii are at most ``bound`` / (1 + 2^-40); ``reach`` is |x0|."""
     pos = x0 > bound
-    count = np.count_nonzero(pos)
+    count = _count_nonzero(pos)
     if count == x0.size:
         y_d, d_sq = _dot(dirs, y0), _dot(dirs, dirs)
     elif count:
@@ -130,7 +131,7 @@ def project_dirs(x0: np.ndarray, y0: np.ndarray, dirs: np.ndarray, t: np.ndarray
     # |t d_i| <= t (1 + 2^-50) rounds to at most t (1 + 2^-40)
     bound, reach = float(np.maximum.reduce(t)) * (1.0 + 2.0**-40), np.abs(x0)
     with np.errstate(over="ignore", invalid="ignore"):
-        if not np.count_nonzero((reach <= bound) & (reach > 0.0)):
+        if not _count_nonzero((reach <= bound) & (reach > 0.0)):
             y_df, df_norm = _dir_terms(x0, y0, dirs, t, bound, reach)
         else:
             # a nonzero coordinate within reach of some radius: C differs by radius
@@ -150,9 +151,9 @@ def region(x) -> OrthantRegion:
 
 
 def _region(x: np.ndarray) -> OrthantRegion:
-    if np.count_nonzero(x) < x.size:
+    if _count_nonzero(x) < x.size:
         return OrthantRegion.WITH_ZEROS
-    negative = np.count_nonzero(x < 0.0)
+    negative = _count_nonzero(x < 0.0)
     if not negative:
         return OrthantRegion.POSITIVE
     if negative == x.size:
@@ -175,9 +176,9 @@ def frechet(x) -> Optional[LinearMap]:
 def _frechet(x: np.ndarray) -> Optional[LinearMap]:
     reg = _region(x)
     if reg is OrthantRegion.POSITIVE:
-        return IdentityMap()
+        return IdentityMap(x.shape[0])
     if reg is OrthantRegion.NEGATIVE:
-        return ZeroMap()
+        return ZeroMap(x.shape[0])
     if reg is OrthantRegion.MIXED:
         return CoordinateMaskMap._of(x > 0.0)
     return None
@@ -194,12 +195,22 @@ class CornerPartial(DerivativeSet):
     to the set (in particular 0 does not).  ``target`` is a read-only copy
     of y when this rule applies and None otherwise; every other query
     answers None.  A query of another dimension than ``dim``, or a
-    SparseVector, raises as for ``SingletonSet``.
+    SparseVector, raises as for ``SingletonSet``.  The facts of the
+    target that every query reads are settled on the first query, so a
+    query scales only z.
     """
 
     dim: int
     target: Optional[np.ndarray]
     rule = "cone-corner"
+
+    @cached_property
+    def _settled(self) -> tuple:
+        """(e, y / 2^e, 2^-e, <y / 2^e, y / 2^e>, ||y / 2^e||) of the target y, with max|y| < 2^e."""
+        e = np.frexp(np.maximum.reduce(np.abs(self.target)))[1]
+        with np.errstate(over="ignore"):  # 2^-e is inf when max|y| < 2^-1024
+            y, floor = np.ldexp(self.target, -e), np.ldexp(1.0, -e)
+        return e, y, floor, float(_dot(y, y)), _dense_norm(y)
 
     def contains(self, z) -> Optional[bool]:
         z = as_vector_of(z, self.dim)
@@ -207,16 +218,16 @@ class CornerPartial(DerivativeSet):
             return None
         # z = scale * y within tolerance, tested on y and z times 2^-e with
         # max|y| < 2^e: the bits of the plain test, with no square to overflow
-        e = np.frexp(np.maximum.reduce(np.abs(self.target)))[1]
+        e, y, floor, y_sq, y_len = self._settled
         with np.errstate(over="ignore", invalid="ignore"):
-            y, z, floor = np.ldexp(self.target, -e), np.ldexp(z, -e), np.ldexp(1.0, -e)
-            scale = float(_dot(z, y)) / float(_dot(y, y))
+            z = np.ldexp(z, -e)
+            scale = float(_dot(z, y)) / y_sq
             off = z - scale * y
         # the scaled z, lambda in z = lambda * y or z - lambda * y exceeds
         # every double; each makes an entry of z - lambda * y inf or nan
         if not _all_finite(off):
             return None
-        if _dense_norm(off) <= MULTIPLE_RTOL * max(floor, _dense_norm(z), _dense_norm(y)) and scale < 1.0:
+        if _dense_norm(off) <= MULTIPLE_RTOL * max(floor, _dense_norm(z), y_len) and scale < 1.0:
             return False
         return None
 
@@ -248,13 +259,13 @@ def coderivative(xbar, y) -> DerivativeSet:
     derivative = _frechet(xbar)
     if derivative is not None:
         return SingletonSet(derivative._on(y))
-    if not np.count_nonzero(y):
+    if not _count_nonzero(y):
         return SingletonSet(np.zeros(y.shape))
-    if not np.count_nonzero(y != xbar):
-        if not np.count_nonzero(xbar > 0.0):
+    if not _count_nonzero(y != xbar):
+        if not _count_nonzero(xbar > 0.0):
             return SingletonSet(np.zeros(y.shape))
         return EmptySet(xbar.shape[0])
-    if not np.count_nonzero((xbar == 0.0) & (y < 0.0)):
+    if not _count_nonzero((xbar == 0.0) & (y < 0.0)):
         return CornerPartial(xbar.shape[0], None)
     target = y.copy()
     target.flags.writeable = False

@@ -41,7 +41,7 @@ vector whose length must match another's is read once, with
 ``as_vector_of(v, n)``, and another length raises ValueError "dimension
 mismatch: <got> vs <want>".  A ``_`` helper takes checked finite float arrays and checks none of them
 again: ``_dense_norm`` in place of ``norm``, ``_dot`` of ``inner``,
-``_split`` of ``orth_decompose``, ``np.count_nonzero`` of ``is_zero``,
+``_split`` of ``orth_decompose``, ``_count_nonzero`` of ``is_zero``,
 ``_close`` of ``approx_equal``, and the sets' ``_region``, ``_frechet``
 and ``_direction_class`` and the maps' ``_on``.  The checks that stay
 inside are on derived values, which can overflow although the
@@ -54,20 +54,22 @@ overflows after its scaling.
 A check or reduction on a per-call path of ``vectors``, ``ball``,
 ``orthant``, ``descriptors`` and ``oracle`` calls numpy's C entry point,
 never a Python-level wrapper: ``_all_finite`` for finiteness,
-``np.count_nonzero`` for zero, sign and equality tests (it counts -0.0
-as zero and NaN as nonzero, as ``any()`` does), ``np.maximum.reduce``
-and ``np.minimum.reduce`` for extrema, ``np.zeros(v.shape)`` and
-``b.nonzero()[0]``.  ``ndarray.any/all/max/min`` run numpy's Python
-``_methods`` before the ufunc reduction, and ``np.any``, ``np.all``,
-``np.max``, ``np.array_equal``, ``np.zeros_like`` and ``np.flatnonzero``
-add Python dispatch.  On a 6-vector (numpy 2.4, Xeon, timeit, fastest
-of five) ``x.any()`` takes 1.6 us against 0.34 us for
-``np.count_nonzero(x)``; ``x.max()`` 2.3 us and ``np.max`` 3.4 us
-against 1.1 us for ``np.maximum.reduce``; ``np.isfinite(x).all()``
-2.1 us against 1.4 us; ``np.zeros_like``, ``np.flatnonzero`` and
-``np.array_equal`` 1.2, 1.4 and 2.3 us against 0.3-0.4 us for
-``np.zeros``, ``nonzero()[0]`` and ``np.count_nonzero``.  A closed form
-of about 9 us makes two to four such checks.
+``_count_nonzero`` (numpy's C ``count_nonzero``) for zero, sign and
+equality tests (it counts -0.0 as zero and NaN as nonzero, as ``any()``
+does), ``np.maximum.reduce`` and ``np.minimum.reduce`` for extrema,
+``np.zeros(v.shape)`` and ``b.nonzero()[0]``.  ``ndarray.any/all/max/min``
+run numpy's Python ``_methods`` before the ufunc reduction;
+``np.any``, ``np.all`` and ``np.max`` add the dispatch of
+``fromnumeric``; and ``np.count_nonzero``, ``np.array_equal``,
+``np.zeros_like`` and ``np.flatnonzero`` are a dispatcher and a wrapper
+in numpy's Python ``numeric``.  On a 6-vector (numpy 2.4, Xeon, timeit,
+fastest of five) ``x.any()`` takes 1.3-1.6 us and ``np.count_nonzero``
+0.32-0.36 us against 0.08-0.11 us for ``_count_nonzero``; ``x.max()``
+2.3 us and ``np.max`` 3.4 us against 1.1 us for ``np.maximum.reduce``;
+``np.zeros_like``, ``np.flatnonzero`` and ``np.array_equal`` 1.2, 1.4
+and 2.3 us against 0.3-0.4 us for ``np.zeros``, ``nonzero()[0]`` and
+``_count_nonzero`` of ``u != v``.  A closed form of 3-45 us makes two to
+four such checks.
 """
 
 from __future__ import annotations
@@ -80,10 +82,10 @@ from typing import Union
 
 import numpy as np
 
-try:  # numpy's C einsum; the Python dispatch of np.einsum more than doubles the cost of a short product
-    from numpy._core.multiarray import c_einsum as _einsum
+try:  # numpy's C einsum and count_nonzero, without the Python dispatch of np.einsum and np.count_nonzero
+    from numpy._core.multiarray import c_einsum as _einsum, count_nonzero as _count_nonzero
 except ImportError:  # numpy < 2
-    from numpy.core.multiarray import c_einsum as _einsum
+    from numpy.core.multiarray import c_einsum as _einsum, count_nonzero as _count_nonzero
 
 __all__ = [
     "SparseVector",
@@ -108,7 +110,7 @@ _MIXED = "dense and sparse vectors cannot be combined in one operation"
 
 def _all_finite(v: np.ndarray) -> bool:
     """True when every entry of v is finite: ``np.isfinite(v).all()`` without numpy's Python ``_methods`` wrapper."""
-    return np.count_nonzero(np.isfinite(v)) == v.size
+    return _count_nonzero(np.isfinite(v)) == v.size
 
 
 def as_vector(x) -> np.ndarray:
@@ -361,7 +363,7 @@ def _rescaled_norm(x: np.ndarray) -> float:
 def _dense_norm(x: np.ndarray, sq: float | None = None) -> float:
     """``norm`` of a finite 1-D array, not validated again; ``sq`` is ``float(_dot(x, x))`` when the caller has it."""
     length = math.sqrt(float(_dot(x, x)) if sq is None else sq)
-    if _TINY_NORM <= length < math.inf or not np.count_nonzero(x):
+    if _TINY_NORM <= length < math.inf or not _count_nonzero(x):
         return length
     return _rescaled_norm(x)
 
@@ -405,7 +407,7 @@ def row_norms(block: np.ndarray) -> np.ndarray:
 def is_zero(u: Vector) -> bool:
     if isinstance(u, SparseVector):
         return u.is_zero()
-    return not np.count_nonzero(as_vector(u))
+    return not _count_nonzero(as_vector(u))
 
 
 def _distance(u: Vector, v: Vector) -> float:

@@ -75,13 +75,13 @@ class TestSets:
 
 class TestLinearMaps:
     def test_identity(self):
-        m = IdentityMap()
+        m = IdentityMap(2)
         v = np.array([1.0, -2.0])
         np.testing.assert_array_equal(m(v), v)
         np.testing.assert_array_equal(m.matrix(2), np.eye(2))
 
     def test_zero(self):
-        m = ZeroMap()
+        m = ZeroMap(2)
         np.testing.assert_array_equal(m(np.array([3.0, 4.0])), np.zeros(2))
 
     def test_scaled_complement_frozen(self):
@@ -130,8 +130,8 @@ class TestLinearMaps:
         assert held != CoordinateMaskMap(keep=keep - {min(keep)}, dim=n)
 
     def test_json_kinds(self):
-        assert IdentityMap().to_json()["kind"] == "identity"
-        assert ZeroMap().to_json()["kind"] == "zero"
+        assert IdentityMap(2).to_json()["kind"] == "identity"
+        assert ZeroMap(2).to_json()["kind"] == "zero"
         assert CoordinateMaskMap(frozenset({1}), 2).to_json()["kind"] == "coordinate_mask"
         j = ScaledComplementMap.from_point(0.5, np.array([2.0, 0.0])).to_json()
         assert j["kind"] == "scaled_complement" and j["scale"] == 0.5

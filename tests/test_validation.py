@@ -13,11 +13,12 @@ enters none of numpy's Python-level reduction wrappers.
 from __future__ import annotations
 
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from varproj import l2_cone, orthant, vectors
+from varproj import l2_cone, oracle, orthant, vectors
 from varproj.ball import BallProjection
 from varproj.descriptors import EmptySet, ScaledComplementMap, SingletonSet
 from varproj.vectors import SparseVector
@@ -60,7 +61,8 @@ def _cases():
         for name, desc in _descriptors().items():
             cases.append((f"{name}.contains/{kind}", lambda desc=desc, bad=bad: desc.contains(bad)))
         for name, linear in (("ScaledComplementMap", OP.frechet(X_EX)),
-                             ("CoordinateMaskMap", orthant.frechet(np.array([1.0, -1.0])))):
+                             ("CoordinateMaskMap", orthant.frechet(np.array([1.0, -1.0]))),
+                             ("IdentityMap", OP.frechet(X_IN)), ("ZeroMap", orthant.frechet(np.array([-1.0, -2.0])))):
             cases.append((f"{name}/{kind}", lambda linear=linear, bad=bad: linear(bad)))
         cases.append((f"ScaledComplementMap.from_point/{kind}",
                       lambda bad=bad: ScaledComplementMap.from_point(0.5, bad)))
@@ -79,6 +81,7 @@ def _cases():
         ("orthant.coderivative/corner/zero-dim3", lambda: orthant.coderivative(np.array([0.0, 1.0]), zero3)),
         ("vectors.orth_decompose/zero-anchor", lambda: vectors.orth_decompose(zero2, W)),
         ("ScaledComplementMap.from_point/zero", lambda: ScaledComplementMap.from_point(0.5, zero2)),
+        ("ZeroMap/list", lambda: orthant.frechet([-1.0, -2.0])([1.0, 2.0])),
         ("l2_cone.coderivative/dense-xbar", lambda: l2_cone.coderivative(W, {1}, SparseVector({1: 1.0}))),
         ("l2_cone.coderivative/dense-y", lambda: l2_cone.coderivative(SparseVector({1: 1.0}), {1}, W)),
         ("l2_cone.coderivative/empty-support", lambda: l2_cone.coderivative(SparseVector({1: 1.0}), set(),
@@ -145,14 +148,14 @@ def _as_vector_calls(fn, *args) -> int:
 
 
 def _numpy_wrapper(code) -> bool:
-    """A frame of numpy's Python ``_methods.py`` or ``fromnumeric.py``, or of ``array_equal``, ``zeros_like`` or ``flatnonzero``.
+    """A frame of numpy's Python ``_methods.py``, ``fromnumeric.py`` or ``numeric.py``.
 
-    The files sit under ``numpy/_core/``, or ``numpy/core/`` before numpy 2.
+    ``numeric.py`` holds ``count_nonzero``, ``array_equal``, ``zeros_like``
+    and ``flatnonzero``.  The files sit under ``numpy/_core/``, or
+    ``numpy/core/`` before numpy 2.
     """
     folder, _, name = code.co_filename.replace("\\", "/").rpartition("/")
-    if not folder.endswith(("/numpy/_core", "/numpy/core")):
-        return False
-    return name in ("_methods.py", "fromnumeric.py") or code.co_name in ("array_equal", "zeros_like", "flatnonzero")
+    return folder.endswith(("/numpy/_core", "/numpy/core")) and name in ("_methods.py", "fromnumeric.py", "numeric.py")
 
 
 X6 = np.array([0.6, 0.8, 0.0, 0.0, 0.0, 0.0])
@@ -303,6 +306,69 @@ def test_outward_sphere_gateaux_takes_six_products(w, radius):
     assert op.gateaux(xbar, w).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("fn, args, products", [
+    (OP.frechet, (OUTSIDE6,), 1), (OP.coderivative, (OUTSIDE6, TANGENT6), 2),
+    (OP.coderivative, (INSIDE6, TANGENT6), 1), (OP.coderivative, (X6, TANGENT6 - 0.5 * X6), 6),
+], ids=["frechet/exterior", "coderivative/exterior", "coderivative/interior", "coderivative/sphere-partial"])
+def test_the_ball_takes_the_square_sum_of_xbar_once(fn, args, products):
+    # ||xbar||^2 gives the region, the exterior scale and axis, the self query's bound and the split
+    code = vectors._dot.__code__
+    assert len(_calls(lambda c: c is code, fn, *args)) == products
+
+
+def test_the_corner_rule_settles_its_target_once():
+    corner = orthant.coderivative(CORNER6, np.array([1.0, 0.0, 1.0, 0.0, -1.0, 0.0]))
+    code = vectors._dot.__code__
+    products = [len(_calls(lambda c: c is code, corner.contains, z)) for z in (0.5 * corner.target, TANGENT6,
+                                                                               0.5 * corner.target)]
+    assert products == [5, 3, 3]
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 50])
+@pytest.mark.parametrize("radius", [1.0, 1e-200, 1e200])
+def test_exterior_ball_maps_keep_the_bits_of_the_point_map(radius, n):
+    # the square sum is taken once, but the map is the one from_point builds, bit for bit
+    rng = np.random.default_rng(n)
+    op = BallProjection(radius)
+    for _ in range(5):
+        x = rng.standard_normal(n)
+        x *= rng.uniform(1.5, 10.0) * radius / vectors.norm(x)
+        v = radius * rng.standard_normal(n)
+        want = ScaledComplementMap.from_point(radius / vectors.norm(x), x)(v).tobytes()
+        assert op.frechet(x)(v).tobytes() == want
+        assert op.coderivative(x, v).value.tobytes() == want
+
+
+def _corner_rule(y: np.ndarray, z: np.ndarray):
+    """The corner rule on a target y with every fact of y taken again for the query z."""
+    e = np.frexp(np.maximum.reduce(np.abs(y)))[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        y, z, floor = np.ldexp(y, -e), np.ldexp(z, -e), np.ldexp(1.0, -e)
+        scale = float(vectors._dot(z, y)) / float(vectors._dot(y, y))
+        off = z - scale * y
+    if not vectors._all_finite(off):
+        return None
+    bound = orthant.MULTIPLE_RTOL * max(floor, vectors._dense_norm(z), vectors._dense_norm(y))
+    return False if vectors._dense_norm(off) <= bound and scale < 1.0 else None
+
+
+# (xbar, y) of the corner rules of tests/test_orthant.py at |y| of 1, 1e200 and 1e-200, and a subnormal y
+CORNER_RULES = [(np.array(xbar), s * np.array(y)) for s in (1.0, 1e200, 1e-200) for xbar, y in (
+    ([0.0, 1.0], [-1.0, 1.0]), ([0.0, 0.0], [0.0, -1.0]), ([0.0, 1.0, 1.0], [-0.01, -0.01, -0.01]),
+    ([0.0, 1.0, 1.0], [-0.01, 0.0, -0.01]))] + [(np.array([0.0, 1.0]), np.array([-5e-324, 1e-323]))]
+
+
+@pytest.mark.parametrize("xbar, y", CORNER_RULES)
+def test_the_settled_corner_rule_answers_as_the_per_query_rule(xbar, y):
+    corner, s = orthant.coderivative(xbar, y), float(np.maximum.reduce(np.abs(y)))
+    zs = [0.5 * y, -3.0 * y, np.zeros(y.size), y, 2.0 * y, np.full(y.size, s), np.full(y.size, 2.5e306),
+          np.full(y.size, -2.5e306), np.full(y.size, 1.7e308)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for z in zs + zs:  # the first query settles the target, the rest read it
+            assert corner.contains(z) is _corner_rule(y, z)
+
+
 @pytest.mark.parametrize("radius", [0.7, 3.0])
 def test_outward_sphere_gateaux_keeps_the_bits_of_its_own_products(radius):
     rng = np.random.default_rng(17)
@@ -343,12 +409,26 @@ class TestNoNumpyWrappers:
         fn, *args = CLOSED_FORMS6[name]
         assert [f"{c.co_filename.rpartition('/')[2]}:{c.co_name}" for c in _calls(_numpy_wrapper, fn, *args)] == []
 
+    def test_no_python_wrapper_on_a_verdict(self):
+        # a dense and a sparse verdict, each first on a new plan, then on the kept one; the warm-up
+        # verdict at the same m fills _geometry, whose np.repeat runs once per (m, config)
+        z6, z_sparse = np.array([0.5, 0.0, 0.5, 0.0, -0.5, 0.0]), SparseVector({1: 0.5, 2: -1.0, 4: 0.5})
+        oracle._kept_plan.cache_clear()
+        for f, warm, xbar, y, zs in ((OP.project, OUTSIDE6, INSIDE6, TANGENT6, (X6, z6)),
+                                     (l2_cone.project, SPARSE_X, SparseVector({1: 2.0, 3: 1.0}), SPARSE_Y,
+                                      (z_sparse, 0.5 * z_sparse))):
+            oracle.membership(f, warm, y, zs[0])
+            hits = oracle._kept_plan.cache_info().hits
+            for z in zs:
+                assert _calls(_numpy_wrapper, oracle.membership, f, xbar, y, z) == []
+            assert oracle._kept_plan.cache_info().hits == hits + 1
+
     def test_the_hook_sees_each_wrapper(self):
         wrappers = [lambda: X6.any(), lambda: np.max(X6), lambda: np.all(X6), lambda: np.array_equal(X6, X6),
-                    lambda: np.zeros_like(X6), lambda: np.flatnonzero(X6)]
+                    lambda: np.zeros_like(X6), lambda: np.flatnonzero(X6), lambda: np.count_nonzero(X6)]
         for wrapper in wrappers:
             assert _calls(_numpy_wrapper, wrapper)
-        assert not _calls(_numpy_wrapper, lambda: (np.count_nonzero(X6), np.maximum.reduce(X6), np.zeros(6)))
+        assert not _calls(_numpy_wrapper, lambda: (vectors._count_nonzero(X6), np.maximum.reduce(X6), np.zeros(6)))
 
 
 class TestErrorParity:
@@ -362,7 +442,8 @@ class TestErrorParity:
 
 
 # outcome -> the cases that end in it, recorded before the checks moved to the entry points; the
-# SparseVector and wrong-length outcomes recorded again when ``vectors`` took over their messages
+# SparseVector and wrong-length outcomes recorded again when ``vectors`` took over their messages, and
+# the IdentityMap and ZeroMap cases added when those maps took the kind and length rules
 EXPECTED = {
     'ValueError: vector entries must be finite': """
         ball.project/nan ball.region/nan ball.frechet/nan orthant.project/nan orthant.region/nan
@@ -399,6 +480,7 @@ EXPECTED = {
         EmptySet.contains/inf SpherePartial.contains/inf CornerPartial.contains/inf
         CornerPartial-none.contains/inf ScaledComplementMap/inf CoordinateMaskMap/inf
         ScaledComplementMap.from_point/inf ball.direction_class/exterior/nan
+        IdentityMap/nan IdentityMap/inf ZeroMap/nan ZeroMap/inf
     """.split(),
     'TypeError: z must be a SparseVector': """
         OrderIntervalSet.contains/nan SelfExclusionPartial.contains/nan
@@ -441,6 +523,7 @@ EXPECTED = {
         vectors.orth_decompose/second-empty SingletonSet.contains/empty EmptySet.contains/empty
         SpherePartial.contains/empty CornerPartial.contains/empty CornerPartial-none.contains/empty
         ScaledComplementMap/empty CoordinateMaskMap/empty ScaledComplementMap.from_point/empty
+        IdentityMap/2d IdentityMap/empty ZeroMap/2d ZeroMap/empty
     """.split(),
     'ok': """
         vectors.norm/sparse vectors.is_zero/sparse vectors.encode_vector/sparse
@@ -448,6 +531,7 @@ EXPECTED = {
         ball.region/dim3 ball.frechet/dim3 orthant.project/dim3 orthant.region/dim3
         orthant.frechet/dim3 vectors.norm/dim3 vectors.is_zero/dim3 vectors.encode_vector/dim3
         ScaledComplementMap.from_point/dim3
+        ZeroMap/list
     """.split(),
     'TypeError: dense and sparse vectors cannot be combined in one operation': """
         ball.gateaux/interior/w-sparse ball.gateaux/sphere/w-sparse ball.gateaux/exterior/w-sparse
@@ -468,6 +552,7 @@ EXPECTED = {
         orthant.gateaux/first-sparse orthant.coderivative/first-sparse
         orthant.coderivative/second-sparse ScaledComplementMap/sparse CoordinateMaskMap/sparse
         ScaledComplementMap.from_point/sparse
+        IdentityMap/sparse ZeroMap/sparse
     """.split(),
     'ValueError: dimension mismatch: 2 vs 3': """
         ball.direction_class/interior/xbar-dim3 ball.gateaux/interior/xbar-dim3
@@ -493,6 +578,7 @@ EXPECTED = {
         CoordinateMaskMap/dim3 ball.direction_class/sphere/zero-dim3
         ball.direction_class/interior/zero-dim3 ball.coderivative/sphere/zero-dim3
         orthant.coderivative/corner/zero-dim3
+        IdentityMap/dim3 ZeroMap/dim3
     """.split(),
     'ValueError: direction must be nonzero': """
         ball.direction_class/sphere/zero ball.gateaux/sphere/zero
