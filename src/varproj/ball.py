@@ -321,10 +321,11 @@ class BallProjection:
 
     def frechet(self, xbar) -> Optional[LinearMap]:
         """Frechet derivative map, or None on the sphere where none exists."""
-        return self._frechet(as_vector(xbar))
+        xbar = as_vector(xbar)
+        return self._frechet(xbar, float(_dot(xbar, xbar)))
 
-    def _frechet(self, xbar: np.ndarray, x_sq: float | None = None) -> Optional[LinearMap]:
-        """``frechet`` of a checked array; ``x_sq`` is ``float(_dot(xbar, xbar))`` when the caller has it."""
+    def _frechet(self, xbar: np.ndarray, x_sq: float) -> Optional[LinearMap]:
+        """``frechet`` of a checked array whose square sum is ``x_sq``."""
         length = _dense_norm(xbar, x_sq)
         region = self._region(length)
         if region is BallRegion.INTERIOR:

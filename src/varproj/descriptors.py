@@ -114,14 +114,9 @@ class LinearMap:
         """The map of a checked array of the map's dimension, not checked again."""
         raise NotImplementedError
 
-    def matrix(self, n: int) -> np.ndarray:
-        """Dense matrix representation on R^n (for derivative checks)."""
-        cols = []
-        for j in range(n):
-            e = np.zeros(n)
-            e[j] = 1.0
-            cols.append(self(e))
-        return np.column_stack(cols)
+    def matrix(self) -> np.ndarray:
+        """Dense matrix representation on R^dim (for derivative checks)."""
+        return np.column_stack([self._on(e) for e in np.eye(self.dim)])
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -163,13 +158,12 @@ class ScaledComplementMap(LinearMap):
 
     @classmethod
     def from_point(cls, scale: float, axis_vector: np.ndarray) -> "ScaledComplementMap":
-        return cls._of(scale, as_vector(axis_vector))
+        axis = as_vector(axis_vector)
+        return cls._of(scale, axis, _dense_norm(axis))
 
     @classmethod
-    def _of(cls, scale: float, axis: np.ndarray, length: float | None = None) -> "ScaledComplementMap":
-        """``from_point`` of a checked array; ``length`` is ``_dense_norm(axis)`` when the caller has it."""
-        if length is None:
-            length = _dense_norm(axis)
+    def _of(cls, scale: float, axis: np.ndarray, length: float) -> "ScaledComplementMap":
+        """``from_point`` of a checked array whose norm is ``length``."""
         if length == 0.0:
             raise ValueError("axis must be nonzero")
         unit = axis / length

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -195,22 +194,12 @@ class CornerPartial(DerivativeSet):
     to the set (in particular 0 does not).  ``target`` is a read-only copy
     of y when this rule applies and None otherwise; every other query
     answers None.  A query of another dimension than ``dim``, or a
-    SparseVector, raises as for ``SingletonSet``.  The facts of the
-    target that every query reads are settled on the first query, so a
-    query scales only z.
+    SparseVector, raises as for ``SingletonSet``.
     """
 
     dim: int
     target: Optional[np.ndarray]
     rule = "cone-corner"
-
-    @cached_property
-    def _settled(self) -> tuple:
-        """(e, y / 2^e, 2^-e, <y / 2^e, y / 2^e>, ||y / 2^e||) of the target y, with max|y| < 2^e."""
-        e = np.frexp(np.maximum.reduce(np.abs(self.target)))[1]
-        with np.errstate(over="ignore"):  # 2^-e is inf when max|y| < 2^-1024
-            y, floor = np.ldexp(self.target, -e), np.ldexp(1.0, -e)
-        return e, y, floor, float(_dot(y, y)), _dense_norm(y)
 
     def contains(self, z) -> Optional[bool]:
         z = as_vector_of(z, self.dim)
@@ -218,16 +207,16 @@ class CornerPartial(DerivativeSet):
             return None
         # z = scale * y within tolerance, tested on y and z times 2^-e with
         # max|y| < 2^e: the bits of the plain test, with no square to overflow
-        e, y, floor, y_sq, y_len = self._settled
+        e = np.frexp(np.maximum.reduce(np.abs(self.target)))[1]
         with np.errstate(over="ignore", invalid="ignore"):
-            z = np.ldexp(z, -e)
-            scale = float(_dot(z, y)) / y_sq
+            y, z, floor = np.ldexp(self.target, -e), np.ldexp(z, -e), np.ldexp(1.0, -e)
+            scale = float(_dot(z, y)) / float(_dot(y, y))
             off = z - scale * y
         # the scaled z, lambda in z = lambda * y or z - lambda * y exceeds
         # every double; each makes an entry of z - lambda * y inf or nan
         if not _all_finite(off):
             return None
-        if _dense_norm(off) <= MULTIPLE_RTOL * max(floor, _dense_norm(z), y_len) and scale < 1.0:
+        if _dense_norm(off) <= MULTIPLE_RTOL * max(floor, _dense_norm(z), _dense_norm(y)) and scale < 1.0:
             return False
         return None
 

@@ -117,7 +117,7 @@ def test_criterion_3_frechet_vs_finite_differences():
                     x = _signed_coords(rng, n, 0.1, 2.0)
                     x[0], x[1] = abs(x[0]), -abs(x[1])
                 project, mapping = orthant.project, orthant.frechet(x)
-            err = max(err, float(np.max(np.abs(jacobian_fd(project, x) - mapping.matrix(n)))))
+            err = max(err, float(np.max(np.abs(jacobian_fd(project, x) - mapping.matrix()))))
         worst[regime] = err
     elapsed = time.perf_counter() - start
     ok = max(worst.values()) <= 1e-5 and elapsed < 5.0

@@ -13,7 +13,6 @@ enters none of numpy's Python-level reduction wrappers.
 from __future__ import annotations
 
 import sys
-import warnings
 
 import numpy as np
 import pytest
@@ -316,14 +315,6 @@ def test_the_ball_takes_the_square_sum_of_xbar_once(fn, args, products):
     assert len(_calls(lambda c: c is code, fn, *args)) == products
 
 
-def test_the_corner_rule_settles_its_target_once():
-    corner = orthant.coderivative(CORNER6, np.array([1.0, 0.0, 1.0, 0.0, -1.0, 0.0]))
-    code = vectors._dot.__code__
-    products = [len(_calls(lambda c: c is code, corner.contains, z)) for z in (0.5 * corner.target, TANGENT6,
-                                                                               0.5 * corner.target)]
-    assert products == [5, 3, 3]
-
-
 @pytest.mark.parametrize("n", [1, 2, 6, 50])
 @pytest.mark.parametrize("radius", [1.0, 1e-200, 1e200])
 def test_exterior_ball_maps_keep_the_bits_of_the_point_map(radius, n):
@@ -337,36 +328,6 @@ def test_exterior_ball_maps_keep_the_bits_of_the_point_map(radius, n):
         want = ScaledComplementMap.from_point(radius / vectors.norm(x), x)(v).tobytes()
         assert op.frechet(x)(v).tobytes() == want
         assert op.coderivative(x, v).value.tobytes() == want
-
-
-def _corner_rule(y: np.ndarray, z: np.ndarray):
-    """The corner rule on a target y with every fact of y taken again for the query z."""
-    e = np.frexp(np.maximum.reduce(np.abs(y)))[1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        y, z, floor = np.ldexp(y, -e), np.ldexp(z, -e), np.ldexp(1.0, -e)
-        scale = float(vectors._dot(z, y)) / float(vectors._dot(y, y))
-        off = z - scale * y
-    if not vectors._all_finite(off):
-        return None
-    bound = orthant.MULTIPLE_RTOL * max(floor, vectors._dense_norm(z), vectors._dense_norm(y))
-    return False if vectors._dense_norm(off) <= bound and scale < 1.0 else None
-
-
-# (xbar, y) of the corner rules of tests/test_orthant.py at |y| of 1, 1e200 and 1e-200, and a subnormal y
-CORNER_RULES = [(np.array(xbar), s * np.array(y)) for s in (1.0, 1e200, 1e-200) for xbar, y in (
-    ([0.0, 1.0], [-1.0, 1.0]), ([0.0, 0.0], [0.0, -1.0]), ([0.0, 1.0, 1.0], [-0.01, -0.01, -0.01]),
-    ([0.0, 1.0, 1.0], [-0.01, 0.0, -0.01]))] + [(np.array([0.0, 1.0]), np.array([-5e-324, 1e-323]))]
-
-
-@pytest.mark.parametrize("xbar, y", CORNER_RULES)
-def test_the_settled_corner_rule_answers_as_the_per_query_rule(xbar, y):
-    corner, s = orthant.coderivative(xbar, y), float(np.maximum.reduce(np.abs(y)))
-    zs = [0.5 * y, -3.0 * y, np.zeros(y.size), y, 2.0 * y, np.full(y.size, s), np.full(y.size, 2.5e306),
-          np.full(y.size, -2.5e306), np.full(y.size, 1.7e308)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for z in zs + zs:  # the first query settles the target, the rest read it
-            assert corner.contains(z) is _corner_rule(y, z)
 
 
 @pytest.mark.parametrize("radius", [0.7, 3.0])
