@@ -157,10 +157,10 @@ class BallProjection:
     def _image_terms(self, x0: np.ndarray, y0: np.ndarray, x_d, y_d, step, u_d, off: Callable[[], np.ndarray]):
         """<y0, P(u) - P(x0)> and ||P(u) - P(x0)|| of the probes u = x0 + step d for unit d, or None.
 
-        Takes, elementwise over the probes, x_d = <x0, d>, y_d = <y0, d>,
-        the step and u_d = <u, d>, and ``off()`` = ||x0 - x_d d||, read only
-        when some a is nonzero.  With c(v) = r / max(||v||, r),
-        P(u) - P(x0) = a x0 + b d, so, split along d,
+        Takes, elementwise over the probes (arrays that broadcast together),
+        x_d = <x0, d>, y_d = <y0, d>, the step and u_d = <u, d>, and
+        ``off()`` = ||x0 - x_d d||, read only when some a is nonzero.  With
+        c(v) = r / max(||v||, r), P(u) - P(x0) = a x0 + b d, so, split along d,
 
             a = c(u) - c(x0),   b = c(u) step,   ||u||^2 = ||x0||^2 + grow,   grow = step (x_d + u_d),
             <y0, P(u) - P(x0)> = a <y0, x0> + b y_d,   ||P(u) - P(x0)|| = hypot(a off, a x_d + b).
@@ -183,7 +183,7 @@ class BallProjection:
             grow = step * (x_d + u_d)
             norm_u = np.abs(u_d) if origin else np.sqrt(np.maximum(sq_norm + grow, u_d * u_d))
         r = self.radius
-        top = float(np.maximum.reduce(norm_u))
+        top = float(np.maximum.reduce(norm_u, axis=None))
         if not r / max(top, r) >= _TINY:
             return None
         scale_u = r / np.maximum(norm_u, r)
@@ -194,7 +194,7 @@ class BallProjection:
             gap = norm_u if origin else grow / (norm_u + norm_x)
             if norm_x <= r:
                 a = np.where(norm_u > r, (r - norm_x - gap) / np.maximum(norm_u, r), 0.0)
-            elif np.minimum.reduce(norm_u) > r:
+            elif np.minimum.reduce(norm_u, axis=None) > r:
                 a = scale_u * (gap / -norm_x)
             else:
                 a = np.where(norm_u > r, -scale_u * (gap / norm_x), 1.0 - r / norm_x)
@@ -227,14 +227,15 @@ class BallProjection:
     def project_dirs(self, x0: np.ndarray, y0: np.ndarray, dirs: np.ndarray, t: np.ndarray):
         """Direction form: <y0, P(u) - P(x0)> and ||P(u) - P(x0)|| of the probes u = x0 + t d.
 
-        The rows of the 2-D array ``dirs`` are unit directions d, and t
-        holds one radius per row.  This is ``_image_terms`` with x_d =
-        <d, x0>, y_d = <d, y0>, the step t and u_d = x_d + t.
-        ||x0 - x_d d||^2 is ||x0||^2 - x_d^2, which loses at most a factor
-        16 of its digits above ||x0||^2 / 16; below (d near +-x0) it is the
-        square sum of the row x0 - x_d d.  Returns None where
-        ``_image_terms`` declines, and where some <d, y0> overflows,
-        although t <d, y0> may not.
+        The rows of the 2-D array ``dirs`` are unit directions d, and t is
+        a column of radii: the terms are (radius, direction) arrays, row k
+        the bits of a call at radius k alone.  This is ``_image_terms`` with
+        x_d = <d, x0>, y_d = <d, y0> (taken once per direction), the step t
+        and u_d = x_d + t.  ||x0 - x_d d||^2 is ||x0||^2 - x_d^2, which
+        loses at most a factor 16 of its digits above ||x0||^2 / 16; below
+        (d near +-x0) it is the square sum of the row x0 - x_d d.  Returns
+        None where ``_image_terms`` declines at some radius, and where some
+        <d, y0> overflows, although t <d, y0> may not.
         """
         xd, yd = _dots(dirs, (x0, y0))
         if not _all_finite(yd):

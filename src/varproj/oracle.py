@@ -7,13 +7,14 @@ when
                         / ( ||u - xbar|| + ||f(u) - f(xbar)|| )   <=  0.
 
 The oracle estimates the limsup by sampling u = xbar + t*d over a fixed
-set of shrinking radii t and many unit directions d: a seeded batch of
-random directions per radius plus structured probes aligned with the
-known worst-case families (radial moves along xbar, moves along the
-orthogonal parts of y and z against xbar, single-coordinate moves,
-and moves along y and z themselves).  Scaled single-coordinate moves
-such as u_j = xbar_j + t * z_j trace the same rays as the coordinate
-probes, so normalising directions to unit length loses no coverage.
+set of shrinking radii t and many unit directions d, the same at every
+radius: a seeded batch of random directions plus structured probes
+aligned with the known worst-case families (radial moves along xbar,
+moves along the orthogonal parts of y and z against xbar,
+single-coordinate moves, and moves along y and z themselves).  Scaled
+single-coordinate moves such as u_j = xbar_j + t * z_j trace the same
+rays as the coordinate probes, so normalising directions to unit length
+loses no coverage.
 The structured directions other than the axes (the head) come from
 scalar products taken once per plan (xbar and y) and once per verdict
 (z); see ``_structured_head``.
@@ -23,14 +24,14 @@ head rows and <z, u - xbar> depend on z, so a verdict first takes a
 z-free plan of (f, xbar, y, config): f(xbar), <xbar, xbar> and ||xbar||,
 the head rows of xbar and y, and for every random and axis probe its
 <y, f(u) - f(xbar)> and denominator.  The z pass then scores the head
-rows, takes one <z, u - xbar> per random row and per axis probe, and
-writes every quotient into one table, then runs one argmax, the verdict
-rule and the witness.  Row k of the table holds the quotients of radius
-k in probe order: the head (the rows of z last), the 2m axis probes,
-then the radius's random directions.  The supremum at a radius is the
-first largest entry of its row.  The random directions of all radii are
-one array, radius k at rows k*count to (k+1)*count, count being
-``random_directions``.
+rows, takes one <d, z> per random direction d and one <z, u - xbar>
+per axis probe, and writes every quotient into one table, then runs one
+argmax, the verdict rule and the witness.  Row k of the table holds the
+quotients of radius k in probe order: the head (the rows of z last), the
+2m axis probes, then the random directions.  The supremum at a radius is
+the first largest entry of its row.  Every radius probes the same random
+directions, one (count, m) array, count being ``random_directions``, as
+it probes the same head and axis directions.
 Sparse queries use the same dense path: they are embedded in R^m over
 the probed axes (all supports plus one fresh index), from one dict per
 vector (``_embed``).
@@ -44,21 +45,23 @@ probe tie, the first winning.  In every z pass, the head rows of xbar,
 y and z of every radius take one call, so a z pass only reads its plan,
 apart from the witness halves below.
 
-The random rows take the direction form of f when it has one (see
+The random probes take the direction form of f when it has one (see
 ``_form``; the ``project`` of every set in this package has one).  It
 scores the exact probe u = xbar + t*d from products of d with xbar and
 y taken in the plan, without forming u, and the z pass adds
 <z, u - xbar> = t*<d, z>, with ||u - xbar|| = t: three products per
-direction.  The row path scores the rounded probe instead; the two
-quotients differ by about the spacing of doubles at xbar over t.  The
-plan makes one call for every random row, each row at its radius, and
-a row's terms do not depend on the other rows.  The form is not called,
-and the random rows take the row path, when some row might round back to
-xbar (see ``_plan``); the ball's form declines, with the same result,
-where its axis form does.  On the row path, the random rows are cut into
-chunks of at most about 32k floats (``_block_rows``), each one ``_score``
-call that may span two radii, and the plan holds u - xbar of every row
-(3 MB at m = 500 at the default config).
+direction, each taken once and broadcast over the column of radii.  The
+row path scores the rounded probe instead; the two quotients differ by
+about the spacing of doubles at xbar over t.  The plan makes one call
+for all the directions at all the radii, and gets (radius, direction)
+arrays whose row k has the bits of a call at radius k alone.  The form
+is not called, and the random probes take the row path, when some probe
+might round back to xbar (see ``_plan``); the ball's form declines, with
+the same result, where its axis form does.  On the row path, the probes
+are the directions at each radius in turn, gathered in chunks of at most
+about 32k floats (``_block_rows``), each one ``_score`` call that may
+span two radii, and the plan holds u - xbar of every probe (3 MB at
+m = 500 at the default config).
 
 The 16 most recently used plans are kept, keyed by f, the bytes of
 xbar and y over the probed axes, the axes and the config, when f has a
@@ -72,13 +75,13 @@ of xbar and y, so a caller that later changes its arrays cannot reach
 it, and -0.0 and 0.0 key apart.  Any other plan is dropped with the
 verdict.
 
-The random directions depend only on (seed, random_directions, m, number
-of radii), so they are drawn once per process and kept, read-only, as
-one array in a cache of the 16 most recently used such sets; they give
-the same bits as drawing anew, radius by radius.  The axis, sign and
-radius of every axis probe and the radius of every random row depend
-only on m and the config, and are kept the same way (``_geometry``), so
-a plan only gathers x0 at the probes' axes.
+The random directions depend only on (seed, random_directions, m), so
+they are drawn once per process and kept, read-only, as one array in a
+cache of the 16 most recently used such sets (1 MB at m = 500 at the
+default config); they give the same bits as drawing anew.  The axis,
+sign and radius of every axis probe depend only on m and the radii, and
+are kept the same way (``_geometry``), so a plan only gathers x0 at the
+probes' axes.
 
 The 2m axis probes u = xbar +- t*e_j of every radius are one block.
 Their u - xbar is one number du per probe, so its norm and its inner
@@ -113,12 +116,12 @@ path's) and a non-finite entry (an image with a NaN raises there, as it
 always has).  That value is the last supremum and the witness quotient,
 and ``quotient`` calls the same two halves, so a witness re-evaluates
 exactly.  The winner's column in the table names its slot (0 the head,
-1 the axis probes, 2 the random rows) and its index (the head row, the
-axis probe among those of every radius, or the row of the direction
-array).  The plan keeps the z-free half of each such winner, keyed by
-the two and filled on first use, so a kept plan holds at most one per
-probe of the smallest radius (2m axis probes, the random directions
-and, for a sparse query, at most six head rows of xbar and y).  A
+1 the axis probes, 2 the random directions) and its index (the head
+row, the axis probe among those of a radius, or the random direction).
+The plan keeps the z-free half of each such winner, keyed by the two and
+filled on first use, so a kept plan holds at most one per probe of the
+smallest radius (2m axis probes, the random directions and, for a sparse
+query, at most six head rows of xbar and y).  A
 sparse winner among the rows of z, the head rows from ``len(plan.head)``
 on, depends on z and is scored in full every time.  A dense witness
 direction is a copy the plan does not keep; witness directions of
@@ -180,8 +183,8 @@ class ProbeConfig:
 
     radii: strictly decreasing, positive and finite probe radii, real numbers
         (not bools) in any iterable; kept as a tuple of floats.
-    random_directions: the exact number of random unit directions each radius
-        probes (a draw shorter than 1e-12 is drawn again), an integer (not a bool).
+    random_directions: the exact number of random unit directions, one set probed
+        at every radius (a draw shorter than 1e-12 is drawn again), an integer (not a bool).
     seed: integer seed (not a bool) for the direction generator; fixed seed, fixed verdict.
     tolerance: decision band for the quotient suprema, a positive and finite
         real number (not a bool); kept as a float.
@@ -369,20 +372,20 @@ def _block_rows(m: int) -> int:
     return max(1, _BLOCK_FLOATS // m)
 
 
-# one array per (seed, count, m, number of radii); 3 MB at m = 500, count = 256
+# one array per (seed, count, m); 1 MB at m = 500, count = 256
 @lru_cache(maxsize=16)
-def _random_dirs(seed, count: int, m: int, n_radii: int) -> np.ndarray:
-    """Seeded random unit directions: one read-only (n_radii * count, m) array, radius k at rows k*count:(k+1)*count.
+def _random_dirs(seed, count: int, m: int) -> np.ndarray:
+    """Seeded random unit directions, probed at every radius: one read-only (count, m) array.
 
-    For each radius in turn, Gaussian draws of length m are taken from
-    default_rng(seed) into the radius's rows and scaled to unit length in
-    place.  A draw shorter than 1e-12 is dropped, the later rows move up,
-    and the radius draws again into the rows it still lacks until it holds
-    `count`; when no draw is short, each radius is one draw of `count` rows.
+    Gaussian draws of length m are taken from default_rng(seed) into the
+    rows and scaled to unit length in place.  A draw shorter than 1e-12 is
+    dropped, the later rows move up, and the rows still lacking are drawn
+    again until there are ``count``; when no draw is short, this is one
+    draw of ``count`` rows.
     """
-    rng, dirs, start = np.random.default_rng(seed), np.empty((n_radii * count, m)), 0
-    while start < len(dirs):
-        draws = dirs[start:(start // count + 1) * count]  # the rows the radius of row `start` still lacks
+    rng, dirs, start = np.random.default_rng(seed), np.empty((count, m)), 0
+    while start < count:
+        draws = dirs[start:]
         rng.standard_normal(out=draws)
         length = np.linalg.norm(draws, axis=1)
         keep = length >= 1e-12
@@ -396,10 +399,10 @@ def _random_dirs(seed, count: int, m: int, n_radii: int) -> np.ndarray:
 
 
 class _Scores(NamedTuple):
-    """The z-free scores of probe rows, in probe order (see ``_random_scores``)."""
+    """The z-free scores of the random probes, by radius (see ``_random_scores``)."""
 
-    rows: np.ndarray     # rows r with <z, u - xbar> = scale * <r, z>, one per probe
-    scale: Optional[np.ndarray]  # the radius of each probe when the rows are its direction; None when they are u - xbar
+    rows: np.ndarray     # the directions d, or on the row path u - xbar of every probe row, radius by radius
+    scale: Optional[np.ndarray]  # the column of radii when the rows are the directions; None when they are u - xbar
     y_df: np.ndarray     # <y, f(u) - f(xbar)>
     den: np.ndarray      # the quotient's denominator
 
@@ -408,15 +411,18 @@ def _quotients(z0: np.ndarray, rows: np.ndarray, scale: Optional[np.ndarray], y_
                den: np.ndarray) -> np.ndarray:
     """The quotients (<z, u - xbar> - <y, df>) / den of probe rows r with <z, u - xbar> = scale * <r, z> (<r, z> unscaled).
 
-    When the rows are directions d, <d, z> may overflow where t <d, z>
-    does not: an entry whose t <d, z> is not finite is taken as <t d, z>.
+    When the rows are directions d and ``scale`` the column of radii,
+    <z, u - xbar> = t <d, z> is one product per direction, broadcast over
+    the radii.  <d, z> may overflow where t <d, z> does not: an entry whose
+    t <d, z> is not finite is taken as <t d, z>.
     """
     z_du = _dot(rows, z0)
     if scale is not None:
-        z_du = z_du * scale
+        z_du = scale * z_du
         lost = ~np.isfinite(z_du)
         if _count_nonzero(lost):
-            z_du[lost] = _dot(scale[lost, None] * rows[lost], z0)
+            k, i = lost.nonzero()
+            z_du[k, i] = _dot(scale[k] * rows[i], z0)
     return (z_du - y_df) / den
 
 
@@ -436,48 +442,51 @@ def _score(dirs: np.ndarray, t, x0: np.ndarray, terms: Callable, denominator: st
     return None, du, y_df, _denominator(denominator, d_in, df_norm)
 
 
-def _random_scores(dirs: np.ndarray, t: np.ndarray, count: int, x0: np.ndarray, y0: np.ndarray, terms: Callable,
+def _random_scores(dirs: np.ndarray, t: np.ndarray, x0: np.ndarray, y0: np.ndarray, terms: Callable,
                    denominator: str, f_dirs: Optional[Callable]) -> Union[int, _Scores, None]:
-    """The z-free scores of the random rows (``count`` per radius), or the radius index of the first that rounds back.
+    """The z-free scores of the random directions at every radius, or the index of the first radius where one rounds back.
 
-    t holds the radius of each row (``_geometry``), and ``f_dirs`` is f's
-    direction form, or None.  With it, all the rows are scored from their
-    directions: a row d at radius t is scored at u = x0 + t d, never
-    formed, so <z, u - xbar> = t <d, z> and ||u - xbar|| = t.  When the
-    form declines, or f has none, the rows take the row path in chunks of
-    ``_block_rows`` rows, a chunk possibly spanning two radii, written into
-    one array, and f is called on no chunk after the first with a row that
-    rounds back to xbar.
-    With no random rows the result is None.
+    t is the column of radii, and ``f_dirs`` is f's direction form, or
+    None.  With it, every direction d is scored at every radius t from its
+    products with xbar and y, taken once: at u = x0 + t d, never formed,
+    so <z, u - xbar> = t <d, z> and ||u - xbar|| = t, and the scores are
+    (radius, direction) arrays.  When the form declines, or f has none,
+    the probes take the row path, the directions at each radius in turn,
+    gathered in chunks of ``_block_rows`` rows, a chunk possibly spanning
+    two radii, and written into one array; f is called on no chunk after
+    the first with a row that rounds back to xbar.
+    With no random directions the result is None.
     """
-    if not len(dirs):
+    count = len(dirs)
+    if not count:
         return None
     if f_dirs is not None:
         images = f_dirs(x0, y0, dirs, t)
         if images is not None:
             return _Scores(dirs, t, images[0], _denominator(denominator, t, images[1]))
-    size, du, y_df, den = _block_rows(x0.size), np.empty(dirs.shape), np.empty(len(dirs)), np.empty(len(dirs))
-    for lo in range(0, len(dirs), size):
-        first, *scores = _score(dirs[lo:lo + size], t[lo:lo + size, None], x0, terms, denominator)
+    rows, size = t.size * count, _block_rows(x0.size)
+    du, y_df, den = np.empty((rows, x0.size)), np.empty(rows), np.empty(rows)
+    for lo in range(0, rows, size):
+        k = np.arange(lo, min(lo + size, rows))  # row k probes direction k % count at radius k // count
+        first, *scores = _score(dirs[k % count], t[k // count], x0, terms, denominator)
         if first is not None:
             return (lo + first) // count
         du[lo:lo + size], y_df[lo:lo + size], den[lo:lo + size] = scores
     return _Scores(du, None, y_df, den)
 
 
-# one set per (m, radii, random rows per radius); about 80 kB at m = 500, three radii
+# one set per (m, radii); about 70 kB at m = 500, three radii
 @lru_cache(maxsize=16)
-def _geometry(m: int, radii: tuple, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The read-only arrays (j, s, t) of the axis probes of every radius, and the radius of each random row.
+def _geometry(m: int, radii: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The read-only arrays (j, s, t) of the axis probes of every radius.
 
     Axis probe k = 0 .. 2m-1 of a radius moves along axis j = k // 2 with
     sign s = +1 for even k and -1 for odd k, at the radius t; the probes of
-    each radius follow those of the one before.  Each radius has ``count``
-    random rows (``_random_dirs``).  None of it reads xbar or y, so a plan
-    only gathers x0[j].
+    each radius follow those of the one before.  None of it reads xbar or
+    y, so a plan only gathers x0[j].
     """
     k = np.arange(2 * m * len(radii))
-    arrays = ((k >> 1) % m, 1.0 - 2.0 * (k & 1), np.repeat(radii, 2 * m), np.repeat(radii, count))
+    arrays = ((k >> 1) % m, 1.0 - 2.0 * (k & 1), np.repeat(radii, 2 * m))
     for a in arrays:
         a.flags.writeable = False
     return arrays
@@ -522,9 +531,11 @@ def _form(f: Callable[[Vector], Vector], kind: str) -> Optional[Callable]:
       probes, or to None when it declines them: the direction form's
       contract at d = e_j.
     * A direction form maps (x0, y0, dirs, t), dirs a 2-D array whose
-      rows are unit directions d and t one radius per row, to the arrays
-      <y0, f(u) - f(x0)> and ||f(u) - f(x0)|| over the probes
-      u = x0 + t*d, or to None when it declines them.
+      rows are unit directions d and t a column of radii, to the
+      (radius, direction) arrays <y0, f(u) - f(x0)> and ||f(u) - f(x0)||
+      over the probes u = x0 + t*d, row k the bits of a call at radius k
+      alone, or to None when it declines them, as it does when it would
+      decline some radius alone.
 
     For a sparse f the coordinates are those on the probed axes, which is
     valid only when f acts coordinate by coordinate and maps 0 to 0.
@@ -551,8 +562,8 @@ class _Plan(NamedTuple):
     terms: Callable                # probe rows u -> (<y, f(u) - f(xbar)>, ||f(u) - f(xbar)||)
     anchor: tuple[float, float]    # <x0, x0> and ||x0||
     head: np.ndarray               # the read-only (h, m) head rows of xbar and y, scored by every z pass
-    dirs: np.ndarray               # the read-only random directions of every radius (``_random_dirs``)
-    random: Optional[_Scores]      # the scores of the rows of dirs; None when there are none or a probe is stuck
+    dirs: np.ndarray               # the read-only random directions, probed at every radius (``_random_dirs``)
+    random: Optional[_Scores]      # the scores of dirs at every radius; None when there are none or a probe is stuck
     axis: tuple                    # (j, s, du, <y, df>, denominator) of the axis probes of every radius
     stuck: int                     # radius index of the first axis or random row with u == xbar, or the number of radii
     halves: dict                   # (slot, index) -> (direction, *z-free half) of witnesses at the last radius
@@ -562,20 +573,20 @@ def _plan(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, x0: np.ndarray
           axes: Optional[tuple[int, ...]], config: ProbeConfig) -> _Plan:
     """The z-free part of a verdict on f at xbar for y.
 
-    The random rows are scored once, here; every z pass scores the head
+    The random probes are scored once, here; every z pass scores the head
     rows (see ``_z_pass``).
     """
-    m, radii, count = x0.size, config.radii, config.random_directions
-    dirs = _random_dirs(config.seed, count, m, len(radii))
+    m, radii = x0.size, config.radii
+    dirs = _random_dirs(config.seed, config.random_directions, m)
     # the probe plan, radius by radius: the head rows (slot 0), those of
     # xbar and y and then those of z, all scored by the z pass, the axis
-    # probes (slot 1), then the radius's random rows (slot 2), the columns
+    # probes (slot 1), then the random directions (slot 2), the columns
     # of the z pass's table in this order; the axis probes of every radius
     # form one block of scalars
     anchor = _anchor(x0)
     head = np.asarray(_structured_head(x0, y0, anchor=anchor)).reshape(-1, m)
     head.flags.writeable = False
-    axis_j, axis_s, axis_t, random_t = _geometry(m, radii, count)
+    axis_j, axis_s, axis_t = _geometry(m, radii)
     moved, axis_in, axis_du = _axis_probes(x0[axis_j], axis_s, axis_t)
     fx = f(xbar)
     f_rows, f_axes, f_dirs = _form(f, "rows"), _form(f, "axes"), _form(f, "dirs")
@@ -606,13 +617,13 @@ def _plan(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, x0: np.ndarray
     # a unit row has an entry of at least 1/sqrt(m), so it moves x0 by more
     # than half the spacing of doubles at some entry, and no probe rounds
     # back to xbar, when the smallest radius exceeds sqrt(m) times the
-    # largest spacing in x0; then the random rows take the direction form,
+    # largest spacing in x0; then the random probes take the direction form,
     # and else they are formed and tested
     if radii[-1] <= math.sqrt(m) * float(np.spacing(np.maximum.reduce(np.abs(x0)))):
         f_dirs = None
     moves = axis_in > 0.0
     stuck = len(radii) if _count_nonzero(moves) == moves.size else int(moves.argmin()) // (2 * m)
-    random = _random_scores(dirs, random_t, count, x0, y0, terms, config.denominator, f_dirs)
+    random = _random_scores(dirs, np.array(radii)[:, None], x0, y0, terms, config.denominator, f_dirs)
     if isinstance(random, int):
         stuck, random = min(stuck, random), None
     return _Plan(fx, terms, anchor, head, dirs, random,
@@ -624,10 +635,11 @@ def _plan_key(f: Callable[[Vector], Vector], x0: np.ndarray, y0: np.ndarray, axe
     """The key under which a verdict's plan is kept, or None when it is not kept.
 
     A plan is kept when f has a row form (the sets of this package are
-    pure; a user callable may not be), when every row of the plan fits in
+    pure; a user callable may not be), when the rows the row path would
+    form, the head rows and the random directions at every radius, fit in
     one chunk, so that a kept plan holds at most about 32k floats of
-    u - xbar or of directions, and when f and the object of a bound f are
-    hashable (a bound method hashes by the identity of its object).
+    u - xbar, and when f and the object of a bound f are hashable (a
+    bound method hashes by the identity of its object).
     """
     if _form(f, "rows") is None or len(config.radii) * (6 + config.random_directions) > _block_rows(x0.size):
         return None
@@ -695,7 +707,7 @@ def _z_pass(plan: _Plan, f: Callable[[Vector], Vector], xbar: Vector, y: Vector,
     if not slot and axes is None and math.isfinite(estimates[-1][1]):
         direction = head[i]
     else:
-        i = (i, (n_radii - 1) * per + i - n, (n_radii - 1) * count + i - n - per)[slot]
+        i -= (0, n, n + per)[slot]
         half = plan.halves.get((slot, i))
         if half is None:
             if slot == 1:

@@ -88,7 +88,7 @@ def project_axes(x0: np.ndarray, y0: np.ndarray, j, moved):
 
 
 def _dir_terms(x0: np.ndarray, y0: np.ndarray, dirs: np.ndarray, t: np.ndarray, bound: float, reach: np.ndarray):
-    """``project_dirs`` of rows whose radii are at most ``bound`` / (1 + 2^-40); ``reach`` is |x0|."""
+    """``project_dirs`` at radii t of at most ``bound`` / (1 + 2^-40) that share one C; ``reach`` is |x0|."""
     pos = x0 > bound
     count = _count_nonzero(pos)
     if count == x0.size:
@@ -97,12 +97,12 @@ def _dir_terms(x0: np.ndarray, y0: np.ndarray, dirs: np.ndarray, t: np.ndarray, 
         y_pos, mask = np.where(pos, y0, 0.0), pos.astype(float)
         y_d, d_sq = _dot(dirs, y_pos), _einsum("ij,ij,j->i", dirs, dirs, mask)
     else:
-        y_d = d_sq = np.zeros(t.size)
+        y_d = d_sq = np.zeros(len(dirs))
     near = (reach <= bound).nonzero()[0]
     if not near.size:
         return t * y_d, t * np.sqrt(d_sq)
     # df on C, then its terms scaled by 1 / t, so no square of a small radius underflows
-    x_c, t_col = x0[near], t[:, None]
+    x_c, t_col = x0[near], t[..., None]
     df_c = np.maximum(x_c + t_col * dirs[:, near], 0.0) - np.maximum(x_c, 0.0)
     w = df_c / t_col
     return t * (y_d + _dot(w, y0[near])), t * np.sqrt(d_sq + _dot(w, w))
@@ -111,34 +111,34 @@ def _dir_terms(x0: np.ndarray, y0: np.ndarray, dirs: np.ndarray, t: np.ndarray, 
 def project_dirs(x0: np.ndarray, y0: np.ndarray, dirs: np.ndarray, t: np.ndarray):
     """Direction form: <y0, P(u) - P(x0)> and ||P(u) - P(x0)|| of the probes u = x0 + t d.
 
-    The rows of the 2-D array ``dirs`` are unit directions d, and t holds
-    one radius per row.  A coordinate can change sign only where
-    |x0_i| <= t |d_i| <= t; call those columns C (every zero coordinate is
-    in C).  Off C, P(u) - P(x0) is t d on the positive coordinates P and 0
-    on the negative ones, so with w = df_C / t,
+    The rows of the 2-D array ``dirs`` are unit directions d, and t is a
+    column of radii: the terms are (radius, direction) arrays, row k the
+    bits of a call at radius k alone.  A coordinate can change sign only
+    where |x0_i| <= t |d_i| <= t; call those columns C (every zero
+    coordinate is in C).  Off C, P(u) - P(x0) is t d on the positive
+    coordinates P and 0 on the negative ones, so with w = df_C / t,
 
         <y0, P(u) - P(x0)> = t (<d, y0 on P> + <y0_C, w>),
         ||P(u) - P(x0)||   = t sqrt(||d on P||^2 + ||w||^2),
 
     where df_C = max(x0_C + t d_C, 0) - max(x0_C, 0) is taken on the
     sub-block of the C columns, bit for bit as ``project_rows`` gives it.
-    C is taken at each row's own radius, so a row's terms do not depend on
-    the other rows.  Declines when some <y0, P(u) - P(x0)> is not finite:
-    <d, y0> may overflow where t <d, y0> does not, and the full rows score
-    those probes.
+    When C holds only the zero coordinates at every radius, <d, y0 on P>
+    and ||d on P||^2 are taken once per direction; else C differs by
+    radius, and each radius takes its own.  Declines when some
+    <y0, P(u) - P(x0)> is not finite: <d, y0> may overflow where
+    t <d, y0> does not, and the full rows score those probes.
     """
     # |t d_i| <= t (1 + 2^-50) rounds to at most t (1 + 2^-40)
-    bound, reach = float(np.maximum.reduce(t)) * (1.0 + 2.0**-40), np.abs(x0)
+    bound, reach = float(np.maximum.reduce(t, axis=None)) * (1.0 + 2.0**-40), np.abs(x0)
     with np.errstate(over="ignore", invalid="ignore"):
         if not _count_nonzero((reach <= bound) & (reach > 0.0)):
             y_df, df_norm = _dir_terms(x0, y0, dirs, t, bound, reach)
         else:
-            # a nonzero coordinate within reach of some radius: C differs by radius
-            y_df, df_norm = np.empty(t.size), np.empty(t.size)
-            for radius in np.unique(t):
-                rows = (t == radius).nonzero()[0]
-                y_df[rows], df_norm[rows] = _dir_terms(x0, y0, dirs[rows], t[rows],
-                                                       float(radius) * (1.0 + 2.0**-40), reach)
+            # a nonzero coordinate within reach of some radius
+            y_df, df_norm = np.empty((2, t.size, len(dirs)))
+            for k, radius in enumerate(t[:, 0].tolist()):
+                y_df[k], df_norm[k] = _dir_terms(x0, y0, dirs, t[k], radius * (1.0 + 2.0**-40), reach)
     if not _all_finite(y_df):
         return None
     return y_df, df_norm

@@ -31,8 +31,9 @@ def _reference_membership(f, xbar, y, z, config):
 
     Every probe goes through the public ``quotient``, in the order the
     batched path scores them: structured directions, then seeded random
-    ones drawn one vector at a time, a draw shorter than 1e-12 drawn again
-    until the radius holds ``random_directions`` of them.
+    ones, drawn once, one vector at a time, a draw shorter than 1e-12
+    drawn again until there are ``random_directions`` of them, and probed
+    at every radius.
     """
     if isinstance(xbar, np.ndarray):
         xbar, y, z = as_vector(xbar), as_vector(y), as_vector(z)
@@ -61,17 +62,15 @@ def _reference_membership(f, xbar, y, z, config):
     for v in anchors + basis:
         structured += [unit(v), -unit(v)]
     rng = np.random.default_rng(config.seed)
-    sups = []
-    for t in config.radii:
-        dirs = list(structured)
-        while len(dirs) < len(structured) + config.random_directions:
-            values = rng.standard_normal(len(axes))
-            length = float(np.linalg.norm(values))
-            if length < 1e-12:
-                continue
-            values = values / length
-            dirs.append(SparseVector(dict(zip(axes, values))) if sparse else values)
-        sups.append(max(quotient(f, xbar, y, z, xbar + t * d, config.denominator) for d in dirs))
+    dirs = list(structured)
+    while len(dirs) < len(structured) + config.random_directions:
+        values = rng.standard_normal(len(axes))
+        length = float(np.linalg.norm(values))
+        if length < 1e-12:
+            continue
+        values = values / length
+        dirs.append(SparseVector(dict(zip(axes, values))) if sparse else values)
+    sups = [max(quotient(f, xbar, y, z, xbar + t * d, config.denominator) for d in dirs) for t in config.radii]
     tol = config.tolerance
     if sups[-1] > tol:
         verdict = Verdict.NON_MEMBER
@@ -287,6 +286,33 @@ class TestMembership:
         assert out.verdict is Verdict.INCONCLUSIVE and out.witness is None
         assert out.sup_estimates == ((1e-2, 0.0), (1e-3, 0.001996007984031936), (1e-4, 0.0))
 
+    def test_suprema_agree_on_a_linear_piece(self):
+        # near an orthant point with no coordinate within reach of a radius,
+        # and near a ball interior point, P is linear, so a quotient depends
+        # on the direction alone; every radius probes the same directions, so
+        # the suprema of all radii agree to rounding (the random winner of
+        # one radius wins at every radius)
+        config = ProbeConfig(seed=3)
+        rng = np.random.default_rng(29)
+        random_wins = 0
+        for m in (2, 6, 50, 500):
+            u = rng.standard_normal(m)
+            x_orth = rng.uniform(0.05, 1.0, m) * rng.choice((-1.0, 1.0), m)
+            x_orth[0], x_orth[1] = abs(x_orth[0]), -abs(x_orth[1])
+            y, v = rng.uniform(-1.0, 1.0, m), rng.standard_normal(m)
+            v /= norm(v)
+            assert np.abs(x_orth).min() > config.radii[0]
+            for f, x, z in ((BallProjection(1.0).project, 0.5 * u / norm(u), y + 0.5 * v),
+                            (orthant.project, x_orth, np.where(x_orth > 0.0, y, 0.0) + 0.5 * v)):
+                out = membership(f, x, y, z, config)
+                assert out.verdict is Verdict.NON_MEMBER
+                sups = [s for _, s in out.sup_estimates]
+                assert all(abs(s - sups[0]) <= 1e-9 * abs(sups[0]) for s in sups), (m, sups)
+                dirs = oracle._random_dirs(config.seed, config.random_directions, m)
+                random_wins += any(np.array_equal(out.witness.direction, d) for d in dirs)
+        # the random winners at m = 2 and 6
+        assert random_wins >= 3
+
     def test_denominator_choice_same_verdict(self):
         op = BallProjection(1.0)
         xbar = np.array([1.0, 0.0])
@@ -402,29 +428,35 @@ def _golden_digest(f, xbar, y, z, denominator):
 # moved to the direction forms, which score the exact probe xbar + t*d where
 # a row is rounded: no verdict or witness changed, no sup moved by more than
 # 1.6e-13, and the n = 500, signed-zero and sparse entries kept their digests.
+# These 19 and the five ROW_PATH entries at n = 50 whose random probes decide a
+# supremum were recorded again when every radius came to probe one set of
+# random directions: no verdict changed, every first-radius sup kept its
+# bytes, and the largest move was 0.3721 -> 0.4417 (ball/n6/exterior-off/
+# euclidean at radius 1e-4, where the random direction that wins at 1e-2 now
+# wins again).
 GOLDEN = {
-    "ball/n2/exterior/sum": "7b57ebd40e1cfaa8",
-    "ball/n2/exterior/euclidean": "40380496cfdaaf37",
-    "ball/n2/exterior-off/sum": "d45b374ae5a5a5ce",
-    "ball/n2/exterior-off/euclidean": "5e79f4566fd6d460",
-    "orthant/n2/mixed/sum": "d5c8f74edb8d893e",
-    "orthant/n2/mixed/euclidean": "c0be6341c29d5893",
+    "ball/n2/exterior/sum": "e324ec5a4f436cc5",
+    "ball/n2/exterior/euclidean": "1701d0c9005565ca",
+    "ball/n2/exterior-off/sum": "2fd434b6c9ee2b1f",
+    "ball/n2/exterior-off/euclidean": "e5f594b9b828f7be",
+    "orthant/n2/mixed/sum": "39f72e3b61c7aa40",
+    "orthant/n2/mixed/euclidean": "b5eafe6fd7fb9fe7",
     "orthant/n2/corner/sum": "0cc55c50fce7f5b3",
     "orthant/n2/corner/euclidean": "0cc55c50fce7f5b3",
-    "ball/n6/exterior/sum": "4aa34def9eb3a93a",
-    "ball/n6/exterior/euclidean": "70ee8c612b431717",
-    "ball/n6/exterior-off/sum": "92f6700d7e564c12",
-    "ball/n6/exterior-off/euclidean": "f2a13fb8e51266f5",
-    "orthant/n6/mixed/sum": "a5dc8c105b53be32",
-    "orthant/n6/mixed/euclidean": "39a6d797b4a05fd0",
-    "orthant/n6/corner/sum": "9943513f1d8990ae",
-    "orthant/n6/corner/euclidean": "695d4975fc4faeb4",
-    "ball/n50/exterior/sum": "f3ce81e176121a64",
-    "ball/n50/exterior/euclidean": "43077569531be36a",
-    "ball/n50/exterior-off/sum": "fcae49d8393a6351",
-    "ball/n50/exterior-off/euclidean": "c6b5cad7af4c8eee",
+    "ball/n6/exterior/sum": "0ca054b0c9ccdd8a",
+    "ball/n6/exterior/euclidean": "afb37c46c09db059",
+    "ball/n6/exterior-off/sum": "5e13364419df37bc",
+    "ball/n6/exterior-off/euclidean": "e063afce28f9d463",
+    "orthant/n6/mixed/sum": "fe8653451c777d08",
+    "orthant/n6/mixed/euclidean": "4c79b4109e12c3ba",
+    "orthant/n6/corner/sum": "60b308b9b5e315f4",
+    "orthant/n6/corner/euclidean": "c4a82522d550a94e",
+    "ball/n50/exterior/sum": "9d52687253afb802",
+    "ball/n50/exterior/euclidean": "634de4f3cba9fd49",
+    "ball/n50/exterior-off/sum": "03e006f870efbf3f",
+    "ball/n50/exterior-off/euclidean": "849239188ee028b6",
     "orthant/n50/mixed/sum": "dd188bfec23dd15d",
-    "orthant/n50/mixed/euclidean": "0f01bc1d1d4231f2",
+    "orthant/n50/mixed/euclidean": "a52420e954c05997",
     "orthant/n50/corner/sum": "72392eb51f582a3b",
     "orthant/n50/corner/euclidean": "61c87f40593f3d7e",
     "ball/n500/exterior/sum": "38f4f6f336d12344",
@@ -448,12 +480,12 @@ GOLDEN = {
 # the oracle that streamed those chunks to the z pass one by one; the
 # ball/n50/exterior-off witnesses are random rows.
 ROW_PATH = {
-    "ball/n50/exterior/sum": "d2a0c6b8aea99836",
-    "ball/n50/exterior/euclidean": "e507730b8cfa6e62",
-    "ball/n50/exterior-off/sum": "34431ec5ec984ff8",
-    "ball/n50/exterior-off/euclidean": "1cafe6c210b2a1ff",
+    "ball/n50/exterior/sum": "9d52687253afb802",
+    "ball/n50/exterior/euclidean": "634de4f3cba9fd49",
+    "ball/n50/exterior-off/sum": "8b48e34b1aaf71b4",
+    "ball/n50/exterior-off/euclidean": "2fb6dce44dae989f",
     "orthant/n50/mixed/sum": "dd188bfec23dd15d",
-    "orthant/n50/mixed/euclidean": "0621421c4e6d7b99",
+    "orthant/n50/mixed/euclidean": "e74796b802661424",
     "orthant/n50/corner/sum": "72392eb51f582a3b",
     "orthant/n50/corner/euclidean": "61c87f40593f3d7e",
     "ball/n500/exterior/sum": "69642055249f2ead",
@@ -525,32 +557,28 @@ class TestGolden:
             assert oracle._random_dirs.cache_info().hits == 1 - kept, label
 
     def test_cached_directions_reject_writes(self):
-        dirs = oracle._random_dirs(5, 256, 500, 3)
-        assert oracle._random_dirs(5, 256, 500, 3) is dirs
-        assert dirs.shape == (3 * 256, 500)
+        dirs = oracle._random_dirs(5, 256, 500)
+        assert oracle._random_dirs(5, 256, 500) is dirs
+        assert dirs.shape == (256, 500)
         assert not dirs.flags.writeable
         with pytest.raises(ValueError):
             dirs[0, 0] = 1.0
 
     def test_directions_follow_the_generator_stream(self):
-        # the rows of each radius, in the order of one fresh generator
-        # drawing radius by radius
+        # the first count draws of one fresh generator, probed at every radius
         count = 256
         for m in (1, 6, 41, 500):
-            rng = np.random.default_rng(9)
-            dirs = oracle._random_dirs(9, count, m, 3)
-            assert dirs.shape == (3 * count, m)
-            for k in range(3):
-                draws = rng.standard_normal((count, m))
-                np.testing.assert_array_equal(dirs[k * count:(k + 1) * count],
-                                              draws / np.linalg.norm(draws, axis=1)[:, None])
+            dirs = oracle._random_dirs(9, count, m)
+            assert dirs.shape == (count, m)
+            draws = np.random.default_rng(9).standard_normal((count, m))
+            np.testing.assert_array_equal(dirs, draws / np.linalg.norm(draws, axis=1)[:, None])
 
     def test_short_draws_are_drawn_again(self, monkeypatch):
-        # a draw shorter than 1e-12 leaves its radius, the later rows move
-        # up, and the radius draws again into the rows it lacks, so every
-        # radius keeps count rows; the stream is unchanged when none is short
+        # a draw shorter than 1e-12 is dropped, the later rows move up, and
+        # the rows still lacking are drawn again, so there are always count
+        # rows; the stream is unchanged when none is short
         default_rng = np.random.default_rng
-        short = {(0, 1): 1e-13, (0, 3): 0.0, (2, 0): 0.0}  # (call, row) -> scale of the short draws
+        short = {(0, 1): 1e-13, (0, 3): 0.0, (1, 0): 0.0}  # (call, row) -> scale of the short draws
         sizes = []
 
         class ShortDraws:
@@ -565,24 +593,24 @@ class TestGolden:
                 sizes.append(len(out))
 
         monkeypatch.setattr(oracle.np.random, "default_rng", ShortDraws)
-        dirs = oracle._random_dirs.__wrapped__(4, 5, 3, 2)
+        dirs = oracle._random_dirs.__wrapped__(4, 5, 3)
         monkeypatch.undo()
-        # radius 0 loses two rows and draws two more; radius 1 loses one and draws one
-        assert sizes == [5, 2, 5, 1]
-        assert dirs.shape == (10, 3) and not dirs.flags.writeable
+        # the first draw loses two rows and draws two more, of which one is short and drawn again
+        assert sizes == [5, 2, 1]
+        assert dirs.shape == (5, 3) and not dirs.flags.writeable
         rng = np.random.default_rng(4)
         draws = [rng.standard_normal((k, 3)) for k in sizes]
-        kept = np.concatenate([draws[0][[0, 2, 4]], draws[1], draws[2][1:], draws[3]])
+        kept = np.concatenate([draws[0][[0, 2, 4]], draws[1][1:], draws[2]])
         np.testing.assert_array_equal(dirs, kept / np.linalg.norm(kept, axis=1)[:, None])
         assert (np.linalg.norm(dirs, axis=1) > 0.5).all()
-        # with no short draw the generator is read once per radius, as the cached directions are
+        # with no short draw the generator is read once, as for the cached directions
         sizes.clear()
         short.clear()
         monkeypatch.setattr(oracle.np.random, "default_rng", ShortDraws)
-        dirs = oracle._random_dirs.__wrapped__(4, 5, 3, 2)
+        dirs = oracle._random_dirs.__wrapped__(4, 5, 3)
         monkeypatch.undo()
-        assert sizes == [5, 5]
-        np.testing.assert_array_equal(dirs, oracle._random_dirs(4, 5, 3, 2))
+        assert sizes == [5]
+        np.testing.assert_array_equal(dirs, oracle._random_dirs(4, 5, 3))
 
     def test_seed_must_be_an_integer(self):
         for seed in ([5, 1], np.random.default_rng(5), True):
@@ -692,7 +720,7 @@ class TestFormRule:
 
 def _axis_images(form, x0, t, y0=None):
     """The axis form's terms for the 2m probes of x0 at radius t (y0 = x0 by default), the block and the full probe rows."""
-    j, s = oracle._geometry(x0.size, (t,), 0)[:2]
+    j, s = oracle._geometry(x0.size, (t,))[:2]
     block = (j, s, x0[j])
     moved = block[2] + block[1] * t
     return form(x0, x0 if y0 is None else y0, block[0], moved), block, oracle._axis_rows(x0, block[0], moved)
@@ -789,8 +817,8 @@ class TestAxisForm:
         # <y, xbar> overflows though the terms, with df small, are finite
         op, x0, y0 = BallProjection(1.0), np.array([3e10, 4e10]), np.array([1e298, 1e298])
         assert _axis_images(op.project_axes, x0, 1e-2, y0)[0] is None
-        dirs = oracle._random_dirs(0, 8, 2, 1)
-        assert op.project_dirs(x0, y0, dirs, np.full(len(dirs), 1e-2)) is None
+        dirs = oracle._random_dirs(0, 8, 2)
+        assert op.project_dirs(x0, y0, dirs, np.array([[1e-2]])) is None
 
     @pytest.mark.parametrize("r, xbar, y, z, want", [
         (1.0, [3e10, 4e10], [1e298, 1e298], [0.0, 0.0], "non_member"),
@@ -865,7 +893,7 @@ class TestDirectionForm:
         # taken together, give the bits of one vectors._dot per row and vector
         rng = np.random.default_rng(m)
         vs = rng.standard_normal((3, m)) * np.array([[1.0], [1e-3], [1e3]])
-        dirs = oracle._random_dirs(7, 256, m, 3)
+        dirs = oracle._random_dirs(7, 256, m)
         stacked = vectors._dots(dirs, vs)
         for got, v in zip(stacked, vs):
             want = np.array([vectors._dot(d, v) for d in dirs])
@@ -887,7 +915,7 @@ class TestDirectionForm:
             u = rng.standard_normal(n)
             u /= norm(u)
             y, z = rng.standard_normal((2, n))
-            randoms = oracle._random_dirs(3, 64, n, 1)
+            randoms = oracle._random_dirs(3, 64, n)
             # interior, sphere and exterior points; the head rows hold +-xbar,
             # where ||x0||^2 - <d, x0>^2 cancels
             for r, rho in ((1.0, 0.5), (1.0, 1.0), (2.0, 2.0), (0.5, 1.0), (1.0, 3.0)):
@@ -901,7 +929,7 @@ class TestDirectionForm:
         for op, exact_map, x0, y0, dirs in cases:
             for radius in ProbeConfig().radii:
                 t = np.full(len(dirs), radius)
-                got = op.project_dirs(x0, y0, dirs, t)
+                got = [term[0] for term in op.project_dirs(x0, y0, dirs, np.array([[radius]]))]
                 df = op.project_rows(x0 + t[:, None] * dirs) - op.project(x0)
                 rows = (vectors._dot(df, y0), vectors.row_norms(df))
                 u = x0.astype(wide) + t.astype(wide)[:, None] * dirs.astype(wide)
@@ -911,6 +939,49 @@ class TestDirectionForm:
                 for term, by_rows, want, ulp in zip(got, rows, exact, (norm(y0) * scale, scale)):
                     bound = max(np.abs(by_rows - want).max(), 2.0 * np.spacing(ulp))
                     assert np.abs(term - want).max() <= bound, (x0.size, radius)
+
+    def test_each_radius_has_the_bits_of_its_own_call(self):
+        # a column of radii gives, row by row, the bits of one call per
+        # radius: the products of a direction are taken once for every
+        # radius, and a call declines exactly when one of its radii alone does
+        rng = np.random.default_rng(21)
+        radii_sets = [ProbeConfig().radii, (0.5, 3e-3, 1e-200)]
+        cases = []
+        for n in (1, 2, 6, 50):
+            u, y = rng.standard_normal((2, n))
+            u /= norm(u)
+            dirs = np.concatenate([np.eye(n), -np.eye(n), oracle._random_dirs(8, 32, n), [u, -u]])
+            # inside, at, crossing and outside the sphere, the origin, and the declines: ||x0||^2 no
+            # normal double (at r 1e-200 and 1e200), c(u) underflows, and <y, x0> overflows
+            for r, x0, y0 in ((1.0, 0.5 * u, y), (1.0, u, y), (1.0, 0.999 * u, y), (2.0, 3.0 * u, y),
+                              (1.0, 0.0 * u, y), (1e-200, 1e-200 * u, y), (1e200, 1e155 * u, y),
+                              (1e-200, 5e120 * u, y), (1.0, 5e10 * u, 1e298 * np.abs(u))):
+                cases.append((BallProjection(r).project_dirs, x0, y0, dirs))
+            # all positive, all negative, mixed, zero coordinates, and a
+            # nonzero |x0_i| within reach of the larger radii only
+            x = rng.uniform(0.2, 1.0, n) * rng.choice((-1.0, 1.0), n)
+            near = x.copy()
+            near[0] = 2e-3
+            zeros = np.where(np.arange(n) % 3 == 0, 0.0, x)
+            for x0 in (np.abs(x), -np.abs(x), x, zeros, near, np.where(np.arange(n) % 2 == 0, -1e-3, zeros)):
+                cases.append((orthant.project_dirs, x0, y, dirs))
+        declined = accepted = 0
+        for form, x0, y0, dirs in cases:
+            for radii in radii_sets:
+                column = np.array(radii)[:, None]
+                got = form(x0, y0, dirs, column)
+                alone = [form(x0, y0, dirs, column[k:k + 1]) for k in range(len(radii))]
+                if got is None:
+                    declined += 1
+                    assert any(terms is None for terms in alone)
+                    continue
+                accepted += 1
+                for k, terms in enumerate(alone):
+                    assert terms is not None
+                    for term, want in zip(got, terms):
+                        assert term.shape == (len(radii), len(dirs))
+                        np.testing.assert_array_equal(_bits(term[k]), _bits(want[0]))
+        assert declined >= 16 and accepted >= 60
 
     def test_overflowing_z_product_scores_the_scaled_direction(self):
         # <d, z> overflows at |z| = 1e308 where t <d, z> does not: such an
@@ -949,9 +1020,8 @@ class TestDirectionForm:
             "scale-underflow": (1e-200, np.array([3e120, 4e120]), ProbeConfig(radii=(1e119, 1e118))),
         }[case]
         y, z = np.ones(x0.size), 0.5 * np.ones(x0.size)
-        dirs = oracle._random_dirs(config.seed, config.random_directions, x0.size, len(config.radii))
-        t = np.repeat(config.radii, config.random_directions)
-        assert BallProjection(r).project_dirs(x0, y, dirs, t) is None
+        dirs = oracle._random_dirs(config.seed, config.random_directions, x0.size)
+        assert BallProjection(r).project_dirs(x0, y, dirs, np.array(config.radii)[:, None]) is None
         got = membership(BallProjection(r).project, x0, y, z, config)
         want = membership(_NoDirsBall(r).project, x0, y, z, config)
         assert json.dumps(got.to_json(), sort_keys=True) == json.dumps(want.to_json(), sort_keys=True)
@@ -972,7 +1042,7 @@ class _CountingBall(BallProjection):
         return super().project_axes(x0, y0, j, moved)
 
     def project_dirs(self, x0, y0, dirs, t):
-        self.calls.append(("dirs", len(t)))
+        self.calls.append(("dirs", (t.size, len(dirs))))
         return super().project_dirs(x0, y0, dirs, t)
 
 
@@ -984,8 +1054,8 @@ class TestPackedPlan:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_small_verdict_calls_each_form_once(self, n):
         # interior, exterior and the origin: the plan's axis probes go
-        # through one axis-form call and its random rows of all three radii
-        # through one direction-form call, then the head rows and the rows
+        # through one axis-form call and its 256 random directions, at all
+        # three radii, through one direction-form call, then the head rows and the rows
         # of z of all three radii through one row-form call; a verdict on
         # the kept plan makes only that row-form call
         rng = np.random.default_rng(n)
@@ -997,14 +1067,14 @@ class TestPackedPlan:
             membership(op.project, xbar, y, z)
             # +-xbar and +-orth(y) (none at the origin), +-y; then +-z, +-orth(z)
             head, z_rows = (6, 4) if xbar.any() else (2, 2)
-            assert op.calls == [("axes", 3 * 2 * n), ("dirs", 3 * 256), ("rows", 3 * (head + z_rows))]
+            assert op.calls == [("axes", 3 * 2 * n), ("dirs", (3, 256)), ("rows", 3 * (head + z_rows))]
             op.calls.clear()
             membership(op.project, xbar, y, z_next)
             assert op.calls == [("rows", 3 * (head + z_rows))]
 
     def test_wide_verdict_keeps_the_row_budget(self):
         # at n = 500 the plan is not kept: the plan makes the axis-form
-        # call and scores the random rows of all three radii in one
+        # call and scores the random directions at all three radii in one
         # direction-form call, then the z pass scores the only rows formed,
         # the head rows of xbar and y and the rows of z (+-z, +-orth(z)) of
         # all three radii, in one row-form call within the row budget
@@ -1012,7 +1082,7 @@ class TestPackedPlan:
         x, y, z = rng.standard_normal((3, 500))
         op = _CountingBall(1.0)
         membership(op.project, x, y, z)
-        assert op.calls == [("axes", 3 * 2 * 500), ("dirs", 3 * 256), ("rows", 3 * (6 + 4))]
+        assert op.calls == [("axes", 3 * 2 * 500), ("dirs", (3, 256)), ("rows", 3 * (6 + 4))]
         assert 3 * (6 + 4) <= oracle._block_rows(500)
 
     @pytest.mark.parametrize("n", [2, 6, 500])
@@ -1314,9 +1384,8 @@ class TestWitnessHalves:
 
     def test_a_kept_plan_stores_one_half_per_probe_at_most(self):
         # the keys are the smallest-radius probes but the rows of z:
-        # (0, head row of xbar or y), (1, index of the axis probe) or
-        # (2, row in the one direction array), where the random rows of the
-        # smallest radius are its last count rows
+        # (0, head row of xbar or y), (1, axis probe of a radius) or
+        # (2, row of the direction array, which every radius probes)
         stored = 0
         for f, xbar, y, zs, count in _witness_queries():
             config = ProbeConfig(random_directions=count)
@@ -1327,9 +1396,7 @@ class TestWitnessHalves:
             else:
                 axes, x0, y0 = None, xbar, y
             plan = oracle._kept_plan(*oracle._plan_key(f, x0, y0, axes, config))
-            last, per = len(config.radii) - 1, 2 * x0.size
-            rows = {0: range(len(plan.head)), 1: range(last * per, (last + 1) * per),
-                    2: range(last * count, (last + 1) * count)}
+            rows = {0: range(len(plan.head)), 1: range(2 * x0.size), 2: range(count)}
             assert len(plan.halves) <= sum(map(len, rows.values()))
             stored += len(plan.halves)
             for slot, i in plan.halves:
@@ -1481,7 +1548,7 @@ class TestOverflowingNorms:
         # <d, y0> overflows on the first row, though t <d, y0> does not: the
         # row path scores the probes
         dirs = np.array([[0.5, 0.0, 0.5, 0.0, 0.5, 0.5], [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
-        t = np.full(len(dirs), 1e-2)
+        t = np.array([[1e-2]])
         assert orthant.project_dirs(_BIG_X, _BIG_Y, dirs, t) is None
         assert _BALL.project_dirs(0.1 * _BIG_X, _BIG_Y, dirs, t) is None
         assert orthant.project_dirs(_BIG_X, np.ones(6), dirs, t) is not None

@@ -198,7 +198,7 @@ SPHERE6, INSIDE6, OUTSIDE6 = X6, 0.5 * X6 + 0.1 * TANGENT6, 3.0 * X6 + TANGENT6
 MIXED6, CORNER6 = np.array([1.0, -2.0, 0.5, -0.1, 3.0, -4.0]), np.array([0.0, 1.0, 2.0, -1.0, 0.0, 0.5])
 BLOCK6 = np.stack([TANGENT6, 3.0 * X6, np.zeros(6), 1e-200 * X6])
 DIRS6 = np.stack([X6, -X6, TANGENT6 / vectors.norm(TANGENT6)])
-T6 = np.full(3, 0.01)
+T6 = np.array([[1e-2], [1e-4]])  # a column of radii
 AXES6 = (np.arange(6), 1.0 + np.arange(6))
 SPARSE_X, SPARSE_Y = SparseVector({1: 1.0, 3: 1.5}), SparseVector({1: 1.0, 2: -1.0, 4: 0.5})
 
@@ -372,7 +372,7 @@ class TestNoNumpyWrappers:
 
     def test_no_python_wrapper_on_a_verdict(self):
         # a dense and a sparse verdict, each first on a new plan, then on the kept one; the warm-up
-        # verdict at the same m fills _geometry, whose np.repeat runs once per (m, config)
+        # verdict at the same m fills _geometry, whose np.repeat runs once per (m, radii)
         z6, z_sparse = np.array([0.5, 0.0, 0.5, 0.0, -0.5, 0.0]), SparseVector({1: 0.5, 2: -1.0, 4: 0.5})
         oracle._kept_plan.cache_clear()
         for f, warm, xbar, y, zs in ((OP.project, OUTSIDE6, INSIDE6, TANGENT6, (X6, z6)),
