@@ -40,6 +40,13 @@ __all__ = [
 SINGLETON_RTOL = 1e-9
 
 
+def _unchecked(cls, **fields):
+    """An instance of the dataclass ``cls`` holding ``fields``, built without the checks of its ``__post_init__``."""
+    out = object.__new__(cls)
+    out.__dict__.update(fields)
+    return out
+
+
 class DerivativeSet:
     """Base class for coderivative value descriptors."""
 
@@ -150,11 +157,19 @@ class ScaledComplementMap(LinearMap):
     """v  |->  scale * (v - <v, axis> axis) for a unit vector ``axis``, a read-only array.
 
     This is the derivative of the ball projection at an exterior point:
-    scale = r/||x|| and axis = x/||x||.
+    scale = r/||x|| and axis = x/||x||, held as a read-only copy; an axis
+    whose norm is not 1 within 1e-12 raises ValueError.
     """
 
     scale: float
     axis: np.ndarray
+
+    def __post_init__(self):
+        axis = np.array(as_vector(self.axis))
+        if not abs(_dense_norm(axis) - 1.0) <= 1e-12:
+            raise ValueError(f"axis must be a unit vector, got norm {_dense_norm(axis)!r}")
+        axis.flags.writeable = False
+        object.__setattr__(self, "axis", axis)
 
     @classmethod
     def from_point(cls, scale: float, axis_vector: np.ndarray) -> "ScaledComplementMap":
@@ -168,7 +183,7 @@ class ScaledComplementMap(LinearMap):
             raise ValueError("axis must be nonzero")
         unit = axis / length
         unit.flags.writeable = False
-        return cls(scale=float(scale), axis=unit)
+        return _unchecked(cls, scale=float(scale), axis=unit)
 
     @property
     def dim(self) -> int:
@@ -185,21 +200,28 @@ class ScaledComplementMap(LinearMap):
 class CoordinateMaskMap(LinearMap):
     """Keep the coordinates in ``keep`` (0-based), zero the rest.
 
-    The map applies ``keep`` as a read-only boolean mask, with one
-    ``np.where``; the orthant hands it the mask x > 0 it already holds.
+    ``keep`` holds ints (not bools) 0 <= i < dim, else TypeError or
+    ValueError.  The map applies ``keep`` as a read-only boolean mask, with
+    one ``np.where``; the orthant hands it the mask x > 0 it already holds.
     """
 
     keep: frozenset[int]
     dim: int
 
+    def __post_init__(self):
+        if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in (self.dim, *self.keep)):
+            raise TypeError(f"dim and the coordinates of keep must be integers, got {self.dim!r} and {self.keep!r}")
+        if not all(0 <= i < self.dim for i in self.keep):
+            raise ValueError(f"keep must lie in 0 .. {self.dim - 1}, got {sorted(self.keep)}")
+        object.__setattr__(self, "keep", frozenset(map(int, self.keep)))
+        object.__setattr__(self, "dim", int(self.dim))
+
     @classmethod
     def _of(cls, mask: np.ndarray) -> "CoordinateMaskMap":
         """The map keeping the coordinates where the 1-D boolean array ``mask`` is True; it holds a read-only copy of the mask."""
-        out = cls(keep=frozenset(mask.nonzero()[0].tolist()), dim=mask.shape[0])
         held = mask.copy()
         held.flags.writeable = False
-        out.__dict__["_mask"] = held
-        return out
+        return _unchecked(cls, keep=frozenset(mask.nonzero()[0].tolist()), dim=mask.shape[0], _mask=held)
 
     @cached_property
     def _mask(self) -> np.ndarray:

@@ -7,11 +7,14 @@ when
                         / ( ||u - xbar|| + ||f(u) - f(xbar)|| )   <=  0.
 
 The oracle estimates the limsup by sampling u = xbar + t*d over a fixed
-set of shrinking radii t and many unit directions d, the same at every
-radius: a seeded batch of random directions plus structured probes
-aligned with the known worst-case families (radial moves along xbar,
-moves along the orthogonal parts of y and z against xbar,
-single-coordinate moves, and moves along y and z themselves).  Scaled
+set of shrinking absolute radii t and many unit directions d, the same
+at every radius: a seeded batch of random directions plus structured
+probes aligned with the known worst-case families (radial moves along
+xbar, moves along the orthogonal parts of y and z against xbar,
+single-coordinate moves, and moves along y and z themselves).  A radius
+t <= (||spacing(xbar)|| / 2 + sqrt(m) 2^-1074)(1 + 2^-40), the only
+radii at which a unit probe can round back to xbar, is refused
+(``_round_back_floor``).  Scaled
 single-coordinate moves such as u_j = xbar_j + t * z_j trace the same
 rays as the coordinate probes, so normalising directions to unit length
 loses no coverage.
@@ -29,9 +32,7 @@ per axis probe, and writes every quotient into one table, then runs one
 argmax, the verdict rule and the witness.  Row k of the table holds the
 quotients of radius k in probe order: the head (the rows of z last), the
 2m axis probes, then the random directions.  The supremum at a radius is
-the first largest entry of its row.  Every radius probes the same random
-directions, one (count, m) array, count being ``random_directions``, as
-it probes the same head and axis directions.
+the first largest entry of its row.
 Sparse queries use the same dense path: they are embedded in R^m over
 the probed axes (all supports plus one fresh index), from one dict per
 vector (``_embed``).
@@ -54,14 +55,13 @@ direction, each taken once and broadcast over the column of radii.  The
 row path scores the rounded probe instead; the two quotients differ by
 about the spacing of doubles at xbar over t.  The plan makes one call
 for all the directions at all the radii, and gets (radius, direction)
-arrays whose row k has the bits of a call at radius k alone.  The form
-is not called, and the random probes take the row path, when some probe
-might round back to xbar (see ``_plan``); the ball's form declines, with
-the same result, where its axis form does.  On the row path, the probes
-are the directions at each radius in turn, gathered in chunks of at most
-about 32k floats (``_block_rows``), each one ``_score`` call that may
-span two radii, and the plan holds u - xbar of every probe (3 MB at
-m = 500 at the default config).
+arrays whose row k holds the terms at radius k.  Where a form declines
+(where <d, y> overflows, or the ball's axis form declines), the random
+probes take the row path, as for an f with no form.  On the row path,
+the probes are the directions at each radius in turn, gathered in chunks
+of at most about 32k floats (``_block_rows``), each one ``_score`` call
+that may span two radii, and the plan holds u - xbar of every probe
+(3 MB at m = 500 at the default config).
 
 The 16 most recently used plans are kept, keyed by f, the bytes of
 xbar and y over the probed axes, the axes and the config, when f has a
@@ -115,7 +115,12 @@ query (whose SparseVector norms sum in another order than the row
 path's) and a non-finite entry (an image with a NaN raises there, as it
 always has).  That value is the last supremum and the witness quotient,
 and ``quotient`` calls the same two halves, so a witness re-evaluates
-exactly.  The winner's column in the table names its slot (0 the head,
+exactly.  It replaces the winner's entry, and while another entry of the
+row exceeds it by more than 1e-9 of max(|value|, tolerance), that entry
+wins and is scored in turn: the direction form scores the exact probe
+and the halves the rounded one, which differ by O(1) just above
+``_round_back_floor``, so no entry is left above the last supremum by
+more than that.  The winner's column in the table names its slot (0 the head,
 1 the axis probes, 2 the random directions) and its index (the head
 row, the axis probe among those of a radius, or the random direction).
 The plan keeps the z-free half of each such winner, keyed by the two and
@@ -151,7 +156,7 @@ import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, partial
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -427,24 +432,16 @@ def _quotients(z0: np.ndarray, rows: np.ndarray, scale: Optional[np.ndarray], y_
 
 
 def _score(dirs: np.ndarray, t, x0: np.ndarray, terms: Callable, denominator: str) -> tuple:
-    """(first, u - xbar, <y, df>, denominator) of the probe rows u = x0 + t*dirs, t a radius or one per row.
-
-    ``first`` is None, or the index of the first row that rounds back to
-    xbar; then f is not called and the other scores are None.
-    """
+    """(u - xbar, <y, df>, denominator) of the probe rows u = x0 + t*dirs, t a radius or one per row above the floor."""
     u = x0 + t * dirs
     du = u - x0
-    d_in = row_norms(du)
-    moved = d_in > 0.0
-    if _count_nonzero(moved) < moved.size:
-        return int(moved.argmin()), None, None, None
     y_df, df_norm = terms(u)
-    return None, du, y_df, _denominator(denominator, d_in, df_norm)
+    return du, y_df, _denominator(denominator, row_norms(du), df_norm)
 
 
 def _random_scores(dirs: np.ndarray, t: np.ndarray, x0: np.ndarray, y0: np.ndarray, terms: Callable,
-                   denominator: str, f_dirs: Optional[Callable]) -> Union[int, _Scores, None]:
-    """The z-free scores of the random directions at every radius, or the index of the first radius where one rounds back.
+                   denominator: str, f_dirs: Optional[Callable]) -> Optional[_Scores]:
+    """The z-free scores of the random directions at every radius, all above the floor (``_round_back_floor``).
 
     t is the column of radii, and ``f_dirs`` is f's direction form, or
     None.  With it, every direction d is scored at every radius t from its
@@ -453,9 +450,7 @@ def _random_scores(dirs: np.ndarray, t: np.ndarray, x0: np.ndarray, y0: np.ndarr
     (radius, direction) arrays.  When the form declines, or f has none,
     the probes take the row path, the directions at each radius in turn,
     gathered in chunks of ``_block_rows`` rows, a chunk possibly spanning
-    two radii, and written into one array; f is called on no chunk after
-    the first with a row that rounds back to xbar.
-    With no random directions the result is None.
+    two radii.  With no random directions the result is None.
     """
     count = len(dirs)
     if not count:
@@ -464,14 +459,11 @@ def _random_scores(dirs: np.ndarray, t: np.ndarray, x0: np.ndarray, y0: np.ndarr
         images = f_dirs(x0, y0, dirs, t)
         if images is not None:
             return _Scores(dirs, t, images[0], _denominator(denominator, t, images[1]))
-    rows, size = t.size * count, _block_rows(x0.size)
-    du, y_df, den = np.empty((rows, x0.size)), np.empty(rows), np.empty(rows)
-    for lo in range(0, rows, size):
-        k = np.arange(lo, min(lo + size, rows))  # row k probes direction k % count at radius k // count
-        first, *scores = _score(dirs[k % count], t[k // count], x0, terms, denominator)
-        if first is not None:
-            return (lo + first) // count
-        du[lo:lo + size], y_df[lo:lo + size], den[lo:lo + size] = scores
+    size, rows = _block_rows(x0.size), np.arange(t.size * count)
+    # row k probes direction k % count at radius k // count
+    scores = (_score(dirs[k % count], t[k // count], x0, terms, denominator)
+              for k in np.split(rows, range(size, rows.size, size)))
+    du, y_df, den = map(np.concatenate, zip(*scores))
     return _Scores(du, None, y_df, den)
 
 
@@ -533,9 +525,8 @@ def _form(f: Callable[[Vector], Vector], kind: str) -> Optional[Callable]:
     * A direction form maps (x0, y0, dirs, t), dirs a 2-D array whose
       rows are unit directions d and t a column of radii, to the
       (radius, direction) arrays <y0, f(u) - f(x0)> and ||f(u) - f(x0)||
-      over the probes u = x0 + t*d, row k the bits of a call at radius k
-      alone, or to None when it declines them, as it does when it would
-      decline some radius alone.
+      over the probes u = x0 + t*d, row k the terms at radius k, or to
+      None when it declines them.
 
     For a sparse f the coordinates are those on the probed axes, which is
     valid only when f acts coordinate by coordinate and maps 0 to 0.
@@ -555,17 +546,23 @@ def _form(f: Callable[[Vector], Vector], kind: str) -> Optional[Callable]:
     return get(f"project_{kind}", None) if get("project", None) == f else None
 
 
+def _round_back_floor(x0: np.ndarray) -> float:
+    """The radius at or below which a unit probe x0 + t*d may round back to x0, and above which none does."""
+    # a unit probe rounds back only when every |fl(t d_i)| <= spacing(x0_i) / 2, which forces t <= this:
+    # sqrt(m) 2^-1074 covers the t d_i that underflow, and 2^-40 the rounding of ||d|| and of this sum
+    return (0.5 * _dense_norm(np.spacing(x0)) + math.sqrt(x0.size) * 2.0**-1074) * (1.0 + 2.0**-40)
+
+
 class _Plan(NamedTuple):
-    """The part of a verdict that does not depend on z (see ``_plan``)."""
+    """The part of a verdict that does not depend on z (see ``_plan``), built only for radii above the floor."""
 
     fx: Vector                     # f(xbar)
     terms: Callable                # probe rows u -> (<y, f(u) - f(xbar)>, ||f(u) - f(xbar)||)
     anchor: tuple[float, float]    # <x0, x0> and ||x0||
     head: np.ndarray               # the read-only (h, m) head rows of xbar and y, scored by every z pass
     dirs: np.ndarray               # the read-only random directions, probed at every radius (``_random_dirs``)
-    random: Optional[_Scores]      # the scores of dirs at every radius; None when there are none or a probe is stuck
+    random: Optional[_Scores]      # the scores of dirs at every radius; None when there are none
     axis: tuple                    # (j, s, du, <y, df>, denominator) of the axis probes of every radius
-    stuck: int                     # radius index of the first axis or random row with u == xbar, or the number of radii
     halves: dict                   # (slot, index) -> (direction, *z-free half) of witnesses at the last radius
 
 
@@ -574,9 +571,15 @@ def _plan(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, x0: np.ndarray
     """The z-free part of a verdict on f at xbar for y.
 
     The random probes are scored once, here; every z pass scores the head
-    rows (see ``_z_pass``).
+    rows (see ``_z_pass``).  A radius at or below ``_round_back_floor``
+    raises ValueError, before any probe is formed.
     """
     m, radii = x0.size, config.radii
+    floor = _round_back_floor(x0)
+    if radii[-1] <= floor:
+        raise ValueError(
+            f"u must differ from xbar: a probe at radius {next(t for t in radii if t <= floor)!r} rounds back to "
+            f"xbar at ||xbar|| = {norm(xbar):.6g}; probe radii are absolute")
     dirs = _random_dirs(config.seed, config.random_directions, m)
     # the probe plan, radius by radius: the head rows (slot 0), those of
     # xbar and y and then those of z, all scored by the z pass, the axis
@@ -613,21 +616,9 @@ def _plan(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, x0: np.ndarray
         tiles = (_axis_rows(x0, axis_j[i:i + rows], moved[i:i + rows]) for i in range(0, moved.size, rows))
         images = map(np.concatenate, zip(*(terms(u) for u in tiles)))
     axis_y_df, df_norm = images
-
-    # a unit row has an entry of at least 1/sqrt(m), so it moves x0 by more
-    # than half the spacing of doubles at some entry, and no probe rounds
-    # back to xbar, when the smallest radius exceeds sqrt(m) times the
-    # largest spacing in x0; then the random probes take the direction form,
-    # and else they are formed and tested
-    if radii[-1] <= math.sqrt(m) * float(np.spacing(np.maximum.reduce(np.abs(x0)))):
-        f_dirs = None
-    moves = axis_in > 0.0
-    stuck = len(radii) if _count_nonzero(moves) == moves.size else int(moves.argmin()) // (2 * m)
     random = _random_scores(dirs, np.array(radii)[:, None], x0, y0, terms, config.denominator, f_dirs)
-    if isinstance(random, int):
-        stuck, random = min(stuck, random), None
     return _Plan(fx, terms, anchor, head, dirs, random,
-                 (axis_j, axis_s, axis_du, axis_y_df, _denominator(config.denominator, axis_in, df_norm)), stuck, {})
+                 (axis_j, axis_s, axis_du, axis_y_df, _denominator(config.denominator, axis_in, df_norm)), {})
 
 
 def _plan_key(f: Callable[[Vector], Vector], x0: np.ndarray, y0: np.ndarray, axes: Optional[tuple[int, ...]],
@@ -667,20 +658,12 @@ def _z_pass(plan: _Plan, f: Callable[[Vector], Vector], xbar: Vector, y: Vector,
     n_radii = len(radii)
     # the head rows of the plan, then those of z, of every radius take the
     # row path in one call
-    stuck = plan.stuck
     z_rows = _structured_head(x0, z0, anchor=plan.anchor, xbar_rows=False)
     head = np.concatenate([plan.head, z_rows]) if z_rows else plan.head
     n = len(head)
     if n:
         t = np.array(radii).repeat(n)[:, None]
-        first, du, y_df, den = _score(np.concatenate([head] * n_radii), t, x0, plan.terms, config.denominator)
-        if first is not None:
-            stuck = min(stuck, first // n)
-    # a probe that rounds back to xbar is reported at the first radius where one does
-    if stuck < n_radii:
-        raise ValueError(
-            f"u must differ from xbar: a probe at radius {radii[stuck]!r} rounds back to xbar at "
-            f"||xbar|| = {norm(xbar):.6g}; probe radii are absolute")
+        du, y_df, den = _score(np.concatenate([head] * n_radii), t, x0, plan.terms, config.denominator)
 
     axis_j, axis_s, axis_du, axis_y_df, axis_den = plan.axis
     # not prefilled: every entry is written, and plan.random is None here only when count is 0
@@ -701,26 +684,36 @@ def _z_pass(plan: _Plan, f: Callable[[Vector], Vector], xbar: Vector, y: Vector,
     # quotient, with the plan's f(xbar), so the witness re-evaluates to
     # exactly the stored value; its column gives its slot and index, and the
     # plan keeps the z-free half of each such winner but the rows of z, the
-    # head rows from len(plan.head) on, which depend on z
-    t, i = radii[-1], int(best[-1])
-    slot = (i >= n) + (i >= n + per)
-    if not slot and axes is None and math.isfinite(estimates[-1][1]):
-        direction = head[i]
-    else:
-        i -= (0, n, n + per)[slot]
-        half = plan.halves.get((slot, i))
-        if half is None:
-            if slot == 1:
-                unit = np.zeros(x0.size)
-                unit[axis_j[i]] = axis_s[i]
-            else:
-                unit = (head if slot == 0 else plan.dirs)[i].copy()
-            direction = _point(axes, unit)
-            half = (direction, *_z_free_half(f, plan.fx, xbar, y, xbar + t * direction, config.denominator))
-            if slot or (axes is not None and i < len(plan.head)):
-                plan.halves[slot, i] = half
-        direction, *z_free = half
-        estimates[-1] = (t, _z_half(z, *z_free))
+    # head rows from len(plan.head) on, which depend on z.  The value
+    # replaces the winner's entry, and while another entry exceeds it by
+    # more than 1e-9 of max(|value|, tolerance), that entry wins and is
+    # scored in turn
+    t, last, i = radii[-1], table[-1], int(best[-1])
+    while True:
+        slot = (i >= n) + (i >= n + per)
+        if not slot and axes is None and math.isfinite(last[i]):
+            direction, value = head[i], float(last[i])
+        else:
+            k = i - (0, n, n + per)[slot]
+            half = plan.halves.get((slot, k))
+            if half is None:
+                if slot == 1:
+                    unit = np.zeros(x0.size)
+                    unit[axis_j[k]] = axis_s[k]
+                else:
+                    unit = (head if slot == 0 else plan.dirs)[k].copy()
+                direction = _point(axes, unit)
+                half = (direction, *_z_free_half(f, plan.fx, xbar, y, xbar + t * direction, config.denominator))
+                if slot or (axes is not None and k < len(plan.head)):
+                    plan.halves[slot, k] = half
+            direction, *z_free = half
+            value = _z_half(z, *z_free)
+        last[i] = value
+        i = int(last.argmax())
+        # rounding noise (1e-17 where a quotient is 0, say) is no reason to score again
+        if not last[i] > value + 1e-9 * max(abs(value), config.tolerance):
+            break
+    estimates[-1] = (t, value)
     sups = [s for _, s in estimates]
     tol = config.tolerance
     witness = None

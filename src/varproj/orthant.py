@@ -87,58 +87,52 @@ def project_axes(x0: np.ndarray, y0: np.ndarray, j, moved):
     return b * y0[j], np.abs(b)
 
 
-def _dir_terms(x0: np.ndarray, y0: np.ndarray, dirs: np.ndarray, t: np.ndarray, bound: float, reach: np.ndarray):
-    """``project_dirs`` at radii t of at most ``bound`` / (1 + 2^-40) that share one C; ``reach`` is |x0|."""
-    pos = x0 > bound
-    count = _count_nonzero(pos)
-    if count == x0.size:
-        y_d, d_sq = _dot(dirs, y0), _dot(dirs, dirs)
-    elif count:
-        y_pos, mask = np.where(pos, y0, 0.0), pos.astype(float)
-        y_d, d_sq = _dot(dirs, y_pos), _einsum("ij,ij,j->i", dirs, dirs, mask)
-    else:
-        y_d = d_sq = np.zeros(len(dirs))
-    near = (reach <= bound).nonzero()[0]
-    if not near.size:
-        return t * y_d, t * np.sqrt(d_sq)
-    # df on C, then its terms scaled by 1 / t, so no square of a small radius underflows
-    x_c, t_col = x0[near], t[..., None]
-    df_c = np.maximum(x_c + t_col * dirs[:, near], 0.0) - np.maximum(x_c, 0.0)
-    w = df_c / t_col
-    return t * (y_d + _dot(w, y0[near])), t * np.sqrt(d_sq + _dot(w, w))
-
-
 def project_dirs(x0: np.ndarray, y0: np.ndarray, dirs: np.ndarray, t: np.ndarray):
     """Direction form: <y0, P(u) - P(x0)> and ||P(u) - P(x0)|| of the probes u = x0 + t d.
 
     The rows of the 2-D array ``dirs`` are unit directions d, and t is a
-    column of radii: the terms are (radius, direction) arrays, row k the
-    bits of a call at radius k alone.  A coordinate can change sign only
-    where |x0_i| <= t |d_i| <= t; call those columns C (every zero
-    coordinate is in C).  Off C, P(u) - P(x0) is t d on the positive
-    coordinates P and 0 on the negative ones, so with w = df_C / t,
+    column of radii: the terms are (radius, direction) arrays.  A
+    coordinate can change sign only where |x0_i| <= t |d_i| <= t; call C
+    the columns within reach of the largest radius (every zero coordinate
+    is in C).  Off C, P(u) - P(x0) is t d on the positive coordinates P
+    and 0 on the negative ones, so with w = df_C / t,
 
         <y0, P(u) - P(x0)> = t (<d, y0 on P> + <y0_C, w>),
         ||P(u) - P(x0)||   = t sqrt(||d on P||^2 + ||w||^2),
 
     where df_C = max(x0_C + t d_C, 0) - max(x0_C, 0) is taken on the
     sub-block of the C columns, bit for bit as ``project_rows`` gives it.
-    When C holds only the zero coordinates at every radius, <d, y0 on P>
-    and ||d on P||^2 are taken once per direction; else C differs by
-    radius, and each radius takes its own.  Declines when some
-    <y0, P(u) - P(x0)> is not finite: <d, y0> may overflow where
-    t <d, y0> does not, and the full rows score those probes.
+    C, <d, y0 on P> and ||d on P||^2 are taken once for every radius.  A
+    coordinate of C out of reach of radius k gives w_i = d_i there when
+    x0_i > 0 and 0 when x0_i < 0, as it would off C, so row k holds the
+    terms of a call at radius k alone, in its bits at the largest radius and
+    wherever C holds no nonzero coordinate, and else summed in another
+    order.  Declines when some <y0, P(u) - P(x0)> is not finite: <d, y0>
+    may overflow where t <d, y0> does not, and the full rows score those
+    probes.
     """
     # |t d_i| <= t (1 + 2^-50) rounds to at most t (1 + 2^-40)
-    bound, reach = float(np.maximum.reduce(t, axis=None)) * (1.0 + 2.0**-40), np.abs(x0)
+    bound = float(np.maximum.reduce(t, axis=None)) * (1.0 + 2.0**-40)
+    pos = x0 > bound
+    count = _count_nonzero(pos)
     with np.errstate(over="ignore", invalid="ignore"):
-        if not _count_nonzero((reach <= bound) & (reach > 0.0)):
-            y_df, df_norm = _dir_terms(x0, y0, dirs, t, bound, reach)
+        if count == x0.size:
+            y_d, d_sq = _dot(dirs, y0), _dot(dirs, dirs)
+        elif count:
+            y_pos, mask = np.where(pos, y0, 0.0), pos.astype(float)
+            y_d, d_sq = _dot(dirs, y_pos), _einsum("ij,ij,j->i", dirs, dirs, mask)
         else:
-            # a nonzero coordinate within reach of some radius
-            y_df, df_norm = np.empty((2, t.size, len(dirs)))
-            for k, radius in enumerate(t[:, 0].tolist()):
-                y_df[k], df_norm[k] = _dir_terms(x0, y0, dirs, t[k], radius * (1.0 + 2.0**-40), reach)
+            y_d = d_sq = np.zeros(len(dirs))
+        near = (np.abs(x0) <= bound).nonzero()[0]
+        if near.size:
+            # df on C, then its terms scaled by 1 / t, so no square of a small radius underflows
+            x_c, t_col = x0[near], t[..., None]
+            df_c = np.maximum(x_c + t_col * dirs[:, near], 0.0) - np.maximum(x_c, 0.0)
+            w, out = df_c / t_col, np.abs(x_c) > t_col * (1.0 + 2.0**-40)
+            if _count_nonzero(out):
+                w = np.where(out, np.where(x_c > 0.0, dirs[:, near], 0.0), w)
+            y_d, d_sq = y_d + _dot(w, y0[near]), d_sq + _dot(w, w)
+        y_df, df_norm = t * y_d, t * np.sqrt(d_sq)
     if not _all_finite(y_df):
         return None
     return y_df, df_norm

@@ -305,8 +305,8 @@ class TestOracleMember:
         # an infinite tolerance would read every supremum as a member
         *((("--xbar", "[3, 4]", "--y", "[1, 0]", "--z", "[5, 5]", "--tolerance", tolerance),
            "tolerance must be positive and finite") for tolerance in ("inf", "nan", "0", "-1")),
-        # from ||xbar|| near 1e13 the random rows take the row path, which
-        # finds a probe that rounds back to xbar, with no warning on the way
+        # from ||xbar|| near 1e13 the smallest radii lie below the round-back
+        # floor ||spacing(xbar)|| / 2, refused with no warning on the way
         (("--xbar", "[1e13, 1e13, 1e13]", "--y", "[1, 0, 0]", "--z", "[0, 1, 0]"), "rounds back to xbar"),
     ])
     def test_rejected_query(self, capsys, argv, message):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,36 @@ class TestLinearMaps:
             assert m.to_json() == {"kind": "coordinate_mask", "keep": sorted(keep), "dim": n}
         assert held == public and hash(held) == hash(public) == hash((keep, n))
         assert held != CoordinateMaskMap(keep=keep - {min(keep)}, dim=n)
+
+    @pytest.mark.parametrize("keep, dim, error", [
+        (frozenset({-1}), 3, ValueError), ({5}, 3, ValueError), ({3}, 3, ValueError), ({True}, 3, TypeError),
+        ({np.True_}, 3, TypeError), ({1.0}, 3, TypeError), ({0}, 3.0, TypeError), ({0}, True, TypeError),
+    ], ids=["negative", "beyond", "dim", "bool", "numpy-bool", "float", "float-dim", "bool-dim"])
+    def test_mask_map_rejects_a_coordinate_it_cannot_keep(self, keep, dim, error):
+        # numpy would wrap -1 to the last coordinate, and raise IndexError for 5 only at the first call
+        with pytest.raises(error):
+            CoordinateMaskMap(keep=keep, dim=dim)
+
+    def test_mask_map_holds_plain_ints(self):
+        m = CoordinateMaskMap(keep={np.int64(2), 0}, dim=np.int64(3))
+        assert m.keep == frozenset({0, 2}) and hash(m) == hash((frozenset({0, 2}), 3))
+        assert json.dumps(m.to_json()) == '{"kind": "coordinate_mask", "keep": [0, 2], "dim": 3}'
+        np.testing.assert_array_equal(m([1.0, 2.0, 3.0]), [1.0, 0.0, 3.0])
+
+    @pytest.mark.parametrize("axis", [[2.0, 0.0], [0.6, 0.8 + 1e-9], [0.0, 0.0], [np.nan, 1.0], [[0.6, 0.8]], []],
+                             ids=["long", "off-by-1e-9", "zero", "nan", "2d", "empty"])
+    def test_scaled_complement_rejects_an_axis_that_is_no_unit_vector(self, axis):
+        with pytest.raises(ValueError):
+            ScaledComplementMap(scale=1.0, axis=np.array(axis))
+
+    def test_scaled_complement_holds_a_read_only_copy_of_its_axis(self):
+        axis = np.array([0.6, 0.8])
+        m = ScaledComplementMap(scale=0.5, axis=axis)
+        axis[:] = [1.0, 0.0]
+        assert not m.axis.flags.writeable
+        np.testing.assert_array_equal(m.axis, [0.6, 0.8])
+        np.testing.assert_allclose(m(np.array([1.0, 1.0])), 0.5 * (np.ones(2) - 1.4 * np.array([0.6, 0.8])))
+        assert ScaledComplementMap(scale=2.0, axis=[0.6, 0.8 + 1e-13]).dim == 2
 
     def test_json_kinds(self):
         assert IdentityMap(2).to_json()["kind"] == "identity"

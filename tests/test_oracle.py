@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import types
@@ -246,6 +247,11 @@ class TestMembership:
             membership(orthant.project, [-6e7, -7e14], [0, 0], [0, 0],
                        ProbeConfig(radii=(1.0, 0.06, 1e-5), random_directions=2))
 
+    def test_large_base_point_answers_at_the_default_radii(self):
+        # half the spacing of doubles at 1e12 is 6.1e-5, below the smallest default radius
+        out = membership(orthant.project, [1e12, 1.0], [1.0, -1.0], [0.5, 0.0])
+        assert out.verdict is Verdict.NON_MEMBER and out.sup_estimates[-1] == (1e-4, 0.5)
+
     @pytest.mark.parametrize("f, y, z, want", [
         (orthant.project, [0.2, 0.3, -0.1], [0.5, 0.3, 0.0], Verdict.NON_MEMBER),
         (orthant.project, [1.0, -0.5, 0.25], [0.5, -0.5, 0.0], Verdict.NON_MEMBER),
@@ -323,6 +329,112 @@ class TestMembership:
                     op.project, xbar, np.zeros(2), z_probe, ProbeConfig(denominator=den)
                 )
                 assert out.verdict is want
+
+
+def _round_back_points(rng, m):
+    """Base points of every scale from 1e-330 (zero) to 1e300: Gaussian, with zeros, +-2^k, subnormal, mixed."""
+    for e in range(-330, 301, 10):
+        x = rng.standard_normal(m) * 10.0**e
+        yield x
+        yield np.where(np.arange(m) % 2 == 0, 0.0, x)
+        yield np.ldexp(rng.choice((-1.0, 1.0), m), rng.integers(-1074, 1024, m))
+        x = x.copy()
+        x[0] = 10.0**min(e + 30, 300)
+        yield x
+    yield 5e-324 * rng.integers(0, 4, m) * rng.choice((-1.0, 1.0), m)
+    yield np.zeros(m)
+
+
+class TestRoundBackFloor:
+    def test_no_unit_probe_above_the_floor_rounds_back(self):
+        # the floor is sound: no random, axis, head or adversarial unit probe
+        # rounds back to x0 at any radius above it; and it is tight: the
+        # direction |spacing(x0)| / ||spacing(x0)||, signed away from 0,
+        # rounds back at 0.98 times the floor wherever the subnormal term
+        # is small beside ||spacing(x0)|| / 2
+        rng = np.random.default_rng(5)
+        probes = tight = 0
+        for m in (1, 2, 3, 6, 50):
+            dirs = np.concatenate([oracle._random_dirs(3, 64, m), np.eye(m), -np.eye(m)])
+            for x0 in _round_back_points(rng, m):
+                floor = oracle._round_back_floor(x0)
+                spacing = np.abs(np.spacing(x0))
+                adverse = np.where(x0 < 0.0, -1.0, 1.0) * spacing / vectors.norm(spacing)
+                head = oracle._structured_head(x0, rng.standard_normal(m), x0 + spacing)
+                rows = np.concatenate([dirs, np.reshape(head, (-1, m)), [adverse, -adverse]])
+                for t in (np.nextafter(floor, math.inf), floor * (1.0 + 2.0**-30), 2.0 * floor):
+                    moved = ((x0 + t * rows) - x0).any(axis=1)
+                    assert moved.all(), (m, x0, t, rows[~moved])
+                    probes += len(rows)
+                if math.sqrt(m) * 2.0**-1074 <= 0.005 * vectors.norm(spacing):
+                    assert not ((x0 + 0.98 * floor * adverse) - x0).any(), (m, x0)
+                    tight += 1
+        assert probes > 350_000 and tight > 1000
+
+    @pytest.mark.parametrize("x0", [np.array([1e13, -3.0]), np.array([0.0, 2e-310, 5e-324]), np.zeros(2)],
+                             ids=["large", "subnormal", "zero"])
+    def test_the_floor_is_refused_and_the_next_radius_answers(self, x0):
+        floor = oracle._round_back_floor(x0)
+        y, z = np.ones(x0.size), np.zeros(x0.size)
+        with pytest.raises(ValueError, match=rf"a probe at radius {re.escape(repr(floor))} rounds back"):
+            membership(orthant.project, x0, y, z, ProbeConfig(radii=(4.0 * floor, floor)))
+        out = membership(orthant.project, x0, y, z, ProbeConfig(radii=(np.nextafter(floor, math.inf),)))
+        assert out.verdict in tuple(Verdict)
+
+    def test_project_formless_and_sparse_raise_alike(self):
+        # a set's project, its formless lambda and the sparse embedding of the
+        # same point refuse the same radius with the same message
+        rng = np.random.default_rng(13)
+        for scale in (1e12, 3e12, 1e13, 3e13, 1e15):
+            x, y, z = scale * rng.uniform(0.5, 1.0, 4), rng.standard_normal(4), rng.standard_normal(4)
+            errors = []
+            queries = [(BallProjection(1.0).project, x, y, z), (lambda u: BallProjection(1.0).project(u), x, y, z),
+                       (orthant.project, x, y, z), (lambda u: orthant.project(u), x, y, z),
+                       (l2_cone.project, *(SparseVector(dict(enumerate(v.tolist(), 1))) for v in (x, y, z)))]
+            for f, *query in queries:
+                with pytest.raises(ValueError, match="rounds back to xbar") as info:
+                    membership(f, *query)
+                errors.append(str(info.value))
+            assert len(set(errors)) == 1, errors
+
+    def test_no_entry_of_the_last_row_exceeds_the_last_supremum(self):
+        # just above the floor the direction form scores the exact probe and
+        # the witness the rounded one, which differ by O(1): the last
+        # supremum is at least every head and axis probe's quotient, and every
+        # random direction's entry above it was scored again on its rounded
+        # probe, to at most it (all within 1e-9 of max(|s|, tolerance));
+        # the witness re-evaluates to it
+        rng = np.random.default_rng(7)
+        rescored = 0
+        for _ in range(60):
+            x, y, z = rng.uniform(0.5, 1.0, 3) * rng.choice((-1e12, 1e12), 3), *rng.standard_normal((2, 3))
+            x[rng.integers(3)] = rng.standard_normal()
+            floor = oracle._round_back_floor(x)
+            config = ProbeConfig(radii=(4.0 * floor, rng.uniform(1.01, 1.5) * floor), random_directions=64)
+            out = membership(orthant.project, x, y, z, config)
+            t, s = out.sup_estimates[-1]
+            top = s + 1e-9 * max(abs(s), config.tolerance)
+            plan = oracle._plan(orthant.project, x, y, x, y, None, config)
+            rows = [*np.eye(3), *-np.eye(3), *oracle._structured_head(x, y, z)]
+            assert top >= max(quotient(orthant.project, x, y, z, x + t * d) for d in rows)
+            entries = oracle._quotients(z, *plan.random)[-1]
+            rounded = np.array([quotient(orthant.project, x, y, z, x + t * d) for d in plan.dirs])
+            assert top >= np.minimum(entries, rounded).max()
+            rescored += entries.max() > top
+            if out.witness is not None:
+                assert quotient(orthant.project, x, y, z, x + t * out.witness.direction) == s
+        assert rescored > 10
+
+    def test_large_base_point_reports_the_largest_rounded_quotient(self):
+        # at xbar = (1e12, 1) and radius 9e-5 a probe's first coordinate
+        # rounds to a step of 0 or +-1.2e-4: the last supremum is the largest
+        # quotient of the rounded probes, and the first radius's that of the
+        # exact ones
+        x, y, z = np.array([1e12, 1.0]), np.array([1.0, -1.0]), np.array([0.5, 0.0])
+        out = membership(orthant.project, x, y, z, ProbeConfig(radii=(1e-4, 9e-5)))
+        rows = [*oracle._random_dirs(0, 256, 2), *np.eye(2), *-np.eye(2), *oracle._structured_head(x, y, z)]
+        assert out.sup_estimates[-1][1] == max(quotient(orthant.project, x, y, z, x + 9e-5 * d) for d in rows)
+        assert out.sup_estimates[0][1] > 0.558 and out.verdict is Verdict.NON_MEMBER
 
 
 class TestBatchedAgainstReference:
@@ -943,7 +1055,10 @@ class TestDirectionForm:
     def test_each_radius_has_the_bits_of_its_own_call(self):
         # a column of radii gives, row by row, the bits of one call per
         # radius: the products of a direction are taken once for every
-        # radius, and a call declines exactly when one of its radii alone does
+        # radius, and a call declines only when one of its radii alone does.
+        # The orthant takes C, the coordinates within reach, at the largest
+        # radius: where C holds a nonzero coordinate, a smaller radius sums
+        # the terms of its own call in another order, within 1e-12 of t ||y0||
         rng = np.random.default_rng(21)
         radii_sets = [ProbeConfig().radii, (0.5, 3e-3, 1e-200)]
         cases = []
@@ -965,7 +1080,7 @@ class TestDirectionForm:
             zeros = np.where(np.arange(n) % 3 == 0, 0.0, x)
             for x0 in (np.abs(x), -np.abs(x), x, zeros, near, np.where(np.arange(n) % 2 == 0, -1e-3, zeros)):
                 cases.append((orthant.project_dirs, x0, y, dirs))
-        declined = accepted = 0
+        declined = accepted = moved = 0
         for form, x0, y0, dirs in cases:
             for radii in radii_sets:
                 column = np.array(radii)[:, None]
@@ -976,11 +1091,19 @@ class TestDirectionForm:
                     assert any(terms is None for terms in alone)
                     continue
                 accepted += 1
+                reach = np.abs(x0) <= radii[0] * (1.0 + 2.0**-40)
+                in_reach = form is orthant.project_dirs and (reach & (x0 != 0.0)).any()
                 for k, terms in enumerate(alone):
                     assert terms is not None
                     for term, want in zip(got, terms):
                         assert term.shape == (len(radii), len(dirs))
-                        np.testing.assert_array_equal(_bits(term[k]), _bits(want[0]))
+                        if not k or not in_reach:
+                            np.testing.assert_array_equal(_bits(term[k]), _bits(want[0]))
+                            continue
+                        bound = 1e-12 * radii[k] * max(norm(y0), 1.0)
+                        assert np.abs(term[k] - want[0]).max() <= bound, (x0, radii[k])
+                        moved += (term[k] != want[0]).any()
+        assert moved
         assert declined >= 16 and accepted >= 60
 
     def test_overflowing_z_product_scores_the_scaled_direction(self):
@@ -994,21 +1117,6 @@ class TestDirectionForm:
         for (t, s), (t_want, s_want) in zip(got.sup_estimates, want.sup_estimates, strict=True):
             assert t == t_want and math.isfinite(s)
             assert abs(s - s_want) <= 1e-12 * abs(s_want)
-
-    @pytest.mark.parametrize("f", [BallProjection(1.0).project, orthant.project], ids=["ball", "orthant"])
-    def test_rounds_back_at_the_radius_of_the_row_path(self, f):
-        # from ||xbar|| near 1e12 a probe rounds back to xbar: the random rows
-        # take the row path, and the verdict raises at the radius that a
-        # formless f names
-        rng = np.random.default_rng(13)
-        for scale in (1e12, 3e12, 1e13, 3e13):
-            x, y, z = scale * rng.uniform(0.5, 1.0, 4), rng.standard_normal(4), rng.standard_normal(4)
-            errors = []
-            for g in (f, lambda u: f(u)):
-                with pytest.raises(ValueError, match="rounds back to xbar") as info:
-                    membership(g, x, y, z)
-                errors.append(str(info.value))
-            assert errors[0] == errors[1]
 
     @pytest.mark.parametrize("case", ["tiny-sphere", "huge-norm", "scale-underflow"])
     def test_declined_block_takes_the_row_path(self, case):
@@ -1260,14 +1368,15 @@ class TestPlanCache:
         assert (info.misses, info.currsize) == (20, 16)
 
     def test_rounds_back_at_the_same_radius_on_a_hit(self):
-        # every probe rounds back at 1e-5; at 0.086 only the rows of z = (1, 1)
-        # do (half the spacing of doubles near 1e15 is 0.0625)
+        # 0.086 is below the floor ||spacing(x)|| / 2 = ||(0.125, 0.125)|| / 2,
+        # about 0.088, whatever z is; a refused plan is never kept
         config = ProbeConfig(radii=(1.0, 0.086, 1e-5), random_directions=0)
         x, y = np.array([1e15, 1.1e15]), np.zeros(2)
-        for z, radius in (([1.0, 1.0], r"0\.086"), ([0.0, 0.0], r"1e-05"), ([1.0, 1.0], r"0\.086")):
-            with pytest.raises(ValueError, match=rf"a probe at radius {radius} rounds back"):
+        kept = oracle._kept_plan.cache_info().currsize
+        for z in ([1.0, 1.0], [0.0, 0.0], [1.0, 1.0]):
+            with pytest.raises(ValueError, match=r"a probe at radius 0\.086 rounds back"):
                 membership(orthant.project, x, y, np.array(z), config)
-        assert oracle._kept_plan.cache_info().hits == 2
+        assert oracle._kept_plan.cache_info().currsize == kept
 
 
 @dataclass
