@@ -44,8 +44,8 @@ from .descriptors import (
     ScaledComplementMap,
     SingletonSet,
 )
-from .vectors import (_all_finite, _count_nonzero, _dense_norm, _distance, _dot, _dots, _halved, _split, as_rows,
-                      as_vector, as_vector_of, row_norms)
+from .vectors import (_all_finite, _anchor_norm, _count_nonzero, _dense_norm, _distance, _dot, _halved, _split,
+                      as_rows, as_vector, as_vector_of, row_norms)
 
 __all__ = ["BallRegion", "DirectionClass", "BallProjection", "SpherePartial"]
 
@@ -154,30 +154,33 @@ class BallProjection:
             out[i] = self._project(block[i])
         return out
 
-    def _image_terms(self, x0: np.ndarray, y0: np.ndarray, x_d, y_d, step, u_d, off: Callable[[], np.ndarray]):
-        """<y0, P(u) - P(x0)> and ||P(u) - P(x0)|| of the probes u = x0 + step d for unit d, or None.
+    def _image_terms(self, x0: np.ndarray, x_d, step, u_d, off: Callable[[], np.ndarray],
+                     y_along: Callable[[np.ndarray], Optional[np.ndarray]]):
+        """The forms' first stage at the probes u = x0 + step d, d unit: (||P(u) - P(x0)||, y stage), or None.
 
         Takes, elementwise over the probes (arrays that broadcast together),
-        x_d = <x0, d>, y_d = <y0, d>, the step and u_d = <u, d>, and
-        ``off()`` = ||x0 - x_d d||, read only when some a is nonzero.  With
-        c(v) = r / max(||v||, r), P(u) - P(x0) = a x0 + b d, so, split along d,
+        x_d = <x0, d>, the step and u_d = <u, d>, ``off()`` = ||x0 - x_d d||,
+        read only when some a is nonzero, and ``y_along(y0)``, which gives
+        <y0, d> or None where it is not finite.  With c(v) = r / max(||v||, r),
+        P(u) - P(x0) = a x0 + b d, so, split along d,
 
             a = c(u) - c(x0),   b = c(u) step,   ||u||^2 = ||x0||^2 + grow,   grow = step (x_d + u_d),
-            <y0, P(u) - P(x0)> = a <y0, x0> + b y_d,   ||P(u) - P(x0)|| = hypot(a off, a x_d + b).
+            <y0, P(u) - P(x0)> = a <y0, x0> + b <y0, d>,   ||P(u) - P(x0)|| = hypot(a off, a x_d + b).
 
         ||u||^2 >= u_d^2, which rounding must not undercut; at the origin
         c(x0) = 1 and ||u|| = |u_d| exactly.  a is taken from ||u|| - ||x0||
         = grow / (||u|| + ||x0||) (||u|| at the origin), so nothing
         cancels: as -c(u) (||u|| - ||x0||) / ||x0|| when both points lie
         outside the ball, and as (r - ||x0|| - (||u|| - ||x0||)) / ||u||
-        when only u does.  Declines when ||x0||^2 is not a finite normal
-        double away from the origin, <y0, x0> is not finite, or some c(u)
-        underflows (an overflow makes ||u|| inf and c(u) 0);
-        ``project_rows`` handles those.
+        when only u does.  This stage declines when ||x0||^2 is not a
+        finite normal double away from the origin, or some c(u) underflows
+        (an overflow makes ||u|| inf and c(u) 0); the y stage gives
+        <y0, P(u) - P(x0)>, and declines (None) when <y0, x0> or some
+        <y0, d> is not finite.  ``project_rows`` handles every decline.
         """
-        sq_norm, y_x = float(_dot(x0, x0)), float(_dot(y0, x0))
+        sq_norm = float(_dot(x0, x0))
         origin = sq_norm == 0.0 and not _count_nonzero(x0)
-        if not ((origin or _TINY <= sq_norm < np.inf) and math.isfinite(y_x)):
+        if not (origin or _TINY <= sq_norm < np.inf):
             return None
         with np.errstate(over="ignore"):
             grow = step * (x_d + u_d)
@@ -199,20 +202,25 @@ class BallProjection:
             else:
                 a = np.where(norm_u > r, -scale_u * (gap / norm_x), 1.0 - r / norm_x)
         b = scale_u * step
-        y_df = a * y_x + b * y_d
-        if not _count_nonzero(a):  # u and x0 inside the ball: P(u) - P(x0) = step d
-            return y_df, np.abs(b)
-        return y_df, np.hypot(a * off(), a * x_d + b)
+        # u and x0 inside the ball (a = 0): P(u) - P(x0) = step d
+        df_norm = np.hypot(a * off(), a * x_d + b) if _count_nonzero(a) else np.abs(b)
 
-    def project_axes(self, x0: np.ndarray, y0: np.ndarray, j, moved):
-        """Axis form: <y0, P(u) - P(x0)> and ||P(u) - P(x0)|| of the probes u = x0 + (moved - x0_j) e_j.
+        def y_terms(y0: np.ndarray) -> Optional[np.ndarray]:
+            y_x = float(_dot(y0, x0))
+            along = y_along(y0) if math.isfinite(y_x) else None
+            return None if along is None else a * y_x + b * along
+
+        return df_norm, y_terms
+
+    def project_axes(self, x0: np.ndarray, j, moved):
+        """Axis form: ||P(u) - P(x0)|| and the y stage of the probes u = x0 + (moved - x0_j) e_j.
 
         Elementwise over the probes, j is the moved axis and ``moved`` the
         new coordinate.  This is ``_image_terms`` at d = e_j: x_d = x0_j,
-        y_d = y0_j, the step moved - x0_j and u_d = moved, with the
+        the step moved - x0_j, u_d = moved and <y0, d> = y0_j, with the
         off-axis norms ||x0 - x0_j e_j|| from exclusive prefix and suffix
-        sums of squares, so nothing cancels.  Returns None where
-        ``_image_terms`` declines.
+        sums of squares, so nothing cancels.  Returns None, or a y stage
+        that returns None, where ``_image_terms`` declines.
         """
         xj = x0[j]
 
@@ -222,24 +230,23 @@ class BallProjection:
             after = np.concatenate((np.add.accumulate(sq[:0:-1])[::-1], [0.0]))
             return np.sqrt(before + after)[j]
 
-        return self._image_terms(x0, y0, xj, y0[j], moved - xj, moved, off)
+        return self._image_terms(x0, xj, moved - xj, moved, off, lambda y0: y0[j])
 
-    def project_dirs(self, x0: np.ndarray, y0: np.ndarray, dirs: np.ndarray, t: np.ndarray):
-        """Direction form: <y0, P(u) - P(x0)> and ||P(u) - P(x0)|| of the probes u = x0 + t d.
+    def project_dirs(self, x0: np.ndarray, dirs: np.ndarray, t: np.ndarray):
+        """Direction form: ||P(u) - P(x0)|| and the y stage of the probes u = x0 + t d.
 
         The rows of the 2-D array ``dirs`` are unit directions d, and t is
         a column of radii: the terms are (radius, direction) arrays, row k
         the bits of a call at radius k alone.  This is ``_image_terms`` with
-        x_d = <d, x0>, y_d = <d, y0> (taken once per direction), the step t
-        and u_d = x_d + t.  ||x0 - x_d d||^2 is ||x0||^2 - x_d^2, which
-        loses at most a factor 16 of its digits above ||x0||^2 / 16; below
-        (d near +-x0) it is the square sum of the row x0 - x_d d.  Returns
-        None where ``_image_terms`` declines at some radius, and where some
-        <d, y0> overflows, although t <d, y0> may not.
+        x_d = <d, x0>, the step t and u_d = x_d + t; the y stage takes
+        <d, y0> (each product once per direction).  ||x0 - x_d d||^2 is
+        ||x0||^2 - x_d^2, which loses at most a factor 16 of its digits
+        above ||x0||^2 / 16; below (d near +-x0) it is the square sum of the
+        row x0 - x_d d.  Returns None, or a y stage that returns None, where
+        ``_image_terms`` declines at some radius; the y stage also declines
+        where some <d, y0> overflows, although t <d, y0> may not.
         """
-        xd, yd = _dots(dirs, (x0, y0))
-        if not _all_finite(yd):
-            return None
+        xd = _dot(dirs, x0)
 
         def off():
             sq_norm = float(_dot(x0, x0))
@@ -250,7 +257,11 @@ class BallProjection:
                 off_sq[near] = _dot(rows, rows)
             return np.sqrt(off_sq)
 
-        return self._image_terms(x0, y0, xd, yd, t, xd + t, off)
+        def y_along(y0):
+            yd = _dot(dirs, y0)
+            return yd if _all_finite(yd) else None
+
+        return self._image_terms(x0, xd, t, xd + t, off, y_along)
 
     def region(self, x) -> BallRegion:
         return self._region(_dense_norm(as_vector(x)))
@@ -279,19 +290,21 @@ class BallProjection:
             raise ValueError("direction classification is defined at sphere points only")
         return self._direction_class(xbar, w, x_sq)[0]
 
-    def _direction_class(self, xbar: np.ndarray, w: np.ndarray, x_sq: float | None = None
+    def _direction_class(self, xbar: np.ndarray, w: np.ndarray, x_sq: float | None = None,
+                         rescaled: Optional[tuple] = None
                          ) -> tuple[DirectionClass, np.ndarray, int, Optional[np.ndarray], float]:
         """``direction_class`` of checked arrays of one size, xbar on the sphere, and what it read.
 
         Returns (class, w / 2^e, e, xbar / r, <xbar / r, w / 2^e>); the
         last two are None and 0.0 for a radial w.  ``x_sq`` is
-        ``float(_dot(xbar, xbar))`` when the caller has it.
+        ``float(_dot(xbar, xbar))`` and ``rescaled`` the rescaling of xbar
+        from ``vectors._anchor_norm`` when the caller has them.
         """
         if not _count_nonzero(w):
             raise ValueError("direction must be nonzero")
         # w / 2^e is exact, and its split coefficient is a double for every finite w
         half, e = _halved(w)
-        a, _, o_len = _split(xbar, half, anchor_sq=x_sq)
+        a, _, o_len = _split(xbar, half, anchor_sq=x_sq, rescaled=rescaled)
         if o_len <= RADIAL_RTOL * _dense_norm(half) and a > 0.0:
             return DirectionClass.RADIAL, half, e, None, 0.0
         unit = xbar / self.radius
@@ -303,13 +316,14 @@ class BallProjection:
         xbar = as_vector(xbar)
         w = as_vector_of(w, xbar.shape[0])
         x_sq = float(_dot(xbar, xbar))
-        length = _dense_norm(xbar, x_sq)
+        # when ||xbar||^2 over- or underflows, the norm and the split share one rescaling of xbar
+        length, rescaled = _anchor_norm(xbar, x_sq)
         region = self._region(length)
         if region is BallRegion.INTERIOR:
             return w.copy()
         if region is BallRegion.EXTERIOR:
-            return (self.radius / length) * _split(xbar, w, anchor_sq=x_sq)[1]
-        kind, half, e, unit, along = self._direction_class(xbar, w, x_sq)
+            return (self.radius / length) * _split(xbar, w, anchor_sq=x_sq, rescaled=rescaled)[1]
+        kind, half, e, unit, along = self._direction_class(xbar, w, x_sq, rescaled)
         if kind is DirectionClass.RADIAL:
             return np.zeros(w.shape)
         if kind is DirectionClass.OUTWARD:

@@ -15,6 +15,8 @@ numerical membership oracle is the fallback for ``None``.
 
 from __future__ import annotations
 
+import math
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
@@ -45,6 +47,15 @@ def _unchecked(cls, **fields):
     out = object.__new__(cls)
     out.__dict__.update(fields)
     return out
+
+
+def _checked_scale(scale) -> float:
+    """A map's scale as a float; a bool or a non-real raises TypeError, a NaN or infinite scale ValueError."""
+    if isinstance(scale, bool) or not isinstance(scale, numbers.Real):
+        raise TypeError(f"scale must be a real number, got {scale!r}")
+    if not math.isfinite(scale):
+        raise ValueError(f"scale must be finite, got {scale!r}")
+    return float(scale)
 
 
 class DerivativeSet:
@@ -158,13 +169,16 @@ class ScaledComplementMap(LinearMap):
 
     This is the derivative of the ball projection at an exterior point:
     scale = r/||x|| and axis = x/||x||, held as a read-only copy; an axis
-    whose norm is not 1 within 1e-12 raises ValueError.
+    whose norm is not 1 within 1e-12 raises ValueError.  ``scale`` is a
+    finite real number (not a bool), kept as a float, else TypeError or
+    ValueError; ``from_point`` checks it the same way.
     """
 
     scale: float
     axis: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "scale", _checked_scale(self.scale))
         axis = np.array(as_vector(self.axis))
         if not abs(_dense_norm(axis) - 1.0) <= 1e-12:
             raise ValueError(f"axis must be a unit vector, got norm {_dense_norm(axis)!r}")
@@ -173,6 +187,7 @@ class ScaledComplementMap(LinearMap):
 
     @classmethod
     def from_point(cls, scale: float, axis_vector: np.ndarray) -> "ScaledComplementMap":
+        scale = _checked_scale(scale)
         axis = as_vector(axis_vector)
         return cls._of(scale, axis, _dense_norm(axis))
 
@@ -200,9 +215,10 @@ class ScaledComplementMap(LinearMap):
 class CoordinateMaskMap(LinearMap):
     """Keep the coordinates in ``keep`` (0-based), zero the rest.
 
-    ``keep`` holds ints (not bools) 0 <= i < dim, else TypeError or
-    ValueError.  The map applies ``keep`` as a read-only boolean mask, with
-    one ``np.where``; the orthant hands it the mask x > 0 it already holds.
+    ``dim`` is an int (not a bool) of at least 1 and ``keep`` holds ints
+    (not bools) 0 <= i < dim, else TypeError or ValueError.  The map
+    applies ``keep`` as a read-only boolean mask, with one ``np.where``;
+    the orthant hands it the mask x > 0 it already holds.
     """
 
     keep: frozenset[int]
@@ -211,6 +227,8 @@ class CoordinateMaskMap(LinearMap):
     def __post_init__(self):
         if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in (self.dim, *self.keep)):
             raise TypeError(f"dim and the coordinates of keep must be integers, got {self.dim!r} and {self.keep!r}")
+        if self.dim < 1:
+            raise ValueError(f"dim must be at least 1, got {self.dim!r}")
         if not all(0 <= i < self.dim for i in self.keep):
             raise ValueError(f"keep must lie in 0 .. {self.dim - 1}, got {sorted(self.keep)}")
         object.__setattr__(self, "keep", frozenset(map(int, self.keep)))

@@ -19,17 +19,23 @@ single-coordinate moves such as u_j = xbar_j + t * z_j trace the same
 rays as the coordinate probes, so normalising directions to unit length
 loses no coverage.
 The structured directions other than the axes (the head) come from
-scalar products taken once per plan (xbar and y) and once per verdict
-(z); see ``_structured_head``.
+scalar products taken once per base (xbar), once per plan (y) and once
+per verdict (z); see ``_structured_head``.
 
-Evaluation is batched, and split in two.  Only the +-z and +-orth(z)
-head rows and <z, u - xbar> depend on z, so a verdict first takes a
-z-free plan of (f, xbar, y, config): f(xbar), <xbar, xbar> and ||xbar||,
-the head rows of xbar and y, and for every random and axis probe its
-<y, f(u) - f(xbar)> and denominator.  The z pass then scores the head
-rows, takes one <d, z> per random direction d and one <z, u - xbar>
-per axis probe, and writes every quotient into one table, then runs one
-argmax, the verdict rule and the witness.  Row k of the table holds the
+Evaluation is batched, and split in three.  A verdict first takes the
+base of (f, xbar, config), which reads neither y nor z (``_base``): the
+round-back floor check, f(xbar), <xbar, xbar> and ||xbar||, the head
+rows +-xbar, the geometry of the axis probes, and the first, y-free
+stage of f's axis and direction forms, which gives every such probe its
+||f(u) - f(xbar)|| and denominator (see ``_form``).  On it the verdict
+takes the plan for y (``_plan``), which holds only what reads y: the
+head rows of y, each form's y stage, <y, f(u) - f(xbar)> of every random
+and axis probe, the row path's terms, and the witness halves below.
+Only the +-z and +-orth(z) head rows and <z, u - xbar> depend on z, so
+both are z-free.  The z pass then scores the head rows, takes one
+<d, z> per random direction d and one <z, u - xbar> per axis probe, and
+writes every quotient into one table, then runs one argmax, the verdict
+rule and the witness.  Row k of the table holds the
 quotients of radius k in probe order: the head (the rows of z last), the
 2m axis probes, then the random directions.  The supremum at a radius is
 the first largest entry of its row.
@@ -48,49 +54,59 @@ apart from the witness halves below.
 
 The random probes take the direction form of f when it has one (see
 ``_form``; the ``project`` of every set in this package has one).  It
-scores the exact probe u = xbar + t*d from products of d with xbar and
-y taken in the plan, without forming u, and the z pass adds
+scores the exact probe u = xbar + t*d from products of d with xbar (in
+the base) and y (in the plan), without forming u, and the z pass adds
 <z, u - xbar> = t*<d, z>, with ||u - xbar|| = t: three products per
 direction, each taken once and broadcast over the column of radii.  The
 row path scores the rounded probe instead; the two quotients differ by
 about the spacing of doubles at xbar over t.  The plan makes one call
 for all the directions at all the radii, and gets (radius, direction)
-arrays whose row k holds the terms at radius k.  Where a form declines
-(where <d, y> overflows, or the ball's axis form declines), the random
-probes take the row path, as for an f with no form.  On the row path,
-the probes are the directions at each radius in turn, gathered in chunks
-of at most about 32k floats (``_block_rows``), each one ``_score`` call
-that may span two radii, and the plan holds u - xbar of every probe
-(3 MB at m = 500 at the default config).
+arrays whose row k holds the terms at radius k.  Where a stage of the
+form declines (see below), the random probes take the row path, as for
+an f with no form.  On the row path, the probes are the directions at
+each radius in turn, gathered in chunks of at most about 32k floats
+(``_block_rows``), each one ``_score`` call that may span two radii,
+and the plan holds u - xbar of every probe (3 MB at m = 500 at the
+default config).
+
+Each decline test lives in the stage whose input it reads.  The first
+stage declines on x0 and the probes alone: the ball's when ||xbar||^2
+is out of range or some scale c(u) underflows.  The y stage declines on
+y: the ball's when <y, xbar> or some <d, y> is not finite, the orthant's
+(and so the l2 cone's) when some <y, f(u) - f(xbar)> is not finite.
 
 The 16 most recently used plans are kept, keyed by f, the bytes of
 xbar and y over the probed axes, the axes and the config, when f has a
 row form and all of a plan's rows fit in one chunk (m <= 41 at the
-default config), and f, with the object of a bound f, is hashable.  A
-row form thus marks f as a pure function of its argument, as the sets
-of this package are; the bound ``project`` of an unhashable object (a
-dataclass that is not frozen, say), whose result may change with its
-state, gets no kept plan.  A kept plan holds private read-only copies
-of xbar and y, so a caller that later changes its arrays cannot reach
-it, and -0.0 and 0.0 key apart.  Any other plan is dropped with the
-verdict.
+default config), and f, with the object of a bound f, is hashable.  The
+base of each such plan is kept under the same rule, in a cache of its
+own: the 16 most recently built kept plans' bases, keyed by f, the bytes
+of xbar over the probed axes, the axes and the config.  So a new y at
+a recently planned xbar builds only its plan for y.  A row form thus
+marks f as a pure function of its argument, as the sets of this package
+are; the bound ``project`` of an unhashable object (a dataclass that is
+not frozen, say), whose result may change with its state, gets no kept
+plan or base.  A kept plan or base holds private
+read-only copies of xbar and y, so a caller that later changes its
+arrays cannot reach it, and -0.0 and 0.0 key apart.  Any other plan and
+base are dropped with the verdict.
 
 The random directions depend only on (seed, random_directions, m), so
 they are drawn once per process and kept, read-only, as one array in a
 cache of the 16 most recently used such sets (1 MB at m = 500 at the
 default config); they give the same bits as drawing anew.  The axis,
 sign and radius of every axis probe depend only on m and the radii, and
-are kept the same way (``_geometry``), so a plan only gathers x0 at the
+are kept the same way (``_geometry``), so a base only gathers x0 at the
 probes' axes.
 
 The 2m axis probes u = xbar +- t*e_j of every radius are one block.
 Their u - xbar is one number du per probe, so its norm and its inner
 product with z are scalars.  When f has an axis form (see ``_form``: the
 ``project`` of every set in this package has one), so is the image side:
-the form maps xbar, y, and the axis j and moved coordinate of each probe
-to <y, f(u) - f(xbar)> and ||f(u) - f(xbar)||, as the direction form
-does at d = e_j, in O(m) per radius, or declines the block.  When the
-form declines the block, or f has none, every axis probe of every radius
+its two stages map xbar and the axis j and moved coordinate of each
+probe to ||f(u) - f(xbar)||, and then y to <y, f(u) - f(xbar)>, as the
+direction form does at d = e_j, in O(m) per radius, or decline the block.  When a
+stage declines the block, or f has none, every axis probe of every radius
 is scored as a full row, in chunks of the random rows' size.  The
 separable forms give those rows' bits.
 
@@ -315,8 +331,12 @@ def _z_free_half(f: Callable[[Vector], Vector], fx: Vector, xbar: Vector, y: Vec
 
 
 def _z_half(z: Vector, du: Vector, y_df: float, den) -> float:
-    """The quotient from its z-free half (see ``_z_free_half``) and z."""
-    return float((inner(z, du) - y_df) / den)
+    """The quotient from its z-free half (see ``_z_free_half``) and z.
+
+    A Python float division, so a quotient above the largest double is inf
+    with no numpy overflow warning; den > 0, as u != xbar.
+    """
+    return float(inner(z, du) - y_df) / float(den)
 
 
 def _anchor(x0: np.ndarray) -> tuple[float, float]:
@@ -440,25 +460,27 @@ def _score(dirs: np.ndarray, t, x0: np.ndarray, terms: Callable, denominator: st
 
 
 def _random_scores(dirs: np.ndarray, t: np.ndarray, x0: np.ndarray, y0: np.ndarray, terms: Callable,
-                   denominator: str, f_dirs: Optional[Callable]) -> Optional[_Scores]:
+                   denominator: str, form: Optional[tuple]) -> Optional[_Scores]:
     """The z-free scores of the random directions at every radius, all above the floor (``_round_back_floor``).
 
-    t is the column of radii, and ``f_dirs`` is f's direction form, or
-    None.  With it, every direction d is scored at every radius t from its
-    products with xbar and y, taken once: at u = x0 + t d, never formed,
-    so <z, u - xbar> = t <d, z> and ||u - xbar|| = t, and the scores are
-    (radius, direction) arrays.  When the form declines, or f has none,
-    the probes take the row path, the directions at each radius in turn,
-    gathered in chunks of ``_block_rows`` rows, a chunk possibly spanning
-    two radii.  With no random directions the result is None.
+    t is the column of radii, and ``form`` the base's (y stage, denominator)
+    of f's direction form, or None (see ``_base``).  With it, every
+    direction d is scored at every radius t from its products with xbar
+    (in the base) and y (in the y stage), taken once: at u = x0 + t d,
+    never formed, so <z, u - xbar> = t <d, z> and ||u - xbar|| = t, and
+    the scores are (radius, direction) arrays.  When either stage declines,
+    or f has no such form, the probes take the row path, the directions at
+    each radius in turn, gathered in chunks of ``_block_rows`` rows, a chunk
+    possibly spanning two radii.  With no random directions the result is
+    None.
     """
     count = len(dirs)
     if not count:
         return None
-    if f_dirs is not None:
-        images = f_dirs(x0, y0, dirs, t)
-        if images is not None:
-            return _Scores(dirs, t, images[0], _denominator(denominator, t, images[1]))
+    if form is not None:
+        y_df = form[0](y0)
+        if y_df is not None:
+            return _Scores(dirs, t, y_df, form[1])
     size, rows = _block_rows(x0.size), np.arange(t.size * count)
     # row k probes direction k % count at radius k // count
     scores = (_score(dirs[k % count], t[k // count], x0, terms, denominator)
@@ -517,27 +539,33 @@ def _form(f: Callable[[Vector], Vector], kind: str) -> Optional[Callable]:
       of their images on the same coordinates, row i bit for bit the
       image f gives of row i alone, as every set of this package does: a
       dense head winner's witness quotient is read from the row path.
-    * An axis form maps (x0, y0, j, moved), j the moved axis and
-      ``moved`` the new coordinate of each probe u = x0 + (moved - x0[j]) e_j,
-      to the arrays <y0, f(u) - f(x0)> and ||f(u) - f(x0)|| over the
-      probes, or to None when it declines them: the direction form's
-      contract at d = e_j.
-    * A direction form maps (x0, y0, dirs, t), dirs a 2-D array whose
-      rows are unit directions d and t a column of radii, to the
-      (radius, direction) arrays <y0, f(u) - f(x0)> and ||f(u) - f(x0)||
-      over the probes u = x0 + t*d, row k the terms at radius k, or to
-      None when it declines them.
+    * The axis and direction forms come in two stages, so that the part
+      that never reads y is kept with the base of xbar (see ``_base``).
+      The first stage maps the probes, with x0 but no y0, to the array
+      ||f(u) - f(x0)|| over the probes and the y stage, a function of y0
+      that returns the array <y0, f(u) - f(x0)> over the same probes; each
+      stage returns None where it declines the probes.  The first stage
+      declines on what x0 and the probes alone show, the y stage on what y0
+      shows.  A y stage answers as a one-stage call on (x0, y0) would, in
+      its bits: it takes the same products in the same order.
+    * An axis form's first stage takes (x0, j, moved), j the moved axis and
+      ``moved`` the new coordinate of each probe u = x0 + (moved - x0[j]) e_j:
+      the direction form's contract at d = e_j.
+    * A direction form's first stage takes (x0, dirs, t), dirs a 2-D array
+      whose rows are unit directions d and t a column of radii; its arrays
+      are (radius, direction) arrays over the probes u = x0 + t*d, row k
+      the terms at radius k.
 
     For a sparse f the coordinates are those on the probed axes, which is
     valid only when f acts coordinate by coordinate and maps 0 to 0.
 
     An f with a row form must be a pure function of its argument: its
-    z-free plan may be kept (see ``_kept_plan``) and reused by a later
-    verdict on equal (f, xbar, y, config), and a kept plan holds f, and
-    so its object, until the plan is dropped.  The plan of a bound method
-    is kept only when its object is hashable (immutable by convention,
-    as a frozen dataclass is), so the state of a mutable object is never
-    answered from a stale plan.
+    z-free plan and its base may be kept (see ``_kept_plan``) and reused
+    by a later verdict on equal (f, xbar, y, config) or (f, xbar, config),
+    and a kept plan or base holds f, and so its object, until it is
+    dropped.  The plan of a bound method is kept only when its object is
+    hashable (immutable by convention, as a frozen dataclass is), so the
+    state of a mutable object is never answered from a stale plan.
     """
     if getattr(f, "__name__", None) != "project":
         return None
@@ -553,6 +581,58 @@ def _round_back_floor(x0: np.ndarray) -> float:
     return (0.5 * _dense_norm(np.spacing(x0)) + math.sqrt(x0.size) * 2.0**-1074) * (1.0 + 2.0**-40)
 
 
+class _Base(NamedTuple):
+    """The part of a verdict that reads neither y nor z (see ``_base``), built only for radii above the floor."""
+
+    fx: Vector                     # f(xbar)
+    rows: Optional[Callable]       # f's row form, or f row by row for a dense f with none; None for a sparse one
+    fx0: Optional[np.ndarray]      # f(xbar) over the probed axes, when ``rows`` is not None
+    anchor: tuple[float, float]    # <x0, x0> and ||x0||
+    head: tuple                    # the head rows of xbar, 1-D arrays (``_structured_head``)
+    t: np.ndarray                  # the column of radii
+    dirs: np.ndarray               # the read-only random directions, probed at every radius (``_random_dirs``)
+    axis: tuple                    # (j, s, moved coordinate, ||u - xbar||, du) of the axis probes of every radius
+    axis_form: Optional[tuple]     # (y stage, denominator) of f's axis form; None when f has none or it declined
+    dirs_form: Optional[tuple]     # the same of f's direction form on dirs at every radius
+
+
+def _base(f: Callable[[Vector], Vector], xbar: Vector, x0: np.ndarray, axes: Optional[tuple[int, ...]],
+          config: ProbeConfig) -> _Base:
+    """The part of a verdict on f at xbar that reads neither y nor z: every plan at xbar builds on it.
+
+    It holds f(xbar), the anchor, the head rows of xbar, the geometry of
+    the axis probes and the first stage of each form of f (see ``_form``).
+    A radius at or below ``_round_back_floor`` raises ValueError, before
+    any probe is formed.
+    """
+    m, radii = x0.size, config.radii
+    floor = _round_back_floor(x0)
+    if radii[-1] <= floor:
+        raise ValueError(
+            f"u must differ from xbar: a probe at radius {next(t for t in radii if t <= floor)!r} rounds back to "
+            f"xbar at ||xbar|| = {norm(xbar):.6g}; probe radii are absolute")
+    anchor = _anchor(x0)
+    axis_j, axis_s, axis_t = _geometry(m, radii)
+    moved, axis_in, axis_du = _axis_probes(x0[axis_j], axis_s, axis_t)
+    fx = f(xbar)
+    f_rows = _form(f, "rows")
+    if f_rows is None and not isinstance(fx, SparseVector):
+        f_rows = lambda rows: np.array([f(row) for row in rows])
+    fx0 = None if f_rows is None else _dense_over(fx, axes) if isinstance(fx, SparseVector) else fx
+
+    def first_stage(kind: str, d_in, *args) -> Optional[tuple]:
+        """(y stage, denominator) of f's ``kind`` form on the probes of args, or None."""
+        form = _form(f, kind)
+        staged = None if form is None else form(x0, *args)
+        return None if staged is None else (staged[1], _denominator(config.denominator, d_in, staged[0]))
+
+    t = np.array(radii)[:, None]
+    dirs = _random_dirs(config.seed, config.random_directions, m)
+    return _Base(fx, f_rows, fx0, anchor, tuple(_structured_head(x0, anchor=anchor)), t, dirs,
+                 (axis_j, axis_s, moved, axis_in, axis_du),
+                 first_stage("axes", axis_in, axis_j, moved), first_stage("dirs", t, dirs, t) if len(dirs) else None)
+
+
 class _Plan(NamedTuple):
     """The part of a verdict that does not depend on z (see ``_plan``), built only for radii above the floor."""
 
@@ -566,37 +646,24 @@ class _Plan(NamedTuple):
     halves: dict                   # (slot, index) -> (direction, *z-free half) of witnesses at the last radius
 
 
-def _plan(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, x0: np.ndarray, y0: np.ndarray,
+def _plan(base: _Base, f: Callable[[Vector], Vector], xbar: Vector, y: Vector, x0: np.ndarray, y0: np.ndarray,
           axes: Optional[tuple[int, ...]], config: ProbeConfig) -> _Plan:
-    """The z-free part of a verdict on f at xbar for y.
+    """The z-free part of a verdict on f at xbar for y, from the base at xbar (``_base``): only what reads y.
 
-    The random probes are scored once, here; every z pass scores the head
-    rows (see ``_z_pass``).  A radius at or below ``_round_back_floor``
-    raises ValueError, before any probe is formed.
+    That is the head rows of y, the y stage of each form of f, or the row
+    path where a stage declines or f has no such form, and the row
+    ``terms``.  The random probes are scored once, here; every z pass
+    scores the head rows (see ``_z_pass``).
     """
-    m, radii = x0.size, config.radii
-    floor = _round_back_floor(x0)
-    if radii[-1] <= floor:
-        raise ValueError(
-            f"u must differ from xbar: a probe at radius {next(t for t in radii if t <= floor)!r} rounds back to "
-            f"xbar at ||xbar|| = {norm(xbar):.6g}; probe radii are absolute")
-    dirs = _random_dirs(config.seed, config.random_directions, m)
     # the probe plan, radius by radius: the head rows (slot 0), those of
     # xbar and y and then those of z, all scored by the z pass, the axis
     # probes (slot 1), then the random directions (slot 2), the columns
     # of the z pass's table in this order; the axis probes of every radius
     # form one block of scalars
-    anchor = _anchor(x0)
-    head = np.asarray(_structured_head(x0, y0, anchor=anchor)).reshape(-1, m)
+    head = np.asarray((*base.head, *_structured_head(x0, y0, anchor=base.anchor, xbar_rows=False)))
+    head = head.reshape(-1, x0.size)
     head.flags.writeable = False
-    axis_j, axis_s, axis_t = _geometry(m, radii)
-    moved, axis_in, axis_du = _axis_probes(x0[axis_j], axis_s, axis_t)
-    fx = f(xbar)
-    f_rows, f_axes, f_dirs = _form(f, "rows"), _form(f, "axes"), _form(f, "dirs")
-    if f_rows is None and not isinstance(fx, SparseVector):
-        f_rows = lambda rows: np.array([f(row) for row in rows])
-    if f_rows is not None:
-        fx0 = _dense_over(fx, axes) if isinstance(fx, SparseVector) else fx
+    f_rows, fx, fx0 = base.rows, base.fx, base.fx0
 
     def terms(u):
         """<y, df> and ||df|| of the images of the probe rows u.
@@ -609,28 +676,31 @@ def _plan(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, x0: np.ndarray
         df = f_rows(u) - fx0
         return _dot(df, y0), row_norms(df)
 
-    images = f_axes(x0, y0, axis_j, moved) if f_axes is not None else None
-    if images is None:
-        # f has no axis form, or it declined the block: the full rows, in chunks of the random rows' size
-        rows = _block_rows(m)
+    axis_j, axis_s, moved, axis_in, axis_du = base.axis
+    axis_y_df = None if base.axis_form is None else base.axis_form[0](y0)
+    if axis_y_df is None:
+        # f has no axis form, or a stage declined the block: the full rows, in chunks of the random rows' size
+        rows = _block_rows(x0.size)
         tiles = (_axis_rows(x0, axis_j[i:i + rows], moved[i:i + rows]) for i in range(0, moved.size, rows))
-        images = map(np.concatenate, zip(*(terms(u) for u in tiles)))
-    axis_y_df, df_norm = images
-    random = _random_scores(dirs, np.array(radii)[:, None], x0, y0, terms, config.denominator, f_dirs)
-    return _Plan(fx, terms, anchor, head, dirs, random,
-                 (axis_j, axis_s, axis_du, axis_y_df, _denominator(config.denominator, axis_in, df_norm)), {})
+        axis_y_df, df_norm = map(np.concatenate, zip(*(terms(u) for u in tiles)))
+        axis_den = _denominator(config.denominator, axis_in, df_norm)
+    else:
+        axis_den = base.axis_form[1]
+    random = _random_scores(base.dirs, base.t, x0, y0, terms, config.denominator, base.dirs_form)
+    return _Plan(fx, terms, base.anchor, head, base.dirs, random, (axis_j, axis_s, axis_du, axis_y_df, axis_den), {})
 
 
 def _plan_key(f: Callable[[Vector], Vector], x0: np.ndarray, y0: np.ndarray, axes: Optional[tuple[int, ...]],
               config: ProbeConfig) -> Optional[tuple]:
     """The key under which a verdict's plan is kept, or None when it is not kept.
 
-    A plan is kept when f has a row form (the sets of this package are
-    pure; a user callable may not be), when the rows the row path would
-    form, the head rows and the random directions at every radius, fit in
-    one chunk, so that a kept plan holds at most about 32k floats of
-    u - xbar, and when f and the object of a bound f are hashable (a
-    bound method hashes by the identity of its object).
+    A plan, and its base under the key without y, is kept when f has a
+    row form (the sets of this package are pure; a user callable may not
+    be), when the rows the row path would form, the head rows and the
+    random directions at every radius, fit in one chunk, so that a kept
+    plan holds at most about 32k floats of u - xbar, and when f and the
+    object of a bound f are hashable (a bound method hashes by the
+    identity of its object).
     """
     if _form(f, "rows") is None or len(config.radii) * (6 + config.random_directions) > _block_rows(x0.size):
         return None
@@ -642,13 +712,23 @@ def _plan_key(f: Callable[[Vector], Vector], x0: np.ndarray, y0: np.ndarray, axe
     return key
 
 
+# the bases of the 16 most recently built kept plans, by (f, xbar, axes, config)
+@lru_cache(maxsize=16)
+def _kept_base(f: Callable[[Vector], Vector], x_bytes: bytes, axes: Optional[tuple[int, ...]],
+               config: ProbeConfig) -> _Base:
+    """The base of a kept plan, built on a read-only copy of x0 that no caller can reach."""
+    x0 = np.frombuffer(x_bytes)
+    return _base(f, _point(axes, x0), x0, axes, config)
+
+
 # the 16 most recently used plans of _plan_key, at most about 32k floats of u - xbar each
 @lru_cache(maxsize=16)
 def _kept_plan(f: Callable[[Vector], Vector], x_bytes: bytes, y_bytes: bytes, axes: Optional[tuple[int, ...]],
                config: ProbeConfig) -> _Plan:
-    """The plan of ``_plan_key``, built on read-only copies of x0 and y0 that no caller can reach."""
+    """The plan of ``_plan_key``, on its kept base and read-only copies of x0 and y0 that no caller can reach."""
     x0, y0 = np.frombuffer(x_bytes), np.frombuffer(y_bytes)
-    return _plan(f, _point(axes, x0), _point(axes, y0), x0, y0, axes, config)
+    base = _kept_base(f, x_bytes, axes, config)
+    return _plan(base, f, _point(axes, x0), _point(axes, y0), x0, y0, axes, config)
 
 
 def _z_pass(plan: _Plan, f: Callable[[Vector], Vector], xbar: Vector, y: Vector, z: Vector, x0: np.ndarray,
@@ -746,7 +826,7 @@ def membership(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, z: Vector
         y, z = y0, z0 = as_vector_of(y, x0.size), as_vector_of(z, x0.size)
         axes = None
     key = _plan_key(f, x0, y0, axes, config)
-    plan = _kept_plan(*key) if key else _plan(f, xbar, y, x0, y0, axes, config)
+    plan = _kept_plan(*key) if key else _plan(_base(f, xbar, x0, axes, config), f, xbar, y, x0, y0, axes, config)
     return _z_pass(plan, f, xbar, y, z, x0, z0, axes, config)
 
 

@@ -74,21 +74,21 @@ def project_rows(block) -> np.ndarray:
     return np.maximum(as_rows(block), 0.0)
 
 
-def project_axes(x0: np.ndarray, y0: np.ndarray, j, moved):
-    """Axis form: <y0, P(u) - P(x0)> and ||P(u) - P(x0)|| of the probes u = x0 + (moved - x0_j) e_j.
+def project_axes(x0: np.ndarray, j, moved):
+    """Axis form: ||P(u) - P(x0)|| and the y stage of the probes u = x0 + (moved - x0_j) e_j.
 
     The projection acts coordinate by coordinate, so P(u) - P(x0) = b e_j
     with b = max(moved, 0) - max(x0_j, 0), elementwise over the probes;
-    returns (b y0_j, |b|), the bits the full rows give (b is the
-    difference ``project_rows`` gives at j, and every other entry of the
-    row is 0).  Never declines.
+    returns |b| and the y stage y0 -> b y0_j, the bits the full rows give
+    (b is the difference ``project_rows`` gives at j, and every other entry
+    of the row is 0).  Neither stage declines.
     """
     b = np.maximum(moved, 0.0) - np.maximum(x0[j], 0.0)
-    return b * y0[j], np.abs(b)
+    return np.abs(b), lambda y0: b * y0[j]
 
 
-def project_dirs(x0: np.ndarray, y0: np.ndarray, dirs: np.ndarray, t: np.ndarray):
-    """Direction form: <y0, P(u) - P(x0)> and ||P(u) - P(x0)|| of the probes u = x0 + t d.
+def project_dirs(x0: np.ndarray, dirs: np.ndarray, t: np.ndarray):
+    """Direction form: ||P(u) - P(x0)|| and the y stage of the probes u = x0 + t d.
 
     The rows of the 2-D array ``dirs`` are unit directions d, and t is a
     column of radii: the terms are (radius, direction) arrays.  A
@@ -97,17 +97,18 @@ def project_dirs(x0: np.ndarray, y0: np.ndarray, dirs: np.ndarray, t: np.ndarray
     is in C).  Off C, P(u) - P(x0) is t d on the positive coordinates P
     and 0 on the negative ones, so with w = df_C / t,
 
-        <y0, P(u) - P(x0)> = t (<d, y0 on P> + <y0_C, w>),
         ||P(u) - P(x0)||   = t sqrt(||d on P||^2 + ||w||^2),
+        <y0, P(u) - P(x0)> = t (<d, y0 on P> + <w, y0_C>)   (the y stage),
 
     where df_C = max(x0_C + t d_C, 0) - max(x0_C, 0) is taken on the
     sub-block of the C columns, bit for bit as ``project_rows`` gives it.
-    C, <d, y0 on P> and ||d on P||^2 are taken once for every radius.  A
-    coordinate of C out of reach of radius k gives w_i = d_i there when
-    x0_i > 0 and 0 when x0_i < 0, as it would off C, so row k holds the
-    terms of a call at radius k alone, in its bits at the largest radius and
-    wherever C holds no nonzero coordinate, and else summed in another
-    order.  Declines when some <y0, P(u) - P(x0)> is not finite: <d, y0>
+    C, ||d on P||^2 and, in the y stage, <d, y0 on P> are taken once for
+    every radius.  A coordinate of C out of reach of radius k gives
+    w_i = d_i there when x0_i > 0 and 0 when x0_i < 0, as it would off C,
+    so row k holds the terms of a call at radius k alone, in its bits at
+    the largest radius and wherever C holds no nonzero coordinate, and else
+    summed in another order.  The first stage never declines; the y stage
+    declines (None) when some <y0, P(u) - P(x0)> is not finite: <d, y0>
     may overflow where t <d, y0> does not, and the full rows score those
     probes.
     """
@@ -115,15 +116,14 @@ def project_dirs(x0: np.ndarray, y0: np.ndarray, dirs: np.ndarray, t: np.ndarray
     bound = float(np.maximum.reduce(t, axis=None)) * (1.0 + 2.0**-40)
     pos = x0 > bound
     count = _count_nonzero(pos)
+    near = (np.abs(x0) <= bound).nonzero()[0]
     with np.errstate(over="ignore", invalid="ignore"):
         if count == x0.size:
-            y_d, d_sq = _dot(dirs, y0), _dot(dirs, dirs)
+            d_sq = _dot(dirs, dirs)
         elif count:
-            y_pos, mask = np.where(pos, y0, 0.0), pos.astype(float)
-            y_d, d_sq = _dot(dirs, y_pos), _einsum("ij,ij,j->i", dirs, dirs, mask)
+            d_sq = _einsum("ij,ij,j->i", dirs, dirs, pos.astype(float))
         else:
-            y_d = d_sq = np.zeros(len(dirs))
-        near = (np.abs(x0) <= bound).nonzero()[0]
+            d_sq = np.zeros(len(dirs))
         if near.size:
             # df on C, then its terms scaled by 1 / t, so no square of a small radius underflows
             x_c, t_col = x0[near], t[..., None]
@@ -131,11 +131,23 @@ def project_dirs(x0: np.ndarray, y0: np.ndarray, dirs: np.ndarray, t: np.ndarray
             w, out = df_c / t_col, np.abs(x_c) > t_col * (1.0 + 2.0**-40)
             if _count_nonzero(out):
                 w = np.where(out, np.where(x_c > 0.0, dirs[:, near], 0.0), w)
-            y_d, d_sq = y_d + _dot(w, y0[near]), d_sq + _dot(w, w)
-        y_df, df_norm = t * y_d, t * np.sqrt(d_sq)
-    if not _all_finite(y_df):
-        return None
-    return y_df, df_norm
+            d_sq = d_sq + _dot(w, w)
+        df_norm = t * np.sqrt(d_sq)
+
+    def y_terms(y0: np.ndarray) -> Optional[np.ndarray]:
+        with np.errstate(over="ignore", invalid="ignore"):
+            if count == x0.size:
+                y_d = _dot(dirs, y0)
+            elif count:
+                y_d = _dot(dirs, np.where(pos, y0, 0.0))
+            else:
+                y_d = np.zeros(len(dirs))
+            if near.size:
+                y_d = y_d + _dot(w, y0[near])
+            y_df = t * y_d
+        return y_df if _all_finite(y_df) else None
+
+    return df_norm, y_terms
 
 
 def region(x) -> OrthantRegion:

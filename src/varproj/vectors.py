@@ -325,14 +325,6 @@ def _dot(a: np.ndarray, b: np.ndarray):
     return _einsum("...i,...i->...", np.ascontiguousarray(a), np.ascontiguousarray(b))
 
 
-def _dots(rows: np.ndarray, vs) -> np.ndarray:
-    """<d, v> for every row d of a 2-D array and every v of vs, as a (len(vs), rows) array.
-
-    One ``ij,kj->ki`` einsum; entry (k, i) has the bits of ``_dot(d_i, v_k)``.
-    """
-    return _einsum("ij,kj->ki", np.ascontiguousarray(rows), np.array(vs, dtype=float))
-
-
 def inner(u: Vector, v: Vector) -> float:
     """Inner product <u, v>.  Disjoint sparse supports contribute zero; shared ones add left to right in index order."""
     if _check_same_kind(u, v):
@@ -354,10 +346,19 @@ def inner(u: Vector, v: Vector) -> float:
 _TINY_NORM = 1e-146
 
 
+def _rescaled(x: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """(s, x / s, <x / s, x / s>) with s = max|x|, so no square over- or underflows; (0.0, x, 0.0) for a zero x."""
+    s = float(np.maximum.reduce(np.abs(x), initial=0.0))
+    if s == 0.0:
+        return 0.0, x, 0.0
+    x = x / s
+    return s, x, float(_dot(x, x))
+
+
 def _rescaled_norm(x: np.ndarray) -> float:
     """Norm of x computed on x / max|x|, so no square over- or underflows."""
-    s = float(np.maximum.reduce(np.abs(x), initial=0.0))
-    return s * math.sqrt(float(_dot(x / s, x / s))) if s > 0.0 else 0.0
+    s, _, sq = _rescaled(x)
+    return s * math.sqrt(sq)
 
 
 def _dense_norm(x: np.ndarray, sq: float | None = None) -> float:
@@ -366,6 +367,15 @@ def _dense_norm(x: np.ndarray, sq: float | None = None) -> float:
     if _TINY_NORM <= length < math.inf or not _count_nonzero(x):
         return length
     return _rescaled_norm(x)
+
+
+def _anchor_norm(x: np.ndarray, sq: float) -> tuple[float, tuple[float, np.ndarray, float] | None]:
+    """``_dense_norm(x, sq)`` and the ``_rescaled(x)`` it took (None when it took none), for ``_split``'s anchor x."""
+    length = math.sqrt(sq)
+    if _TINY_NORM <= length < math.inf or not _count_nonzero(x):
+        return length, None
+    rescaled = _rescaled(x)
+    return rescaled[0] * math.sqrt(rescaled[2]), rescaled
 
 
 def norm(u: Vector) -> float:
@@ -467,13 +477,14 @@ def _halved(v: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(v, -e), e
 
 
-def _split(anchor: np.ndarray, x: np.ndarray, orth_rtol: float = 1e-12,
-           anchor_sq: float | None = None) -> tuple[float, np.ndarray, float]:
+def _split(anchor: np.ndarray, x: np.ndarray, orth_rtol: float = 1e-12, anchor_sq: float | None = None,
+           rescaled: tuple[float, np.ndarray, float] | None = None) -> tuple[float, np.ndarray, float]:
     """(a, o, ||o||) of x = a * anchor + o for finite 1-D arrays, with the checks of ``orth_decompose``.
 
     ``anchor_sq`` is ``float(_dot(anchor, anchor))`` when the caller has it.
     When ||anchor||^2 under- or overflows, x is split against
-    anchor / max|anchor| instead and ``a`` is converted back to the anchor.
+    anchor / max|anchor| instead and ``a`` is converted back to the anchor;
+    ``rescaled`` is ``_rescaled(anchor)`` when the caller has it.
     When <x, anchor> or o overflows, x / 2^e with max|x| < 2^e is split and
     a and o are scaled back; a ValueError is raised only when a or o is
     itself not a finite double.
@@ -482,11 +493,9 @@ def _split(anchor: np.ndarray, x: np.ndarray, orth_rtol: float = 1e-12,
         anchor_sq = float(_dot(anchor, anchor))
     scale = 1.0
     if not _TINY_NORM**2 <= anchor_sq < math.inf:
-        scale = float(np.maximum.reduce(np.abs(anchor), initial=0.0))
+        scale, anchor, anchor_sq = _rescaled(anchor) if rescaled is None else rescaled
         if scale == 0.0:
             raise ValueError("anchor must be nonzero")
-        anchor = anchor / scale
-        anchor_sq = float(_dot(anchor, anchor))
     a = float(_dot(x, anchor)) / anchor_sq
     with np.errstate(over="ignore", invalid="ignore"):
         o = x - a * anchor

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -139,6 +140,33 @@ class TestLinearMaps:
         # numpy would wrap -1 to the last coordinate, and raise IndexError for 5 only at the first call
         with pytest.raises(error):
             CoordinateMaskMap(keep=keep, dim=dim)
+
+    @pytest.mark.parametrize("dim", [-2, 0, np.int64(-1)])
+    def test_mask_map_rejects_a_dimension_below_one(self, dim):
+        # numpy would raise "negative dimensions are not allowed" only at matrix()
+        with pytest.raises(ValueError, match=r"dim must be at least 1, got "):
+            CoordinateMaskMap(keep=frozenset(), dim=dim)
+
+    @pytest.mark.parametrize("scale, error, message", [
+        (float("nan"), ValueError, "scale must be finite, got nan"),
+        (float("inf"), ValueError, "scale must be finite, got inf"),
+        (-np.inf, ValueError, "scale must be finite, got -inf"),
+        (True, TypeError, "scale must be a real number, got True"),
+        (np.True_, TypeError, "scale must be a real number, got "),
+        ("0.5", TypeError, "scale must be a real number, got '0.5'"),
+    ], ids=["nan", "inf", "-inf", "bool", "numpy-bool", "str"])
+    def test_scaled_complement_rejects_a_scale_that_is_no_finite_real(self, scale, error, message):
+        # a NaN scale mapped [1, 1] to [nan, nan] and printed "scale": NaN
+        with pytest.raises(error, match=f"^{re.escape(message)}"):
+            ScaledComplementMap(scale=scale, axis=[0.6, 0.8])
+        with pytest.raises(error, match=f"^{re.escape(message)}"):
+            ScaledComplementMap.from_point(scale, np.array([3.0, 4.0]))
+
+    def test_scaled_complement_holds_a_float_scale(self):
+        for scale in (2, np.float32(0.5), np.int64(3)):
+            m = ScaledComplementMap(scale=scale, axis=[0.6, 0.8])
+            assert type(m.scale) is float and m.scale == scale
+            assert type(ScaledComplementMap.from_point(scale, np.array([3.0, 4.0])).scale) is float
 
     def test_mask_map_holds_plain_ints(self):
         m = CoordinateMaskMap(keep={np.int64(2), 0}, dim=np.int64(3))

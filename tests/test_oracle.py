@@ -414,7 +414,8 @@ class TestRoundBackFloor:
             out = membership(orthant.project, x, y, z, config)
             t, s = out.sup_estimates[-1]
             top = s + 1e-9 * max(abs(s), config.tolerance)
-            plan = oracle._plan(orthant.project, x, y, x, y, None, config)
+            plan = oracle._plan(oracle._base(orthant.project, x, x, None, config), orthant.project, x, y, x, y, None,
+                                config)
             rows = [*np.eye(3), *-np.eye(3), *oracle._structured_head(x, y, z)]
             assert top >= max(quotient(orthant.project, x, y, z, x + t * d) for d in rows)
             entries = oracle._quotients(z, *plan.random)[-1]
@@ -656,11 +657,11 @@ class TestGolden:
                              timeout=300, check=True)
         assert json.loads(out.stdout) == GOLDEN
 
-    def test_cold_and_warm_cache_agree(self):
+    def test_cold_and_warm_cache_agree(self, clear_kept):
         # a warm verdict reuses its kept plan (n <= 41), or else the cached directions
         for label, f, xbar, y, z in _golden_queries()[::3]:
             oracle._random_dirs.cache_clear()
-            oracle._kept_plan.cache_clear()
+            clear_kept()
             cold = _golden_digest(f, xbar, y, z, "sum")
             assert oracle._random_dirs.cache_info().misses == 1
             assert _golden_digest(f, xbar, y, z, "sum") == cold, label
@@ -724,7 +725,7 @@ class TestGolden:
         assert sizes == [5]
         np.testing.assert_array_equal(dirs, oracle._random_dirs(4, 5, 3))
 
-    def test_seed_must_be_an_integer(self):
+    def test_seed_must_be_an_integer(self, clear_kept):
         for seed in ([5, 1], np.random.default_rng(5), True):
             with pytest.raises(TypeError, match="seed must be an integer"):
                 ProbeConfig(seed=seed)
@@ -734,7 +735,7 @@ class TestGolden:
         hits = oracle._kept_plan.cache_info().hits
         assert membership(*args, ProbeConfig(seed=np.int64(5), random_directions=8)).to_json() == plain.to_json()
         assert oracle._kept_plan.cache_info().hits == hits + 1
-        oracle._kept_plan.cache_clear()
+        clear_kept()
         hits = oracle._random_dirs.cache_info().hits
         assert membership(*args, ProbeConfig(seed=np.int64(5), random_directions=8)).to_json() == plain.to_json()
         assert oracle._random_dirs.cache_info().hits == hits + 1
@@ -830,12 +831,22 @@ class TestFormRule:
         assert _form(module.project, "rows") is orthant.project_rows
 
 
+def _one_stage(form, x0, y0, *probes):
+    """A two-stage form's (<y0, df>, ||df||) over the probes, or None where either stage declines (see ``_form``)."""
+    staged = form(x0, *probes)
+    if staged is None:
+        return None
+    y_df = staged[1](y0)
+    return None if y_df is None else (y_df, staged[0])
+
+
 def _axis_images(form, x0, t, y0=None):
     """The axis form's terms for the 2m probes of x0 at radius t (y0 = x0 by default), the block and the full probe rows."""
     j, s = oracle._geometry(x0.size, (t,))[:2]
     block = (j, s, x0[j])
     moved = block[2] + block[1] * t
-    return form(x0, x0 if y0 is None else y0, block[0], moved), block, oracle._axis_rows(x0, block[0], moved)
+    return (_one_stage(form, x0, x0 if y0 is None else y0, block[0], moved), block,
+            oracle._axis_rows(x0, block[0], moved))
 
 
 def _bits(v):
@@ -928,9 +939,12 @@ class TestAxisForm:
     def test_ball_forms_decline_an_overflowing_y_xbar(self):
         # <y, xbar> overflows though the terms, with df small, are finite
         op, x0, y0 = BallProjection(1.0), np.array([3e10, 4e10]), np.array([1e298, 1e298])
-        assert _axis_images(op.project_axes, x0, 1e-2, y0)[0] is None
+        # the first stages, which read no y, accept the probes; the y stages decline
+        j, s = oracle._geometry(2, (1e-2,))[:2]
         dirs = oracle._random_dirs(0, 8, 2)
-        assert op.project_dirs(x0, y0, dirs, np.array([[1e-2]])) is None
+        for staged in (op.project_axes(x0, j, x0[j] + s * 1e-2), op.project_dirs(x0, dirs, np.array([[1e-2]]))):
+            assert staged is not None and staged[1](y0) is None
+            assert staged[1](np.ones(2)) is not None
 
     @pytest.mark.parametrize("r, xbar, y, z, want", [
         (1.0, [3e10, 4e10], [1e298, 1e298], [0.0, 0.0], "non_member"),
@@ -999,18 +1013,6 @@ class TestDirectionForm:
         assert _form(lambda u: op.project(u), "dirs") is None
         assert _form(_NoDirsBall(1.0).project, "dirs") is None
 
-    @pytest.mark.parametrize("m", [6, 41, 500])
-    def test_stacked_products_are_the_bits_of_dot(self, m):
-        # <d, x0>, <d, y0> and <d, z0> over the cached random directions,
-        # taken together, give the bits of one vectors._dot per row and vector
-        rng = np.random.default_rng(m)
-        vs = rng.standard_normal((3, m)) * np.array([[1.0], [1e-3], [1e3]])
-        dirs = oracle._random_dirs(7, 256, m)
-        stacked = vectors._dots(dirs, vs)
-        for got, v in zip(stacked, vs):
-            want = np.array([vectors._dot(d, v) for d in dirs])
-            np.testing.assert_array_equal(_bits(got), _bits(want))
-
     @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
                         reason="np.longdouble is no wider than a double here")
     def test_terms_no_less_accurate_than_rows(self):
@@ -1041,7 +1043,7 @@ class TestDirectionForm:
         for op, exact_map, x0, y0, dirs in cases:
             for radius in ProbeConfig().radii:
                 t = np.full(len(dirs), radius)
-                got = [term[0] for term in op.project_dirs(x0, y0, dirs, np.array([[radius]]))]
+                got = [term[0] for term in _one_stage(op.project_dirs, x0, y0, dirs, np.array([[radius]]))]
                 df = op.project_rows(x0 + t[:, None] * dirs) - op.project(x0)
                 rows = (vectors._dot(df, y0), vectors.row_norms(df))
                 u = x0.astype(wide) + t.astype(wide)[:, None] * dirs.astype(wide)
@@ -1084,8 +1086,8 @@ class TestDirectionForm:
         for form, x0, y0, dirs in cases:
             for radii in radii_sets:
                 column = np.array(radii)[:, None]
-                got = form(x0, y0, dirs, column)
-                alone = [form(x0, y0, dirs, column[k:k + 1]) for k in range(len(radii))]
+                got = _one_stage(form, x0, y0, dirs, column)
+                alone = [_one_stage(form, x0, y0, dirs, column[k:k + 1]) for k in range(len(radii))]
                 if got is None:
                     declined += 1
                     assert any(terms is None for terms in alone)
@@ -1129,7 +1131,7 @@ class TestDirectionForm:
         }[case]
         y, z = np.ones(x0.size), 0.5 * np.ones(x0.size)
         dirs = oracle._random_dirs(config.seed, config.random_directions, x0.size)
-        assert BallProjection(r).project_dirs(x0, y, dirs, np.array(config.radii)[:, None]) is None
+        assert _one_stage(BallProjection(r).project_dirs, x0, y, dirs, np.array(config.radii)[:, None]) is None
         got = membership(BallProjection(r).project, x0, y, z, config)
         want = membership(_NoDirsBall(r).project, x0, y, z, config)
         assert json.dumps(got.to_json(), sort_keys=True) == json.dumps(want.to_json(), sort_keys=True)
@@ -1137,7 +1139,7 @@ class TestDirectionForm:
 
 @dataclass(frozen=True)
 class _CountingBall(BallProjection):
-    """A ball that records its row-, axis- and direction-form calls, with their probe counts."""
+    """A ball that records its row-form calls and both stages of its axis and direction forms, with probe counts."""
 
     calls: list = field(default_factory=list, compare=False)
 
@@ -1145,13 +1147,25 @@ class _CountingBall(BallProjection):
         self.calls.append(("rows", len(block)))
         return super().project_rows(block)
 
-    def project_axes(self, x0, y0, j, moved):
+    def project_axes(self, x0, j, moved):
         self.calls.append(("axes", len(moved)))
-        return super().project_axes(x0, y0, j, moved)
+        return self._counted("axes y", super().project_axes(x0, j, moved))
 
-    def project_dirs(self, x0, y0, dirs, t):
+    def project_dirs(self, x0, dirs, t):
         self.calls.append(("dirs", (t.size, len(dirs))))
-        return super().project_dirs(x0, y0, dirs, t)
+        return self._counted("dirs y", super().project_dirs(x0, dirs, t))
+
+    def _counted(self, kind, staged):
+        """The first stage's result, with a y stage that records its calls."""
+        if staged is None:
+            return None
+        df_norm, y_terms = staged
+
+        def counted(y0):
+            self.calls.append((kind, df_norm.shape))
+            return y_terms(y0)
+
+        return df_norm, counted
 
 
 def _verdict_json(f, xbar, y, z, config=None):
@@ -1161,10 +1175,11 @@ def _verdict_json(f, xbar, y, z, config=None):
 class TestPackedPlan:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_small_verdict_calls_each_form_once(self, n):
-        # interior, exterior and the origin: the plan's axis probes go
-        # through one axis-form call and its 256 random directions, at all
-        # three radii, through one direction-form call, then the head rows and the rows
-        # of z of all three radii through one row-form call; a verdict on
+        # interior, exterior and the origin: the base's axis probes go
+        # through one first-stage call of the axis form and its 256 random
+        # directions, at all three radii, through one of the direction form,
+        # the plan runs each y stage once, then the head rows and the rows
+        # of z of all three radii go through one row-form call; a verdict on
         # the kept plan makes only that row-form call
         rng = np.random.default_rng(n)
         u = rng.standard_normal(n)
@@ -1175,22 +1190,25 @@ class TestPackedPlan:
             membership(op.project, xbar, y, z)
             # +-xbar and +-orth(y) (none at the origin), +-y; then +-z, +-orth(z)
             head, z_rows = (6, 4) if xbar.any() else (2, 2)
-            assert op.calls == [("axes", 3 * 2 * n), ("dirs", (3, 256)), ("rows", 3 * (head + z_rows))]
+            y_stages = [("axes y", (3 * 2 * n,)), ("dirs y", (3, 256))]
+            assert op.calls == [("axes", 3 * 2 * n), ("dirs", (3, 256)), *y_stages, ("rows", 3 * (head + z_rows))]
             op.calls.clear()
             membership(op.project, xbar, y, z_next)
             assert op.calls == [("rows", 3 * (head + z_rows))]
 
     def test_wide_verdict_keeps_the_row_budget(self):
-        # at n = 500 the plan is not kept: the plan makes the axis-form
-        # call and scores the random directions at all three radii in one
-        # direction-form call, then the z pass scores the only rows formed,
+        # at n = 500 the plan is not kept: the base makes the first-stage
+        # calls of the axis form and of the direction form (the random
+        # directions at all three radii), the plan runs each y stage once,
+        # then the z pass scores the only rows formed,
         # the head rows of xbar and y and the rows of z (+-z, +-orth(z)) of
         # all three radii, in one row-form call within the row budget
         rng = np.random.default_rng(500)
         x, y, z = rng.standard_normal((3, 500))
         op = _CountingBall(1.0)
         membership(op.project, x, y, z)
-        assert op.calls == [("axes", 3 * 2 * 500), ("dirs", (3, 256)), ("rows", 3 * (6 + 4))]
+        assert op.calls == [("axes", 3 * 2 * 500), ("dirs", (3, 256)), ("axes y", (3 * 2 * 500,)), ("dirs y", (3, 256)),
+                            ("rows", 3 * (6 + 4))]
         assert 3 * (6 + 4) <= oracle._block_rows(500)
 
     @pytest.mark.parametrize("n", [2, 6, 500])
@@ -1206,7 +1224,7 @@ class TestPackedPlan:
                 _verdict_json(_RowsOnlyBall(1.0).project, xbar, y, z)
 
     @pytest.mark.parametrize("n", [2, 6, 9, 50, 120])
-    def test_packing_changes_no_bit(self, n, monkeypatch):
+    def test_packing_changes_no_bit(self, n, monkeypatch, clear_kept):
         # the row path scores the random rows in chunks of _block_rows(m)
         # rows, a chunk possibly spanning two radii (a formless f at n = 50
         # and 120 does at the default size); every chunk size must give the
@@ -1226,7 +1244,7 @@ class TestPackedPlan:
 
         def built_anew(case):
             # a kept plan would carry one run's chunks into the other
-            oracle._kept_plan.cache_clear()
+            clear_kept()
             return _verdict_json(*case)
 
         want = [built_anew(case) for case in cases]
@@ -1251,23 +1269,23 @@ class TestQuotientTable:
 
 class TestPlanCache:
     @pytest.mark.parametrize("denominator", ["sum", "euclidean"])
-    def test_hit_gives_the_bytes_of_a_cold_verdict(self, denominator):
+    def test_hit_gives_the_bytes_of_a_cold_verdict(self, denominator, clear_kept):
         # every z of an order-interval grid shares one (xbar, y): the first
         # verdict of a grid builds the plan, every other one reuses it
         rng = np.random.default_rng(707)
         config = ProbeConfig(random_directions=32, seed=7, denominator=denominator)
         for variant in (0, 1):
             xbar, _, y, grid = suites.order_interval_grid(rng, 2, 2, variant=variant)
-            oracle._kept_plan.cache_clear()
+            clear_kept()
             warm = [_verdict_json(l2_cone.project, xbar, y, z, config) for z in grid]
             assert oracle._kept_plan.cache_info().hits == len(grid) - 1
             cold = []
             for z in grid:
-                oracle._kept_plan.cache_clear()
+                clear_kept()
                 cold.append(_verdict_json(l2_cone.project, xbar, y, z, config))
             assert warm == cold
 
-    def test_caller_mutation_reaches_no_kept_plan(self):
+    def test_caller_mutation_reaches_no_kept_plan(self, clear_kept):
         ball = BallProjection(1.0)
         x, y, z = np.array([1.5, -0.5, 0.25]), np.array([0.3, 0.4, -0.2]), np.array([0.1, 0.2, 0.3])
         first = _verdict_json(ball.project, x, y, z)
@@ -1277,10 +1295,10 @@ class TestPlanCache:
         assert again == first
         # the mutated arrays key a plan of their own
         mutated = _verdict_json(ball.project, x, y, z)
-        oracle._kept_plan.cache_clear()
+        clear_kept()
         assert mutated == _verdict_json(ball.project, x, y, z) != first
 
-    def test_signed_zeros_key_apart(self):
+    def test_signed_zeros_key_apart(self, clear_kept):
         # -0.0 and 0.0 compare equal but have other bytes and other verdicts
         y, z = np.array([1.0, -0.5]), np.array([0.5, 0.0])
         warm = [_verdict_json(orthant.project, np.array([zero, 1.0]), y, z) for zero in (-0.0, 0.0)]
@@ -1288,7 +1306,7 @@ class TestPlanCache:
         assert (info.hits, info.currsize) == (0, 2)
         assert warm[0] != warm[1]
         for zero, want in zip((-0.0, 0.0), warm):
-            oracle._kept_plan.cache_clear()
+            clear_kept()
             assert _verdict_json(orthant.project, np.array([zero, 1.0]), y, z) == want
 
     def test_formless_f_and_unhashable_f_are_never_kept(self):
@@ -1366,6 +1384,8 @@ class TestPlanCache:
             membership(ball.project, x[:3] + k, y[:3], z[:3], ProbeConfig(random_directions=8))
         info = oracle._kept_plan.cache_info()
         assert (info.misses, info.currsize) == (20, 16)
+        info = oracle._kept_base.cache_info()
+        assert (info.misses, info.currsize) == (20, 16)
 
     def test_rounds_back_at_the_same_radius_on_a_hit(self):
         # 0.086 is below the floor ||spacing(x)|| / 2 = ||(0.125, 0.125)|| / 2,
@@ -1377,6 +1397,167 @@ class TestPlanCache:
             with pytest.raises(ValueError, match=r"a probe at radius 0\.086 rounds back"):
                 membership(orthant.project, x, y, np.array(z), config)
         assert oracle._kept_plan.cache_info().currsize == kept
+        assert oracle._kept_base.cache_info().currsize == 0
+
+
+@dataclass(frozen=True)
+class _CountingBaseBall(_CountingBall):
+    """A _CountingBall that also records each ``project`` call, with the bytes of its point."""
+
+    def project(self, x):
+        self.calls.append(("project", np.asarray(x, dtype=float).tobytes()))
+        return super().project(x)
+
+
+def _counting_forms(monkeypatch, module, calls):
+    """Record each first-stage call of the axis and direction forms that ``module`` holds."""
+    for kind in ("axes", "dirs"):
+        form = getattr(module, f"project_{kind}")
+
+        def first_stage(x0, *probes, kind=kind, form=form):
+            calls.append(kind)
+            return form(x0, *probes)
+
+        monkeypatch.setattr(module, f"project_{kind}", first_stage)
+
+
+# (f, xbar, z, the y that warms the base, the new ys): every y gives a plan of its own on the
+# base of (f, xbar); the last ys make a y stage decline, through an overflowing <y, xbar> (the
+# ball) or an overflowing <d, y> (every set), so the row path scores the probes it declines
+_BASE_QUERIES = {
+    "ball/interior": (BallProjection(1.0).project, np.array([0.3, -0.4, 0.2]), np.array([0.5, 0.1, -0.2]),
+                      np.array([1.0, 0.5, -1.0]), [np.array([-0.2, 0.7, 0.1]), np.zeros(3), np.full(3, 1.7e308)]),
+    "ball/sphere": (BallProjection(1.0).project, np.array([0.6, 0.0, 0.8]), np.zeros(3), np.array([0.6, 0.0, 0.8]),
+                    [np.array([-0.6, 0.0, -0.8]), np.array([0.3, 1.0, -0.1])]),
+    "ball/exterior-y-xbar-overflow": (BallProjection(1.0).project, np.array([3e10, 4e10]), np.zeros(2), np.ones(2),
+                                      [np.array([1e298, 1e298]), np.array([-1.0, 2.0])]),
+    "ball/interior-y-xbar-overflow": (BallProjection(1e20).project, np.array([1e10, 0.0]), np.array([1e300, 1e300]),
+                                      np.ones(2), [np.array([1e300, 1e300])]),
+    "ball/exterior-d-y-overflow": (BallProjection(1.0).project, np.array([0.1, -0.1, 0.15, -0.05, 0.1, 0.12]),
+                                   np.zeros(6), np.ones(6), [np.full(6, 1.7e308), -np.ones(6)]),
+    "orthant/mixed": (orthant.project, np.array([1.0, -1.0, 1.5, -0.5, 1.0, 1.2]),
+                      np.array([0.5, -1.0, 0.5, -1.0, 1.0, 2.0]), np.ones(6),
+                      [np.array([0.5, -1.0, -0.5, -1.0, -0.5, 1.0]), np.full(6, 1.7e308), np.full(6, -1.7e308)]),
+    "orthant/corner": (orthant.project, np.array([0.0, 1.0, -1.0, 2e-3]), np.array([1.0, 0.5, 0.0, 0.3]),
+                       np.array([1.0, 1.0, 1.0, 1.0]), [np.array([-1.0, 0.5, 0.2, 1.0]), np.full(4, 1.7e308)]),
+    "l2_cone/interval": (l2_cone.project, SparseVector({1: 1.0, 3: 0.5}), SparseVector({1: 0.4, 2: 0.3, 3: -0.1}),
+                         SparseVector({1: 0.4, 2: 0.7}),
+                         [SparseVector({2: -1.0, 3: 0.5}), SparseVector({1: 1.7e308, 2: 1.7e308, 3: 1.7e308})]),
+}
+
+
+class TestKeptBase:
+    @pytest.mark.parametrize("denominator", ["sum", "euclidean"])
+    @pytest.mark.parametrize("label", sorted(_BASE_QUERIES))
+    def test_a_new_y_at_a_warm_base_gives_the_bytes_of_a_cold_verdict(self, label, denominator, clear_kept):
+        f, xbar, z, y_warm, ys = _BASE_QUERIES[label]
+        config = ProbeConfig(denominator=denominator)
+        for y in ys:
+            clear_kept()
+            cold = _verdict_json(f, xbar, y, z, config)
+            clear_kept()
+            _verdict_json(f, xbar, y_warm, z, config)
+            assert _verdict_json(f, xbar, y, z, config) == cold, y
+            info = oracle._kept_base.cache_info()
+            assert (info.hits, info.misses) == (1, 1)
+
+    def test_a_declining_y_stage_takes_the_row_path(self, monkeypatch, clear_kept):
+        # the first stages read no y and accept every probe here; where a y
+        # stage declines, the verdict is that of f with no direction form,
+        # which scores those probes (and, where the ball's axis y stage
+        # declines too, the axis probes) as rows
+        declined = []
+        for label, (f, xbar, z, _, ys) in sorted(_BASE_QUERIES.items()):
+            for y in ys:
+                if isinstance(xbar, SparseVector):
+                    axes, x0, y0, _ = oracle._embed(xbar, y, z)
+                else:
+                    axes, x0, y0 = None, xbar, y
+                base = oracle._base(f, oracle._point(axes, x0), x0, axes, ProbeConfig())
+                assert base.axis_form is not None and base.dirs_form is not None
+                if base.axis_form[0](y0) is None or base.dirs_form[0](y0) is None:
+                    declined.append((label, f, xbar, y, z))
+        assert sorted({label for label, *_ in declined}) == [
+            "ball/exterior-d-y-overflow", "ball/exterior-y-xbar-overflow", "ball/interior",
+            "ball/interior-y-xbar-overflow", "l2_cone/interval", "orthant/corner", "orthant/mixed"]
+        got = [_verdict_json(*query[1:]) for query in declined]
+        clear_kept()
+        monkeypatch.setattr(orthant, "project_dirs", None)
+        monkeypatch.setattr(l2_cone, "project_dirs", None)
+        for (label, f, xbar, y, z), verdict in zip(declined, got):
+            if label.startswith("ball"):
+                f = _NoDirsBall(f.__self__.radius).project
+            assert _verdict_json(f, xbar, y, z) == verdict, label
+
+    @pytest.mark.parametrize("n", [2, 6])
+    def test_a_warm_base_calls_neither_f_of_xbar_nor_a_first_stage(self, n):
+        # a new y at a kept base runs the y stages of the forms and the
+        # z pass's row-form call; f(xbar) and the first stages ran once,
+        # when the base was built
+        rng = np.random.default_rng(n)
+        xbar, y, y_next, z = rng.standard_normal((4, n))
+        op = _CountingBaseBall(1.0)
+        membership(op.project, xbar, y, z)
+        assert op.calls.count(("project", xbar.tobytes())) == 1
+        assert [c for c in op.calls if c[0] in ("axes", "dirs")] == [("axes", 3 * 2 * n), ("dirs", (3, 256))]
+        op.calls.clear()
+        membership(op.project, xbar, y_next, z)
+        assert ("project", xbar.tobytes()) not in op.calls
+        assert [c[0] for c in op.calls if c[0] != "project"] == ["axes y", "dirs y", "rows"]
+        assert oracle._kept_base.cache_info().hits == 1
+
+    @pytest.mark.parametrize("label", ["orthant/corner", "l2_cone/interval"])
+    def test_a_warm_base_runs_no_first_stage_of_the_orthant_forms(self, label, monkeypatch):
+        f, xbar, z, y_warm, ys = _BASE_QUERIES[label]
+        calls = []
+        _counting_forms(monkeypatch, orthant if f is orthant.project else l2_cone, calls)
+        membership(f, xbar, y_warm, z)
+        assert calls == ["axes", "dirs"]
+        for y in ys:
+            membership(f, xbar, y, z)
+        assert calls == ["axes", "dirs"]
+        info = oracle._kept_base.cache_info()
+        assert (info.hits, info.misses) == (len(ys), 1)
+
+    def test_configs_f_and_axes_that_differ_never_share_a_base(self):
+        # every field of the config keys the base, as does f; a sparse query's
+        # probed axes follow the supports of y and z, so they key it too
+        x, y, z = np.array([0.5, -0.3, 0.2]), np.array([1.0, 0.0, -1.0]), np.array([0.2, 0.4, 0.1])
+        ball = BallProjection(1.0)
+        queries = [(ball.project, ProbeConfig()), (ball.project, ProbeConfig(seed=1)),
+                   (ball.project, ProbeConfig(random_directions=8)), (ball.project, ProbeConfig(tolerance=1e-2)),
+                   (ball.project, ProbeConfig(denominator="euclidean")),
+                   (ball.project, ProbeConfig(radii=(1e-2, 1e-3))), (BallProjection(2.0).project, ProbeConfig()),
+                   (orthant.project, ProbeConfig())]
+        for f, config in queries:
+            membership(f, x, y, z, config)
+        info = oracle._kept_base.cache_info()
+        assert (info.hits, info.misses) == (0, len(queries))
+        xbar = SparseVector({1: 1.0, 3: 0.5})
+        for y, z in ((SparseVector({1: 1.0}), SparseVector({1: 0.5})), (SparseVector({2: 1.0}), SparseVector({1: 0.5})),
+                     (SparseVector({1: 1.0}), SparseVector({4: 0.5}))):
+            membership(l2_cone.project, xbar, y, z)
+        info = oracle._kept_base.cache_info()
+        assert (info.hits, info.misses) == (0, len(queries) + 3)
+        # the same axes share one: y of {2} and z of {1} probe the axes of y of {1} and z of {2}
+        membership(l2_cone.project, xbar, SparseVector({1: 1.0}), SparseVector({2: 0.5}))
+        assert oracle._kept_base.cache_info().hits == 1
+
+    def test_a_kept_base_is_read_only_to_its_plans(self):
+        # plans on one base share its head rows of xbar and its first-stage
+        # denominators; no plan or z pass writes to them
+        x = np.array([0.5, -0.3, 0.2])
+        f = BallProjection(1.0).project
+        membership(f, x, np.ones(3), np.zeros(3))
+        base = oracle._kept_base(f, x.tobytes(), None, ProbeConfig())
+        held = (*base.head, base.axis_form[1], base.dirs_form[1])
+        snapshot = [a.tobytes() for a in held]
+        for y in (np.array([1.0, -2.0, 0.5]), np.zeros(3)):
+            for z in (np.ones(3), -x):
+                membership(f, x, y, z)
+        assert [a.tobytes() for a in held] == snapshot
+        # the look-up above, then one per new y
+        assert oracle._kept_base.cache_info().hits == 3
 
 
 @dataclass
@@ -1444,20 +1625,20 @@ def _counting_halves(monkeypatch) -> list:
 
 class TestWitnessHalves:
     @pytest.mark.parametrize("denominator", ["sum", "euclidean"])
-    def test_stored_half_gives_the_bytes_of_a_cold_verdict(self, denominator, monkeypatch):
+    def test_stored_half_gives_the_bytes_of_a_cold_verdict(self, denominator, monkeypatch, clear_kept):
         # a warm verdict that finds its winner's half in the kept plan gives
         # the bytes of a verdict that computes it, on a plan built anew
         computed = _counting_halves(monkeypatch)
         reused = {"sparse": 0, "dense": 0}
         for f, xbar, y, zs, count in _witness_queries():
             config = ProbeConfig(random_directions=count, seed=4, denominator=denominator)
-            oracle._kept_plan.cache_clear()
+            clear_kept()
             computed.clear()
             warm = [_verdict_json(f, xbar, y, z, config) for z in zs]
             reused["sparse" if isinstance(xbar, SparseVector) else "dense"] += len(zs) - len(computed)
             cold = []
             for z in zs:
-                oracle._kept_plan.cache_clear()
+                clear_kept()
                 cold.append(_verdict_json(f, xbar, y, z, config))
             assert warm == cold
         assert reused["sparse"] > 0 and reused["dense"] > 0
@@ -1544,7 +1725,7 @@ class TestHeadWitness:
     @pytest.mark.parametrize("formless", [False, True], ids=["form", "formless"])
     @pytest.mark.parametrize("denominator", ["sum", "euclidean"])
     @pytest.mark.parametrize("case", sorted(_DENSE_HEAD_WINNERS))
-    def test_dense_head_winner_computes_no_half(self, case, denominator, formless, monkeypatch):
+    def test_dense_head_winner_computes_no_half(self, case, denominator, formless, monkeypatch, clear_kept):
         # on a new plan and on a kept one (a formless f gets a new plan each
         # time): no z-free half is computed or stored, and the witness, a head
         # row, re-evaluates through quotient to the stored supremum
@@ -1554,7 +1735,7 @@ class TestHeadWitness:
         xbar, y, z = np.array(xbar), np.array(y), np.array(z)
         config = ProbeConfig(denominator=denominator)
         computed = _counting_halves(monkeypatch)
-        oracle._kept_plan.cache_clear()
+        clear_kept()
         outs = [membership(f, xbar, y, z, config) for _ in range(2)]
         assert computed == []
         assert outs[0].to_json() == outs[1].to_json()
@@ -1569,12 +1750,12 @@ class TestHeadWitness:
 
     @pytest.mark.parametrize("denominator", ["sum", "euclidean"])
     @pytest.mark.parametrize("case", sorted(_OTHER_WINNERS))
-    def test_other_winners_compute_one_half(self, case, denominator, monkeypatch):
+    def test_other_winners_compute_one_half(self, case, denominator, monkeypatch, clear_kept):
         # one half on a new plan; a kept plan then reuses it, but for the rows of z
         f, xbar, y, z, slot = _OTHER_WINNERS[case]
         config = ProbeConfig(denominator=denominator)
         computed = _counting_halves(monkeypatch)
-        oracle._kept_plan.cache_clear()
+        clear_kept()
         out = membership(f, xbar, y, z, config)
         assert len(computed) == 1
         assert membership(f, xbar, y, z, config).to_json() == out.to_json()
@@ -1653,15 +1834,28 @@ class TestOverflowingNorms:
             assert out.verdict is Verdict.NON_MEMBER
             assert [s for _, s in out.sup_estimates] == [math.inf] * 3
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_an_overflowing_witness_quotient_is_inf(self, sign):
+        # with the euclidean denominator the witness quotient exceeds the
+        # largest double: the re-score divides with numpy's overflow warning
+        # off (warnings are errors here), as the z pass does, and the witness
+        # re-evaluates through quotient to the same inf
+        y, z = sign * np.full(6, 1.7e308), np.array([0.5, -1.0, 0.5, -1.0, 1.0, 2.0])
+        out = membership(orthant.project, _BIG_X, y, z, ProbeConfig(denominator="euclidean"))
+        assert out.verdict is Verdict.NON_MEMBER and out.witness.quotient == math.inf
+        u = _BIG_X + out.witness.radius * out.witness.direction
+        assert quotient(orthant.project, _BIG_X, y, z, u, "euclidean") == math.inf
+
     def test_direction_forms_decline_an_overflowing_product(self):
         # <d, y0> overflows on the first row, though t <d, y0> does not: the
         # row path scores the probes
         dirs = np.array([[0.5, 0.0, 0.5, 0.0, 0.5, 0.5], [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
         t = np.array([[1e-2]])
-        assert orthant.project_dirs(_BIG_X, _BIG_Y, dirs, t) is None
-        assert _BALL.project_dirs(0.1 * _BIG_X, _BIG_Y, dirs, t) is None
-        assert orthant.project_dirs(_BIG_X, np.ones(6), dirs, t) is not None
-        assert _BALL.project_dirs(0.1 * _BIG_X, np.ones(6), dirs, t) is not None
+        for form, x0 in ((orthant.project_dirs, _BIG_X), (_BALL.project_dirs, 0.1 * _BIG_X)):
+            # the first stage reads no y: only the y stage declines
+            staged = form(x0, dirs, t)
+            assert staged[1](_BIG_Y) is None
+            assert staged[1](np.ones(6)) is not None
 
     def test_head_rows_of_an_overflowing_vector(self):
         # the unit rows of v are those of v / 2^e, max|v| < 2^e: no zero rows
@@ -1771,8 +1965,9 @@ class TestStructuredHead:
     def test_verdicts_reach_no_generic_helper_from_the_head(self, monkeypatch):
         # the head runs on its scalars: neither norm, orth_decompose nor
         # is_zero is called while it runs, in a ball and an l2-cone verdict.
-        # It builds both parts of the head: the rows of xbar and y in the
-        # plan, those of z in the z pass, which alone runs on a kept plan
+        # It builds the three parts of the head: the rows of xbar in the
+        # base, those of y in the plan, those of z in the z pass, which alone
+        # runs on a kept plan
         calls, inside, heads, head = [], [], [], oracle._structured_head
 
         def counting(name, fn):
@@ -1800,9 +1995,9 @@ class TestStructuredHead:
         membership(ball.project, 2.0 * x / np.linalg.norm(x), y, z)
         membership(l2_cone.project, SparseVector({1: 1.0, 3: 0.5}), SparseVector({1: 0.4, 2: 0.7}),
                    SparseVector({1: 0.4, 2: 0.3}))
-        assert len(heads) == 4
+        assert len(heads) == 6
         membership(ball.project, 2.0 * x / np.linalg.norm(x), y, -z)
-        assert len(heads) == 5
+        assert len(heads) == 7
         assert ("norm", False) in calls  # the counters are live: the witness re-score uses norm
         assert [c for c in calls if c[1]] == []
 

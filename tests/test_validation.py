@@ -16,6 +16,7 @@ import sys
 
 import numpy as np
 import pytest
+from test_oracle import _one_stage
 
 from varproj import l2_cone, oracle, orthant, vectors
 from varproj.ball import BallProjection
@@ -245,8 +246,8 @@ CLOSED_FORMS6 = {
     "ball.project/exterior": (OP.project, OUTSIDE6),
     "ball.project/huge": (OP.project, 1e308 * np.ones(6)),
     "ball.project_rows": (OP.project_rows, BLOCK6),
-    "ball.project_axes": (OP.project_axes, OUTSIDE6, TANGENT6, *AXES6),
-    "ball.project_dirs": (OP.project_dirs, SPHERE6, TANGENT6, DIRS6, T6),
+    "ball.project_axes": (_one_stage, OP.project_axes, OUTSIDE6, TANGENT6, *AXES6),
+    "ball.project_dirs": (_one_stage, OP.project_dirs, SPHERE6, TANGENT6, DIRS6, T6),
     **{f"ball.region/{r}": (OP.region, x) for r, x in (("interior", INSIDE6), ("sphere", SPHERE6),
                                                        ("exterior", OUTSIDE6))},
     **{f"ball.frechet/{r}": (OP.frechet, x) for r, x in (("interior", INSIDE6), ("sphere", SPHERE6),
@@ -266,9 +267,9 @@ CLOSED_FORMS6 = {
     "ball.coderivative/sphere-partial": (OP.coderivative, X6, TANGENT6 - 0.5 * X6),
     "orthant.project": (orthant.project, MIXED6),
     "orthant.project_rows": (orthant.project_rows, BLOCK6),
-    "orthant.project_axes": (orthant.project_axes, CORNER6, TANGENT6, *AXES6),
-    "orthant.project_dirs": (orthant.project_dirs, MIXED6, TANGENT6, DIRS6, T6),
-    "orthant.project_dirs/in-reach": (orthant.project_dirs, MIXED6 * 1e-3, TANGENT6, DIRS6, T6),
+    "orthant.project_axes": (_one_stage, orthant.project_axes, CORNER6, TANGENT6, *AXES6),
+    "orthant.project_dirs": (_one_stage, orthant.project_dirs, MIXED6, TANGENT6, DIRS6, T6),
+    "orthant.project_dirs/in-reach": (_one_stage, orthant.project_dirs, MIXED6 * 1e-3, TANGENT6, DIRS6, T6),
     "orthant.region": (orthant.region, CORNER6),
     "orthant.gateaux": (orthant.gateaux, CORNER6, TANGENT6),
     **{f"orthant.frechet/{r}": (orthant.frechet, x) for r, x in (
@@ -289,7 +290,7 @@ CLOSED_FORMS6 = {
 }
 
 
-@pytest.mark.parametrize("radius", [1.0, 3.0, 1e200])
+@pytest.mark.parametrize("radius", [1.0, 3.0, 1e200, 1e-200])
 @pytest.mark.parametrize("w", [[1.0, 1.0], [0.0, 1e300], [-8e-301, 6e-301]], ids=["outward", "huge", "tangent"])
 def test_outward_sphere_gateaux_takes_six_products(w, radius):
     # the region's square sum is the split's <xbar, xbar>, and the outward
@@ -297,8 +298,9 @@ def test_outward_sphere_gateaux_takes_six_products(w, radius):
     op, xbar, w = BallProjection(radius), radius * X_SPHERE, np.array(w)
     code = vectors._dot.__code__
     assert op.direction_class(xbar, w).value == "outward"
-    # at r = 1e200 the square sum overflows: the norm and the split each rescale, with one product more
-    assert len(_calls(lambda c: c is code, op.gateaux, xbar, w)) == (6 if radius < 1e150 else 8)
+    # at r = 1e200 (1e-200) the square sum over- (under-) flows: the norm and the split share one
+    # rescaling of xbar, whose square sum is the one product more
+    assert len(_calls(lambda c: c is code, op.gateaux, xbar, w)) == (6 if 1e-150 < radius < 1e150 else 7)
     half, e = vectors._halved(w)
     unit = xbar / radius
     want = np.ldexp(half - float(vectors._dot(unit, half)) * unit, e)
@@ -370,11 +372,11 @@ class TestNoNumpyWrappers:
         fn, *args = CLOSED_FORMS6[name]
         assert [f"{c.co_filename.rpartition('/')[2]}:{c.co_name}" for c in _calls(_numpy_wrapper, fn, *args)] == []
 
-    def test_no_python_wrapper_on_a_verdict(self):
+    def test_no_python_wrapper_on_a_verdict(self, clear_kept):
         # a dense and a sparse verdict, each first on a new plan, then on the kept one; the warm-up
         # verdict at the same m fills _geometry, whose np.repeat runs once per (m, radii)
         z6, z_sparse = np.array([0.5, 0.0, 0.5, 0.0, -0.5, 0.0]), SparseVector({1: 0.5, 2: -1.0, 4: 0.5})
-        oracle._kept_plan.cache_clear()
+        clear_kept()
         for f, warm, xbar, y, zs in ((OP.project, OUTSIDE6, INSIDE6, TANGENT6, (X6, z6)),
                                      (l2_cone.project, SPARSE_X, SparseVector({1: 2.0, 3: 1.0}), SPARSE_Y,
                                       (z_sparse, 0.5 * z_sparse))):
