@@ -337,11 +337,10 @@ class BallProjection:
     def frechet(self, xbar) -> Optional[LinearMap]:
         """Frechet derivative map, or None on the sphere where none exists."""
         xbar = as_vector(xbar)
-        return self._frechet(xbar, float(_dot(xbar, xbar)))
+        return self._frechet(xbar, _dense_norm(xbar))
 
-    def _frechet(self, xbar: np.ndarray, x_sq: float) -> Optional[LinearMap]:
-        """``frechet`` of a checked array whose square sum is ``x_sq``."""
-        length = _dense_norm(xbar, x_sq)
+    def _frechet(self, xbar: np.ndarray, length: float) -> Optional[LinearMap]:
+        """``frechet`` of a checked array whose norm is ``length``."""
         region = self._region(length)
         if region is BallRegion.INTERIOR:
             return IdentityMap(xbar.shape[0])
@@ -362,17 +361,19 @@ class BallProjection:
         xbar = as_vector(xbar)
         y = as_vector_of(y, xbar.shape[0])
         x_sq = float(_dot(xbar, xbar))
-        derivative = self._frechet(xbar, x_sq)
+        # when ||xbar||^2 over- or underflows, the norm and the split share one rescaling of xbar
+        length, rescaled = _anchor_norm(xbar, x_sq)
+        derivative = self._frechet(xbar, length)
         if derivative is not None:
             return SingletonSet(derivative._on(y))
         if not _count_nonzero(y):
             return SingletonSet(np.zeros(y.shape))
-        if _distance(y, xbar) <= SELF_QUERY_RTOL * _dense_norm(xbar, x_sq):
+        if _distance(y, xbar) <= SELF_QUERY_RTOL * length:
             return EmptySet(xbar.shape[0])
         # 0 is in the set when y is radial and inward (<y, xbar> <= 0); both
         # are facts of the direction of y, tested on y / 2^e with max|y| < 2^e
         # (exact), so no norm or split of y overflows and a, about 1/r on a
         # radial y, never underflows to the +0.0 of a tangent one
         y = _halved(y)[0]
-        a, _, o_len = _split(xbar, y, anchor_sq=x_sq)
+        a, _, o_len = _split(xbar, y, anchor_sq=x_sq, rescaled=rescaled)
         return SpherePartial(xbar.shape[0], o_len <= RADIAL_RTOL * _dense_norm(y) and a <= 0.0)

@@ -43,10 +43,13 @@ Sparse queries use the same dense path: they are embedded in R^m over
 the probed axes (all supports plus one fresh index), from one dict per
 vector (``_embed``).
 
-The head rows take the row path: u = xbar + t*d is formed (t per row)
-and scored with one call of the row form (``_score``), inner products in
-the fixed order of ``vectors._dot`` and norms by ``row_norms``, which
-give a row the same bits at every position in a call.  So the head keeps
+The head rows take the row path: u = xbar + t*d is formed for every
+radius at once, the column of radii broadcast over the head rows and
+xbar then added in place, and scored with one call of the row form,
+inner products in the fixed order of ``vectors._dot`` and norms by
+``row_norms``, which give a row the same bits at every position in a
+call.  u - xbar is a new array: no array handed to f or to a row form
+is written to afterwards.  So the head keeps
 the bits of the scalar ``quotient``, and two head rows that round to one
 probe tie, the first winning.  In every z pass, the head rows of xbar,
 y and z of every radius take one call, so a z pass only reads its plan,
@@ -129,7 +132,9 @@ the denominator) and the z half (<z, u - xbar> and the division).
 Those are the axis probes, the random rows, the head rows of a sparse
 query (whose SparseVector norms sum in another order than the row
 path's) and a non-finite entry (an image with a NaN raises there, as it
-always has).  That value is the last supremum and the witness quotient,
+always has).  On a dense query the halves read the verdict's checked
+xbar, y and z with ``vectors._dot`` and ``_dense_norm`` and check only
+u - xbar and f's image, once each.  That value is the last supremum and the witness quotient,
 and ``quotient`` calls the same two halves, so a witness re-evaluates
 exactly.  It replaces the winner's entry, and while another entry of the
 row exceeds it by more than 1e-9 of max(|value|, tolerance), that entry
@@ -303,12 +308,14 @@ def quotient(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, z: Vector, 
     """Difference quotient whose limsup decides membership of z.
 
     Requires u != xbar.  The denominator is strictly positive then, so the
-    quotient is always finite.
+    quotient is always finite.  A dense xbar, y, z and u are checked once,
+    here.
     """
     if denominator not in _DENOMINATORS:
         raise ValueError(f"denominator must be one of {_DENOMINATORS}")
     if not _sparse(xbar, y, z, u):
         xbar = as_vector(xbar)
+        y, z, u = (as_vector_of(v, xbar.size) for v in (y, z, u))
     return _z_half(z, *_z_free_half(f, f(xbar), xbar, y, u, denominator))
 
 
@@ -319,24 +326,32 @@ def _sparse(xbar: Vector, *vs: Vector) -> bool:
 
 def _z_free_half(f: Callable[[Vector], Vector], fx: Vector, xbar: Vector, y: Vector, u: Vector,
                  denominator: str) -> tuple[Vector, float, float]:
-    """The part of ``quotient`` that does not read z: u - xbar, <y, f(u) - fx> and the denominator; fx is f(xbar)."""
-    if isinstance(xbar, np.ndarray):
-        u = as_vector_of(u, xbar.shape[0])
-    du = u - xbar
-    d_in = norm(du)
+    """The part of ``quotient`` that does not read z: u - xbar, <y, f(u) - fx> and the denominator; fx is f(xbar).
+
+    Dense xbar, y and u are checked arrays of one size, read with ``_dot``
+    and ``_dense_norm`` (the bits of ``inner`` and ``norm``).  u - xbar,
+    which may overflow although both are finite, and the image f(u) - fx
+    are each checked once, with ``as_vector``.
+    """
+    sparse = isinstance(xbar, SparseVector)
+    length = norm if sparse else _dense_norm
+    du = u - xbar if sparse else as_vector(u - xbar)
+    d_in = length(du)
     if d_in == 0.0:
         raise ValueError(f"u must differ from xbar: ||u - xbar|| is 0 at ||xbar|| = {norm(xbar):.6g}")
-    df = f(u) - fx
-    return du, inner(y, df), _denominator(denominator, d_in, norm(df))
+    df = f(u) - fx if sparse else as_vector_of(f(u) - fx, du.size)
+    y_df = inner(y, df) if sparse else float(_dot(y, df))
+    return du, y_df, _denominator(denominator, d_in, length(df))
 
 
 def _z_half(z: Vector, du: Vector, y_df: float, den) -> float:
-    """The quotient from its z-free half (see ``_z_free_half``) and z.
+    """The quotient from its z-free half (see ``_z_free_half``) and z, a checked array when du is one.
 
     A Python float division, so a quotient above the largest double is inf
     with no numpy overflow warning; den > 0, as u != xbar.
     """
-    return float(inner(z, du) - y_df) / float(den)
+    z_du = inner(z, du) if isinstance(du, SparseVector) else float(_dot(z, du))
+    return float(z_du - y_df) / float(den)
 
 
 def _anchor(x0: np.ndarray) -> tuple[float, float]:
@@ -737,13 +752,17 @@ def _z_pass(plan: _Plan, f: Callable[[Vector], Vector], xbar: Vector, y: Vector,
     radii, per, count = config.radii, 2 * x0.size, config.random_directions
     n_radii = len(radii)
     # the head rows of the plan, then those of z, of every radius take the
-    # row path in one call
+    # row path in one call.  x0 is added to u in place before f sees u, and
+    # du is a new array: nothing f has been handed is written to after
     z_rows = _structured_head(x0, z0, anchor=plan.anchor, xbar_rows=False)
     head = np.concatenate([plan.head, z_rows]) if z_rows else plan.head
     n = len(head)
     if n:
-        t = np.array(radii).repeat(n)[:, None]
-        du, y_df, den = _score(np.concatenate([head] * n_radii), t, x0, plan.terms, config.denominator)
+        u = (np.array(radii)[:, None, None] * head).reshape(-1, x0.size)
+        u += x0
+        du = u - x0
+        y_df, df_norm = plan.terms(u)
+        den = _denominator(config.denominator, row_norms(du), df_norm)
 
     axis_j, axis_s, axis_du, axis_y_df, axis_den = plan.axis
     # not prefilled: every entry is written, and plan.random is None here only when count is 0

@@ -35,7 +35,7 @@ from .descriptors import (
     SingletonSet,
     ZeroMap,
 )
-from .vectors import _all_finite, _count_nonzero, _dense_norm, _dot, _einsum, as_rows, as_vector, as_vector_of
+from .vectors import _all_finite, _count_nonzero, _dense_norm, _dot, as_rows, as_vector, as_vector_of
 
 __all__ = [
     "OrthantRegion",
@@ -103,13 +103,21 @@ def project_dirs(x0: np.ndarray, dirs: np.ndarray, t: np.ndarray):
     where df_C = max(x0_C + t d_C, 0) - max(x0_C, 0) is taken on the
     sub-block of the C columns, bit for bit as ``project_rows`` gives it.
     C, ||d on P||^2 and, in the y stage, <d, y0 on P> are taken once for
-    every radius.  A coordinate of C out of reach of radius k gives
-    w_i = d_i there when x0_i > 0 and 0 when x0_i < 0, as it would off C,
-    so row k holds the terms of a call at radius k alone, in its bits at
-    the largest radius and wherever C holds no nonzero coordinate, and else
-    summed in another order.  The first stage never declines; the y stage
-    declines (None) when some <y0, P(u) - P(x0)> is not finite: <d, y0>
-    may overflow where t <d, y0> does not, and the full rows score those
+    every radius.  ||d on P||^2 is the square sum of the P columns of
+    dirs, compressed into a block of their own: two operands, no mask.
+    <d, y0 on P> stays a product of the full rows with y0 set to 0 off P,
+    so it sums in the order of the oracle's <d, z> (``vectors._dot`` sums
+    by length): for z = y0 on P, t <d, z> - t <d, y0 on P> is exactly 0 at
+    every magnitude.  A product over the P columns alone leaves a rounding
+    that the oracle reads as a quotient: suprema near 1e292 at
+    |y0| = 1e308, and an inconclusive verdict for that member z.  A
+    coordinate of C out of reach of radius k gives w_i = d_i there when
+    x0_i > 0 and 0 when x0_i < 0, as it would off C, so row k holds the
+    terms of a call at radius k alone, in its bits at the largest radius
+    and wherever C holds no nonzero coordinate, and else summed in
+    another order.  The first stage never declines; the y stage declines
+    (None) when some <y0, P(u) - P(x0)> is not finite: <d, y0> may
+    overflow where t <d, y0> does not, and the full rows score those
     probes.
     """
     # |t d_i| <= t (1 + 2^-50) rounds to at most t (1 + 2^-40)
@@ -121,7 +129,8 @@ def project_dirs(x0: np.ndarray, dirs: np.ndarray, t: np.ndarray):
         if count == x0.size:
             d_sq = _dot(dirs, dirs)
         elif count:
-            d_sq = _einsum("ij,ij,j->i", dirs, dirs, pos.astype(float))
+            on_p = dirs.compress(pos, axis=1)
+            d_sq = _dot(on_p, on_p)
         else:
             d_sq = np.zeros(len(dirs))
         if near.size:

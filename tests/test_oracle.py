@@ -771,6 +771,43 @@ class TestRowForm:
                 assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), case.label
 
 
+@dataclass(frozen=True)
+class _RecordingBall(BallProjection):
+    """A ball that keeps every array handed to its project and its row form, beside a copy of its bytes."""
+
+    handed: list = field(default_factory=list, compare=False)
+
+    def project(self, x):
+        self.handed.append((x, np.asarray(x).tobytes()))
+        return super().project(x)
+
+    def project_rows(self, block):
+        self.handed.append((block, block.tobytes()))
+        return super().project_rows(block)
+
+
+class TestHandedArrays:
+    @pytest.mark.parametrize("n", [6, 500])
+    def test_no_array_handed_to_f_is_written_to_after(self, n, clear_kept):
+        # the head rows of every radius are formed in place before the row
+        # form sees them, and u - xbar is a new array; the witness re-score
+        # hands f its own probe.  A formless f sees every probe row
+        clear_kept()
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n)
+        x *= 3.0 / norm(x)
+        y, z = rng.standard_normal((2, n))
+        ball = _RecordingBall(1.0)
+        kept = []
+        hidden = lambda u: kept.append((u, u.tobytes())) or orthant.project(u)
+        for f in (ball.project, hidden):
+            for z_k in (z, -z, z):
+                membership(f, x, y, z_k)
+        assert len(ball.handed) > 3 and len(kept) > 3 * n
+        for v, data in ball.handed + kept:
+            assert v.tobytes() == data
+
+
 def _scaled(project):
     """A ``functools.wraps`` wrapper of project that maps u to 2 project(u)."""
     return functools.wraps(project)(lambda u: project(u) * 2.0)
@@ -1107,6 +1144,23 @@ class TestDirectionForm:
                         moved += (term[k] != want[0]).any()
         assert moved
         assert declined >= 16 and accepted >= 60
+
+    def test_orthant_y_stage_sums_in_the_order_of_the_z_product(self):
+        # the y stage takes <d, y on P> over the full rows, so for z = y on P
+        # it has the bits of the z pass's t <d, z>, and every random-direction
+        # quotient is exactly 0, where a product over the P columns alone
+        # sums in another order
+        rng = np.random.default_rng(32)
+        config = ProbeConfig()
+        x0 = rng.uniform(0.1, 1.0, 500) * rng.choice((-1.0, 1.0), 500)
+        y = rng.standard_normal(500)
+        z = np.where(x0 > 0.0, y, 0.0)
+        dirs, t = oracle._random_dirs(config.seed, config.random_directions, 500), np.array(config.radii)[:, None]
+        df_norm, y_terms = orthant.project_dirs(x0, dirs, t)
+        y_df = y_terms(y)
+        np.testing.assert_array_equal(_bits(y_df), _bits(t * vectors._dot(dirs, z)))
+        got = oracle._quotients(z, dirs, t, y_df, oracle._denominator("sum", t, df_norm))
+        np.testing.assert_array_equal(_bits(got), _bits(np.zeros((3, 256))))
 
     def test_overflowing_z_product_scores_the_scaled_direction(self):
         # <d, z> overflows at |z| = 1e308 where t <d, z> does not: such an

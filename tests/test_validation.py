@@ -307,6 +307,20 @@ def test_outward_sphere_gateaux_takes_six_products(w, radius):
     assert op.gateaux(xbar, w).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("radius, products, rescales", [(1.0, 6, 0), (1e200, 8, 2), (1e-200, 7, 1)])
+def test_sphere_coderivative_rescales_xbar_once(radius, products, rescales):
+    # when ||xbar||^2 over- (under-) flows, the region's norm, the self
+    # query's bound and the split share one rescaling of xbar; at r = 1e200
+    # ||y - xbar|| overflows too and takes a rescaling of its own
+    op, xbar, y = BallProjection(radius), radius * X_SPHERE, np.array([0.3, -1.0])
+    dots, scaled = vectors._dot.__code__, vectors._rescaled.__code__
+    assert len(_calls(lambda c: c is dots, op.coderivative, xbar, y)) == products
+    assert len(_calls(lambda c: c is scaled, op.coderivative, xbar, y)) == rescales
+    assert op.coderivative(xbar, y).to_json()["known"] == {"contains_zero": False}
+    assert op.coderivative(xbar, -2.0 * xbar).to_json()["known"] == {"contains_zero": True}
+    assert isinstance(op.coderivative(xbar, xbar * (1.0 + 1e-12)), EmptySet)
+
+
 @pytest.mark.parametrize("fn, args, products", [
     (OP.frechet, (OUTSIDE6,), 1), (OP.coderivative, (OUTSIDE6, TANGENT6), 2),
     (OP.coderivative, (INSIDE6, TANGENT6), 1), (OP.coderivative, (X6, TANGENT6 - 0.5 * X6), 6),

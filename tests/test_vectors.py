@@ -329,6 +329,15 @@ class TestFixedOrderDot:
             want = np.array([vectors._dot(row, z) for row in block])
             np.testing.assert_array_equal(vectors._dot(block, z).view(np.int64), want.view(np.int64))
 
+    def test_a_stacked_product_has_the_bits_of_one_product_per_vector(self):
+        # the rows of a direction block against the stack of xbar, y and z
+        # in one einsum call give the bits of three calls of _dot
+        rng = np.random.default_rng(23)
+        dirs, stack = rng.standard_normal((256, 500)), rng.standard_normal((3, 500))
+        got = vectors._einsum("ij,kj->ik", dirs, stack)
+        want = np.stack([vectors._dot(dirs, v) for v in stack], axis=1)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_a_strided_view_has_the_bits_of_its_contiguous_copy(self):
         rng = np.random.default_rng(22)
         for n in (7, 50, 500):
