@@ -164,10 +164,6 @@ Verdict rule, with s_k the supremum of the quotient at the k-th radius
   from below); a *positive* rising trend is not.
 * Inconclusive otherwise: the estimates sit in the tolerance band but
   drift upward, so neither answer is safe.
-
-The denominator may also be computed as sqrt(||u - xbar||^2 +
-||f(u) - f(xbar)||^2); the two quotients have the same sign and their
-ratio lies in [sqrt(2)/2, 1], so verdicts agree.
 """
 
 from __future__ import annotations
@@ -195,7 +191,6 @@ __all__ = [
     "jacobian_fd",
 ]
 
-_DENOMINATORS = ("sum", "euclidean")
 # the row path scores probe rows in chunks of about this many floats
 _BLOCK_FLOATS = 1 << 15
 
@@ -214,15 +209,12 @@ class ProbeConfig:
     seed: integer seed (not a bool) for the direction generator; fixed seed, fixed verdict.
     tolerance: decision band for the quotient suprema, a positive and finite
         real number (not a bool); kept as a float.
-    denominator: "sum" for ||du|| + ||df||, "euclidean" for the root of
-        the sum of squares.
     """
 
     radii: tuple[float, ...] = (1e-2, 1e-3, 1e-4)
     random_directions: int = 256
     seed: int = 0
     tolerance: float = 1e-3
-    denominator: str = "sum"
 
     def __post_init__(self):
         radii = tuple(self.radii)
@@ -245,8 +237,6 @@ class ProbeConfig:
                 raise ValueError(f"{name} must be nonnegative")
         if not (0.0 < self.tolerance < math.inf):
             raise ValueError("tolerance must be positive and finite")
-        if self.denominator not in _DENOMINATORS:
-            raise ValueError(f"denominator must be one of {_DENOMINATORS}")
 
 
 class Verdict(str, Enum):
@@ -296,27 +286,17 @@ class OracleVerdict:
         }
 
 
-def _denominator(kind: str, d_in, d_out):
-    """Quotient denominator; takes scalars or arrays of row norms alike."""
-    if kind == "euclidean":
-        return np.hypot(d_in, d_out)
-    return d_in + d_out
-
-
-def quotient(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, z: Vector, u: Vector,
-             denominator: str = "sum") -> float:
+def quotient(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, z: Vector, u: Vector) -> float:
     """Difference quotient whose limsup decides membership of z.
 
     Requires u != xbar.  The denominator is strictly positive then, so the
     quotient is always finite.  A dense xbar, y, z and u are checked once,
     here.
     """
-    if denominator not in _DENOMINATORS:
-        raise ValueError(f"denominator must be one of {_DENOMINATORS}")
     if not _sparse(xbar, y, z, u):
         xbar = as_vector(xbar)
         y, z, u = (as_vector_of(v, xbar.size) for v in (y, z, u))
-    return _z_half(z, *_z_free_half(f, f(xbar), xbar, y, u, denominator))
+    return _z_half(z, *_z_free_half(f, f(xbar), xbar, y, u))
 
 
 def _sparse(xbar: Vector, *vs: Vector) -> bool:
@@ -324,8 +304,8 @@ def _sparse(xbar: Vector, *vs: Vector) -> bool:
     return all([_check_same_kind(xbar, v) for v in vs])
 
 
-def _z_free_half(f: Callable[[Vector], Vector], fx: Vector, xbar: Vector, y: Vector, u: Vector,
-                 denominator: str) -> tuple[Vector, float, float]:
+def _z_free_half(f: Callable[[Vector], Vector], fx: Vector, xbar: Vector, y: Vector,
+                 u: Vector) -> tuple[Vector, float, float]:
     """The part of ``quotient`` that does not read z: u - xbar, <y, f(u) - fx> and the denominator; fx is f(xbar).
 
     Dense xbar, y and u are checked arrays of one size, read with ``_dot``
@@ -335,13 +315,14 @@ def _z_free_half(f: Callable[[Vector], Vector], fx: Vector, xbar: Vector, y: Vec
     """
     sparse = isinstance(xbar, SparseVector)
     length = norm if sparse else _dense_norm
-    du = u - xbar if sparse else as_vector(u - xbar)
+    with np.errstate(over="ignore"):  # a dense u - xbar that overflows is refused by as_vector, with no warning
+        du = u - xbar if sparse else as_vector(u - xbar)
     d_in = length(du)
     if d_in == 0.0:
         raise ValueError(f"u must differ from xbar: ||u - xbar|| is 0 at ||xbar|| = {norm(xbar):.6g}")
     df = f(u) - fx if sparse else as_vector_of(f(u) - fx, du.size)
     y_df = inner(y, df) if sparse else float(_dot(y, df))
-    return du, y_df, _denominator(denominator, d_in, length(df))
+    return du, y_df, d_in + length(df)
 
 
 def _z_half(z: Vector, du: Vector, y_df: float, den) -> float:
@@ -466,16 +447,16 @@ def _quotients(z0: np.ndarray, rows: np.ndarray, scale: Optional[np.ndarray], y_
     return (z_du - y_df) / den
 
 
-def _score(dirs: np.ndarray, t, x0: np.ndarray, terms: Callable, denominator: str) -> tuple:
+def _score(dirs: np.ndarray, t, x0: np.ndarray, terms: Callable) -> tuple:
     """(u - xbar, <y, df>, denominator) of the probe rows u = x0 + t*dirs, t a radius or one per row above the floor."""
     u = x0 + t * dirs
     du = u - x0
     y_df, df_norm = terms(u)
-    return du, y_df, _denominator(denominator, row_norms(du), df_norm)
+    return du, y_df, row_norms(du) + df_norm
 
 
 def _random_scores(dirs: np.ndarray, t: np.ndarray, x0: np.ndarray, y0: np.ndarray, terms: Callable,
-                   denominator: str, form: Optional[tuple]) -> Optional[_Scores]:
+                   form: Optional[tuple]) -> Optional[_Scores]:
     """The z-free scores of the random directions at every radius, all above the floor (``_round_back_floor``).
 
     t is the column of radii, and ``form`` the base's (y stage, denominator)
@@ -498,7 +479,7 @@ def _random_scores(dirs: np.ndarray, t: np.ndarray, x0: np.ndarray, y0: np.ndarr
             return _Scores(dirs, t, y_df, form[1])
     size, rows = _block_rows(x0.size), np.arange(t.size * count)
     # row k probes direction k % count at radius k // count
-    scores = (_score(dirs[k % count], t[k // count], x0, terms, denominator)
+    scores = (_score(dirs[k % count], t[k // count], x0, terms)
               for k in np.split(rows, range(size, rows.size, size)))
     du, y_df, den = map(np.concatenate, zip(*scores))
     return _Scores(du, None, y_df, den)
@@ -639,7 +620,7 @@ def _base(f: Callable[[Vector], Vector], xbar: Vector, x0: np.ndarray, axes: Opt
         """(y stage, denominator) of f's ``kind`` form on the probes of args, or None."""
         form = _form(f, kind)
         staged = None if form is None else form(x0, *args)
-        return None if staged is None else (staged[1], _denominator(config.denominator, d_in, staged[0]))
+        return None if staged is None else (staged[1], d_in + staged[0])
 
     t = np.array(radii)[:, None]
     dirs = _random_dirs(config.seed, config.random_directions, m)
@@ -662,7 +643,7 @@ class _Plan(NamedTuple):
 
 
 def _plan(base: _Base, f: Callable[[Vector], Vector], xbar: Vector, y: Vector, x0: np.ndarray, y0: np.ndarray,
-          axes: Optional[tuple[int, ...]], config: ProbeConfig) -> _Plan:
+          axes: Optional[tuple[int, ...]]) -> _Plan:
     """The z-free part of a verdict on f at xbar for y, from the base at xbar (``_base``): only what reads y.
 
     That is the head rows of y, the y stage of each form of f, or the row
@@ -698,10 +679,10 @@ def _plan(base: _Base, f: Callable[[Vector], Vector], xbar: Vector, y: Vector, x
         rows = _block_rows(x0.size)
         tiles = (_axis_rows(x0, axis_j[i:i + rows], moved[i:i + rows]) for i in range(0, moved.size, rows))
         axis_y_df, df_norm = map(np.concatenate, zip(*(terms(u) for u in tiles)))
-        axis_den = _denominator(config.denominator, axis_in, df_norm)
+        axis_den = axis_in + df_norm
     else:
         axis_den = base.axis_form[1]
-    random = _random_scores(base.dirs, base.t, x0, y0, terms, config.denominator, base.dirs_form)
+    random = _random_scores(base.dirs, base.t, x0, y0, terms, base.dirs_form)
     return _Plan(fx, terms, base.anchor, head, base.dirs, random, (axis_j, axis_s, axis_du, axis_y_df, axis_den), {})
 
 
@@ -743,7 +724,7 @@ def _kept_plan(f: Callable[[Vector], Vector], x_bytes: bytes, y_bytes: bytes, ax
     """The plan of ``_plan_key``, on its kept base and read-only copies of x0 and y0 that no caller can reach."""
     x0, y0 = np.frombuffer(x_bytes), np.frombuffer(y_bytes)
     base = _kept_base(f, x_bytes, axes, config)
-    return _plan(base, f, _point(axes, x0), _point(axes, y0), x0, y0, axes, config)
+    return _plan(base, f, _point(axes, x0), _point(axes, y0), x0, y0, axes)
 
 
 def _z_pass(plan: _Plan, f: Callable[[Vector], Vector], xbar: Vector, y: Vector, z: Vector, x0: np.ndarray,
@@ -762,7 +743,7 @@ def _z_pass(plan: _Plan, f: Callable[[Vector], Vector], xbar: Vector, y: Vector,
         u += x0
         du = u - x0
         y_df, df_norm = plan.terms(u)
-        den = _denominator(config.denominator, row_norms(du), df_norm)
+        den = row_norms(du) + df_norm
 
     axis_j, axis_s, axis_du, axis_y_df, axis_den = plan.axis
     # not prefilled: every entry is written, and plan.random is None here only when count is 0
@@ -802,7 +783,7 @@ def _z_pass(plan: _Plan, f: Callable[[Vector], Vector], xbar: Vector, y: Vector,
                 else:
                     unit = (head if slot == 0 else plan.dirs)[k].copy()
                 direction = _point(axes, unit)
-                half = (direction, *_z_free_half(f, plan.fx, xbar, y, xbar + t * direction, config.denominator))
+                half = (direction, *_z_free_half(f, plan.fx, xbar, y, xbar + t * direction))
                 if slot or (axes is not None and k < len(plan.head)):
                     plan.halves[slot, k] = half
             direction, *z_free = half
@@ -845,7 +826,7 @@ def membership(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, z: Vector
         y, z = y0, z0 = as_vector_of(y, x0.size), as_vector_of(z, x0.size)
         axes = None
     key = _plan_key(f, x0, y0, axes, config)
-    plan = _kept_plan(*key) if key else _plan(_base(f, xbar, x0, axes, config), f, xbar, y, x0, y0, axes, config)
+    plan = _kept_plan(*key) if key else _plan(_base(f, xbar, x0, axes, config), f, xbar, y, x0, y0, axes)
     return _z_pass(plan, f, xbar, y, z, x0, z0, axes, config)
 
 

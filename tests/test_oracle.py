@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import json
@@ -71,7 +72,7 @@ def _reference_membership(f, xbar, y, z, config):
             continue
         values = values / length
         dirs.append(SparseVector(dict(zip(axes, values))) if sparse else values)
-    sups = [max(quotient(f, xbar, y, z, xbar + t * d, config.denominator) for d in dirs) for t in config.radii]
+    sups = [max(quotient(f, xbar, y, z, xbar + t * d) for d in dirs) for t in config.radii]
     tol = config.tolerance
     if sups[-1] > tol:
         verdict = Verdict.NON_MEMBER
@@ -90,7 +91,7 @@ def _assert_matches_reference(f, xbar, y, z, config):
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
     if out.verdict is Verdict.NON_MEMBER:
         w = out.witness
-        again = quotient(f, xbar, y, z, xbar + w.radius * w.direction, config.denominator)
+        again = quotient(f, xbar, y, z, xbar + w.radius * w.direction)
         assert again == w.quotient == out.sup_estimates[-1][1]
 
 
@@ -98,7 +99,13 @@ class TestProbeConfig:
     def test_defaults(self):
         c = ProbeConfig()
         assert c.radii == (1e-2, 1e-3, 1e-4)
-        assert c.tolerance == 1e-3 and c.denominator == "sum"
+        assert c.random_directions == 256 and c.seed == 0 and c.tolerance == 1e-3
+
+    def test_the_quotient_has_one_denominator(self):
+        # ||u - xbar|| + ||f(u) - f(xbar)||, with no field that picks another
+        assert [f.name for f in dataclasses.fields(ProbeConfig)] == ["radii", "random_directions", "seed", "tolerance"]
+        with pytest.raises(TypeError):
+            ProbeConfig(denominator="sum")
 
     def test_radii_must_decrease(self):
         with pytest.raises(ValueError):
@@ -110,7 +117,7 @@ class TestProbeConfig:
 
     def test_validation(self):
         for kwargs in ({"tolerance": 0.0}, {"tolerance": math.inf}, {"tolerance": math.nan},
-                       {"random_directions": -1}, {"denominator": "max"},
+                       {"random_directions": -1},
                        {"radii": (math.inf, 1e-2)}, {"radii": (1e-2, math.nan)}):
             with pytest.raises(ValueError):
                 ProbeConfig(**kwargs)
@@ -172,30 +179,23 @@ class TestQuotient:
         with pytest.raises(ValueError):
             quotient(orthant.project, np.ones(2), np.ones(2), np.ones(2), np.ones(2))
 
+    def test_one_denominator(self):
+        # (<z, du> - <y, df>) / (||du|| + ||df||); no argument picks another
+        xbar, y, z, u = np.array([1.0, -1.0]), np.array([2.0, 1.0]), np.array([1.0, 3.0]), np.array([1.5, -0.5])
+        assert quotient(orthant.project, xbar, y, z, u) == (2.0 - 1.0) / (math.sqrt(0.5) + 0.5)
+        with pytest.raises(TypeError):
+            quotient(orthant.project, xbar, y, z, u, "sum")
+
+    def test_overflowing_step_raises_with_no_warning(self):
+        # u and xbar are finite but u - xbar is not: the ValueError of the
+        # checked step, with no overflow warning first (warnings are errors here)
+        with pytest.raises(ValueError, match="vector entries must be finite"):
+            quotient(orthant.project, [-1e308, 0.0], [1.0, 0.0], [1.0, 0.0], [1e308, 0.0])
+
     def test_vanished_probe_names_the_base_norm(self):
         xbar = np.array([1e13, 0.0])
         with pytest.raises(ValueError, match=r"\|\|xbar\|\| = 1e\+13"):
             quotient(orthant.project, xbar, np.zeros(2), np.zeros(2), xbar + np.array([1e-4, 0.0]))
-
-    def test_denominator_relation(self):
-        # the two denominators agree in sign and differ by at most sqrt(2)
-        op = BallProjection(1.0)
-        rng = np.random.default_rng(17)
-        for _ in range(100):
-            xbar = rng.standard_normal(3) * 1.5
-            if np.linalg.norm(xbar) < 0.2:
-                continue
-            y, z = rng.standard_normal(3), rng.standard_normal(3)
-            u = xbar + rng.standard_normal(3) * 0.05
-            if np.array_equal(u, xbar):
-                continue
-            qs = quotient(op.project, xbar, y, z, u, denominator="sum")
-            qe = quotient(op.project, xbar, y, z, u, denominator="euclidean")
-            if qe == 0.0:
-                assert qs == 0.0
-                continue
-            assert np.sign(qs) == np.sign(qe)
-            assert np.sqrt(2) / 2 - 1e-12 <= qs / qe <= 1.0 + 1e-12
 
 
 class TestMembership:
@@ -319,17 +319,6 @@ class TestMembership:
         # the random winners at m = 2 and 6
         assert random_wins >= 3
 
-    def test_denominator_choice_same_verdict(self):
-        op = BallProjection(1.0)
-        xbar = np.array([1.0, 0.0])
-        z = np.array([0.0, 0.6])
-        for z_probe, want in ((z, Verdict.NON_MEMBER), (np.zeros(2), Verdict.MEMBER)):
-            for den in ("sum", "euclidean"):
-                out = membership(
-                    op.project, xbar, np.zeros(2), z_probe, ProbeConfig(denominator=den)
-                )
-                assert out.verdict is want
-
 
 def _round_back_points(rng, m):
     """Base points of every scale from 1e-330 (zero) to 1e300: Gaussian, with zeros, +-2^k, subnormal, mixed."""
@@ -414,8 +403,7 @@ class TestRoundBackFloor:
             out = membership(orthant.project, x, y, z, config)
             t, s = out.sup_estimates[-1]
             top = s + 1e-9 * max(abs(s), config.tolerance)
-            plan = oracle._plan(oracle._base(orthant.project, x, x, None, config), orthant.project, x, y, x, y, None,
-                                config)
+            plan = oracle._plan(oracle._base(orthant.project, x, x, None, config), orthant.project, x, y, x, y, None)
             rows = [*np.eye(3), *-np.eye(3), *oracle._structured_head(x, y, z)]
             assert top >= max(quotient(orthant.project, x, y, z, x + t * d) for d in rows)
             entries = oracle._quotients(z, *plan.random)[-1]
@@ -440,15 +428,14 @@ class TestRoundBackFloor:
 
 class TestBatchedAgainstReference:
     @pytest.mark.parametrize("seed", [3, 4])
-    @pytest.mark.parametrize("denominator", ["sum", "euclidean"])
-    def test_membership_corpora(self, seed, denominator):
+    def test_membership_corpora(self, seed):
         rng = np.random.default_rng(seed)
         cases = (
             suites.ball_membership_cases(rng, per_family=1)
             + suites.orthant_membership_cases(rng, per_family=1)
             + suites.l2_membership_cases(rng, per_family=1)
         )
-        config = ProbeConfig(random_directions=64, seed=seed, denominator=denominator)
+        config = ProbeConfig(random_directions=64, seed=seed)
         for case in cases:
             _assert_matches_reference(case.project, case.xbar, case.y, case.z, config)
 
@@ -517,8 +504,8 @@ def _golden_queries():
     return out
 
 
-def _golden_digest(f, xbar, y, z, denominator):
-    out = membership(f, xbar, y, z, ProbeConfig(seed=5, denominator=denominator))
+def _golden_digest(f, xbar, y, z):
+    out = membership(f, xbar, y, z, ProbeConfig(seed=5))
     return hashlib.sha256(json.dumps(out.to_json(), sort_keys=True).encode()).hexdigest()[:16]
 
 
@@ -544,46 +531,29 @@ def _golden_digest(f, xbar, y, z, denominator):
 # These 19 and the five ROW_PATH entries at n = 50 whose random probes decide a
 # supremum were recorded again when every radius came to probe one set of
 # random directions: no verdict changed, every first-radius sup kept its
-# bytes, and the largest move was 0.3721 -> 0.4417 (ball/n6/exterior-off/
-# euclidean at radius 1e-4, where the random direction that wins at 1e-2 now
-# wins again).
+# bytes, and the largest move was 0.3721 -> 0.4417 (ball/n6/exterior-off,
+# under a root-sum-of-squares denominator, at radius 1e-4, where the random
+# direction that wins at 1e-2 now wins again).  The entries of that second
+# denominator went with it; every query keeps its /sum digest.
 GOLDEN = {
     "ball/n2/exterior/sum": "e324ec5a4f436cc5",
-    "ball/n2/exterior/euclidean": "1701d0c9005565ca",
     "ball/n2/exterior-off/sum": "2fd434b6c9ee2b1f",
-    "ball/n2/exterior-off/euclidean": "e5f594b9b828f7be",
     "orthant/n2/mixed/sum": "39f72e3b61c7aa40",
-    "orthant/n2/mixed/euclidean": "b5eafe6fd7fb9fe7",
     "orthant/n2/corner/sum": "0cc55c50fce7f5b3",
-    "orthant/n2/corner/euclidean": "0cc55c50fce7f5b3",
     "ball/n6/exterior/sum": "0ca054b0c9ccdd8a",
-    "ball/n6/exterior/euclidean": "afb37c46c09db059",
     "ball/n6/exterior-off/sum": "5e13364419df37bc",
-    "ball/n6/exterior-off/euclidean": "e063afce28f9d463",
     "orthant/n6/mixed/sum": "fe8653451c777d08",
-    "orthant/n6/mixed/euclidean": "4c79b4109e12c3ba",
     "orthant/n6/corner/sum": "60b308b9b5e315f4",
-    "orthant/n6/corner/euclidean": "c4a82522d550a94e",
     "ball/n50/exterior/sum": "9d52687253afb802",
-    "ball/n50/exterior/euclidean": "634de4f3cba9fd49",
     "ball/n50/exterior-off/sum": "03e006f870efbf3f",
-    "ball/n50/exterior-off/euclidean": "849239188ee028b6",
     "orthant/n50/mixed/sum": "dd188bfec23dd15d",
-    "orthant/n50/mixed/euclidean": "a52420e954c05997",
     "orthant/n50/corner/sum": "72392eb51f582a3b",
-    "orthant/n50/corner/euclidean": "61c87f40593f3d7e",
     "ball/n500/exterior/sum": "38f4f6f336d12344",
-    "ball/n500/exterior/euclidean": "a95c5a0e274996f6",
     "ball/n500/exterior-off/sum": "249bf64790fba451",
-    "ball/n500/exterior-off/euclidean": "bbd00955bfa6f645",
     "orthant/n500/mixed/sum": "c8a55ad1e60825d9",
-    "orthant/n500/mixed/euclidean": "c8a55ad1e60825d9",
     "orthant/n500/corner/sum": "c3ca208c6f17c1fc",
-    "orthant/n500/corner/euclidean": "2c97039e9836625c",
     "ball/n1/signed-zeros/sum": "0cc55c50fce7f5b3",
-    "ball/n1/signed-zeros/euclidean": "0cc55c50fce7f5b3",
     "l2_cone/sparse/sum": "073f99bb17b440b6",
-    "l2_cone/sparse/euclidean": "792e7e17a7b91752",
 }
 
 
@@ -594,21 +564,13 @@ GOLDEN = {
 # ball/n50/exterior-off witnesses are random rows.
 ROW_PATH = {
     "ball/n50/exterior/sum": "9d52687253afb802",
-    "ball/n50/exterior/euclidean": "634de4f3cba9fd49",
     "ball/n50/exterior-off/sum": "8b48e34b1aaf71b4",
-    "ball/n50/exterior-off/euclidean": "2fb6dce44dae989f",
     "orthant/n50/mixed/sum": "dd188bfec23dd15d",
-    "orthant/n50/mixed/euclidean": "e74796b802661424",
     "orthant/n50/corner/sum": "72392eb51f582a3b",
-    "orthant/n50/corner/euclidean": "61c87f40593f3d7e",
     "ball/n500/exterior/sum": "69642055249f2ead",
-    "ball/n500/exterior/euclidean": "4eca7ee9b3b43b7c",
     "ball/n500/exterior-off/sum": "7303bdea7fa5aa14",
-    "ball/n500/exterior-off/euclidean": "6b541bc0211079b2",
     "orthant/n500/mixed/sum": "c8a55ad1e60825d9",
-    "orthant/n500/mixed/euclidean": "c8a55ad1e60825d9",
     "orthant/n500/corner/sum": "c3ca208c6f17c1fc",
-    "orthant/n500/corner/euclidean": "2c97039e9836625c",
 }
 
 
@@ -622,8 +584,7 @@ def _golden_digests(formless: bool = False) -> dict:
             if label.split("/")[1] not in ("n50", "n500"):
                 continue
             f = hidden[label.split("/")[0]]
-        for denominator in ("sum", "euclidean"):
-            got[f"{label}/{denominator}"] = _golden_digest(f, xbar, y, z, denominator)
+        got[f"{label}/sum"] = _golden_digest(f, xbar, y, z)
     return got
 
 
@@ -662,9 +623,9 @@ class TestGolden:
         for label, f, xbar, y, z in _golden_queries()[::3]:
             oracle._random_dirs.cache_clear()
             clear_kept()
-            cold = _golden_digest(f, xbar, y, z, "sum")
+            cold = _golden_digest(f, xbar, y, z)
             assert oracle._random_dirs.cache_info().misses == 1
-            assert _golden_digest(f, xbar, y, z, "sum") == cold, label
+            assert _golden_digest(f, xbar, y, z) == cold, label
             kept = oracle._kept_plan.cache_info().hits
             assert kept == (xbar.size <= 41), label
             assert oracle._random_dirs.cache_info().hits == 1 - kept, label
@@ -751,8 +712,7 @@ class TestRowForm:
         assert _form(op, "rows") is None
 
     @pytest.mark.parametrize("seed", [3, 4])
-    @pytest.mark.parametrize("denominator", ["sum", "euclidean"])
-    def test_row_path_matches_per_row_path(self, seed, denominator):
+    def test_row_path_matches_per_row_path(self, seed):
         # the lambda hides the row form, so the oracle calls f once per row
         rng = np.random.default_rng(seed)
         cases = (
@@ -760,7 +720,7 @@ class TestRowForm:
             + suites.orthant_membership_cases(rng, per_family=1)
             + suites.l2_membership_cases(rng, per_family=1)
         )
-        config = ProbeConfig(seed=seed, denominator=denominator)
+        config = ProbeConfig(seed=seed)
         for case in cases:
             f = case.project
             rows = membership(f, case.xbar, case.y, case.z, config)
@@ -1159,7 +1119,7 @@ class TestDirectionForm:
         df_norm, y_terms = orthant.project_dirs(x0, dirs, t)
         y_df = y_terms(y)
         np.testing.assert_array_equal(_bits(y_df), _bits(t * vectors._dot(dirs, z)))
-        got = oracle._quotients(z, dirs, t, y_df, oracle._denominator("sum", t, df_norm))
+        got = oracle._quotients(z, dirs, t, y_df, t + df_norm)
         np.testing.assert_array_equal(_bits(got), _bits(np.zeros((3, 256))))
 
     def test_overflowing_z_product_scores_the_scaled_direction(self):
@@ -1289,7 +1249,7 @@ class TestPackedPlan:
         x = rng.uniform(-1.0, 1.0, n)
         queries = [(BallProjection(1.0).project, 2.0 * u), (BallProjection(1.0).project, (1.0 - 1e-3) * u),
                    (orthant.project, x), (lambda v: orthant.project(v), x)]
-        configs = [ProbeConfig(seed=3), ProbeConfig(random_directions=5, denominator="euclidean"),
+        configs = [ProbeConfig(seed=3), ProbeConfig(random_directions=5),
                    ProbeConfig(radii=(1e-1, 1e-2, 1e-3, 1e-4, 1e-5), random_directions=130)]
         cases = [(f, xbar, *rng.standard_normal((2, n)), config) for f, xbar in queries for config in configs]
         # a sparse f with no row form, scored row by row through inner and norm
@@ -1322,12 +1282,11 @@ class TestQuotientTable:
 
 
 class TestPlanCache:
-    @pytest.mark.parametrize("denominator", ["sum", "euclidean"])
-    def test_hit_gives_the_bytes_of_a_cold_verdict(self, denominator, clear_kept):
+    def test_hit_gives_the_bytes_of_a_cold_verdict(self, clear_kept):
         # every z of an order-interval grid shares one (xbar, y): the first
         # verdict of a grid builds the plan, every other one reuses it
         rng = np.random.default_rng(707)
-        config = ProbeConfig(random_directions=32, seed=7, denominator=denominator)
+        config = ProbeConfig(random_directions=32, seed=7)
         for variant in (0, 1):
             xbar, _, y, grid = suites.order_interval_grid(rng, 2, 2, variant=variant)
             clear_kept()
@@ -1501,17 +1460,15 @@ _BASE_QUERIES = {
 
 
 class TestKeptBase:
-    @pytest.mark.parametrize("denominator", ["sum", "euclidean"])
     @pytest.mark.parametrize("label", sorted(_BASE_QUERIES))
-    def test_a_new_y_at_a_warm_base_gives_the_bytes_of_a_cold_verdict(self, label, denominator, clear_kept):
+    def test_a_new_y_at_a_warm_base_gives_the_bytes_of_a_cold_verdict(self, label, clear_kept):
         f, xbar, z, y_warm, ys = _BASE_QUERIES[label]
-        config = ProbeConfig(denominator=denominator)
         for y in ys:
             clear_kept()
-            cold = _verdict_json(f, xbar, y, z, config)
+            cold = _verdict_json(f, xbar, y, z)
             clear_kept()
-            _verdict_json(f, xbar, y_warm, z, config)
-            assert _verdict_json(f, xbar, y, z, config) == cold, y
+            _verdict_json(f, xbar, y_warm, z)
+            assert _verdict_json(f, xbar, y, z) == cold, y
             info = oracle._kept_base.cache_info()
             assert (info.hits, info.misses) == (1, 1)
 
@@ -1580,7 +1537,6 @@ class TestKeptBase:
         ball = BallProjection(1.0)
         queries = [(ball.project, ProbeConfig()), (ball.project, ProbeConfig(seed=1)),
                    (ball.project, ProbeConfig(random_directions=8)), (ball.project, ProbeConfig(tolerance=1e-2)),
-                   (ball.project, ProbeConfig(denominator="euclidean")),
                    (ball.project, ProbeConfig(radii=(1e-2, 1e-3))), (BallProjection(2.0).project, ProbeConfig()),
                    (orthant.project, ProbeConfig())]
         for f, config in queries:
@@ -1678,14 +1634,13 @@ def _counting_halves(monkeypatch) -> list:
 
 
 class TestWitnessHalves:
-    @pytest.mark.parametrize("denominator", ["sum", "euclidean"])
-    def test_stored_half_gives_the_bytes_of_a_cold_verdict(self, denominator, monkeypatch, clear_kept):
+    def test_stored_half_gives_the_bytes_of_a_cold_verdict(self, monkeypatch, clear_kept):
         # a warm verdict that finds its winner's half in the kept plan gives
         # the bytes of a verdict that computes it, on a plan built anew
         computed = _counting_halves(monkeypatch)
         reused = {"sparse": 0, "dense": 0}
         for f, xbar, y, zs, count in _witness_queries():
-            config = ProbeConfig(random_directions=count, seed=4, denominator=denominator)
+            config = ProbeConfig(random_directions=count, seed=4)
             clear_kept()
             computed.clear()
             warm = [_verdict_json(f, xbar, y, z, config) for z in zs]
@@ -1701,17 +1656,16 @@ class TestWitnessHalves:
         computed = _counting_halves(monkeypatch)
         seen = {"stored": 0, "computed": 0}
         for f, xbar, y, zs, count in _witness_queries():
-            for denominator in ("sum", "euclidean"):
-                config = ProbeConfig(random_directions=count, denominator=denominator)
-                for z in zs + zs:
-                    before = len(computed)
-                    out = membership(f, xbar, y, z, config)
-                    if out.verdict is not Verdict.NON_MEMBER:
-                        continue
-                    seen["computed" if len(computed) > before else "stored"] += 1
-                    w = out.witness
-                    again = quotient(f, xbar, y, z, xbar + w.radius * w.direction, denominator)
-                    assert again == w.quotient == out.sup_estimates[-1][1]
+            config = ProbeConfig(random_directions=count)
+            for z in zs + zs:
+                before = len(computed)
+                out = membership(f, xbar, y, z, config)
+                if out.verdict is not Verdict.NON_MEMBER:
+                    continue
+                seen["computed" if len(computed) > before else "stored"] += 1
+                w = out.witness
+                again = quotient(f, xbar, y, z, xbar + w.radius * w.direction)
+                assert again == w.quotient == out.sup_estimates[-1][1]
         assert seen["stored"] > 0 and seen["computed"] > 0
 
     def test_writing_to_a_dense_witness_direction_changes_no_later_verdict(self):
@@ -1777,9 +1731,8 @@ class TestHeadWitness:
     """A dense head winner's witness is its table entry; every other winner is scored again."""
 
     @pytest.mark.parametrize("formless", [False, True], ids=["form", "formless"])
-    @pytest.mark.parametrize("denominator", ["sum", "euclidean"])
     @pytest.mark.parametrize("case", sorted(_DENSE_HEAD_WINNERS))
-    def test_dense_head_winner_computes_no_half(self, case, denominator, formless, monkeypatch, clear_kept):
+    def test_dense_head_winner_computes_no_half(self, case, formless, monkeypatch, clear_kept):
         # on a new plan and on a kept one (a formless f gets a new plan each
         # time): no z-free half is computed or stored, and the witness, a head
         # row, re-evaluates through quotient to the stored supremum
@@ -1787,7 +1740,7 @@ class TestHeadWitness:
         if formless:
             f = functools.partial(lambda g, u: g(u), f)
         xbar, y, z = np.array(xbar), np.array(y), np.array(z)
-        config = ProbeConfig(denominator=denominator)
+        config = ProbeConfig()
         computed = _counting_halves(monkeypatch)
         clear_kept()
         outs = [membership(f, xbar, y, z, config) for _ in range(2)]
@@ -1797,17 +1750,16 @@ class TestHeadWitness:
         w = outs[1].witness
         assert outs[1].verdict is Verdict.NON_MEMBER
         assert any(np.array_equal(w.direction, d) for d in oracle._structured_head(xbar, y, z))
-        assert quotient(f, xbar, y, z, xbar + w.radius * w.direction, denominator) == w.quotient
+        assert quotient(f, xbar, y, z, xbar + w.radius * w.direction) == w.quotient
         assert w.quotient == outs[1].sup_estimates[-1][1]
         if not formless:
             assert oracle._kept_plan(*oracle._plan_key(f, xbar, y, None, config)).halves == {}
 
-    @pytest.mark.parametrize("denominator", ["sum", "euclidean"])
     @pytest.mark.parametrize("case", sorted(_OTHER_WINNERS))
-    def test_other_winners_compute_one_half(self, case, denominator, monkeypatch, clear_kept):
+    def test_other_winners_compute_one_half(self, case, monkeypatch, clear_kept):
         # one half on a new plan; a kept plan then reuses it, but for the rows of z
         f, xbar, y, z, slot = _OTHER_WINNERS[case]
-        config = ProbeConfig(denominator=denominator)
+        config = ProbeConfig()
         computed = _counting_halves(monkeypatch)
         clear_kept()
         out = membership(f, xbar, y, z, config)
@@ -1822,7 +1774,7 @@ class TestHeadWitness:
         assert [key[0] for key in halves] == ([] if slot is None else [slot])
         w = out.witness
         assert out.verdict is Verdict.NON_MEMBER
-        assert quotient(f, xbar, y, z, xbar + w.radius * w.direction, denominator) == w.quotient
+        assert quotient(f, xbar, y, z, xbar + w.radius * w.direction) == w.quotient
         assert w.quotient == out.sup_estimates[-1][1]
 
     def test_nan_at_the_winning_head_probe_still_raises(self):
@@ -1890,15 +1842,18 @@ class TestOverflowingNorms:
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_an_overflowing_witness_quotient_is_inf(self, sign):
-        # with the euclidean denominator the witness quotient exceeds the
-        # largest double: the re-score divides with numpy's overflow warning
+        # on an all-positive xbar every probe moves f(u) with u, and the
+        # witness quotient exceeds the largest double: its inf entry is
+        # scored again, the re-score divides with numpy's overflow warning
         # off (warnings are errors here), as the z pass does, and the witness
         # re-evaluates through quotient to the same inf
+        x = np.array([1.0, 1.5, 1.0, 1.2, 0.5, 2.0])
         y, z = sign * np.full(6, 1.7e308), np.array([0.5, -1.0, 0.5, -1.0, 1.0, 2.0])
-        out = membership(orthant.project, _BIG_X, y, z, ProbeConfig(denominator="euclidean"))
+        out = membership(orthant.project, x, y, z)
         assert out.verdict is Verdict.NON_MEMBER and out.witness.quotient == math.inf
-        u = _BIG_X + out.witness.radius * out.witness.direction
-        assert quotient(orthant.project, _BIG_X, y, z, u, "euclidean") == math.inf
+        assert [s for _, s in out.sup_estimates] == [math.inf] * 3
+        u = x + out.witness.radius * out.witness.direction
+        assert quotient(orthant.project, x, y, z, u) == math.inf
 
     def test_direction_forms_decline_an_overflowing_product(self):
         # <d, y0> overflows on the first row, though t <d, y0> does not: the

@@ -35,8 +35,8 @@ def test_all_report_is_pinned():
     # the reports of `varproj verify --suite all --seed <seed>`; any refactor
     # that changes a case id, a verdict or the suite order changes a digest
     for seed, want in (
-        (42, "dbb617c8ed5c00ab52ffc35140508d43cfcfd652efd9a1fc5e5356c98f6a6c84"),
-        (7, "452c584ed45bd2847db56aabdccab1fc965fffbdd789aef0291eb405af898475"),
+        (42, "c0e5a454e95185fef6ae5dc5fdbd345fe6458150275badb1f65479ed0be36fe5"),
+        (7, "06b19960238f2aab6c76b5ee54c682a83ac6efdd172124329a9fbb28aceef355"),
     ):
         text = json.dumps(run_suite("all", seed).to_json(), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == want, seed
