@@ -27,6 +27,10 @@ from varproj.oracle import (
 )
 from varproj.vectors import SparseVector, as_vector, is_zero, norm, orth_decompose
 
+# the properties that must hold under any probe plan run under two: the
+# default radii, and five radii that reach a decade further each way
+_RADII = pytest.mark.parametrize("radii", [(1e-2, 1e-3, 1e-4), (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)],
+                                 ids=["three-radii", "five-radii"])
 
 def _reference_membership(f, xbar, y, z, config):
     """Per-probe scalar loop the batched oracle replaced; returns (verdict, sups).
@@ -428,14 +432,15 @@ class TestRoundBackFloor:
 
 class TestBatchedAgainstReference:
     @pytest.mark.parametrize("seed", [3, 4])
-    def test_membership_corpora(self, seed):
+    @_RADII
+    def test_membership_corpora(self, seed, radii):
         rng = np.random.default_rng(seed)
         cases = (
             suites.ball_membership_cases(rng, per_family=1)
             + suites.orthant_membership_cases(rng, per_family=1)
             + suites.l2_membership_cases(rng, per_family=1)
         )
-        config = ProbeConfig(random_directions=64, seed=seed)
+        config = ProbeConfig(radii=radii, random_directions=64, seed=seed)
         for case in cases:
             _assert_matches_reference(case.project, case.xbar, case.y, case.z, config)
 
@@ -712,7 +717,8 @@ class TestRowForm:
         assert _form(op, "rows") is None
 
     @pytest.mark.parametrize("seed", [3, 4])
-    def test_row_path_matches_per_row_path(self, seed):
+    @_RADII
+    def test_row_path_matches_per_row_path(self, seed, radii):
         # the lambda hides the row form, so the oracle calls f once per row
         rng = np.random.default_rng(seed)
         cases = (
@@ -720,7 +726,7 @@ class TestRowForm:
             + suites.orthant_membership_cases(rng, per_family=1)
             + suites.l2_membership_cases(rng, per_family=1)
         )
-        config = ProbeConfig(seed=seed)
+        config = ProbeConfig(radii=radii, seed=seed)
         for case in cases:
             f = case.project
             rows = membership(f, case.xbar, case.y, case.z, config)
@@ -1282,11 +1288,12 @@ class TestQuotientTable:
 
 
 class TestPlanCache:
-    def test_hit_gives_the_bytes_of_a_cold_verdict(self, clear_kept):
+    @_RADII
+    def test_hit_gives_the_bytes_of_a_cold_verdict(self, radii, clear_kept):
         # every z of an order-interval grid shares one (xbar, y): the first
         # verdict of a grid builds the plan, every other one reuses it
         rng = np.random.default_rng(707)
-        config = ProbeConfig(random_directions=32, seed=7)
+        config = ProbeConfig(radii=radii, random_directions=32, seed=7)
         for variant in (0, 1):
             xbar, _, y, grid = suites.order_interval_grid(rng, 2, 2, variant=variant)
             clear_kept()
@@ -1460,15 +1467,17 @@ _BASE_QUERIES = {
 
 
 class TestKeptBase:
+    @_RADII
     @pytest.mark.parametrize("label", sorted(_BASE_QUERIES))
-    def test_a_new_y_at_a_warm_base_gives_the_bytes_of_a_cold_verdict(self, label, clear_kept):
+    def test_a_new_y_at_a_warm_base_gives_the_bytes_of_a_cold_verdict(self, label, radii, clear_kept):
         f, xbar, z, y_warm, ys = _BASE_QUERIES[label]
+        config = ProbeConfig(radii=radii)
         for y in ys:
             clear_kept()
-            cold = _verdict_json(f, xbar, y, z)
+            cold = _verdict_json(f, xbar, y, z, config)
             clear_kept()
-            _verdict_json(f, xbar, y_warm, z)
-            assert _verdict_json(f, xbar, y, z) == cold, y
+            _verdict_json(f, xbar, y_warm, z, config)
+            assert _verdict_json(f, xbar, y, z, config) == cold, y
             info = oracle._kept_base.cache_info()
             assert (info.hits, info.misses) == (1, 1)
 
@@ -1634,13 +1643,14 @@ def _counting_halves(monkeypatch) -> list:
 
 
 class TestWitnessHalves:
-    def test_stored_half_gives_the_bytes_of_a_cold_verdict(self, monkeypatch, clear_kept):
+    @_RADII
+    def test_stored_half_gives_the_bytes_of_a_cold_verdict(self, radii, monkeypatch, clear_kept):
         # a warm verdict that finds its winner's half in the kept plan gives
         # the bytes of a verdict that computes it, on a plan built anew
         computed = _counting_halves(monkeypatch)
         reused = {"sparse": 0, "dense": 0}
         for f, xbar, y, zs, count in _witness_queries():
-            config = ProbeConfig(random_directions=count, seed=4)
+            config = ProbeConfig(radii=radii, random_directions=count, seed=4)
             clear_kept()
             computed.clear()
             warm = [_verdict_json(f, xbar, y, z, config) for z in zs]
@@ -1731,8 +1741,9 @@ class TestHeadWitness:
     """A dense head winner's witness is its table entry; every other winner is scored again."""
 
     @pytest.mark.parametrize("formless", [False, True], ids=["form", "formless"])
+    @_RADII
     @pytest.mark.parametrize("case", sorted(_DENSE_HEAD_WINNERS))
-    def test_dense_head_winner_computes_no_half(self, case, formless, monkeypatch, clear_kept):
+    def test_dense_head_winner_computes_no_half(self, case, radii, formless, monkeypatch, clear_kept):
         # on a new plan and on a kept one (a formless f gets a new plan each
         # time): no z-free half is computed or stored, and the witness, a head
         # row, re-evaluates through quotient to the stored supremum
@@ -1740,7 +1751,7 @@ class TestHeadWitness:
         if formless:
             f = functools.partial(lambda g, u: g(u), f)
         xbar, y, z = np.array(xbar), np.array(y), np.array(z)
-        config = ProbeConfig()
+        config = ProbeConfig(radii=radii)
         computed = _counting_halves(monkeypatch)
         clear_kept()
         outs = [membership(f, xbar, y, z, config) for _ in range(2)]
@@ -1755,11 +1766,12 @@ class TestHeadWitness:
         if not formless:
             assert oracle._kept_plan(*oracle._plan_key(f, xbar, y, None, config)).halves == {}
 
+    @_RADII
     @pytest.mark.parametrize("case", sorted(_OTHER_WINNERS))
-    def test_other_winners_compute_one_half(self, case, monkeypatch, clear_kept):
+    def test_other_winners_compute_one_half(self, case, radii, monkeypatch, clear_kept):
         # one half on a new plan; a kept plan then reuses it, but for the rows of z
         f, xbar, y, z, slot = _OTHER_WINNERS[case]
-        config = ProbeConfig()
+        config = ProbeConfig(radii=radii)
         computed = _counting_halves(monkeypatch)
         clear_kept()
         out = membership(f, xbar, y, z, config)
