@@ -40,15 +40,18 @@ quotients of radius k in probe order: the head (the rows of z last), the
 2m axis probes, then the random directions.  The supremum at a radius is
 the first largest entry of its row.
 Sparse queries use the same dense path: they are embedded in R^m over
-the probed axes (all supports plus one fresh index), from one dict per
-vector (``_embed``).
+the probed axes (all supports plus one fresh index, ``_axes``), from one
+dict per vector (``_embed``).
 
 The head rows take the row path: u = xbar + t*d is formed for every
-radius at once, the column of radii broadcast over the head rows and
-xbar then added in place, and scored with one call of the row form,
+radius at once, the plan's column of radii broadcast over the head rows
+and xbar then added in place, and scored with one call of the row form,
 inner products in the fixed order of ``vectors._dot`` and norms by
 ``row_norms``, which give a row the same bits at every position in a
-call.  u - xbar is a new array: no array handed to f or to a row form
+call.  The head rows of the base, the plan and the z pass are blocks
+(``_structured_head``), joined with one ``np.concatenate``.  u - xbar
+and f(u) - f(xbar) are written to the two halves of one new block, whose
+norms are one ``row_norms`` call: no array handed to f or to a row form
 is written to afterwards.  So the head keeps
 the bits of the scalar ``quotient``, and two head rows that round to one
 probe tie, the first winning.  In every z pass, the head rows of xbar,
@@ -78,21 +81,25 @@ is out of range or some scale c(u) underflows.  The y stage declines on
 y: the ball's when <y, xbar> or some <d, y> is not finite, the orthant's
 (and so the l2 cone's) when some <y, f(u) - f(xbar)> is not finite.
 
-The 16 most recently used plans are kept, keyed by f, the bytes of
-xbar and y over the probed axes, the axes and the config, when f has a
-row form and all of a plan's rows fit in one chunk (m <= 41 at the
-default config), and f, with the object of a bound f, is hashable.  The
-base of each such plan is kept under the same rule, in a cache of its
-own: the 16 most recently built kept plans' bases, keyed by f, the bytes
-of xbar over the probed axes, the axes and the config.  So a new y at
-a recently planned xbar builds only its plan for y.  A row form thus
+The 16 most recently used plans are kept, keyed by f, xbar and y, the
+probed axes and the config, when f has a row form and all of a plan's
+rows fit in one chunk (m <= 41 at the default config), and f, with the
+object of a bound f, is hashable (``_plan_key``).  A dense xbar and y
+key by their bytes, a sparse one by its pairs (never by the vector, so
+a subclass's ``__eq__`` plays no part), the axes taken from the three
+supports as for the embedding.  The base of each such plan is kept
+under the same rule, in a cache of its own: the 16 most recently built
+kept plans' bases, keyed by f, xbar, the axes and the config.  So a new
+y at a recently planned xbar builds only its plan for y, and a new z on
+a kept plan embeds only z: xbar and y are embedded when the plan is
+built, and the plan holds its own read-only x0.  A row form thus
 marks f as a pure function of its argument, as the sets of this package
 are; the bound ``project`` of an unhashable object (a dataclass that is
 not frozen, say), whose result may change with its state, gets no kept
 plan or base.  A kept plan or base holds private
-read-only copies of xbar and y, so a caller that later changes its
-arrays cannot reach it, and -0.0 and 0.0 key apart.  Any other plan and
-base are dropped with the verdict.
+read-only arrays of xbar and y, so a caller that later changes its
+arrays cannot reach it, and -0.0 and 0.0 key apart (a SparseVector holds
+no zero).  Any other plan and base are dropped with the verdict.
 
 The random directions depend only on (seed, random_directions, m), so
 they are drawn once per process and kept, read-only, as one array in a
@@ -342,19 +349,21 @@ def _anchor(x0: np.ndarray) -> tuple[float, float]:
 
 
 def _structured_head(x0: np.ndarray, *vs: np.ndarray, anchor: Optional[tuple[float, float]] = None,
-                     xbar_rows: bool = True) -> list[np.ndarray]:
-    """Unit directions +-xbar, then for each v of vs: +-v and +- the part of v orthogonal to xbar.
+                     xbar_rows: bool = True) -> np.ndarray:
+    """The (2k, m) block of unit directions +-xbar, then for each v of vs: +-v and +- the part of v orthogonal to xbar.
 
-    ``anchor`` is ``_anchor(x0)`` when the caller holds it, and
-    ``xbar_rows=False`` leaves out +-xbar: a verdict's plan builds the
-    rows of xbar and y, its z pass those of z.  The norms are ``norm``'s
-    and the orthogonal parts the split of ``orth_decompose``
-    (``vectors._split``), bit for bit and with its checks.  A v whose norm
-    exceeds the largest double is taken as v / 2^e with max|v| < 2^e
-    (``vectors._halved``), which has the same unit rows and a finite norm.
+    The rows come in pairs u, -u, from one divide of the k stacked parts
+    by their norms and one negation.  ``anchor`` is ``_anchor(x0)`` when
+    the caller holds it, and ``xbar_rows=False`` leaves out +-xbar: a
+    verdict's plan builds the rows of xbar and y, its z pass those of z.
+    The norms are ``norm``'s and the orthogonal parts the split of
+    ``orth_decompose`` (``vectors._split``), bit for bit and with its
+    checks.  A v whose norm exceeds the largest double is taken as v / 2^e
+    with max|v| < 2^e (``vectors._halved``), which has the same unit rows
+    and a finite norm.
     """
     x_sq, x_len = _anchor(x0) if anchor is None else anchor
-    parts = [(x0, x_len)] if x_len and xbar_rows else []
+    parts, lengths = ([x0], [x_len]) if x_len and xbar_rows else ([], [])
     for v in vs:
         v_len = _dense_norm(v)
         if v_len == math.inf:
@@ -362,25 +371,29 @@ def _structured_head(x0: np.ndarray, *vs: np.ndarray, anchor: Optional[tuple[flo
             v_len = _dense_norm(v)
         if not v_len:
             continue
-        parts.append((v, v_len))
+        parts.append(v)
+        lengths.append(v_len)
         if x_len:
             _, o, o_len = _split(x0, v, anchor_sq=x_sq)
             if o_len > 1e-13 * v_len:
-                parts.append((o, o_len))
-    units = [v / length for v, length in parts]
-    return [w for u in units for w in (u, -u)]
+                parts.append(o)
+                lengths.append(o_len)
+    head = np.empty((2 * len(parts), x0.size))
+    if parts:
+        units = np.divide(parts, np.array(lengths)[:, None], out=head[::2])
+        np.negative(units, out=head[1::2])
+    return head
 
 
-def _embed(xbar: SparseVector, y: SparseVector, z: SparseVector) -> tuple:
-    """The probed axes of a sparse query (all supports plus one fresh index) and x0, y0, z0 over them."""
-    maps = [v.to_mapping() for v in (xbar, y, z)]
-    active = sorted(maps[0].keys() | maps[1].keys() | maps[2].keys())
-    axes = (*active, (active[-1] + 1) if active else 1)
-    return (axes, *(np.array([values.get(i, 0.0) for i in axes]) for values in maps))
+def _axes(*vs: SparseVector) -> tuple[int, ...]:
+    """The probed axes of a sparse query: all supports, in increasing order, plus one fresh index."""
+    active = sorted({i for v in vs for i, _ in v.pairs})
+    return (*active, (active[-1] + 1) if active else 1)
 
 
-def _dense_over(v: SparseVector, axes) -> np.ndarray:
-    values = v.to_mapping()
+def _embed(pairs: tuple[tuple[int, float], ...], axes: tuple[int, ...]) -> np.ndarray:
+    """The array over the probed axes of the sparse vector with these pairs."""
+    values = dict(pairs)
     return np.array([values.get(i, 0.0) for i in axes])
 
 
@@ -583,8 +596,9 @@ class _Base(NamedTuple):
     fx: Vector                     # f(xbar)
     rows: Optional[Callable]       # f's row form, or f row by row for a dense f with none; None for a sparse one
     fx0: Optional[np.ndarray]      # f(xbar) over the probed axes, when ``rows`` is not None
+    x0: np.ndarray                 # xbar over the probed axes
     anchor: tuple[float, float]    # <x0, x0> and ||x0||
-    head: tuple                    # the head rows of xbar, 1-D arrays (``_structured_head``)
+    head: np.ndarray               # the (2, m) or (0, m) block of the head rows of xbar (``_structured_head``)
     t: np.ndarray                  # the column of radii
     dirs: np.ndarray               # the read-only random directions, probed at every radius (``_random_dirs``)
     axis: tuple                    # (j, s, moved coordinate, ||u - xbar||, du) of the axis probes of every radius
@@ -596,10 +610,10 @@ def _base(f: Callable[[Vector], Vector], xbar: Vector, x0: np.ndarray, axes: Opt
           config: ProbeConfig) -> _Base:
     """The part of a verdict on f at xbar that reads neither y nor z: every plan at xbar builds on it.
 
-    It holds f(xbar), the anchor, the head rows of xbar, the geometry of
-    the axis probes and the first stage of each form of f (see ``_form``).
-    A radius at or below ``_round_back_floor`` raises ValueError, before
-    any probe is formed.
+    It holds f(xbar), x0, the anchor, the head rows of xbar, the geometry
+    of the axis probes and the first stage of each form of f (see
+    ``_form``).  A radius at or below ``_round_back_floor`` raises
+    ValueError, before any probe is formed.
     """
     m, radii = x0.size, config.radii
     floor = _round_back_floor(x0)
@@ -614,7 +628,7 @@ def _base(f: Callable[[Vector], Vector], xbar: Vector, x0: np.ndarray, axes: Opt
     f_rows = _form(f, "rows")
     if f_rows is None and not isinstance(fx, SparseVector):
         f_rows = lambda rows: np.array([f(row) for row in rows])
-    fx0 = None if f_rows is None else _dense_over(fx, axes) if isinstance(fx, SparseVector) else fx
+    fx0 = None if f_rows is None else _embed(fx.pairs, axes) if isinstance(fx, SparseVector) else fx
 
     def first_stage(kind: str, d_in, *args) -> Optional[tuple]:
         """(y stage, denominator) of f's ``kind`` form on the probes of args, or None."""
@@ -624,7 +638,7 @@ def _base(f: Callable[[Vector], Vector], xbar: Vector, x0: np.ndarray, axes: Opt
 
     t = np.array(radii)[:, None]
     dirs = _random_dirs(config.seed, config.random_directions, m)
-    return _Base(fx, f_rows, fx0, anchor, tuple(_structured_head(x0, anchor=anchor)), t, dirs,
+    return _Base(fx, f_rows, fx0, x0, anchor, _structured_head(x0, anchor=anchor), t, dirs,
                  (axis_j, axis_s, moved, axis_in, axis_du),
                  first_stage("axes", axis_in, axis_j, moved), first_stage("dirs", t, dirs, t) if len(dirs) else None)
 
@@ -633,8 +647,10 @@ class _Plan(NamedTuple):
     """The part of a verdict that does not depend on z (see ``_plan``), built only for radii above the floor."""
 
     fx: Vector                     # f(xbar)
-    terms: Callable                # probe rows u -> (<y, f(u) - f(xbar)>, ||f(u) - f(xbar)||)
+    head_terms: Callable           # (head rows u, block) -> (<y, f(u) - f(xbar)>, denominator), see ``_plan``
+    x0: np.ndarray                 # xbar over the probed axes, read-only in a kept plan
     anchor: tuple[float, float]    # <x0, x0> and ||x0||
+    t: np.ndarray                  # the radii as an (r, 1, 1) column, broadcast over the head rows
     head: np.ndarray               # the read-only (h, m) head rows of xbar and y, scored by every z pass
     dirs: np.ndarray               # the read-only random directions, probed at every radius (``_random_dirs``)
     random: Optional[_Scores]      # the scores of dirs at every radius; None when there are none
@@ -642,22 +658,22 @@ class _Plan(NamedTuple):
     halves: dict                   # (slot, index) -> (direction, *z-free half) of witnesses at the last radius
 
 
-def _plan(base: _Base, f: Callable[[Vector], Vector], xbar: Vector, y: Vector, x0: np.ndarray, y0: np.ndarray,
+def _plan(base: _Base, f: Callable[[Vector], Vector], y: Vector, y0: np.ndarray,
           axes: Optional[tuple[int, ...]]) -> _Plan:
     """The z-free part of a verdict on f at xbar for y, from the base at xbar (``_base``): only what reads y.
 
     That is the head rows of y, the y stage of each form of f, or the row
-    path where a stage declines or f has no such form, and the row
-    ``terms``.  The random probes are scored once, here; every z pass
-    scores the head rows (see ``_z_pass``).
+    path where a stage declines or f has no such form, and the terms of
+    the head rows (``head_terms``).  The random probes are scored once,
+    here; every z pass scores the head rows (see ``_z_pass``).
     """
     # the probe plan, radius by radius: the head rows (slot 0), those of
     # xbar and y and then those of z, all scored by the z pass, the axis
     # probes (slot 1), then the random directions (slot 2), the columns
     # of the z pass's table in this order; the axis probes of every radius
     # form one block of scalars
-    head = np.asarray((*base.head, *_structured_head(x0, y0, anchor=base.anchor, xbar_rows=False)))
-    head = head.reshape(-1, x0.size)
+    x0 = base.x0
+    head = np.concatenate([base.head, _structured_head(x0, y0, anchor=base.anchor, xbar_rows=False)])
     head.flags.writeable = False
     f_rows, fx, fx0 = base.rows, base.fx, base.fx0
 
@@ -672,6 +688,20 @@ def _plan(base: _Base, f: Callable[[Vector], Vector], xbar: Vector, y: Vector, x
         df = f_rows(u) - fx0
         return _dot(df, y0), row_norms(df)
 
+    def head_terms(u, block):
+        """<y, df> and the denominators of the head rows u, whose u - xbar fills the top half of ``block``.
+
+        A row form writes df below it, so that one ``row_norms`` call takes
+        the norms of both; ``block`` is the z pass's own, handed to no f.
+        """
+        h = len(u)
+        if f_rows is None:
+            y_df, df_norm = terms(u)
+            return y_df, row_norms(block[:h]) + df_norm
+        df = np.subtract(f_rows(u), fx0, out=block[h:])
+        lengths = row_norms(block)
+        return _dot(df, y0), lengths[:h] + lengths[h:]
+
     axis_j, axis_s, moved, axis_in, axis_du = base.axis
     axis_y_df = None if base.axis_form is None else base.axis_form[0](y0)
     if axis_y_df is None:
@@ -683,67 +713,78 @@ def _plan(base: _Base, f: Callable[[Vector], Vector], xbar: Vector, y: Vector, x
     else:
         axis_den = base.axis_form[1]
     random = _random_scores(base.dirs, base.t, x0, y0, terms, base.dirs_form)
-    return _Plan(fx, terms, base.anchor, head, base.dirs, random, (axis_j, axis_s, axis_du, axis_y_df, axis_den), {})
+    return _Plan(fx, head_terms, x0, base.anchor, base.t[:, :, None], head, base.dirs, random,
+                 (axis_j, axis_s, axis_du, axis_y_df, axis_den), {})
 
 
-def _plan_key(f: Callable[[Vector], Vector], x0: np.ndarray, y0: np.ndarray, axes: Optional[tuple[int, ...]],
+def _plan_key(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, axes: Optional[tuple[int, ...]],
               config: ProbeConfig) -> Optional[tuple]:
     """The key under which a verdict's plan is kept, or None when it is not kept.
 
-    A plan, and its base under the key without y, is kept when f has a
-    row form (the sets of this package are pure; a user callable may not
-    be), when the rows the row path would form, the head rows and the
-    random directions at every radius, fit in one chunk, so that a kept
-    plan holds at most about 32k floats of u - xbar, and when f and the
-    object of a bound f are hashable (a bound method hashes by the
-    identity of its object).
+    A dense xbar and y, checked arrays, key by their bytes, and a sparse
+    xbar and y by their pairs over the probed axes ``axes`` (None for a
+    dense query).  A plan, and its base under the key without y, is kept
+    when f has a row form (the sets of this package are pure; a user
+    callable may not be), when the rows the row path would form, the head
+    rows and the random directions at every radius, fit in one chunk, so
+    that a kept plan holds at most about 32k floats of u - xbar, and when
+    f and the object of a bound f are hashable (a bound method hashes by
+    the identity of its object).
     """
-    if _form(f, "rows") is None or len(config.radii) * (6 + config.random_directions) > _block_rows(x0.size):
+    m = xbar.size if axes is None else len(axes)
+    if _form(f, "rows") is None or len(config.radii) * (6 + config.random_directions) > _block_rows(m):
         return None
-    key = (f, x0.tobytes(), y0.tobytes(), axes, config)
-    try:
-        hash((key, getattr(f, "__self__", None)))
+    try:  # the rest of the key is hashable by construction
+        hash((f, getattr(f, "__self__", None)))
     except TypeError:  # an unhashable f or object, such as an instance of a class whose __hash__ is None
         return None
-    return key
+    return (f, xbar.tobytes(), y.tobytes(), axes, config) if axes is None else (f, xbar.pairs, y.pairs, axes, config)
+
+
+def _kept_vector(key, axes: Optional[tuple[int, ...]]) -> tuple[Vector, np.ndarray]:
+    """The vector of a plan key's bytes or pairs, and a read-only array of it over the probed axes."""
+    if axes is None:
+        v0 = np.frombuffer(key)
+        return v0, v0
+    v0 = _embed(key, axes)
+    v0.flags.writeable = False
+    return SparseVector._held(key), v0
 
 
 # the bases of the 16 most recently built kept plans, by (f, xbar, axes, config)
 @lru_cache(maxsize=16)
-def _kept_base(f: Callable[[Vector], Vector], x_bytes: bytes, axes: Optional[tuple[int, ...]],
-               config: ProbeConfig) -> _Base:
-    """The base of a kept plan, built on a read-only copy of x0 that no caller can reach."""
-    x0 = np.frombuffer(x_bytes)
-    return _base(f, _point(axes, x0), x0, axes, config)
+def _kept_base(f: Callable[[Vector], Vector], x_key, axes: Optional[tuple[int, ...]], config: ProbeConfig) -> _Base:
+    """The base of a kept plan, built on a read-only array of xbar that no caller can reach."""
+    return _base(f, *_kept_vector(x_key, axes), axes, config)
 
 
 # the 16 most recently used plans of _plan_key, at most about 32k floats of u - xbar each
 @lru_cache(maxsize=16)
-def _kept_plan(f: Callable[[Vector], Vector], x_bytes: bytes, y_bytes: bytes, axes: Optional[tuple[int, ...]],
+def _kept_plan(f: Callable[[Vector], Vector], x_key, y_key, axes: Optional[tuple[int, ...]],
                config: ProbeConfig) -> _Plan:
-    """The plan of ``_plan_key``, on its kept base and read-only copies of x0 and y0 that no caller can reach."""
-    x0, y0 = np.frombuffer(x_bytes), np.frombuffer(y_bytes)
-    base = _kept_base(f, x_bytes, axes, config)
-    return _plan(base, f, _point(axes, x0), _point(axes, y0), x0, y0, axes)
+    """The plan of ``_plan_key``, on its kept base and a read-only array of y that no caller can reach."""
+    return _plan(_kept_base(f, x_key, axes, config), f, *_kept_vector(y_key, axes), axes)
 
 
-def _z_pass(plan: _Plan, f: Callable[[Vector], Vector], xbar: Vector, y: Vector, z: Vector, x0: np.ndarray,
-            z0: np.ndarray, axes: Optional[tuple[int, ...]], config: ProbeConfig) -> OracleVerdict:
+def _z_pass(plan: _Plan, f: Callable[[Vector], Vector], xbar: Vector, y: Vector, z: Vector, z0: np.ndarray,
+            axes: Optional[tuple[int, ...]], config: ProbeConfig) -> OracleVerdict:
     """The verdict on z from its plan: the +-z and +-orth(z) rows, the table of quotients and the witness."""
+    x0 = plan.x0
     radii, per, count = config.radii, 2 * x0.size, config.random_directions
     n_radii = len(radii)
     # the head rows of the plan, then those of z, of every radius take the
     # row path in one call.  x0 is added to u in place before f sees u, and
-    # du is a new array: nothing f has been handed is written to after
+    # du is written to a block of the z pass's own: nothing f has been
+    # handed is written to after
     z_rows = _structured_head(x0, z0, anchor=plan.anchor, xbar_rows=False)
-    head = np.concatenate([plan.head, z_rows]) if z_rows else plan.head
+    head = np.concatenate([plan.head, z_rows]) if len(z_rows) else plan.head
     n = len(head)
     if n:
-        u = (np.array(radii)[:, None, None] * head).reshape(-1, x0.size)
+        u = (plan.t * head).reshape(-1, x0.size)
         u += x0
-        du = u - x0
-        y_df, df_norm = plan.terms(u)
-        den = row_norms(du) + df_norm
+        block = np.empty((2 * len(u), x0.size))
+        du = np.subtract(u, x0, out=block[:len(u)])
+        y_df, den = plan.head_terms(u, block)
 
     axis_j, axis_s, axis_du, axis_y_df, axis_den = plan.axis
     # not prefilled: every entry is written, and plan.random is None here only when count is 0
@@ -820,14 +861,18 @@ def membership(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, z: Vector
     if config is None:
         config = ProbeConfig()
     if _sparse(xbar, y, z):
-        axes, x0, y0, z0 = _embed(xbar, y, z)
+        axes = _axes(xbar, y, z)
     else:
-        xbar = x0 = as_vector(xbar)
-        y, z = y0, z0 = as_vector_of(y, x0.size), as_vector_of(z, x0.size)
+        xbar = as_vector(xbar)
+        y, z = as_vector_of(y, xbar.size), as_vector_of(z, xbar.size)
         axes = None
-    key = _plan_key(f, x0, y0, axes, config)
-    plan = _kept_plan(*key) if key else _plan(_base(f, xbar, x0, axes, config), f, xbar, y, x0, y0, axes)
-    return _z_pass(plan, f, xbar, y, z, x0, z0, axes, config)
+    key = _plan_key(f, xbar, y, axes, config)
+    if key:
+        plan = _kept_plan(*key)
+    else:
+        x0, y0 = (xbar, y) if axes is None else (_embed(xbar.pairs, axes), _embed(y.pairs, axes))
+        plan = _plan(_base(f, xbar, x0, axes, config), f, y, y0, axes)
+    return _z_pass(plan, f, xbar, y, z, z if axes is None else _embed(z.pairs, axes), axes, config)
 
 
 def directional_quotient(f: Callable[[Vector], Vector], xbar: Vector, w: Vector, t: float) -> Vector:

@@ -369,12 +369,16 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _readme_examples():
-    """Every ``$ varproj ...`` line of the README with the line printed under it."""
+    """Every ``$ varproj ...`` line of the README with the line printed under it.
+
+    Each is named by its subcommand and its ordinal among the examples
+    (``project-1``, ...), so a line added to the README above them renames none.
+    """
     lines = README.read_text().splitlines()
+    examples = [(line, lines[i + 1]) for i, line in enumerate(lines) if line.startswith("$ varproj ")]
     return [
-        pytest.param(shlex.split(line[len("$ varproj "):]), lines[i + 1], id=f"{i}-{line.split()[2]}")
-        for i, line in enumerate(lines)
-        if line.startswith("$ varproj ")
+        pytest.param(shlex.split(line[len("$ varproj "):]), printed, id=f"{line.split()[2]}-{k}")
+        for k, (line, printed) in enumerate(examples, 1)
     ]
 
 

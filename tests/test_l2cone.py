@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from varproj import l2_cone
 from varproj.descriptors import SingletonSet
 from varproj.l2_cone import OrderIntervalSet, SelfExclusionPartial
-from varproj.oracle import _dense_over, _form
+from varproj.oracle import _embed, _form
 from varproj.vectors import SparseVector, norm
 
 nonzero = st.floats(min_value=0.1, max_value=3.0).flatmap(
@@ -65,7 +65,7 @@ class TestProjection:
         block[5, 1:] = 0.0
         got = l2_cone.project_rows(block)
         for row, image in zip(block, got):
-            want = _dense_over(l2_cone.project(SparseVector(zip(axes, row.tolist()))), axes)
+            want = _embed(l2_cone.project(SparseVector(zip(axes, row.tolist()))).pairs, axes)
             np.testing.assert_array_equal(image, want)
         assert _form(l2_cone.project, "rows") is l2_cone.project_rows
         with pytest.raises(ValueError):

@@ -407,7 +407,7 @@ class TestRoundBackFloor:
             out = membership(orthant.project, x, y, z, config)
             t, s = out.sup_estimates[-1]
             top = s + 1e-9 * max(abs(s), config.tolerance)
-            plan = oracle._plan(oracle._base(orthant.project, x, x, None, config), orthant.project, x, y, x, y, None)
+            plan = oracle._plan(oracle._base(orthant.project, x, x, None, config), orthant.project, y, y, None)
             rows = [*np.eye(3), *-np.eye(3), *oracle._structured_head(x, y, z)]
             assert top >= max(quotient(orthant.project, x, y, z, x + t * d) for d in rows)
             entries = oracle._quotients(z, *plan.random)[-1]
@@ -878,9 +878,9 @@ class TestAxisForm:
         # of df = b e_j, with b read from the full rows
         dense = np.array([-0.0, 0.0, 0.5, -0.5, -2.0, 3.0, 1e-300])
         sparse = SparseVector({1: 0.5, 3: -0.5, 4: 2.0})
-        fx_sparse = oracle._dense_over(l2_cone.project(sparse), [1, 3, 4, 5])
+        fx_sparse = oracle._embed(l2_cone.project(sparse).pairs, [1, 3, 4, 5])
         for f, x0, fx0 in ((orthant.project, dense, orthant.project(dense)),
-                           (l2_cone.project, oracle._dense_over(sparse, [1, 3, 4, 5]), fx_sparse)):
+                           (l2_cone.project, oracle._embed(sparse.pairs, [1, 3, 4, 5]), fx_sparse)):
             y0 = np.resize([1.5, -0.0, -2.0, 0.25], x0.size)
             (y_df, df_norm), block, u = _axis_images(_form(f, "axes"), x0, t, y0)
             df = _form(f, "rows")(u) - fx0
@@ -1192,6 +1192,12 @@ def _verdict_json(f, xbar, y, z, config=None):
     return json.dumps(membership(f, xbar, y, z, config).to_json(), sort_keys=True)
 
 
+def _kept_plan_of(f, xbar, y, z, config):
+    """The kept plan of a query, found by its key as ``membership`` finds it: a sparse one by the pairs and axes."""
+    axes = oracle._axes(xbar, y, z) if isinstance(xbar, SparseVector) else None
+    return oracle._kept_plan(*oracle._plan_key(f, xbar, y, axes, config))
+
+
 class TestPackedPlan:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_small_verdict_calls_each_form_once(self, n):
@@ -1291,19 +1297,61 @@ class TestPlanCache:
     @_RADII
     def test_hit_gives_the_bytes_of_a_cold_verdict(self, radii, clear_kept):
         # every z of an order-interval grid shares one (xbar, y): the first
-        # verdict of a grid builds the plan, every other one reuses it
+        # verdict of a grid builds the plan, every other one finds it by the
+        # pairs of xbar and y, each warm verdict on new SparseVectors of them
         rng = np.random.default_rng(707)
         config = ProbeConfig(radii=radii, random_directions=32, seed=7)
         for variant in (0, 1):
             xbar, _, y, grid = suites.order_interval_grid(rng, 2, 2, variant=variant)
             clear_kept()
-            warm = [_verdict_json(l2_cone.project, xbar, y, z, config) for z in grid]
+            warm = [_verdict_json(l2_cone.project, SparseVector(xbar.pairs), SparseVector(y.pairs), z, config)
+                    for z in grid]
             assert oracle._kept_plan.cache_info().hits == len(grid) - 1
             cold = []
             for z in grid:
                 clear_kept()
                 cold.append(_verdict_json(l2_cone.project, xbar, y, z, config))
             assert warm == cold
+
+    def test_a_sparse_subclass_that_equals_every_vector_keys_by_its_pairs(self, clear_kept):
+        # the key holds the pairs, never the vectors, so an __eq__ that
+        # says yes to everything cannot make two base points of one support
+        # share a plan: z is a member at the first and not at the second
+        config = ProbeConfig(random_directions=32, seed=3)
+        y, z = SparseVector({1: 0.4, 2: 0.7, 3: 0.2}), SparseVector({1: 0.4, 2: 0.3, 3: 0.2})
+        xbars = [_EqualToAll({1: 1.0, 3: 0.5}), _EqualToAll({1: 1.0, 3: -0.5})]
+        assert xbars[0] == xbars[1] and hash(xbars[0]) == hash(xbars[1])
+        warm = [_verdict_json(l2_cone.project, xbar, y, z, config) for xbar in xbars]
+        info = oracle._kept_plan.cache_info()
+        assert (info.hits, info.misses) == (0, 2)
+        for xbar, want in zip(xbars, warm):
+            clear_kept()
+            assert _verdict_json(l2_cone.project, SparseVector(xbar.pairs), y, z, config) == want
+        assert ['"member"' in w for w in warm] == [True, False]
+
+    def test_a_hit_embeds_only_z(self, monkeypatch):
+        # a plan build embeds xbar and f(xbar) for the base and y for the
+        # plan; a hit finds the plan by the pairs and embeds z alone
+        embedded, embed = [], oracle._embed
+
+        def counting(pairs, axes):
+            embedded.append(pairs)
+            return embed(pairs, axes)
+
+        monkeypatch.setattr(oracle, "_embed", counting)
+        config = ProbeConfig(random_directions=32)
+        xbar, y = SparseVector({1: 1.0, 3: 0.5}), SparseVector({1: 0.4, 2: 0.7})
+        zs = [SparseVector({1: 0.4, 2: 0.3}), SparseVector({1: 0.4, 2: 0.9})]
+        membership(l2_cone.project, xbar, y, zs[0], config)
+        assert embedded == [xbar.pairs, l2_cone.project(xbar).pairs, y.pairs, zs[0].pairs]
+        embedded.clear()
+        membership(l2_cone.project, xbar, y, zs[1], config)
+        assert embedded == [zs[1].pairs]
+        assert oracle._kept_plan.cache_info().hits == 1
+        # the plan holds its own read-only x0, which no caller's vector shares
+        plan = _kept_plan_of(l2_cone.project, xbar, y, zs[1], config)
+        assert not plan.x0.flags.writeable
+        np.testing.assert_array_equal(plan.x0, [1.0, 0.0, 0.5, 0.0])
 
     def test_caller_mutation_reaches_no_kept_plan(self, clear_kept):
         ball = BallProjection(1.0)
@@ -1368,14 +1416,12 @@ class TestPlanCache:
         if sparse:
             f = l2_cone.project
             xbar, _, y, zs = suites.order_interval_grid(rng, 2, 2, variant=0)
-            axes, x0, y0, _ = oracle._embed(xbar, y, zs[0])
         else:
             f = BallProjection(1.0).project
             # inside the ball, z = y is the one member
             xbar, y = np.array([0.3, 0.4, 0.5]), np.array([1.0, -0.5, 0.25])
             zs = [y + 0.5 * rng.standard_normal(3) for _ in range(8)] + [y, np.zeros(3)]
-            axes, x0, y0 = None, xbar, y
-        plan = oracle._kept_plan(*oracle._plan_key(f, x0, y0, axes, config))
+        plan = _kept_plan_of(f, xbar, y, zs[0], config)
 
         def snapshot():
             r = plan.random
@@ -1386,7 +1432,7 @@ class TestPlanCache:
         assert not plan.head.flags.writeable and len(plan.head) > 0
         verdicts = [membership(f, xbar, y, z, config).verdict for z in zs]
         assert Verdict.NON_MEMBER in verdicts and Verdict.MEMBER in verdicts
-        assert oracle._kept_plan(*oracle._plan_key(f, x0, y0, axes, config)) is plan
+        assert _kept_plan_of(f, xbar, y, zs[0], config) is plan
         assert snapshot() == before
         assert plan.halves
 
@@ -1418,6 +1464,18 @@ class TestPlanCache:
                 membership(orthant.project, x, y, np.array(z), config)
         assert oracle._kept_plan.cache_info().currsize == kept
         assert oracle._kept_base.cache_info().currsize == 0
+
+
+class _EqualToAll(SparseVector):
+    """A SparseVector that equals every other and hashes alike, as a subclass may."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return True
+
+    def __hash__(self):
+        return 0
 
 
 @dataclass(frozen=True)
@@ -1490,7 +1548,8 @@ class TestKeptBase:
         for label, (f, xbar, z, _, ys) in sorted(_BASE_QUERIES.items()):
             for y in ys:
                 if isinstance(xbar, SparseVector):
-                    axes, x0, y0, _ = oracle._embed(xbar, y, z)
+                    axes = oracle._axes(xbar, y, z)
+                    x0, y0 = oracle._embed(xbar.pairs, axes), oracle._embed(y.pairs, axes)
                 else:
                     axes, x0, y0 = None, xbar, y
                 base = oracle._base(f, oracle._point(axes, x0), x0, axes, ProbeConfig())
@@ -1699,12 +1758,8 @@ class TestWitnessHalves:
             config = ProbeConfig(random_directions=count)
             for z in zs:
                 membership(f, xbar, y, z, config)
-            if isinstance(xbar, SparseVector):
-                axes, x0, y0, _ = oracle._embed(xbar, y, zs[0])
-            else:
-                axes, x0, y0 = None, xbar, y
-            plan = oracle._kept_plan(*oracle._plan_key(f, x0, y0, axes, config))
-            rows = {0: range(len(plan.head)), 1: range(2 * x0.size), 2: range(count)}
+            plan = _kept_plan_of(f, xbar, y, zs[0], config)
+            rows = {0: range(len(plan.head)), 1: range(2 * plan.x0.size), 2: range(count)}
             assert len(plan.halves) <= sum(map(len, rows.values()))
             stored += len(plan.halves)
             for slot, i in plan.halves:
@@ -1778,11 +1833,7 @@ class TestHeadWitness:
         assert len(computed) == 1
         assert membership(f, xbar, y, z, config).to_json() == out.to_json()
         assert len(computed) == (1 if slot is not None else 2)
-        if isinstance(xbar, SparseVector):
-            axes, x0, y0, _ = oracle._embed(xbar, y, z)
-        else:
-            axes, x0, y0 = None, xbar, y
-        halves = oracle._kept_plan(*oracle._plan_key(f, x0, y0, axes, config)).halves
+        halves = _kept_plan_of(f, xbar, y, z, config).halves
         assert [key[0] for key in halves] == ([] if slot is None else [slot])
         w = out.witness
         assert out.verdict is Verdict.NON_MEMBER
@@ -1947,6 +1998,57 @@ class TestStructuredHead:
         for label, xbar, y, z in _head_cases(n):
             want = _head_bytes(_reference_head, xbar, y, z)
             assert _head_bytes(oracle._structured_head, xbar, y, z) == want, label
+
+    @pytest.mark.parametrize("n", [2, 6, 500])
+    def test_the_block_holds_the_rows_of_the_reference(self, n):
+        # one C-contiguous (2k, m) block, the rows u, -u of each part in the
+        # reference's order: y parallel to xbar drops its orthogonal part
+        # from the middle, and z, whose norm exceeds the largest double, is
+        # taken as z / 2^e with max|z| < 2^e; the rows of y and z alone, as
+        # a plan and a z pass build them, are the block past +-xbar
+        rng = np.random.default_rng(n)
+        x, w = rng.standard_normal((2, n))
+        z = np.where(w > 0.0, 1.5e308, -1.5e308)
+        assert norm(z / 2.0) * 2.0 == math.inf
+        head = oracle._structured_head(x, 2.5 * x, z)
+        want = _reference_head(x, 2.5 * x, vectors._halved(z)[0])
+        assert isinstance(head, np.ndarray) and head.flags.c_contiguous and head.shape == (8, n) == (len(want), n)
+        assert [row.tobytes() for row in head] == [d.tobytes() for d in want]
+        rows = oracle._structured_head(x, 2.5 * x, z, anchor=oracle._anchor(x), xbar_rows=False)
+        assert rows.tobytes() == head[2:].tobytes() and rows.shape == (6, n)
+        assert oracle._structured_head(x, np.zeros(n), xbar_rows=False).shape == (0, n)
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e160])
+    def test_each_head_denominator_is_the_sum_of_two_norms(self, scale, monkeypatch):
+        # the z pass takes ||u - xbar|| and ||f(u) - f(xbar)|| of its head
+        # rows from one row_norms call on a block of both; at these radii
+        # the plain squares under- or overflow, so the rows are rescued one
+        # by one, and each denominator keeps the bits of norm + norm, on a
+        # new plan and on the kept one
+        heads, dens, quotients, rows = [], [], oracle._quotients, orthant.project_rows
+
+        def recording_rows(u):
+            heads.append(u.copy())
+            return rows(u)
+
+        def recording_quotients(z0, rows, column, y_df, den):
+            if column is None:  # the head rows, scored as u - xbar
+                dens.append(den)
+            return quotients(z0, rows, column, y_df, den)
+
+        monkeypatch.setattr(orthant, "project_rows", recording_rows)
+        monkeypatch.setattr(oracle, "_quotients", recording_quotients)
+        rng = np.random.default_rng(3)
+        x, y, z = scale * np.array([1.0, -0.5, 0.25, 2.0]), *rng.standard_normal((2, 4))
+        config = ProbeConfig(radii=(0.1 * scale, 0.01 * scale), random_directions=16)
+        for _ in range(2):
+            membership(orthant.project, x, y, z, config)
+            u, den = heads[-1], dens[-1]
+            plain = np.sqrt(np.einsum("ij,ij->i", u - x, u - x))
+            assert not ((plain >= vectors._TINY_NORM) & (plain < np.inf)).any()
+            want = [norm(row - x) + norm(orthant.project(row) - orthant.project(x)) for row in u]
+            assert den.tolist() == want
+        assert oracle._kept_plan.cache_info().hits == 1
 
     @pytest.mark.parametrize("n", [2, 6, 50])
     def test_parallel_parts_are_dropped(self, n):
