@@ -30,6 +30,7 @@ query's bound and the sphere rule's split all read that one square sum.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
@@ -112,12 +113,18 @@ class SpherePartial(DerivativeSet):
 
 @dataclass(frozen=True)
 class BallProjection:
-    """Projection onto the closed ball of radius ``radius`` centred at 0."""
+    """Projection onto the closed ball of radius ``radius`` centred at 0.
+
+    radius: a positive and finite real number (not a bool); kept as a float.
+    """
 
     radius: float
 
     def __post_init__(self):
-        if not (self.radius > 0.0 and np.isfinite(self.radius)):
+        if isinstance(self.radius, bool) or not isinstance(self.radius, numbers.Real):
+            raise TypeError(f"radius must be a real number, got {self.radius!r}")
+        object.__setattr__(self, "radius", float(self.radius))
+        if not (0.0 < self.radius < math.inf):
             raise ValueError("radius must be a positive finite number")
 
     def __call__(self, x) -> np.ndarray:

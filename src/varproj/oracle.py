@@ -28,11 +28,11 @@ round-back floor check, f(xbar), <xbar, xbar> and ||xbar||, the head
 rows +-xbar, the geometry of the axis probes, and the first, y-free
 stage of f's axis and direction forms, which gives every such probe its
 ||f(u) - f(xbar)|| and denominator (see ``_form``).  On it the verdict
-takes the plan for y (``_plan``), which holds only what reads y: the
-head rows of y, each form's y stage, <y, f(u) - f(xbar)> of every random
-and axis probe, the row path's terms, and the witness halves below.
-Only the +-z and +-orth(z) head rows and <z, u - xbar> depend on z, so
-both are z-free.  The z pass then scores the head rows, takes one
+takes the plan for y (``_plan``), which holds the base and only what
+reads y: the head rows of y, each form's y stage, <y, f(u) - f(xbar)> of
+every random and axis probe, the plan's ``score`` and the witness halves
+below.  Only the +-z and +-orth(z) head rows and <z, u - xbar> depend on
+z, so both are z-free.  The z pass then scores the head rows, takes one
 <d, z> per random direction d and one <z, u - xbar> per axis probe, and
 writes every quotient into one table, then runs one argmax, the verdict
 rule and the witness.  Row k of the table holds the
@@ -43,37 +43,40 @@ Sparse queries use the same dense path: they are embedded in R^m over
 the probed axes (all supports plus one fresh index, ``_axes``), from one
 dict per vector (``_embed``).
 
-The head rows take the row path: u = xbar + t*d is formed for every
-radius at once, the plan's column of radii broadcast over the head rows
-and xbar then added in place, and scored with one call of the row form,
-inner products in the fixed order of ``vectors._dot`` and norms by
-``row_norms``, which give a row the same bits at every position in a
-call.  The head rows of the base, the plan and the z pass are blocks
-(``_structured_head``), joined with one ``np.concatenate``.  u - xbar
-and f(u) - f(xbar) are written to the two halves of one new block, whose
-norms are one ``row_norms`` call: no array handed to f or to a row form
-is written to afterwards.  So the head keeps
-the bits of the scalar ``quotient``, and two head rows that round to one
-probe tie, the first winning.  In every z pass, the head rows of xbar,
-y and z of every radius take one call, so a z pass only reads its plan,
-apart from the witness halves below.
+Every probe row u the oracle forms is scored by one closure of the plan,
+``score``: u - xbar and f(u) - f(xbar) fill the two halves of one new
+block, whose norms are one ``row_norms`` call (a row gets the same bits at
+every position in a call), and <y, f(u) - f(xbar)> takes the fixed order
+of ``vectors._dot``.  f maps all the rows in one call of its row form
+(see ``_form``), whose images lie on the probed coordinates; a dense f
+with none is called once per row, each image read with ``as_vector_of``
+at xbar's length, as f(xbar) is; a formless sparse f is called once per
+row on SparseVectors, and its images, wherever f maps, are scored through
+``inner`` and ``norm``.  No array handed to f is written to afterwards.
+The z pass hands it the head rows of xbar, y and z of every radius in one
+call: u = xbar + t*d, the plan's column of radii broadcast over the head
+rows (blocks of ``_structured_head`` joined with one ``np.concatenate``)
+and xbar then added in place, so the head keeps the bits of the scalar
+``quotient``, two head rows that round to one probe tie, the first
+winning, and a z pass only reads its plan, apart from the witness halves
+below.  The plan hands it, once, the random probes where the direction
+form declines or f has none, the directions at each radius in turn in
+chunks of at most about 32k floats (``_block_rows``) that may span two
+radii, and then holds u - xbar of every probe (3 MB at m = 500 at the
+default config); and the axis probes as full rows, in chunks of the same
+size, where the axis form declines or f has none.  The ``row_norms`` of
+an axis row, whose one nonzero entry is du, is |du|.
 
 The random probes take the direction form of f when it has one (see
 ``_form``; the ``project`` of every set in this package has one).  It
 scores the exact probe u = xbar + t*d from products of d with xbar (in
 the base) and y (in the plan), without forming u, and the z pass adds
 <z, u - xbar> = t*<d, z>, with ||u - xbar|| = t: three products per
-direction, each taken once and broadcast over the column of radii.  The
-row path scores the rounded probe instead; the two quotients differ by
+direction, each taken once and broadcast over the column of radii.
+``score`` scores the rounded probe instead; the two quotients differ by
 about the spacing of doubles at xbar over t.  The plan makes one call
 for all the directions at all the radii, and gets (radius, direction)
-arrays whose row k holds the terms at radius k.  Where a stage of the
-form declines (see below), the random probes take the row path, as for
-an f with no form.  On the row path, the probes are the directions at
-each radius in turn, gathered in chunks of at most about 32k floats
-(``_block_rows``), each one ``_score`` call that may span two radii,
-and the plan holds u - xbar of every probe (3 MB at m = 500 at the
-default config).
+arrays whose row k holds the terms at radius k.
 
 Each decline test lives in the stage whose input it reads.  The first
 stage declines on x0 and the probes alone: the ball's when ||xbar||^2
@@ -92,7 +95,7 @@ under the same rule, in a cache of its own: the 16 most recently built
 kept plans' bases, keyed by f, xbar, the axes and the config.  So a new
 y at a recently planned xbar builds only its plan for y, and a new z on
 a kept plan embeds only z: xbar and y are embedded when the plan is
-built, and the plan holds its own read-only x0.  A row form thus
+built, and the plan's base holds its own read-only x0.  A row form thus
 marks f as a pure function of its argument, as the sets of this package
 are; the bound ``project`` of an unhashable object (a dataclass that is
 not frozen, say), whose result may change with its state, gets no kept
@@ -115,16 +118,9 @@ product with z are scalars.  When f has an axis form (see ``_form``: the
 ``project`` of every set in this package has one), so is the image side:
 its two stages map xbar and the axis j and moved coordinate of each
 probe to ||f(u) - f(xbar)||, and then y to <y, f(u) - f(xbar)>, as the
-direction form does at d = e_j, in O(m) per radius, or decline the block.  When a
-stage declines the block, or f has none, every axis probe of every radius
-is scored as a full row, in chunks of the random rows' size.  The
-separable forms give those rows' bits.
-
-When f has a row form (``_form`` again), f is applied to a whole call's
-rows at once, and its images lie on the probed coordinates.  Any other f
-is called once per row.  Its dense images are scored as a row form's;
-sparse rows reach it as SparseVectors, and their images, wherever f
-maps, are scored through ``inner`` and ``norm``.
+direction form does at d = e_j, in O(m) per radius, or decline the
+block, which ``score`` then scores.  The separable forms give those
+rows' bits.
 
 The winning probe at the smallest radius gives the last supremum and
 the witness.  A dense head row was scored as the scalar ``quotient``
@@ -137,12 +133,12 @@ scored again through the two halves of the scalar ``quotient``, with
 the plan's f(xbar): the z-free half (u - xbar, <y, f(u) - f(xbar)> and
 the denominator) and the z half (<z, u - xbar> and the division).
 Those are the axis probes, the random rows, the head rows of a sparse
-query (whose SparseVector norms sum in another order than the row
-path's) and a non-finite entry (an image with a NaN raises there, as it
-always has).  On a dense query the halves read the verdict's checked
-xbar, y and z with ``vectors._dot`` and ``_dense_norm`` and check only
-u - xbar and f's image, once each.  That value is the last supremum and the witness quotient,
-and ``quotient`` calls the same two halves, so a witness re-evaluates
+query (whose SparseVector norms sum in another order than ``score``'s)
+and a non-finite entry (an image with a NaN raises there).  On a dense
+query the halves read the verdict's checked xbar, y and z with
+``vectors._dot`` and ``_dense_norm`` and check only u - xbar and f's
+image, once each.  That value is the last supremum and the witness
+quotient, and ``quotient`` calls the same two halves, so a witness re-evaluates
 exactly.  It replaces the winner's entry, and while another entry of the
 row exceeds it by more than 1e-9 of max(|value|, tolerance), that entry
 wins and is scored in turn: the direction form scores the exact probe
@@ -198,7 +194,7 @@ __all__ = [
     "jacobian_fd",
 ]
 
-# the row path scores probe rows in chunks of about this many floats
+# ``score`` is handed the formed random and axis probe rows in chunks of about this many floats
 _BLOCK_FLOATS = 1 << 15
 
 
@@ -298,12 +294,14 @@ def quotient(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, z: Vector, 
 
     Requires u != xbar.  The denominator is strictly positive then, so the
     quotient is always finite.  A dense xbar, y, z and u are checked once,
-    here.
+    here, and a dense f(xbar) is read with ``as_vector_of`` at xbar's
+    length, as the images of the z-free half are.
     """
-    if not _sparse(xbar, y, z, u):
-        xbar = as_vector(xbar)
-        y, z, u = (as_vector_of(v, xbar.size) for v in (y, z, u))
-    return _z_half(z, *_z_free_half(f, f(xbar), xbar, y, u))
+    if _sparse(xbar, y, z, u):
+        return _z_half(z, *_z_free_half(f, f(xbar), xbar, y, u))
+    xbar = as_vector(xbar)
+    y, z, u = (as_vector_of(v, xbar.size) for v in (y, z, u))
+    return _z_half(z, *_z_free_half(f, as_vector_of(f(xbar), xbar.size), xbar, y, u))
 
 
 def _sparse(xbar: Vector, *vs: Vector) -> bool:
@@ -435,7 +433,7 @@ def _random_dirs(seed, count: int, m: int) -> np.ndarray:
 class _Scores(NamedTuple):
     """The z-free scores of the random probes, by radius (see ``_random_scores``)."""
 
-    rows: np.ndarray     # the directions d, or on the row path u - xbar of every probe row, radius by radius
+    rows: np.ndarray     # the directions d, or u - xbar of every probe row ``score`` took, radius by radius
     scale: Optional[np.ndarray]  # the column of radii when the rows are the directions; None when they are u - xbar
     y_df: np.ndarray     # <y, f(u) - f(xbar)>
     den: np.ndarray      # the quotient's denominator
@@ -460,29 +458,20 @@ def _quotients(z0: np.ndarray, rows: np.ndarray, scale: Optional[np.ndarray], y_
     return (z_du - y_df) / den
 
 
-def _score(dirs: np.ndarray, t, x0: np.ndarray, terms: Callable) -> tuple:
-    """(u - xbar, <y, df>, denominator) of the probe rows u = x0 + t*dirs, t a radius or one per row above the floor."""
-    u = x0 + t * dirs
-    du = u - x0
-    y_df, df_norm = terms(u)
-    return du, y_df, row_norms(du) + df_norm
+def _random_scores(base: _Base, y0: np.ndarray, score: Callable) -> Optional[_Scores]:
+    """The z-free scores of the base's random directions at every radius, all above the floor (``_round_back_floor``).
 
-
-def _random_scores(dirs: np.ndarray, t: np.ndarray, x0: np.ndarray, y0: np.ndarray, terms: Callable,
-                   form: Optional[tuple]) -> Optional[_Scores]:
-    """The z-free scores of the random directions at every radius, all above the floor (``_round_back_floor``).
-
-    t is the column of radii, and ``form`` the base's (y stage, denominator)
-    of f's direction form, or None (see ``_base``).  With it, every
-    direction d is scored at every radius t from its products with xbar
-    (in the base) and y (in the y stage), taken once: at u = x0 + t d,
-    never formed, so <z, u - xbar> = t <d, z> and ||u - xbar|| = t, and
-    the scores are (radius, direction) arrays.  When either stage declines,
-    or f has no such form, the probes take the row path, the directions at
-    each radius in turn, gathered in chunks of ``_block_rows`` rows, a chunk
-    possibly spanning two radii.  With no random directions the result is
-    None.
+    With the base's direction form of f (see ``_base``), every direction d
+    is scored at every radius t from its products with xbar (in the base)
+    and y (in the y stage), taken once: at u = x0 + t d, never formed, so
+    <z, u - xbar> = t <d, z> and ||u - xbar|| = t, and the scores are
+    (radius, direction) arrays.  When either stage declines, or f has no
+    such form, the probe rows are formed, the directions at each radius in
+    turn, and scored by the plan's ``score`` in chunks of ``_block_rows``
+    rows, a chunk possibly spanning two radii.  With no random directions
+    the result is None.
     """
+    dirs, t, form = base.dirs, base.t, base.dirs_form
     count = len(dirs)
     if not count:
         return None
@@ -490,10 +479,9 @@ def _random_scores(dirs: np.ndarray, t: np.ndarray, x0: np.ndarray, y0: np.ndarr
         y_df = form[0](y0)
         if y_df is not None:
             return _Scores(dirs, t, y_df, form[1])
-    size, rows = _block_rows(x0.size), np.arange(t.size * count)
+    size, rows = _block_rows(base.x0.size), np.arange(t.size * count)
     # row k probes direction k % count at radius k // count
-    scores = (_score(dirs[k % count], t[k // count], x0, terms)
-              for k in np.split(rows, range(size, rows.size, size)))
+    scores = (score(base.x0 + t[k // count] * dirs[k % count]) for k in np.split(rows, range(size, rows.size, size)))
     du, y_df, den = map(np.concatenate, zip(*scores))
     return _Scores(du, None, y_df, den)
 
@@ -516,17 +504,16 @@ def _geometry(m: int, radii: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _axis_probes(xj: np.ndarray, s: np.ndarray, t):
-    """Moved coordinates x0[j] + s*t of axis probes, with ||u - x0|| and the step du.
+    """Moved coordinates x0[j] + s*t of axis probes, with the step du.
 
     t is the radius, or an array of one radius per probe.  Each probe
     differs from x0 + 0.0 only at j, so u - x0 is the single number
-    du = moved - x0[j]: the row norm is |du| and the inner product with z0
-    du*z0[j] + 0.0, bit for bit what the full rows give (a sum of zero
-    products rounds to +0.0) wherever du*du does not underflow.
+    du = moved - x0[j]: the row norm is |du| (``row_norms`` of that row
+    gives these bits) and the inner product with z0 du*z0[j] + 0.0, bit for
+    bit what the full rows give (a sum of zero products rounds to +0.0).
     """
     moved = xj + s * t
-    du = moved - xj
-    return moved, np.abs(du), du
+    return moved, moved - xj
 
 
 def _axis_rows(x0: np.ndarray, j: np.ndarray, moved: np.ndarray) -> np.ndarray:
@@ -547,7 +534,7 @@ def _form(f: Callable[[Vector], Vector], kind: str) -> Optional[Callable]:
     * A row form maps a k x m array of points (rows) to the k x m array
       of their images on the same coordinates, row i bit for bit the
       image f gives of row i alone, as every set of this package does: a
-      dense head winner's witness quotient is read from the row path.
+      dense head winner's witness quotient is read from ``score``.
     * The axis and direction forms come in two stages, so that the part
       that never reads y is kept with the base of xbar (see ``_base``).
       The first stage maps the probes, with x0 but no y0, to the array
@@ -593,7 +580,7 @@ def _round_back_floor(x0: np.ndarray) -> float:
 class _Base(NamedTuple):
     """The part of a verdict that reads neither y nor z (see ``_base``), built only for radii above the floor."""
 
-    fx: Vector                     # f(xbar)
+    fx: Vector                     # f(xbar), a checked array of x0's size for a dense f
     rows: Optional[Callable]       # f's row form, or f row by row for a dense f with none; None for a sparse one
     fx0: Optional[np.ndarray]      # f(xbar) over the probed axes, when ``rows`` is not None
     x0: np.ndarray                 # xbar over the probed axes
@@ -601,7 +588,7 @@ class _Base(NamedTuple):
     head: np.ndarray               # the (2, m) or (0, m) block of the head rows of xbar (``_structured_head``)
     t: np.ndarray                  # the column of radii
     dirs: np.ndarray               # the read-only random directions, probed at every radius (``_random_dirs``)
-    axis: tuple                    # (j, s, moved coordinate, ||u - xbar||, du) of the axis probes of every radius
+    axis: tuple                    # (j, s, moved coordinate, du) of the axis probes of every radius
     axis_form: Optional[tuple]     # (y stage, denominator) of f's axis form; None when f has none or it declined
     dirs_form: Optional[tuple]     # the same of f's direction form on dirs at every radius
 
@@ -612,8 +599,10 @@ def _base(f: Callable[[Vector], Vector], xbar: Vector, x0: np.ndarray, axes: Opt
 
     It holds f(xbar), x0, the anchor, the head rows of xbar, the geometry
     of the axis probes and the first stage of each form of f (see
-    ``_form``).  A radius at or below ``_round_back_floor`` raises
-    ValueError, before any probe is formed.
+    ``_form``).  A dense f(xbar), and each image of a dense f with no row
+    form, is read with ``as_vector_of`` at x0's size.  A radius at or
+    below ``_round_back_floor`` raises ValueError, before any probe is
+    formed.
     """
     m, radii = x0.size, config.radii
     floor = _round_back_floor(x0)
@@ -623,11 +612,13 @@ def _base(f: Callable[[Vector], Vector], xbar: Vector, x0: np.ndarray, axes: Opt
             f"xbar at ||xbar|| = {norm(xbar):.6g}; probe radii are absolute")
     anchor = _anchor(x0)
     axis_j, axis_s, axis_t = _geometry(m, radii)
-    moved, axis_in, axis_du = _axis_probes(x0[axis_j], axis_s, axis_t)
+    moved, axis_du = _axis_probes(x0[axis_j], axis_s, axis_t)
     fx = f(xbar)
     f_rows = _form(f, "rows")
-    if f_rows is None and not isinstance(fx, SparseVector):
-        f_rows = lambda rows: np.array([f(row) for row in rows])
+    if not isinstance(fx, SparseVector):
+        fx = as_vector_of(fx, m)
+        if f_rows is None:
+            f_rows = lambda rows: np.array([as_vector_of(f(row), m) for row in rows])
     fx0 = None if f_rows is None else _embed(fx.pairs, axes) if isinstance(fx, SparseVector) else fx
 
     def first_stage(kind: str, d_in, *args) -> Optional[tuple]:
@@ -639,21 +630,17 @@ def _base(f: Callable[[Vector], Vector], xbar: Vector, x0: np.ndarray, axes: Opt
     t = np.array(radii)[:, None]
     dirs = _random_dirs(config.seed, config.random_directions, m)
     return _Base(fx, f_rows, fx0, x0, anchor, _structured_head(x0, anchor=anchor), t, dirs,
-                 (axis_j, axis_s, moved, axis_in, axis_du),
-                 first_stage("axes", axis_in, axis_j, moved), first_stage("dirs", t, dirs, t) if len(dirs) else None)
+                 (axis_j, axis_s, moved, axis_du), first_stage("axes", np.abs(axis_du), axis_j, moved),
+                 first_stage("dirs", t, dirs, t) if len(dirs) else None)
 
 
 class _Plan(NamedTuple):
     """The part of a verdict that does not depend on z (see ``_plan``), built only for radii above the floor."""
 
-    fx: Vector                     # f(xbar)
-    head_terms: Callable           # (head rows u, block) -> (<y, f(u) - f(xbar)>, denominator), see ``_plan``
-    x0: np.ndarray                 # xbar over the probed axes, read-only in a kept plan
-    anchor: tuple[float, float]    # <x0, x0> and ||x0||
-    t: np.ndarray                  # the radii as an (r, 1, 1) column, broadcast over the head rows
+    base: _Base                    # the part that reads neither y nor z (``_base``)
+    score: Callable                # probe rows u -> (u - xbar, <y, f(u) - f(xbar)>, denominator), see ``_plan``
     head: np.ndarray               # the read-only (h, m) head rows of xbar and y, scored by every z pass
-    dirs: np.ndarray               # the read-only random directions, probed at every radius (``_random_dirs``)
-    random: Optional[_Scores]      # the scores of dirs at every radius; None when there are none
+    random: Optional[_Scores]      # the scores of the random directions at every radius; None when there are none
     axis: tuple                    # (j, s, du, <y, df>, denominator) of the axis probes of every radius
     halves: dict                   # (slot, index) -> (direction, *z-free half) of witnesses at the last radius
 
@@ -662,59 +649,49 @@ def _plan(base: _Base, f: Callable[[Vector], Vector], y: Vector, y0: np.ndarray,
           axes: Optional[tuple[int, ...]]) -> _Plan:
     """The z-free part of a verdict on f at xbar for y, from the base at xbar (``_base``): only what reads y.
 
-    That is the head rows of y, the y stage of each form of f, or the row
-    path where a stage declines or f has no such form, and the terms of
-    the head rows (``head_terms``).  The random probes are scored once,
-    here; every z pass scores the head rows (see ``_z_pass``).
+    That is the head rows of y, the y stage of each form of f, and
+    ``score``, which scores the probe rows it is handed: the head rows in
+    every z pass (see ``_z_pass``), and the axis and random probes here,
+    once, where a stage declines or f has no such form.
     """
     # the probe plan, radius by radius: the head rows (slot 0), those of
     # xbar and y and then those of z, all scored by the z pass, the axis
     # probes (slot 1), then the random directions (slot 2), the columns
     # of the z pass's table in this order; the axis probes of every radius
     # form one block of scalars
-    x0 = base.x0
+    x0, f_rows, fx, fx0 = base.x0, base.rows, base.fx, base.fx0
     head = np.concatenate([base.head, _structured_head(x0, y0, anchor=base.anchor, xbar_rows=False)])
     head.flags.writeable = False
-    f_rows, fx, fx0 = base.rows, base.fx, base.fx0
 
-    def terms(u):
-        """<y, df> and ||df|| of the images of the probe rows u.
+    def score(u):
+        """(u - xbar, <y, f(u) - f(xbar)>, denominator) of the probe rows u, an array f is handed but never written to.
 
-        A row form maps all of u in one call; a formless sparse f is called once per row.
-        """
-        if f_rows is None:
-            dfs = [f(_point(axes, row)) - fx for row in u]
-            return np.array([inner(y, d) for d in dfs]), np.array([norm(d) for d in dfs])
-        df = f_rows(u) - fx0
-        return _dot(df, y0), row_norms(df)
-
-    def head_terms(u, block):
-        """<y, df> and the denominators of the head rows u, whose u - xbar fills the top half of ``block``.
-
-        A row form writes df below it, so that one ``row_norms`` call takes
-        the norms of both; ``block`` is the z pass's own, handed to no f.
+        u - xbar fills the top half of one new block and a row form's
+        f(u) - f(xbar) the bottom half, so one ``row_norms`` call takes the
+        norms of both; a formless sparse f is called once per row, its
+        images read through ``inner`` and ``norm``.
         """
         h = len(u)
+        block = np.empty((2 * h, x0.size))
+        du = np.subtract(u, x0, out=block[:h])
         if f_rows is None:
-            y_df, df_norm = terms(u)
-            return y_df, row_norms(block[:h]) + df_norm
+            dfs = [f(_point(axes, row)) - fx for row in u]
+            return du, np.array([inner(y, d) for d in dfs]), row_norms(du) + np.array([norm(d) for d in dfs])
         df = np.subtract(f_rows(u), fx0, out=block[h:])
         lengths = row_norms(block)
-        return _dot(df, y0), lengths[:h] + lengths[h:]
+        return du, _dot(df, y0), lengths[:h] + lengths[h:]
 
-    axis_j, axis_s, moved, axis_in, axis_du = base.axis
+    axis_j, axis_s, moved, axis_du = base.axis
     axis_y_df = None if base.axis_form is None else base.axis_form[0](y0)
     if axis_y_df is None:
         # f has no axis form, or a stage declined the block: the full rows, in chunks of the random rows' size
         rows = _block_rows(x0.size)
         tiles = (_axis_rows(x0, axis_j[i:i + rows], moved[i:i + rows]) for i in range(0, moved.size, rows))
-        axis_y_df, df_norm = map(np.concatenate, zip(*(terms(u) for u in tiles)))
-        axis_den = axis_in + df_norm
+        axis_y_df, axis_den = map(np.concatenate, zip(*(score(u)[1:] for u in tiles)))
     else:
         axis_den = base.axis_form[1]
-    random = _random_scores(base.dirs, base.t, x0, y0, terms, base.dirs_form)
-    return _Plan(fx, head_terms, x0, base.anchor, base.t[:, :, None], head, base.dirs, random,
-                 (axis_j, axis_s, axis_du, axis_y_df, axis_den), {})
+    random = _random_scores(base, y0, score)
+    return _Plan(base, score, head, random, (axis_j, axis_s, axis_du, axis_y_df, axis_den), {})
 
 
 def _plan_key(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, axes: Optional[tuple[int, ...]],
@@ -725,7 +702,7 @@ def _plan_key(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, axes: Opti
     xbar and y by their pairs over the probed axes ``axes`` (None for a
     dense query).  A plan, and its base under the key without y, is kept
     when f has a row form (the sets of this package are pure; a user
-    callable may not be), when the rows the row path would form, the head
+    callable may not be), when the rows ``score`` would be handed, the head
     rows and the random directions at every radius, fit in one chunk, so
     that a kept plan holds at most about 32k floats of u - xbar, and when
     f and the object of a bound f are hashable (a bound method hashes by
@@ -769,22 +746,19 @@ def _kept_plan(f: Callable[[Vector], Vector], x_key, y_key, axes: Optional[tuple
 def _z_pass(plan: _Plan, f: Callable[[Vector], Vector], xbar: Vector, y: Vector, z: Vector, z0: np.ndarray,
             axes: Optional[tuple[int, ...]], config: ProbeConfig) -> OracleVerdict:
     """The verdict on z from its plan: the +-z and +-orth(z) rows, the table of quotients and the witness."""
-    x0 = plan.x0
+    base = plan.base
+    x0 = base.x0
     radii, per, count = config.radii, 2 * x0.size, config.random_directions
     n_radii = len(radii)
-    # the head rows of the plan, then those of z, of every radius take the
-    # row path in one call.  x0 is added to u in place before f sees u, and
-    # du is written to a block of the z pass's own: nothing f has been
-    # handed is written to after
-    z_rows = _structured_head(x0, z0, anchor=plan.anchor, xbar_rows=False)
+    # the head rows of the plan, then those of z, of every radius are
+    # scored in one call.  x0 is added to u in place before f sees u
+    z_rows = _structured_head(x0, z0, anchor=base.anchor, xbar_rows=False)
     head = np.concatenate([plan.head, z_rows]) if len(z_rows) else plan.head
     n = len(head)
     if n:
-        u = (plan.t * head).reshape(-1, x0.size)
+        u = (base.t[:, None] * head).reshape(-1, x0.size)
         u += x0
-        block = np.empty((2 * len(u), x0.size))
-        du = np.subtract(u, x0, out=block[:len(u)])
-        y_df, den = plan.head_terms(u, block)
+        du, y_df, den = plan.score(u)
 
     axis_j, axis_s, axis_du, axis_y_df, axis_den = plan.axis
     # not prefilled: every entry is written, and plan.random is None here only when count is 0
@@ -822,9 +796,9 @@ def _z_pass(plan: _Plan, f: Callable[[Vector], Vector], xbar: Vector, y: Vector,
                     unit = np.zeros(x0.size)
                     unit[axis_j[k]] = axis_s[k]
                 else:
-                    unit = (head if slot == 0 else plan.dirs)[k].copy()
+                    unit = (head if slot == 0 else base.dirs)[k].copy()
                 direction = _point(axes, unit)
-                half = (direction, *_z_free_half(f, plan.fx, xbar, y, xbar + t * direction))
+                half = (direction, *_z_free_half(f, base.fx, xbar, y, xbar + t * direction))
                 if slot or (axes is not None and k < len(plan.head)):
                     plan.halves[slot, k] = half
             direction, *z_free = half

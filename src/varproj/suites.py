@@ -509,8 +509,13 @@ def run_cone_l2(seed: int) -> list[CaseResult]:
     cases = []
     for k in range(20):
         base = [int(i) for i in rng.choice(np.arange(1, 9), size=3, replace=False)]
-        M = frozenset(base[:2])
+        M, off = frozenset(base[:2]), base[2]
         za, zb, zc = (_sparse(rng, base) for _ in range(3))
+        # zb and zc keep za on M and move off M by the positive part of zb's
+        # draw there, then by zc's draw: za <= zb always, zb <= za when zb's
+        # draw is negative, and zb <= zc when zc's draw is positive
+        zb = za + SparseVector({off: max(zb.get(off), 0.0)})
+        zc = zb + SparseVector({off: zc.get(off)})
         ok = l2_cone.order_leq(za, za, M)
         if l2_cone.order_leq(za, zb, M) and l2_cone.order_leq(zb, za, M):
             ok = ok and za == zb

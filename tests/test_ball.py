@@ -47,6 +47,19 @@ class TestProjection:
             BallProjection(0.0)
         with pytest.raises(ValueError):
             BallProjection(float("nan"))
+        for radius in (True, "1.0", None, 1 + 0j):
+            with pytest.raises(TypeError):
+                BallProjection(radius)
+
+    def test_radius_is_a_float(self):
+        # a float32 radius kept as given scales by a float32 r / ||x||, to a
+        # point below the float radius that the region test calls interior
+        op = BallProjection(np.float32(0.1))
+        assert type(op.radius) is float and op.radius == float(np.float32(0.1))
+        p = op.project([3.0, 4.0])
+        assert p.dtype == np.float64
+        assert op.region(p) is BallRegion.SPHERE
+        assert BallProjection(2).radius == 2.0 and type(BallProjection(2).radius) is float
 
     @given(points(), points())
     def test_nonexpansive(self, u, v):

@@ -271,6 +271,42 @@ class TestMembership:
         for (_, a), (_, b) in zip(tiny.sup_estimates, plain.sup_estimates):
             assert abs(a - b) <= 1e-12
 
+    def test_list_images_are_read_as_vectors(self):
+        # f(xbar) and every image of an f that returns lists are read as
+        # vectors of xbar's length, so the verdicts are those of the same map
+        # returning arrays, and a witness re-evaluates exactly through quotient
+        f = lambda u: list(np.maximum(np.asarray(u), 0.0))
+        xbar, y = np.array([1.0, -1.0]), np.array([1.0, 1.0])
+        for z, want in (([1.0, 0.0], Verdict.MEMBER), ([1.0, 0.6], Verdict.NON_MEMBER),
+                        ([3.0, 0.0], Verdict.NON_MEMBER)):
+            out = membership(f, xbar, y, z)
+            assert out.verdict is want
+            assert json.dumps(out.to_json(), sort_keys=True) == _verdict_json(lambda u: orthant.project(u), xbar, y, z)
+            if out.witness is not None:
+                w = out.witness
+                assert quotient(f, xbar, y, z, xbar + w.radius * w.direction) == w.quotient
+        assert quotient(f, xbar, y, [3.0, 0.0], xbar + [1e-4, 0.0]) == 1.0
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_no_random_directions(self, seed):
+        # the head rows and the axis probes alone: a ball, a formless orthant
+        # map (its axis probes scored as full rows) and l2-cone queries agree
+        # with the closed forms, and every witness re-evaluates exactly
+        config = ProbeConfig(random_directions=0)
+        rng = np.random.default_rng(seed)
+        hidden = lambda u: orthant.project(u)
+        cases = [(case, case.project) for case in suites.ball_membership_cases(rng, per_family=1)]
+        cases += [(case, hidden) for case in suites.orthant_membership_cases(rng, per_family=1)]
+        cases += [(case, case.project) for case in suites.l2_membership_cases(rng, per_family=1)]
+        for case, f in cases:
+            out = membership(f, case.xbar, case.y, case.z, config)
+            assert out.verdict is (Verdict.MEMBER if case.expected else Verdict.NON_MEMBER), case.label
+            if out.witness is not None:
+                w = out.witness
+                assert quotient(f, case.xbar, case.y, case.z, case.xbar + w.radius * w.direction) == w.quotient
+        case = cases[0][0]
+        assert _kept_plan_of(case.project, case.xbar, case.y, case.z, config).random is None
+
     def test_sup_estimates_track_radii(self):
         op = BallProjection(1.0)
         out = membership(op.project, np.array([0.5, 0.0]), np.ones(2), np.ones(2), ProbeConfig())
@@ -411,7 +447,7 @@ class TestRoundBackFloor:
             rows = [*np.eye(3), *-np.eye(3), *oracle._structured_head(x, y, z)]
             assert top >= max(quotient(orthant.project, x, y, z, x + t * d) for d in rows)
             entries = oracle._quotients(z, *plan.random)[-1]
-            rounded = np.array([quotient(orthant.project, x, y, z, x + t * d) for d in plan.dirs])
+            rounded = np.array([quotient(orthant.project, x, y, z, x + t * d) for d in plan.base.dirs])
             assert top >= np.minimum(entries, rounded).max()
             rescored += entries.max() > top
             if out.witness is not None:
@@ -1350,8 +1386,8 @@ class TestPlanCache:
         assert oracle._kept_plan.cache_info().hits == 1
         # the plan holds its own read-only x0, which no caller's vector shares
         plan = _kept_plan_of(l2_cone.project, xbar, y, zs[1], config)
-        assert not plan.x0.flags.writeable
-        np.testing.assert_array_equal(plan.x0, [1.0, 0.0, 0.5, 0.0])
+        assert not plan.base.x0.flags.writeable
+        np.testing.assert_array_equal(plan.base.x0, [1.0, 0.0, 0.5, 0.0])
 
     def test_caller_mutation_reaches_no_kept_plan(self, clear_kept):
         ball = BallProjection(1.0)
@@ -1759,7 +1795,7 @@ class TestWitnessHalves:
             for z in zs:
                 membership(f, xbar, y, z, config)
             plan = _kept_plan_of(f, xbar, y, zs[0], config)
-            rows = {0: range(len(plan.head)), 1: range(2 * plan.x0.size), 2: range(count)}
+            rows = {0: range(len(plan.head)), 1: range(2 * plan.base.x0.size), 2: range(count)}
             assert len(plan.halves) <= sum(map(len, rows.values()))
             stored += len(plan.halves)
             for slot, i in plan.halves:
@@ -1841,8 +1877,8 @@ class TestHeadWitness:
         assert w.quotient == out.sup_estimates[-1][1]
 
     def test_nan_at_the_winning_head_probe_still_raises(self):
-        # every probe's image is NaN, so every entry is, and the first column,
-        # the head row +xbar, wins; its re-score raises as it always has
+        # every probe's image is NaN; the images of an f with no row form are
+        # read as vectors, so the first probe scored refuses its image
         xbar = np.array([1.0, -1.0, 0.5])
 
         def f(u):
