@@ -239,7 +239,7 @@ class BallProjection:
 
         return self._image_terms(x0, xj, moved - xj, moved, off, lambda y0: y0[j])
 
-    def project_dirs(self, x0: np.ndarray, dirs: np.ndarray, t: np.ndarray):
+    def project_dirs(self, x0: np.ndarray, dirs: np.ndarray, t: np.ndarray, squares: Optional[np.ndarray] = None):
         """Direction form: ||P(u) - P(x0)|| and the y stage of the probes u = x0 + t d.
 
         The rows of the 2-D array ``dirs`` are unit directions d, and t is
@@ -251,7 +251,8 @@ class BallProjection:
         above ||x0||^2 / 16; below (d near +-x0) it is the square sum of the
         row x0 - x_d d.  Returns None, or a y stage that returns None, where
         ``_image_terms`` declines at some radius; the y stage also declines
-        where some <d, y0> overflows, although t <d, y0> may not.
+        where some <d, y0> overflows, although t <d, y0> may not.  The
+        squares of dirs, which the orthant's form reads, are not read.
         """
         xd = _dot(dirs, x0)
 

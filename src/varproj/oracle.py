@@ -106,11 +106,13 @@ no zero).  Any other plan and base are dropped with the verdict.
 
 The random directions depend only on (seed, random_directions, m), so
 they are drawn once per process and kept, read-only, as one array in a
-cache of the 16 most recently used such sets (1 MB at m = 500 at the
-default config); they give the same bits as drawing anew.  The axis,
-sign and radius of every axis probe depend only on m and the radii, and
-are kept the same way (``_geometry``), so a base only gathers x0 at the
-probes' axes.
+cache of the 16 most recently used such sets; they give the same bits as
+drawing anew.  A kept set also holds its element-wise squares, in a
+second cache under the same key (``_random_squares``), which the base
+hands to f's direction form: 2 MB for a set at m = 500 at the default
+config, directions and squares.  The axis, sign and radius of every axis
+probe depend only on m and the radii, and are kept the same way
+(``_geometry``), so a base only gathers x0 at the probes' axes.
 
 The 2m axis probes u = xbar +- t*e_j of every radius are one block.
 Their u - xbar is one number du per probe, so its norm and its inner
@@ -378,7 +380,9 @@ def _structured_head(x0: np.ndarray, *vs: np.ndarray, anchor: Optional[tuple[flo
                 lengths.append(o_len)
     head = np.empty((2 * len(parts), x0.size))
     if parts:
-        units = np.divide(parts, np.array(lengths)[:, None], out=head[::2])
+        units = head[::2]
+        for row, part, length in zip(units, parts, lengths):
+            np.divide(part, length, out=row)
         np.negative(units, out=head[1::2])
     return head
 
@@ -428,6 +432,15 @@ def _random_dirs(seed, count: int, m: int) -> np.ndarray:
         start += kept
     dirs.flags.writeable = False
     return dirs
+
+
+# one array per (seed, count, m), beside _random_dirs's; 1 MB at m = 500, count = 256
+@lru_cache(maxsize=16)
+def _random_squares(seed, count: int, m: int) -> np.ndarray:
+    """The element-wise squares of ``_random_dirs(seed, count, m)``, read-only: a direction form's ``squares``."""
+    squares = np.square(_random_dirs(seed, count, m))
+    squares.flags.writeable = False
+    return squares
 
 
 class _Scores(NamedTuple):
@@ -547,10 +560,13 @@ def _form(f: Callable[[Vector], Vector], kind: str) -> Optional[Callable]:
     * An axis form's first stage takes (x0, j, moved), j the moved axis and
       ``moved`` the new coordinate of each probe u = x0 + (moved - x0[j]) e_j:
       the direction form's contract at d = e_j.
-    * A direction form's first stage takes (x0, dirs, t), dirs a 2-D array
-      whose rows are unit directions d and t a column of radii; its arrays
-      are (radius, direction) arrays over the probes u = x0 + t*d, row k
-      the terms at radius k.
+    * A direction form's first stage takes (x0, dirs, t, squares), dirs a
+      2-D array whose rows are unit directions d, t a column of radii and
+      ``squares`` the read-only element-wise squares of dirs, kept with
+      the directions (``_random_squares``); a form may read them or not,
+      and squares dirs itself, with the same bits, when called without
+      them.  Its arrays are (radius, direction) arrays over the probes
+      u = x0 + t*d, row k the terms at radius k.
 
     For a sparse f the coordinates are those on the probed axes, which is
     valid only when f acts coordinate by coordinate and maps 0 to 0.
@@ -628,10 +644,11 @@ def _base(f: Callable[[Vector], Vector], xbar: Vector, x0: np.ndarray, axes: Opt
         return None if staged is None else (staged[1], d_in + staged[0])
 
     t = np.array(radii)[:, None]
-    dirs = _random_dirs(config.seed, config.random_directions, m)
+    key = (config.seed, config.random_directions, m)
+    dirs = _random_dirs(*key)
     return _Base(fx, f_rows, fx0, x0, anchor, _structured_head(x0, anchor=anchor), t, dirs,
                  (axis_j, axis_s, moved, axis_du), first_stage("axes", np.abs(axis_du), axis_j, moved),
-                 first_stage("dirs", t, dirs, t) if len(dirs) else None)
+                 first_stage("dirs", t, dirs, t, _random_squares(*key)) if len(dirs) else None)
 
 
 class _Plan(NamedTuple):
@@ -850,14 +867,19 @@ def membership(f: Callable[[Vector], Vector], xbar: Vector, y: Vector, z: Vector
 
 
 def directional_quotient(f: Callable[[Vector], Vector], xbar: Vector, w: Vector, t: float) -> Vector:
-    """Forward difference quotient (f(xbar + t w) - f(xbar)) / t."""
+    """Forward difference quotient (f(xbar + t w) - f(xbar)) / t.
+
+    A dense f's images are read with ``as_vector_of`` at xbar's length, as
+    ``quotient`` reads them.
+    """
     if not (t > 0.0):
         raise ValueError("t must be positive")
-    if not _sparse(xbar, w):
-        xbar = as_vector(xbar)
-        w = as_vector_of(w, xbar.shape[0])
-    df = f(xbar + t * w) - f(xbar)
-    return df * (1.0 / t) if isinstance(df, SparseVector) else df / t
+    if _sparse(xbar, w):
+        df = f(xbar + t * w) - f(xbar)
+        return df * (1.0 / t) if isinstance(df, SparseVector) else df / t
+    xbar = as_vector(xbar)
+    w = as_vector_of(w, xbar.size)
+    return (as_vector_of(f(xbar + t * w), xbar.size) - as_vector_of(f(xbar), xbar.size)) / t
 
 
 def jacobian_fd(f: Callable[[np.ndarray], np.ndarray], xbar, h: float = 1e-6) -> np.ndarray:

@@ -87,7 +87,7 @@ def project_axes(x0: np.ndarray, j, moved):
     return np.abs(b), lambda y0: b * y0[j]
 
 
-def project_dirs(x0: np.ndarray, dirs: np.ndarray, t: np.ndarray):
+def project_dirs(x0: np.ndarray, dirs: np.ndarray, t: np.ndarray, squares: Optional[np.ndarray] = None):
     """Direction form: ||P(u) - P(x0)|| and the y stage of the probes u = x0 + t d.
 
     The rows of the 2-D array ``dirs`` are unit directions d, and t is a
@@ -103,22 +103,27 @@ def project_dirs(x0: np.ndarray, dirs: np.ndarray, t: np.ndarray):
     where df_C = max(x0_C + t d_C, 0) - max(x0_C, 0) is taken on the
     sub-block of the C columns, bit for bit as ``project_rows`` gives it.
     C, ||d on P||^2 and, in the y stage, <d, y0 on P> are taken once for
-    every radius.  ||d on P||^2 is the square sum of the P columns of
-    dirs, compressed into a block of their own: two operands, no mask.
-    <d, y0 on P> stays a product of the full rows with y0 set to 0 off P,
-    so it sums in the order of the oracle's <d, z> (``vectors._dot`` sums
-    by length): for z = y0 on P, t <d, z> - t <d, y0 on P> is exactly 0 at
-    every magnitude.  A product over the P columns alone leaves a rounding
-    that the oracle reads as a quotient: suprema near 1e292 at
-    |y0| = 1e308, and an inconclusive verdict for that member z.  A
-    coordinate of C out of reach of radius k gives w_i = d_i there when
-    x0_i > 0 and 0 when x0_i < 0, as it would off C, so row k holds the
-    terms of a call at radius k alone, in its bits at the largest radius
-    and wherever C holds no nonzero coordinate, and else summed in
-    another order.  The first stage never declines; the y stage declines
-    (None) when some <y0, P(u) - P(x0)> is not finite: <d, y0> may
-    overflow where t <d, y0> does not, and the full rows score those
-    probes.
+    every radius.  ||d on P||^2 is one product of ``squares``, the
+    element-wise squares of dirs (squared here when not given), with the
+    0/1 mask of P, so no block of the P columns is formed.  The mask is of
+    doubles: einsum casts a boolean one in buffers of 8192 entries and so
+    sums a longer row in another order.  At an all-positive x0 the product
+    keeps the bits of ``_dot(dirs, dirs)``; at a mixed-sign x0 it sums
+    over all m columns, which moves ||d on P||^2 in its last bit from the
+    square sum of the P columns alone.  <d, y0 on P> stays a product of
+    the full rows with y0 set to 0 off P, so it sums in the order of the
+    oracle's <d, z> (``vectors._dot`` sums by length): for z = y0 on P,
+    t <d, z> - t <d, y0 on P> is exactly 0 at every magnitude.  A product
+    over the P columns alone leaves a rounding that the oracle reads as a
+    quotient: suprema near 1e292 at |y0| = 1e308, and an inconclusive
+    verdict for that member z.  A coordinate of C out of reach of radius k
+    gives w_i = d_i there when x0_i > 0 and 0 when x0_i < 0, as it would
+    off C, so row k holds the terms of a call at radius k alone, in its
+    bits at the largest radius and wherever C holds no nonzero coordinate,
+    and else summed in another order.  The first stage never declines; the
+    y stage declines (None) when some <y0, P(u) - P(x0)> is not finite:
+    <d, y0> may overflow where t <d, y0> does not, and the full rows score
+    those probes.
     """
     # |t d_i| <= t (1 + 2^-50) rounds to at most t (1 + 2^-40)
     bound = float(np.maximum.reduce(t, axis=None)) * (1.0 + 2.0**-40)
@@ -126,11 +131,8 @@ def project_dirs(x0: np.ndarray, dirs: np.ndarray, t: np.ndarray):
     count = _count_nonzero(pos)
     near = (np.abs(x0) <= bound).nonzero()[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        if count == x0.size:
-            d_sq = _dot(dirs, dirs)
-        elif count:
-            on_p = dirs.compress(pos, axis=1)
-            d_sq = _dot(on_p, on_p)
+        if count:
+            d_sq = _dot(dirs * dirs if squares is None else squares, pos.astype(float))
         else:
             d_sq = np.zeros(len(dirs))
         if near.size:

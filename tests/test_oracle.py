@@ -1164,6 +1164,34 @@ class TestDirectionForm:
         got = oracle._quotients(z, dirs, t, y_df, t + df_norm)
         np.testing.assert_array_equal(_bits(got), _bits(np.zeros((3, 256))))
 
+    @pytest.mark.parametrize("m, count", [(1, 256), (6, 256), (500, 256), (9000, 16)])
+    def test_orthant_square_sum_reads_the_kept_squares(self, m, count):
+        # ||d on P||^2 is one product of the kept squares of the directions
+        # with the 0/1 mask of P: both stages have the same bits whether the
+        # squares are handed in or taken by the form; at an all-positive x0
+        # the first stage is t sqrt(<d, d>) bit for bit (also past einsum's
+        # 8192-entry buffer), and at a mixed-sign x0 of the oracle's sizes
+        # (m <= 500) it is within 1e-15 of t sqrt of the square sum of the P
+        # columns alone
+        rng = np.random.default_rng(37)
+        config = ProbeConfig()
+        dirs, t = oracle._random_dirs(config.seed, count, m), np.array(config.radii)[:, None]
+        squares = oracle._random_squares(config.seed, count, m)
+        assert not squares.flags.writeable
+        y = rng.standard_normal(m)
+        x = rng.uniform(0.1, 1.0, m) * np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
+        corner = np.where(np.arange(m) % 3 == 0, 0.0, x)
+        for x0 in (np.abs(x), x, corner):
+            kept, own = orthant.project_dirs(x0, dirs, t, squares), orthant.project_dirs(x0, dirs, t)
+            np.testing.assert_array_equal(_bits(kept[0]), _bits(own[0]))
+            np.testing.assert_array_equal(_bits(kept[1](y)), _bits(own[1](y)))
+        np.testing.assert_array_equal(_bits(orthant.project_dirs(np.abs(x), dirs, t, squares)[0]),
+                                      _bits(t * np.sqrt(vectors._dot(dirs, dirs))))
+        if m <= 500:
+            on_p = dirs.compress(x > 0.0, axis=1)
+            want = t * np.sqrt(vectors._dot(on_p, on_p))
+            np.testing.assert_allclose(orthant.project_dirs(x, dirs, t, squares)[0], want, rtol=1e-15, atol=0.0)
+
     def test_overflowing_z_product_scores_the_scaled_direction(self):
         # <d, z> overflows at |z| = 1e308 where t <d, z> does not: such an
         # entry is scored as <t d, z>, and every supremum is finite and the
@@ -1207,9 +1235,9 @@ class _CountingBall(BallProjection):
         self.calls.append(("axes", len(moved)))
         return self._counted("axes y", super().project_axes(x0, j, moved))
 
-    def project_dirs(self, x0, dirs, t):
+    def project_dirs(self, x0, dirs, t, squares=None):
         self.calls.append(("dirs", (t.size, len(dirs))))
-        return self._counted("dirs y", super().project_dirs(x0, dirs, t))
+        return self._counted("dirs y", super().project_dirs(x0, dirs, t, squares))
 
     def _counted(self, kind, staged):
         """The first stage's result, with a y stage that records its calls."""
@@ -2175,6 +2203,15 @@ class TestDirectionalQuotient:
             l2_cone.project, SparseVector({1: 1.0}), SparseVector({2: -1.0}), 1e-6
         )
         assert got == SparseVector.zero()
+
+    def test_dense_images_are_read_as_vectors(self):
+        # images given as lists are the arrays of the same map, and an image
+        # of another length than xbar raises, as in quotient
+        f = lambda u: list(np.maximum(np.asarray(u), 0.0))
+        got = directional_quotient(f, [1.0, -1.0], [1.0, 1.0], 1e-6)
+        np.testing.assert_array_equal(got, directional_quotient(orthant.project, [1.0, -1.0], [1.0, 1.0], 1e-6))
+        with pytest.raises(ValueError, match="^dimension mismatch: 3 vs 2$"):
+            directional_quotient(lambda u: np.zeros(3), [1.0, -1.0], [1.0, 1.0], 1e-6)
 
 
 # each oracle entry point: the function and the number of vectors it takes after xbar
